@@ -298,7 +298,13 @@ mod tests {
         let handle =
             std::thread::spawn(move || sleep_cancellable(&*c2, Duration::from_secs(60), || false));
         // Virtual time satisfies the deadline; no 60s of real time pass.
-        clock.advance(Duration::from_secs(60));
+        // The sleeper computes `now + 60s` whenever it gets scheduled, so
+        // a single advance can land before that read and leave it parked
+        // at 120 virtual seconds forever: keep advancing until it returns.
+        while !handle.is_finished() {
+            clock.advance(Duration::from_secs(60));
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(handle.join().unwrap(), "completed, not cancelled");
     }
 

@@ -66,7 +66,8 @@ fn deadline_for(pods: usize) -> Duration {
 /// Panics when the burst does not complete before the deadline (the
 /// harness treats that as an experiment failure).
 pub fn run_vc_burst(fw: &Framework, tenants: &[String], pods_per_tenant: usize) -> LoadResult {
-    fw.syncer.phases.reset();
+    // Traces (Fig 8 / Table I read them back) cover this burst only.
+    fw.obs().tracer.reset();
     let total = tenants.len() * pods_per_tenant;
     let start = Instant::now();
 

@@ -9,12 +9,14 @@
 //!   control planes and storing their kubeconfig secrets,
 //! * [`syncer`] — the centralized resource syncer: downward/upward
 //!   per-resource reconcilers, per-tenant weighted-fair queuing, vNode
-//!   management with heartbeat broadcast, pod latency phase tracking, and
-//!   the periodic mismatch scanner,
+//!   management with heartbeat broadcast, per-pod trace spans for the
+//!   paper's five latency phases, and the periodic mismatch scanner,
 //! * [`vn_agent`] — the per-node kubelet-API proxy with certificate-hash
 //!   tenant identification,
 //! * [`framework`] — full-deployment assembly (super cluster + operator +
-//!   syncer), the entry point for examples, tests and benches.
+//!   syncer), the entry point for examples, tests and benches,
+//! * [`multi`] — several such deployments behind one tenant-placement map
+//!   (paper §V: multiple super clusters).
 //!
 //! # Examples
 //!

@@ -7,23 +7,21 @@
 //! clusters" — unlike Kubernetes federation, where users explicitly manage
 //! all member clusters.
 //!
-//! [`MultiSuperFramework`] runs N independent super clusters (each with its
-//! own scheduler, nodes and syncer) and places each tenant on one of them
-//! at provisioning time. Tenants keep using their own control plane; the
-//! placement is invisible to them.
+//! [`MultiSuperFramework`] is N complete [`Framework`]s (each its own super
+//! cluster, scheduler, nodes, tenant operator and syncer) on one shared
+//! clock, plus a placement decision: a tenant is assigned to one member at
+//! creation and from then on every operation is that member's. Tenants keep
+//! using their own control plane; the placement is invisible to them.
 
-use crate::mapping;
-use crate::registry::{generate_cert, TenantHandle, TenantRegistry};
-use crate::syncer::{Syncer, SyncerConfig};
+use crate::framework::{Framework, FrameworkConfig};
+use crate::registry::TenantHandle;
 use crate::vc_object::VirtualClusterSpec;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vc_api::error::{ApiError, ApiResult};
-use vc_api::meta::Uid;
 use vc_api::time::{Clock, RealClock};
 use vc_client::Client;
-use vc_controllers::{Cluster, ClusterConfig};
 
 /// How tenants are placed onto super clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,112 +34,75 @@ pub enum PlacementPolicy {
 }
 
 /// Configuration for a multi-super deployment.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct MultiSuperConfig {
     /// Number of super clusters (shards).
     pub shards: usize,
-    /// Nodes per super cluster.
-    pub nodes_per_shard: u32,
-    /// Super-cluster template.
-    pub super_template: ClusterConfig,
-    /// Tenant control-plane template.
-    pub tenant_template: ClusterConfig,
-    /// Syncer settings (one syncer per shard).
-    pub syncer: SyncerConfig,
     /// Placement policy.
     pub placement: PlacementPolicy,
-}
-
-impl std::fmt::Debug for MultiSuperConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiSuperConfig")
-            .field("shards", &self.shards)
-            .field("nodes_per_shard", &self.nodes_per_shard)
-            .field("placement", &self.placement)
-            .finish()
-    }
+    /// What every member is started from. Member `i`'s super cluster is
+    /// named `super-{i}`, all members share one clock (`framework.clock`,
+    /// or the wall clock), and a durable store gets the subdirectory
+    /// `super-{i}` of `framework.durability`'s directory.
+    pub framework: FrameworkConfig,
 }
 
 impl Default for MultiSuperConfig {
     fn default() -> Self {
         MultiSuperConfig {
             shards: 2,
-            nodes_per_shard: 2,
-            super_template: ClusterConfig::super_cluster("super").with_zero_latency(),
-            tenant_template: ClusterConfig::tenant("tenant").with_zero_latency(),
-            syncer: SyncerConfig {
-                downward_workers: 4,
-                upward_workers: 4,
-                ..SyncerConfig::default()
-            },
             placement: PlacementPolicy::LeastTenants,
+            framework: FrameworkConfig::minimal(),
         }
-    }
-}
-
-/// One super cluster + its syncer.
-pub struct Shard {
-    /// Shard index.
-    pub index: usize,
-    /// The super cluster.
-    pub cluster: Arc<Cluster>,
-    /// The shard's syncer.
-    pub syncer: Arc<Syncer>,
-}
-
-impl std::fmt::Debug for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard").field("index", &self.index).finish()
     }
 }
 
 /// A deployment spanning several super clusters.
 pub struct MultiSuperFramework {
-    shards: Vec<Shard>,
-    /// Global tenant registry (tenant names are unique across shards).
-    pub registry: Arc<TenantRegistry>,
+    members: Vec<Framework>,
+    /// Tenant name → member index (tenant names are unique across members).
     assignments: Mutex<HashMap<String, usize>>,
     next_round_robin: Mutex<usize>,
-    clock: Arc<dyn Clock>,
-    config: MultiSuperConfig,
+    placement: PlacementPolicy,
 }
 
 impl std::fmt::Debug for MultiSuperFramework {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiSuperFramework")
-            .field("shards", &self.shards.len())
-            .field("tenants", &self.registry.len())
+            .field("shards", &self.members.len())
+            .field("tenants", &self.assignments.lock().len())
             .finish()
     }
 }
 
 impl MultiSuperFramework {
-    /// Starts `config.shards` super clusters, each with nodes and a syncer.
+    /// Starts `config.shards` member frameworks.
     pub fn start(config: MultiSuperConfig) -> MultiSuperFramework {
         assert!(config.shards >= 1, "at least one super cluster");
-        let clock: Arc<dyn Clock> = RealClock::shared();
-        let mut shards = Vec::new();
-        for index in 0..config.shards {
-            let mut cluster_config = config.super_template.clone();
-            cluster_config.name = format!("super-{index}");
-            let cluster = Arc::new(Cluster::start_with_clock(cluster_config, Arc::clone(&clock)));
-            cluster.add_mock_nodes(config.nodes_per_shard).expect("register shard nodes");
-            let syncer = Syncer::start(cluster.system_client("vc-syncer"), config.syncer.clone());
-            shards.push(Shard { index, cluster, syncer });
-        }
+        let clock: Arc<dyn Clock> =
+            config.framework.clock.clone().unwrap_or_else(RealClock::shared);
+        let members = (0..config.shards)
+            .map(|index| {
+                let mut member = config.framework.clone();
+                member.super_cluster.name = format!("super-{index}");
+                member.clock = Some(Arc::clone(&clock));
+                if let Some(durability) = &mut member.durability {
+                    durability.dir.push(format!("super-{index}"));
+                }
+                Framework::start(member)
+            })
+            .collect();
         MultiSuperFramework {
-            shards,
-            registry: TenantRegistry::new(),
+            members,
             assignments: Mutex::new(HashMap::new()),
             next_round_robin: Mutex::new(0),
-            clock,
-            config,
+            placement: config.placement,
         }
     }
 
-    /// The shards.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
+    /// The member frameworks, indexed by shard.
+    pub fn members(&self) -> &[Framework] {
+        &self.members
     }
 
     /// Which shard hosts `tenant` (provisioned tenants only).
@@ -149,68 +110,54 @@ impl MultiSuperFramework {
         self.assignments.lock().get(tenant).copied()
     }
 
-    /// Provisions a tenant on a shard chosen by the placement policy. The
-    /// tenant's API experience is identical regardless of the shard — the
-    /// placement is invisible.
+    /// The member hosting `tenant`.
+    fn member_of(&self, tenant: &str) -> Option<&Framework> {
+        self.shard_of(tenant).map(|index| &self.members[index])
+    }
+
+    /// Provisions a tenant on a shard chosen by the placement policy and
+    /// waits for it, exactly as [`Framework::create_tenant_with_spec`]
+    /// does. The tenant's API experience is identical regardless of the
+    /// shard — the placement is invisible.
     ///
     /// # Errors
     ///
-    /// [`ApiError::AlreadyExists`] when the tenant name is taken.
+    /// [`ApiError::AlreadyExists`] when the tenant name is taken on any
+    /// shard; otherwise whatever the member's provisioning returns. After
+    /// a [`ApiError::Timeout`] the VC object exists on the member, so the
+    /// tenant stays assigned and [`Self::delete_tenant`] cleans it up.
     pub fn create_tenant(
         &self,
         name: &str,
         spec: VirtualClusterSpec,
     ) -> ApiResult<Arc<TenantHandle>> {
-        if self.registry.get(name).is_some() {
-            return Err(ApiError::already_exists("VirtualCluster", name));
-        }
-        let shard_index = self.place();
-        let shard = &self.shards[shard_index];
-
-        let mut tenant_config = self.config.tenant_template.clone();
-        tenant_config.name = name.to_string();
-        let cluster = Arc::new(Cluster::start_with_clock(tenant_config, Arc::clone(&self.clock)));
-        let (cert, cert_hash) = generate_cert(name);
-        let handle = Arc::new(TenantHandle {
-            name: name.to_string(),
-            prefix: mapping::namespace_prefix(name, &Uid::generate()),
-            cluster,
-            cert,
-            cert_hash,
-            weight: spec.weight.max(1),
-            sync_crds: spec.sync_crds,
-        });
-        self.registry.insert(Arc::clone(&handle));
-        self.assignments.lock().insert(name.to_string(), shard_index);
-        shard.syncer.register_tenant(Arc::clone(&handle));
-        Ok(handle)
+        let index = {
+            let mut assignments = self.assignments.lock();
+            if assignments.contains_key(name) {
+                return Err(ApiError::already_exists("VirtualCluster", name));
+            }
+            let index = self.place(&assignments);
+            assignments.insert(name.to_string(), index);
+            index
+        };
+        self.members[index].create_tenant_with_spec(name, spec).inspect_err(|e| {
+            if !matches!(e, ApiError::Timeout { .. }) {
+                self.assignments.lock().remove(name);
+            }
+        })
     }
 
-    /// Removes a tenant from its shard.
+    /// Deletes a tenant from its shard and waits for the teardown.
     ///
     /// # Errors
     ///
-    /// [`ApiError::NotFound`] for unknown tenants.
+    /// [`ApiError::NotFound`] for unknown tenants; otherwise whatever the
+    /// member's teardown returns (the tenant then stays assigned).
     pub fn delete_tenant(&self, name: &str) -> ApiResult<()> {
-        let shard_index = self
-            .assignments
-            .lock()
-            .remove(name)
-            .ok_or_else(|| ApiError::not_found("VirtualCluster", name))?;
-        let shard = &self.shards[shard_index];
-        shard.syncer.unregister_tenant(name);
-        if let Some(handle) = self.registry.remove(name) {
-            handle.cluster.shutdown();
-            // Clean the shard's prefixed namespaces.
-            let admin = shard.cluster.system_client("vc-multi-admin");
-            if let Ok((namespaces, _)) = admin.list(vc_api::ResourceKind::Namespace, None) {
-                for ns in namespaces {
-                    if mapping::owner_cluster(&ns) == Some(name) {
-                        let _ = admin.delete(vc_api::ResourceKind::Namespace, "", &ns.meta().name);
-                    }
-                }
-            }
-        }
+        let member =
+            self.member_of(name).ok_or_else(|| ApiError::not_found("VirtualCluster", name))?;
+        member.delete_tenant(name)?;
+        self.assignments.lock().remove(name);
         Ok(())
     }
 
@@ -220,39 +167,38 @@ impl MultiSuperFramework {
     ///
     /// Panics for unknown tenants.
     pub fn tenant_client(&self, tenant: &str, user: impl Into<String>) -> Client {
-        self.registry.get(tenant).expect("tenant provisioned").client(user)
+        self.member_of(tenant).expect("tenant provisioned").tenant_client(tenant, user)
     }
 
     /// Number of tenants per shard, indexed by shard.
     pub fn tenants_per_shard(&self) -> Vec<usize> {
-        let assignments = self.assignments.lock();
-        let mut counts = vec![0usize; self.shards.len()];
+        self.counts(&self.assignments.lock())
+    }
+
+    /// Stops every member (and with it every tenant).
+    pub fn shutdown(&self) {
+        for member in &self.members {
+            member.shutdown();
+        }
+    }
+
+    fn counts(&self, assignments: &HashMap<String, usize>) -> Vec<usize> {
+        let mut counts = vec![0usize; self.members.len()];
         for shard in assignments.values() {
             counts[*shard] += 1;
         }
         counts
     }
 
-    /// Stops every shard and tenant.
-    pub fn shutdown(&self) {
-        for tenant in self.registry.list() {
-            tenant.cluster.shutdown();
-        }
-        for shard in &self.shards {
-            shard.syncer.stop();
-            shard.cluster.shutdown();
-        }
-    }
-
-    fn place(&self) -> usize {
-        match self.config.placement {
+    fn place(&self, assignments: &HashMap<String, usize>) -> usize {
+        match self.placement {
             PlacementPolicy::LeastTenants => {
-                let counts = self.tenants_per_shard();
+                let counts = self.counts(assignments);
                 counts.iter().enumerate().min_by_key(|(_, c)| **c).map(|(i, _)| i).unwrap_or(0)
             }
             PlacementPolicy::RoundRobin => {
                 let mut next = self.next_round_robin.lock();
-                let index = *next % self.shards.len();
+                let index = *next % self.members.len();
                 *next += 1;
                 index
             }
@@ -260,15 +206,10 @@ impl MultiSuperFramework {
     }
 }
 
-impl Drop for MultiSuperFramework {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vc_object::{VcPhase, VC_MANAGER_NAMESPACE};
     use std::time::Duration;
     use vc_api::pod::{Container, Pod};
     use vc_api::ResourceKind;
@@ -276,9 +217,8 @@ mod tests {
 
     fn fast_multi(shards: usize, placement: PlacementPolicy) -> MultiSuperFramework {
         let mut config = MultiSuperConfig { shards, placement, ..Default::default() };
-        config.syncer.scan_interval = Some(Duration::from_millis(500));
         // Bare tenant apiservers keep the test light.
-        config.tenant_template = crate::framework::minimal_tenant_template();
+        config.framework.operator.tenant_template = crate::framework::minimal_tenant_template();
         MultiSuperFramework::start(config)
     }
 
@@ -286,6 +226,20 @@ mod tests {
         client
             .get(ResourceKind::Pod, "default", name)
             .is_ok_and(|o| o.as_pod().unwrap().status.is_ready())
+    }
+
+    fn create_ready_pod(client: &Client, name: &str) {
+        client
+            .create(Pod::new("default", name).with_container(Container::new("c", "i")).into())
+            .unwrap();
+        assert!(
+            wait_until(Duration::from_secs(30), Duration::from_millis(50), || ready(client, name)),
+            "pod {name} never became ready"
+        );
+    }
+
+    fn super_count(member: &Framework, kind: ResourceKind) -> usize {
+        member.super_cluster.system_client("observer").list(kind, None).unwrap().0.len()
     }
 
     #[test]
@@ -320,25 +274,11 @@ mod tests {
 
         // The tenant experience is identical on both shards.
         for tenant in ["even", "odd"] {
-            let client = multi.tenant_client(tenant, "user");
-            client
-                .create(
-                    Pod::new("default", "probe").with_container(Container::new("c", "i")).into(),
-                )
-                .unwrap();
-            assert!(
-                wait_until(Duration::from_secs(30), Duration::from_millis(50), || {
-                    ready(&client, "probe")
-                }),
-                "tenant {tenant} pod never became ready"
-            );
+            create_ready_pod(&multi.tenant_client(tenant, "user"), "probe");
         }
         // Each pod landed in ITS shard's super cluster only.
-        let shard_pods = |shard: &Shard| {
-            shard.cluster.system_client("observer").list(ResourceKind::Pod, None).unwrap().0.len()
-        };
-        assert_eq!(shard_pods(&multi.shards()[0]), 1);
-        assert_eq!(shard_pods(&multi.shards()[1]), 1);
+        assert_eq!(super_count(&multi.members()[0], ResourceKind::Pod), 1);
+        assert_eq!(super_count(&multi.members()[1], ResourceKind::Pod), 1);
         multi.shutdown();
     }
 
@@ -350,25 +290,15 @@ mod tests {
             .create_tenant("dup", VirtualClusterSpec::default())
             .unwrap_err()
             .is_already_exists());
+        assert_eq!(multi.tenants_per_shard().iter().sum::<usize>(), 1, "no second placement");
 
-        let client = multi.tenant_client("dup", "user");
-        client
-            .create(Pod::new("default", "p").with_container(Container::new("c", "i")).into())
-            .unwrap();
-        assert!(wait_until(Duration::from_secs(30), Duration::from_millis(50), || {
-            ready(&client, "p")
-        }));
+        create_ready_pod(&multi.tenant_client("dup", "user"), "p");
         let shard = multi.shard_of("dup").unwrap();
         multi.delete_tenant("dup").unwrap();
-        assert!(multi.registry.get("dup").is_none());
+        assert!(multi.shard_of("dup").is_none());
+        assert!(multi.members()[shard].registry.get("dup").is_none());
         assert!(wait_until(Duration::from_secs(20), Duration::from_millis(100), || {
-            multi.shards()[shard]
-                .cluster
-                .system_client("observer")
-                .list(ResourceKind::Pod, None)
-                .unwrap()
-                .0
-                .is_empty()
+            super_count(&multi.members()[shard], ResourceKind::Pod) == 0
         }));
         assert!(multi.delete_tenant("dup").unwrap_err().is_not_found());
         multi.shutdown();
@@ -379,14 +309,46 @@ mod tests {
         // The point of multi-super: total capacity grows with shards while
         // tenants stay oblivious.
         let multi = fast_multi(2, PlacementPolicy::RoundRobin);
-        let total_nodes: usize = multi
-            .shards()
-            .iter()
-            .map(|s| {
-                s.cluster.system_client("observer").list(ResourceKind::Node, None).unwrap().0.len()
-            })
-            .sum();
+        let total_nodes: usize =
+            multi.members().iter().map(|m| super_count(m, ResourceKind::Node)).sum();
         assert_eq!(total_nodes, 4, "2 shards x 2 nodes");
+        multi.shutdown();
+    }
+
+    #[test]
+    fn tenants_get_the_full_operator_lifecycle() {
+        // Only the shared provisioning path can pass this: the VC object,
+        // its Running status and the kubeconfig secret are the tenant
+        // operator's work, and so is their removal.
+        let multi = fast_multi(2, PlacementPolicy::RoundRobin);
+        multi.create_tenant("first", VirtualClusterSpec::default()).unwrap();
+        let handle = multi.create_tenant("second", VirtualClusterSpec::default()).unwrap();
+        let member = &multi.members()[multi.shard_of("second").unwrap()];
+        let other = &multi.members()[multi.shard_of("first").unwrap()];
+        let admin = member.super_client("admin");
+
+        assert_eq!(member.tenant_phase("second"), Some(VcPhase::Running));
+        assert!(admin.get(ResourceKind::Secret, VC_MANAGER_NAMESPACE, "second-kubeconfig").is_ok());
+        assert_eq!(other.tenant_phase("second"), None, "placed on exactly one member");
+
+        create_ready_pod(&multi.tenant_client("second", "user"), "p");
+        let prefixed = |client: &Client| {
+            let (namespaces, _) = client.list(ResourceKind::Namespace, None).unwrap();
+            namespaces.iter().filter(|ns| ns.meta().name.starts_with(&handle.prefix)).count()
+        };
+        assert!(prefixed(&admin) >= 1, "the pod's namespace was synced under the prefix");
+
+        multi.delete_tenant("second").unwrap();
+        assert_eq!(member.tenant_phase("second"), None, "VC object removed");
+        assert!(admin
+            .get(ResourceKind::Secret, VC_MANAGER_NAMESPACE, "second-kubeconfig")
+            .is_err());
+        let drained = || prefixed(&admin) == 0;
+        assert!(
+            wait_until(Duration::from_secs(20), Duration::from_millis(50), drained),
+            "prefixed namespaces must be removed"
+        );
+        assert_eq!(multi.tenants_per_shard().iter().sum::<usize>(), 1);
         multi.shutdown();
     }
 }

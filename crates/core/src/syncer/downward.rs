@@ -40,7 +40,7 @@ pub(crate) fn in_sync(
     kind: ResourceKind,
     tenant_obj: &Object,
 ) -> bool {
-    if kind == ResourceKind::CustomObject && !custom_object_synced_ref(tenant, tenant_obj) {
+    if kind == ResourceKind::CustomObject && !custom_object_synced(tenant, tenant_obj) {
         return true; // not subject to sync
     }
     let Some(super_cache) = syncer.super_cache(kind) else { return true };
@@ -52,10 +52,6 @@ pub(crate) fn in_sync(
 }
 
 fn custom_object_synced(tenant: &TenantState, obj: &Object) -> bool {
-    custom_object_synced_ref(tenant, obj)
-}
-
-fn custom_object_synced_ref(tenant: &TenantState, obj: &Object) -> bool {
     if !tenant.handle.sync_crds {
         return false;
     }

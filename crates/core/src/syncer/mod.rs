@@ -9,7 +9,6 @@
 //! others. A periodic scanner remediates any state mismatch left behind by
 //! rare races by resending objects to the worker queues.
 
-pub mod phases;
 pub mod vnode;
 
 mod downward;
@@ -22,7 +21,6 @@ use crate::vc_object::{
     VC_MANAGER_NAMESPACE,
 };
 use parking_lot::{Mutex, RwLock};
-use phases::PhaseTracker;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -328,14 +326,6 @@ impl SyncerMetrics {
     }
 }
 
-impl Default for SyncerMetrics {
-    /// Standalone metrics backed by a private registry — for tests and
-    /// callers that never export an exposition.
-    fn default() -> Self {
-        Self::new(&MetricsRegistry::new())
-    }
-}
-
 /// Point-in-time copy of the syncer's counters and gauges, taken in one
 /// pass (see [`SyncerMetrics::snapshot`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -466,8 +456,6 @@ pub struct Syncer {
     scan_cursor: Mutex<ScanCursor>,
     /// vNode bookkeeping.
     pub vnodes: VNodeManager,
-    /// Pod latency phase tracking.
-    pub phases: PhaseTracker,
     /// Counters and busy timers.
     pub metrics: SyncerMetrics,
     /// Observability plane: the request tracer plus the unified metrics
@@ -577,7 +565,6 @@ impl Syncer {
             scan_dirty: Mutex::new(HashSet::new()),
             scan_cursor: Mutex::new(ScanCursor::default()),
             vnodes: VNodeManager::new(),
-            phases: PhaseTracker::new(),
             metrics: SyncerMetrics::new(&obs.registry),
             obs,
             tenant_sync_duration,
@@ -624,9 +611,6 @@ impl Syncer {
                             if stop.is_set() {
                                 syncer_ref.downward.done(&item);
                                 continue;
-                            }
-                            if item.kind == ResourceKind::Pod {
-                                syncer_ref.phases.record_dws_dequeued(&item.tenant, &item.key);
                             }
                             // Close the queue-wait span and run the
                             // reconcile under the item's trace context so
@@ -689,10 +673,10 @@ impl Syncer {
                                 syncer_ref.upward.done(&item);
                                 continue;
                             }
-                            // (Pod phase stamps and trace spans happen
-                            // inside the upward reconciler, which knows
-                            // whether the super pod is Ready and maps the
-                            // super key back to the traced tenant key.)
+                            // (Pod trace spans are recorded inside the
+                            // upward reconciler, which knows whether the
+                            // super pod is Ready and maps the super key
+                            // back to the traced tenant key.)
                             let started = Instant::now();
                             syncer_ref.metrics.upward_busy.record(|| {
                                 let cost = congestion_cost(
@@ -823,21 +807,7 @@ impl Syncer {
     /// cluster objects keep running; the tenant's own control plane stays
     /// up but unwatched. Returns `false` for unknown tenants.
     pub fn hibernate_tenant(&self, name: &str) -> bool {
-        let Some(state) = self.tenants.write().remove(name) else { return false };
-        for informer in state.informers.values() {
-            informer.stop();
-        }
-        state.handle.cluster.apiserver.detach_observability();
-        // Keep the prefix index aligned with the `tenants` map; waking
-        // re-registers and re-inserts the prefix.
-        self.prefix_index.write().remove(&state.handle.prefix);
-        let _ = self.downward.remove_tenant(name);
-        // A hibernated tenant's control plane is deliberately unwatched:
-        // drop any breaker and dirty-key state so a later wake starts
-        // fresh.
-        self.breakers.lock().remove(name);
-        self.scan_dirty.lock().retain(|i| i.tenant != name);
-        self.stats_dirty.lock().remove(name);
+        let Some(state) = self.detach_tenant(name) else { return false };
         self.hibernated.lock().insert(name.to_string(), Arc::clone(&state.handle));
         self.metrics.hibernations.inc();
         true
@@ -1145,16 +1115,13 @@ impl Syncer {
     }
 
     /// Publishes the [`COND_SYNCER_HEALTHY`] condition on the tenant's VC
-    /// object in the super cluster (best-effort: the VC object may not
-    /// exist for registry-only tenants, e.g. in tests bypassing the
-    /// operator).
+    /// object.
     fn publish_tenant_condition(&self, tenant: &str, healthy: bool, reason: &str, message: &str) {
         self.publish_tenant_condition_type(COND_SYNCER_HEALTHY, tenant, healthy, reason, message);
     }
 
-    /// Publishes an arbitrary condition type on the tenant's VC object
-    /// (best-effort, conflict-retried). No-op when the condition already
-    /// holds the given status.
+    /// Publishes an arbitrary condition type on the tenant's VC object.
+    /// No-op when the condition already holds the given status.
     fn publish_tenant_condition_type(
         &self,
         condition: &str,
@@ -1163,12 +1130,22 @@ impl Syncer {
         reason: &str,
         message: &str,
     ) {
+        self.update_vc_status(tenant, |vc| {
+            vc.status.set_condition(condition, status, reason, message)
+        });
+    }
+
+    /// Applies `change` to the tenant's VC object in the super cluster and
+    /// writes it back when `change` reports a difference. Best-effort (the
+    /// VC object may not exist for registry-only tenants, e.g. in tests
+    /// bypassing the operator) and conflict-retried.
+    fn update_vc_status(&self, tenant: &str, change: impl Fn(&mut VirtualCluster) -> bool) {
         let _ = retry_on_conflict(3, || {
             let fresh =
                 self.super_client.get(ResourceKind::CustomObject, VC_MANAGER_NAMESPACE, tenant)?;
             let mut fresh: CustomObject = fresh.try_into()?;
             let mut vc = VirtualCluster::from_custom_object(&fresh)?;
-            if !vc.status.set_condition(condition, status, reason, message) {
+            if !change(&mut vc) {
                 return Ok(());
             }
             vc.write_into(&mut fresh);
@@ -1244,8 +1221,11 @@ impl Syncer {
         }
     }
 
-    /// Detaches a tenant: stops its informers and drops its sub-queue.
-    pub fn unregister_tenant(&self, name: &str) {
+    /// Stops watching a tenant (the part hibernation and unregistration
+    /// share): stops its informers, drops its sub-queue, and forgets the
+    /// breaker, dirty-key and dashboard state that only make sense while
+    /// the control plane is watched. Returns the state that was attached.
+    fn detach_tenant(&self, name: &str) -> Option<Arc<TenantState>> {
         let state = self.tenants.write().remove(name);
         if let Some(state) = &state {
             for informer in state.informers.values() {
@@ -1254,26 +1234,34 @@ impl Syncer {
             // Reclaims the tenant apiserver's `server=<name>` metric cells
             // as a side effect.
             state.handle.cluster.apiserver.detach_observability();
-            self.prefix_index.write().remove(&state.handle.prefix);
-        } else {
-            // Unknown state (e.g. double unregister): fall back to a
-            // value scan so the index can never go stale.
-            self.prefix_index.write().retain(|_, tenant| tenant != name);
         }
+        // By value, so a repeated detach can never leave the index stale;
+        // re-registering (wake) re-inserts the prefix.
+        self.prefix_index.write().retain(|_, tenant| tenant != name);
         // The sub-queue may still hold items; they become no-ops once the
         // tenant is gone, so force removal after drain attempts.
         let _ = self.downward.remove_tenant(name);
-        // Drop all robustness state tied to the tenant: breaker, parked
-        // upward items, dirty keys and dead letters would otherwise leak.
         self.breakers.lock().remove(name);
-        self.parked_upward.lock().retain(|i| i.tenant != name);
         self.scan_dirty.lock().retain(|i| i.tenant != name);
+        self.stats_dirty.lock().remove(name);
+        state
+    }
+
+    /// Detaches a tenant for good: stops its informers, drops its
+    /// sub-queue and everything else the syncer holds in its name.
+    pub fn unregister_tenant(&self, name: &str) {
+        self.detach_tenant(name);
+        // Parked upward items, dead letters, policy blocks and open traces
+        // would otherwise leak.
+        self.parked_upward.lock().retain(|i| i.tenant != name);
         {
             let mut dead = self.dead_letter.lock();
             dead.retain(|i| i.tenant != name);
             self.metrics.dead_letter_len.set(dead.len() as i64);
         }
         self.policy_blocked_items.lock().remove(name);
+        // Pods still in flight will never report Ready to anyone.
+        self.obs.tracer.abandon_tenant(name);
         // Reclaim the tenant's cells from every `tenant`-labeled metric
         // family (sync-duration histograms, queue-depth gauges) and the
         // stats-publish dedup map. Without this sweep the registry's
@@ -1282,7 +1270,6 @@ impl Syncer {
         // cells (and their retained histogram windows) behind.
         self.obs.registry.remove_label_value("tenant", name);
         self.last_published_stats.lock().remove(name);
-        self.stats_dirty.lock().remove(name);
     }
 
     /// The registered tenants.
@@ -1344,11 +1331,7 @@ impl Syncer {
         // instead of every tenant thread rescanning the full caches.
         let mut by_owner: HashMap<ResourceKind, HashMap<String, Vec<Arc<vc_api::Object>>>> =
             HashMap::new();
-        let mut scan_kinds = self.config.downward_kinds.clone();
-        if !scan_kinds.contains(&ResourceKind::Pod) {
-            scan_kinds.push(ResourceKind::Pod);
-        }
-        for kind in &scan_kinds {
+        for kind in &self.config.downward_kinds {
             let Some(cache) = self.super_cache(*kind) else { continue };
             let per_tenant: &mut HashMap<String, Vec<Arc<vc_api::Object>>> =
                 by_owner.entry(*kind).or_default();
@@ -1371,81 +1354,26 @@ impl Syncer {
         elapsed
     }
 
+    /// One tenant's share of a full pass: every tenant-side key, then
+    /// every super object the tenant owns whose tenant source is gone.
+    /// [`check_key`](Self::check_key) decides what, if anything, to
+    /// requeue.
     fn scan_tenant(
         &self,
         tenant: &TenantState,
         by_owner: &HashMap<ResourceKind, HashMap<String, Vec<Arc<vc_api::Object>>>>,
     ) {
-        let prefix = &tenant.handle.prefix;
-        let owned = |kind: ResourceKind| -> &[Arc<vc_api::Object>] {
-            by_owner
-                .get(&kind)
-                .and_then(|m| m.get(&tenant.handle.name))
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-        };
         for kind in &self.config.downward_kinds {
-            if self.super_cache(*kind).is_none() {
-                continue;
-            }
             let tenant_cache = tenant.cache(*kind);
-            // Tenant objects whose super copy is missing or diverged.
-            for obj in tenant_cache.list() {
-                if !downward::in_sync(self, tenant, *kind, &obj) {
-                    self.metrics.scan_requeues.inc();
-                    self.downward.add(
-                        &tenant.handle.name,
-                        WorkItem {
-                            tenant: tenant.handle.name.clone(),
-                            kind: *kind,
-                            key: obj.key(),
-                        },
-                    );
-                }
+            for key in tenant_cache.keys() {
+                self.check_key(tenant, *kind, &key);
             }
-            // Super objects owned by this tenant whose tenant source is
-            // gone (orphans to delete).
-            for obj in owned(*kind) {
-                let Some(tenant_key) = mapping::super_key_to_tenant(prefix, *kind, &obj.key())
-                else {
-                    continue;
-                };
-                if tenant_cache.get(&tenant_key).is_none() {
-                    self.metrics.scan_requeues.inc();
-                    self.downward.add(
-                        &tenant.handle.name,
-                        WorkItem {
-                            tenant: tenant.handle.name.clone(),
-                            kind: *kind,
-                            key: tenant_key,
-                        },
-                    );
-                }
-            }
-        }
-        // Upward repair: super pods whose status the tenant hasn't seen.
-        if self.config.downward_kinds.contains(&ResourceKind::Pod) {
-            for obj in owned(ResourceKind::Pod) {
-                let Some(pod) = obj.as_pod() else { continue };
-                let Some(tenant_key) =
-                    mapping::super_key_to_tenant(prefix, ResourceKind::Pod, &obj.key())
-                else {
-                    continue;
-                };
-                let tenant_pod = tenant.cache(ResourceKind::Pod).get(&tenant_key);
-                let diverged = match tenant_pod {
-                    Some(t_obj) => t_obj.as_pod().is_some_and(|tp| {
-                        tp.status != pod.status || tp.spec.node_name != pod.spec.node_name
-                    }),
-                    None => false, // downward scan handles orphan deletion
-                };
-                if diverged {
-                    self.metrics.scan_requeues.inc();
-                    self.upward.add(WorkItem {
-                        tenant: tenant.handle.name.clone(),
-                        kind: ResourceKind::Pod,
-                        key: obj.key(),
-                    });
+            let owned = by_owner.get(kind).and_then(|m| m.get(&tenant.handle.name));
+            for obj in owned.into_iter().flatten() {
+                let tenant_key =
+                    mapping::super_key_to_tenant(&tenant.handle.prefix, *kind, &obj.key());
+                if let Some(key) = tenant_key.filter(|k| tenant_cache.get(k).is_none()) {
+                    self.check_key(tenant, *kind, &key);
                 }
             }
         }
@@ -1481,13 +1409,6 @@ impl Syncer {
     /// Keys currently waiting in the scanner's dirty set.
     pub fn scan_dirty_len(&self) -> usize {
         self.scan_dirty.lock().len()
-    }
-
-    /// Test hook: drops pending dirty-set entries so the next
-    /// [`scan_tick`](Self::scan_tick) exercises only the cold sweep.
-    #[doc(hidden)]
-    pub fn scan_drop_dirty(&self) {
-        self.scan_dirty.lock().clear();
     }
 
     /// Marks a tenant-side key for re-validation on the next scan tick.
@@ -1529,49 +1450,32 @@ impl Syncer {
         let Some(super_cache) = self.super_cache(kind) else { return false };
         let name = &tenant.handle.name;
         let tenant_obj = tenant.cache(kind).get(tenant_key);
-        let super_obj =
-            downward::super_key_for(tenant, kind, tenant_key).and_then(|key| super_cache.get(&key));
-        let mut requeued = false;
-        let requeue_downward = |requeued: &mut bool| {
+        // Only a super copy this tenant owns is its business here.
+        let super_obj = downward::super_key_for(tenant, kind, tenant_key)
+            .and_then(|key| super_cache.get(&key))
+            .filter(|o| mapping::owner_cluster(o) == Some(name.as_str()));
+        let downward = match &tenant_obj {
+            Some(obj) => !downward::in_sync(self, tenant, kind, obj),
+            // Tenant source gone: the super copy is an orphan the downward
+            // delete path must remove.
+            None => super_obj.is_some(),
+        };
+        // Upward repair: super pod status the tenant has not seen.
+        let stale_pod = tenant_obj.as_deref().zip(super_obj.as_deref()).filter(|(t, s)| {
+            t.as_pod().zip(s.as_pod()).is_some_and(|(tp, sp)| {
+                tp.status != sp.status || tp.spec.node_name != sp.spec.node_name
+            })
+        });
+        if downward {
             self.metrics.scan_requeues.inc();
             self.downward
                 .add(name, WorkItem { tenant: name.clone(), kind, key: tenant_key.to_string() });
-            *requeued = true;
-        };
-        match &tenant_obj {
-            Some(obj) => {
-                if !downward::in_sync(self, tenant, kind, obj) {
-                    requeue_downward(&mut requeued);
-                }
-            }
-            None => {
-                // Tenant source gone: an owned super copy is an orphan the
-                // downward delete path must remove.
-                let orphaned = super_obj
-                    .as_ref()
-                    .is_some_and(|o| mapping::owner_cluster(o) == Some(name.as_str()));
-                if orphaned {
-                    requeue_downward(&mut requeued);
-                }
-            }
         }
-        // Upward repair: super pod status the tenant has not seen.
-        if kind == ResourceKind::Pod {
-            if let (Some(t_obj), Some(s_obj)) = (&tenant_obj, &super_obj) {
-                let diverged = match (t_obj.as_pod(), s_obj.as_pod()) {
-                    (Some(tp), Some(sp)) => {
-                        tp.status != sp.status || tp.spec.node_name != sp.spec.node_name
-                    }
-                    _ => false,
-                };
-                if diverged && mapping::owner_cluster(s_obj) == Some(name.as_str()) {
-                    self.metrics.scan_requeues.inc();
-                    self.upward.add(WorkItem { tenant: name.clone(), kind, key: s_obj.key() });
-                    requeued = true;
-                }
-            }
+        if let Some((_, super_pod)) = stale_pod {
+            self.metrics.scan_requeues.inc();
+            self.upward.add(WorkItem { tenant: name.clone(), kind, key: super_pod.key() });
         }
-        requeued
+        downward || stale_pod.is_some()
     }
 
     /// Advances the paginated cold sweep by up to `budget` keys. The
@@ -1700,11 +1604,9 @@ impl Syncer {
     fn on_tenant_event(&self, tenant: &str, kind: ResourceKind, event: &InformerEvent) {
         let obj = event.object();
         let key = obj.key();
-        let added = matches!(event, InformerEvent::Added(_));
-        if kind == ResourceKind::Pod && added {
-            self.phases.record_created(tenant, &key);
+        if kind == ResourceKind::Pod {
+            self.trace_downward_enqueue(tenant, &key, event);
         }
-        self.trace_downward_enqueue(tenant, kind, &key, added);
         self.mark_dirty(tenant, kind, &key);
         // Coalescing enqueue: a key re-added while still queued keeps one
         // slot and records only the latest generation, so an object
@@ -1811,41 +1713,46 @@ impl Syncer {
     // Pod traces are keyed `(tenant, tenant-side key)`. The tenant
     // apiserver gate opens the trace on pod Create; the helpers below
     // stamp queue marks and stage spans as the object moves through the
-    // pipeline, mirroring the PhaseTracker stamps (which feed Fig 7) with
-    // per-object spans. Like the phase stamps, marks are set-once and
-    // spans consume their mark, so requeues and duplicate events cannot
-    // inflate a stage.
+    // pipeline. The five spans are the paper's Fig 8 / Table I phases
+    // (DWS-Queue, DWS-Process, Super-Sched, UWS-Queue, UWS-Process), which
+    // the `fig8_breakdown` bench reads back per pod. Marks are set-once
+    // and spans consume their mark, so duplicate events cannot inflate a
+    // stage; a requeue records a second span, and readers that want the
+    // creation path alone take the first one (`Trace::span`).
 
-    /// Called for every tenant-side event entering the downward queue:
-    /// marks the DWS-Queue wait start. Pod additions also open the trace —
-    /// a no-op when the apiserver gate already did (begin is idempotent
-    /// while the trace is open), but it covers pods written before
-    /// observability attached or via paths that bypass the gate.
-    fn trace_downward_enqueue(&self, tenant: &str, kind: ResourceKind, key: &str, added: bool) {
-        if kind != ResourceKind::Pod {
-            return;
-        }
+    /// Called for every tenant-side pod event entering the downward
+    /// queue: marks the DWS-Queue wait start. Additions also open the
+    /// trace — a no-op when the apiserver gate already did (begin is
+    /// idempotent while the trace is open), but it covers pods written
+    /// before observability attached or via paths that bypass the gate.
+    /// A deletion drops a still-open trace: a pod deleted before Ready
+    /// (or blocked by policy for good) would otherwise hold it forever.
+    fn trace_downward_enqueue(&self, tenant: &str, key: &str, event: &InformerEvent) {
         let tracer = &self.obs.tracer;
-        let id = if added { Some(tracer.begin(tenant, key)) } else { tracer.lookup(tenant, key) };
+        let id = match event {
+            InformerEvent::Added(_) => Some(tracer.begin(tenant, key)),
+            InformerEvent::Deleted(_) => {
+                tracer.abandon(tenant, key);
+                None
+            }
+            _ => tracer.lookup(tenant, key),
+        };
         if let Some(id) = id {
             tracer.mark(id, stage::MARK_DWS_ENQUEUE);
         }
     }
 
     /// Downward reconcile reached the desired super-cluster state for a
-    /// pod: stamps the DWS-done phase and marks the Super-Sched span
-    /// start.
+    /// pod: marks the Super-Sched span start.
     pub(crate) fn trace_dws_done(&self, tenant: &str, key: &str) {
-        self.phases.record_dws_done(tenant, key);
         if let Some(id) = self.obs.tracer.lookup(tenant, key) {
             self.obs.tracer.mark(id, stage::MARK_SUPER_SCHED);
         }
     }
 
-    /// The super pod turned Ready: stamps the super-ready phase, closes
-    /// the Super-Sched span and marks the UWS-Queue wait start.
+    /// The super pod turned Ready: closes the Super-Sched span and marks
+    /// the UWS-Queue wait start.
     fn trace_super_ready(&self, tenant: &str, tenant_key: &str) {
-        self.phases.record_super_ready(tenant, tenant_key);
         let tracer = &self.obs.tracer;
         if let Some(id) = tracer.lookup(tenant, tenant_key) {
             tracer.span_since_mark(id, stage::MARK_SUPER_SCHED, stage::SUPER_SCHED);
@@ -1853,10 +1760,9 @@ impl Syncer {
         }
     }
 
-    /// An upward worker picked up the ready pod: stamps the UWS-dequeued
-    /// phase, closes the UWS-Queue span and marks the UWS-Process start.
+    /// An upward worker picked up the ready pod: closes the UWS-Queue
+    /// span and marks the UWS-Process start.
     pub(crate) fn trace_uws_dequeued(&self, tenant: &str, tenant_key: &str) {
-        self.phases.record_uws_dequeued(tenant, tenant_key);
         let tracer = &self.obs.tracer;
         if let Some(id) = tracer.lookup(tenant, tenant_key) {
             tracer.span_since_mark(id, stage::MARK_UWS_ENQUEUE, stage::UWS_QUEUE);
@@ -1864,11 +1770,10 @@ impl Syncer {
         }
     }
 
-    /// The tenant pod status now reflects Ready: stamps the UWS-done
-    /// phase, closes the UWS-Process span and finishes the trace
-    /// (recording a slow-op log entry when over threshold).
+    /// The tenant pod status now reflects Ready: closes the UWS-Process
+    /// span and finishes the trace (recording a slow-op log entry when
+    /// over threshold).
     pub(crate) fn trace_uws_done(&self, tenant: &str, tenant_key: &str) {
-        self.phases.record_uws_done(tenant, tenant_key);
         let tracer = &self.obs.tracer;
         if let Some(id) = tracer.lookup(tenant, tenant_key) {
             tracer.span_since_mark(id, stage::MARK_UWS_PROCESS, stage::UWS_PROCESS);
@@ -1965,20 +1870,10 @@ impl Syncer {
                 }
                 last.insert(tenant.clone(), stats.clone());
             }
-            let _ = retry_on_conflict(3, || {
-                let fresh = self.super_client.get(
-                    ResourceKind::CustomObject,
-                    VC_MANAGER_NAMESPACE,
-                    &tenant,
-                )?;
-                let mut fresh: CustomObject = fresh.try_into()?;
-                let mut vc = VirtualCluster::from_custom_object(&fresh)?;
-                if vc.status.sync == stats {
-                    return Ok(());
-                }
+            self.update_vc_status(&tenant, |vc| {
+                let changed = vc.status.sync != stats;
                 vc.status.sync = stats.clone();
-                vc.write_into(&mut fresh);
-                self.super_client.update(fresh.into()).map(|_| ())
+                changed
             });
         }
     }

@@ -59,8 +59,8 @@ fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
         }
         Some(super_obj) => {
             let Some(super_pod) = super_obj.as_pod() else { return };
-            // Phase stamp: the UWS-Queue phase ends when a worker picks up
-            // the *ready* pod (pre-ready status items don't count).
+            // The UWS-Queue span ends when a worker picks up the *ready*
+            // pod (pre-ready status items don't count).
             if super_pod.status.is_ready() {
                 syncer.trace_uws_dequeued(&item.tenant, &tenant_key);
             }

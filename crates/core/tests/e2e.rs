@@ -7,6 +7,7 @@ use vc_api::object::ResourceKind;
 use vc_api::pod::{Container, Pod};
 use vc_controllers::util::wait_until;
 use vc_core::framework::{Framework, FrameworkConfig};
+use vc_obs::stage;
 
 fn framework() -> Framework {
     Framework::start(FrameworkConfig::minimal())
@@ -273,23 +274,35 @@ fn vnode_removed_when_last_pod_gone() {
 }
 
 #[test]
-fn phase_tracker_produces_complete_timelines() {
+fn pod_traces_carry_all_five_phases() {
     let fw = framework();
     fw.create_tenant("tenant-g").unwrap();
     let tenant = fw.tenant_client("tenant-g", "gail");
     for i in 0..5 {
         tenant.create(simple_pod("default", &format!("p{i}")).into()).unwrap();
     }
+    let tracer = &fw.obs().tracer;
     assert!(wait_until(Duration::from_secs(30), Duration::from_millis(20), || {
-        fw.syncer.phases.completed() == 5
+        tracer.completed.get() == 5
     }));
-    let report = fw.syncer.phases.report();
-    assert_eq!(report.len(), 5);
-    for pod in &report {
-        // All phases finite and total consistent-ish (ms rounding).
-        let sum: u64 = pod.phases.iter().sum();
-        assert!(sum <= pod.total_ms + 5, "phases {:?} vs total {}", pod.phases, pod.total_ms);
+    for i in 0..5 {
+        let trace = tracer.find("tenant-g", &format!("default/p{i}")).expect("retained trace");
+        let total = trace.total.expect("finished trace");
+        // The paper's five phases, first span each (the creation path):
+        // all present, and together no longer than the end-to-end time.
+        let phases: Duration = [
+            stage::DWS_QUEUE,
+            stage::DWS_PROCESS,
+            stage::SUPER_SCHED,
+            stage::UWS_QUEUE,
+            stage::UWS_PROCESS,
+        ]
+        .iter()
+        .map(|s| trace.span(s).unwrap_or_else(|| panic!("p{i}: no {s} span")).duration)
+        .sum();
+        assert!(phases <= total + Duration::from_millis(5), "phases {phases:?} vs {total:?}");
     }
+    assert_eq!(tracer.open_count(), 0);
     fw.shutdown();
 }
 
@@ -303,7 +316,7 @@ fn cache_bytes_accounting_grows_with_pods() {
         tenant.create(simple_pod("default", &format!("p{i}")).into()).unwrap();
     }
     assert!(wait_until(Duration::from_secs(30), Duration::from_millis(20), || {
-        fw.syncer.phases.completed() == 10
+        fw.obs().tracer.completed.get() == 10
     }));
     let after = fw.syncer.cache_bytes();
     assert!(after > before, "informer caches must grow: {before} -> {after}");

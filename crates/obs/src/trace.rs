@@ -18,8 +18,7 @@
 //! * [`Tracer::mark`] + [`Tracer::span_since_mark`] — a stage bracketed by
 //!   two *events* (queue wait: mark on enqueue, span on dequeue). Marks
 //!   are set-once and consumed on use, so requeues and dedup cannot
-//!   distort the measurement — the same first-occurrence-wins rule as
-//!   `PhaseTracker`.
+//!   distort the measurement (first occurrence wins).
 //! * a **thread-local trace context** ([`TraceContext`]) — workers enter
 //!   the context of the item they are reconciling; any instrumented
 //!   apiserver touched from that thread attaches its request span to the
@@ -136,14 +135,7 @@ impl Trace {
     /// Per-stage total durations, in first-appearance order (requeued
     /// stages are summed).
     pub fn breakdown(&self) -> Vec<(String, Duration)> {
-        let mut out: Vec<(String, Duration)> = Vec::new();
-        for span in &self.spans {
-            match out.iter_mut().find(|(name, _)| name == &span.stage) {
-                Some((_, d)) => *d += span.duration,
-                None => out.push((span.stage.clone(), span.duration)),
-            }
-        }
-        out
+        breakdown_of(&self.spans)
     }
 }
 
@@ -209,8 +201,7 @@ struct TracerState {
 
 /// Records traces for objects flowing through the stack.
 ///
-/// All methods take `&self`; a single internal mutex guards the state, the
-/// same pattern (and cost) as the syncer's `PhaseTracker`.
+/// All methods take `&self`; a single internal mutex guards the state.
 #[derive(Debug)]
 pub struct Tracer {
     state: Mutex<TracerState>,
@@ -325,15 +316,6 @@ impl Tracer {
         }
     }
 
-    /// Runs `f`, recording its wall time as a span on `id`, and returns
-    /// its result.
-    pub fn time<T>(&self, id: TraceId, stage: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.record_span(id, stage, start.elapsed(), true);
-        out
-    }
-
     /// Finishes the open trace for `(tenant, key)`: stamps the total,
     /// moves it to the finished ring (evicting the oldest beyond
     /// capacity) and appends to the slow-op log when the total meets the
@@ -381,6 +363,34 @@ impl Tracer {
         }
         self.completed.inc();
         Some(total)
+    }
+
+    /// Drops the open trace for `(tenant, key)` without finishing it: the
+    /// object went away (deleted, or rejected for good) before its sync
+    /// completed, so nothing will ever call [`Tracer::finish`] for it.
+    /// Finished traces stay in the ring. Returns whether a trace was
+    /// dropped.
+    pub fn abandon(&self, tenant: &str, key: &str) -> bool {
+        let mut state = self.state.lock();
+        let map_key = (tenant.to_string(), key.to_string());
+        let Some(&id) = state.by_key.get(&map_key) else { return false };
+        if state.traces.get(&id).is_none_or(|t| t.total.is_some()) {
+            return false;
+        }
+        state.traces.remove(&id);
+        state.by_key.remove(&map_key);
+        true
+    }
+
+    /// Drops every open trace of `tenant` (tenant teardown). Returns how
+    /// many were dropped.
+    pub fn abandon_tenant(&self, tenant: &str) -> usize {
+        let mut state = self.state.lock();
+        let before = state.traces.len();
+        state.traces.retain(|_, t| t.tenant != tenant || t.total.is_some());
+        let TracerState { by_key, traces, .. } = &mut *state;
+        by_key.retain(|_, id| traces.contains_key(id));
+        before - traces.len()
     }
 
     /// A copy of the trace with `id`, if retained.
@@ -650,6 +660,25 @@ mod tests {
         assert_eq!(breakdown.len(), 1);
         assert!(breakdown[0].1 >= Duration::from_millis(5));
         assert_eq!(trace.distinct_stages().len(), 1);
+    }
+
+    #[test]
+    fn abandon_drops_open_traces_only() {
+        let t = tracer();
+        t.begin("tn", "done");
+        t.finish("tn", "done");
+        t.begin("tn", "open");
+        t.begin("tn", "open2");
+        t.begin("other", "open");
+        assert!(!t.abandon("tn", "done"), "finished traces stay in the ring");
+        assert!(!t.abandon("tn", "unknown"));
+        assert!(t.abandon("tn", "open"));
+        assert!(t.lookup("tn", "open").is_none());
+        assert_eq!(t.open_count(), 2);
+        assert_eq!(t.abandon_tenant("tn"), 1);
+        assert_eq!(t.open_count(), 1, "other tenants keep their traces");
+        assert!(t.find("tn", "done").is_some());
+        assert!(t.lookup("other", "open").is_some());
     }
 
     #[test]

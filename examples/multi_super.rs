@@ -16,17 +16,19 @@ use virtualcluster::core::vc_object::VirtualClusterSpec;
 
 fn main() {
     println!("== Multiple super clusters ==\n");
+    // Each member is a complete Framework (super cluster, operator, syncer)
+    // started from `config.framework`.
     let config = MultiSuperConfig {
         shards: 3,
-        nodes_per_shard: 2,
         placement: PlacementPolicy::LeastTenants,
         ..Default::default()
     };
+    let nodes = config.framework.mock_nodes as usize;
     let multi = MultiSuperFramework::start(config);
     println!(
-        "started {} super clusters x 2 nodes = {} nodes of total capacity",
-        multi.shards().len(),
-        multi.shards().len() * 2
+        "started {} super clusters x {nodes} nodes = {} nodes of total capacity",
+        multi.members().len(),
+        multi.members().len() * nodes
     );
 
     // Provision six tenants; placement spreads them 2/2/2.
@@ -56,10 +58,9 @@ fn main() {
     }
 
     // Each shard only carries its own tenants' pods.
-    for shard in multi.shards() {
-        let (pods, _) =
-            shard.cluster.system_client("observer").list(ResourceKind::Pod, None).unwrap();
-        println!("super cluster {} runs {} pods", shard.index, pods.len());
+    for (index, member) in multi.members().iter().enumerate() {
+        let (pods, _) = member.super_client("observer").list(ResourceKind::Pod, None).unwrap();
+        println!("super cluster {index} runs {} pods", pods.len());
     }
     println!("\ntenants never see shard boundaries — 'the users would not be aware of multiple super clusters' (paper §V).");
     multi.shutdown();

@@ -1,12 +1,15 @@
 //! Syncer consistency under races and failures (paper §III-C): eventual
 //! consistency, delete/recreate races, scanner remediation.
 
+use std::sync::Arc;
 use std::time::Duration;
-use virtualcluster::api::object::ResourceKind;
+use virtualcluster::api::config::ConfigMap;
+use virtualcluster::api::object::{Object, ResourceKind};
 use virtualcluster::api::pod::{Container, Pod};
 use virtualcluster::client::Client;
 use virtualcluster::controllers::util::wait_until;
 use virtualcluster::core::framework::{Framework, FrameworkConfig};
+use virtualcluster::core::mapping;
 
 fn pod(ns: &str, name: &str) -> Pod {
     Pod::new(ns, name).with_container(Container::new("c", "img"))
@@ -128,6 +131,80 @@ fn manual_scan_reports_duration_and_is_idempotent() {
     std::thread::sleep(Duration::from_millis(300));
     assert!(fw.syncer.metrics.downward_updates.get() <= updates_before + 2);
     assert_eq!(fw.syncer.metrics.downward_deletes.get(), deletes_before);
+    fw.shutdown();
+}
+
+#[test]
+fn full_scan_requeues_orphans_for_delete_and_status_drift_upward() {
+    // No scanner thread: only the explicit scan_all() below can repair.
+    let mut config = FrameworkConfig::minimal();
+    config.syncer.scan_interval = None;
+    let fw = Framework::start(config);
+    let prefix = fw.create_tenant("full").unwrap().prefix.clone();
+    let tenant = fw.tenant_client("full", "user");
+    tenant.create(pod("default", "target").into()).unwrap();
+    assert!(wait_until(Duration::from_secs(30), Duration::from_millis(50), || {
+        ready(&tenant, "default", "target")
+    }));
+    let super_ns = format!("{prefix}-default");
+    let super_client = fw.super_client("admin");
+    // Let the pipeline drain first: an upward item still in flight would
+    // carry the super status up once more and undo the drift below before
+    // the scan gets to see it.
+    assert!(wait_until(Duration::from_secs(10), Duration::from_millis(20), || {
+        fw.syncer.upward_len() == 0 && fw.syncer.downward_len() == 0
+    }));
+    std::thread::sleep(Duration::from_millis(300));
+
+    // An orphan: a super object the tenant owns with no tenant source.
+    let mut orphan = ConfigMap::new(&super_ns, "orphan");
+    orphan.meta.annotations.insert(mapping::CLUSTER_ANNOTATION.into(), "full".into());
+    super_client.create(orphan.into()).unwrap();
+    // Status drift: the tenant's copy of the pod status is overwritten, so
+    // the super pod carries a status the tenant does not show. (Tampering
+    // on the tenant side because a super-side status write is carried up
+    // by its own watch event, leaving nothing for the scan to find; the
+    // downward path ignores status, so this drift stays put.)
+    assert!(wait_until(Duration::from_secs(10), Duration::from_millis(20), || {
+        let Ok(obj) = tenant.get(ResourceKind::Pod, "default", "target") else { return false };
+        let mut fresh: Pod = obj.try_into().unwrap();
+        fresh.status.message = "tampered".into();
+        tenant.update(fresh.into()).is_ok()
+    }));
+
+    // Both divergences must be in the syncer's caches before the pass.
+    let message = |o: Arc<Object>| o.as_pod().map(|p| p.status.message.clone());
+    let state = fw.syncer.tenant("full").unwrap();
+    let super_configmaps = fw.syncer.super_cache(ResourceKind::ConfigMap).unwrap();
+    assert!(wait_until(Duration::from_secs(30), Duration::from_millis(20), || {
+        let cached = state.cache(ResourceKind::Pod).get("default/target").and_then(message);
+        super_configmaps.get(&format!("{super_ns}/orphan")).is_some()
+            && cached.as_deref() == Some("tampered")
+    }));
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(super_client.get(ResourceKind::ConfigMap, &super_ns, "orphan").is_ok());
+    let served = tenant.get(ResourceKind::Pod, "default", "target").ok().and_then(message);
+    assert_eq!(served.as_deref(), Some("tampered"), "nothing repairs without a scan");
+
+    let requeues = fw.syncer.metrics.scan_requeues.get();
+    let deletes = fw.syncer.metrics.downward_deletes.get();
+    fw.syncer.scan_all();
+    assert!(fw.syncer.metrics.scan_requeues.get() >= requeues + 2, "one requeue per divergence");
+    assert!(
+        wait_until(Duration::from_secs(30), Duration::from_millis(50), || {
+            super_client.get(ResourceKind::ConfigMap, &super_ns, "orphan").is_err()
+                && fw.syncer.metrics.downward_deletes.get() == deletes + 1
+        }),
+        "the orphan is requeued downward and deleted by the syncer"
+    );
+    assert!(
+        wait_until(Duration::from_secs(30), Duration::from_millis(50), || {
+            tenant.get(ResourceKind::Pod, "default", "target").ok().and_then(message)
+                == Some(String::new())
+        }),
+        "the super pod's status is requeued upward and written back"
+    );
+    assert!(ready(&tenant, "default", "target"));
     fw.shutdown();
 }
 
@@ -265,9 +342,9 @@ fn incremental_scanner_converges_within_two_ticks() {
         ready(&tenant, "default", "target")
     }));
 
-    // Tamper with the super copy out of band. The super-side watch event
-    // lands the key in the scanner's dirty set; no repair happens until a
-    // tick runs.
+    // Tamper with the super copy out of band. Nothing repairs it until a
+    // tick runs: a tick compares informer caches, and super-side events
+    // only dirty the key for the next tick, they never enqueue a repair.
     let prefix = fw.registry.get("inc").unwrap().prefix.clone();
     let super_ns = format!("{prefix}-default");
     let super_client = fw.super_client("admin");
@@ -275,11 +352,17 @@ fn incremental_scanner_converges_within_two_ticks() {
         super_client.get(ResourceKind::Pod, &super_ns, "target").unwrap().try_into().unwrap();
     rogue.meta.labels.insert("tampered".into(), "yes".into());
     super_client.update(rogue.into()).unwrap();
+    // Tick only once the syncer's own super informer has seen the tamper.
+    // (The dirty set is no gate: with no scanner thread it still holds the
+    // key from the pod's creation events, and two ticks against a cache
+    // that predates the tamper find nothing to repair.)
+    let super_key = format!("{super_ns}/target");
+    let super_pods = fw.syncer.super_cache(ResourceKind::Pod).expect("super pod informer");
     assert!(
         wait_until(Duration::from_secs(30), Duration::from_millis(20), || {
-            fw.syncer.scan_dirty_len() >= 1
+            super_pods.get(&super_key).is_some_and(|o| o.meta().labels.contains_key("tampered"))
         }),
-        "super-side event must feed the scanner's dirty set"
+        "the tamper must reach the syncer's super informer cache"
     );
 
     fw.syncer.scan_tick();

@@ -69,6 +69,42 @@ fn synced_pod_trace_covers_the_whole_pipeline() {
 }
 
 #[test]
+fn abandoned_pods_leave_no_open_trace() {
+    let fw = Framework::start(FrameworkConfig::minimal());
+    fw.enforce_tenant_isolation();
+    fw.create_tenant("hostile").unwrap();
+    let hostile = fw.tenant_client("hostile", "mallory");
+    let tracer = &fw.obs().tracer;
+    let blocked = |name: &str| {
+        Pod::new("default", name).with_container(Container::new("c", "i").privileged())
+    };
+
+    // Admission rejects the pod for good: its trace opened at the tenant
+    // gate and nothing will ever finish it.
+    hostile.create(blocked("poison").into()).unwrap();
+    assert!(wait_until(Duration::from_secs(30), Duration::from_millis(25), || {
+        fw.syncer.metrics.policy_blocked.get() >= 1
+    }));
+    assert_eq!(tracer.open_count(), 1);
+    // Deleting the pod drops the trace...
+    hostile.delete(ResourceKind::Pod, "default", "poison").unwrap();
+    assert!(
+        wait_until(Duration::from_secs(10), Duration::from_millis(25), || tracer.open_count() == 0),
+        "the deleted pod's open trace must be dropped"
+    );
+
+    // ...and so does tearing the whole tenant down around one.
+    hostile.create(blocked("poison-2").into()).unwrap();
+    assert!(wait_until(Duration::from_secs(30), Duration::from_millis(25), || {
+        fw.syncer.metrics.policy_blocked.get() >= 2
+    }));
+    assert_eq!(tracer.open_count(), 1);
+    fw.delete_tenant("hostile").unwrap();
+    assert_eq!(tracer.open_count(), 0, "teardown must drop the tenant's open traces");
+    fw.shutdown();
+}
+
+#[test]
 fn registry_exposition_parses_and_covers_the_stack() {
     let fw = Framework::start(FrameworkConfig::minimal());
     fw.create_tenant("tenant-1").unwrap();
