@@ -142,10 +142,14 @@ impl ObjectMeta {
     /// Returns `namespace/name`, or just `name` for cluster-scoped objects.
     pub fn full_name(&self) -> String {
         if self.namespace.is_empty() {
-            self.name.clone()
-        } else {
-            format!("{}/{}", self.namespace, self.name)
+            return self.name.clone();
         }
+        // Every `Object::key()` lands here: one allocation at exact size.
+        let mut full = String::with_capacity(self.namespace.len() + 1 + self.name.len());
+        full.push_str(&self.namespace);
+        full.push('/');
+        full.push_str(&self.name);
+        full
     }
 
     /// Returns `true` if a graceful deletion is in progress.

@@ -257,10 +257,11 @@ impl Object {
         self.desired_state() == other.desired_state()
     }
 
-    /// Estimates the serialized size in bytes (used for the Fig 10
-    /// informer-cache memory accounting).
+    /// The exact length in bytes of this object's JSON text (used for the
+    /// Fig 10 informer-cache memory accounting and the admission size cap).
+    /// Counted by walking the fields; nothing is serialized or allocated.
     pub fn estimated_size(&self) -> usize {
-        serde_json::to_string(self).map(|s| s.len()).unwrap_or(0)
+        serde::json_len(self)
     }
 
     /// Returns the inner pod, if this is a Pod.

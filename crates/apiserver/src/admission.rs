@@ -410,18 +410,17 @@ impl AdmissionPlugin for TenantIsolation {
             return Ok(());
         };
         let kind = obj.kind().as_str();
-        if self.max_object_bytes > 0 && obj.estimated_size() > self.max_object_bytes {
-            return self.reject(
-                &tenant,
-                op,
-                kind,
-                vc_api::policy::RULE_OVERSIZED_OBJECT,
-                format!(
-                    "object is ~{} bytes, cap is {} bytes",
-                    obj.estimated_size(),
-                    self.max_object_bytes
-                ),
-            );
+        if self.max_object_bytes > 0 {
+            let size = obj.estimated_size();
+            if size > self.max_object_bytes {
+                return self.reject(
+                    &tenant,
+                    op,
+                    kind,
+                    vc_api::policy::RULE_OVERSIZED_OBJECT,
+                    format!("object is {size} bytes, cap is {} bytes", self.max_object_bytes),
+                );
+            }
         }
         let Object::Pod(pod) = &*obj else { return Ok(()) };
 
@@ -700,5 +699,24 @@ mod tenant_isolation_tests {
         // Cap of 0 disables the check.
         plugin.max_object_bytes = 0;
         assert!(plugin.admit(AdmissionOp::Create, &mut obj, &store).is_ok());
+    }
+
+    #[test]
+    fn size_cap_is_exact_to_the_byte() {
+        let store = Store::new();
+        let mut plugin = plugin();
+        let mut pod = synced_pod("edge");
+        // Escapes count as the two bytes they occupy in the JSON text.
+        pod.meta.annotations.insert("note".into(), "tab\there \"quoted\" é".into());
+        let mut obj: Object = pod.into();
+        let json_bytes = serde_json::to_string(&obj).unwrap().len();
+
+        plugin.max_object_bytes = json_bytes;
+        assert!(plugin.admit(AdmissionOp::Create, &mut obj, &store).is_ok());
+
+        obj.meta_mut().annotations.get_mut("note").unwrap().push('x');
+        let err = plugin.admit(AdmissionOp::Create, &mut obj, &store).unwrap_err();
+        assert_eq!(rule_of(&err), policy::RULE_OVERSIZED_OBJECT);
+        assert!(err.to_string().contains(&format!("object is {} bytes", json_bytes + 1)), "{err}");
     }
 }

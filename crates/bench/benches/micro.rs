@@ -137,7 +137,7 @@ fn bench_mapping_and_crypto(c: &mut Criterion) {
             black_box(vc_core::mapping::to_super(black_box(&pod), "tenant-a", "tenant-a-abc123"))
         })
     });
-    c.bench_function("object estimated_size (serde)", |b| {
+    c.bench_function("object estimated_size (counting walk)", |b| {
         let pod: vc_api::Object =
             Pod::new("default", "web-0").with_container(Container::new("app", "nginx:1.19")).into();
         b.iter(|| black_box(pod.estimated_size()))

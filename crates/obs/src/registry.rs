@@ -61,7 +61,10 @@ struct Family {
     labels: Vec<String>,
     /// Upper bucket bounds for histograms (same unit as the samples).
     buckets: Vec<u64>,
-    cells: Mutex<BTreeMap<Vec<String>, Cell>>,
+    /// Sorted by label values, so a lookup can binary-search with the
+    /// caller's borrowed `&[&str]` (a map keyed by `Vec<String>` would need
+    /// an owned key per lookup) and expositions list cells in order.
+    cells: Mutex<Vec<(Vec<String>, Cell)>>,
 }
 
 impl Family {
@@ -71,7 +74,7 @@ impl Family {
         let Some(idx) = self.labels.iter().position(|l| l == label) else { return 0 };
         let mut cells = self.cells.lock();
         let before = cells.len();
-        cells.retain(|values, _| values[idx] != value);
+        cells.retain(|(values, _)| values[idx] != value);
         before - cells.len()
     }
 
@@ -84,10 +87,16 @@ impl Family {
             self.labels,
             label_values.len()
         );
-        let key: Vec<String> = label_values.iter().map(|v| v.to_string()).collect();
         let mut cells = self.cells.lock();
-        let cell = cells.entry(key).or_insert_with(make);
-        match cell {
+        let found = cells.binary_search_by(|(values, _)| {
+            values.iter().map(String::as_str).cmp(label_values.iter().copied())
+        });
+        let at = found.unwrap_or_else(|at| {
+            let key = label_values.iter().map(|v| v.to_string()).collect();
+            cells.insert(at, (key, make()));
+            at
+        });
+        match &cells[at].1 {
             Cell::Counter(c) => Cell::Counter(c.clone()),
             Cell::Gauge(g) => Cell::Gauge(g.clone()),
             Cell::Histogram(h) => Cell::Histogram(h.clone()),
@@ -279,7 +288,7 @@ impl MetricsRegistry {
             kind,
             labels: labels.iter().map(|l| l.to_string()).collect(),
             buckets: bounds,
-            cells: Mutex::new(BTreeMap::new()),
+            cells: Mutex::new(Vec::new()),
         });
         families.insert(name.to_string(), family.clone());
         family
@@ -467,6 +476,16 @@ mod tests {
         // Re-registration returns the same family.
         let again = reg.counter("requests_total", "Requests.", &["verb"]);
         assert_eq!(again.with(&["create"]).get(), 2);
+        // Cells stay sorted by label values whatever the insertion order,
+        // so later lookups land on the cell they created.
+        for verb in ["watch", "delete", "a", "list"] {
+            fam.with(&[verb]).inc();
+        }
+        assert_eq!(fam.with(&["create"]).get(), 2);
+        let snap = reg.snapshot();
+        let verbs: Vec<&str> =
+            snap.family("requests_total").unwrap().cells.iter().map(|c| &*c.labels[0]).collect();
+        assert_eq!(verbs, ["a", "create", "delete", "get", "list", "watch"]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use vc_api::config::{ConfigMap, Secret};
 use vc_api::object::{Object, ResourceKind};
 use vc_api::pod::Pod;
@@ -54,13 +54,18 @@ fn writers_listers_watchers_race_without_anomalies() {
         KINDS.iter().map(|k| store.watch(*k, None, 0).unwrap()).collect();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // Writers finish in a few milliseconds; without a common start line the
+    // listers, spawned after them, could find nothing left to race.
+    let start = Arc::new(Barrier::new(WRITERS + LISTERS));
     let mut writer_handles = Vec::new();
     for w in 0..WRITERS {
         let store = Arc::clone(&store);
+        let start = Arc::clone(&start);
         writer_handles.push(std::thread::spawn(move || {
             let kind = KINDS[w % KINDS.len()];
             let ns = format!("ns-{}", w % 4);
             let mut committed = Vec::new();
+            start.wait();
             for i in 0..ITEMS_PER_WRITER {
                 let name = format!("w{w}-i{i}");
                 let stored = store.insert(make(kind, &ns, &name)).unwrap();
@@ -99,11 +104,17 @@ fn writers_listers_watchers_race_without_anomalies() {
     for l in 0..LISTERS {
         let store = Arc::clone(&store);
         let stop = Arc::clone(&stop);
+        let start = Arc::clone(&start);
         lister_handles.push(std::thread::spawn(move || {
             let kind = KINDS[l % KINDS.len()];
             let ns = format!("ns-{}", l % 4);
-            let mut iterations = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            // Snapshot revision of every pass; the main thread counts the
+            // ones taken before the last write committed.
+            let mut snapshots = Vec::new();
+            start.wait();
+            // Check `stop` after the pass, not before: a lister descheduled
+            // for the writers' whole run still verifies the final state.
+            loop {
                 let (items, rev) = store.list(kind, Some(&ns));
                 // Sorted output, and no item newer than the snapshot
                 // revision.
@@ -122,9 +133,12 @@ fn writers_listers_watchers_race_without_anomalies() {
                         assert_eq!(got.key(), item.key());
                     }
                 }
-                iterations += 1;
+                snapshots.push(rev);
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
-            iterations
+            snapshots
         }));
     }
 
@@ -133,9 +147,20 @@ fn writers_listers_watchers_race_without_anomalies() {
         all_committed.extend(h.join().unwrap());
     }
     stop.store(true, Ordering::Relaxed);
-    for h in lister_handles {
-        assert!(h.join().unwrap() > 0, "listers must have run");
-    }
+    // A pass whose snapshot is older than the final revision ran while
+    // writers were still committing: that is the race this test is about.
+    // Summed over listers, because the shard lock is unfair and any one
+    // lister can be parked on it for the writers' whole run.
+    let final_revision = store.revision();
+    let raced: Vec<usize> = lister_handles
+        .into_iter()
+        .map(|h| {
+            let snapshots = h.join().unwrap();
+            assert!(snapshots.windows(2).all(|p| p[0] <= p[1]), "list revision went backwards");
+            snapshots.iter().filter(|rev| **rev < final_revision).count()
+        })
+        .collect();
+    assert!(raced.iter().sum::<usize>() > 0, "no lister pass overlapped the writers: {raced:?}");
 
     // --- Revision bookkeeping ---------------------------------------
     let write_count = all_committed.len() as u64;

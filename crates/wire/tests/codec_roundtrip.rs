@@ -8,13 +8,25 @@
 //! raw value layer to exact roundtrip identity (JSON cannot promise that
 //! for `I64`/`U64` boundary cases; `vcbin` must).
 //!
+//! The same generators hold JSON *output* to its contract: the text
+//! `serde_json::to_string` streams from a value's fields is byte for byte the
+//! rendering of its value tree, and `serde::json_len` counts exactly that
+//! text's length (what `Object::estimated_size` and the admission size cap
+//! rest on). Both renderings end in the same string, float and integer
+//! writers, so these properties check structure — nesting, key order,
+//! omitted fields, the counter against the writer — not how a leaf is
+//! spelled; that is pinned by literal texts, in
+//! `derived_types_stream_pinned_text` below and in `vendor/serde`'s own tests.
+//!
 //! Case count honors `PROPTEST_CASES` (CI runs 256).
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 use vc_api::error::ApiError;
 use vc_api::object::Object;
-use vc_api::pod::Pod;
+use vc_api::pod::{Container, ContainerPort, Pod, PodCondition, PodConditionType, Protocol};
+use vc_api::quantity::Quantity;
+use vc_api::time::Timestamp;
 use vc_wire::codec;
 
 // ---------------------------------------------------------------------------
@@ -39,6 +51,23 @@ fn arb_scalar() -> impl Strategy<Value = Value> {
         "[ -~]{0,20}".prop_map(Value::String),
         // Multi-byte UTF-8 and strings long enough to skip interning.
         "[a-zé√😀]{0,80}".prop_map(Value::String),
+        HOSTILE_TEXT.prop_map(Value::String),
+        // A float without a fraction must keep its `.0` in JSON text.
+        (0u64..1 << 40).prop_map(|v| Value::F64(v as f64)),
+    ]
+}
+
+/// Strings that need every JSON escape: quote, backslash, the named and the
+/// `\u00XX` control characters, next to multi-byte UTF-8 that needs none.
+const HOSTILE_TEXT: &str = "[\u{0}-\u{1f}\"\\\\a-z é😀]{0,24}";
+
+/// Values JSON text cannot carry (`null` stands in for them), so only the
+/// text properties see them — `NaN` would fail any roundtrip equality.
+fn arb_non_finite() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::F64(f64::NAN)),
+        Just(Value::F64(f64::INFINITY)),
+        Just(Value::F64(f64::NEG_INFINITY)),
     ]
 }
 
@@ -59,7 +88,9 @@ fn arb_value() -> impl Strategy<Value = Value> {
 }
 
 /// Arbitrary pods with populated metadata, spec, and status — the
-/// payload shape the wire tier actually moves.
+/// payload shape the wire tier actually moves. Half of them are bare (empty
+/// vecs and maps, `None` timestamps); the rest carry a container with a
+/// signed resource quantity, a condition and a start time.
 fn arb_object() -> impl Strategy<Value = Object> {
     (
         ("[a-z][a-z0-9-]{0,20}", "[a-z][a-z0-9]{0,8}", "[ -~]{0,40}"),
@@ -68,16 +99,37 @@ fn arb_object() -> impl Strategy<Value = Object> {
             (0u64..1_000_000, 0u64..u64::MAX),
             "[a-z0-9-]{0,12}",
         ),
+        (
+            proptest::collection::btree_map("[a-z./]{1,12}", HOSTILE_TEXT, 0..4),
+            0u64..u64::MAX,
+            proptest::bool::ANY,
+        ),
     )
-        .prop_map(|((name, ns, message), (labels, (generation, rv), node))| {
-            let mut pod = Pod::new(&ns, &name);
-            pod.meta.labels = labels;
-            pod.meta.generation = generation;
-            pod.meta.resource_version = rv;
-            pod.spec.node_name = node;
-            pod.status.message = message;
-            pod.into()
-        })
+        .prop_map(
+            |(
+                (name, ns, message),
+                (labels, (generation, rv), node),
+                (annotations, millis, started),
+            )| {
+                let mut pod = Pod::new(&ns, &name);
+                pod.meta.labels = labels;
+                pod.meta.annotations = annotations;
+                pod.meta.generation = generation;
+                pod.meta.resource_version = rv;
+                pod.spec.node_name = node;
+                pod.status.message = message;
+                if started {
+                    let mut container = Container::new("app", "registry/app:1");
+                    // The bit pattern spans negative quantities too.
+                    container.requests.insert("cpu".into(), Quantity::from_millis(millis as i64));
+                    pod.spec.containers.push(container);
+                    let now = Timestamp::from_millis(millis >> 20);
+                    pod.status.set_condition(PodConditionType::Ready, true, "Started", now);
+                    pod.status.started_at = Some(now);
+                }
+                pod.into()
+            },
+        )
 }
 
 /// Every [`ApiError`] variant with arbitrary payloads.
@@ -111,7 +163,87 @@ fn via_vcbin<T: Serialize + Deserialize>(value: &T) -> T {
     codec::from_framed_slice(codec::FRAME_OBJECT, &framed).expect("vcbin decode")
 }
 
+/// The two halves of the streamed-output contract (see the module docs).
+fn check_streamed_json<T: Serialize>(value: &T) -> Result<(), TestCaseError> {
+    let streamed = serde_json::to_string(value).expect("json encode");
+    prop_assert_eq!(&streamed, &serde::write_json(&value.serialize_value()));
+    prop_assert_eq!(serde::json_len(value), streamed.len());
+    Ok(())
+}
+
+/// Expected texts written by hand, so the derive's field order and the leaf
+/// writers are checked against something other than themselves: a struct
+/// with every escape class, a signed newtype and a nested unit variant; a
+/// struct with a unit variant and an unsigned newtype; a struct variant at
+/// `u64::MAX`.
+#[test]
+fn derived_types_stream_pinned_text() {
+    let mut container = Container::new("a\"b\\c\n\u{1}é", "registry/app:1");
+    container.command = vec!["sh".into(), "-c".into()];
+    container.env.insert("K".into(), "\t".into());
+    container.requests.insert("cpu".into(), Quantity::from_millis(-250));
+    container.ports.push(ContainerPort { container_port: 8080, protocol: Protocol::Tcp });
+    let condition = PodCondition {
+        condition_type: PodConditionType::Ready,
+        status: true,
+        last_transition: Timestamp::from_millis(0),
+        reason: String::new(),
+    };
+    let error = ApiError::TooManyRequests { message: "slow".into(), retry_after_ms: u64::MAX };
+
+    let pinned = [
+        (
+            serde_json::to_string(&container).expect("json"),
+            serde::json_len(&container),
+            concat!(
+                r#"{"command":["sh","-c"],"env":{"K":"\t"},"image":"registry/app:1","limits":{},"#,
+                r#""name":"a\"b\\c\n\u0001é","ports":[{"container_port":8080,"protocol":"Tcp"}],"#,
+                r#""privileged":false,"requests":{"cpu":-250}}"#
+            ),
+        ),
+        (
+            serde_json::to_string(&condition).expect("json"),
+            serde::json_len(&condition),
+            r#"{"condition_type":"Ready","last_transition":0,"reason":"","status":true}"#,
+        ),
+        (
+            serde_json::to_string(&error).expect("json"),
+            serde::json_len(&error),
+            r#"{"TooManyRequests":{"message":"slow","retry_after_ms":18446744073709551615}}"#,
+        ),
+    ];
+    for (text, len, expected) in pinned {
+        assert_eq!(text, expected);
+        assert_eq!(len, expected.len());
+    }
+}
+
 proptest! {
+    /// Derived structs and enums (newtype `Object::Pod`, unit `PodPhase`,
+    /// nested maps, vecs and options) stream the text their tree renders,
+    /// and `estimated_size` is that text's length.
+    #[test]
+    fn object_streams_its_tree_text(obj in arb_object()) {
+        check_streamed_json(&obj)?;
+        prop_assert_eq!(obj.estimated_size(), serde_json::to_string(&obj).expect("json").len());
+    }
+
+    /// Struct enum variants stream `{"Variant":{..sorted fields..}}`.
+    #[test]
+    fn api_error_streams_its_tree_text(err in arb_api_error()) {
+        check_streamed_json(&err)?;
+    }
+
+    /// The scalar edges — escapes, `i64::MIN`, `u64::MAX`, fraction-less
+    /// and non-finite floats, empty arrays and objects — counted as long as
+    /// `Value`'s own walk writes them, then wrapped in std containers.
+    #[test]
+    fn value_streams_its_tree_text(value in prop_oneof![arb_value(), arb_non_finite()]) {
+        // A `Value` is its own tree, so only the counter has a second opinion.
+        prop_assert_eq!(serde::json_len(&value), serde::write_json(&value).len());
+        check_streamed_json(&(Some(&value), None::<u8>, vec![(-1i8, 'é', 0.5f32)]))?;
+    }
+
     /// The raw value layer is an exact roundtrip: every tree that goes in
     /// comes back bit-identical (JSON text cannot promise this for
     /// integer signedness; `vcbin` must).

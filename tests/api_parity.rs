@@ -14,6 +14,7 @@ use virtualcluster::client::Client;
 use virtualcluster::controllers::util::{retry_on_conflict, wait_until};
 use virtualcluster::controllers::{Cluster, ClusterConfig};
 use virtualcluster::core::framework::{Framework, FrameworkConfig};
+use virtualcluster::store::EventType;
 
 /// Runs every parity check against the given "cluster-admin" client.
 fn run_api_battery(client: &Client, flavor: &str) {
@@ -79,8 +80,25 @@ fn run_api_battery(client: &Client, flavor: &str) {
     let (_, rev) = client.list(ResourceKind::Pod, Some("default")).unwrap();
     let stream = client.watch(ResourceKind::Pod, Some("default"), rev).unwrap();
     client.create(Pod::new("default", "parity-watched").into()).unwrap();
-    let event = stream.recv_timeout_ms(2_000).expect("watch event");
-    assert_eq!(event.object.meta().name, "parity-watched", "{flavor}: watch");
+    // The scheduler and kubelet may still be writing status to the pods
+    // created above, so their events can precede the new pod's. The handoff
+    // promises that nothing after `rev` is missed and nothing at or below it
+    // is replayed: every event up to the create is strictly newer than the
+    // list, and they arrive in revision order.
+    let mut last = rev;
+    loop {
+        let event = stream.recv_timeout_ms(2_000).expect("watch event");
+        assert!(
+            event.revision > last,
+            "{flavor}: watch replayed revision {} after {last} (list at {rev})",
+            event.revision
+        );
+        last = event.revision;
+        if event.object.meta().name == "parity-watched" {
+            assert_eq!(event.event_type, EventType::Added, "{flavor}: watch");
+            break;
+        }
+    }
 
     // -- deletion is immediate for finalizer-free objects --
     client.delete(ResourceKind::Pod, "default", "parity-watched").unwrap();
