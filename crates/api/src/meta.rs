@@ -139,6 +139,36 @@ impl ObjectMeta {
         ObjectMeta { name: name.into(), ..Default::default() }
     }
 
+    /// Returns `true` if `other` agrees on everything a user controls,
+    /// ignoring the server-managed fields [`Object::desired_state`]
+    /// clears (`uid`, `resource_version`, `generation`,
+    /// `creation_timestamp`). Compares in place; the destructuring makes a
+    /// new field a compile error here instead of a silently ignored one.
+    ///
+    /// [`Object::desired_state`]: crate::object::Object::desired_state
+    pub fn same_desired_state(&self, other: &ObjectMeta) -> bool {
+        let ObjectMeta {
+            name,
+            namespace,
+            uid: _,
+            resource_version: _,
+            generation: _,
+            creation_timestamp: _,
+            deletion_timestamp,
+            labels,
+            annotations,
+            owner_references,
+            finalizers,
+        } = self;
+        *name == other.name
+            && *namespace == other.namespace
+            && *deletion_timestamp == other.deletion_timestamp
+            && *labels == other.labels
+            && *annotations == other.annotations
+            && *owner_references == other.owner_references
+            && *finalizers == other.finalizers
+    }
+
     /// Returns `namespace/name`, or just `name` for cluster-scoped objects.
     pub fn full_name(&self) -> String {
         if self.namespace.is_empty() {

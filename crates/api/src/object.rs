@@ -254,6 +254,13 @@ impl Object {
     /// Returns `true` if `other` carries the same desired state (spec and
     /// user-controlled metadata), ignoring status and server-managed fields.
     pub fn same_desired_state(&self, other: &Object) -> bool {
+        // Pods are compared in place: the syncer asks this on every pod
+        // event and every no-op reconcile, and two deep copies of a pod to
+        // answer "did only the status change?" cost more than the answer.
+        if let (Object::Pod(a), Object::Pod(b)) = (self, other) {
+            let crate::pod::Pod { meta: _, spec, status: _ } = a;
+            return *spec == b.spec && a.meta.same_desired_state(&b.meta);
+        }
         self.desired_state() == other.desired_state()
     }
 
@@ -464,6 +471,46 @@ mod tests {
         c.spec.node_name = "node-1".into();
         let c: Object = c.into();
         assert!(!b.same_desired_state(&c));
+    }
+
+    #[test]
+    fn in_place_pod_comparison_agrees_with_the_cloning_definition() {
+        let base = Pod::new("ns", "p").with_container(Container::new("c", "img"));
+        type Edit = fn(&mut Pod);
+        let edits: Vec<(&str, Edit)> = vec![
+            ("nothing", |_| {}),
+            ("status", |p| p.status.phase = crate::pod::PodPhase::Running),
+            ("resource_version", |p| p.meta.resource_version = 7),
+            ("generation", |p| p.meta.generation = 3),
+            ("uid", |p| p.meta.uid = crate::meta::Uid::generate()),
+            ("creation", |p| p.meta.creation_timestamp = crate::time::Timestamp::from_millis(5)),
+            ("name", |p| p.meta.name = "q".into()),
+            ("namespace", |p| p.meta.namespace = "other".into()),
+            ("label", |p| drop(p.meta.labels.insert("a".into(), "b".into()))),
+            ("annotation", |p| drop(p.meta.annotations.insert("a".into(), "b".into()))),
+            ("finalizer", |p| p.meta.finalizers.push("f".into())),
+            ("owner", |p| {
+                let owner = crate::meta::OwnerReference::controller_of(
+                    "ReplicaSet",
+                    "rs",
+                    crate::meta::Uid::generate(),
+                );
+                p.meta.owner_references.push(owner);
+            }),
+            ("deletion", |p| p.meta.deletion_timestamp = Some(crate::time::Timestamp::ZERO)),
+            ("spec", |p| p.spec.node_name = "n1".into()),
+        ];
+        let original: Object = base.clone().into();
+        for (what, edit) in edits {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            let edited: Object = edited.into();
+            assert_eq!(
+                original.same_desired_state(&edited),
+                original.desired_state() == edited.desired_state(),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -367,6 +367,17 @@ impl ApiServer {
         let Some(hook) = self.obs.read().clone() else {
             return f();
         };
+        // The gate: a pod create from outside any trace opens the pod's
+        // trace — before the write, because the write makes the pod visible
+        // and the pipeline it sets off may finish before this request
+        // returns; a trace opened afterwards would never be finished.
+        let gate = (hook.begin_pod_traces
+            && verb == Verb::Create
+            && kind == ResourceKind::Pod
+            && current_trace().is_none())
+        .then_some(trace_key)
+        .flatten()
+        .map(|key| (key, hook.tracer.begin_or_join(&hook.scope, key)));
         let start = std::time::Instant::now();
         let result = f();
         let elapsed = start.elapsed();
@@ -387,14 +398,12 @@ impl ApiServer {
                 elapsed,
                 result.is_ok(),
             );
-        } else if hook.begin_pod_traces
-            && verb == Verb::Create
-            && kind == ResourceKind::Pod
-            && result.is_ok()
-        {
-            if let Some(key) = trace_key {
-                let id = hook.tracer.begin(&hook.scope, key);
-                hook.tracer.record_span(id, stage::GATE, elapsed, true);
+        } else if let Some((key, (id, opened))) = gate {
+            if result.is_ok() {
+                hook.tracer.record_opening_span(id, stage::GATE, elapsed);
+            } else if opened {
+                // Nothing was created, so nothing will finish the trace.
+                hook.tracer.abandon(&hook.scope, key);
             }
         }
         result
@@ -942,6 +951,30 @@ mod tests {
         assert!(ctx_trace.span("apiserver:tenant-1:get").is_some());
         // And no new per-pod trace was begun for that get.
         assert_eq!(obs.tracer.open_count(), 2);
+
+        // A create that fails leaves no trace of its own behind, and does
+        // not take the live pod's trace with it when it merely joined it.
+        assert!(s.create("u", Pod::new("default", "p").into()).unwrap_err().is_already_exists());
+        assert!(obs.tracer.lookup("tenant-1", "default/p").is_some(), "p's own trace survives");
+        assert!(s.create("u", Pod::new("no-such-namespace", "q").into()).is_err());
+        assert!(obs.tracer.find("tenant-1", "no-such-namespace/q").is_none());
+        assert_eq!(obs.tracer.open_count(), 2);
+
+        // The pipeline a create sets off can finish the trace before the
+        // create returns; the gate span still lands on that trace.
+        struct FinishOnAdd(Arc<vc_obs::Tracer>);
+        impl std::task::Wake for FinishOnAdd {
+            fn wake(self: Arc<Self>) {
+                self.0.finish("tenant-1", "default/fast");
+            }
+        }
+        let watch = s.watch("u", ResourceKind::Pod, Some("default"), s.store().revision()).unwrap();
+        watch.set_waker(Arc::new(FinishOnAdd(Arc::clone(&obs.tracer))).into());
+        s.create("u", Pod::new("default", "fast").into()).unwrap();
+        let fast = obs.tracer.find("tenant-1", "default/fast").unwrap();
+        assert!(fast.total.is_some(), "finished from inside the write");
+        assert!(fast.span(stage::GATE).is_some());
+        assert_eq!(obs.tracer.open_count(), 2, "no second, never-finished trace for it");
 
         s.detach_observability();
         s.create("u", Pod::new("default", "p2").into()).unwrap();

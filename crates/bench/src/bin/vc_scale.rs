@@ -36,8 +36,9 @@ fn main() {
     let base = ScaleConfig::from_env();
     let rungs = ladder(&base);
     println!(
-        "tenant-density ladder — rungs {rungs:?}, {} pods/tenant, {} churn rounds, {} churn \
-         tenants/round, {} simulated maintenance minutes, p99 target {}ms",
+        "tenant-density ladder — rungs {rungs:?}, {} synced, {} pods/tenant, {} churn rounds, {} \
+         churn tenants/round, {} simulated maintenance minutes, p99 target {}ms",
+        if base.all_kinds { "all default kinds" } else { "pods + namespaces" },
         base.pods_per_tenant,
         base.churn_rounds,
         base.churn_tenants,

@@ -82,6 +82,11 @@ pub struct ScaleConfig {
     /// (`VC_SCALE_ONBOARD_WORKERS`, default 4; set 1 to measure the old
     /// serial onboarding path).
     pub onboard_workers: usize,
+    /// Sync every default downward kind instead of pods and namespaces
+    /// only (`VC_SCALE_ALL_KINDS=1`): ten syncer informers per tenant
+    /// instead of two, which is what a tenant costs under
+    /// `SyncerConfig::default()`.
+    pub all_kinds: bool,
 }
 
 fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
@@ -99,6 +104,7 @@ impl Default for ScaleConfig {
             target_p99_ms: 500,
             mock_nodes: 20,
             onboard_workers: 4,
+            all_kinds: false,
         }
     }
 }
@@ -116,6 +122,7 @@ impl ScaleConfig {
             target_p99_ms: env_parse("VC_SCALE_TARGET_P99_MS", d.target_p99_ms),
             mock_nodes: env_parse("VC_SCALE_NODES", d.mock_nodes),
             onboard_workers: env_parse("VC_SCALE_ONBOARD_WORKERS", d.onboard_workers),
+            all_kinds: env_parse("VC_SCALE_ALL_KINDS", u8::from(d.all_kinds)) != 0,
         }
     }
 }
@@ -295,7 +302,7 @@ pub fn run_density_campaign(cfg: &ScaleConfig) -> DensityPoint {
     let mut fc = FrameworkConfig {
         super_cluster: ClusterConfig::super_cluster("super").with_zero_latency(),
         mock_nodes: cfg.mock_nodes,
-        syncer: SyncerConfig::pods_only(),
+        syncer: if cfg.all_kinds { SyncerConfig::default() } else { SyncerConfig::pods_only() },
         ..Default::default()
     };
     fc.clock = Some(clock.clone() as _);
@@ -567,6 +574,7 @@ mod tests {
             target_p99_ms: 500,
             mock_nodes: 4,
             onboard_workers: 4,
+            all_kinds: false,
         };
         let point = run_density_campaign(&cfg);
         assert_eq!(point.tenants, 40);

@@ -5,8 +5,11 @@
 //!
 //! * [`client::Client`] — identity-carrying handle with client-side
 //!   QPS/burst rate limiting,
-//! * [`informer::SharedInformer`] — reflector thread + read-only cache +
-//!   event handlers,
+//! * [`informer::SharedInformer`] — reflector + read-only cache + event
+//!   handlers, run by
+//! * [`reflector::Pool`] — the process-wide pool of one thread per core
+//!   that multiplexes every informer and blocks while their watches are
+//!   quiet,
 //! * [`workqueue::WorkQueue`] — deduplicating FIFO with client-go's
 //!   dirty/processing protocol,
 //! * [`delaying::DelayingQueue`] / [`delaying::RateLimitingQueue`] — delayed
@@ -24,6 +27,7 @@ pub mod delaying;
 pub mod fairqueue;
 pub mod faults;
 pub mod informer;
+pub mod reflector;
 pub mod surface;
 pub mod workqueue;
 

@@ -336,7 +336,7 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::wait_until;
+    use crate::util::{assert_count_reaches, wait_until};
     use vc_api::pod::{Container, Pod};
     use vc_api::quantity::resource_list;
 
@@ -366,7 +366,7 @@ mod tests {
         }));
         let pod = user.get(ResourceKind::Pod, "default", "e2e").unwrap();
         assert!(pod.as_pod().unwrap().spec.node_name.starts_with("node-"));
-        assert_eq!(cluster.scheduler_metrics.as_ref().unwrap().scheduled.get(), 1);
+        assert_count_reaches(&cluster.scheduler_metrics.as_ref().unwrap().scheduled, 1);
         cluster.shutdown();
     }
 

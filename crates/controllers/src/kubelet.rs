@@ -354,7 +354,7 @@ impl Kubelet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::wait_until;
+    use crate::util::{assert_count_reaches, wait_until};
     use vc_api::pod::Container;
     use vc_apiserver::{ApiServer, ApiServerConfig};
     use vc_client::{InformerConfig, SharedInformer};
@@ -427,7 +427,7 @@ mod tests {
         let pod = pod.as_pod().unwrap();
         assert_eq!(pod.status.phase, PodPhase::Running);
         assert!(pod.status.pod_ip.starts_with("10.1."));
-        assert_eq!(env.kubelet.pods_started.get(), 1);
+        assert_count_reaches(&env.kubelet.pods_started, 1);
         env.handle.stop();
         env.informer.stop();
     }

@@ -134,7 +134,7 @@ fn drain_namespace(name: &str, client: &Client, metrics: &NamespaceGcMetrics) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::wait_until;
+    use crate::util::{assert_count_reaches, wait_until};
     use vc_api::pod::Pod;
     use vc_apiserver::{ApiServer, ApiServerConfig};
 
@@ -163,7 +163,7 @@ mod tests {
         }));
         assert!(user.get(ResourceKind::Pod, "team", "p1").unwrap_err().is_not_found());
         assert!(metrics.objects_drained.get() >= 3);
-        assert_eq!(metrics.namespaces_deleted.get(), 1);
+        assert_count_reaches(&metrics.namespaces_deleted, 1);
         handle.stop();
     }
 

@@ -131,7 +131,7 @@ fn evict_node_pods(client: &Client, node: &str, metrics: &NodeLifecycleMetrics) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::wait_until;
+    use crate::util::{assert_count_reaches, wait_until};
     use vc_api::quantity::resource_list;
     use vc_apiserver::{ApiServer, ApiServerConfig};
 
@@ -162,11 +162,7 @@ mod tests {
             user.get(ResourceKind::Node, "", "n1")
                 .is_ok_and(|o| o.as_node().unwrap().status.condition == NodeCondition::NotReady)
         }));
-        // The counter ticks after the status write lands; poll rather than
-        // assert immediately.
-        assert!(wait_until(Duration::from_secs(2), Duration::from_millis(10), || {
-            metrics.nodes_marked_not_ready.get() == 1
-        }));
+        assert_count_reaches(&metrics.nodes_marked_not_ready, 1);
         handle.stop();
     }
 
@@ -239,7 +235,10 @@ mod tests {
             }
         ));
         assert!(user.get(ResourceKind::Pod, "default", "safe").is_ok());
-        assert!(metrics.pods_evicted.get() >= 1);
+        // Ticks after the delete the poll above saw land.
+        assert!(wait_until(Duration::from_secs(2), Duration::from_millis(10), || {
+            metrics.pods_evicted.get() >= 1
+        }));
         handle.stop();
     }
 }

@@ -463,7 +463,7 @@ fn least_allocated_score(node: &Node, alloc: &NodeAlloc, requests: &ResourceList
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::wait_until;
+    use crate::util::{assert_count_reaches, wait_until};
     use std::time::Duration;
     use vc_api::labels::{labels, Selector};
     use vc_api::pod::{Container, Toleration};
@@ -512,7 +512,7 @@ mod tests {
         assert!(wait_until(Duration::from_secs(5), Duration::from_millis(10), || {
             bound_node(&user, "default", "p") == "n1"
         }));
-        assert_eq!(metrics.scheduled.get(), 1);
+        assert_count_reaches(&metrics.scheduled, 1);
         let pod = user.get(ResourceKind::Pod, "default", "p").unwrap();
         assert!(
             pod.as_pod().unwrap().status.condition(PodConditionType::PodScheduled).unwrap().status

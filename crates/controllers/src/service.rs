@@ -245,7 +245,7 @@ fn reconcile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::wait_until;
+    use crate::util::{assert_count_reaches, wait_until};
     use vc_api::labels::labels;
     use vc_api::pod::{Pod, PodConditionType, PodPhase};
     use vc_api::service::ServicePort;
@@ -288,7 +288,7 @@ mod tests {
         }));
         let svc = user.get(ResourceKind::Service, "default", "web").unwrap();
         assert!(svc.as_service().unwrap().spec.cluster_ip.starts_with("10.96."));
-        assert_eq!(metrics.ips_allocated.get(), 1);
+        assert_count_reaches(&metrics.ips_allocated, 1);
         handle.stop();
     }
 

@@ -146,6 +146,17 @@ pub fn wait_until(
     }
 }
 
+/// Asserts that `counter` settles on exactly `expected`. Controllers bump
+/// their counters *after* the write returns whose effect a test watches
+/// through the apiserver, so a counter read right after polling the object
+/// races the bump; this waits for it and only then compares. Test helper.
+#[track_caller]
+pub fn assert_count_reaches(counter: &vc_api::metrics::Counter, expected: u64) {
+    use std::time::Duration;
+    wait_until(Duration::from_secs(5), Duration::from_millis(1), || counter.get() >= expected);
+    assert_eq!(counter.get(), expected);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -191,6 +191,11 @@ fn reconcile_replicaset(
     if rs.meta.is_terminating() {
         return;
     }
+    // Read before the cache: the pod informer adds a created pod to the
+    // cache and *then* settles its expectation, so in this order a pod in
+    // flight is counted at least once (twice at worst, which the next pass
+    // corrects) and never zero times, which would create one too many.
+    let pending = expectations.lock().get(key).copied().unwrap_or(0).max(0) as u32;
     let owned: Vec<Pod> = pod_cache
         .list_namespace(&rs.meta.namespace)
         .into_iter()
@@ -201,7 +206,6 @@ fn reconcile_replicaset(
         })
         .collect();
 
-    let pending = expectations.lock().get(key).copied().unwrap_or(0).max(0) as u32;
     let current = owned.len() as u32 + pending;
     if current < rs.replicas {
         let missing = rs.replicas - current;
@@ -351,7 +355,7 @@ fn reconcile_deployment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::util::wait_until;
+    use crate::util::{assert_count_reaches, wait_until};
     use vc_api::labels::{labels, Selector};
     use vc_api::pod::{Container, PodSpec};
     use vc_api::workload::PodTemplate;
@@ -395,7 +399,7 @@ mod tests {
         assert!(wait_until(Duration::from_secs(5), Duration::from_millis(10), || {
             pod_count(&user, "default") == 3
         }));
-        assert_eq!(metrics.pods_created.get(), 3);
+        assert_count_reaches(&metrics.pods_created, 3);
         // Created pods carry the owner reference.
         let (pods, _) = user.list(ResourceKind::Pod, Some("default")).unwrap();
         for pod in &pods {
@@ -468,7 +472,7 @@ mod tests {
         assert!(wait_until(Duration::from_secs(5), Duration::from_millis(10), || {
             pod_count(&user, "default") == 2
         }));
-        assert_eq!(metrics.replicasets_created.get(), 1);
+        assert_count_reaches(&metrics.replicasets_created, 1);
         let (rss, _) = user.list(ResourceKind::ReplicaSet, Some("default")).unwrap();
         assert_eq!(rss.len(), 1);
         assert!(rss[0].meta().name.starts_with("web-"));

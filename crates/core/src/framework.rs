@@ -197,14 +197,17 @@ impl Framework {
     ) -> ApiResult<Arc<TenantHandle>> {
         let vc = VirtualCluster::new(spec);
         self.admin.create(vc.into_custom_object(name).into())?;
-        let provisioned = wait_until(Duration::from_secs(30), Duration::from_millis(10), || {
-            self.registry.get(name).is_some()
-        });
+        // Provisioning takes a millisecond or two now that a control
+        // plane's informers start without a thread each; a coarser poll
+        // would be most of what onboarding a tenant costs.
+        let poll = Duration::from_millis(1);
+        let provisioned =
+            wait_until(Duration::from_secs(30), poll, || self.registry.get(name).is_some());
         if !provisioned {
             return Err(ApiError::timeout(format!("tenant {name} was not provisioned")));
         }
         // Wait for the Running status to be published too.
-        wait_until(Duration::from_secs(10), Duration::from_millis(10), || {
+        wait_until(Duration::from_secs(10), poll, || {
             self.tenant_phase(name) == Some(VcPhase::Running)
         });
         self.registry

@@ -84,13 +84,18 @@ fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenan
             // Create path. The super copy might exist but not yet be in
             // our cache; AlreadyExists then routes to the update path via
             // requeue.
-            match create_with_namespace(syncer, tenant, desired) {
+            let traced = item.kind == ResourceKind::Pod;
+            if traced {
+                syncer.trace_dws_done(&item.tenant, &item.key);
+            }
+            let created = create_with_namespace(syncer, tenant, desired);
+            if traced && created.is_err() {
+                syncer.trace_dws_undone(&item.tenant, &item.key);
+            }
+            match created {
                 Ok(()) => {
                     syncer.metrics.downward_creates.inc();
                     syncer.forget_retries(item);
-                    if item.kind == ResourceKind::Pod {
-                        syncer.trace_dws_done(&item.tenant, &item.key);
-                    }
                 }
                 Err(e) if e.is_already_exists() => {
                     // Cache lag: treat as update next round.

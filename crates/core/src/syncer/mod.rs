@@ -78,9 +78,6 @@ pub struct SyncerConfig {
     pub scan_slice: usize,
     /// vNode heartbeat broadcast interval.
     pub vnode_heartbeat_interval: Duration,
-    /// Poll interval for tenant informers (kept modest: 100 tenants ×
-    /// kinds informer threads share the machine).
-    pub tenant_informer_poll: Duration,
     /// Simulated per-item downward reconcile cost under congestion (deep
     /// copies, serialization, contended locks, TLS round-trips to the
     /// super apiserver). The effective cost scales with queue depth —
@@ -125,7 +122,6 @@ impl Default for SyncerConfig {
             scan_interval: Some(Duration::from_secs(60)),
             scan_slice: 512,
             vnode_heartbeat_interval: Duration::from_secs(10),
-            tenant_informer_poll: Duration::from_millis(50),
             downward_process_cost: Duration::ZERO,
             upward_process_cost: Duration::ZERO,
             retry_backoff: BackoffPolicy {
@@ -424,8 +420,11 @@ pub struct Syncer {
     prefix_index: RwLock<HashMap<String, String>>,
     pub(crate) downward: Arc<WeightedFairQueue<WorkItem>>,
     pub(crate) upward: Arc<WorkQueue<WorkItem>>,
-    /// Super-side deletions awaiting upward processing: key → tenant uid.
-    pub(crate) recent_super_deletions: Mutex<HashMap<String, String>>,
+    /// Super-side pod deletions awaiting upward processing: key → the
+    /// tenant uid the deleted copy mirrored (`None` if it carried none).
+    /// The upward worker that propagates a deletion consumes its entry;
+    /// without one an absent super pod is not a reason to delete anything.
+    pub(crate) recent_super_deletions: Mutex<HashMap<String, Option<String>>>,
     /// Failed downward items awaiting retry: each item waits out its
     /// per-item exponential backoff, then lands on `retry_ready` for the
     /// pump to re-validate and re-queue.
@@ -522,6 +521,9 @@ impl Syncer {
         }
 
         let obs = Observability::new(config.obs.clone());
+        // Every informer in the process — the syncer's, the controllers',
+        // the tenants' — runs on one pool; its counters are process-wide.
+        vc_client::reflector::Pool::global().publish_metrics(&obs.registry);
         // The super apiserver reports into the shared registry under the
         // "super" scope; it never opens traces (tenant gates do that).
         super_client.server().attach_observability(&obs, "super", false);
@@ -1164,9 +1166,7 @@ impl Syncer {
         let client = handle.system_client("vc-syncer");
         let mut informers = HashMap::new();
         for kind in &self.config.downward_kinds {
-            let mut config = InformerConfig::new(*kind);
-            config.poll_interval = self.config.tenant_informer_poll;
-            let informer = SharedInformer::new(client.clone(), config);
+            let informer = SharedInformer::new(client.clone(), InformerConfig::new(*kind));
             let weak = Arc::downgrade(self);
             let tenant_name = handle.name.clone();
             let kind = *kind;
@@ -1185,9 +1185,10 @@ impl Syncer {
         if self.config.downward_kinds.contains(&ResourceKind::CustomObject)
             && !informers.contains_key(&ResourceKind::CustomResourceDefinition)
         {
-            let mut config = InformerConfig::new(ResourceKind::CustomResourceDefinition);
-            config.poll_interval = self.config.tenant_informer_poll;
-            let informer = SharedInformer::new(client.clone(), config);
+            let informer = SharedInformer::new(
+                client.clone(),
+                InformerConfig::new(ResourceKind::CustomResourceDefinition),
+            );
             let weak = Arc::downgrade(self);
             let tenant_name = handle.name.clone();
             informer.add_handler(Box::new(move |_event| {
@@ -1604,10 +1605,19 @@ impl Syncer {
     fn on_tenant_event(&self, tenant: &str, kind: ResourceKind, event: &InformerEvent) {
         let obj = event.object();
         let key = obj.key();
+        self.mark_dirty(tenant, kind, &key);
+        // A status-only update is this syncer's own upward write coming
+        // back: nothing the downward path reads has changed, so there is
+        // nothing to reconcile. (The key stays dirty for the scanner,
+        // whose job re-validating an unchanged object is.)
+        if let InformerEvent::Updated { old, new } = event {
+            if old.same_desired_state(new) {
+                return;
+            }
+        }
         if kind == ResourceKind::Pod {
             self.trace_downward_enqueue(tenant, &key, event);
         }
-        self.mark_dirty(tenant, kind, &key);
         // Coalescing enqueue: a key re-added while still queued keeps one
         // slot and records only the latest generation, so an object
         // modified N times while waiting is reconciled once.
@@ -1632,11 +1642,10 @@ impl Syncer {
                 let Some(tenant) = self.tenant_for_super_object(kind, obj) else { return };
                 if kind == ResourceKind::Pod {
                     if let InformerEvent::Deleted(deleted) = event {
-                        if let Some(uid) = mapping::tenant_uid(deleted) {
-                            self.recent_super_deletions
-                                .lock()
-                                .insert(deleted.key(), uid.to_string());
-                        }
+                        self.recent_super_deletions.lock().insert(
+                            deleted.key(),
+                            mapping::tenant_uid(deleted).map(str::to_string),
+                        );
                     }
                     // The Super-Sched phase ends when the super pod turns
                     // Ready.
@@ -1743,28 +1752,50 @@ impl Syncer {
     }
 
     /// Downward reconcile reached the desired super-cluster state for a
-    /// pod: marks the Super-Sched span start.
+    /// pod: marks the Super-Sched span start. The create path calls this
+    /// *before* its write — the scheduler and kubelet can have the pod
+    /// Ready, and [`Self::trace_super_ready`] can have come looking for
+    /// the mark, before the worker is back from the call — and takes it
+    /// back with [`Self::trace_dws_undone`] if the write fails.
     pub(crate) fn trace_dws_done(&self, tenant: &str, key: &str) {
         if let Some(id) = self.obs.tracer.lookup(tenant, key) {
             self.obs.tracer.mark(id, stage::MARK_SUPER_SCHED);
         }
     }
 
-    /// The super pod turned Ready: closes the Super-Sched span and marks
-    /// the UWS-Queue wait start.
-    fn trace_super_ready(&self, tenant: &str, tenant_key: &str) {
-        let tracer = &self.obs.tracer;
-        if let Some(id) = tracer.lookup(tenant, tenant_key) {
-            tracer.span_since_mark(id, stage::MARK_SUPER_SCHED, stage::SUPER_SCHED);
-            tracer.mark(id, stage::MARK_UWS_ENQUEUE);
+    /// The super-cluster create announced by [`Self::trace_dws_done`]
+    /// failed: Super-Sched has not started after all.
+    pub(crate) fn trace_dws_undone(&self, tenant: &str, key: &str) {
+        if let Some(id) = self.obs.tracer.lookup(tenant, key) {
+            self.obs.tracer.unmark(id, stage::MARK_SUPER_SCHED);
         }
     }
 
+    /// The super pod turned Ready: closes the Super-Sched span and marks
+    /// the UWS-Queue wait start.
+    fn trace_super_ready(&self, tenant: &str, tenant_key: &str) {
+        if let Some(id) = self.obs.tracer.lookup(tenant, tenant_key) {
+            self.trace_super_ready_on(id);
+        }
+    }
+
+    fn trace_super_ready_on(&self, id: vc_obs::TraceId) {
+        let tracer = &self.obs.tracer;
+        tracer.span_since_mark(id, stage::MARK_SUPER_SCHED, stage::SUPER_SCHED);
+        tracer.mark(id, stage::MARK_UWS_ENQUEUE);
+    }
+
     /// An upward worker picked up the ready pod: closes the UWS-Queue
-    /// span and marks the UWS-Process start.
+    /// span and marks the UWS-Process start. The worker reads the informer
+    /// cache, which shows the pod Ready a moment before the Ready event's
+    /// handler runs — holding an item queued by an earlier event it can be
+    /// here first, so it does the handler's bookkeeping itself (marks are
+    /// set-once and spans consume theirs: when the handler was first, this
+    /// changes nothing).
     pub(crate) fn trace_uws_dequeued(&self, tenant: &str, tenant_key: &str) {
         let tracer = &self.obs.tracer;
         if let Some(id) = tracer.lookup(tenant, tenant_key) {
+            self.trace_super_ready_on(id);
             tracer.span_since_mark(id, stage::MARK_UWS_ENQUEUE, stage::UWS_QUEUE);
             tracer.mark(id, stage::MARK_UWS_PROCESS);
         }

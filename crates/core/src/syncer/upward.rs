@@ -43,16 +43,24 @@ fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
         None => {
             // Deleted in the super cluster (eviction, namespace drain, …):
             // propagate to the tenant — but only if the tenant pod is still
-            // the same incarnation the super copy mirrored.
-            let expected_uid = syncer.recent_super_deletions.lock().remove(&item.key);
-            if let Ok(existing) = tenant.client.get(ResourceKind::Pod, tenant_ns, tenant_name) {
-                let same_incarnation =
-                    expected_uid.as_deref().is_none_or(|uid| uid == existing.meta().uid.as_str());
-                if same_incarnation
-                    && !existing.meta().is_terminating()
-                    && tenant.client.delete(ResourceKind::Pod, tenant_ns, tenant_name).is_ok()
-                {
-                    syncer.metrics.upward_deletes.inc();
+            // the same incarnation the super copy mirrored. The `Deleted`
+            // event left a record of which that was, and this consumes it.
+            // An item that finds none is a second delivery of one already
+            // handled (re-added by the `Deleted` handler while a worker
+            // had it in flight): the tenant may have recreated the pod
+            // since, and nothing says the new one should go.
+            let deletion = syncer.recent_super_deletions.lock().remove(&item.key);
+            if let Some(expected_uid) = deletion {
+                if let Ok(existing) = tenant.client.get(ResourceKind::Pod, tenant_ns, tenant_name) {
+                    let same_incarnation = expected_uid
+                        .as_deref()
+                        .is_none_or(|uid| uid == existing.meta().uid.as_str());
+                    if same_incarnation
+                        && !existing.meta().is_terminating()
+                        && tenant.client.delete(ResourceKind::Pod, tenant_ns, tenant_name).is_ok()
+                    {
+                        syncer.metrics.upward_deletes.inc();
+                    }
                 }
             }
             syncer.vnodes.release(&tenant.handle, &item.key);
@@ -75,9 +83,7 @@ fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
                     );
                 }
             }
-            let expected_tenant_uid = mapping::tenant_uid(&super_obj).map(str::to_string);
-            let node_name = super_pod.spec.node_name.clone();
-            let status = super_pod.status.clone();
+            let expected_tenant_uid = mapping::tenant_uid(&super_obj);
             // Run the status write under the pod's trace context so the
             // tenant apiserver attaches its update span to this trace.
             let _ctx = syncer
@@ -91,17 +97,22 @@ fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
                     Err(e) if e.is_not_found() => return Ok(false),
                     Err(e) => return Err(e),
                 };
-                let mut fresh: Pod = fresh.try_into()?;
-                if let Some(expected) = &expected_tenant_uid {
-                    if fresh.meta.uid.as_str() != expected {
+                // Compare through the shared pointer: most items find the
+                // tenant pod already in sync (one is queued per super-side
+                // event), and only a write needs an owned copy.
+                if let Some(current) = fresh.as_pod() {
+                    if expected_tenant_uid.is_some_and(|uid| uid != current.meta.uid.as_str()) {
                         return Ok(false); // different incarnation
                     }
+                    if current.spec.node_name == super_pod.spec.node_name
+                        && current.status == super_pod.status
+                    {
+                        return Ok(false); // already in sync
+                    }
                 }
-                if fresh.spec.node_name == node_name && fresh.status == status {
-                    return Ok(false); // already in sync
-                }
-                fresh.spec.node_name = node_name.clone();
-                fresh.status = status.clone();
+                let mut fresh: Pod = fresh.try_into()?;
+                fresh.spec.node_name = super_pod.spec.node_name.clone();
+                fresh.status = super_pod.status.clone();
                 tenant.client.update(fresh.into()).map(|_| true)
             });
             match result {
@@ -308,4 +319,63 @@ fn upsert(syncer: &Syncer, tenant: &Arc<TenantState>, obj: Object) {
 
 fn split_key(key: &str) -> Option<(&str, &str)> {
     key.split_once('/')
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::framework::{Framework, FrameworkConfig};
+    use std::time::Duration;
+    use vc_api::pod::Container;
+    use vc_controllers::util::wait_until;
+
+    /// `rapid_create_delete_create_converges`, made deterministic. The
+    /// `Deleted` handler records the deletion and re-adds the upward item;
+    /// a worker that already had the item in flight (queued by the bind
+    /// event a moment earlier) consumes the record, and the re-added copy
+    /// runs with the super pod absent and no record. It used to read that
+    /// as "same incarnation" and delete whatever pod the tenant had under
+    /// the name by then — the recreated one.
+    #[test]
+    fn second_delivery_of_a_handled_deletion_spares_the_recreated_pod() {
+        let fw = Framework::start(FrameworkConfig::minimal());
+        fw.enforce_tenant_isolation();
+        fw.create_tenant("race").unwrap();
+        let tenant = fw.tenant_client("race", "user");
+        // Admission keeps this pod out of the super cluster, so the super
+        // cache has nothing under its key: the state after the deletion.
+        let recreated =
+            Pod::new("default", "flappy").with_container(Container::new("c", "img").privileged());
+        tenant.create(recreated.into()).unwrap();
+        assert!(wait_until(Duration::from_secs(10), Duration::from_millis(10), || {
+            fw.syncer.dead_letter_len() == 1
+        }));
+        let prefix = fw.registry.get("race").unwrap().prefix.clone();
+        let item = WorkItem {
+            tenant: "race".into(),
+            kind: ResourceKind::Pod,
+            key: format!("{prefix}-default/flappy"),
+        };
+        assert!(fw.syncer.super_cache(ResourceKind::Pod).unwrap().get(&item.key).is_none());
+
+        reconcile(&fw.syncer, &item);
+        assert!(tenant.get(ResourceKind::Pod, "default", "flappy").is_ok(), "no record, no delete");
+
+        // With the record of a *previous* incarnation's deletion: spared.
+        let record = |uid: Option<&str>| {
+            let uid = uid.map(str::to_string);
+            fw.syncer.recent_super_deletions.lock().insert(item.key.clone(), uid);
+        };
+        record(Some("some-earlier-incarnation"));
+        reconcile(&fw.syncer, &item);
+        assert!(tenant.get(ResourceKind::Pod, "default", "flappy").is_ok());
+        assert!(fw.syncer.recent_super_deletions.lock().is_empty(), "consumed");
+
+        // With the record of its own super copy's deletion: propagated.
+        let uid = tenant.get(ResourceKind::Pod, "default", "flappy").unwrap().meta().uid.clone();
+        record(Some(uid.as_str()));
+        reconcile(&fw.syncer, &item);
+        assert!(tenant.get(ResourceKind::Pod, "default", "flappy").unwrap_err().is_not_found());
+        fw.shutdown();
+    }
 }

@@ -393,3 +393,44 @@ fn load_balancer_status_flows_up() {
     );
     fw.shutdown();
 }
+
+#[test]
+fn fifty_idle_tenants_shut_down_at_once() {
+    // Stopping an informer is de-registration from the reflector pool, not
+    // a join that waits out a poll interval — so tearing down 500 tenant
+    // informers is not half a minute of serial joins.
+    let mut config = FrameworkConfig::minimal();
+    config.operator.tenant_template = vc_core::framework::minimal_tenant_template();
+    let fw = Framework::start(config);
+    for i in 0..50 {
+        fw.create_tenant(&format!("idle-{i}")).unwrap();
+    }
+    let informers: usize = fw
+        .syncer
+        .tenant_names()
+        .iter()
+        .filter_map(|name| fw.syncer.tenant(name))
+        .map(|tenant| tenant.informers.len())
+        .sum();
+    assert_eq!(informers, 500, "nine downward kinds plus CRDs per tenant");
+
+    // One place to see what those informers cost: the pool's own cells,
+    // bound into the syncer's registry. The counts are process-wide (other
+    // tests' frameworks share the pool), hence lower bounds.
+    let metrics = fw.syncer.obs.registry.snapshot();
+    let cell = |family: &str| metrics.family(family).expect(family).cells[0].value;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as i64);
+    assert!(cell("client_reflector_informers") >= 500);
+    // Threads follow cores, not tenants: the workers, plus at most the
+    // one helper re-lists start.
+    assert!((cores..=cores + 1).contains(&cell("client_reflector_threads")));
+    assert!(cell("client_reflector_events_total") > 0, "the super informers saw 50 VC objects");
+    assert!(cell("client_reflector_wakeups_total") > 0);
+
+    let started = std::time::Instant::now();
+    fw.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(3), "shutdown of 50 idle tenants took {took:?}");
+    // Shutting down twice, as `Drop` will, is legal and just as quick.
+    fw.shutdown();
+}

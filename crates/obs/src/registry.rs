@@ -78,7 +78,9 @@ impl Family {
         before - cells.len()
     }
 
-    fn cell(&self, label_values: &[&str], make: impl FnOnce() -> Cell) -> Cell {
+    /// Where the cell for `label_values` is (`Ok`) or belongs (`Err`) in
+    /// the sorted `cells`.
+    fn find(&self, cells: &[(Vec<String>, Cell)], label_values: &[&str]) -> Result<usize, usize> {
         assert_eq!(
             label_values.len(),
             self.labels.len(),
@@ -87,11 +89,14 @@ impl Family {
             self.labels,
             label_values.len()
         );
-        let mut cells = self.cells.lock();
-        let found = cells.binary_search_by(|(values, _)| {
+        cells.binary_search_by(|(values, _)| {
             values.iter().map(String::as_str).cmp(label_values.iter().copied())
-        });
-        let at = found.unwrap_or_else(|at| {
+        })
+    }
+
+    fn cell(&self, label_values: &[&str], make: impl FnOnce() -> Cell) -> Cell {
+        let mut cells = self.cells.lock();
+        let at = self.find(&cells, label_values).unwrap_or_else(|at| {
             let key = label_values.iter().map(|v| v.to_string()).collect();
             cells.insert(at, (key, make()));
             at
@@ -100,6 +105,18 @@ impl Family {
             Cell::Counter(c) => Cell::Counter(c.clone()),
             Cell::Gauge(g) => Cell::Gauge(g.clone()),
             Cell::Histogram(h) => Cell::Histogram(h.clone()),
+        }
+    }
+
+    /// Makes `cell` the cell for `label_values`, in place of any there.
+    fn bind(&self, label_values: &[&str], cell: Cell) {
+        let mut cells = self.cells.lock();
+        match self.find(&cells, label_values) {
+            Ok(at) => cells[at].1 = cell,
+            Err(at) => {
+                let key = label_values.iter().map(|v| v.to_string()).collect();
+                cells.insert(at, (key, cell));
+            }
         }
     }
 }
@@ -119,6 +136,18 @@ impl CounterFamily {
             Cell::Counter(c) => c,
             _ => unreachable!("counter family holds counter cells"),
         }
+    }
+
+    /// Exposes a counter that already exists — one owned by something
+    /// that outlives, or is shared between, registries (the process-wide
+    /// reflector pool) — as the cell for `label_values`. The registry
+    /// reads the very cell its owner updates; nothing is copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of values does not match the family's labels.
+    pub fn bind(&self, label_values: &[&str], cell: Arc<Counter>) {
+        self.0.bind(label_values, Cell::Counter(cell));
     }
 
     /// Drops every cell whose value for `label` equals `value` (e.g. all
@@ -145,6 +174,16 @@ impl GaugeFamily {
             Cell::Gauge(g) => g,
             _ => unreachable!("gauge family holds gauge cells"),
         }
+    }
+
+    /// Exposes a gauge that already exists as the cell for
+    /// `label_values`; see [`CounterFamily::bind`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of values does not match the family's labels.
+    pub fn bind(&self, label_values: &[&str], cell: Arc<Gauge>) {
+        self.0.bind(label_values, Cell::Gauge(cell));
     }
 
     /// Drops every cell whose value for `label` equals `value`. Returns
@@ -486,6 +525,27 @@ mod tests {
         let verbs: Vec<&str> =
             snap.family("requests_total").unwrap().cells.iter().map(|c| &*c.labels[0]).collect();
         assert_eq!(verbs, ["a", "create", "delete", "get", "list", "watch"]);
+    }
+
+    #[test]
+    fn bound_cells_alias_their_owner() {
+        let owned = Arc::new(Counter::new());
+        owned.add(3);
+        let level = Arc::new(Gauge::new());
+        for _ in 0..2 {
+            // Two registries (two frameworks in one process) share a cell.
+            let reg = MetricsRegistry::new();
+            reg.counter("pool_events_total", "Events.", &[]).bind(&[], Arc::clone(&owned));
+            reg.gauge("pool_threads", "Threads.", &[]).bind(&[], Arc::clone(&level));
+            // Binding again replaces; it never duplicates the cell.
+            reg.counter("pool_events_total", "Events.", &[]).bind(&[], Arc::clone(&owned));
+            owned.inc();
+            level.set(2);
+            let text = reg.render_text();
+            assert!(text.contains(&format!("pool_events_total {}", owned.get())), "{text}");
+            assert!(text.contains("pool_threads 2"), "{text}");
+            assert_eq!(reg.cell_count(), 2);
+        }
     }
 
     #[test]

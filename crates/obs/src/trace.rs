@@ -243,11 +243,18 @@ impl Tracer {
     /// the same ID — the apiserver gate, the informer handler and the
     /// queue can all race to "start" the trace safely.
     pub fn begin(&self, tenant: &str, key: &str) -> TraceId {
+        self.begin_or_join(tenant, key).0
+    }
+
+    /// [`Tracer::begin`] that also tells whether this call opened the
+    /// trace (`true`) or joined one already open — what a caller needs to
+    /// know before it may [`Tracer::abandon`] the trace on its own failure.
+    pub fn begin_or_join(&self, tenant: &str, key: &str) -> (TraceId, bool) {
         let mut state = self.state.lock();
         let map_key = (tenant.to_string(), key.to_string());
         if let Some(id) = state.by_key.get(&map_key) {
             if state.traces.get(id).is_some_and(|t| t.total.is_none()) {
-                return *id;
+                return (*id, false);
             }
         }
         let id = TraceId(self.next_id.fetch_add(1, Ordering::Relaxed));
@@ -264,7 +271,7 @@ impl Tracer {
         );
         state.by_key.insert(map_key, id);
         self.started.inc();
-        id
+        (id, true)
     }
 
     /// The open trace for `(tenant, key)`, if any.
@@ -282,6 +289,14 @@ impl Tracer {
             if trace.total.is_none() {
                 trace.marks.entry(name.to_string()).or_insert_with(Instant::now);
             }
+        }
+    }
+
+    /// Withdraws a mark that turned out not to start anything (the write
+    /// it was set ahead of failed), so a retry marks afresh.
+    pub fn unmark(&self, id: TraceId, name: &str) {
+        if let Some(trace) = self.state.lock().traces.get_mut(&id) {
+            trace.marks.remove(name);
         }
     }
 
@@ -313,6 +328,23 @@ impl Tracer {
             let duration = nonzero(duration);
             let start_offset = nonzero(trace.started.elapsed()).saturating_sub(duration);
             trace.spans.push(Span { stage: stage.to_string(), start_offset, duration, ok });
+        }
+    }
+
+    /// Records the span of the request that opened the trace, measured
+    /// from the trace's start. Unlike [`Tracer::record_span`] it also
+    /// lands on a trace that has finished meanwhile: the request returns
+    /// to its caller only after the object became visible, and the
+    /// pipeline it set off can finish the object's trace first.
+    pub fn record_opening_span(&self, id: TraceId, stage: &str, duration: Duration) {
+        let mut state = self.state.lock();
+        if let Some(trace) = state.traces.get_mut(&id) {
+            trace.spans.push(Span {
+                stage: stage.to_string(),
+                start_offset: Duration::ZERO,
+                duration: nonzero(duration),
+                ok: true,
+            });
         }
     }
 

@@ -223,7 +223,7 @@ impl Durability {
                         if engine.wal.is_crashed() {
                             return;
                         }
-                        if engine.flush().is_err() {
+                        let Ok(flushed) = engine.flush() else {
                             // The WAL is fail-stop: a flush error (real
                             // I/O failure or injected crash) killed it,
                             // the failure is counted in
@@ -231,9 +231,16 @@ impl Durability {
                             // and future writer gets the error — nothing
                             // left for the flusher to do.
                             return;
-                        }
+                        };
                         if engine.stop.load(Ordering::Relaxed) {
                             return;
+                        }
+                        if !flushed {
+                            // Windows run back to back while writes keep
+                            // coming; after an empty one, block until the
+                            // next append instead of waking every window
+                            // to find the batch empty again.
+                            engine.wal.wait_for_work(&engine.stop);
                         }
                     }
                 })
@@ -243,18 +250,22 @@ impl Durability {
         Ok(durability)
     }
 
-    /// Writes and fsyncs the pending batch (one group commit). Failures
-    /// are counted in [`WalStats::flush_failures`] before propagating.
-    pub(crate) fn flush(&self) -> Result<(), StoreError> {
+    /// Writes and fsyncs the pending batch (one group commit), returning
+    /// whether there was one. Failures are counted in
+    /// [`WalStats::flush_failures`] before propagating.
+    pub(crate) fn flush(&self) -> Result<bool, StoreError> {
         match self.wal.flush() {
-            Ok(true) => self.stats.fsyncs.inc(),
-            Ok(false) => {}
+            Ok(flushed) => {
+                if flushed {
+                    self.stats.fsyncs.inc();
+                }
+                Ok(flushed)
+            }
             Err(e) => {
                 self.stats.flush_failures.inc();
-                return Err(e);
+                Err(e)
             }
         }
-        Ok(())
     }
 
     /// Allocates a revision and logs its record atomically (see
@@ -275,6 +286,7 @@ impl Durability {
     /// `Drop`.
     pub(crate) fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.wal.wake_flusher();
         if let Some(handle) = self.flusher.lock().take() {
             let _ = handle.join();
         }

@@ -695,7 +695,9 @@ impl Store {
             return Ok(());
         };
         match d.config.flush {
-            FlushPolicy::PerWrite => d.flush().map_err(wal_unavailable)?,
+            FlushPolicy::PerWrite => {
+                d.flush().map_err(wal_unavailable)?;
+            }
             FlushPolicy::GroupCommit { .. } => {
                 d.wal.wait_durable(offset).map_err(wal_unavailable)?
             }
@@ -780,7 +782,7 @@ impl Store {
     /// Propagates WAL I/O failures (including an injected crash firing).
     pub fn flush_wal(&self) -> Result<(), StoreError> {
         match self.durability.as_deref() {
-            Some(d) => d.flush(),
+            Some(d) => d.flush().map(drop),
             None => Ok(()),
         }
     }

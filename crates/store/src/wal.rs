@@ -44,6 +44,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use vc_api::object::Object;
 use vc_api::sha256::sha256;
@@ -287,6 +288,9 @@ pub(crate) struct Wal {
     /// Signalled after every fsync (and on crash) so `GroupCommit`
     /// writers blocked in [`Wal::wait_durable`] re-check their offset.
     synced_cond: Condvar,
+    /// Signalled when an idle WAL gets something for its flusher to do
+    /// (see [`Wal::wait_for_work`]).
+    work_cond: Condvar,
 }
 
 /// Names the WAL segment file for sequence number `seq`.
@@ -318,6 +322,7 @@ impl Wal {
                 crashed: false,
             }),
             synced_cond: Condvar::new(),
+            work_cond: Condvar::new(),
         })
     }
 
@@ -351,6 +356,9 @@ impl Wal {
                      {MAX_FRAME_LEN}-byte frame limit"
                 )),
             ));
+        }
+        if state.batch.is_empty() {
+            self.work_cond.notify_one();
         }
         state.batch.extend_from_slice(&frame);
         state.appended += frame.len() as u64;
@@ -423,6 +431,31 @@ impl Wal {
         state.crashed = true;
         state.batch.clear();
         self.synced_cond.notify_all();
+        self.work_cond.notify_one();
+    }
+
+    /// Parks the flusher while there is nothing for it to do: no pending
+    /// batch, no armed crash point for its next flush to consume, a live
+    /// WAL, and `stop` unset. An idle store then costs no wake-ups; the
+    /// first append afterwards starts the flusher's next window.
+    /// [`Wal::wake_flusher`] must follow any change to `stop`.
+    pub(crate) fn wait_for_work(&self, stop: &AtomicBool) {
+        let mut state = self.state.lock();
+        while state.batch.is_empty()
+            && state.armed_crash.is_none()
+            && !state.crashed
+            && !stop.load(Ordering::Relaxed)
+        {
+            self.work_cond.wait(&mut state);
+        }
+    }
+
+    /// Makes a flusher parked in [`Wal::wait_for_work`] re-check its
+    /// stop flag. Takes the lock so the wake cannot fall between the
+    /// flusher's check and its park.
+    pub(crate) fn wake_flusher(&self) {
+        let _state = self.state.lock();
+        self.work_cond.notify_one();
     }
 
     /// Blocks until `offset` is durably synced. Errors if the WAL died
@@ -446,6 +479,7 @@ impl Wal {
     /// the WAL.
     pub(crate) fn arm_crash(&self, point: CrashPoint) {
         self.state.lock().armed_crash = Some(point);
+        self.work_cond.notify_one();
     }
 
     /// Takes the armed crash point if it is [`CrashPoint::MidSnapshot`]
@@ -585,6 +619,7 @@ mod tests {
                 crashed: false,
             }),
             synced_cond: Condvar::new(),
+            work_cond: Condvar::new(),
         }
     }
 

@@ -1,7 +1,8 @@
 //! Watch events and streams.
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::Duration;
 use vc_api::object::{Object, ResourceKind};
 
@@ -27,15 +28,33 @@ pub struct WatchEvent {
     pub object: Arc<Object>,
 }
 
+/// What a watcher's two halves share besides the channel.
+///
+/// It doubles as the liveness token: when the stream drops, the strong
+/// count falls to 1 and the store prunes the watcher.
+#[derive(Debug, Default)]
+struct Shared {
+    /// Woken after every delivered event and when the producer side goes
+    /// away (see [`WatchStream::set_waker`]).
+    waker: parking_lot::Mutex<Option<Waker>>,
+}
+
+impl Shared {
+    fn wake(&self) {
+        if let Some(waker) = &*self.waker.lock() {
+            waker.wake_by_ref();
+        }
+    }
+}
+
 /// Store-side handle for a registered watcher.
 #[derive(Debug)]
 pub(crate) struct WatcherHandle {
     kind: ResourceKind,
     namespace: Option<String>,
-    sender: Sender<WatchEvent>,
-    /// Liveness token shared with the stream; when the stream drops, the
-    /// strong count falls to 1 and the store prunes the watcher.
-    alive: Arc<()>,
+    /// `None` only while dropping.
+    sender: Option<Sender<WatchEvent>>,
+    shared: Arc<Shared>,
 }
 
 impl WatcherHandle {
@@ -45,10 +64,13 @@ impl WatcherHandle {
         buffer: usize,
     ) -> (WatcherHandle, WatchStream) {
         let (sender, receiver) = bounded(buffer);
-        let alive = Arc::new(());
-        let token = Arc::clone(&alive);
-        let stream = WatchStream { receiver, peeked: parking_lot::Mutex::new(None), _token: token };
-        (WatcherHandle { kind, namespace, sender, alive }, stream)
+        let shared = Arc::new(Shared::default());
+        let stream = WatchStream {
+            receiver,
+            peeked: parking_lot::Mutex::new(None),
+            shared: Arc::clone(&shared),
+        };
+        (WatcherHandle { kind, namespace, sender: Some(sender), shared }, stream)
     }
 
     /// Returns `true` if the event passes this watcher's kind/namespace
@@ -63,18 +85,30 @@ impl WatcherHandle {
         }
     }
 
-    /// Attempts to deliver; returns `false` if the watcher is full or gone
-    /// (the caller then evicts it).
+    /// Attempts to deliver, waking the stream's waker on success; returns
+    /// `false` if the watcher is full or gone (the caller then evicts it).
     pub(crate) fn deliver(&self, event: WatchEvent) -> bool {
-        !matches!(
-            self.sender.try_send(event),
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_))
-        )
+        let sender = self.sender.as_ref().expect("sender present until drop");
+        if sender.try_send(event).is_err() {
+            return false;
+        }
+        self.shared.wake();
+        true
     }
 
     /// Returns `true` if the consumer side has been dropped.
     pub(crate) fn is_dead(&self) -> bool {
-        Arc::strong_count(&self.alive) == 1
+        Arc::strong_count(&self.shared) == 1
+    }
+}
+
+impl Drop for WatcherHandle {
+    /// Dropping the handle is how eviction closes a stream. The channel
+    /// disconnects *before* the wake, so a consumer woken here is certain
+    /// to see [`RecvOutcome::Closed`] once the buffer is drained.
+    fn drop(&mut self) {
+        drop(self.sender.take());
+        self.shared.wake();
     }
 }
 
@@ -100,16 +134,38 @@ pub struct WatchStream {
     receiver: Receiver<WatchEvent>,
     /// One-slot peek buffer so `is_closed` never loses an event.
     peeked: parking_lot::Mutex<Option<WatchEvent>>,
-    _token: Arc<()>,
+    shared: Arc<Shared>,
 }
 
 impl WatchStream {
+    /// Registers `waker` (replacing any earlier one) to be woken after
+    /// every event delivered from now on and once when the stream closes,
+    /// so a consumer can block on something other than the stream itself.
+    /// Events already buffered are not announced: poll once after
+    /// registering.
+    pub fn set_waker(&self, waker: Waker) {
+        *self.shared.waker.lock() = Some(waker);
+    }
+
+    /// Non-blocking receive that tells an empty stream
+    /// ([`RecvOutcome::Timeout`]) from a closed one.
+    pub fn try_next(&self) -> RecvOutcome {
+        if let Some(ev) = self.peeked.lock().take() {
+            return RecvOutcome::Event(ev);
+        }
+        match self.receiver.try_recv() {
+            Ok(ev) => RecvOutcome::Event(ev),
+            Err(TryRecvError::Empty) => RecvOutcome::Timeout,
+            Err(TryRecvError::Disconnected) => RecvOutcome::Closed,
+        }
+    }
+
     /// Returns the next event if one is ready.
     pub fn try_recv(&self) -> Option<WatchEvent> {
-        if let Some(ev) = self.peeked.lock().take() {
-            return Some(ev);
+        match self.try_next() {
+            RecvOutcome::Event(ev) => Some(ev),
+            RecvOutcome::Timeout | RecvOutcome::Closed => None,
         }
-        self.receiver.try_recv().ok()
     }
 
     /// Blocks up to `ms` milliseconds for the next event.
@@ -153,8 +209,8 @@ impl WatchStream {
                 *peeked = Some(ev);
                 false
             }
-            Err(crossbeam::channel::TryRecvError::Empty) => false,
-            Err(crossbeam::channel::TryRecvError::Disconnected) => true,
+            Err(TryRecvError::Empty) => false,
+            Err(TryRecvError::Disconnected) => true,
         }
     }
 }
@@ -201,6 +257,71 @@ mod tests {
         drop(stream);
         assert!(handle.is_dead());
         assert!(!handle.deliver(event("ns", "a", 1)));
+    }
+
+    /// Counts wake-ups; the `Arc` is the `Waker`.
+    #[derive(Default)]
+    struct CountingWaker(std::sync::atomic::AtomicUsize);
+
+    impl std::task::Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn waker_fires_per_delivery_and_on_close_after_disconnect() {
+        let (handle, stream) = WatcherHandle::new(ResourceKind::Pod, None, 2);
+        let wakes = Arc::new(CountingWaker::default());
+        let count = || wakes.0.load(std::sync::atomic::Ordering::SeqCst);
+        handle.deliver(event("ns", "early", 1));
+        stream.set_waker(Waker::from(Arc::clone(&wakes)));
+        assert_eq!(count(), 0, "events buffered before registration are not announced");
+        assert!(handle.deliver(event("ns", "a", 2)));
+        assert_eq!(count(), 1);
+        assert!(!handle.deliver(event("ns", "b", 3)), "buffer full");
+        assert_eq!(count(), 1, "a refused delivery wakes nobody");
+        drop(handle);
+        assert_eq!(count(), 2, "closing wakes");
+        assert!(matches!(stream.try_next(), RecvOutcome::Event(_)));
+        assert!(matches!(stream.try_next(), RecvOutcome::Event(_)));
+        assert!(matches!(stream.try_next(), RecvOutcome::Closed));
+    }
+
+    /// Reads its stream when woken: what a consumer woken by the close
+    /// would find.
+    #[derive(Default)]
+    struct ClosedAtWake {
+        stream: std::sync::OnceLock<WatchStream>,
+        seen_closed: std::sync::atomic::AtomicBool,
+    }
+
+    impl std::task::Wake for ClosedAtWake {
+        fn wake(self: Arc<Self>) {
+            let closed = self.stream.get().expect("stream set").is_closed();
+            self.seen_closed.store(closed, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn close_disconnects_before_it_wakes() {
+        let (handle, stream) = WatcherHandle::new(ResourceKind::Pod, None, 2);
+        let probe = Arc::new(ClosedAtWake::default());
+        stream.set_waker(Waker::from(Arc::clone(&probe)));
+        probe.stream.set(stream).expect("set once");
+        drop(handle);
+        assert!(
+            probe.seen_closed.load(std::sync::atomic::Ordering::SeqCst),
+            "a consumer woken by the close must already read Closed, or it parks for good"
+        );
+    }
+
+    #[test]
+    fn try_next_tells_empty_from_closed() {
+        let (handle, stream) = WatcherHandle::new(ResourceKind::Pod, None, 2);
+        assert!(matches!(stream.try_next(), RecvOutcome::Timeout));
+        drop(handle);
+        assert!(matches!(stream.try_next(), RecvOutcome::Closed));
     }
 
     #[test]

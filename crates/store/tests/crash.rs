@@ -202,6 +202,38 @@ fn crash_pre_fsync_loses_exactly_the_unflushed_suffix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The group-commit flusher blocks after an empty window instead of
+/// waking every window for nothing. Everything that gives it work must
+/// reach it there: an append (or its writer never gets its ack), an armed
+/// crash point ("the next flush dies" must not wait for a write), and
+/// shutdown (or `Drop` joins a thread that never wakes).
+#[test]
+fn parked_flusher_wakes_for_an_append_an_armed_crash_and_shutdown() {
+    let dir = scratch_dir("parked");
+    let group_commit = || {
+        DurabilityConfig::new(&dir)
+            .with_flush(FlushPolicy::GroupCommit { window: Duration::from_millis(1) })
+    };
+    let idle = || std::thread::sleep(Duration::from_millis(30));
+    let (store, _) = open(StoreConfig::default(), group_commit());
+    idle();
+    store.insert(pod("ns", "a")).expect("acked by the flusher's fsync");
+    idle();
+    store.inject_crash(CrashPoint::PreFsync);
+    let died = (0..500).any(|_| {
+        std::thread::sleep(Duration::from_millis(2));
+        store.wal_stats().unwrap().flush_failures.get() == 1
+    });
+    assert!(died, "the parked flusher never ran the flush the crash was armed for");
+    drop(store);
+
+    let (store, _) = open(StoreConfig::default(), group_commit());
+    assert_eq!(keys(&store, ResourceKind::Pod), vec!["ns/a"]);
+    idle();
+    drop(store); // joins the flusher: hangs here if shutdown does not wake it
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn crash_mid_batch_append_tears_the_tail() {
     let dir = scratch_dir("midbatch");
