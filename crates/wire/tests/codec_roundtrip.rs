@@ -24,8 +24,10 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 use vc_api::error::ApiError;
 use vc_api::object::Object;
-use vc_api::pod::{Container, ContainerPort, Pod, PodCondition, PodConditionType, Protocol};
-use vc_api::quantity::Quantity;
+use vc_api::pod::{
+    Container, ContainerPort, Pod, PodCondition, PodConditionType, PodPhase, Protocol,
+};
+use vc_api::quantity::{resource_list, Quantity};
 use vc_api::time::Timestamp;
 use vc_wire::codec;
 
@@ -158,6 +160,10 @@ fn via_json<T: Serialize + Deserialize>(value: &T) -> T {
     serde_json::from_str(&text).expect("json decode")
 }
 
+fn via_tree<T: Serialize + Deserialize>(value: &T) -> T {
+    serde_json::from_value(serde_json::to_value(value).expect("to_value")).expect("from_value")
+}
+
 fn via_vcbin<T: Serialize + Deserialize>(value: &T) -> T {
     let framed = codec::to_framed_vec(codec::FRAME_OBJECT, value);
     codec::from_framed_slice(codec::FRAME_OBJECT, &framed).expect("vcbin decode")
@@ -218,6 +224,97 @@ fn derived_types_stream_pinned_text() {
     }
 }
 
+/// The benchmark's stress pod (`benchmark/src/pods.rs`): one small container.
+fn stress_pod(namespace: &str, name: &str) -> Pod {
+    Pod::new(namespace, name).with_container(
+        Container::new("app", "stress:1").with_requests(resource_list(&[("cpu", "50m")])),
+    )
+}
+
+/// The benchmark's fat pod: a stress pod with eight 224-byte annotations.
+fn fat_pod(namespace: &str, name: &str) -> Pod {
+    let mut pod = stress_pod(namespace, name);
+    for i in 0..8 {
+        pod.meta.annotations.insert(
+            format!("bench.virtualcluster.io/field-{i}"),
+            format!("{i:0>width$}", width = 224),
+        );
+    }
+    pod
+}
+
+/// The body of a stress pod's `Object::Pod` frame after its `meta.annotations`
+/// entry: `meta` from `creation_timestamp` on (sorted keys, empty fields
+/// dropped), then `spec` and `status`. `name` is the pod's name.
+fn pod_tail(name: &str) -> Vec<u8> {
+    let mut tail = b"\x07\x13\x03\x00\x07\x1b\x03\x00\x07%\x09\x00\x07/\x06".to_vec();
+    tail.push(name.len() as u8);
+    tail.extend_from_slice(name.as_bytes());
+    for piece in [
+        &b"\x070\x06\x08tenant-a\x07F\x03\x00"[..],
+        b"\x07Q\x09\x06\x07\x03\x09\x00\x07\x10\x08\x01\x09\x06\x07\x17\x09\x00",
+        b"\x07\x1e\x06\x08stress:1\x07)\x09\x00\x07/\x06\x03app\x06\x0aprivileged\x01",
+        b"\x07E\x09\x01\x06\x03cpu\x04d\x06\x0chost_network\x01\x06\x08host_pid\x01",
+        b"\x073\x09\x00\x07H\x07\x92\x01\x07S\x09\x01\x078\x07\x8a\x01",
+    ] {
+        tail.extend_from_slice(piece);
+    }
+    tail
+}
+
+/// Literal `vcbin` bytes for the payloads the benchmark moves: a stress pod,
+/// a fat pod, an `ApiError` struct variant and a unit variant. Any change
+/// here is a wire-format change and needs a `VCBIN_VERSION` bump.
+#[test]
+fn vcbin_bytes_are_pinned() {
+    // Object frame, `{"Pod": {"meta": {..}, ..}}`: static refs for schema
+    // keys, streamed strings for the rest.
+    let head = b"\x01\x00\x09\x01\x07f\x09\x03\x07.\x09\x07\x07\x05\x09";
+    let stress: Object = stress_pod("tenant-a", "stress-00001").into();
+    let mut expected = head.to_vec();
+    expected.push(0x00);
+    expected.extend_from_slice(&pod_tail("stress-00001"));
+    assert_eq!(codec::to_framed_vec(codec::FRAME_OBJECT, &stress), expected, "stress pod");
+
+    // Annotation values are longer than `INTERN_MAX_LEN`, so each is
+    // spelled out in full: a two-byte varint length, then the text.
+    let fat: Object = fat_pod("tenant-a", "fat-00002").into();
+    let mut expected = head.to_vec();
+    expected.push(0x08);
+    for i in 0..8 {
+        expected.extend_from_slice(b"\x06\x1f");
+        expected.extend_from_slice(format!("bench.virtualcluster.io/field-{i}").as_bytes());
+        expected.extend_from_slice(b"\x06\xe0\x01");
+        expected.extend_from_slice(format!("{i:0>224}").as_bytes());
+    }
+    expected.extend_from_slice(&pod_tail("fat-00002"));
+    assert_eq!(codec::to_framed_vec(codec::FRAME_OBJECT, &fat), expected, "fat pod");
+
+    let err = ApiError::conflict("pods", "tenant-a/web-0", "resource_version 7 is stale");
+    let expected = [
+        &b"\x01\x03\x09\x01\x07\x9d\x01\x09\x03\x07#\x06\x04pods"[..],
+        b"\x07-\x06\x1bresource_version 7 is stale\x07/\x06\x0etenant-a/web-0",
+    ]
+    .concat();
+    assert_eq!(codec::to_framed_vec(codec::FRAME_ERROR, &err), expected, "ApiError::Conflict");
+    assert_eq!(
+        codec::to_framed_vec(codec::FRAME_OBJECT, &PodPhase::Running),
+        b"\x01\x00\x07\x93\x01",
+        "unit variant"
+    );
+
+    // And each decodes back to what was encoded.
+    for obj in [&stress, &fat] {
+        let bytes = codec::to_framed_vec(codec::FRAME_OBJECT, obj);
+        assert_eq!(&codec::from_framed_slice::<Object>(codec::FRAME_OBJECT, &bytes).unwrap(), obj);
+    }
+    let bytes = codec::to_framed_vec(codec::FRAME_ERROR, &err);
+    assert_eq!(codec::from_framed_slice::<ApiError>(codec::FRAME_ERROR, &bytes).unwrap(), err);
+    let bytes = codec::to_framed_vec(codec::FRAME_OBJECT, &PodPhase::Running);
+    let phase: PodPhase = codec::from_framed_slice(codec::FRAME_OBJECT, &bytes).unwrap();
+    assert_eq!(phase, PodPhase::Running);
+}
+
 proptest! {
     /// Derived structs and enums (newtype `Object::Pod`, unit `PodPhase`,
     /// nested maps, vecs and options) stream the text their tree renders,
@@ -268,13 +365,13 @@ proptest! {
         }
     }
 
-    /// Objects decode identically through either codec.
+    /// Objects decode identically through either codec and through a
+    /// generic value tree.
     #[test]
     fn object_equivalent_across_codecs(obj in arb_object()) {
-        let via_j = via_json(&obj);
-        let via_b = via_vcbin(&obj);
-        prop_assert_eq!(&via_j, &obj);
-        prop_assert_eq!(&via_b, &obj);
+        prop_assert_eq!(&via_json(&obj), &obj);
+        prop_assert_eq!(&via_vcbin(&obj), &obj);
+        prop_assert_eq!(&via_tree(&obj), &obj);
     }
 
     /// List frames spliced from individually-encoded items (the encode
@@ -339,6 +436,7 @@ proptest! {
             codec::from_framed_slice(codec::FRAME_ERROR, &framed).expect("vcbin error");
         prop_assert_eq!(&via_j, &err);
         prop_assert_eq!(&via_b, &err);
+        prop_assert_eq!(&via_tree(&err), &err);
         // And through the client's tolerant path with the right status.
         prop_assert_eq!(&codec::decode_error(500, &framed), &err);
     }
