@@ -37,6 +37,8 @@ pub trait RequestFault: Send + Sync {
 struct State {
     inflight: usize,
     queued: usize,
+    /// Requests that ever had to queue (monotone).
+    waits: u64,
 }
 
 /// A permit-counted admission gate.
@@ -55,7 +57,7 @@ impl InflightGate {
     pub fn new(max_inflight: usize, max_queued: usize, queue_timeout: Duration) -> Arc<Self> {
         assert!(max_inflight > 0, "max_inflight must be positive");
         Arc::new(InflightGate {
-            state: Mutex::new(State { inflight: 0, queued: 0 }),
+            state: Mutex::new(State { inflight: 0, queued: 0, waits: 0 }),
             cond: Condvar::new(),
             max_inflight,
             max_queued,
@@ -85,6 +87,7 @@ impl InflightGate {
             ));
         }
         state.queued += 1;
+        state.waits += 1;
         let deadline = std::time::Instant::now() + self.queue_timeout;
         loop {
             let timed_out = self.cond.wait_until(&mut state, deadline).timed_out();
@@ -108,6 +111,13 @@ impl InflightGate {
     /// Current number of queued requests.
     pub fn queued(&self) -> usize {
         self.state.lock().queued
+    }
+
+    /// How many requests have had to queue for a permit since the gate was
+    /// created, whether they got one or timed out. Requests rejected
+    /// outright by a full queue are not counted.
+    pub fn waits_total(&self) -> u64 {
+        self.state.lock().waits
     }
 
     fn release(&self) {
@@ -143,6 +153,7 @@ mod tests {
         // Queue depth 0: immediate rejection.
         let err = gate.acquire().unwrap_err();
         assert!(matches!(err, ApiError::TooManyRequests { .. }));
+        assert_eq!(gate.waits_total(), 0, "a rejection is not a wait");
         drop(p1);
         let _p3 = gate.acquire().unwrap();
     }
@@ -158,6 +169,7 @@ mod tests {
         assert_eq!(gate.queued(), 1);
         drop(permit);
         handle.join().unwrap().unwrap();
+        assert_eq!(gate.waits_total(), 1);
     }
 
     #[test]
@@ -166,6 +178,7 @@ mod tests {
         let _p = gate.acquire().unwrap();
         let err = gate.acquire().unwrap_err();
         assert!(matches!(err, ApiError::Timeout { .. }));
+        assert_eq!(gate.waits_total(), 1, "a wait that timed out still counts");
     }
 
     #[test]

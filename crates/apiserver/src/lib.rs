@@ -253,6 +253,12 @@ impl ApiServer {
         self.recovery.as_ref()
     }
 
+    /// The inflight-request gate every request passes (its queue depth and
+    /// wait count show whether requests contended for this server).
+    pub fn gate(&self) -> &InflightGate {
+        &self.gate
+    }
+
     /// Server name.
     pub fn name(&self) -> &str {
         &self.config.name

@@ -660,7 +660,7 @@ fn decode_chunk(chunk: &[u8], encoding: Encoding) -> Result<ChunkEvents, ApiErro
             Ok(ChunkEvents::Events(events))
         }
         Encoding::Binary => {
-            let frames = codec::read_event_frames(chunk)
+            let frames = codec::read_event_frames::<Object>(chunk)
                 .map_err(|e| ApiError::internal(format!("undecodable watch chunk: {e}")))?;
             let mut events = Vec::with_capacity(frames.len());
             for frame in frames {
@@ -673,10 +673,8 @@ fn decode_chunk(chunk: &[u8], encoding: Encoding) -> Result<ChunkEvents, ApiErro
                         return Err(ApiError::internal(format!("unknown event type byte {other}")))
                     }
                 };
-                let value =
+                let object =
                     frame.object.ok_or_else(|| ApiError::internal("event frame missing object"))?;
-                let object: Object = Deserialize::deserialize_value(&value)
-                    .map_err(|e| ApiError::internal(format!("undecodable event object: {e}")))?;
                 events.push(WatchEvent {
                     revision: frame.revision,
                     event_type,

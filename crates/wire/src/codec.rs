@@ -2,11 +2,14 @@
 //!
 //! JSON framing costs the wire tier ~18 KiB per list op: quoted field
 //! names, base-10 integers, and escape scanning on both ends. `vcbin`
-//! encodes the same [`Value`] tree the serde layer already produces, so
-//! every `Serialize` type gets the binary path for free, and a decode
-//! through [`decode_value`] is equivalent to a decode of the JSON text
-//! (the proptest suite in `tests/codec_roundtrip.rs` holds the two
-//! codecs to that contract).
+//! carries the same data model as the serde layer, so every `Serialize`
+//! type gets the binary path for free: [`encode`] is a `serde::Sink` that
+//! writes tags straight into the output buffer as the type walks its
+//! fields, and [`decode`] is a `serde::Source` the type pulls its fields
+//! from, so neither side builds a [`Value`] tree. A decode is equivalent to
+//! a decode of the JSON text (the proptest suite in
+//! `tests/codec_roundtrip.rs` holds the two codecs to that contract, and
+//! pins literal bytes).
 //!
 //! # Value encoding
 //!
@@ -35,7 +38,7 @@
 //! bodies that have no intra-message repetition to exploit. The table is
 //! part of the wire format: changing it is a [`VCBIN_VERSION`] bump.
 //!
-//! **Streaming dictionary**: every decoded `0x06` string of at most
+//! **Streaming dictionary**: every `0x06` string of at most
 //! [`INTERN_MAX_LEN`] bytes is appended to a per-message table starting
 //! at index `N`; `0x07` references either table by index. Non-schema
 //! strings repeated within a message (a namespace name across list
@@ -43,20 +46,21 @@
 //! table is implicit — no dictionary section, so any prefix of a message
 //! decodes without lookahead and each encoded object is fully
 //! self-contained (the [`crate::EncodeCache`] splices cached object
-//! bytes into lists and watch frames without re-encoding).
+//! bytes into lists and watch frames without re-encoding). Neither end
+//! copies a dictionary string: the encoder remembers where in its output
+//! it wrote each one, the decoder keeps slices of its input.
 //!
-//! **Sparse object encoding**: typed payloads go through
-//! [`encode_value_sparse`], which skips *struct field* entries
-//! (`Value::Struct`, produced by derived serializers) whose value is
-//! `null`, an empty array, or an empty string. The serde layer treats a
-//! missing field as `null`, and `Option`/collection/`String` fields
-//! deserialize `null` back to `None`/empty (proto3-style), so the drop
-//! is lossless for every API type — none carry raw `Value` fields, and
-//! no API field is `Option<String>`, so `Some("")` can never round-trip
-//! to `None`. Data maps (`Value::Object` — labels, annotations) keep
-//! every entry: their keys are information, not schema. A default-heavy
-//! object shrinks to the fields that actually say something.
-//! [`encode_value`] stays exact for generic value trees.
+//! **Sparse structs**: the encoder drops a *struct field* whose value
+//! writes `null`, an empty array or an empty string (`None`, an empty
+//! `Vec` or `String`, a newtype around one), and counts only the fields it
+//! keeps. The serde layer reads a missing field as `null`, and
+//! `Option`/collection/`String` fields read `null` back as `None`/empty
+//! (proto3-style), so the drop is lossless for every API type — none
+//! carry raw `Value` fields, and no API field is `Option<String>`, so
+//! `Some("")` can never round-trip to `None`. Maps (labels, annotations)
+//! keep every entry: their keys are information, not schema. A
+//! default-heavy object shrinks to the fields that actually say
+//! something. A [`Value`] holds no structs, so [`encode_value`] is exact.
 //!
 //! # Frame layout
 //!
@@ -80,7 +84,8 @@
 //! `content-type`. Anything else means JSON, so existing clients keep
 //! working unchanged.
 
-use serde::Value;
+use serde::{Deserialize, Serialize, Sink, Source, Token, TokenOf, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use vc_api::error::ApiError;
 use vc_client::Encoding;
@@ -342,7 +347,13 @@ pub fn content_type(encoding: Encoding) -> &'static str {
 /// wildcard accepts keep the JSON path).
 pub fn encoding_of(header: Option<&str>) -> Encoding {
     match header {
-        Some(v) if v.to_ascii_lowercase().contains(VCBIN_CONTENT_TYPE) => Encoding::Binary,
+        Some(v)
+            if v.as_bytes()
+                .windows(VCBIN_CONTENT_TYPE.len())
+                .any(|w| w.eq_ignore_ascii_case(VCBIN_CONTENT_TYPE.as_bytes())) =>
+        {
+            Encoding::Binary
+        }
         _ => Encoding::Json,
     }
 }
@@ -371,16 +382,22 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// A cursor over an encoded buffer; decode helpers advance it.
+/// The `vcbin` decoder: a cursor over an encoded buffer, read as a
+/// `serde::Source`. A container's state is the count of elements or
+/// entries it has left.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    dict: Vec<String>,
+    /// The streaming dictionary: this message's strings so far, as slices
+    /// of `buf`.
+    dict: Vec<&'a str>,
+    /// Containers open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0, dict: Vec::new() }
+        Reader { buf, pos: 0, dict: Vec::new(), depth: 0 }
     }
 
     fn byte(&mut self) -> Result<u8, CodecError> {
@@ -411,16 +428,24 @@ impl<'a> Reader<'a> {
         Err(err("vcbin: varint too long"))
     }
 
-    fn string(&mut self, tag: u8) -> Result<String, CodecError> {
+    /// A container's element count. Every element takes at least a byte,
+    /// so a count past the remaining input is hostile, not large.
+    fn count(&mut self) -> Result<usize, CodecError> {
+        let count = self.varint()?;
+        if count > (self.buf.len() - self.pos) as u64 {
+            return Err(err("vcbin: count exceeds input"));
+        }
+        Ok(count as usize)
+    }
+
+    fn string(&mut self, tag: u8) -> Result<&'a str, CodecError> {
         match tag {
             TAG_STR => {
                 let len = self.varint()? as usize;
-                let bytes = self.take(len)?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| err("vcbin: invalid UTF-8 string"))?
-                    .to_string();
+                let s = std::str::from_utf8(self.take(len)?)
+                    .map_err(|_| err("vcbin: invalid UTF-8 string"))?;
                 if s.len() <= INTERN_MAX_LEN {
-                    self.dict.push(s.clone());
+                    self.dict.push(s);
                 }
                 Ok(s)
             }
@@ -429,206 +454,306 @@ impl<'a> Reader<'a> {
                 // the streaming table starts right after it.
                 let idx = self.varint()? as usize;
                 if let Some(&s) = STATIC_STRINGS.get(idx) {
-                    return Ok(s.to_string());
+                    return Ok(s);
                 }
                 self.dict
                     .get(idx - STATIC_STRINGS.len())
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| err(format!("vcbin: dangling string ref {idx}")))
             }
             other => Err(err(format!("vcbin: expected string, found tag {other:#04x}"))),
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, CodecError> {
-        if depth > 128 {
-            return Err(err("vcbin: nesting too deep"));
+    /// Counts one element of a container off, closing it at zero.
+    fn advance(&mut self, left: &mut usize) -> bool {
+        if *left == 0 {
+            self.depth -= 1;
+            return false;
         }
-        let tag = self.byte()?;
-        match tag {
-            TAG_NULL => Ok(Value::Null),
-            TAG_FALSE => Ok(Value::Bool(false)),
-            TAG_TRUE => Ok(Value::Bool(true)),
-            TAG_U64 => Ok(Value::U64(self.varint()?)),
-            TAG_I64 => Ok(Value::I64(unzigzag(self.varint()?))),
-            TAG_F64 => {
-                let bytes = self.take(8)?;
-                Ok(Value::F64(f64::from_le_bytes(bytes.try_into().expect("8 bytes"))))
-            }
-            TAG_STR | TAG_REF => Ok(Value::String(self.string(tag)?)),
-            TAG_ARR => {
-                let count = self.varint()? as usize;
-                if count > self.buf.len() - self.pos.min(self.buf.len()) {
-                    return Err(err("vcbin: array count exceeds input"));
-                }
-                let mut items = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Array(items))
-            }
-            TAG_OBJ => {
-                let count = self.varint()? as usize;
-                if count > self.buf.len() - self.pos.min(self.buf.len()) {
-                    return Err(err("vcbin: object count exceeds input"));
-                }
-                let mut map = std::collections::BTreeMap::new();
-                for _ in 0..count {
-                    let key_tag = self.byte()?;
-                    let key = self.string(key_tag)?;
-                    map.insert(key, self.value(depth + 1)?);
-                }
-                Ok(Value::Object(map))
-            }
-            other => Err(err(format!("vcbin: unknown tag {other:#04x}"))),
-        }
+        *left -= 1;
+        true
     }
 
-    fn finished(&self) -> bool {
-        self.pos == self.buf.len()
+    /// Decodes the one value that fills the rest of the buffer.
+    fn finish<T: Deserialize>(&mut self) -> Result<T, CodecError> {
+        let value = T::deserialize(self)?;
+        if self.pos != self.buf.len() {
+            return Err(err("vcbin: trailing bytes after value"));
+        }
+        Ok(value)
+    }
+
+    /// Decodes a length-prefixed, self-contained value (a list item or an
+    /// event's object) under a dictionary of its own; the dictionary's
+    /// buffer is reused from one item to the next.
+    fn item<T: Deserialize>(&mut self) -> Result<T, CodecError> {
+        let len = self.varint()? as usize;
+        let buf = self.take(len)?;
+        let mut dict = std::mem::take(&mut self.dict);
+        dict.clear();
+        let mut item = Reader { buf, pos: 0, dict, depth: 0 };
+        let value = item.finish();
+        self.dict = item.dict;
+        value
     }
 }
 
-/// The encoder's dictionary state for one message. Schema strings hit
-/// the static table without touching it; everything else goes through
-/// the streaming map (indices offset past the static table).
+impl<'a> Source<'a> for Reader<'a> {
+    type Seq = usize;
+    type Map = usize;
+
+    fn next(&mut self) -> Result<TokenOf<'a, Self>, CodecError> {
+        if self.depth > serde::MAX_DEPTH {
+            return Err(err("vcbin: nesting too deep"));
+        }
+        Ok(match self.byte()? {
+            TAG_NULL => Token::Null,
+            TAG_FALSE => Token::Bool(false),
+            TAG_TRUE => Token::Bool(true),
+            TAG_U64 => Token::U64(self.varint()?),
+            TAG_I64 => Token::I64(unzigzag(self.varint()?)),
+            TAG_F64 => Token::F64(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"))),
+            tag @ (TAG_STR | TAG_REF) => Token::Str(Cow::Borrowed(self.string(tag)?)),
+            TAG_ARR => {
+                let count = self.count()?;
+                self.depth += 1;
+                Token::Seq(count)
+            }
+            TAG_OBJ => {
+                let count = self.count()?;
+                self.depth += 1;
+                Token::Map(count)
+            }
+            other => return Err(err(format!("vcbin: unknown tag {other:#04x}"))),
+        })
+    }
+
+    fn next_element(&mut self, left: &mut usize) -> Result<bool, CodecError> {
+        Ok(self.advance(left))
+    }
+
+    fn next_key(&mut self, left: &mut usize) -> Result<Option<Cow<'a, str>>, CodecError> {
+        if !self.advance(left) {
+            return Ok(None);
+        }
+        let tag = self.byte()?;
+        self.string(tag).map(|s| Some(Cow::Borrowed(s)))
+    }
+
+    fn seq_len(left: &usize) -> usize {
+        *left
+    }
+}
+
+/// The `vcbin` encoder, a `serde::Sink` writing tags straight into `out`.
+/// Struct fields that say nothing are dropped (module docs, "Sparse
+/// structs"); a struct's state is where its kept-field count sits, patched
+/// as fields are kept.
+struct Writer<'o> {
+    out: &'o mut Vec<u8>,
+    dict: Interner,
+}
+
+impl Writer<'_> {
+    fn put_str(&mut self, s: &str) {
+        if let Some(idx) = static_index(s) {
+            self.out.push(TAG_REF);
+            put_varint(self.out, idx);
+            return;
+        }
+        let vacant = if s.len() <= INTERN_MAX_LEN {
+            match self.dict.find(self.out, s.as_bytes()) {
+                Ok(idx) => {
+                    self.out.push(TAG_REF);
+                    put_varint(self.out, STATIC_STRINGS.len() as u64 + idx);
+                    return;
+                }
+                Err(slot) => Some(slot),
+            }
+        } else {
+            None
+        };
+        self.out.push(TAG_STR);
+        put_varint(self.out, s.len() as u64);
+        if let Some(slot) = vacant {
+            self.dict.fill(slot, self.out.len(), s.len());
+        }
+        self.out.extend_from_slice(s.as_bytes());
+    }
+}
+
+impl Sink for Writer<'_> {
+    type Seq = ();
+    type Map = usize;
+
+    fn null(&mut self) {
+        self.out.push(TAG_NULL);
+    }
+    fn bool(&mut self, v: bool) {
+        self.out.push(if v { TAG_TRUE } else { TAG_FALSE });
+    }
+    fn u64(&mut self, v: u64) {
+        self.out.push(TAG_U64);
+        put_varint(self.out, v);
+    }
+    fn i64(&mut self, v: i64) {
+        self.out.push(TAG_I64);
+        put_varint(self.out, zigzag(v));
+    }
+    fn f64(&mut self, v: f64) {
+        self.out.push(TAG_F64);
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
+    fn str(&mut self, v: &str) {
+        self.put_str(v);
+    }
+    fn begin_seq(&mut self, len: usize) {
+        self.out.push(TAG_ARR);
+        put_varint(self.out, len as u64);
+    }
+    fn element(&mut self, _: &mut ()) {}
+    fn end_seq(&mut self, _: ()) {}
+    fn begin_map(&mut self, len: usize) -> usize {
+        self.out.push(TAG_OBJ);
+        put_varint(self.out, len as u64);
+        0
+    }
+    fn key(&mut self, _: &mut usize, key: &str) {
+        self.put_str(key);
+    }
+    fn end_map(&mut self, _: usize) {}
+    fn begin_struct(&mut self, fields: usize) -> usize {
+        // Fewer than 128 fields: the count is a one-byte varint.
+        assert!(fields < 0x80, "vcbin: a struct of {fields} fields");
+        self.out.push(TAG_OBJ);
+        self.out.push(0);
+        self.out.len() - 1
+    }
+    fn field<T: Serialize + ?Sized>(&mut self, count_at: &mut usize, name: &'static str, v: &T) {
+        if v.is_sparse_empty() {
+            return;
+        }
+        self.out[*count_at] += 1;
+        self.put_str(name);
+        v.serialize(self);
+    }
+}
+
+/// The encoder's streaming dictionary: an open-addressed hash table of the
+/// strings written so far, each held as its span of the output.
+#[derive(Default)]
 struct Interner {
-    dict: HashMap<String, u64>,
-    /// Skip map entries whose value is `null`/`[]` (typed payloads only).
-    sparse: bool,
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+#[derive(Clone, Copy)]
+struct Slot {
+    at: u32,
+    len: u32,
+    /// Dictionary index past the static table; `VACANT` marks a free slot.
+    index: u32,
+}
+
+const VACANT: Slot = Slot { at: 0, len: 0, index: u32::MAX };
+
+impl Slot {
+    fn bytes(self, out: &[u8]) -> &[u8] {
+        &out[self.at as usize..][..self.len as usize]
+    }
+}
+
+/// FNV-1a: short strings, no allocation, no per-process seed needed.
+fn fnv1a(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+        as usize
 }
 
 impl Interner {
-    fn new(sparse: bool) -> Interner {
-        Interner { dict: HashMap::new(), sparse }
-    }
-
-    fn put_str(&mut self, out: &mut Vec<u8>, s: &str) {
-        if let Some(idx) = static_index(s) {
-            out.push(TAG_REF);
-            put_varint(out, idx);
-            return;
+    /// `Ok(index)` if `s` was written already, else `Err(slot)`: the vacant
+    /// slot to [`Interner::fill`] once it is.
+    fn find(&mut self, out: &[u8], s: &[u8]) -> Result<u64, usize> {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow(out);
         }
-        if s.len() <= INTERN_MAX_LEN {
-            if let Some(&idx) = self.dict.get(s) {
-                out.push(TAG_REF);
-                put_varint(out, idx);
-                return;
+        let mask = self.slots.len() - 1;
+        let mut i = fnv1a(s) & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.index == VACANT.index {
+                return Err(i);
             }
-            let next = STATIC_STRINGS.len() as u64 + self.dict.len() as u64;
-            self.dict.insert(s.to_string(), next);
+            if slot.bytes(out) == s {
+                return Ok(slot.index as u64);
+            }
+            i = (i + 1) & mask;
         }
-        out.push(TAG_STR);
-        put_varint(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
     }
 
-    /// Whether a map entry carries no information under the serde layer's
-    /// missing-field rules (absent decodes as `null`; `Option`, collection,
-    /// and `String` types decode `null` as empty/`None`).
-    fn droppable(&self, v: &Value) -> bool {
-        self.sparse
-            && match v {
-                Value::Null => true,
-                Value::Array(items) => items.is_empty(),
-                Value::String(s) => s.is_empty(),
-                _ => false,
-            }
+    /// Records that the string for vacant `slot` sits at `out[at..at + len]`.
+    fn fill(&mut self, slot: usize, at: usize, len: usize) {
+        self.slots[slot] = Slot { at: at as u32, len: len as u32, index: self.len as u32 };
+        self.len += 1;
     }
 
-    fn put_value(&mut self, out: &mut Vec<u8>, value: &Value) {
-        match value {
-            Value::Null => out.push(TAG_NULL),
-            Value::Bool(false) => out.push(TAG_FALSE),
-            Value::Bool(true) => out.push(TAG_TRUE),
-            Value::U64(v) => {
-                out.push(TAG_U64);
-                put_varint(out, *v);
+    fn grow(&mut self, out: &[u8]) {
+        let size = (self.slots.len() * 2).max(32);
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; size]);
+        for slot in old.into_iter().filter(|s| s.index != VACANT.index) {
+            let mut i = fnv1a(slot.bytes(out)) & (size - 1);
+            while self.slots[i].index != VACANT.index {
+                i = (i + 1) & (size - 1);
             }
-            Value::I64(v) => {
-                out.push(TAG_I64);
-                put_varint(out, zigzag(*v));
-            }
-            Value::F64(v) => {
-                out.push(TAG_F64);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            Value::String(s) => self.put_str(out, s),
-            Value::Array(items) => {
-                out.push(TAG_ARR);
-                put_varint(out, items.len() as u64);
-                for item in items {
-                    self.put_value(out, item);
-                }
-            }
-            // Data maps keep every entry — the keys themselves carry
-            // information (a label present with an empty value is not the
-            // same as no label).
-            Value::Object(map) => {
-                out.push(TAG_OBJ);
-                put_varint(out, map.len() as u64);
-                for (k, v) in map {
-                    self.put_str(out, k);
-                    self.put_value(out, v);
-                }
-            }
-            // Struct field maps are schema: a typed reader re-derives a
-            // missing field as its default, so sparse mode drops defaults.
-            Value::Struct(map) => {
-                out.push(TAG_OBJ);
-                let kept = map.values().filter(|v| !self.droppable(v)).count();
-                put_varint(out, kept as u64);
-                for (k, v) in map {
-                    if self.droppable(v) {
-                        continue;
-                    }
-                    self.put_str(out, k);
-                    self.put_value(out, v);
-                }
-            }
+            self.slots[i] = slot;
         }
     }
 }
 
 /// Appends the self-contained encoding of `value` to `out` (no frame
 /// header — callers wrap it in a frame or length-prefix it themselves).
-/// Exact: decodes back to an identical tree.
+/// Struct fields that say nothing are dropped (module docs); everything
+/// else is kept.
+pub fn encode<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
+    value.serialize(&mut Writer { out, dict: Interner::default() });
+}
+
+/// Appends the encoding of a raw value tree: exact, since a [`Value`] has
+/// no struct fields to drop.
 pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    Interner::new(false).put_value(out, value);
+    encode(value, out);
 }
 
-/// Like [`encode_value`], but drops map entries whose value is `null` or
-/// an empty array — safe (and much smaller) for payloads that decode
-/// through the serde layer's missing-field defaults, which is every API
-/// type the wire tier carries. Do **not** use it for generic value trees
-/// consumed as raw [`Value`]s.
-pub fn encode_value_sparse(value: &Value, out: &mut Vec<u8>) {
-    Interner::new(true).put_value(out, value);
-}
-
-/// Decodes one value occupying the whole of `buf`.
+/// Decodes one value occupying the whole of `buf` into any deserializable
+/// type.
 ///
 /// # Errors
 ///
-/// Fails on truncation, trailing bytes, unknown tags, or dangling
-/// dictionary references.
+/// Fails on truncation, trailing bytes, unknown tags, dangling dictionary
+/// references, invalid UTF-8, nesting past `serde::MAX_DEPTH`, or the
+/// type's own decoding errors.
+pub fn decode<T: Deserialize>(buf: &[u8]) -> Result<T, CodecError> {
+    Reader::new(buf).finish()
+}
+
+/// Decodes one raw value tree occupying the whole of `buf`.
+///
+/// # Errors
+///
+/// As [`decode`].
 pub fn decode_value(buf: &[u8]) -> Result<Value, CodecError> {
-    let mut r = Reader::new(buf);
-    let v = r.value(0)?;
-    if !r.finished() {
-        return Err(err("vcbin: trailing bytes after value"));
-    }
-    Ok(v)
+    decode(buf)
 }
 
 /// Encodes any serializable `value` as a framed `vcbin` body of `kind`
-/// ([`FRAME_OBJECT`] or [`FRAME_ERROR`]). Uses the sparse encoding —
-/// typed payloads round-trip through the serde missing-field defaults.
-pub fn to_framed_vec<T: serde::Serialize + ?Sized>(kind: u8, value: &T) -> Vec<u8> {
+/// ([`FRAME_OBJECT`] or [`FRAME_ERROR`]).
+pub fn to_framed_vec<T: Serialize + ?Sized>(kind: u8, value: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     out.push(VCBIN_VERSION);
     out.push(kind);
-    encode_value_sparse(&value.serialize_value(), &mut out);
+    encode(value, &mut out);
     out
 }
 
@@ -654,11 +779,9 @@ pub fn frame_payload(buf: &[u8], expect_kind: u8) -> Result<&[u8], CodecError> {
 ///
 /// # Errors
 ///
-/// Propagates frame-header and value-decode failures, then the type's own
-/// deserialization errors.
-pub fn from_framed_slice<T: serde::Deserialize>(kind: u8, buf: &[u8]) -> Result<T, CodecError> {
-    let value = decode_value(frame_payload(buf, kind)?)?;
-    T::deserialize_value(&value)
+/// Propagates frame-header failures, then [`decode`]'s.
+pub fn from_framed_slice<T: Deserialize>(kind: u8, buf: &[u8]) -> Result<T, CodecError> {
+    decode(frame_payload(buf, kind)?)
 }
 
 /// Decodes an error-frame body, degrading to `Internal` (with the raw
@@ -696,19 +819,15 @@ pub fn write_list_frame<'a>(
 /// # Errors
 ///
 /// Fails on malformed framing or any undecodable item.
-pub fn read_list_frame<T: serde::Deserialize>(buf: &[u8]) -> Result<(u64, Vec<T>), CodecError> {
-    let payload = frame_payload(buf, FRAME_LIST)?;
-    let mut r = Reader::new(payload);
+pub fn read_list_frame<T: Deserialize>(buf: &[u8]) -> Result<(u64, Vec<T>), CodecError> {
+    let mut r = Reader::new(frame_payload(buf, FRAME_LIST)?);
     let revision = r.varint()?;
-    let count = r.varint()? as usize;
+    let count = r.count()?;
     let mut items = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
-        let len = r.varint()? as usize;
-        let item = r.take(len)?;
-        let value = decode_value(item)?;
-        items.push(T::deserialize_value(&value)?);
+        items.push(r.item()?);
     }
-    if !r.finished() {
+    if r.pos != r.buf.len() {
         return Err(err("vcbin: trailing bytes after list"));
     }
     Ok((revision, items))
@@ -718,15 +837,15 @@ pub fn read_list_frame<T: serde::Deserialize>(buf: &[u8]) -> Result<(u64, Vec<T>
 // Event frames
 // ---------------------------------------------------------------------------
 
-/// One decoded watch-event frame.
+/// One decoded watch-event frame carrying a `T`.
 #[derive(Debug)]
-pub struct EventFrame {
+pub struct EventFrame<T> {
     /// Event type byte ([`EVENT_ADDED`] … [`EVENT_RESYNC`]).
     pub event_type: u8,
     /// Store revision the event was committed at (0 for RESYNC).
     pub revision: u64,
     /// The object payload; `None` for RESYNC.
-    pub object: Option<Value>,
+    pub object: Option<T>,
 }
 
 /// Appends one event frame to `out`; `encoded` is the object's
@@ -748,22 +867,15 @@ pub fn write_event_frame(out: &mut Vec<u8>, event_type: u8, revision: u64, encod
 ///
 /// Fails on malformed framing; a RESYNC frame decodes successfully and is
 /// expected to be the chunk's last frame.
-pub fn read_event_frames(buf: &[u8]) -> Result<Vec<EventFrame>, CodecError> {
+pub fn read_event_frames<T: Deserialize>(buf: &[u8]) -> Result<Vec<EventFrame<T>>, CodecError> {
     let mut frames = Vec::new();
-    let mut rest = buf;
-    while !rest.is_empty() {
-        let payload = frame_payload(rest, FRAME_EVENT)?;
-        let mut r = Reader::new(payload);
+    let mut r = Reader::new(buf);
+    while r.pos < buf.len() {
+        frame_payload(&buf[r.pos..], FRAME_EVENT)?;
+        r.pos += 2;
         let event_type = r.byte()?;
         let revision = r.varint()?;
-        let object = if event_type == EVENT_RESYNC {
-            None
-        } else {
-            let len = r.varint()? as usize;
-            Some(decode_value(r.take(len)?)?)
-        };
-        let consumed = 2 + r.pos;
-        rest = &rest[consumed..];
+        let object = if event_type == EVENT_RESYNC { None } else { Some(r.item()?) };
         frames.push(EventFrame { event_type, revision, object });
     }
     Ok(frames)
@@ -772,7 +884,6 @@ pub fn read_event_frames(buf: &[u8]) -> Result<Vec<EventFrame>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize;
     use vc_api::object::Object;
     use vc_api::pod::Pod;
 
@@ -807,7 +918,7 @@ mod tests {
         // earns its keep on non-schema strings repeated across items.
         let mut pod = Pod::new("default", "p");
         pod.meta.labels.insert("app".into(), "a-long-nonschema-workload-name".into());
-        let value = Object::from(pod).serialize_value();
+        let value = serde::to_value(&Object::from(pod));
         let many = Value::Array(vec![value.clone(); 16]);
         let mut one = Vec::new();
         encode_value(&value, &mut one);
@@ -833,7 +944,7 @@ mod tests {
         let obj: Object = pod.into();
         let json = serde_json::to_string(&obj).unwrap();
         let mut bin = Vec::new();
-        encode_value(&obj.serialize_value(), &mut bin);
+        encode(&obj, &mut bin);
         assert!(
             bin.len() < json.len(),
             "vcbin ({}) should be smaller than JSON ({})",
@@ -861,9 +972,9 @@ mod tests {
         let a: Object = Pod::new("ns", "a").into();
         let b: Object = Pod::new("ns", "b").into();
         let mut ea = Vec::new();
-        encode_value(&a.serialize_value(), &mut ea);
+        encode(&a, &mut ea);
         let mut eb = Vec::new();
-        encode_value(&b.serialize_value(), &mut eb);
+        encode(&b, &mut eb);
         let mut out = Vec::new();
         write_list_frame(&mut out, 42, [ea.as_slice(), eb.as_slice()].into_iter());
         let (rev, items): (u64, Vec<Object>) = read_list_frame(&out).unwrap();
@@ -875,37 +986,76 @@ mod tests {
     fn batched_event_frames_roundtrip() {
         let obj: Object = Pod::new("ns", "ev").into();
         let mut encoded = Vec::new();
-        encode_value(&obj.serialize_value(), &mut encoded);
+        encode(&obj, &mut encoded);
         let mut chunk = Vec::new();
         write_event_frame(&mut chunk, EVENT_ADDED, 7, Some(&encoded));
         write_event_frame(&mut chunk, EVENT_MODIFIED, 8, Some(&encoded));
         write_event_frame(&mut chunk, EVENT_RESYNC, 0, None);
-        let frames = read_event_frames(&chunk).unwrap();
+        let frames = read_event_frames::<Object>(&chunk).unwrap();
         assert_eq!(frames.len(), 3);
         assert_eq!((frames[0].event_type, frames[0].revision), (EVENT_ADDED, 7));
         assert_eq!((frames[1].event_type, frames[1].revision), (EVENT_MODIFIED, 8));
         assert_eq!(frames[2].event_type, EVENT_RESYNC);
         assert!(frames[2].object.is_none());
-        let back: Object =
-            serde::Deserialize::deserialize_value(frames[1].object.as_ref().unwrap()).unwrap();
-        assert_eq!(back, obj);
+        assert_eq!(frames[1].object.as_ref(), Some(&obj));
+    }
+
+    /// Every typed entry point — object frames, list frames, event
+    /// chunks — and the raw value decoder over the same hostile bytes:
+    /// each must fail cleanly.
+    fn assert_all_reject(payload: &[u8], what: &str) {
+        let framed = |kind| [&[VCBIN_VERSION, kind][..], payload].concat();
+        assert!(decode_value(payload).is_err(), "decode_value: {what}");
+        assert!(
+            from_framed_slice::<Object>(FRAME_OBJECT, &framed(FRAME_OBJECT)).is_err(),
+            "from_framed_slice: {what}"
+        );
+        // As the only item of a list, and as an ADDED event's object.
+        let mut item = Vec::new();
+        put_varint(&mut item, payload.len() as u64);
+        item.extend_from_slice(payload);
+        let list = [&[VCBIN_VERSION, FRAME_LIST, 7, 1][..], &item].concat();
+        assert!(read_list_frame::<Object>(&list).is_err(), "read_list_frame: {what}");
+        let event = [&[VCBIN_VERSION, FRAME_EVENT, EVENT_ADDED, 7][..], &item].concat();
+        assert!(read_event_frames::<Object>(&event).is_err(), "read_event_frames: {what}");
     }
 
     #[test]
     fn truncation_and_garbage_are_errors_not_panics() {
         let obj: Object = Pod::new("default", "p").into();
         let mut buf = Vec::new();
-        encode_value(&obj.serialize_value(), &mut buf);
+        encode(&obj, &mut buf);
         for cut in 0..buf.len() {
-            assert!(decode_value(&buf[..cut]).is_err(), "prefix of len {cut} must not decode");
+            assert_all_reject(&buf[..cut], &format!("prefix of len {cut}"));
         }
-        assert!(decode_value(&[0xff, 0x00]).is_err());
+        // Trailing bytes after a whole value.
+        assert_all_reject(&[buf.as_slice(), &[TAG_NULL]].concat(), "trailing byte");
+        assert_all_reject(&[0xff, 0x00], "unknown tag");
         // An index past both the static table and the (empty) streaming
         // table is dangling.
-        assert!(decode_value(&[TAG_REF, 0xff, 0x7f]).is_err(), "dangling ref");
+        assert_all_reject(&[TAG_REF, 0xff, 0x7f], "dangling ref");
         assert!(decode_value(&[TAG_REF, 0x05]).is_ok(), "static refs always resolve");
-        // Hostile count: claims 2^40 array items in a 3-byte buffer.
-        assert!(decode_value(&[TAG_ARR, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01]).is_err());
+        // `{"Pod": <dangling ref>}`: fails inside the typed walk too.
+        let pod = static_index("Pod").unwrap() as u8;
+        assert_all_reject(&[TAG_OBJ, 1, TAG_REF, pod, TAG_REF, 0xff, 0x7f], "dangling ref value");
+        // Hostile counts: 2^40 array items or object entries in a few bytes.
+        assert_all_reject(&[TAG_ARR, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01], "hostile array count");
+        assert_all_reject(&[TAG_OBJ, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01], "hostile object count");
+        // The same count on a list frame itself.
+        let list = [VCBIN_VERSION, FRAME_LIST, 7, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+        assert!(read_list_frame::<Object>(&list).is_err());
+        // Invalid UTF-8, as a string value and as a map key.
+        assert_all_reject(&[TAG_STR, 2, 0xc3, 0x28], "invalid UTF-8 value");
+        assert_all_reject(&[TAG_OBJ, 1, TAG_STR, 1, 0xff, TAG_NULL], "invalid UTF-8 key");
+        // `{"Pod": [[[...]]]}` nested past the limit, and a raw array
+        // nested the same way.
+        let depth = serde::MAX_DEPTH + 2;
+        let deep = [[TAG_ARR, 1].repeat(depth), vec![TAG_NULL]].concat();
+        assert_all_reject(&deep, "deep array");
+        assert_all_reject(&[&[TAG_OBJ, 1, TAG_REF, pod][..], &deep].concat(), "deep field");
+        // At the limit itself a raw value still decodes.
+        let ok = [[TAG_ARR, 1].repeat(serde::MAX_DEPTH), vec![TAG_NULL]].concat();
+        assert!(decode_value(&ok).is_ok());
     }
 
     #[test]
@@ -919,11 +1069,10 @@ mod tests {
     #[test]
     fn sparse_encoding_shrinks_and_roundtrips_typed() {
         let obj: Object = Pod::new("default", "mostly-empty").into();
-        let value = obj.serialize_value();
         let mut exact = Vec::new();
-        encode_value(&value, &mut exact);
+        encode_value(&serde::to_value(&obj), &mut exact);
         let mut sparse = Vec::new();
-        encode_value_sparse(&value, &mut sparse);
+        encode(&obj, &mut sparse);
         // A default-heavy pod is mostly empty collections and nulls.
         assert!(
             sparse.len() + 30 < exact.len(),
@@ -931,9 +1080,10 @@ mod tests {
             sparse.len(),
             exact.len()
         );
-        let back: Object =
-            serde::Deserialize::deserialize_value(&decode_value(&sparse).unwrap()).unwrap();
+        let back: Object = decode(&sparse).unwrap();
         assert_eq!(back, obj, "missing-field defaults restore the dropped entries");
+        let back: Object = decode(&exact).unwrap();
+        assert_eq!(back, obj, "a tree's exact encoding decodes typed too");
     }
 
     #[test]

@@ -26,7 +26,6 @@
 use crate::codec;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vc_api::metrics::Counter;
@@ -101,7 +100,7 @@ impl EncodeCache {
             }
             Encoding::Binary => {
                 let mut out = Vec::with_capacity(obj.estimated_size());
-                codec::encode_value_sparse(&obj.serialize_value(), &mut out);
+                codec::encode(&**obj, &mut out);
                 out.into()
             }
         };
@@ -205,9 +204,7 @@ mod tests {
         assert_eq!(cache.len(), 1, "one entry holds both encodings");
         assert_eq!(cache.bytes(), json.len() + bin.len());
         // The binary buffer decodes to the same object.
-        let back: Object =
-            serde::Deserialize::deserialize_value(&crate::codec::decode_value(&bin).unwrap())
-                .unwrap();
+        let back: Object = crate::codec::decode(&bin).unwrap();
         assert_eq!(&back, &*obj);
     }
 

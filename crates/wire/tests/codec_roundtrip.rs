@@ -172,7 +172,7 @@ fn via_vcbin<T: Serialize + Deserialize>(value: &T) -> T {
 /// The two halves of the streamed-output contract (see the module docs).
 fn check_streamed_json<T: Serialize>(value: &T) -> Result<(), TestCaseError> {
     let streamed = serde_json::to_string(value).expect("json encode");
-    prop_assert_eq!(&streamed, &serde::write_json(&value.serialize_value()));
+    prop_assert_eq!(&streamed, &serde::write_json(&serde::to_value(value)));
     prop_assert_eq!(serde::json_len(value), streamed.len());
     Ok(())
 }
@@ -338,7 +338,8 @@ proptest! {
     fn value_streams_its_tree_text(value in prop_oneof![arb_value(), arb_non_finite()]) {
         // A `Value` is its own tree, so only the counter has a second opinion.
         prop_assert_eq!(serde::json_len(&value), serde::write_json(&value).len());
-        check_streamed_json(&(Some(&value), None::<u8>, vec![(-1i8, 'é', 0.5f32)]))?;
+        check_streamed_json(&std::collections::BTreeMap::from([("v", vec![Some(&value), None])]))?;
+        check_streamed_json(&vec![-1i8, 0, i8::MAX])?;
     }
 
     /// The raw value layer is an exact roundtrip: every tree that goes in
@@ -365,6 +366,37 @@ proptest! {
         }
     }
 
+    /// Random bytes never panic the typed decoder, whether they are noise
+    /// or an object's encoding with bytes overwritten (which gets past the
+    /// first tag and deep into the typed walk), and whether they arrive as
+    /// an object frame, a list item or an event's object.
+    #[test]
+    fn typed_decoder_never_panics_on_random_bytes(
+        obj in arb_object(),
+        noise in collection::vec(0u8..=255, 0..48),
+        edits in collection::vec((0usize..4096, 0u8..=255), 1..6),
+    ) {
+        let mut edited = Vec::new();
+        codec::encode(&obj, &mut edited);
+        for &(at, byte) in &edits {
+            let at = at % edited.len();
+            edited[at] = byte;
+        }
+        for payload in [&noise, &edited] {
+            let framed = [&[codec::VCBIN_VERSION, codec::FRAME_OBJECT][..], payload].concat();
+            let _ = codec::from_framed_slice::<Object>(codec::FRAME_OBJECT, &framed);
+            let mut list = Vec::new();
+            codec::write_list_frame(&mut list, 3, [payload.as_slice()].into_iter());
+            let _ = codec::read_list_frame::<Object>(&list);
+            let mut chunk = Vec::new();
+            codec::write_event_frame(&mut chunk, codec::EVENT_ADDED, 3, Some(payload));
+            let _ = codec::read_event_frames::<Object>(&chunk);
+            // Noise right after a list frame's header is a hostile count.
+            let raw = [&[codec::VCBIN_VERSION, codec::FRAME_LIST][..], payload].concat();
+            let _ = codec::read_list_frame::<Object>(&raw);
+        }
+    }
+
     /// Objects decode identically through either codec and through a
     /// generic value tree.
     #[test]
@@ -386,7 +418,7 @@ proptest! {
             .iter()
             .map(|o| {
                 let mut out = Vec::new();
-                codec::encode_value(&o.serialize_value(), &mut out);
+                codec::encode(o, &mut out);
                 out
             })
             .collect();
@@ -415,7 +447,7 @@ proptest! {
             Value::Object(map) => match map.get("items") {
                 Some(Value::Array(vals)) => vals
                     .iter()
-                    .map(|v| Deserialize::deserialize_value(v).expect("json item decode"))
+                    .map(|v| serde::from_value(v).expect("json item decode"))
                     .collect(),
                 other => panic!("bad items field: {other:?}"),
             },
@@ -449,7 +481,8 @@ proptest! {
         let mut chunk = Vec::new();
         for (i, (obj, rev)) in events.iter().enumerate() {
             let mut encoded = Vec::new();
-            codec::encode_value(&obj.serialize_value(), &mut encoded);
+            // The exact encoding of the object's tree decodes typed too.
+            codec::encode_value(&serde::to_value(obj), &mut encoded);
             let tag = match i % 3 {
                 0 => codec::EVENT_ADDED,
                 1 => codec::EVENT_MODIFIED,
@@ -457,14 +490,11 @@ proptest! {
             };
             codec::write_event_frame(&mut chunk, tag, *rev, Some(&encoded));
         }
-        let frames = codec::read_event_frames(&chunk).expect("decode chunk");
+        let frames = codec::read_event_frames::<Object>(&chunk).expect("decode chunk");
         prop_assert_eq!(frames.len(), events.len());
         for (frame, (obj, rev)) in frames.iter().zip(&events) {
             prop_assert_eq!(frame.revision, *rev);
-            let back: Object =
-                Deserialize::deserialize_value(frame.object.as_ref().expect("object"))
-                    .expect("event object");
-            prop_assert_eq!(&back, obj);
+            prop_assert_eq!(frame.object.as_ref(), Some(obj));
         }
     }
 }

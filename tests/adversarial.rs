@@ -1,12 +1,13 @@
 //! Hostile-tenant chaos suite: one adversarial tenant mounts an attack on
 //! the shared control plane (watch storm, list flood, queue poisoning via
 //! policy-rejected objects, oversized-object spam) while well-behaved
-//! tenants keep deploying pods. Each test asserts *containment*: the
-//! attack is absorbed or rejected, and the co-tenants' downward-sync p99
-//! stays within a headroom band of the quiet baseline measured in the
-//! same process.
-//!
-//! The bands are deliberately generous (shared CI runners are noisy); the
+//! tenants keep deploying pods. Each test asserts *containment* as a
+//! property of where the attack landed: the storm's streams and the flood's
+//! LISTs on the hostile tenant's own apiserver, the poisoned and oversized
+//! objects dead-lettered and absent from the super cluster. The co-tenants'
+//! pods must all still sync; their downward-sync p99, quiet and under
+//! attack, is printed as a diagnostic rather than asserted, since on a
+//! shared machine it measures the machine as much as the code. The
 //! calibrated containment ratios live in the `vc_abuse` bench and are
 //! enforced by `bench_gate`.
 
@@ -23,13 +24,6 @@ use virtualcluster::core::mapping;
 use virtualcluster::core::vc_object::{
     VirtualCluster, COND_SYNCER_POLICY_BLOCKED, VC_MANAGER_NAMESPACE,
 };
-
-/// Degradation allowed for a co-tenant's sync p99 while an attack runs,
-/// as a multiple of the quiet baseline, plus an absolute allowance so a
-/// microsecond-scale baseline does not turn scheduler jitter into a
-/// failure.
-const HEADROOM_BAND: u32 = 12;
-const HEADROOM_SLACK: Duration = Duration::from_millis(500);
 
 /// One victim tenant: its client plus where its pods land in the super
 /// cluster.
@@ -89,13 +83,8 @@ fn victim_sync_p99(fw: &Framework, victims: &[Victim], count: usize, tag: &str) 
     Duration::from_micros(latencies[rank - 1])
 }
 
-fn assert_contained(baseline: Duration, under_attack: Duration, attack: &str) {
-    let bound = baseline * HEADROOM_BAND + HEADROOM_SLACK;
-    assert!(
-        under_attack <= bound,
-        "{attack}: co-tenant sync p99 {under_attack:?} blew the headroom band \
-         (baseline {baseline:?}, bound {bound:?})"
-    );
+fn report_sync_p99(baseline: Duration, under_attack: Duration, attack: &str) {
+    eprintln!("{attack}: co-tenant sync p99 quiet {baseline:?}, under attack {under_attack:?}");
 }
 
 /// Reads the `SyncerPolicyBlocked` condition from a tenant's VC object.
@@ -116,14 +105,21 @@ fn policy_blocked_condition(fw: &Framework, tenant: &str) -> Option<(bool, Strin
 #[test]
 fn watch_storm_is_contained() {
     let (fw, victims) = setup(2);
-    fw.create_tenant("hostile").unwrap();
+    let hostile_store = fw.create_tenant("hostile").unwrap().cluster.apiserver.store().clone();
+    let super_store = fw.super_cluster.apiserver.store();
     let hostile = fw.tenant_client("hostile", "mallory");
 
     let baseline = victim_sync_p99(&fw, &victims, 8, "quiet");
 
-    // 48 watch streams over the hostile tenant's pods.
+    // 48 watch streams over the hostile tenant's pods, all registered on
+    // the hostile tenant's own store; the super cluster's (which every
+    // co-tenant's pods go through) gains none of them.
+    let (hostile_before, super_before) =
+        (hostile_store.watcher_count(), super_store.watcher_count());
     let streams: Vec<_> =
         (0..48).map(|_| hostile.watch(ResourceKind::Pod, Some("default"), 0).unwrap()).collect();
+    assert!(hostile_store.watcher_count() >= hostile_before + 48);
+    assert!(super_store.watcher_count() < super_before + 48, "the storm reached the super store");
     // Churn generator: every annotation bump fans out to every stream.
     let stop = Arc::new(AtomicBool::new(false));
     let churn = {
@@ -157,7 +153,7 @@ fn watch_storm_is_contained() {
     churn.join().unwrap();
     drop(streams);
 
-    assert_contained(baseline, under_attack, "watch storm");
+    report_sync_p99(baseline, under_attack, "watch storm");
     fw.shutdown();
 }
 
@@ -167,7 +163,7 @@ fn watch_storm_is_contained() {
 #[test]
 fn list_flood_is_contained() {
     let (fw, victims) = setup(2);
-    fw.create_tenant("hostile").unwrap();
+    let hostile_server = Arc::clone(&fw.create_tenant("hostile").unwrap().cluster.apiserver);
     let hostile = fw.tenant_client("hostile", "mallory");
 
     // Enough objects that each LIST does real work.
@@ -183,6 +179,7 @@ fn list_flood_is_contained() {
 
     let baseline = victim_sync_p99(&fw, &victims, 8, "quiet");
 
+    let served_before = hostile_server.metrics.lists.get();
     let stop = Arc::new(AtomicBool::new(false));
     let lists = Arc::new(AtomicU64::new(0));
     let flooders: Vec<_> = (0..8)
@@ -206,8 +203,12 @@ fn list_flood_is_contained() {
         f.join().unwrap();
     }
 
-    assert!(lists.load(Ordering::Relaxed) > 0, "the flood actually ran");
-    assert_contained(baseline, under_attack, "list flood");
+    let flood = lists.load(Ordering::Relaxed);
+    assert!(flood > 0, "the flood actually ran");
+    // Every LIST of the flood was served by the hostile tenant's own
+    // apiserver, not by one its co-tenants share.
+    assert!(hostile_server.metrics.lists.get() - served_before >= flood);
+    report_sync_p99(baseline, under_attack, "list flood");
     fw.shutdown();
 }
 
@@ -273,7 +274,7 @@ fn queue_poisoning_dead_letters_instead_of_retrying() {
 
     // Co-tenants kept syncing while the poison sat in the pipeline.
     let under_attack = victim_sync_p99(&fw, &victims, 6, "poisoned");
-    assert_contained(baseline, under_attack, "queue poisoning");
+    report_sync_p99(baseline, under_attack, "queue poisoning");
 
     // The admission rejections are exported per rule and tenant.
     let text = fw.obs().registry.render_text();
@@ -343,6 +344,6 @@ fn oversized_object_spam_is_contained() {
         grown < spam as usize * 64 * 1024,
         "super store grew {grown} bytes during the spam — blobs leaked past admission"
     );
-    assert_contained(baseline, under_attack, "oversized-object spam");
+    report_sync_p99(baseline, under_attack, "oversized-object spam");
     fw.shutdown();
 }

@@ -6,9 +6,11 @@ use std::time::{Duration, Instant};
 use virtualcluster::api::namespace::Namespace;
 use virtualcluster::api::object::ResourceKind;
 use virtualcluster::api::pod::{Container, Pod};
+use virtualcluster::api::time::{Clock, SimClock};
 use virtualcluster::apiserver::auth::{PolicyRule, Verb};
 use virtualcluster::apiserver::{ApiServer, ApiServerConfig};
 use virtualcluster::client::Client;
+use virtualcluster::controllers::util::wait_until;
 use virtualcluster::core::framework::{Framework, FrameworkConfig};
 
 #[test]
@@ -31,79 +33,97 @@ fn tenants_cannot_see_each_other() {
     fw.shutdown();
 }
 
-#[test]
-fn shared_apiserver_interference_vs_virtualcluster() {
-    // §I "performance interference": on a shared apiserver, tenant A's
-    // request flood saturates the inflight gate and delays tenant B. Under
-    // VirtualCluster, A's flood hits A's own apiserver only.
-    //
-    // Shared case: a small-capacity apiserver under flood.
-    let shared = ApiServer::new(
+/// A tenant-capacity apiserver whose service time runs on `clock`: a read
+/// holds its gate permit until the test advances the clock past it.
+fn sim_apiserver(clock: &Arc<SimClock>) -> Arc<ApiServer> {
+    ApiServer::new(
         ApiServerConfig {
             max_inflight: 4,
             max_queued: 10_000,
             read_latency: Duration::from_millis(2),
-            write_latency: Duration::from_millis(2),
+            write_latency: Duration::ZERO,
             ..Default::default()
         },
-        virtualcluster::api::time::RealClock::shared(),
-    );
-    let victim = Client::new(Arc::clone(&shared), "tenant-b");
-    // Unthrottled attacker hammering LIST (the paper's "frequently query
-    // all Pods" pattern).
+        Arc::clone(clock) as Arc<dyn Clock>,
+    )
+}
+
+/// Advances `clock` a millisecond at a time until `done`.
+fn run_clock_until(clock: &SimClock, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(Instant::now() < deadline, "requests never drained");
+        clock.advance(Duration::from_millis(1));
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+#[test]
+fn shared_apiserver_interference_vs_virtualcluster() {
+    // §I "performance interference": on a shared apiserver, tenant A's LIST
+    // flood (the paper's "frequently query all Pods") fills the inflight
+    // gate, and tenant B's request queues behind it. Under VirtualCluster B
+    // has an apiserver of its own, where nothing queues. Service time runs
+    // on a simulated clock, so the flood holds the gate until the test lets
+    // it go, and the property is read from the gates' wait counters rather
+    // than from how busy the machine happens to be.
+    let clock = SimClock::new();
+    let shared = sim_apiserver(&clock);
     let attacker = Client::system(Arc::clone(&shared), "tenant-a");
     for i in 0..200 {
         attacker.create(Pod::new("default", format!("junk-{i}")).into()).unwrap();
     }
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut floods = Vec::new();
-    for _ in 0..16 {
-        let attacker = attacker.clone();
-        let stop = Arc::clone(&stop);
-        floods.push(std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let _ = attacker.list(ResourceKind::Pod, None);
-            }
-        }));
-    }
-    std::thread::sleep(Duration::from_millis(100));
-    let start = Instant::now();
-    for i in 0..10 {
-        victim.get(ResourceKind::Namespace, "", "default").unwrap_or_else(|_| {
-            // Even errors (queue timeouts) count as interference.
-            Arc::new(Namespace::new(format!("err-{i}")).into())
-        });
-    }
-    let shared_latency = start.elapsed() / 10;
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    for f in floods {
-        f.join().unwrap();
-    }
-
-    // VirtualCluster case: B has a dedicated apiserver; A's flood of its
-    // own apiserver is irrelevant. Measure B's latency on an idle
-    // dedicated server with the same capacity.
-    let dedicated = ApiServer::new(
-        ApiServerConfig {
-            max_inflight: 4,
-            max_queued: 10_000,
-            read_latency: Duration::from_millis(2),
-            write_latency: Duration::from_millis(2),
-            ..Default::default()
-        },
-        virtualcluster::api::time::RealClock::shared(),
-    );
-    let victim_vc = Client::new(dedicated, "tenant-b");
-    let start = Instant::now();
-    for _ in 0..10 {
-        victim_vc.get(ResourceKind::Namespace, "", "default").unwrap();
-    }
-    let vc_latency = start.elapsed() / 10;
-
+    // Sixteen LISTs: four hold the gate's permits, twelve queue behind them.
+    let floods: Vec<_> = (0..16)
+        .map(|_| {
+            let attacker = attacker.clone();
+            std::thread::spawn(move || attacker.list(ResourceKind::Pod, None).map(|_| ()))
+        })
+        .collect();
+    let gate = shared.gate();
     assert!(
-        shared_latency > vc_latency * 2,
-        "flooded shared apiserver should be much slower: shared={shared_latency:?} vc={vc_latency:?}"
+        wait_until(Duration::from_secs(30), Duration::from_millis(1), || gate.queued() == 12),
+        "the flood never filled the gate"
     );
+    let flood_waits = gate.waits_total();
+
+    // B's request arrives while the flood holds every permit.
+    let victim = Client::new(Arc::clone(&shared), "tenant-b");
+    let sim = Arc::clone(&clock);
+    let victim = std::thread::spawn(move || {
+        let start = sim.now();
+        victim.get(ResourceKind::Namespace, "", "default").map(|_| sim.now().duration_since(start))
+    });
+    assert!(
+        wait_until(Duration::from_secs(30), Duration::from_millis(1), || {
+            gate.waits_total() > flood_waits
+        }),
+        "tenant B's request should queue behind the flood"
+    );
+    run_clock_until(&clock, || victim.is_finished() && floods.iter().all(|f| f.is_finished()));
+    // Nothing but B's request arrived after the flood, so the one new wait
+    // is B's.
+    assert_eq!(gate.waits_total(), flood_waits + 1);
+    let shared_latency = victim.join().unwrap().expect("served after the flood");
+    for flood in floods {
+        flood.join().unwrap().unwrap();
+    }
+
+    // VirtualCluster case: the same request on B's dedicated apiserver,
+    // which A's flood never reaches.
+    let dedicated = sim_apiserver(&clock);
+    let victim_vc = Client::new(Arc::clone(&dedicated), "tenant-b");
+    let sim = Arc::clone(&clock);
+    let served = std::thread::spawn(move || {
+        let start = sim.now();
+        victim_vc
+            .get(ResourceKind::Namespace, "", "default")
+            .map(|_| sim.now().duration_since(start))
+    });
+    run_clock_until(&clock, || served.is_finished());
+    let vc_latency = served.join().unwrap().expect("served");
+    assert_eq!(dedicated.gate().waits_total(), 0, "nothing queues on a dedicated apiserver");
+    eprintln!("simulated GET latency: shared={shared_latency:?} dedicated={vc_latency:?}");
 }
 
 #[test]
