@@ -1,14 +1,22 @@
-//! Clock abstraction and timestamps.
+//! Clock abstraction, timestamps and timers.
 //!
 //! Controllers never call [`std::time::Instant::now`] directly; they take an
 //! `Arc<dyn Clock>` so that unit tests can drive time manually with
 //! [`SimClock`] while benches and examples run on [`RealClock`].
+//!
+//! Waiting for a moment has one form: [`Clock::wake_at`] wakes a [`Waker`]
+//! once the clock reaches a [`Timestamp`]. Periodic work is a task that
+//! re-arms itself (`vc_client::reflector::Timer`), not a thread that
+//! sleeps. A thread that is about to block anyway parks on its own condvar
+//! for [`Clock::real_time_until`] its deadline instead.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::task::{Wake, Waker};
+use std::time::{Duration, Instant};
 
 /// Milliseconds since an arbitrary epoch (process start for [`RealClock`],
 /// zero for [`SimClock`]).
@@ -60,10 +68,11 @@ impl fmt::Display for Timestamp {
     }
 }
 
-/// A source of time that controllers can sleep against.
+/// A source of time that controllers schedule against.
 ///
-/// Implementations must be thread-safe; sleeping threads on a [`SimClock`]
-/// are woken when the test advances the clock past their deadline.
+/// Implementations must be thread-safe; sleepers and timers on a
+/// [`SimClock`] are released when the test advances the clock past their
+/// deadline.
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Returns the current time.
     fn now(&self) -> Timestamp;
@@ -71,56 +80,77 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// Blocks the calling thread for `d` (virtual time for [`SimClock`]).
     fn sleep(&self, d: Duration);
 
-    /// How long a deadline loop may park (on its own condvar or in a real
-    /// sleep) before it must re-check `now()` against its deadline.
+    /// Wakes `waker` once `now() >= at`. A timer cannot be cancelled: the
+    /// task behind the waker holds its work weakly and checks its own
+    /// deadline when woken, so a stale timer costs one no-op wake.
     ///
-    /// [`RealClock`] returns `remaining` unchanged — real deadlines and
-    /// real parks agree, so waiters park the full remainder and wake
-    /// exactly once. A virtual clock returns a small real-time quantum
-    /// instead, because its `now()` only moves when the test advances it:
-    /// the waiter re-polls the (virtual) deadline every quantum and
-    /// observes an `advance()` within bounded real time, with no wakeup
-    /// race between the deadline check and the park.
-    fn park_quantum(&self, remaining: Duration) -> Duration {
-        remaining
+    /// [`RealClock`] fires on the process's one timer thread. [`SimClock`]
+    /// fires from [`SimClock::advance`] on the caller's thread, and from
+    /// this call on this thread if `at` has already passed: do not hold a
+    /// lock the waker takes.
+    fn wake_at(&self, at: Timestamp, waker: Waker);
+
+    /// How long a thread about to block until `at` on a condvar of its own
+    /// may park before it looks at `now()` again: the real time left on
+    /// [`RealClock`]. `None` on a clock whose time moves only when told
+    /// ([`SimClock`]): that thread arms [`Clock::wake_at`] to notify it
+    /// first, then parks until notified.
+    fn real_time_until(&self, at: Timestamp) -> Option<Duration>;
+}
+
+/// A [`Waker`] that calls `wake`: how code that is not a pool task waits
+/// on [`Clock::wake_at`].
+pub fn waker_fn(wake: impl Fn() + Send + Sync + 'static) -> Waker {
+    struct FnWaker<F>(F);
+    impl<F: Fn() + Send + Sync + 'static> Wake for FnWaker<F> {
+        fn wake(self: Arc<Self>) {
+            (self.0)();
+        }
+    }
+    Waker::from(Arc::new(FnWaker(wake)))
+}
+
+/// Armed wakers by deadline: earliest first, equal deadlines in arming
+/// order.
+#[derive(Debug)]
+struct Timers<K> {
+    armed: BTreeMap<(K, u64), Waker>,
+    seq: u64,
+}
+
+impl<K: Ord + Copy> Timers<K> {
+    fn new() -> Self {
+        Timers { armed: BTreeMap::new(), seq: 0 }
+    }
+
+    /// Arms `waker` for `at`; `true` when it is now the earliest timer.
+    fn push(&mut self, at: K, waker: Waker) -> bool {
+        self.seq += 1;
+        let earliest = self.armed.first_key_value().is_none_or(|(&(first, _), _)| at < first);
+        self.armed.insert((at, self.seq), waker);
+        earliest
+    }
+
+    /// Takes out every timer due at `now`, in deadline order.
+    fn pop_due(&mut self, now: K) -> Vec<Waker> {
+        let mut due = Vec::new();
+        while let Some(timer) = self.armed.first_entry().filter(|timer| timer.key().0 <= now) {
+            due.push(timer.remove());
+        }
+        due
     }
 }
 
-/// Sleeps for `d` on `clock`, polling `cancelled` so the wait can end
-/// early. Returns `true` when the full duration elapsed, `false` when
-/// cancelled.
-///
-/// Unlike [`Clock::sleep`], this never wedges on a frozen [`SimClock`]:
-/// the thread parks in bounded *real-time* steps (at most 25ms, or the
-/// clock's [`Clock::park_quantum`] if smaller) between checks, so
-/// shutdown flags are honored even if virtual time never advances.
-/// Controller loops use this for their tick sleeps.
-pub fn sleep_cancellable(clock: &dyn Clock, d: Duration, cancelled: impl Fn() -> bool) -> bool {
-    const MAX_STEP: Duration = Duration::from_millis(25);
-    let deadline = clock.now().add(d);
-    loop {
-        if cancelled() {
-            return false;
-        }
-        let now = clock.now();
-        if now >= deadline {
-            return true;
-        }
-        let remaining = deadline.duration_since(now);
-        std::thread::sleep(clock.park_quantum(remaining).min(MAX_STEP));
-    }
-}
-
-/// Wall-clock implementation of [`Clock`], measured from process start.
+/// Wall-clock implementation of [`Clock`], measured from its construction.
 #[derive(Debug)]
 pub struct RealClock {
-    origin: std::time::Instant,
+    origin: Instant,
 }
 
 impl RealClock {
     /// Creates a real clock anchored at the moment of construction.
     pub fn new() -> Self {
-        RealClock { origin: std::time::Instant::now() }
+        RealClock { origin: Instant::now() }
     }
 
     /// Convenience constructor returning an `Arc<dyn Clock>`.
@@ -143,12 +173,76 @@ impl Clock for RealClock {
     fn sleep(&self, d: Duration) {
         std::thread::sleep(d);
     }
+
+    fn wake_at(&self, at: Timestamp, waker: Waker) {
+        TimerThread::get().arm(self.origin + Duration::from_millis(at.0), waker);
+    }
+
+    fn real_time_until(&self, at: Timestamp) -> Option<Duration> {
+        Some(at.duration_since(self.now()))
+    }
+}
+
+/// The one thread that fires every [`RealClock`] timer in the process,
+/// started by the first one. Keyed on [`Instant`], because each
+/// `RealClock` has its own origin.
+#[derive(Debug)]
+struct TimerThread {
+    timers: Mutex<Timers<Instant>>,
+    earlier: Condvar,
+}
+
+impl TimerThread {
+    fn get() -> &'static TimerThread {
+        static THREAD: OnceLock<TimerThread> = OnceLock::new();
+        let mut first = false;
+        let thread = THREAD.get_or_init(|| {
+            first = true;
+            TimerThread { timers: Mutex::new(Timers::new()), earlier: Condvar::new() }
+        });
+        if first {
+            std::thread::Builder::new()
+                .name("vc-timer".into())
+                .spawn(move || thread.run())
+                .expect("spawn timer thread");
+        }
+        thread
+    }
+
+    fn arm(&self, at: Instant, waker: Waker) {
+        if self.timers.lock().push(at, waker) {
+            // The thread may be parked until a later deadline, or for good.
+            self.earlier.notify_one();
+        }
+    }
+
+    fn run(&self) {
+        let mut timers = self.timers.lock();
+        loop {
+            let due = timers.pop_due(Instant::now());
+            if !due.is_empty() {
+                // Wakers take locks of their own (a pool worker's queue):
+                // never call one under this lock.
+                drop(timers);
+                due.into_iter().for_each(Waker::wake);
+                timers = self.timers.lock();
+                continue;
+            }
+            match timers.armed.first_key_value().map(|(&(at, _), _)| at) {
+                Some(at) => {
+                    self.earlier.wait_until(&mut timers, at);
+                }
+                None => self.earlier.wait(&mut timers),
+            }
+        }
+    }
 }
 
 /// Manually-driven clock for deterministic tests.
 ///
-/// Threads that call [`Clock::sleep`] block on a condvar until another
-/// thread advances the clock past their deadline with [`SimClock::advance`].
+/// Threads that call [`Clock::sleep`] block until another thread advances
+/// the clock past their deadline with [`SimClock::advance`], which also
+/// fires every [`Clock::wake_at`] timer that came due.
 ///
 /// # Examples
 ///
@@ -163,21 +257,33 @@ impl Clock for RealClock {
 /// ```
 #[derive(Debug)]
 pub struct SimClock {
-    state: Mutex<u64>,
-    cond: Condvar,
+    state: Mutex<SimState>,
+    /// Threads in [`Clock::sleep`].
+    sleepers: Condvar,
+}
+
+#[derive(Debug)]
+struct SimState {
+    now: u64,
+    timers: Timers<Timestamp>,
 }
 
 impl SimClock {
     /// Creates a simulated clock starting at zero.
     pub fn new() -> Arc<Self> {
-        Arc::new(SimClock { state: Mutex::new(0), cond: Condvar::new() })
+        Arc::new(SimClock {
+            state: Mutex::new(SimState { now: 0, timers: Timers::new() }),
+            sleepers: Condvar::new(),
+        })
     }
 
-    /// Advances the clock by `d`, waking any sleepers whose deadline passed.
+    /// Advances the clock by `d`, waking the sleepers whose deadline passed
+    /// and firing, on this thread and in deadline order, the timers that
+    /// came due.
     pub fn advance(&self, d: Duration) {
-        let mut now = self.state.lock();
-        *now += d.as_millis() as u64;
-        self.cond.notify_all();
+        let state = self.state.lock();
+        let to = state.now + d.as_millis() as u64;
+        self.move_to(state, to);
     }
 
     /// Sets the clock to an absolute time; must not move backwards.
@@ -186,34 +292,45 @@ impl SimClock {
     ///
     /// Panics if `t` is earlier than the current simulated time.
     pub fn set(&self, t: Timestamp) {
-        let mut now = self.state.lock();
-        assert!(t.as_millis() >= *now, "SimClock cannot move backwards");
-        *now = t.as_millis();
-        self.cond.notify_all();
+        let state = self.state.lock();
+        assert!(t.0 >= state.now, "SimClock cannot move backwards");
+        self.move_to(state, t.0);
+    }
+
+    fn move_to(&self, mut state: MutexGuard<'_, SimState>, to: u64) {
+        state.now = to;
+        let due = state.timers.pop_due(Timestamp(to));
+        drop(state);
+        self.sleepers.notify_all();
+        due.into_iter().for_each(Waker::wake);
     }
 }
 
 impl Clock for SimClock {
     fn now(&self) -> Timestamp {
-        Timestamp(*self.state.lock())
+        Timestamp(self.state.lock().now)
     }
 
     fn sleep(&self, d: Duration) {
-        let deadline = {
-            let now = self.state.lock();
-            *now + d.as_millis() as u64
-        };
-        let mut now = self.state.lock();
-        while *now < deadline {
-            self.cond.wait(&mut now);
+        let mut state = self.state.lock();
+        let deadline = state.now + d.as_millis() as u64;
+        while state.now < deadline {
+            self.sleepers.wait(&mut state);
         }
     }
 
-    /// Virtual deadlines can only move when the test advances the clock,
-    /// so waiters re-poll every millisecond of real time rather than
-    /// parking for the (virtual) remainder.
-    fn park_quantum(&self, _remaining: Duration) -> Duration {
-        Duration::from_millis(1)
+    fn wake_at(&self, at: Timestamp, waker: Waker) {
+        let mut state = self.state.lock();
+        if at.0 > state.now {
+            state.timers.push(at, waker);
+            return;
+        }
+        drop(state);
+        waker.wake();
+    }
+
+    fn real_time_until(&self, _at: Timestamp) -> Option<Duration> {
+        None
     }
 }
 
@@ -283,44 +400,44 @@ mod tests {
     }
 
     #[test]
-    fn park_quantum_real_vs_sim() {
-        let real = RealClock::new();
-        let remaining = Duration::from_secs(5);
-        assert_eq!(real.park_quantum(remaining), remaining, "real clocks park the remainder");
-        let sim = SimClock::new();
-        assert_eq!(sim.park_quantum(remaining), Duration::from_millis(1), "sim clocks re-poll");
+    fn sim_timers_fire_in_deadline_order_and_never_early() {
+        let clock = SimClock::new();
+        let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let arm = |at: u64, tag: &'static str| {
+            let fired = Arc::clone(&fired);
+            let now = Arc::clone(&clock);
+            let waker = waker_fn(move || fired.lock().unwrap().push((tag, now.now().as_millis())));
+            clock.wake_at(Timestamp::from_millis(at), waker);
+        };
+        arm(30, "c");
+        arm(10, "a");
+        arm(20, "b1");
+        arm(20, "b2");
+        clock.advance(Duration::from_millis(9));
+        assert!(fired.lock().unwrap().is_empty(), "nothing is due at 9");
+        clock.set(Timestamp::from_millis(25));
+        assert_eq!(*fired.lock().unwrap(), [("a", 25), ("b1", 25), ("b2", 25)]);
+        clock.advance(Duration::from_millis(5));
+        assert_eq!(fired.lock().unwrap().last(), Some(&("c", 30)));
+        // A deadline already passed fires at once, on the arming thread.
+        arm(7, "late");
+        assert_eq!(fired.lock().unwrap().last(), Some(&("late", 30)));
     }
 
     #[test]
-    fn sleep_cancellable_completes_on_advance() {
-        let clock = SimClock::new();
-        let c2 = Arc::clone(&clock);
-        let handle =
-            std::thread::spawn(move || sleep_cancellable(&*c2, Duration::from_secs(60), || false));
-        // Virtual time satisfies the deadline; no 60s of real time pass.
-        // The sleeper computes `now + 60s` whenever it gets scheduled, so
-        // a single advance can land before that read and leave it parked
-        // at 120 virtual seconds forever: keep advancing until it returns.
-        while !handle.is_finished() {
-            clock.advance(Duration::from_secs(60));
-            std::thread::sleep(Duration::from_millis(1));
+    fn real_timers_fire_on_the_timer_thread_and_an_earlier_one_cuts_the_wait() {
+        let clock = RealClock::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        for after in [Duration::from_secs(60), Duration::from_millis(30)] {
+            let tx = tx.clone();
+            let waker = waker_fn(move || {
+                let _ = tx.send(std::thread::current().name().map(str::to_owned));
+            });
+            clock.wake_at(clock.now().add(after), waker);
         }
-        assert!(handle.join().unwrap(), "completed, not cancelled");
-    }
-
-    #[test]
-    fn sleep_cancellable_cancels_on_frozen_clock() {
-        let clock = SimClock::new();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let c2 = Arc::clone(&clock);
-        let flag = Arc::clone(&cancel);
-        let handle = std::thread::spawn(move || {
-            sleep_cancellable(&*c2, Duration::from_secs(60), || flag.load(Ordering::SeqCst))
-        });
-        // The clock never advances; cancellation must still release the
-        // sleeper within a few real polling quanta.
-        std::thread::sleep(Duration::from_millis(10));
-        cancel.store(true, Ordering::SeqCst);
-        assert!(!handle.join().unwrap(), "cancelled before the deadline");
+        let start = Instant::now();
+        let name = rx.recv_timeout(Duration::from_secs(5)).expect("the 30 ms timer fired");
+        assert_eq!(name.as_deref(), Some("vc-timer"));
+        assert!(start.elapsed() >= Duration::from_millis(25));
     }
 }

@@ -31,10 +31,8 @@
 use crate::coalesce::{CoalesceCore, Offer};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vc_api::metrics::Counter;
-use vc_api::time::{Clock, RealClock};
 use vc_sync::{Condvar, Mutex};
 
 /// Default tenant weight.
@@ -98,9 +96,6 @@ pub struct WeightedFairQueue<T: Eq + Hash + Clone> {
     state: Mutex<FqState<T>>,
     cond: Condvar,
     fair: bool,
-    /// Time source for timed waits; a virtual clock makes
-    /// [`WeightedFairQueue::get_batch_timeout`] deterministic in tests.
-    clock: Arc<dyn Clock>,
     /// Items accepted (post-dedup).
     pub adds: Counter,
     /// Items dropped by deduplication.
@@ -112,14 +107,8 @@ pub struct WeightedFairQueue<T: Eq + Hash + Clone> {
 }
 
 impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
-    /// Creates a queue on the wall clock; `fair = false` degrades to a
-    /// single shared FIFO.
+    /// Creates a queue; `fair = false` degrades to a single shared FIFO.
     pub fn new(fair: bool) -> Self {
-        Self::with_clock(fair, RealClock::shared())
-    }
-
-    /// Creates a queue whose timed waits read `clock`.
-    pub fn with_clock(fair: bool, clock: Arc<dyn Clock>) -> Self {
         WeightedFairQueue {
             state: Mutex::new(FqState {
                 subqueues: HashMap::new(),
@@ -134,7 +123,6 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
             }),
             cond: Condvar::new(),
             fair,
-            clock,
             adds: Counter::new(),
             deduped: Counter::new(),
             coalesced: Counter::new(),
@@ -275,26 +263,9 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         self.dequeue(&mut state).map(|(item, _gen)| item)
     }
 
-    /// Blocks up to `timeout` for the next item, measured on the queue's
-    /// clock (see [`WeightedFairQueue::get_batch_timeout`] for the
-    /// parking discipline).
+    /// Blocks up to `timeout` of real time for the next item.
     pub fn get_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = self.clock.now().add(timeout);
-        let mut state = self.state.lock();
-        loop {
-            if let Some((item, _gen)) = self.dequeue(&mut state) {
-                return Some(item);
-            }
-            if state.shutdown {
-                return None;
-            }
-            let now = self.clock.now();
-            if now >= deadline {
-                return None;
-            }
-            let remaining = deadline.duration_since(now);
-            self.cond.wait_for(&mut state, self.clock.park_quantum(remaining));
-        }
+        self.get_batch_timeout(1, timeout).pop().map(|(item, _gen)| item)
     }
 
     /// Blocks for work, then drains up to `max` items under a single lock
@@ -320,33 +291,24 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
     }
 
     /// Bounded-wait variant of [`WeightedFairQueue::get_batch`]: returns
-    /// an empty vec if no item arrives within `timeout` (or once the
-    /// queue is shut down), so callers can poll a stop condition instead
-    /// of relying on `shutdown()` to release them.
-    ///
-    /// The timeout is measured on the queue's clock. While the queue is
-    /// empty the waiter *parks on the queue condvar* — it holds no CPU —
-    /// for at most the clock's park quantum at a time: the full remaining
-    /// timeout on the wall clock (one wakeup, no polling), a short
-    /// real-time slice on a virtual clock so a test's `advance()` past
-    /// the deadline is observed promptly.
+    /// an empty vec if no item arrives within `timeout` of real time (or
+    /// once the queue is shut down), so callers can poll a stop condition
+    /// instead of relying on `shutdown()` to release them. The waiter
+    /// parks on the queue condvar for the whole remainder: one wakeup, no
+    /// polling.
     pub fn get_batch_timeout(&self, max: usize, timeout: Duration) -> Vec<(T, u64)> {
         let max = max.max(1);
-        let deadline = self.clock.now().add(timeout);
+        let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
         loop {
             if let Some(first) = self.dequeue(&mut state) {
                 return self.fill_batch(&mut state, first, max);
             }
-            if state.shutdown {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if state.shutdown || left.is_zero() {
                 return Vec::new();
             }
-            let now = self.clock.now();
-            if now >= deadline {
-                return Vec::new();
-            }
-            let remaining = deadline.duration_since(now);
-            self.cond.wait_for(&mut state, self.clock.park_quantum(remaining));
+            self.cond.wait_for(&mut state, left);
         }
     }
 

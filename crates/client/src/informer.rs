@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 use vc_api::labels::Selector;
 use vc_api::metrics::{Counter, Gauge};
 use vc_api::object::{Object, ResourceKind};
+use vc_api::time::{Clock, RealClock, Timestamp};
 use vc_store::{EventType, RecvOutcome, WatchStream};
 
 /// A change notification delivered to informer handlers.
@@ -186,6 +187,9 @@ impl Cache {
 /// neighbours by.
 const BATCH: usize = 64;
 
+/// How long a failed list waits before the next attempt.
+const RELIST_BACKOFF: Duration = Duration::from_millis(100);
+
 /// Configuration for a [`SharedInformer`].
 #[derive(Debug, Clone)]
 pub struct InformerConfig {
@@ -196,19 +200,12 @@ pub struct InformerConfig {
     /// Optional periodic resync: re-delivers every cached object as
     /// [`InformerEvent::Resync`].
     pub resync_interval: Option<Duration>,
-    /// Backoff after a failed list.
-    pub relist_backoff: Duration,
 }
 
 impl InformerConfig {
     /// Creates a config watching all namespaces of `kind`, no resync.
     pub fn new(kind: ResourceKind) -> Self {
-        InformerConfig {
-            kind,
-            namespace: None,
-            resync_interval: None,
-            relist_backoff: Duration::from_millis(100),
-        }
+        InformerConfig { kind, namespace: None, resync_interval: None }
     }
 }
 
@@ -235,8 +232,8 @@ struct Reflector {
     /// backing off.
     stream: Option<WatchStream>,
     /// When a failed list is due to be tried again.
-    retry_at: Option<Instant>,
-    next_resync: Option<Instant>,
+    retry_at: Option<Timestamp>,
+    next_resync: Option<Timestamp>,
 }
 
 /// How a turn's drain of the watch ended.
@@ -287,6 +284,9 @@ pub struct SharedInformer {
     cache: Arc<Cache>,
     handlers: RwLock<Vec<EventHandler>>,
     sync_flag: SyncFlag,
+    /// Back-off and resync deadlines run on real time, whatever clock the
+    /// apiserver keeps (DESIGN.md §12.2).
+    clock: RealClock,
     /// The informer's place in the pool, set once by `start`.
     registration: OnceLock<Arc<Registration>>,
     reflector: Mutex<Reflector>,
@@ -316,6 +316,7 @@ impl SharedInformer {
             cache: Arc::new(Cache::new()),
             handlers: RwLock::new(Vec::new()),
             sync_flag: SyncFlag { synced: Mutex::new(false), cond: Condvar::new() },
+            clock: RealClock::new(),
             registration: OnceLock::new(),
             reflector: Mutex::new(Reflector::default()),
             relisted: Mutex::new(None),
@@ -333,7 +334,7 @@ impl SharedInformer {
     /// Lists, fills the cache and calls the handlers for the initial state
     /// on this thread, then hands the informer to the process-wide
     /// reflector pool, which applies the watch from there on. If the list
-    /// fails the pool retries it every `relist_backoff`;
+    /// fails the pool retries it every 100 ms;
     /// [`SharedInformer::wait_for_sync`] tells when one got through.
     pub fn start(informer: Arc<Self>) -> Arc<Self> {
         Self::start_on(informer, Pool::global())
@@ -437,19 +438,23 @@ impl SharedInformer {
             return; // by a handler of the list just applied
         }
         let Some(stream) = listed.stream else {
-            let at = Instant::now() + self.config.relist_backoff;
+            let at = self.clock.now().add(RELIST_BACKOFF);
             reflector.retry_at = Some(at);
-            return registration.wake_at(at);
+            return self.wake_at(at, registration);
         };
         stream.set_waker(Waker::from(Arc::clone(registration)));
         reflector.stream = Some(stream);
         // Events that reached the stream before its waker woke nobody.
         registration.wake();
         if let (Some(interval), None) = (self.config.resync_interval, reflector.next_resync) {
-            let at = Instant::now() + interval;
+            let at = self.clock.now().add(interval);
             reflector.next_resync = Some(at);
-            registration.wake_at(at);
+            self.wake_at(at, registration);
         }
+    }
+
+    fn wake_at(&self, at: Timestamp, registration: &Arc<Registration>) {
+        self.clock.wake_at(at, Waker::from(Arc::clone(registration)));
     }
 
     /// Lists again on the pool's helper thread; the result comes back
@@ -475,15 +480,15 @@ impl SharedInformer {
         else {
             return;
         };
-        let now = Instant::now();
+        let now = self.clock.now();
         if now < due {
             return;
         }
         for obj in self.cache.list() {
             self.dispatch(&InformerEvent::Resync(obj));
         }
-        reflector.next_resync = Some(now + interval);
-        registration.wake_at(now + interval);
+        reflector.next_resync = Some(now.add(interval));
+        self.wake_at(now.add(interval), registration);
     }
 
     /// Applies up to [`BATCH`] buffered events from `stream`, each to the
@@ -571,7 +576,7 @@ impl Task for SharedInformer {
                 }
                 Drained::Closed => self.relist(registration),
             }
-        } else if reflector.retry_at.is_some_and(|at| Instant::now() >= at) {
+        } else if reflector.retry_at.is_some_and(|at| self.clock.now() >= at) {
             reflector.retry_at = None;
             self.relist(registration);
         }
@@ -877,12 +882,7 @@ mod tests {
 
         // Both informers share the pool's one thread.
         let pool = Pool::new(1);
-        let mut config = InformerConfig::new(ResourceKind::Pod);
-        config.relist_backoff = Duration::from_millis(10);
-        let pods = SharedInformer::start_on(
-            SharedInformer::new(Client::system(Arc::clone(&server), "informer"), config),
-            &pool,
-        );
+        let pods = SharedInformer::start_on(informer_on(&server, ResourceKind::Pod), &pool);
         let maps = SharedInformer::start_on(informer_on(&server, ResourceKind::ConfigMap), &pool);
         assert!(!pods.has_synced() && maps.has_synced());
         assert!(

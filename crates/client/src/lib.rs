@@ -8,12 +8,12 @@
 //! * [`informer::SharedInformer`] — reflector + read-only cache + event
 //!   handlers, run by
 //! * [`reflector::Pool`] — the process-wide pool of one thread per core
-//!   that multiplexes every informer and blocks while their watches are
-//!   quiet,
+//!   that multiplexes every informer and [`reflector::Timer`] and blocks
+//!   while their watches and deadlines are quiet,
 //! * [`workqueue::WorkQueue`] — deduplicating FIFO with client-go's
-//!   dirty/processing protocol,
-//! * [`delaying::DelayingQueue`] / [`delaying::RateLimitingQueue`] — delayed
-//!   delivery and per-item exponential backoff,
+//!   dirty/processing protocol and delayed delivery
+//!   ([`workqueue::WorkQueue::add_after`]), plus
+//!   [`workqueue::RateLimitingQueue`]'s per-item exponential backoff,
 //! * [`fairqueue::WeightedFairQueue`] — the paper's fair-queuing extension:
 //!   per-tenant sub-queues dispatched by weighted round-robin (§III-C),
 //! * [`faults::FaultInjector`] — deterministic request-level fault injection
@@ -23,7 +23,6 @@
 
 pub mod client;
 mod coalesce;
-pub mod delaying;
 pub mod fairqueue;
 pub mod faults;
 pub mod informer;
@@ -32,9 +31,8 @@ pub mod surface;
 pub mod workqueue;
 
 pub use client::{Client, RateLimiter};
-pub use delaying::{BackoffPolicy, DelayingQueue, RateLimitingQueue};
 pub use fairqueue::WeightedFairQueue;
 pub use faults::{FaultAction, FaultInjector, FaultPolicy, FaultRule};
 pub use informer::{Cache, InformerConfig, InformerEvent, SharedInformer};
 pub use surface::{Encoding, ObjectApi, WatchHandle};
-pub use workqueue::WorkQueue;
+pub use workqueue::{BackoffPolicy, RateLimitingQueue, WorkQueue};

@@ -1,12 +1,13 @@
-//! The reflector pool: a few threads that run every informer in the
-//! process and sleep when there is nothing to do.
+//! The reflector pool: a few threads that run every informer and timer in
+//! the process and sleep when there is nothing to do.
 //!
-//! A [`Task`] (in practice a [`crate::SharedInformer`]) registers with one
+//! A [`Task`] (a [`crate::SharedInformer`] or a [`Timer`]) registers with one
 //! [`Worker`] — one pool thread — and stays **pinned** to it, so its turns
 //! never overlap and its events keep their order. A turn is requested with
-//! [`Registration::wake`] (a watch does that through [`std::task::Waker`]
-//! whenever it delivers an event or closes) or, for a later moment,
-//! [`Registration::wake_at`]. The wake protocol is one flag:
+//! [`Registration::wake`]; a watch does that through [`std::task::Waker`]
+//! whenever it delivers an event or closes, and so does a
+//! [`Clock::wake_at`] timer when its deadline passes. The wake protocol is
+//! one flag:
 //!
 //! * `wake` sets `scheduled` and, **only on the false → true edge**, pushes
 //!   the registration onto its worker's ready queue and notifies the
@@ -15,23 +16,24 @@
 //!   runs the turn. An event that lands after the turn found its stream
 //!   empty therefore sees `scheduled == false` and queues a fresh turn; one
 //!   that lands earlier is drained by the turn in progress. No interleaving
-//!   loses a wake-up (`tests/loom_reflector.rs` checks them all).
+//!   loses a wake-up (`tests/loom_reflector.rs` and `tests/loom_timer.rs`
+//!   check them all).
 //!
 //! A turn is bounded by the task ([`Progress::more`] asks for another one
 //! at the **tail** of the queue), so a flooding informer takes turns with
-//! its neighbours instead of starving them. Deadlines — resync intervals,
-//! re-list back-off — sit in the worker's timer heap and become ordinary
-//! turns when they expire; an idle worker with no timer blocks on its
-//! condvar indefinitely.
+//! its neighbours instead of starving them. A worker with nothing ready
+//! blocks on its condvar indefinitely; deadlines are the clock's business.
 //!
 //! A turn must not block. Work that calls an apiserver goes to the pool's
 //! one lazily started helper thread through [`Registration::offload`].
 
 use std::cell::Cell;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{OnceLock, Weak};
-use std::time::Instant;
+use std::task::Waker;
+use std::time::Duration;
 use vc_api::metrics::{Counter, Gauge};
+use vc_api::time::{Clock, Timestamp};
 use vc_obs::MetricsRegistry;
 use vc_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use vc_sync::{Arc, Condvar, Mutex};
@@ -64,6 +66,7 @@ struct Stats {
     tasks: Arc<Gauge>,
     wakeups: Arc<Counter>,
     events: Arc<Counter>,
+    timer_runs: Arc<Counter>,
 }
 
 type Job = Box<dyn FnOnce() + Send>;
@@ -101,38 +104,10 @@ impl Shared {
     }
 }
 
-struct Timer {
-    at: Instant,
-    registration: Arc<Registration>,
-}
-
-impl PartialEq for Timer {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at
-    }
-}
-
-impl Eq for Timer {}
-
-impl PartialOrd for Timer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Timer {
-    /// Reversed: `BinaryHeap` is a max-heap and the earliest deadline must
-    /// come out first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at)
-    }
-}
-
 #[derive(Default)]
 struct Queue {
     /// Registrations whose `scheduled` flag is set, in wake order.
     ready: VecDeque<Arc<Registration>>,
-    timers: BinaryHeap<Timer>,
     shutdown: bool,
 }
 
@@ -143,7 +118,7 @@ thread_local! {
     static IN_TURN: Cell<*const Registration> = const { Cell::new(std::ptr::null()) };
 }
 
-/// One pool thread's ready queue and timer heap.
+/// One pool thread's ready queue.
 ///
 /// [`Pool`] spawns a thread per worker; a model checker drives
 /// [`Worker::run`] from a thread of its own instead.
@@ -190,8 +165,7 @@ impl Worker {
     }
 
     /// The worker loop: runs ready registrations one turn at a time and
-    /// blocks — until the earliest timer, or indefinitely — when none is
-    /// ready. Returns after [`Worker::shutdown`].
+    /// blocks when none is ready. Returns after [`Worker::shutdown`].
     pub fn run(&self) {
         while let Some(registration) = self.next() {
             registration.run_turn();
@@ -205,24 +179,10 @@ impl Worker {
             if queue.shutdown {
                 return None;
             }
-            let mut park_for = None;
-            if !queue.timers.is_empty() {
-                let now = Instant::now();
-                while queue.timers.peek().is_some_and(|timer| timer.at <= now) {
-                    let timer = queue.timers.pop().expect("peeked");
-                    timer.registration.schedule(&mut queue);
-                }
-                park_for = queue.timers.peek().map(|timer| timer.at - now);
-            }
             if let Some(registration) = queue.ready.pop_front() {
                 return Some(registration);
             }
-            match park_for {
-                Some(timeout) => {
-                    let _ = self.wake.wait_for(&mut queue, timeout);
-                }
-                None => self.wake.wait(&mut queue),
-            }
+            self.wake.wait(&mut queue);
             self.shared.stats.wakeups.inc();
         }
     }
@@ -262,26 +222,6 @@ impl Registration {
         }
         self.worker.queue.lock().ready.push_back(Arc::clone(self));
         self.worker.wake.notify_one();
-    }
-
-    /// [`Registration::wake`] for a caller that already holds the queue
-    /// lock (the worker, expiring a timer).
-    fn schedule(self: &Arc<Self>, queue: &mut Queue) {
-        if !self.scheduled.swap(true, Ordering::SeqCst) {
-            queue.ready.push_back(Arc::clone(self));
-        }
-    }
-
-    /// Requests a turn at `at` (or as soon after as the worker is free).
-    pub fn wake_at(self: &Arc<Self>, at: Instant) {
-        let mut queue = self.worker.queue.lock();
-        let earliest = queue.timers.peek().is_none_or(|timer| at < timer.at);
-        queue.timers.push(Timer { at, registration: Arc::clone(self) });
-        drop(queue);
-        if earliest {
-            // The worker may be parked until a later deadline, or for good.
-            self.worker.wake.notify_one();
-        }
     }
 
     /// Runs `job` on the pool's helper thread — the place for calls that
@@ -349,6 +289,132 @@ impl std::task::Wake for Registration {
 
     fn wake_by_ref(self: &Arc<Self>) {
         Registration::wake(self);
+    }
+}
+
+type Body = Box<dyn FnMut() -> Option<Timestamp> + Send>;
+
+/// A body the pool runs at deadlines on a [`Clock`]: how periodic work — a
+/// scanner, heartbeats, a garbage collector — runs without a thread of its
+/// own.
+///
+/// A timer is a pool task. A deadline passing gives it a turn, and the
+/// turn hands one run of the body to the pool's helper thread: bodies call
+/// apiservers, so they may block. The body returns its next deadline, or
+/// `None` to wait for the next [`Timer::wake_at`]. Runs never overlap; a
+/// deadline that passes during a run queues one more. The clock holds the
+/// registration, not the timer, so dropping the last handle ends it as
+/// [`Timer::stop`] does.
+pub struct Timer {
+    clock: Arc<dyn Clock>,
+    registration: Arc<Registration>,
+    due: Mutex<Due>,
+    /// Held for the length of a run; [`Timer::stop`] passes through it.
+    body: Mutex<Body>,
+}
+
+#[derive(Default)]
+struct Due {
+    /// The earliest deadline armed on the clock and not yet run.
+    at: Option<Timestamp>,
+    /// A run is on the helper's queue and has not started.
+    queued: bool,
+}
+
+impl Timer {
+    /// A timer on `pool`; nothing runs until the first deadline is armed.
+    pub fn new(
+        pool: &Pool,
+        clock: Arc<dyn Clock>,
+        body: impl FnMut() -> Option<Timestamp> + Send + 'static,
+    ) -> Arc<Timer> {
+        Arc::new_cyclic(|timer: &Weak<Timer>| Timer {
+            clock,
+            registration: pool.register(timer.clone()),
+            due: Mutex::new(Due::default()),
+            body: Mutex::new(Box::new(body)),
+        })
+    }
+
+    /// A timer on the process-wide pool that runs `body` every `interval`,
+    /// the first time one interval from now.
+    pub fn every(
+        clock: Arc<dyn Clock>,
+        interval: Duration,
+        mut body: impl FnMut() + Send + 'static,
+    ) -> Arc<Timer> {
+        let next = Arc::clone(&clock);
+        let timer = Timer::new(Pool::global(), clock, move || {
+            body();
+            Some(next.now().add(interval))
+        });
+        timer.wake_at(timer.clock.now().add(interval));
+        timer
+    }
+
+    /// Runs the body once `at` has passed on the timer's clock. A deadline
+    /// later than one already armed is left to the body to return.
+    pub fn wake_at(&self, at: Timestamp) {
+        let mut due = self.due.lock();
+        if due.at.is_some_and(|armed| armed <= at) {
+            return;
+        }
+        due.at = Some(at);
+        drop(due);
+        self.clock.wake_at(at, Waker::from(Arc::clone(&self.registration)));
+    }
+
+    /// De-registers the timer: no run starts after this returns, and a run
+    /// in flight has finished. Idempotent; callable from any thread but the
+    /// one running the body.
+    pub fn stop(&self) {
+        self.registration.stop();
+        drop(self.body.lock());
+    }
+
+    /// One run, on the helper thread.
+    fn run(&self) {
+        let mut body = self.body.lock();
+        // Cleared before the body runs: a deadline from here on queues
+        // another run.
+        self.due.lock().queued = false;
+        if self.registration.is_stopped() {
+            return;
+        }
+        self.registration.worker.shared.stats.timer_runs.inc();
+        let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut *body));
+        drop(body);
+        match next {
+            Ok(Some(at)) => self.wake_at(at),
+            Ok(None) => {}
+            // A panicking body ends its own timer, not the helper thread.
+            Err(_) => self.registration.stop(),
+        }
+    }
+}
+
+impl Task for Timer {
+    fn turn(self: Arc<Self>) -> Progress {
+        let now = self.clock.now();
+        let mut due = self.due.lock();
+        // A deadline superseded by an earlier one fires late and stale.
+        if due.at.is_none_or(|at| at > now) {
+            return Progress::default();
+        }
+        due.at = None;
+        let queue = !std::mem::replace(&mut due.queued, true);
+        drop(due);
+        if queue {
+            let timer = Arc::clone(&self);
+            self.registration.offload(move || timer.run());
+        }
+        Progress::default()
+    }
+}
+
+impl Drop for Timer {
+    fn drop(&mut self) {
+        self.registration.stop();
     }
 }
 
@@ -425,13 +491,18 @@ impl Pool {
         self.shared.stats.tasks.get()
     }
 
+    /// Timer bodies run by this pool's helper thread.
+    pub fn timer_runs(&self) -> u64 {
+        self.shared.stats.timer_runs.get()
+    }
+
     /// Pool threads running, the helper included once it has started.
     pub fn threads(&self) -> i64 {
         self.shared.stats.threads.get()
     }
 
     /// Exposes the pool's counters in `registry` as
-    /// `client_reflector_{threads,informers,wakeups_total,events_total}`.
+    /// `client_reflector_{threads,informers,wakeups_total,events_total,timer_runs_total}`.
     /// The registry holds the very cells the pool updates, so there is no
     /// publish step and any number of registries may share them.
     pub fn publish_metrics(&self, registry: &MetricsRegistry) {
@@ -440,7 +511,11 @@ impl Pool {
             .gauge("client_reflector_threads", "Reflector pool threads running.", &[])
             .bind(&[], Arc::clone(&stats.threads));
         registry
-            .gauge("client_reflector_informers", "Informers registered with the pool.", &[])
+            .gauge(
+                "client_reflector_informers",
+                "Informers and timers registered with the pool.",
+                &[],
+            )
             .bind(&[], Arc::clone(&stats.tasks));
         registry
             .counter(
@@ -456,6 +531,13 @@ impl Pool {
                 &[],
             )
             .bind(&[], Arc::clone(&stats.events));
+        registry
+            .counter(
+                "client_reflector_timer_runs_total",
+                "Timer bodies (scanners, heartbeats, GC passes) run on the pool's helper thread.",
+                &[],
+            )
+            .bind(&[], Arc::clone(&stats.timer_runs));
     }
 }
 
@@ -475,7 +557,7 @@ impl Drop for Pool {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::time::Instant;
 
     /// Counts its turns; asks for `extra` follow-up turns after each wake.
     #[derive(Default)]
@@ -535,15 +617,61 @@ mod tests {
     }
 
     #[test]
-    fn timer_fires_a_turn_and_an_earlier_one_cuts_the_wait() {
+    fn a_stopped_periodic_timer_never_runs_again_and_its_pending_deadline_keeps_nothing_alive() {
+        let clock = vc_api::time::SimClock::new();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let held = Arc::new(());
+        let timer = {
+            let (runs, held) = (Arc::clone(&runs), Arc::clone(&held));
+            Timer::every(Arc::clone(&clock) as Arc<dyn Clock>, Duration::from_secs(10), move || {
+                let _held = &held;
+                runs.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        clock.advance(Duration::from_secs(9));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(runs.load(Ordering::SeqCst), 0, "never early");
+        clock.advance(Duration::from_secs(1));
+        assert!(eventually(|| runs.load(Ordering::SeqCst) == 1));
+        // The run re-armed the next period; stop with that deadline pending.
+        assert!(eventually(|| timer.due.lock().at.is_some()));
+        let weak = Arc::downgrade(&timer);
+        timer.stop();
+        drop(timer);
+        // Only the finished run's job may still hold it, and only briefly.
+        assert!(eventually(|| weak.upgrade().is_none()), "the pending deadline holds the timer");
+        assert_eq!(Arc::strong_count(&held), 1, "the body went with it");
+        clock.advance(Duration::from_secs(60));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_deadline_passing_during_a_run_queues_exactly_one_more() {
         let pool = Pool::new(1);
-        let (task, registration) = probe(&pool);
-        let start = Instant::now();
-        registration.wake_at(start + Duration::from_secs(60));
-        registration.wake_at(start + Duration::from_millis(30));
-        assert!(eventually(|| task.turns.load(Ordering::SeqCst) == 1));
-        assert!(start.elapsed() >= Duration::from_millis(30));
-        assert!(start.elapsed() < Duration::from_secs(5));
+        let clock = vc_api::time::SimClock::new();
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate = std::sync::Mutex::new(gate);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&runs);
+        let timer = Timer::new(&pool, Arc::clone(&clock) as Arc<dyn Clock>, move || {
+            if counted.fetch_add(1, Ordering::SeqCst) == 0 {
+                let _ = started_tx.send(());
+                let _ = gate.lock().unwrap().recv();
+            }
+            None
+        });
+        timer.wake_at(clock.now());
+        started.recv_timeout(Duration::from_secs(5)).expect("first run started");
+        for _ in 0..3 {
+            timer.wake_at(clock.now());
+        }
+        drop(release);
+        assert!(eventually(|| runs.load(Ordering::SeqCst) == 2));
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(pool.timer_runs(), 2);
+        timer.stop();
     }
 
     #[test]

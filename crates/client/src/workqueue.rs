@@ -16,14 +16,19 @@
 //! dirty records only the newest generation — the eventual delivery carries
 //! exactly the latest one. [`WorkQueue::get_batch`] drains up to `n` items
 //! per wakeup, amortizing lock and condvar traffic under bursty load.
+//!
+//! [`WorkQueue::add_after`] delivers an item after a delay on the queue's
+//! clock, and [`RateLimitingQueue`] adds client-go's per-item exponential
+//! backoff on top — the retry machinery reconcilers use when an apiserver
+//! write conflicts or fails transiently.
 
 use crate::coalesce::{CoalesceCore, Offer};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vc_api::metrics::Counter;
-use vc_api::time::{Clock, RealClock};
+use vc_api::time::{waker_fn, Clock, RealClock};
 use vc_sync::{Condvar, Mutex};
 
 #[derive(Debug)]
@@ -53,8 +58,8 @@ struct State<T> {
 pub struct WorkQueue<T: Eq + Hash + Clone> {
     state: Mutex<State<T>>,
     cond: Condvar,
-    /// Time source for [`WorkQueue::get_timeout`] deadlines; a virtual
-    /// clock makes timed waits deterministic in tests.
+    /// Time source for [`WorkQueue::add_after`] delays; a virtual clock
+    /// makes delayed deliveries deterministic in tests.
     clock: Arc<dyn Clock>,
     /// Items accepted (post-dedup).
     pub adds: Counter,
@@ -78,7 +83,7 @@ impl<T: Eq + Hash + Clone> WorkQueue<T> {
         Self::with_clock(RealClock::shared())
     }
 
-    /// Creates an empty queue whose timed waits read `clock`.
+    /// Creates an empty queue whose delays run on `clock`.
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         WorkQueue {
             state: Mutex::new(State {
@@ -134,6 +139,26 @@ impl<T: Eq + Hash + Clone> WorkQueue<T> {
         }
     }
 
+    /// Adds `item` once `delay` has passed on the queue's clock (at once
+    /// when zero). The pending timer holds the queue weakly: a queue
+    /// dropped meanwhile drops the item.
+    pub fn add_after(self: &Arc<Self>, item: T, delay: Duration)
+    where
+        T: Send + 'static,
+    {
+        if delay.is_zero() {
+            return self.add(item);
+        }
+        let queue = Arc::downgrade(self);
+        let item = Mutex::new(Some(item));
+        let deliver = waker_fn(move || {
+            if let (Some(queue), Some(item)) = (queue.upgrade(), item.lock().take()) {
+                queue.add(item);
+            }
+        });
+        self.clock.wake_at(self.clock.now().add(delay), deliver);
+    }
+
     /// Blocks for the next item; returns `None` once the queue is shut down
     /// and drained.
     pub fn get(&self) -> Option<T> {
@@ -158,29 +183,21 @@ impl<T: Eq + Hash + Clone> WorkQueue<T> {
         Some(item.0)
     }
 
-    /// Blocks up to `timeout` for the next item, measured on the queue's
-    /// clock. The waiter parks on the queue condvar for at most the
-    /// clock's park quantum at a time — on the wall clock that is the
-    /// full remaining timeout (a single wakeup, no polling), on a virtual
-    /// clock a short real-time slice so an `advance()` past the deadline
-    /// is observed promptly.
+    /// Blocks up to `timeout` of real time for the next item: how long the
+    /// caller will wait, not a deadline on the queue's clock.
     pub fn get_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = self.clock.now().add(timeout);
+        let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
         loop {
             if let Some(item) = Self::pop_locked(&mut state) {
                 self.gets.inc();
                 return Some(item.0);
             }
-            if state.shutting_down {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if state.shutting_down || left.is_zero() {
                 return None;
             }
-            let now = self.clock.now();
-            if now >= deadline {
-                return None;
-            }
-            let remaining = deadline.duration_since(now);
-            self.cond.wait_for(&mut state, self.clock.park_quantum(remaining));
+            self.cond.wait_for(&mut state, left);
         }
     }
 
@@ -253,6 +270,69 @@ impl<T: Eq + Hash + Clone> WorkQueue<T> {
     /// Returns `true` once shutdown was requested.
     pub fn is_shutting_down(&self) -> bool {
         self.state.lock().shutting_down
+    }
+}
+
+/// Per-item exponential backoff policy.
+#[derive(Debug, Clone)]
+pub struct BackoffPolicy {
+    /// First retry delay.
+    pub base: Duration,
+    /// Cap on the delay.
+    pub max: Duration,
+}
+
+impl Default for BackoffPolicy {
+    fn default() -> Self {
+        // client-go defaults: 5ms base, 1000s cap (we cap at 30s to keep
+        // simulations snappy).
+        BackoffPolicy { base: Duration::from_millis(5), max: Duration::from_secs(30) }
+    }
+}
+
+impl BackoffPolicy {
+    /// Returns the delay for the `failures`-th consecutive failure
+    /// (0-based).
+    pub fn delay(&self, failures: u32) -> Duration {
+        let exp = self.base.as_nanos().saturating_mul(1u128 << failures.min(40));
+        Duration::from_nanos(exp.min(self.max.as_nanos()) as u64)
+    }
+}
+
+/// Work queue with per-item exponential backoff retries, delivered through
+/// [`WorkQueue::add_after`] on the target's clock.
+pub struct RateLimitingQueue<T: Eq + Hash + Clone + Send + 'static> {
+    target: Arc<WorkQueue<T>>,
+    failures: Mutex<HashMap<T, u32>>,
+    policy: BackoffPolicy,
+}
+
+impl<T: Eq + Hash + Clone + Send + 'static> RateLimitingQueue<T> {
+    /// Creates a rate-limiting queue feeding `target` under `policy`.
+    pub fn with_policy(target: Arc<WorkQueue<T>>, policy: BackoffPolicy) -> Self {
+        RateLimitingQueue { target, failures: Mutex::new(HashMap::new()), policy }
+    }
+
+    /// Re-queues `item` after its next backoff delay.
+    pub fn add_rate_limited(&self, item: T) {
+        let delay = {
+            let mut failures = self.failures.lock();
+            let count = failures.entry(item.clone()).or_insert(0);
+            let delay = self.policy.delay(*count);
+            *count += 1;
+            delay
+        };
+        self.target.add_after(item, delay);
+    }
+
+    /// Clears `item`'s failure history (call after a successful reconcile).
+    pub fn forget(&self, item: &T) {
+        self.failures.lock().remove(item);
+    }
+
+    /// Number of consecutive failures recorded for `item`.
+    pub fn num_requeues(&self, item: &T) -> u32 {
+        self.failures.lock().get(item).copied().unwrap_or(0)
     }
 }
 
@@ -365,6 +445,49 @@ mod tests {
         assert_eq!(q.get(), Some(1));
         assert_eq!(q.get(), None);
         assert!(q.is_shutting_down());
+    }
+
+    #[test]
+    fn add_after_delivers_in_deadline_order_never_early() {
+        use vc_api::time::SimClock;
+        let clock = SimClock::new();
+        let q = Arc::new(WorkQueue::with_clock(Arc::clone(&clock) as Arc<dyn Clock>));
+        q.add_after("now", Duration::ZERO);
+        q.add_after("late", Duration::from_secs(3600));
+        q.add_after("early", Duration::from_secs(60));
+        assert_eq!(q.try_get(), Some("now"));
+        clock.advance(Duration::from_secs(59));
+        assert_eq!(q.try_get(), None, "not due yet");
+        // One virtual hour passes instantly and delivers, on this thread.
+        clock.advance(Duration::from_secs(3600));
+        assert_eq!(q.try_get(), Some("early"));
+        assert_eq!(q.try_get(), Some("late"));
+    }
+
+    #[test]
+    fn backoff_policy_doubles_and_caps() {
+        let p = BackoffPolicy { base: Duration::from_millis(10), max: Duration::from_millis(50) };
+        assert_eq!(p.delay(0), Duration::from_millis(10));
+        assert_eq!(p.delay(1), Duration::from_millis(20));
+        assert_eq!(p.delay(2), Duration::from_millis(40));
+        assert_eq!(p.delay(3), Duration::from_millis(50), "capped");
+        assert_eq!(p.delay(30), Duration::from_millis(50), "no overflow");
+    }
+
+    #[test]
+    fn rate_limited_retries_grow_and_forget_resets() {
+        let target = Arc::new(WorkQueue::new());
+        let rlq = RateLimitingQueue::with_policy(
+            Arc::clone(&target),
+            BackoffPolicy { base: Duration::from_millis(5), max: Duration::from_millis(40) },
+        );
+        rlq.add_rate_limited("x");
+        assert_eq!(rlq.num_requeues(&"x"), 1);
+        rlq.add_rate_limited("x");
+        assert_eq!(rlq.num_requeues(&"x"), 2);
+        rlq.forget(&"x");
+        assert_eq!(rlq.num_requeues(&"x"), 0);
+        assert!(target.get_timeout(Duration::from_secs(1)).is_some());
     }
 
     #[test]

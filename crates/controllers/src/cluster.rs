@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use vc_api::error::ApiResult;
 use vc_api::object::ResourceKind;
-use vc_api::time::{sleep_cancellable, Clock, RealClock};
+use vc_api::time::{Clock, RealClock};
 use vc_apiserver::{ApiServer, ApiServerConfig};
 use vc_client::{Client, InformerConfig, SharedInformer};
 
@@ -96,7 +96,7 @@ pub struct Cluster {
     config: ClusterConfig,
     clock: Arc<dyn Clock>,
     handles: Mutex<Vec<ControllerHandle>>,
-    /// Shared list so the heartbeat thread can snapshot it via a weak ref.
+    /// Shared list so the heartbeat timer can snapshot it via a weak ref.
     kubelets: Arc<Mutex<Vec<Arc<Kubelet>>>>,
     /// Shared pod informer feeding all kubelets (created lazily).
     kubelet_pod_informer: Mutex<Option<Arc<SharedInformer>>>,
@@ -245,7 +245,7 @@ impl Cluster {
         informer.add_handler(Box::new(move |event| observer.observe(event)));
         self.kubelets.lock().push(Arc::clone(&kubelet));
         self.handles.lock().push(handle);
-        self.ensure_heartbeat_thread();
+        self.ensure_heartbeats();
         Ok(kubelet)
     }
 
@@ -286,43 +286,25 @@ impl Cluster {
         informer
     }
 
-    fn ensure_heartbeat_thread(&self) {
+    fn ensure_heartbeats(&self) {
         let mut slot = self.heartbeat.lock();
         if slot.is_some() {
             return;
         }
         let mut handle = ControllerHandle::new("node-heartbeats");
-        let stop = handle.stop_flag();
-        let interval = self.config.heartbeat_interval;
         let list = Arc::downgrade(&self.kubelets);
         // The heartbeat cadence runs on the cluster clock — the same clock
         // the node-lifecycle controller judges staleness with. On a
-        // SimClock every `advance` past the interval wakes this loop and
-        // re-stamps heartbeats immediately, so virtual jumps can never
-        // make a live node look dead.
-        let clock = Arc::clone(&self.clock);
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("node-heartbeats".into())
-                .spawn(move || {
-                    while !stop.is_set() {
-                        let snapshot: Vec<Arc<Kubelet>> = match list.upgrade() {
-                            Some(kubelets) => kubelets.lock().clone(),
-                            None => return,
-                        };
-                        for kubelet in snapshot {
-                            if stop.is_set() {
-                                return;
-                            }
-                            kubelet.heartbeat();
-                        }
-                        if !sleep_cancellable(&*clock, interval, || stop.is_set()) {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn heartbeat thread"),
-        );
+        // SimClock every `advance` past the interval fires this timer and
+        // re-stamps heartbeats, so virtual jumps do not make a live node
+        // look dead.
+        handle.every(&self.clock, self.config.heartbeat_interval, move || {
+            let Some(kubelets) = list.upgrade() else { return };
+            let snapshot: Vec<Arc<Kubelet>> = kubelets.lock().clone();
+            for kubelet in snapshot {
+                kubelet.heartbeat();
+            }
+        });
         *slot = Some(handle);
     }
 }

@@ -12,7 +12,6 @@ use std::time::Duration;
 use vc_api::meta::Uid;
 use vc_api::metrics::Counter;
 use vc_api::object::ResourceKind;
-use vc_api::time::sleep_cancellable;
 use vc_client::{Client, InformerConfig, SharedInformer};
 
 /// Garbage collector configuration.
@@ -58,27 +57,12 @@ pub fn start(client: Client, config: GcConfig) -> (ControllerHandle, Arc<GcMetri
     }
     let caches: Vec<_> = informers.iter().map(|i| (i.kind(), Arc::clone(i.cache()))).collect();
 
-    {
-        let metrics = Arc::clone(&metrics);
-        let stop = handle.stop_flag();
-        // Scan cadence runs on the server's clock: with a virtual clock,
-        // tests advance `interval` to trigger the next pass instead of
-        // sleeping through it.
-        let clock = Arc::clone(client.server().clock());
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("garbage-collector".into())
-                .spawn(move || {
-                    while !stop.is_set() {
-                        scan(&client, &caches, &metrics);
-                        if !sleep_cancellable(&*clock, config.interval, || stop.is_set()) {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn gc thread"),
-        );
-    }
+    // Scan cadence runs on the server's clock: with a virtual clock, tests
+    // advance `interval` to trigger the next pass instead of sleeping
+    // through it.
+    let clock = Arc::clone(client.server().clock());
+    let scanned = Arc::clone(&metrics);
+    handle.every(&clock, config.interval, move || scan(&client, &caches, &scanned));
     for informer in informers {
         handle.add_informer(informer);
     }

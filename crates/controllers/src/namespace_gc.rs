@@ -73,8 +73,7 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<NamespaceGcMetrics>) {
                         queue.done(&name);
                         if !finished {
                             // Requeue until the namespace is empty.
-                            std::thread::sleep(Duration::from_millis(50));
-                            queue.add(name);
+                            queue.add_after(name, Duration::from_millis(50));
                         }
                     }
                 })

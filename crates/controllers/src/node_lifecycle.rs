@@ -8,7 +8,7 @@ use std::time::Duration;
 use vc_api::metrics::Counter;
 use vc_api::node::{Node, NodeCondition};
 use vc_api::object::ResourceKind;
-use vc_api::time::{sleep_cancellable, Timestamp};
+use vc_api::time::Timestamp;
 use vc_client::{Client, InformerConfig, SharedInformer};
 
 /// Node lifecycle configuration.
@@ -59,56 +59,44 @@ pub fn start(
 
     {
         let metrics = Arc::clone(&metrics);
-        let stop = handle.stop_flag();
-        // Check cadence and NotReady dwell both run on the server's
-        // clock, so tests drive heartbeat staleness and eviction grace by
+        // Check cadence and NotReady dwell both run on the server's clock,
+        // so tests drive heartbeat staleness and eviction grace by
         // advancing a virtual clock.
         let clock = Arc::clone(client.server().clock());
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("node-lifecycle".into())
-                .spawn(move || {
-                    // node -> clock time it was first seen NotReady.
-                    let mut not_ready_since: std::collections::HashMap<String, Timestamp> =
-                        Default::default();
-                    while !stop.is_set() {
-                        let now = clock.now();
-                        for obj in cache.list() {
-                            let Some(node) = obj.as_node() else { continue };
-                            let name = node.meta.name.clone();
-                            let stale = now.duration_since(node.status.last_heartbeat)
-                                > config.heartbeat_grace;
-                            if stale && node.status.condition == NodeCondition::Ready {
-                                let ok = retry_on_conflict(3, || {
-                                    let fresh = client.get(ResourceKind::Node, "", &name)?;
-                                    let mut fresh: Node = fresh.try_into()?;
-                                    fresh.status.condition = NodeCondition::NotReady;
-                                    client.update(fresh.into()).map(|_| ())
-                                });
-                                if ok.is_ok() {
-                                    metrics.nodes_marked_not_ready.inc();
-                                }
-                            }
-                            // Track NotReady dwell time and evict stranded
-                            // pods past the grace period.
-                            if node.status.condition == NodeCondition::NotReady || stale {
-                                let since = *not_ready_since.entry(name.clone()).or_insert(now);
-                                if let Some(grace) = config.eviction_grace {
-                                    if now.duration_since(since) > grace {
-                                        evict_node_pods(&client, &name, &metrics);
-                                    }
-                                }
-                            } else {
-                                not_ready_since.remove(&name);
-                            }
-                        }
-                        if !sleep_cancellable(&*clock, config.interval, || stop.is_set()) {
-                            return;
+        let now = Arc::clone(&clock);
+        // node -> clock time it was first seen NotReady.
+        let mut not_ready_since: std::collections::HashMap<String, Timestamp> = Default::default();
+        handle.every(&clock, config.interval, move || {
+            let now = now.now();
+            for obj in cache.list() {
+                let Some(node) = obj.as_node() else { continue };
+                let name = node.meta.name.clone();
+                let stale = now.duration_since(node.status.last_heartbeat) > config.heartbeat_grace;
+                if stale && node.status.condition == NodeCondition::Ready {
+                    let ok = retry_on_conflict(3, || {
+                        let fresh = client.get(ResourceKind::Node, "", &name)?;
+                        let mut fresh: Node = fresh.try_into()?;
+                        fresh.status.condition = NodeCondition::NotReady;
+                        client.update(fresh.into()).map(|_| ())
+                    });
+                    if ok.is_ok() {
+                        metrics.nodes_marked_not_ready.inc();
+                    }
+                }
+                // Track NotReady dwell time and evict stranded pods past
+                // the grace period.
+                if node.status.condition == NodeCondition::NotReady || stale {
+                    let since = *not_ready_since.entry(name.clone()).or_insert(now);
+                    if let Some(grace) = config.eviction_grace {
+                        if now.duration_since(since) > grace {
+                            evict_node_pods(&client, &name, &metrics);
                         }
                     }
-                })
-                .expect("spawn node-lifecycle thread"),
-        );
+                } else {
+                    not_ready_since.remove(&name);
+                }
+            }
+        });
     }
     handle.add_informer(informer);
     (handle, metrics)

@@ -151,10 +151,8 @@ pub fn start(client: Client, config: SchedulerConfig) -> (ControllerHandle, Arc<
     pod_informer.wait_for_sync(Duration::from_secs(10));
 
     let pod_cache = Arc::clone(pod_informer.cache());
-    let retry_queue = Arc::new(vc_client::delaying::DelayingQueue::new(Arc::clone(&queue)));
     for worker_id in 0..config.workers.max(1) {
         let queue = Arc::clone(&queue);
-        let retry_queue = Arc::clone(&retry_queue);
         let state = Arc::clone(&state);
         let metrics = Arc::clone(&metrics);
         let client = client.clone();
@@ -170,16 +168,7 @@ pub fn start(client: Client, config: SchedulerConfig) -> (ControllerHandle, Arc<
                             queue.done(&key);
                             break;
                         }
-                        schedule_one(
-                            &key,
-                            &client,
-                            &pod_cache,
-                            &state,
-                            &config,
-                            &metrics,
-                            &queue,
-                            &retry_queue,
-                        );
+                        schedule_one(&key, &client, &pod_cache, &state, &config, &metrics, &queue);
                         queue.done(&key);
                     }
                 })
@@ -221,7 +210,6 @@ fn release_assignment(state: &mut SchedulerState, key: &str) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn schedule_one(
     key: &str,
     client: &Client,
@@ -230,7 +218,6 @@ fn schedule_one(
     config: &SchedulerConfig,
     metrics: &SchedulerMetrics,
     queue: &Arc<WorkQueue<String>>,
-    retry_queue: &vc_client::delaying::DelayingQueue<String>,
 ) {
     let Some(obj) = pod_cache.get(key) else { return };
     let Some(pod) = obj.as_pod() else { return };
@@ -273,7 +260,7 @@ fn schedule_one(
             now(client),
         );
         let _ = client.update(updated.into());
-        retry_queue.add_after(key.to_string(), config.unschedulable_backoff);
+        queue.add_after(key.to_string(), config.unschedulable_backoff);
         return;
     };
 

@@ -1,8 +1,12 @@
-//! Shared controller plumbing: stop flags, thread handles, retry helper.
+//! Shared controller plumbing: stop flags, thread and timer handles, retry
+//! helper.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use vc_api::error::{ApiError, ApiResult};
+use vc_api::time::Clock;
+use vc_client::reflector::Timer;
 use vc_client::SharedInformer;
 
 /// Cooperative stop signal shared by a controller's threads.
@@ -26,11 +30,13 @@ impl StopFlag {
     }
 }
 
-/// Owns a controller's threads and informers; stopping joins everything.
+/// Owns a controller's threads, timers and informers; stopping joins
+/// everything.
 pub struct ControllerHandle {
     name: String,
     stop: StopFlag,
     threads: Vec<std::thread::JoinHandle<()>>,
+    timers: Vec<Arc<Timer>>,
     informers: Vec<Arc<SharedInformer>>,
     /// Queues to shut down on stop (releases blocked workers).
     on_stop: Vec<Box<dyn Fn() + Send + Sync>>,
@@ -41,6 +47,7 @@ impl std::fmt::Debug for ControllerHandle {
         f.debug_struct("ControllerHandle")
             .field("name", &self.name)
             .field("threads", &self.threads.len())
+            .field("timers", &self.timers.len())
             .finish()
     }
 }
@@ -52,6 +59,7 @@ impl ControllerHandle {
             name: name.into(),
             stop: StopFlag::new(),
             threads: Vec::new(),
+            timers: Vec::new(),
             informers: Vec::new(),
             on_stop: Vec::new(),
         }
@@ -72,6 +80,19 @@ impl ControllerHandle {
         self.threads.push(handle);
     }
 
+    /// Runs `body` every `interval` on `clock`, the first time one interval
+    /// from now: periodic work as a [`Timer`] on the reflector pool, whose
+    /// helper thread runs the body, rather than a thread of its own.
+    /// Stopping the handle stops it and waits out a run in flight.
+    pub fn every(
+        &mut self,
+        clock: &Arc<dyn Clock>,
+        interval: Duration,
+        body: impl FnMut() + Send + 'static,
+    ) {
+        self.timers.push(Timer::every(Arc::clone(clock), interval, body));
+    }
+
     /// Registers an informer to stop.
     pub fn add_informer(&mut self, informer: Arc<SharedInformer>) {
         self.informers.push(informer);
@@ -87,11 +108,15 @@ impl ControllerHandle {
         self.informers.iter().all(|i| i.wait_for_sync(timeout))
     }
 
-    /// Stops everything: flag, queue callbacks, informers, threads.
+    /// Stops everything: flag, queue callbacks, timers, informers,
+    /// threads.
     pub fn stop(&mut self) {
         self.stop.trigger();
         for f in &self.on_stop {
             f();
+        }
+        for timer in self.timers.drain(..) {
+            timer.stop();
         }
         for informer in &self.informers {
             informer.stop();
@@ -182,8 +207,16 @@ mod tests {
         let fired = Arc::new(AtomicBool::new(false));
         let fired2 = Arc::clone(&fired);
         handle.on_stop(move || fired2.store(true, Ordering::SeqCst));
+        let clock = vc_api::time::SimClock::new();
+        let ticks = Arc::new(vc_api::metrics::Counter::new());
+        let counted = Arc::clone(&ticks);
+        let sim: Arc<dyn Clock> = clock.clone();
+        handle.every(&sim, Duration::from_secs(1), move || counted.inc());
         handle.stop();
         assert!(fired.load(Ordering::SeqCst));
+        clock.advance(Duration::from_secs(5));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(ticks.get(), 0, "a stopped handle's timers never run");
         // Idempotent.
         handle.stop();
     }

@@ -23,14 +23,15 @@ use crate::vc_object::{
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use vc_api::crd::CustomObject;
 use vc_api::error::ApiError;
 use vc_api::metrics::{BusyTimer, Counter, Gauge, Histogram};
 use vc_api::object::ResourceKind;
 use vc_api::pod::PodConditionType;
-use vc_api::time::{sleep_cancellable, Clock, RealClock, Timestamp};
+use vc_api::time::{Clock, RealClock, Timestamp};
+use vc_client::reflector::{Pool, Timer};
 use vc_client::{
     BackoffPolicy, Client, InformerConfig, InformerEvent, RateLimitingQueue, SharedInformer,
     WeightedFairQueue, WorkQueue,
@@ -441,6 +442,9 @@ pub struct Syncer {
     policy_blocked_items: Mutex<HashMap<String, HashSet<WorkItem>>>,
     /// Per-tenant circuit breakers fed by tenant-apiserver failures.
     breakers: Mutex<HashMap<String, Breaker>>,
+    /// Probes the breakers whose Open window has passed; armed at the
+    /// earliest Open deadline, idle while every breaker is closed.
+    breaker_probe: Arc<Timer>,
     /// Upward items parked while their tenant's breaker is open; replayed
     /// on recovery.
     parked_upward: Mutex<HashSet<WorkItem>>,
@@ -523,7 +527,7 @@ impl Syncer {
         let obs = Observability::new(config.obs.clone());
         // Every informer in the process — the syncer's, the controllers',
         // the tenants' — runs on one pool; its counters are process-wide.
-        vc_client::reflector::Pool::global().publish_metrics(&obs.registry);
+        Pool::global().publish_metrics(&obs.registry);
         // The super apiserver reports into the shared registry under the
         // "super" scope; it never opens traces (tenant gates do that).
         super_client.server().attach_observability(&obs, "super", false);
@@ -541,21 +545,23 @@ impl Syncer {
 
         let retry_ready: Arc<WorkQueue<WorkItem>> =
             Arc::new(WorkQueue::with_clock(Arc::clone(&clock)));
-        let syncer = Arc::new(Syncer {
-            downward: Arc::new(WeightedFairQueue::with_clock(
-                config.fair_queuing,
-                Arc::clone(&clock),
-            )),
+        let syncer = Arc::new_cyclic(|syncer: &Weak<Syncer>| Syncer {
+            downward: Arc::new(WeightedFairQueue::new(config.fair_queuing)),
             upward: Arc::new(WorkQueue::with_clock(Arc::clone(&clock))),
-            retry_queue: RateLimitingQueue::with_policy_and_clock(
+            retry_queue: RateLimitingQueue::with_policy(
                 Arc::clone(&retry_ready),
                 config.retry_backoff.clone(),
-                Arc::clone(&clock),
             ),
             retry_ready,
             dead_letter: Mutex::new(HashSet::new()),
             policy_blocked_items: Mutex::new(HashMap::new()),
             breakers: Mutex::new(HashMap::new()),
+            breaker_probe: {
+                let syncer = syncer.clone();
+                Timer::new(Pool::global(), Arc::clone(&clock), move || {
+                    syncer.upgrade()?.probe_due_breakers()
+                })
+            },
             parked_upward: Mutex::new(HashSet::new()),
             config,
             super_client,
@@ -706,44 +712,21 @@ impl Syncer {
         // `scan_interval` and the next tick fires without real waiting.
         if let Some(interval) = syncer.config.scan_interval {
             let syncer_ref = Arc::clone(&syncer);
-            let stop = handle.stop_flag();
-            handle.add_thread(
-                std::thread::Builder::new()
-                    .name("syncer-scanner".into())
-                    .spawn(move || loop {
-                        if !sleep_cancellable(&*syncer_ref.clock, interval, || stop.is_set()) {
-                            return;
-                        }
-                        syncer_ref.scan_tick();
-                        syncer_ref.publish_tenant_stats();
-                    })
-                    .expect("spawn scanner"),
-            );
+            handle.every(&syncer.clock, interval, move || {
+                syncer_ref.scan_tick();
+                syncer_ref.publish_tenant_stats();
+            });
         }
         // vNode heartbeat broadcaster.
         {
             let syncer_ref = Arc::clone(&syncer);
-            let interval = syncer.config.vnode_heartbeat_interval;
-            let stop = handle.stop_flag();
-            handle.add_thread(
-                std::thread::Builder::new()
-                    .name("syncer-vnode-heartbeats".into())
-                    .spawn(move || loop {
-                        if !sleep_cancellable(&*syncer_ref.clock, interval, || stop.is_set()) {
-                            return;
-                        }
-                        let tenants: Vec<Arc<TenantHandle>> = syncer_ref
-                            .tenants
-                            .read()
-                            .values()
-                            .map(|t| Arc::clone(&t.handle))
-                            .collect();
-                        if let Some(cache) = syncer_ref.super_cache(ResourceKind::Node) {
-                            syncer_ref.vnodes.broadcast_heartbeats(&tenants, cache);
-                        }
-                    })
-                    .expect("spawn vnode heartbeat thread"),
-            );
+            handle.every(&syncer.clock, syncer.config.vnode_heartbeat_interval, move || {
+                let tenants: Vec<Arc<TenantHandle>> =
+                    syncer_ref.tenants.read().values().map(|t| Arc::clone(&t.handle)).collect();
+                if let Some(cache) = syncer_ref.super_cache(ResourceKind::Node) {
+                    syncer_ref.vnodes.broadcast_heartbeats(&tenants, cache);
+                }
+            });
         }
         // Retry pump: blocks on the backed-off conveyor (no polling) and
         // re-validates each due item before it re-enters the downward
@@ -767,26 +750,6 @@ impl Syncer {
                         }
                     })
                     .expect("spawn retry pump"),
-            );
-        }
-        // Circuit-breaker maintenance: expire Open deadlines into
-        // half-open probes and recover tenants whose control plane
-        // answers again.
-        {
-            let syncer_ref = Arc::clone(&syncer);
-            let stop = handle.stop_flag();
-            handle.add_thread(
-                std::thread::Builder::new()
-                    .name("syncer-breaker".into())
-                    .spawn(move || {
-                        while !stop.is_set() {
-                            std::thread::sleep(Duration::from_millis(25));
-                            for tenant in syncer_ref.breakers_due_for_probe() {
-                                syncer_ref.probe_tenant(&tenant);
-                            }
-                        }
-                    })
-                    .expect("spawn breaker thread"),
             );
         }
         {
@@ -1004,7 +967,8 @@ impl Syncer {
         if !Self::is_tenant_outage(err) {
             return;
         }
-        let tripped = {
+        let until = self.clock.now().add(self.config.breaker_open);
+        let (opened, tripped) = {
             let mut breakers = self.breakers.lock();
             let breaker = breakers
                 .entry(tenant.to_string())
@@ -1012,28 +976,26 @@ impl Syncer {
             match breaker.phase {
                 BreakerPhase::Closed => {
                     breaker.consecutive_failures += 1;
-                    if breaker.consecutive_failures >= self.config.breaker_threshold {
-                        breaker.phase = BreakerPhase::Open {
-                            until: self.clock.now().add(self.config.breaker_open),
-                        };
+                    let tripped = breaker.consecutive_failures >= self.config.breaker_threshold;
+                    if tripped {
+                        breaker.phase = BreakerPhase::Open { until };
                         // Counted under the lock so observers never see the
                         // tripped phase before the counter reflects it.
                         self.metrics.breaker_trips.inc();
-                        true
-                    } else {
-                        false
                     }
+                    (tripped, tripped)
                 }
                 BreakerPhase::HalfOpen => {
                     // A straggler failed while probing: re-open.
-                    breaker.phase = BreakerPhase::Open {
-                        until: self.clock.now().add(self.config.breaker_open),
-                    };
-                    false
+                    breaker.phase = BreakerPhase::Open { until };
+                    (true, false)
                 }
-                BreakerPhase::Open { .. } => false,
+                BreakerPhase::Open { .. } => (false, false),
             }
         };
+        if opened {
+            self.breaker_probe.wake_at(until);
+        }
         if tripped {
             self.mark_stats_dirty(tenant);
             self.downward.pause_tenant(tenant);
@@ -1046,9 +1008,10 @@ impl Syncer {
         }
     }
 
-    /// Tenants whose Open deadline has passed; each is flipped to HalfOpen
-    /// and must be probed.
-    fn breakers_due_for_probe(&self) -> Vec<String> {
+    /// The breaker timer's body: flips every breaker whose Open deadline
+    /// has passed to HalfOpen, probes its tenant, and returns the earliest
+    /// Open deadline left.
+    fn probe_due_breakers(&self) -> Option<Timestamp> {
         let now = self.clock.now();
         let mut due = Vec::new();
         for (tenant, breaker) in self.breakers.lock().iter_mut() {
@@ -1059,8 +1022,16 @@ impl Syncer {
         }
         for tenant in &due {
             self.mark_stats_dirty(tenant);
+            self.probe_tenant(tenant);
         }
-        due
+        let breakers = self.breakers.lock();
+        breakers
+            .values()
+            .filter_map(|b| match b.phase {
+                BreakerPhase::Open { until } => Some(until),
+                _ => None,
+            })
+            .min()
     }
 
     /// Half-open probe: one cheap read against the tenant apiserver. On
@@ -1105,7 +1076,6 @@ impl Syncer {
         for item in parked {
             self.upward.add(item);
         }
-        self.metrics.breaker_recoveries.inc();
         self.publish_tenant_condition(tenant, true, "Recovered", "half-open probe succeeded");
         self.drain_dead_letters();
     }
@@ -1600,6 +1570,7 @@ impl Syncer {
         if let Some(mut handle) = self.handle.lock().take() {
             handle.stop();
         }
+        self.breaker_probe.stop();
     }
 
     fn on_tenant_event(&self, tenant: &str, kind: ResourceKind, event: &InformerEvent) {
@@ -1873,7 +1844,7 @@ impl Syncer {
     /// load with mostly-idle tenants this pass is O(active tenants), not
     /// O(all tenants). Best-effort (registry-only tenants have no VC
     /// object) and write-avoiding: a tenant whose stats are unchanged
-    /// since the last publish is skipped. Runs from the scanner thread
+    /// since the last publish is skipped. Runs from the scanner timer
     /// after every scan pass.
     pub fn publish_tenant_stats(&self) {
         let mut dirty: Vec<String> =

@@ -121,6 +121,17 @@ pub fn start(
     let service_cache = Arc::clone(service_informer.cache());
     let endpoints_cache = Arc::clone(endpoints_informer.cache());
 
+    // Periodic reconciliation scan, on the apiserver's clock.
+    {
+        let tracked = Arc::clone(&tracked);
+        let metrics = Arc::clone(&metrics);
+        let service_cache = Arc::clone(&service_cache);
+        let endpoints_cache = Arc::clone(&endpoints_cache);
+        handle.every(client.server().clock(), config.sync_interval, move || {
+            scan_once(&service_cache, &endpoints_cache, &tracked, &metrics)
+        });
+    }
+
     // Pod worker: attach to new sandboxes, inject initial rules, open gate.
     {
         let pod_queue = Arc::clone(&pod_queue);
@@ -153,8 +164,7 @@ pub fn start(
                         );
                         pod_queue.done(&key);
                         if requeue && !stop.is_set() {
-                            std::thread::sleep(poll);
-                            pod_queue.add(key);
+                            pod_queue.add_after(key, poll);
                         }
                     }
                 })
@@ -184,35 +194,6 @@ pub fn start(
                     }
                 })
                 .expect("spawn ekp rules worker"),
-        );
-    }
-
-    // Periodic reconciliation scan.
-    {
-        let tracked = Arc::clone(&tracked);
-        let metrics = Arc::clone(&metrics);
-        let service_cache = Arc::clone(&service_cache);
-        let endpoints_cache = Arc::clone(&endpoints_cache);
-        let interval = config.sync_interval;
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("ekp-scan".into())
-                .spawn(move || {
-                    while !stop.is_set() {
-                        let mut slept = Duration::ZERO;
-                        while slept < interval && !stop.is_set() {
-                            let step = Duration::from_millis(25).min(interval - slept);
-                            std::thread::sleep(step);
-                            slept += step;
-                        }
-                        if stop.is_set() {
-                            break;
-                        }
-                        scan_once(&service_cache, &endpoints_cache, &tracked, &metrics);
-                    }
-                })
-                .expect("spawn ekp scan thread"),
         );
     }
 

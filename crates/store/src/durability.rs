@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use vc_api::metrics::Counter;
 use vc_api::object::Object;
-use vc_api::time::{sleep_cancellable, Clock};
+use vc_api::time::{waker_fn, Clock};
 
 pub use crate::wal::FlushPolicy;
 
@@ -212,13 +212,17 @@ impl Durability {
                 .name("vc-store-wal-flusher".into())
                 .spawn(move || {
                     loop {
-                        // Wake early when asked to stop or when the batch
-                        // grows past the early-flush threshold; otherwise
-                        // flush once per window. Driven by the store's
-                        // clock, so SimClock tests advance it explicitly.
-                        sleep_cancellable(engine.clock.as_ref(), window, || {
-                            engine.stop.load(Ordering::Relaxed)
-                                || engine.wal.pending_bytes() >= max_batch
+                        // One window on the store's clock, ended early by
+                        // shutdown or a batch past the early-flush size;
+                        // SimClock tests advance the clock through it.
+                        let at = engine.clock.now().add(window);
+                        engine.wal.wait_window(&*engine.clock, at, max_batch, &engine.stop, || {
+                            let engine = Arc::downgrade(&engine);
+                            waker_fn(move || {
+                                if let Some(engine) = engine.upgrade() {
+                                    engine.wal.wake_flusher();
+                                }
+                            })
                         });
                         if engine.wal.is_crashed() {
                             return;

@@ -45,9 +45,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::task::Waker;
 use std::time::Duration;
 use vc_api::object::Object;
 use vc_api::sha256::sha256;
+use vc_api::time::{Clock, Timestamp};
 
 /// Magic bytes opening every WAL segment file.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"VCWAL1\0\0";
@@ -280,6 +282,9 @@ struct WalState {
     /// write/fsync failure; every durable operation afterwards fails and
     /// nothing more reaches disk.
     crashed: bool,
+    /// While the flusher waits out a window: the batch size that ends it
+    /// early (see [`Wal::wait_window`]).
+    window_limit: Option<usize>,
 }
 
 /// An append-only checksummed segment log with group commit.
@@ -291,6 +296,9 @@ pub(crate) struct Wal {
     /// Signalled when an idle WAL gets something for its flusher to do
     /// (see [`Wal::wait_for_work`]).
     work_cond: Condvar,
+    /// Signalled to end a flusher's window early (see
+    /// [`Wal::wait_window`]).
+    window_cond: Condvar,
 }
 
 /// Names the WAL segment file for sequence number `seq`.
@@ -320,9 +328,11 @@ impl Wal {
                 batch: Vec::new(),
                 armed_crash: None,
                 crashed: false,
+                window_limit: None,
             }),
             synced_cond: Condvar::new(),
             work_cond: Condvar::new(),
+            window_cond: Condvar::new(),
         })
     }
 
@@ -362,6 +372,9 @@ impl Wal {
         }
         state.batch.extend_from_slice(&frame);
         state.appended += frame.len() as u64;
+        if state.window_limit.is_some_and(|limit| state.batch.len() >= limit) {
+            self.window_cond.notify_one();
+        }
         Ok((revision, state.appended, frame.len() as u64))
     }
 
@@ -450,12 +463,47 @@ impl Wal {
         }
     }
 
-    /// Makes a flusher parked in [`Wal::wait_for_work`] re-check its
-    /// stop flag. Takes the lock so the wake cannot fall between the
-    /// flusher's check and its park.
+    /// Parks the flusher for one group-commit window: until `at` on
+    /// `clock`, until the batch holds `limit` bytes, or until `stop`. On a
+    /// clock whose time does not pass by itself the window ends through a
+    /// [`Clock::wake_at`] timer, armed with `waker()` before the lock is
+    /// taken (it may fire at once) and expected to call
+    /// [`Wal::wake_flusher`]. On [`vc_api::time::RealClock`] the flusher
+    /// parks with the real deadline: no timer, no extra thread hop.
+    pub(crate) fn wait_window(
+        &self,
+        clock: &dyn Clock,
+        at: Timestamp,
+        limit: usize,
+        stop: &AtomicBool,
+        waker: impl FnOnce() -> Waker,
+    ) {
+        if clock.real_time_until(at).is_none() {
+            clock.wake_at(at, waker());
+        }
+        let mut state = self.state.lock();
+        state.window_limit = Some(limit);
+        while state.batch.len() < limit && !stop.load(Ordering::Relaxed) {
+            match clock.real_time_until(at) {
+                Some(left) if left.is_zero() => break,
+                Some(left) => {
+                    self.window_cond.wait_for(&mut state, left);
+                }
+                None if clock.now() >= at => break,
+                None => self.window_cond.wait(&mut state),
+            }
+        }
+        state.window_limit = None;
+    }
+
+    /// Makes a parked flusher ([`Wal::wait_for_work`],
+    /// [`Wal::wait_window`]) re-check its stop flag and its deadline.
+    /// Takes the lock so the wake cannot fall between the flusher's check
+    /// and its park.
     pub(crate) fn wake_flusher(&self) {
         let _state = self.state.lock();
         self.work_cond.notify_one();
+        self.window_cond.notify_one();
     }
 
     /// Blocks until `offset` is durably synced. Errors if the WAL died
@@ -499,11 +547,6 @@ impl Wal {
     /// failure).
     pub(crate) fn is_crashed(&self) -> bool {
         self.state.lock().crashed
-    }
-
-    /// Pending (batched, unflushed) bytes.
-    pub(crate) fn pending_bytes(&self) -> usize {
-        self.state.lock().batch.len()
     }
 
     /// Flushes the current segment and switches appends to a fresh
@@ -617,9 +660,11 @@ mod tests {
                 batch: Vec::new(),
                 armed_crash: None,
                 crashed: false,
+                window_limit: None,
             }),
             synced_cond: Condvar::new(),
             work_cond: Condvar::new(),
+            window_cond: Condvar::new(),
         }
     }
 
@@ -732,7 +777,7 @@ mod tests {
             .expect_err("payload beyond MAX_FRAME_LEN must be rejected");
         assert!(!err.is_corrupt(), "{err}");
         assert!(err.to_string().contains("frame limit"), "{err}");
-        assert_eq!(wal.pending_bytes(), 0, "the oversized frame must not be batched");
+        assert!(wal.state.lock().batch.is_empty(), "the oversized frame must not be batched");
         // The WAL stays alive: a normal append still commits.
         let (_, offset, _) = wal.append_allocating(|| 2, |r| encode_entry(&entry(r))).unwrap();
         wal.flush().unwrap();

@@ -136,7 +136,7 @@ fn manual_scan_reports_duration_and_is_idempotent() {
 
 #[test]
 fn full_scan_requeues_orphans_for_delete_and_status_drift_upward() {
-    // No scanner thread: only the explicit scan_all() below can repair.
+    // No scanner timer: only the explicit scan_all() below can repair.
     let mut config = FrameworkConfig::minimal();
     config.syncer.scan_interval = None;
     let fw = Framework::start(config);
@@ -330,7 +330,7 @@ fn coalesced_reenqueue_delivers_latest_generation() {
 
 #[test]
 fn incremental_scanner_converges_within_two_ticks() {
-    // No scanner thread: ticks are driven manually so convergence within
+    // No scanner timer: ticks are driven manually so convergence within
     // two ticks is checked deterministically.
     let mut config = FrameworkConfig::minimal();
     config.syncer.scan_interval = None;
@@ -353,7 +353,7 @@ fn incremental_scanner_converges_within_two_ticks() {
     rogue.meta.labels.insert("tampered".into(), "yes".into());
     super_client.update(rogue.into()).unwrap();
     // Tick only once the syncer's own super informer has seen the tamper.
-    // (The dirty set is no gate: with no scanner thread it still holds the
+    // (The dirty set is no gate: with no scanner timer it still holds the
     // key from the pod's creation events, and two ticks against a cache
     // that predates the tamper find nothing to repair.)
     let super_key = format!("{super_ns}/target");
