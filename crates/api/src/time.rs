@@ -6,9 +6,8 @@
 //!
 //! Waiting for a moment has one form: [`Clock::wake_at`] wakes a [`Waker`]
 //! once the clock reaches a [`Timestamp`]. Periodic work is a task that
-//! re-arms itself (`vc_client::reflector::Timer`), not a thread that
-//! sleeps. A thread that is about to block anyway parks on its own condvar
-//! for [`Clock::real_time_until`] its deadline instead.
+//! re-arms itself (`vc_client::reflector::Timer`), and a one-off deadline,
+//! such as the WAL's `Async` flush, is one timer; no thread sleeps.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
@@ -89,13 +88,6 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// this call on this thread if `at` has already passed: do not hold a
     /// lock the waker takes.
     fn wake_at(&self, at: Timestamp, waker: Waker);
-
-    /// How long a thread about to block until `at` on a condvar of its own
-    /// may park before it looks at `now()` again: the real time left on
-    /// [`RealClock`]. `None` on a clock whose time moves only when told
-    /// ([`SimClock`]): that thread arms [`Clock::wake_at`] to notify it
-    /// first, then parks until notified.
-    fn real_time_until(&self, at: Timestamp) -> Option<Duration>;
 }
 
 /// A [`Waker`] that calls `wake`: how code that is not a pool task waits
@@ -176,10 +168,6 @@ impl Clock for RealClock {
 
     fn wake_at(&self, at: Timestamp, waker: Waker) {
         TimerThread::get().arm(self.origin + Duration::from_millis(at.0), waker);
-    }
-
-    fn real_time_until(&self, at: Timestamp) -> Option<Duration> {
-        Some(at.duration_since(self.now()))
     }
 }
 
@@ -327,10 +315,6 @@ impl Clock for SimClock {
         }
         drop(state);
         waker.wake();
-    }
-
-    fn real_time_until(&self, _at: Timestamp) -> Option<Duration> {
-        None
     }
 }
 

@@ -2,16 +2,14 @@
 //!
 //! The durability tier (DESIGN.md §13) trades commit latency for crash
 //! safety; this harness quantifies the trade. It drives an identical
-//! multi-writer workload against four store configurations:
+//! multi-writer workload against three store configurations:
 //!
 //! * `off`        — in-memory store, no WAL (the pre-durability baseline);
-//! * `async`      — WAL appended, fsync deferred to the flush window,
-//!   writers never wait (bounded-loss mode);
-//! * `group`      — group commit: writers block until the windowed flusher
-//!   fsyncs their offset, one fsync amortised over every writer in the
-//!   window;
-//! * `fsync`      — [`FlushPolicy::PerWrite`]: fsync inline on every
-//!   commit (the naive durable implementation).
+//! * `async`      — WAL appended, fsync deferred to a timer one flush
+//!   window after a batch opens, writers never wait (bounded-loss mode);
+//! * `group`      — leader/follower group commit: a writer that finds no
+//!   fsync in flight runs one at once, and the writers that arrive during
+//!   it share the next.
 //!
 //! Each mode runs 8 writer threads issuing a 50/50 insert/update mix and
 //! records per-commit latency (call → durable-ack) into a vc-obs
@@ -19,15 +17,9 @@
 //! that group commit actually amortises fsyncs instead of just deferring
 //! them.
 //!
-//! Gate ratios (see `BENCH_BASELINE.json`):
-//!
-//! * `fsync_amortization` — WAL appends per fsync under group commit;
-//!   `> 1` means the window batches concurrent writers into one fsync.
-//! * `group_vs_fsync_throughput` — group-commit throughput over
-//!   fsync-per-write throughput at 8 writers.
-//! * `async_vs_fsync_throughput` — bounded-loss throughput over
-//!   fsync-per-write throughput (the ceiling group commit approaches as
-//!   the window shrinks).
+//! Gate ratio (see `BENCH_BASELINE.json`): `fsync_amortization` — WAL
+//! appends per fsync under group commit at 8 writers; `> 1` means
+//! concurrent writers share fsyncs.
 //!
 //! Run: `cargo run --release -p vc-bench --bin store_durability`
 
@@ -44,7 +36,7 @@ use vc_store::{DurabilityConfig, FlushPolicy, Store, StoreConfig};
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 1_500;
 const NAMESPACES: usize = 8;
-const GROUP_WINDOW: Duration = Duration::from_micros(500);
+const ASYNC_WINDOW: Duration = Duration::from_millis(2);
 
 /// One mode's measurements.
 struct ModeResult {
@@ -199,46 +191,36 @@ fn record(registry: &MetricsRegistry, r: &ModeResult) {
 
 fn main() {
     println!(
-        "store durability — {THREADS} writer threads x {OPS_PER_THREAD} commits, group-commit \
-         window {}µs",
-        GROUP_WINDOW.as_micros()
+        "store durability — {THREADS} writer threads x {OPS_PER_THREAD} commits, async flush \
+         window {}ms",
+        ASYNC_WINDOW.as_millis()
     );
 
     heading("off (in-memory baseline, no WAL)");
     let off = run_mode("off", Arc::new(Store::new()));
     print_result(&off);
 
-    heading("async (WAL + windowed fsync, writers never wait)");
+    heading("async (WAL + timed fsync, writers never wait)");
     let async_mode =
-        run_mode("async", durable(FlushPolicy::Async { window: GROUP_WINDOW }, "async"));
+        run_mode("async", durable(FlushPolicy::Async { window: ASYNC_WINDOW }, "async"));
     print_result(&async_mode);
 
-    heading("group (group commit: writers wait for the windowed fsync)");
-    let group =
-        run_mode("group", durable(FlushPolicy::GroupCommit { window: GROUP_WINDOW }, "group"));
+    heading("group (leader/follower group commit: writers wait for their fsync)");
+    let group = run_mode("group", durable(FlushPolicy::GroupCommit, "group"));
     print_result(&group);
 
-    heading("fsync (fsync-per-write, the naive durable baseline)");
-    let fsync = run_mode("fsync", durable(FlushPolicy::PerWrite, "fsync"));
-    print_result(&fsync);
-
     let amortization = group.wal_appends as f64 / group.wal_fsyncs.max(1) as f64;
-    let group_vs_fsync = group.throughput_ops_per_s / fsync.throughput_ops_per_s.max(1.0);
-    let async_vs_fsync = async_mode.throughput_ops_per_s / fsync.throughput_ops_per_s.max(1.0);
     heading("durability cost");
+    println!("  fsync amortization (group): {amortization:.1} appends/fsync");
     println!(
-        "  fsync amortization (group): {amortization:.1} appends/fsync   group vs fsync \
-         throughput: {group_vs_fsync:.1}x   async vs fsync: {async_vs_fsync:.1}x"
-    );
-    println!(
-        "  durability tax at p99: off {}µs -> group {}µs -> fsync {}µs",
+        "  durability tax at p99: off {}µs -> async {}µs -> group {}µs",
         off.p_us(0.99),
+        async_mode.p_us(0.99),
         group.p_us(0.99),
-        fsync.p_us(0.99),
     );
 
     let registry = MetricsRegistry::new();
-    for r in [&off, &async_mode, &group, &fsync] {
+    for r in [&off, &async_mode, &group] {
         record(&registry, r);
     }
     let improvement = registry.gauge(
@@ -247,11 +229,9 @@ fn main() {
         &["metric"],
     );
     improvement.with(&["fsync_amortization"]).set((amortization * 10.0) as i64);
-    improvement.with(&["group_vs_fsync_throughput"]).set((group_vs_fsync * 10.0) as i64);
-    improvement.with(&["async_vs_fsync_throughput"]).set((async_vs_fsync * 10.0) as i64);
     dump_metrics_json("store_durability", &registry);
 
-    for mode in ["async", "group", "fsync"] {
+    for mode in ["async", "group"] {
         let _ = std::fs::remove_dir_all(scratch_dir(mode));
     }
 }

@@ -1,6 +1,13 @@
-//! Durability engine: configuration, snapshots, directory recovery and the
-//! group-commit flusher that sits between the [`crate::Store`] write path
-//! and the [`crate::wal::Wal`].
+//! Durability engine: configuration, snapshots, directory recovery, and
+//! the flush policy between the [`crate::Store`] write path and the
+//! [`crate::wal::Wal`].
+//!
+//! No thread runs here. Under [`FlushPolicy::GroupCommit`] the writers
+//! flush the WAL themselves (leader/follower, see [`crate::wal`]). Under
+//! [`FlushPolicy::Async`] the record that opens a batch arms one
+//! [`Clock::wake_at`] timer, `window` ahead, whose waker holds the engine
+//! weakly and flushes; on `RealClock` that fsync runs on the clock's
+//! timer thread.
 //!
 //! A durable store's directory holds
 //!
@@ -17,17 +24,15 @@
 //! later recovery never mistakes it for mid-log corruption.
 
 use crate::wal::{
-    self, decode_frame, encode_frame, CrashPoint, Frame, StoreError, Wal, WalEntry, WalOp,
-    SNAP_MAGIC, WAL_MAGIC,
+    self, decode_frame, encode_frame, Frame, StoreError, Wal, WalEntry, WalOp, SNAP_MAGIC,
+    WAL_MAGIC,
 };
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 use vc_api::metrics::Counter;
 use vc_api::object::Object;
 use vc_api::time::{waker_fn, Clock};
@@ -45,20 +50,16 @@ pub struct DurabilityConfig {
     /// this many durable writes; `0` disables auto-snapshots (tests call
     /// [`crate::Store::snapshot_now`] explicitly).
     pub snapshot_every_writes: u64,
-    /// Pending-batch size that triggers an early group-commit flush
-    /// before the window elapses.
-    pub max_batch_bytes: usize,
 }
 
 impl DurabilityConfig {
-    /// Durability in `dir` with the default group-commit window (2ms),
-    /// no auto-snapshots and a 1 MiB early-flush threshold.
+    /// Durability in `dir` with [`FlushPolicy::GroupCommit`] and no
+    /// auto-snapshots.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
-            flush: FlushPolicy::GroupCommit { window: Duration::from_millis(2) },
+            flush: FlushPolicy::GroupCommit,
             snapshot_every_writes: 0,
-            max_batch_bytes: 1 << 20,
         }
     }
 
@@ -95,7 +96,8 @@ pub struct RecoveryReport {
 pub struct WalStats {
     /// Records appended to the WAL.
     pub appends: Counter,
-    /// Group-commit fsyncs performed (batches, not records).
+    /// Batches written and fsynced (batches, not records; a flush that
+    /// finds nothing pending is not one).
     pub fsyncs: Counter,
     /// Frame bytes appended (headers + payloads).
     pub bytes_appended: Counter,
@@ -166,13 +168,13 @@ pub(crate) struct SnapshotData {
     pub events: Vec<(u64, WalOp, Arc<Object>)>,
 }
 
-/// The durable tier attached to a [`crate::Store`]: the WAL, the flusher
-/// thread driving group commit, and snapshot bookkeeping.
+/// The durable tier attached to a [`crate::Store`]: the WAL and snapshot
+/// bookkeeping.
 pub(crate) struct Durability {
     pub(crate) config: DurabilityConfig,
     pub(crate) wal: Wal,
-    pub(crate) stats: WalStats,
-    /// Clock driving the flush window (SimClock in deterministic tests).
+    /// Clock the [`FlushPolicy::Async`] flush timers are armed on
+    /// (SimClock in deterministic tests).
     clock: Arc<dyn Clock>,
     /// Sequence number of the active WAL segment.
     active_seq: AtomicU64,
@@ -180,128 +182,48 @@ pub(crate) struct Durability {
     snapshot_lock: parking_lot::Mutex<()>,
     /// Durable writes since the last snapshot (drives auto-snapshots).
     pub(crate) writes_since_snapshot: AtomicU64,
-    stop: AtomicBool,
-    flusher: parking_lot::Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Durability {
     /// Opens the durable tier on an already-recovered directory: creates
-    /// the fresh active segment `seq` and, for windowed policies, starts
-    /// the flusher thread.
+    /// the fresh active segment `seq`.
     pub(crate) fn open(
         config: DurabilityConfig,
         clock: Arc<dyn Clock>,
         seq: u64,
     ) -> Result<Arc<Durability>, StoreError> {
-        let wal = Wal::create(&config.dir, seq)?;
-        let durability = Arc::new(Durability {
-            wal,
-            stats: WalStats::default(),
+        Ok(Arc::new(Durability {
+            wal: Wal::create(&config.dir, seq)?,
             clock,
             active_seq: AtomicU64::new(seq),
             snapshot_lock: parking_lot::Mutex::new(()),
             writes_since_snapshot: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            flusher: parking_lot::Mutex::new(None),
             config,
-        });
-        if let Some(window) = durability.config.flush.window() {
-            let engine = Arc::clone(&durability);
-            let max_batch = durability.config.max_batch_bytes;
-            let handle = std::thread::Builder::new()
-                .name("vc-store-wal-flusher".into())
-                .spawn(move || {
-                    loop {
-                        // One window on the store's clock, ended early by
-                        // shutdown or a batch past the early-flush size;
-                        // SimClock tests advance the clock through it.
-                        let at = engine.clock.now().add(window);
-                        engine.wal.wait_window(&*engine.clock, at, max_batch, &engine.stop, || {
-                            let engine = Arc::downgrade(&engine);
-                            waker_fn(move || {
-                                if let Some(engine) = engine.upgrade() {
-                                    engine.wal.wake_flusher();
-                                }
-                            })
-                        });
-                        if engine.wal.is_crashed() {
-                            return;
-                        }
-                        let Ok(flushed) = engine.flush() else {
-                            // The WAL is fail-stop: a flush error (real
-                            // I/O failure or injected crash) killed it,
-                            // the failure is counted in
-                            // `stats.flush_failures`, and every pending
-                            // and future writer gets the error — nothing
-                            // left for the flusher to do.
-                            return;
-                        };
-                        if engine.stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        if !flushed {
-                            // Windows run back to back while writes keep
-                            // coming; after an empty one, block until the
-                            // next append instead of waking every window
-                            // to find the batch empty again.
-                            engine.wal.wait_for_work(&engine.stop);
-                        }
-                    }
-                })
-                .map_err(|e| StoreError::io("spawn wal flusher", e))?;
-            *durability.flusher.lock() = Some(handle);
-        }
-        Ok(durability)
-    }
-
-    /// Writes and fsyncs the pending batch (one group commit), returning
-    /// whether there was one. Failures are counted in
-    /// [`WalStats::flush_failures`] before propagating.
-    pub(crate) fn flush(&self) -> Result<bool, StoreError> {
-        match self.wal.flush() {
-            Ok(flushed) => {
-                if flushed {
-                    self.stats.fsyncs.inc();
-                }
-                Ok(flushed)
-            }
-            Err(e) => {
-                self.stats.flush_failures.inc();
-                Err(e)
-            }
-        }
+        }))
     }
 
     /// Allocates a revision and logs its record atomically (see
     /// [`Wal::append_allocating`]), returning `(revision, ack offset)`.
+    /// Under [`FlushPolicy::Async`] the record that opens a batch arms the
+    /// timer that flushes it, after the WAL lock is released.
     pub(crate) fn log_write(
-        &self,
+        self: &Arc<Self>,
         alloc: impl FnOnce() -> u64,
         encode: impl FnOnce(u64) -> Vec<u8>,
     ) -> Result<(u64, u64), StoreError> {
-        let (revision, offset, len) = self.wal.append_allocating(alloc, encode)?;
-        self.stats.appends.inc();
-        self.stats.bytes_appended.add(len);
+        let (revision, offset, opened) = self.wal.append_allocating(alloc, encode)?;
+        if let (true, FlushPolicy::Async { window }) = (opened, self.config.flush) {
+            let engine = Arc::downgrade(self);
+            let flush = waker_fn(move || {
+                if let Some(engine) = engine.upgrade() {
+                    // A failure is counted and kills the WAL; the writers
+                    // that follow get the error.
+                    let _ = engine.wal.flush();
+                }
+            });
+            self.clock.wake_at(self.clock.now().add(window), flush);
+        }
         Ok((revision, offset))
-    }
-
-    /// Stops the flusher thread and performs a final flush (unless an
-    /// injected crash already killed the WAL). Called from `Store`'s
-    /// `Drop`.
-    pub(crate) fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.wal.wake_flusher();
-        if let Some(handle) = self.flusher.lock().take() {
-            let _ = handle.join();
-        }
-        if !self.wal.is_crashed() {
-            let _ = self.flush();
-        }
-    }
-
-    /// Arms an injected crash point (chaos tests).
-    pub(crate) fn arm_crash(&self, point: CrashPoint) {
-        self.wal.arm_crash(point);
     }
 
     /// Serializes snapshot cuts: the caller holds this for the whole
@@ -377,7 +299,7 @@ impl Durability {
                 let _ = fs::remove_file(path);
             }
         }
-        self.stats.snapshots.inc();
+        self.wal.stats.snapshots.inc();
         self.writes_since_snapshot.store(0, Ordering::Relaxed);
         Ok(())
     }
@@ -388,7 +310,6 @@ impl Durability {
     pub(crate) fn rotate_wal(&self) -> Result<(), StoreError> {
         let next = self.active_seq.load(Ordering::Relaxed) + 1;
         self.wal.rotate(&self.config.dir, next)?;
-        self.stats.fsyncs.inc();
         self.active_seq.store(next, Ordering::Relaxed);
         Ok(())
     }

@@ -36,12 +36,13 @@
 //!
 //! ## Model checking
 //!
-//! The shard locks and the revision allocator come from the `vc-sync`
-//! facade: `parking_lot`/`std` in production, the `loom` model checker
-//! under `RUSTFLAGS="--cfg loom"`. The `loom_*` tests in
-//! `tests/loom_store.rs` run this *production* store — not a replica —
-//! under exhaustive interleaving and prove revision monotonicity and
-//! single-CAS-winner semantics.
+//! The shard locks, the revision allocator and the WAL's lock and condvar
+//! come from the `vc-sync` facade: `parking_lot`/`std` in production, the
+//! `loom` model checker under `RUSTFLAGS="--cfg loom"`. The `loom_*` tests
+//! in `tests/loom_store.rs` and `tests/loom_wal.rs` run this *production*
+//! store — not a replica — under exhaustive interleaving and prove
+//! revision monotonicity, single-CAS-winner semantics, and that group
+//! commit acks every durable write with no wake-up lost.
 //!
 //! [`AtomicU64`]: vc_sync::atomic::AtomicU64
 
@@ -234,7 +235,7 @@ impl Store {
                 if state.objects.contains_key(&key) {
                     return Err(ApiError::already_exists(kind.as_str(), key.clone()));
                 }
-                let revision = match self.durability.as_deref() {
+                let revision = match &self.durability {
                     // Revision allocation and WAL append happen atomically
                     // under the WAL lock (still inside the shard state
                     // lock), so the log's byte order is the commit order.
@@ -321,7 +322,7 @@ impl Store {
                     }
                 }
                 let old = Arc::clone(current);
-                let revision = match self.durability.as_deref() {
+                let revision = match &self.durability {
                     Some(d) => {
                         let (revision, offset) = d
                             .log_write(
@@ -382,7 +383,7 @@ impl Store {
                     .objects
                     .get(key)
                     .ok_or_else(|| ApiError::not_found(kind.as_str(), key))?;
-                let revision = match self.durability.as_deref() {
+                let revision = match &self.durability {
                     Some(d) => {
                         let (revision, offset) = d
                             .log_write(
@@ -597,8 +598,9 @@ impl Store {
     /// the expected crash boundary: it is truncated and reported, not an
     /// error. Damage anywhere else surfaces as [`StoreError::Corrupt`].
     ///
-    /// `clock` drives the group-commit flush window, so tests using
-    /// `SimClock` stay deterministic.
+    /// `clock` times the flushes of [`FlushPolicy::Async`], so tests using
+    /// `SimClock` stay deterministic. [`FlushPolicy::GroupCommit`] waits
+    /// on no clock: its writers run the fsyncs themselves.
     ///
     /// # Errors
     ///
@@ -685,23 +687,18 @@ impl Store {
         self.revision.store(revision, Ordering::Relaxed);
     }
 
-    /// Completes a durable write after the shard lock is released: inline
-    /// fsync for `PerWrite`, block on the covering group fsync for
-    /// `GroupCommit`, nothing for `Async`. The write is already visible to
-    /// readers at this point — durability lags visibility by at most one
-    /// flush window (documented in DESIGN.md §13).
+    /// Completes a durable write after the shard lock is released: under
+    /// `GroupCommit`, return once an fsync covers the record, leading that
+    /// fsync when none is in flight; under `Async`, return at once. The
+    /// write is already visible to readers at this point — durability
+    /// lags visibility by one fsync, or by at most one `Async` window
+    /// (documented in DESIGN.md §13).
     fn durable_ack(&self, offset: Option<u64>) -> ApiResult<()> {
         let (Some(d), Some(offset)) = (self.durability.as_deref(), offset) else {
             return Ok(());
         };
-        match d.config.flush {
-            FlushPolicy::PerWrite => {
-                d.flush().map_err(wal_unavailable)?;
-            }
-            FlushPolicy::GroupCommit { .. } => {
-                d.wal.wait_durable(offset).map_err(wal_unavailable)?
-            }
-            FlushPolicy::Async { .. } => {}
+        if d.config.flush == FlushPolicy::GroupCommit {
+            d.wal.wait_durable(offset).map_err(wal_unavailable)?;
         }
         self.maybe_auto_snapshot(d);
         Ok(())
@@ -724,7 +721,7 @@ impl Store {
         }
         if let Some(_guard) = d.snapshot_try_guard() {
             if self.collect_cut(d).and_then(|data| d.write_snapshot(&data)).is_err() {
-                d.stats.snapshot_failures.inc();
+                d.wal.stats.snapshot_failures.inc();
             }
         }
     }
@@ -782,24 +779,25 @@ impl Store {
     /// Propagates WAL I/O failures (including an injected crash firing).
     pub fn flush_wal(&self) -> Result<(), StoreError> {
         match self.durability.as_deref() {
-            Some(d) => d.flush().map(drop),
+            Some(d) => d.wal.flush().map(drop),
             None => Ok(()),
         }
     }
 
     /// Arms an injected crash point on the durable tier (chaos tests): the
-    /// next flush or snapshot dies at that point, leaving the directory
-    /// exactly as a `kill -9` would, and every later durable operation
-    /// fails. No-op on a non-durable store.
+    /// next flush — a durable write's, [`Store::flush_wal`], a snapshot's
+    /// rotation or shutdown — or snapshot dies at that point, leaving the
+    /// directory exactly as a `kill -9` would, and every later durable
+    /// operation fails. No-op on a non-durable store.
     pub fn inject_crash(&self, point: CrashPoint) {
         if let Some(d) = self.durability.as_deref() {
-            d.arm_crash(point);
+            d.wal.arm_crash(point);
         }
     }
 
     /// Durable-tier activity counters, when durability is enabled.
     pub fn wal_stats(&self) -> Option<&WalStats> {
-        self.durability.as_deref().map(|d| &d.stats)
+        self.durability.as_deref().map(|d| &d.wal.stats)
     }
 
     /// Walks every shard and recounts objects and estimated bytes from
@@ -819,12 +817,13 @@ impl Store {
 }
 
 impl Drop for Store {
-    /// Stops the flusher thread and performs a final WAL flush (skipped if
-    /// an injected crash already killed the WAL — the point of the crash
-    /// is that nothing more reaches disk).
+    /// Flushes what is still pending in the WAL — an `Async` batch whose
+    /// timer has not fired. Like any flush it consumes an armed crash
+    /// point, and a WAL an injected crash already killed stays as it
+    /// died: the point of the crash is that nothing more reaches disk.
     fn drop(&mut self) {
         if let Some(d) = self.durability.take() {
-            d.shutdown();
+            let _ = d.wal.flush();
         }
     }
 }

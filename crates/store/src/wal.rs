@@ -28,28 +28,30 @@
 //!
 //! ## Group commit
 //!
-//! Appends go to an in-memory batch under the WAL lock; a flusher thread
-//! (driven by the store's [`Clock`], so `SimClock` tests stay
-//! deterministic) writes and fsyncs the batch once per flush window.
-//! Writers under [`FlushPolicy::GroupCommit`] block until the fsync
-//! covering their record completes (durable ack, amortized fsync); under
-//! [`FlushPolicy::Async`] they return immediately and the flush window is
-//! the crash-loss window; [`FlushPolicy::PerWrite`] fsyncs inline.
-//!
-//! [`Clock`]: vc_api::time::Clock
+//! Appends go to an in-memory batch under the WAL lock. A writer under
+//! [`FlushPolicy::GroupCommit`] then waits in [`Wal::wait_durable`] until
+//! its offset is synced, and the writers run the fsyncs themselves: the
+//! first that finds no fsync in flight becomes the leader. Under the lock
+//! it takes the batch and marks an fsync in flight; it writes and fsyncs
+//! outside the lock, then publishes `synced` and wakes every waiter.
+//! Writers that append during that fsync wait, and the first of them to
+//! wake with its offset still unsynced leads the next batch. An idle WAL
+//! so fsyncs a write at once, and a busy one shares each fsync among the
+//! writers that arrived during the one before. Under
+//! [`FlushPolicy::Async`] writers return at once and a timer flushes each
+//! batch (see `durability`).
 
-use parking_lot::{Condvar, Mutex};
+use crate::durability::WalStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::task::Waker;
+use std::sync::Arc;
 use std::time::Duration;
 use vc_api::object::Object;
 use vc_api::sha256::sha256;
-use vc_api::time::{Clock, Timestamp};
+use vc_sync::{Condvar, Mutex, MutexGuard};
 
 /// Magic bytes opening every WAL segment file.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"VCWAL1\0\0";
@@ -118,34 +120,20 @@ impl std::error::Error for StoreError {}
 /// When a write is considered committed relative to the fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Every write is flushed and fsynced before it returns. Durable ack
-    /// per write; one fsync per write.
-    PerWrite,
-    /// Writers block until the group fsync covering their record lands;
-    /// the flusher batches everything that arrived inside one window into
-    /// a single fsync.
-    GroupCommit {
-        /// Flush window — the longest a committed-but-unsynced batch waits.
-        window: Duration,
-    },
-    /// Writers return as soon as the record is in the in-memory batch;
-    /// the flusher fsyncs once per window. A crash loses at most one
-    /// window of acknowledged writes (the etcd `--unsafe-no-fsync` mode).
+    /// Writers block until an fsync covering their record lands. The
+    /// first writer to find no fsync in flight runs one at once, and the
+    /// writers that arrive during it share the next (leader/follower
+    /// group commit): one fsync per write when idle, one per batch under
+    /// load.
+    GroupCommit,
+    /// Writers return as soon as the record is in the in-memory batch; a
+    /// timer on the store's clock flushes each batch `window` after its
+    /// first record. A crash loses at most one window of acknowledged
+    /// writes (the etcd `--unsafe-no-fsync` mode).
     Async {
-        /// Flush window — also the crash-loss window.
+        /// Flush delay — also the crash-loss window.
         window: Duration,
     },
-}
-
-impl FlushPolicy {
-    /// The flush window a background flusher should run at (`None` for
-    /// [`FlushPolicy::PerWrite`], which flushes inline).
-    pub(crate) fn window(&self) -> Option<Duration> {
-        match self {
-            FlushPolicy::PerWrite => None,
-            FlushPolicy::GroupCommit { window } | FlushPolicy::Async { window } => Some(*window),
-        }
-    }
 }
 
 /// The operation a WAL record describes.
@@ -265,7 +253,9 @@ pub enum CrashPoint {
 
 /// Mutable WAL state: the open segment plus the unflushed batch.
 struct WalState {
-    file: File,
+    /// The active segment, shared so a leader can write and fsync it
+    /// outside the lock.
+    file: Arc<File>,
     /// Logical bytes appended (batched) over the WAL's lifetime,
     /// including what is already flushed. Monotonic across segment
     /// rotations — these are ack tokens for [`Wal::wait_durable`], not
@@ -275,30 +265,32 @@ struct WalState {
     /// `appended`.
     synced: u64,
     /// The pending batch: encoded frames not yet written to the file.
+    /// While an fsync is in flight it holds only what arrived after the
+    /// leader took its batch.
     batch: Vec<u8>,
+    /// An fsync is in flight: its leader owns the file until it clears
+    /// this, so no other flush or rotation touches the file meanwhile.
+    flushing: bool,
     /// Armed crash point, consumed by the next flush/snapshot.
     armed_crash: Option<CrashPoint>,
     /// Set once the WAL has "died" — an injected crash or a real
     /// write/fsync failure; every durable operation afterwards fails and
     /// nothing more reaches disk.
     crashed: bool,
-    /// While the flusher waits out a window: the batch size that ends it
-    /// early (see [`Wal::wait_window`]).
-    window_limit: Option<usize>,
 }
 
-/// An append-only checksummed segment log with group commit.
+/// An append-only checksummed segment log with leader/follower group
+/// commit.
 pub(crate) struct Wal {
     state: Mutex<WalState>,
-    /// Signalled after every fsync (and on crash) so `GroupCommit`
-    /// writers blocked in [`Wal::wait_durable`] re-check their offset.
+    /// Signalled when a leader publishes `synced` and clears `flushing`,
+    /// and on death, so writers blocked in [`Wal::wait_durable`] re-check
+    /// their offset (the first with one still unsynced leads next) and a
+    /// flush waiting out an fsync in flight proceeds.
     synced_cond: Condvar,
-    /// Signalled when an idle WAL gets something for its flusher to do
-    /// (see [`Wal::wait_for_work`]).
-    work_cond: Condvar,
-    /// Signalled to end a flusher's window early (see
-    /// [`Wal::wait_window`]).
-    window_cond: Condvar,
+    /// Durable-tier counters; appends and fsyncs are counted here, where
+    /// they happen.
+    pub(crate) stats: WalStats,
 }
 
 /// Names the WAL segment file for sequence number `seq`.
@@ -306,40 +298,79 @@ pub(crate) fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq:010}.log"))
 }
 
+/// Creates segment `seq` (truncating any leftover) and writes and fsyncs
+/// its magic header.
+fn create_segment(dir: &Path, seq: u64) -> Result<File, StoreError> {
+    let path = segment_path(dir, seq);
+    let mut file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(&path)
+        .map_err(|e| StoreError::io(format!("create segment {}", path.display()), e))?;
+    file.write_all(WAL_MAGIC).map_err(|e| StoreError::io("write segment magic", e))?;
+    file.sync_all().map_err(|e| StoreError::io("fsync segment magic", e))?;
+    Ok(file)
+}
+
+/// The error every durable operation on a dead WAL returns.
+fn dead(context: &str) -> StoreError {
+    StoreError::io(context, std::io::Error::other("wal is dead"))
+}
+
+/// Writes `batch` to `file` and fsyncs it, or dies at `crash` the way a
+/// real crash there would.
+fn write_batch(mut file: &File, batch: &[u8], crash: Option<CrashPoint>) -> Result<(), StoreError> {
+    match crash {
+        Some(CrashPoint::MidBatchAppend) => {
+            // Tear the batch mid-frame: persist roughly half of it
+            // (guaranteed to cut the final frame short when the batch
+            // holds at least one frame), then die.
+            file.write_all(&batch[..batch.len() / 2])
+                .and_then(|()| file.sync_all())
+                .map_err(|e| StoreError::io("torn write", e))?;
+            Err(StoreError::io("flush", std::io::Error::other("injected crash: mid-batch append")))
+        }
+        // The batch never reaches the file: modeled page-cache loss of
+        // everything after the last fsync.
+        Some(CrashPoint::PreFsync) => {
+            Err(StoreError::io("flush", std::io::Error::other("injected crash: pre-fsync")))
+        }
+        _ => file
+            .write_all(batch)
+            .and_then(|()| file.sync_all())
+            .map_err(|e| StoreError::io("write+fsync batch", e)),
+    }
+}
+
 impl Wal {
-    /// Creates a fresh segment file (truncating any leftover) and writes
-    /// the magic header.
+    /// Creates segment `seq` and a WAL appending to it.
     pub(crate) fn create(dir: &Path, seq: u64) -> Result<Wal, StoreError> {
-        let path = segment_path(dir, seq);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| StoreError::io(format!("create segment {}", path.display()), e))?;
-        file.write_all(WAL_MAGIC).map_err(|e| StoreError::io("write segment magic", e))?;
-        file.sync_all().map_err(|e| StoreError::io("fsync segment magic", e))?;
-        let len = WAL_MAGIC.len() as u64;
-        Ok(Wal {
+        Ok(Wal::on(create_segment(dir, seq)?, WAL_MAGIC.len() as u64))
+    }
+
+    /// A WAL appending to `file`, whose first `offset` bytes are synced.
+    fn on(file: File, offset: u64) -> Wal {
+        Wal {
             state: Mutex::new(WalState {
-                file,
-                appended: len,
-                synced: len,
+                file: Arc::new(file),
+                appended: offset,
+                synced: offset,
                 batch: Vec::new(),
+                flushing: false,
                 armed_crash: None,
                 crashed: false,
-                window_limit: None,
             }),
             synced_cond: Condvar::new(),
-            work_cond: Condvar::new(),
-            window_cond: Condvar::new(),
-        })
+            stats: WalStats::default(),
+        }
     }
 
     /// Allocates a revision and appends its record in one step under the
     /// WAL lock, so WAL byte order always equals revision order even when
     /// writers on different shards race. Returns
-    /// `(revision, ack offset, frame bytes)`; fails — without burning a
+    /// `(revision, ack offset, opened)`, where `opened` says the record
+    /// started a new batch; fails — without burning a
     /// revision — if the WAL is dead, and rejects frames whose payload
     /// exceeds [`MAX_FRAME_LEN`] (decode would read them back as
     /// corruption, so letting one reach disk poisons every later
@@ -350,10 +381,10 @@ impl Wal {
         &self,
         alloc: impl FnOnce() -> u64,
         encode: impl FnOnce(u64) -> Vec<u8>,
-    ) -> Result<(u64, u64, u64), StoreError> {
+    ) -> Result<(u64, u64, bool), StoreError> {
         let mut state = self.state.lock();
         if state.crashed {
-            return Err(StoreError::io("append after crash", std::io::Error::other("wal is dead")));
+            return Err(dead("append after crash"));
         }
         let revision = alloc();
         let frame = encode(revision);
@@ -367,74 +398,95 @@ impl Wal {
                 )),
             ));
         }
-        if state.batch.is_empty() {
-            self.work_cond.notify_one();
-        }
+        let opened = state.batch.is_empty();
         state.batch.extend_from_slice(&frame);
         state.appended += frame.len() as u64;
-        if state.window_limit.is_some_and(|limit| state.batch.len() >= limit) {
-            self.window_cond.notify_one();
-        }
-        Ok((revision, state.appended, frame.len() as u64))
+        self.stats.appends.inc();
+        self.stats.bytes_appended.add(frame.len() as u64);
+        Ok((revision, state.appended, opened))
     }
 
-    /// Writes the pending batch to the segment file and fsyncs it — one
-    /// group commit. Returns `true` when an fsync actually happened (the
-    /// batch was non-empty). Consumes an armed crash point, if any.
-    pub(crate) fn flush(&self) -> Result<bool, StoreError> {
+    /// Blocks until `offset` is durably synced, leading the fsync that
+    /// syncs it when none is in flight. Errors if the WAL died (injected
+    /// crash or flush failure) before the record landed.
+    pub(crate) fn wait_durable(&self, offset: u64) -> Result<(), StoreError> {
         let mut state = self.state.lock();
-        self.flush_locked(&mut state)
+        while state.synced < offset {
+            if state.crashed {
+                return Err(StoreError::io(
+                    "wait_durable",
+                    std::io::Error::other("wal died before the record was synced"),
+                ));
+            }
+            if !state.flushing {
+                // Not flushing, so the batch holds every unsynced byte,
+                // `offset`'s record included.
+                return self.lead(state).1.map(drop);
+            }
+            self.synced_cond.wait(&mut state);
+        }
+        Ok(())
     }
 
-    fn flush_locked(&self, state: &mut WalState) -> Result<bool, StoreError> {
+    /// Waits out an fsync in flight, then writes and fsyncs whatever is
+    /// pending — `Store::flush_wal`, an `Async` timer and shutdown.
+    /// Returns `true` when a batch was written. Consumes an armed crash
+    /// point even when nothing is pending.
+    pub(crate) fn flush(&self) -> Result<bool, StoreError> {
+        self.lead(self.idle()).1
+    }
+
+    /// Takes the lock once no fsync is in flight.
+    fn idle(&self) -> MutexGuard<'_, WalState> {
+        let mut state = self.state.lock();
+        while state.flushing {
+            self.synced_cond.wait(&mut state);
+        }
+        state
+    }
+
+    /// One group commit, run by its leader: under the lock, take the
+    /// batch and mark an fsync in flight; write and fsync outside it; then
+    /// publish `synced`, clear the mark and wake every waiter. Called
+    /// with no fsync in flight; hands the re-taken lock back with whether
+    /// a batch was written. Consumes an armed crash point other than
+    /// [`CrashPoint::MidSnapshot`], which is the snapshot writer's.
+    fn lead<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, WalState>,
+    ) -> (MutexGuard<'a, WalState>, Result<bool, StoreError>) {
         if state.crashed {
-            return Err(StoreError::io("flush after crash", std::io::Error::other("wal is dead")));
+            return (state, Err(dead("flush after crash")));
         }
-        match state.armed_crash.take() {
-            Some(CrashPoint::MidBatchAppend) => {
-                // Tear the batch mid-frame: persist roughly half of the
-                // pending bytes (guaranteed to cut the final frame short
-                // when the batch holds at least one frame), then die.
-                let cut = state.batch.len() / 2;
-                let partial = state.batch[..cut].to_vec();
-                state.file.write_all(&partial).map_err(|e| StoreError::io("torn write", e))?;
-                state.file.sync_all().map_err(|e| StoreError::io("torn fsync", e))?;
-                self.die(state);
-                return Err(StoreError::io(
-                    "flush",
-                    std::io::Error::other("injected crash: mid-batch append"),
-                ));
-            }
-            Some(CrashPoint::PreFsync) => {
-                // The batch never reaches the file: modeled page-cache
-                // loss of everything after the last fsync.
-                self.die(state);
-                return Err(StoreError::io(
-                    "flush",
-                    std::io::Error::other("injected crash: pre-fsync"),
-                ));
-            }
-            Some(CrashPoint::MidSnapshot) => {
-                // Snapshot-targeted; re-arm so the snapshot path sees it.
-                state.armed_crash = Some(CrashPoint::MidSnapshot);
-            }
-            None => {}
-        }
-        if state.batch.is_empty() {
-            return Ok(false);
+        let crash = state.armed_crash.take_if(|point| *point != CrashPoint::MidSnapshot);
+        if state.batch.is_empty() && crash.is_none() {
+            return (state, Ok(false));
         }
         let batch = std::mem::take(&mut state.batch);
-        if let Err(e) = state.file.write_all(&batch).and_then(|()| state.file.sync_all()) {
-            // After a failed write or fsync the batch's durability is
-            // unknown and the records are gone from the in-memory batch:
-            // fail-stop so GroupCommit waiters error out instead of
-            // hanging and no later append acks on top of a hole.
-            self.die(state);
-            return Err(StoreError::io("write+fsync batch", e));
+        let target = state.appended;
+        let file = Arc::clone(&state.file);
+        state.flushing = true;
+        drop(state);
+        let written = write_batch(&file, &batch, crash);
+        let mut state = self.state.lock();
+        state.flushing = false;
+        match written {
+            Ok(()) => {
+                state.synced = target;
+                self.stats.fsyncs.inc();
+                self.synced_cond.notify_all();
+                (state, Ok(true))
+            }
+            Err(e) => {
+                // After a failed write or fsync the batch's durability is
+                // unknown and its records are gone from memory:
+                // fail-stop so waiters error out instead of hanging and
+                // no later append acks on top of a hole.
+                self.stats.flush_failures.inc();
+                self.die(&mut state);
+                (state, Err(e))
+            }
         }
-        state.synced = state.appended;
-        self.synced_cond.notify_all();
-        Ok(true)
     }
 
     /// Marks the WAL dead (injected crash or real flush failure): wakes
@@ -444,90 +496,12 @@ impl Wal {
         state.crashed = true;
         state.batch.clear();
         self.synced_cond.notify_all();
-        self.work_cond.notify_one();
-    }
-
-    /// Parks the flusher while there is nothing for it to do: no pending
-    /// batch, no armed crash point for its next flush to consume, a live
-    /// WAL, and `stop` unset. An idle store then costs no wake-ups; the
-    /// first append afterwards starts the flusher's next window.
-    /// [`Wal::wake_flusher`] must follow any change to `stop`.
-    pub(crate) fn wait_for_work(&self, stop: &AtomicBool) {
-        let mut state = self.state.lock();
-        while state.batch.is_empty()
-            && state.armed_crash.is_none()
-            && !state.crashed
-            && !stop.load(Ordering::Relaxed)
-        {
-            self.work_cond.wait(&mut state);
-        }
-    }
-
-    /// Parks the flusher for one group-commit window: until `at` on
-    /// `clock`, until the batch holds `limit` bytes, or until `stop`. On a
-    /// clock whose time does not pass by itself the window ends through a
-    /// [`Clock::wake_at`] timer, armed with `waker()` before the lock is
-    /// taken (it may fire at once) and expected to call
-    /// [`Wal::wake_flusher`]. On [`vc_api::time::RealClock`] the flusher
-    /// parks with the real deadline: no timer, no extra thread hop.
-    pub(crate) fn wait_window(
-        &self,
-        clock: &dyn Clock,
-        at: Timestamp,
-        limit: usize,
-        stop: &AtomicBool,
-        waker: impl FnOnce() -> Waker,
-    ) {
-        if clock.real_time_until(at).is_none() {
-            clock.wake_at(at, waker());
-        }
-        let mut state = self.state.lock();
-        state.window_limit = Some(limit);
-        while state.batch.len() < limit && !stop.load(Ordering::Relaxed) {
-            match clock.real_time_until(at) {
-                Some(left) if left.is_zero() => break,
-                Some(left) => {
-                    self.window_cond.wait_for(&mut state, left);
-                }
-                None if clock.now() >= at => break,
-                None => self.window_cond.wait(&mut state),
-            }
-        }
-        state.window_limit = None;
-    }
-
-    /// Makes a parked flusher ([`Wal::wait_for_work`],
-    /// [`Wal::wait_window`]) re-check its stop flag and its deadline.
-    /// Takes the lock so the wake cannot fall between the flusher's check
-    /// and its park.
-    pub(crate) fn wake_flusher(&self) {
-        let _state = self.state.lock();
-        self.work_cond.notify_one();
-        self.window_cond.notify_one();
-    }
-
-    /// Blocks until `offset` is durably synced. Errors if the WAL died
-    /// (injected crash or flush failure) before the record landed.
-    pub(crate) fn wait_durable(&self, offset: u64) -> Result<(), StoreError> {
-        let mut state = self.state.lock();
-        while state.synced < offset && !state.crashed {
-            self.synced_cond.wait(&mut state);
-        }
-        if state.synced >= offset {
-            Ok(())
-        } else {
-            Err(StoreError::io(
-                "wait_durable",
-                std::io::Error::other("wal died before the record was synced"),
-            ))
-        }
     }
 
     /// Arms `point`; the next flush (or snapshot) consumes it and kills
     /// the WAL.
     pub(crate) fn arm_crash(&self, point: CrashPoint) {
         self.state.lock().armed_crash = Some(point);
-        self.work_cond.notify_one();
     }
 
     /// Takes the armed crash point if it is [`CrashPoint::MidSnapshot`]
@@ -543,19 +517,13 @@ impl Wal {
         }
     }
 
-    /// Returns `true` once this WAL died (injected crash or real flush
-    /// failure).
-    pub(crate) fn is_crashed(&self) -> bool {
-        self.state.lock().crashed
-    }
-
-    /// Flushes the current segment and switches appends to a fresh
-    /// segment `seq`. Called with all shard state locks held (snapshot
-    /// cut), so no append races the swap.
+    /// Waits out an fsync in flight, flushes the rest of the current
+    /// segment and switches appends to a fresh segment `seq`. Called with
+    /// all shard state locks held (snapshot cut), so no append races the
+    /// swap.
     pub(crate) fn rotate(&self, dir: &Path, seq: u64) -> Result<(), StoreError> {
-        let mut state = self.state.lock();
-        self.flush_locked(&mut state)?;
-        let fresh = Wal::create(dir, seq)?;
+        let (mut state, flushed) = self.lead(self.idle());
+        flushed?;
         // Swap only the file handle. `appended`/`synced` are logical ack
         // tokens and must stay monotonic across rotations: a GroupCommit
         // writer may still be parked in `wait_durable` on an offset from
@@ -565,7 +533,7 @@ impl Wal {
         // `synced == appended` after the pre-rotation flush; the armed
         // crash point stays put — a mid-snapshot crash is armed before
         // rotation but fires after it.
-        state.file = fresh.state.into_inner().file;
+        state.file = Arc::new(create_segment(dir, seq)?);
         Ok(())
     }
 }
@@ -647,25 +615,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    /// A `Wal` over an arbitrary file handle (no segment naming), for
-    /// driving real I/O failures through the flush path.
-    fn wal_on(file: File) -> Wal {
-        Wal {
-            state: Mutex::new(WalState {
-                file,
-                appended: 0,
-                synced: 0,
-                batch: Vec::new(),
-                armed_crash: None,
-                crashed: false,
-                window_limit: None,
-            }),
-            synced_cond: Condvar::new(),
-            work_cond: Condvar::new(),
-            window_cond: Condvar::new(),
-        }
     }
 
     #[test]
@@ -756,11 +705,13 @@ mod tests {
         let Ok(full) = OpenOptions::new().write(true).open("/dev/full") else {
             return; // platform without /dev/full
         };
-        let wal = wal_on(full);
+        // Any file handle will do: no segment naming is involved.
+        let wal = Wal::on(full, 0);
         let (_, offset, _) = wal.append_allocating(|| 1, |r| encode_entry(&entry(r))).unwrap();
         let err = wal.flush().expect_err("write to /dev/full must fail");
         assert!(!err.is_corrupt(), "{err}");
-        assert!(wal.is_crashed(), "flush failure must kill the WAL");
+        assert!(wal.state.lock().crashed, "flush failure must kill the WAL");
+        assert_eq!(wal.stats.flush_failures.get(), 1);
         // Waiters error out instead of hanging on a record that was
         // dropped from the batch, and later appends are refused.
         wal.wait_durable(offset).expect_err("waiter must observe the death");

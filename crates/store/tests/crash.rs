@@ -7,7 +7,7 @@
 //! result against what the durability contract promises:
 //!
 //! * everything acknowledged durable (flushed under `Async`, every write
-//!   under `PerWrite`) survives,
+//!   under the default `GroupCommit`) survives,
 //! * the recovered state is a **revision prefix** of the pre-crash
 //!   history — verified against the same naive reference model as
 //!   `tests/model.rs`, replayed up to the recovered revision,
@@ -23,12 +23,13 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use vc_api::namespace::Namespace;
 use vc_api::object::{Object, ResourceKind};
 use vc_api::pod::Pod;
-use vc_api::time::RealClock;
+use vc_api::time::{RealClock, SimClock};
 use vc_store::{
     CrashPoint, DurabilityConfig, EventType, FlushPolicy, RecoveryReport, Store, StoreConfig,
 };
@@ -44,10 +45,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn per_write(dir: &std::path::Path) -> DurabilityConfig {
-    DurabilityConfig::new(dir).with_flush(FlushPolicy::PerWrite)
 }
 
 /// Async with an effectively-infinite window: nothing reaches disk until
@@ -85,7 +82,7 @@ fn keys(store: &Store, kind: ResourceKind) -> Vec<String> {
 #[test]
 fn clean_shutdown_recovers_everything() {
     let dir = scratch_dir("clean");
-    let (store, report) = open(StoreConfig::default(), per_write(&dir));
+    let (store, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     assert_eq!(report.recovered_revision, 0);
     store.insert(pod("ns", "a")).unwrap();
     store.insert(pod("ns", "b")).unwrap();
@@ -96,7 +93,7 @@ fn clean_shutdown_recovers_everything() {
     let bytes = store.estimated_bytes();
     drop(store);
 
-    let (recovered, report) = open(StoreConfig::default(), per_write(&dir));
+    let (recovered, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     assert!(!report.torn_tail, "clean shutdown must not report a torn tail");
     assert_eq!(report.snapshot_revision, 0);
     assert_eq!(report.wal_records_applied, 5);
@@ -114,7 +111,7 @@ fn clean_shutdown_recovers_everything() {
 #[test]
 fn snapshot_retires_wal_and_recovery_uses_both() {
     let dir = scratch_dir("snap");
-    let (store, _) = open(StoreConfig::default(), per_write(&dir));
+    let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     for i in 0..8 {
         store.insert(pod("ns", &format!("p{i}"))).unwrap();
     }
@@ -136,7 +133,7 @@ fn snapshot_retires_wal_and_recovery_uses_both() {
         "pre-snapshot segment retired: {names:?}"
     );
 
-    let (recovered, report) = open(StoreConfig::default(), per_write(&dir));
+    let (recovered, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     assert_eq!(report.snapshot_revision, snap_revision);
     assert_eq!(report.wal_records_applied, 2, "only post-snapshot records replayed");
     assert_eq!(recovered.revision(), revision);
@@ -150,7 +147,7 @@ fn snapshot_retires_wal_and_recovery_uses_both() {
 #[test]
 fn auto_snapshot_triggers_on_write_threshold() {
     let dir = scratch_dir("autosnap");
-    let dur = per_write(&dir).with_snapshot_every(10);
+    let dur = DurabilityConfig::new(&dir).with_snapshot_every(10);
     let (store, _) = open(StoreConfig::default(), dur);
     for i in 0..25 {
         store.insert(pod("ns", &format!("p{i}"))).unwrap();
@@ -159,7 +156,7 @@ fn auto_snapshot_triggers_on_write_threshold() {
     assert!(stats.snapshots.get() >= 2, "25 writes at every=10: {}", stats.snapshots.get());
     drop(store);
 
-    let (recovered, report) = open(StoreConfig::default(), per_write(&dir));
+    let (recovered, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     assert!(report.snapshot_revision >= 10);
     assert_eq!(recovered.len(), 25);
     assert_counters_consistent(&recovered);
@@ -202,35 +199,120 @@ fn crash_pre_fsync_loses_exactly_the_unflushed_suffix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The group-commit flusher blocks after an empty window instead of
-/// waking every window for nothing. Everything that gives it work must
-/// reach it there: an append (or its writer never gets its ack), an armed
-/// crash point ("the next flush dies" must not wait for a write), and
-/// shutdown (or `Drop` joins a thread that never wakes).
+/// An armed crash point fires on the next durable write: that write leads
+/// a flush, and the flush dies. The write errors, later writes are
+/// rejected before they touch memory, and recovery returns exactly the
+/// writes acked before the crash.
 #[test]
-fn parked_flusher_wakes_for_an_append_an_armed_crash_and_shutdown() {
-    let dir = scratch_dir("parked");
-    let group_commit = || {
-        DurabilityConfig::new(&dir)
-            .with_flush(FlushPolicy::GroupCommit { window: Duration::from_millis(1) })
+fn an_armed_crash_point_fires_on_the_next_durable_write() {
+    for point in [CrashPoint::PreFsync, CrashPoint::MidBatchAppend] {
+        let dir = scratch_dir("next-write");
+        let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
+        store.insert(pod("ns", "a")).unwrap();
+        store.insert(pod("ns", "b")).unwrap();
+        store.inject_crash(point);
+        store.insert(pod("ns", "c")).expect_err("the write whose flush dies must fail");
+        assert_eq!(store.wal_stats().unwrap().flush_failures.get(), 1, "{point:?}");
+        let err = store.insert(pod("ns", "d")).unwrap_err();
+        assert!(err.to_string().contains("durable store"), "{err}");
+        assert!(store.get(ResourceKind::Pod, "ns/d").is_none());
+        drop(store);
+
+        let (recovered, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
+        assert_eq!(keys(&recovered, ResourceKind::Pod), vec!["ns/a", "ns/b"], "{point:?}");
+        assert_eq!(report.torn_tail, point == CrashPoint::MidBatchAppend, "{point:?}");
+        assert_counters_consistent(&recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Group commit waits on no clock: on a `SimClock` nobody advances, a
+/// durable insert is acked by the fsync its own writer leads.
+#[test]
+fn group_commit_acks_on_a_frozen_sim_clock() {
+    let dir = scratch_dir("frozen");
+    let (store, _) =
+        Store::open_durable(StoreConfig::default(), DurabilityConfig::new(&dir), SimClock::new())
+            .expect("open durable store");
+    let store = Arc::new(store);
+    let (acked, ack) = mpsc::channel();
+    let writer = {
+        let store = Arc::clone(&store);
+        std::thread::spawn(move || acked.send(store.insert(pod("ns", "a")).map(drop)))
     };
-    let idle = || std::thread::sleep(Duration::from_millis(30));
-    let (store, _) = open(StoreConfig::default(), group_commit());
-    idle();
-    store.insert(pod("ns", "a")).expect("acked by the flusher's fsync");
-    idle();
-    store.inject_crash(CrashPoint::PreFsync);
-    let died = (0..500).any(|_| {
-        std::thread::sleep(Duration::from_millis(2));
-        store.wal_stats().unwrap().flush_failures.get() == 1
+    // A timeout, not a join: a write waiting for sim time hangs for ever.
+    let result = ack.recv_timeout(Duration::from_secs(5)).expect("insert waited for the clock");
+    result.expect("durable insert acked");
+    writer.join().unwrap().unwrap();
+    assert_eq!(store.wal_stats().unwrap().fsyncs.get(), 1);
+    drop(store);
+    let (recovered, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
+    assert_eq!(keys(&recovered, ResourceKind::Pod), vec!["ns/a"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `fsyncs` counts batches written. A snapshot whose pre-rotation flush
+/// finds every write already synced writes no batch, so counts none.
+#[test]
+fn snapshot_of_a_synced_wal_counts_no_fsync() {
+    let dir = scratch_dir("snapfsync");
+    let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
+    for i in 0..3 {
+        store.insert(pod("ns", &format!("p{i}"))).unwrap();
+    }
+    let fsyncs = store.wal_stats().unwrap().fsyncs.get();
+    assert!(store.snapshot_now().unwrap());
+    assert_eq!(store.wal_stats().unwrap().fsyncs.get(), fsyncs, "an empty rotation wrote nothing");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Leader/follower group commit under contention, with snapshot rotations
+/// racing the writers: every insert is acked, every acked insert
+/// recovers, and writers shared fsyncs.
+#[test]
+fn concurrent_durable_writers_and_snapshots_lose_nothing() {
+    const WRITERS: usize = 8;
+    const INSERTS: usize = 200;
+    let dir = scratch_dir("stress");
+    let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
+    let writing = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        let snapshots = s.spawn(|| {
+            let mut cuts = 0;
+            loop {
+                assert!(store.snapshot_now().expect("snapshot while writers run"));
+                cuts += 1;
+                if !writing.load(Ordering::SeqCst) {
+                    return cuts;
+                }
+            }
+        });
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let store = &store;
+                s.spawn(move || {
+                    for i in 0..INSERTS {
+                        store.insert(pod("ns", &format!("w{w}-{i}"))).expect("durable insert");
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        writing.store(false, Ordering::SeqCst);
+        assert!(snapshots.join().unwrap() > 1);
     });
-    assert!(died, "the parked flusher never ran the flush the crash was armed for");
+    let stats = store.wal_stats().unwrap();
+    let (appends, fsyncs) = (stats.appends.get(), stats.fsyncs.get());
+    assert_eq!(appends, (WRITERS * INSERTS) as u64);
+    assert!(appends > fsyncs, "no fsync was shared: {appends} appends, {fsyncs} fsyncs");
     drop(store);
 
-    let (store, _) = open(StoreConfig::default(), group_commit());
-    assert_eq!(keys(&store, ResourceKind::Pod), vec!["ns/a"]);
-    idle();
-    drop(store); // joins the flusher: hangs here if shutdown does not wake it
+    let (recovered, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
+    assert_eq!(recovered.len(), WRITERS * INSERTS);
+    assert_counters_consistent(&recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -266,7 +348,7 @@ fn crash_mid_batch_append_tears_the_tail() {
 #[test]
 fn crash_mid_snapshot_falls_back_to_previous_snapshot_plus_wal() {
     let dir = scratch_dir("midsnap");
-    let (store, _) = open(StoreConfig::default(), per_write(&dir));
+    let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     for i in 0..4 {
         store.insert(pod("ns", &format!("p{i}"))).unwrap();
     }
@@ -285,9 +367,9 @@ fn crash_mid_snapshot_falls_back_to_previous_snapshot_plus_wal() {
     assert!(dir.join("snapshot.tmp").exists());
     drop(store);
 
-    // Every write was PerWrite-durable, so nothing is lost: recovery
+    // Every write was acked durable, so nothing is lost: recovery
     // ignores the partial tmp and uses the previous snapshot + full WAL.
-    let (recovered, report) = open(StoreConfig::default(), per_write(&dir));
+    let (recovered, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     assert_eq!(report.snapshot_revision, first_snap_revision);
     assert_eq!(recovered.revision(), revision);
     assert_eq!(recovered.len(), 8);
@@ -318,7 +400,7 @@ fn newest_segment(dir: &std::path::Path) -> PathBuf {
 #[test]
 fn bit_flip_mid_log_is_typed_corruption_not_a_panic() {
     let dir = scratch_dir("bitflip");
-    let (store, _) = open(StoreConfig::default(), per_write(&dir));
+    let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     for i in 0..6 {
         store.insert(pod("ns", &format!("p{i}"))).unwrap();
     }
@@ -332,8 +414,12 @@ fn bit_flip_mid_log_is_typed_corruption_not_a_panic() {
     bytes[offset] ^= 0x40;
     std::fs::write(&segment, &bytes).unwrap();
 
-    let err = Store::open_durable(StoreConfig::default(), per_write(&dir), RealClock::shared())
-        .expect_err("corrupt record must fail recovery");
+    let err = Store::open_durable(
+        StoreConfig::default(),
+        DurabilityConfig::new(&dir),
+        RealClock::shared(),
+    )
+    .expect_err("corrupt record must fail recovery");
     assert!(err.is_corrupt(), "expected Corrupt, got: {err}");
     assert!(err.to_string().contains("checksum"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -342,7 +428,7 @@ fn bit_flip_mid_log_is_typed_corruption_not_a_panic() {
 #[test]
 fn truncated_tail_is_a_clean_shutdown_boundary() {
     let dir = scratch_dir("truncate");
-    let (store, _) = open(StoreConfig::default(), per_write(&dir));
+    let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     for i in 0..6 {
         store.insert(pod("ns", &format!("p{i}"))).unwrap();
     }
@@ -356,7 +442,7 @@ fn truncated_tail_is_a_clean_shutdown_boundary() {
     file.set_len(len - 7).unwrap();
     drop(file);
 
-    let (recovered, report) = open(StoreConfig::default(), per_write(&dir));
+    let (recovered, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     assert!(report.torn_tail);
     assert_eq!(recovered.revision(), 5, "last record discarded, rest intact");
     assert_eq!(recovered.len(), 5);
@@ -367,7 +453,7 @@ fn truncated_tail_is_a_clean_shutdown_boundary() {
 #[test]
 fn headerless_active_segment_survives_repeated_recovery() {
     let dir = scratch_dir("headerless");
-    let (store, _) = open(StoreConfig::default(), per_write(&dir));
+    let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     store.insert(pod("ns", "a")).unwrap();
     drop(store);
 
@@ -382,7 +468,7 @@ fn headerless_active_segment_survives_repeated_recovery() {
     let stub = dir.join(format!("wal-{:010}.log", seq + 1));
     std::fs::write(&stub, b"VC").unwrap();
 
-    let (recovered, report) = open(StoreConfig::default(), per_write(&dir));
+    let (recovered, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     assert!(report.torn_tail, "a sub-magic active segment is a torn tail");
     assert_eq!(recovered.revision(), 1);
     assert!(!stub.exists(), "the headerless segment must be deleted, not truncated to 0");
@@ -391,7 +477,7 @@ fn headerless_active_segment_survives_repeated_recovery() {
     // Second recovery: the stub would no longer be the active segment.
     // Had it been left behind as a 0-byte file, this open would fail
     // with "bad segment magic".
-    let (again, report) = open(StoreConfig::default(), per_write(&dir));
+    let (again, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     assert!(!report.torn_tail);
     assert_eq!(again.revision(), 1);
     assert_eq!(keys(&again, ResourceKind::Pod), vec!["ns/a"]);
@@ -402,7 +488,7 @@ fn headerless_active_segment_survives_repeated_recovery() {
 #[test]
 fn failed_auto_snapshot_is_counted_and_write_still_succeeds() {
     let dir = scratch_dir("snapfail");
-    let dur = per_write(&dir).with_snapshot_every(3);
+    let dur = DurabilityConfig::new(&dir).with_snapshot_every(3);
     let (store, _) = open(StoreConfig::default(), dur);
     store.insert(pod("ns", "a")).unwrap();
     store.insert(pod("ns", "b")).unwrap();
@@ -417,7 +503,7 @@ fn failed_auto_snapshot_is_counted_and_write_still_succeeds() {
     drop(store);
 
     // Nothing was lost: every record is still in the WAL.
-    let (recovered, report) = open(StoreConfig::default(), per_write(&dir));
+    let (recovered, report) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     assert_eq!(report.snapshot_revision, 0, "no snapshot was completed");
     assert_eq!(recovered.revision(), 3);
     assert_eq!(recovered.len(), 3);
@@ -428,7 +514,7 @@ fn failed_auto_snapshot_is_counted_and_write_still_succeeds() {
 #[test]
 fn corrupt_snapshot_is_typed_corruption() {
     let dir = scratch_dir("snapflip");
-    let (store, _) = open(StoreConfig::default(), per_write(&dir));
+    let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     for i in 0..4 {
         store.insert(pod("ns", &format!("p{i}"))).unwrap();
     }
@@ -441,8 +527,12 @@ fn corrupt_snapshot_is_typed_corruption() {
     bytes[mid] ^= 0x01;
     std::fs::write(&snap, &bytes).unwrap();
 
-    let err = Store::open_durable(StoreConfig::default(), per_write(&dir), RealClock::shared())
-        .expect_err("corrupt snapshot must fail recovery");
+    let err = Store::open_durable(
+        StoreConfig::default(),
+        DurabilityConfig::new(&dir),
+        RealClock::shared(),
+    )
+    .expect_err("corrupt snapshot must fail recovery");
     assert!(err.is_corrupt(), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -454,7 +544,7 @@ fn corrupt_snapshot_is_typed_corruption() {
 #[test]
 fn watcher_resumes_from_last_acked_revision_exactly_once() {
     let dir = scratch_dir("resume");
-    let (store, _) = open(StoreConfig::default(), per_write(&dir));
+    let (store, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     store.insert(pod("ns", "p0")).unwrap();
     store.insert(pod("ns", "p1")).unwrap();
 
@@ -475,7 +565,7 @@ fn watcher_resumes_from_last_acked_revision_exactly_once() {
 
     // After restart, re-watching from the acked revision replays exactly
     // the three missed events — nothing lost, nothing repeated.
-    let (recovered, _) = open(StoreConfig::default(), per_write(&dir));
+    let (recovered, _) = open(StoreConfig::default(), DurabilityConfig::new(&dir));
     let stream = recovered.watch(ResourceKind::Pod, None, acked).unwrap();
     let missed: Vec<(u64, EventType, String)> = (0..3)
         .map(|_| {
@@ -506,13 +596,13 @@ fn watcher_resume_is_all_or_nothing_below_recovered_floor() {
     // Expired (and re-list), never a partial replay.
     let config = StoreConfig { event_log_capacity: 8, watcher_buffer: 64 };
     let dir = scratch_dir("floor");
-    let (store, _) = open(config.clone(), per_write(&dir));
+    let (store, _) = open(config.clone(), DurabilityConfig::new(&dir));
     for i in 0..30 {
         store.insert(pod("ns", &format!("p{i}"))).unwrap();
     }
     drop(store);
 
-    let (recovered, _) = open(config, per_write(&dir));
+    let (recovered, _) = open(config, DurabilityConfig::new(&dir));
     let delivered_before = recovered.events_delivered.get();
     let err = recovered.watch(ResourceKind::Pod, None, 0).unwrap_err();
     assert!(err.is_expired(), "{err}");

@@ -13,7 +13,7 @@ use vc_api::pod::{Container, Pod, PodConditionType, PodPhase};
 use vc_api::quantity::resource_list;
 use vc_api::sha256::sha256;
 use vc_api::time::{RealClock, Timestamp};
-use vc_store::{DurabilityConfig, FlushPolicy, Store, StoreConfig};
+use vc_store::{DurabilityConfig, Store, StoreConfig};
 
 /// The object part of the record, as the JSON codec writes it: sorted keys,
 /// every field present, escapes in an annotation value.
@@ -77,7 +77,7 @@ fn literal_json_record_recovers() {
     let dir = scratch_dir();
     std::fs::write(dir.join("wal-0000000001.log"), segment).unwrap();
 
-    let durability = DurabilityConfig::new(&dir).with_flush(FlushPolicy::PerWrite);
+    let durability = DurabilityConfig::new(&dir);
     let (store, report) =
         Store::open_durable(StoreConfig::default(), durability, RealClock::shared()).unwrap();
     assert_eq!(report.wal_records_applied, 1);

@@ -404,7 +404,7 @@ fn durable_super_store_survives_framework_restart() {
     // object the first one committed, with identical UIDs and resource
     // versions, and bootstrap creates tolerate the already-present
     // namespaces.
-    use virtualcluster::store::{DurabilityConfig, FlushPolicy};
+    use virtualcluster::store::DurabilityConfig;
 
     let dir = std::env::temp_dir().join(format!(
         "vc-chaos-restart-{}-{:x}",
@@ -412,7 +412,7 @@ fn durable_super_store_survives_framework_restart() {
         std::ptr::null::<u8>() as usize
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let durability = Some(DurabilityConfig::new(&dir).with_flush(FlushPolicy::PerWrite));
+    let durability = Some(DurabilityConfig::new(&dir));
 
     let mut config = FrameworkConfig::minimal();
     config.durability = durability.clone();
