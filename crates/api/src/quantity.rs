@@ -189,22 +189,26 @@ pub fn resource_list(pairs: &[(&str, &str)]) -> ResourceList {
 /// Adds `rhs` into `lhs` entry-wise.
 pub fn add_resources(lhs: &mut ResourceList, rhs: &ResourceList) {
     for (k, v) in rhs {
-        *lhs.entry(k.clone()).or_insert(Quantity::ZERO) += *v;
+        // Look up first: the key is cloned only when it is new to `lhs`.
+        match lhs.get_mut(k) {
+            Some(q) => *q += *v,
+            None => {
+                lhs.insert(k.clone(), *v);
+            }
+        }
     }
 }
 
 /// Subtracts `rhs` from `lhs` entry-wise, saturating at zero.
 pub fn sub_resources(lhs: &mut ResourceList, rhs: &ResourceList) {
     for (k, v) in rhs {
-        let entry = lhs.entry(k.clone()).or_insert(Quantity::ZERO);
-        *entry = entry.saturating_sub(*v);
+        match lhs.get_mut(k) {
+            Some(q) => *q = q.saturating_sub(*v),
+            None => {
+                lhs.insert(k.clone(), Quantity::ZERO.saturating_sub(*v));
+            }
+        }
     }
-}
-
-/// Returns `true` if `want` fits within `available` for every resource
-/// present in `want`.
-pub fn fits(want: &ResourceList, available: &ResourceList) -> bool {
-    want.iter().all(|(k, v)| available.get(k).copied().unwrap_or(Quantity::ZERO) >= *v)
 }
 
 #[cfg(test)]
@@ -261,18 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn resource_list_fits() {
-        let capacity = resource_list(&[("cpu", "4"), ("memory", "8Gi"), ("pods", "110")]);
-        let small = resource_list(&[("cpu", "500m"), ("memory", "1Gi")]);
-        let huge = resource_list(&[("cpu", "8")]);
-        assert!(fits(&small, &capacity));
-        assert!(!fits(&huge, &capacity));
-        // Resource absent from capacity cannot satisfy a positive want.
-        let gpu = resource_list(&[("gpu", "1")]);
-        assert!(!fits(&gpu, &capacity));
-    }
-
-    #[test]
     fn resource_list_add_sub() {
         let mut acc = ResourceList::new();
         let r = resource_list(&[("cpu", "1"), ("memory", "1Gi")]);
@@ -281,8 +273,9 @@ mod tests {
         assert_eq!(acc["cpu"], Quantity::from_whole(2));
         sub_resources(&mut acc, &r);
         assert_eq!(acc["cpu"], Quantity::from_whole(1));
-        // Saturates rather than going negative.
-        sub_resources(&mut acc, &resource_list(&[("cpu", "100")]));
+        // Saturates rather than going negative, for a new key too.
+        sub_resources(&mut acc, &resource_list(&[("cpu", "100"), ("gpu", "1")]));
         assert_eq!(acc["cpu"], Quantity::ZERO);
+        assert_eq!(acc["gpu"], Quantity::ZERO);
     }
 }

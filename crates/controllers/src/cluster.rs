@@ -7,14 +7,15 @@
 use crate::kubelet::{Kubelet, KubeletConfig, KubeletMode};
 use crate::scheduler::{SchedulerConfig, SchedulerMetrics};
 use crate::util::ControllerHandle;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
-use vc_api::error::ApiResult;
-use vc_api::object::ResourceKind;
+use vc_api::error::{ApiError, ApiResult};
+use vc_api::object::{Object, ResourceKind};
 use vc_api::time::{Clock, RealClock};
 use vc_apiserver::{ApiServer, ApiServerConfig};
-use vc_client::{Client, InformerConfig, SharedInformer};
+use vc_client::{Client, InformerConfig, InformerEvent, SharedInformer};
 
 /// Which control-plane components a [`Cluster`] runs.
 #[derive(Debug, Clone)]
@@ -96,18 +97,49 @@ pub struct Cluster {
     config: ClusterConfig,
     clock: Arc<dyn Clock>,
     handles: Mutex<Vec<ControllerHandle>>,
-    /// Shared list so the heartbeat timer can snapshot it via a weak ref.
-    kubelets: Arc<Mutex<Vec<Arc<Kubelet>>>>,
+    /// Shared with the kubelet pod informer's handler, and with the
+    /// heartbeat timer through a weak ref.
+    kubelets: Arc<RwLock<Kubelets>>,
     /// Shared pod informer feeding all kubelets (created lazily).
     kubelet_pod_informer: Mutex<Option<Arc<SharedInformer>>>,
     heartbeat: Mutex<Option<ControllerHandle>>,
+}
+
+/// The registered kubelets, in registration order and by node name.
+#[derive(Default)]
+struct Kubelets {
+    ordered: Vec<Arc<Kubelet>>,
+    by_node: HashMap<String, Arc<Kubelet>>,
+}
+
+impl Kubelets {
+    /// Hands a pod event to the kubelets of the nodes it names: the pod's
+    /// node and, for an update that moved it, the node it was on. Two hash
+    /// lookups, whatever the number of nodes.
+    fn route(&self, event: &InformerEvent) {
+        fn node_of(obj: &Object) -> &str {
+            obj.as_pod().map_or("", |pod| pod.spec.node_name.as_str())
+        }
+        let node = node_of(event.object());
+        if let Some(kubelet) = self.by_node.get(node) {
+            kubelet.observe(event);
+        }
+        if let InformerEvent::Updated { old, .. } = event {
+            let old_node = node_of(old);
+            if old_node != node {
+                if let Some(kubelet) = self.by_node.get(old_node) {
+                    kubelet.observe(event);
+                }
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("name", &self.name)
-            .field("kubelets", &self.kubelets.lock().len())
+            .field("kubelets", &self.kubelets.read().ordered.len())
             .finish()
     }
 }
@@ -189,7 +221,7 @@ impl Cluster {
             config,
             clock,
             handles: Mutex::new(handles),
-            kubelets: Arc::new(Mutex::new(Vec::new())),
+            kubelets: Arc::default(),
             kubelet_pod_informer: Mutex::new(None),
             heartbeat: Mutex::new(None),
         }
@@ -220,7 +252,7 @@ impl Cluster {
     /// Propagates node-registration failures.
     pub fn add_mock_nodes(&self, count: u32) -> ApiResult<()> {
         for _ in 0..count {
-            let index = self.kubelets.lock().len() as u32 + 1;
+            let index = self.kubelets.read().ordered.len() as u32 + 1;
             self.add_node(KubeletConfig::for_node(index), KubeletMode::MockInstant)?;
         }
         Ok(())
@@ -230,7 +262,8 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Propagates node-registration failures.
+    /// `AlreadyExists` if a kubelet already runs this node; otherwise
+    /// propagates node-registration failures.
     pub fn add_node(&self, config: KubeletConfig, mode: KubeletMode) -> ApiResult<Arc<Kubelet>> {
         let informer = self.ensure_kubelet_informer();
         let mut handle = ControllerHandle::new(format!("kubelet-{}", config.node_name));
@@ -241,9 +274,26 @@ impl Cluster {
             mode,
             &mut handle,
         )?;
-        let observer = Arc::clone(&kubelet);
-        informer.add_handler(Box::new(move |event| observer.observe(event)));
-        self.kubelets.lock().push(Arc::clone(&kubelet));
+        {
+            let mut kubelets = self.kubelets.write();
+            match kubelets.by_node.entry(kubelet.node_name().to_string()) {
+                // Two kubelets would both start the node's pods. Dropping
+                // `handle` stops this one; it was never routed an event.
+                Entry::Occupied(_) => {
+                    return Err(ApiError::already_exists("Node", kubelet.node_name()));
+                }
+                Entry::Vacant(slot) => slot.insert(Arc::clone(&kubelet)),
+            };
+            kubelets.ordered.push(Arc::clone(&kubelet));
+        }
+        // A pod bound to the node before the insert above (listed with the
+        // informer, or bound as soon as the node registered) was routed to
+        // no kubelet.
+        for obj in informer.cache().list() {
+            if obj.as_pod().is_some_and(|pod| pod.spec.node_name == kubelet.node_name()) {
+                kubelet.observe(&InformerEvent::Added(obj));
+            }
+        }
         self.handles.lock().push(handle);
         self.ensure_heartbeats();
         Ok(kubelet)
@@ -251,7 +301,7 @@ impl Cluster {
 
     /// The kubelets currently registered.
     pub fn kubelets(&self) -> Vec<Arc<Kubelet>> {
-        self.kubelets.lock().clone()
+        self.kubelets.read().ordered.clone()
     }
 
     /// Blocks until every controller informer reports sync.
@@ -277,10 +327,14 @@ impl Cluster {
         if let Some(informer) = &*slot {
             return Arc::clone(informer);
         }
-        let informer = SharedInformer::start(SharedInformer::new(
+        let informer = SharedInformer::new(
             self.system_client("system:kubelet-informer"),
             InformerConfig::new(ResourceKind::Pod),
-        ));
+        );
+        // One handler for all kubelets, routing by node name.
+        let kubelets = Arc::clone(&self.kubelets);
+        informer.add_handler(Box::new(move |event| kubelets.read().route(event)));
+        let informer = SharedInformer::start(informer);
         informer.wait_for_sync(Duration::from_secs(10));
         *slot = Some(Arc::clone(&informer));
         informer
@@ -300,7 +354,7 @@ impl Cluster {
         // look dead.
         handle.every(&self.clock, self.config.heartbeat_interval, move || {
             let Some(kubelets) = list.upgrade() else { return };
-            let snapshot: Vec<Arc<Kubelet>> = kubelets.lock().clone();
+            let snapshot: Vec<Arc<Kubelet>> = kubelets.read().ordered.clone();
             for kubelet in snapshot {
                 kubelet.heartbeat();
             }
@@ -406,6 +460,74 @@ mod tests {
             user.get(ResourceKind::Node, "", &nodes[0].meta().name)
                 .is_ok_and(|o| o.as_node().unwrap().status.last_heartbeat > before)
         }));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_second_kubelet_for_a_node_is_refused() {
+        let cluster = fast_super();
+        let err =
+            cluster.add_node(KubeletConfig::for_node(1), KubeletMode::MockInstant).unwrap_err();
+        assert!(err.is_already_exists(), "{err}");
+        assert_eq!(cluster.kubelets().len(), 2);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn pod_bound_before_its_kubelet_joins_still_runs() {
+        let cluster = Cluster::start(ClusterConfig::super_cluster("late").with_zero_latency());
+        let user = cluster.client("u");
+        let mut pod = Pod::new("default", "pinned");
+        pod.spec.node_name = "node-1".into();
+        user.create(pod.into()).unwrap();
+        // The kubelet informer lists the pod before node-1 is routed.
+        cluster.add_mock_nodes(1).unwrap();
+        assert!(wait_until(Duration::from_secs(10), Duration::from_millis(20), || {
+            user.get(ResourceKind::Pod, "default", "pinned")
+                .is_ok_and(|o| o.as_pod().unwrap().status.is_ready())
+        }));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn kubelets_handle_only_their_own_nodes_pods() {
+        let cluster = Cluster::start(ClusterConfig::super_cluster("routed").with_zero_latency());
+        cluster.add_mock_nodes(30).unwrap();
+        cluster.wait_ready(Duration::from_secs(10));
+        let user = cluster.client("u");
+        let names: Vec<String> = (0..30).map(|i| format!("p{i}")).collect();
+        for name in &names {
+            let container =
+                Container::new("app", "img").with_requests(resource_list(&[("cpu", "1")]));
+            user.create(Pod::new("default", name.as_str()).with_container(container).into())
+                .unwrap();
+        }
+        let ready = |name: &str| {
+            user.get(ResourceKind::Pod, "default", name)
+                .is_ok_and(|o| o.as_pod().unwrap().status.is_ready())
+        };
+        assert!(wait_until(Duration::from_secs(10), Duration::from_millis(20), || {
+            names.iter().all(|name| ready(name))
+        }));
+        let mut bound: HashMap<String, u64> = HashMap::new();
+        for name in &names {
+            let obj = user.get(ResourceKind::Pod, "default", name).unwrap();
+            *bound.entry(obj.as_pod().unwrap().spec.node_name.clone()).or_default() += 1;
+        }
+        for name in &names {
+            user.delete(ResourceKind::Pod, "default", name).unwrap();
+        }
+
+        for kubelet in cluster.kubelets() {
+            let hosted = bound.get(kubelet.node_name()).copied().unwrap_or(0);
+            assert_count_reaches(&kubelet.pods_started, hosted);
+            assert_count_reaches(&kubelet.pods_stopped, hosted);
+            // Each pod has at least three events (bind, Ready, delete), so
+            // a kubelet handed every pod's events would see 90 or more.
+            let events = kubelet.pod_events.get();
+            assert!(events < 30, "{} saw {events} pod events", kubelet.node_name());
+        }
+        assert_eq!(bound.values().sum::<u64>(), 30);
         cluster.shutdown();
     }
 }

@@ -102,13 +102,16 @@ pub struct Kubelet {
     mode: KubeletMode,
     queue: Arc<WorkQueue<String>>,
     pod_cache: Arc<Cache>,
-    /// pod key -> (runtime used, sandbox).
-    sandboxes: Mutex<HashMap<String, PodSandbox>>,
+    /// Pods this kubelet runs: pod key -> (runtime used, sandbox), `None`
+    /// for a mock pod.
+    hosted: Mutex<HashMap<String, Option<PodSandbox>>>,
     ip_counter: AtomicU32,
     /// Pods this kubelet brought to Ready.
     pub pods_started: Counter,
     /// Pods torn down.
     pub pods_stopped: Counter,
+    /// Pod informer events handed to [`Kubelet::observe`].
+    pub(crate) pod_events: Counter,
 }
 
 impl std::fmt::Debug for Kubelet {
@@ -136,10 +139,11 @@ impl Kubelet {
             mode,
             queue: Arc::new(WorkQueue::new()),
             pod_cache,
-            sandboxes: Mutex::new(HashMap::new()),
+            hosted: Mutex::new(HashMap::new()),
             ip_counter: AtomicU32::new(1),
             pods_started: Counter::new(),
             pods_stopped: Counter::new(),
+            pod_events: Counter::new(),
             config,
         });
         kubelet.register_node()?;
@@ -171,14 +175,21 @@ impl Kubelet {
         &self.config.node_name
     }
 
-    /// Routes a pod informer event to this kubelet's queue when relevant.
+    /// Queues the pod of a pod informer event if it is bound to this
+    /// kubelet's node or runs here.
+    ///
+    /// A [`Cluster`](crate::cluster::Cluster) calls this only for the
+    /// kubelets of the nodes an event names (the pod's node, and for an
+    /// update the node it was on), so the cost of one event does not grow
+    /// with the number of nodes. A kubelet wired straight to a shared
+    /// informer gets every event; the check here drops the others.
     pub fn observe(&self, event: &InformerEvent) {
+        self.pod_events.inc();
         let obj = event.object();
         let Some(pod) = obj.as_pod() else { return };
         let mine = pod.spec.node_name == self.config.node_name;
         // Also react to deletions of pods we hosted.
-        let hosted = self.sandboxes.lock().contains_key(&obj.key());
-        if mine || hosted {
+        if mine || self.hosted.lock().contains_key(&obj.key()) {
             self.queue.add(obj.key());
         }
     }
@@ -196,7 +207,7 @@ impl Kubelet {
 
     /// Looks up the runtime + sandbox hosting `pod_key` (vn-agent path).
     pub fn lookup_sandbox(&self, pod_key: &str) -> Option<(Arc<dyn ContainerRuntime>, SandboxId)> {
-        self.sandboxes.lock().get(pod_key).cloned()
+        self.hosted.lock().get(pod_key).cloned().flatten()
     }
 
     fn register_node(&self) -> ApiResult<()> {
@@ -277,6 +288,9 @@ impl Kubelet {
             self.client.update(fresh.into()).map(|_| ())
         });
         if result.is_ok() {
+            if let KubeletMode::MockInstant = self.mode {
+                self.hosted.lock().insert(key.to_string(), None);
+            }
             self.pods_started.inc();
         }
     }
@@ -300,7 +314,7 @@ impl Kubelet {
             pod.meta.uid.as_str().to_string(),
             pod_ip.to_string(),
         ))?;
-        self.sandboxes.lock().insert(key.to_string(), (Arc::clone(runtime), sandbox.clone()));
+        self.hosted.lock().insert(key.to_string(), Some((Arc::clone(runtime), sandbox.clone())));
 
         // Init containers run sequentially to completion.
         for init in &pod.spec.init_containers {
@@ -342,12 +356,12 @@ impl Kubelet {
     }
 
     fn teardown(&self, key: &str) {
-        let entry = self.sandboxes.lock().remove(key);
+        let Some(entry) = self.hosted.lock().remove(key) else { return };
         if let Some((runtime, sandbox)) = entry {
             let _ = runtime.stop_pod_sandbox(&sandbox);
             let _ = runtime.remove_pod_sandbox(&sandbox);
-            self.pods_stopped.inc();
         }
+        self.pods_stopped.inc();
     }
 }
 

@@ -10,6 +10,14 @@
 //! Predicates: node readiness/schedulability, node selector, taints vs.
 //! tolerations, resource fit, inter-pod affinity and anti-affinity (node
 //! topology). Scoring: least-allocated.
+//!
+//! Resource fit compares each requested resource with what the node has
+//! left, `allocatable − allocated`, read in place. Every pod also takes one
+//! of the node's `pods` slots: the pods already bound there count against
+//! `allocatable["pods"]`, so a node with `pods: "110"` refuses pod 111, and
+//! a node that advertises no `pods` capacity takes none. Filtering and
+//! scoring allocate nothing per node; one decision clones one node name,
+//! the winner's.
 
 use crate::util::{retry_on_conflict, ControllerHandle};
 use parking_lot::Mutex;
@@ -22,7 +30,7 @@ use vc_api::metrics::Counter;
 use vc_api::node::Node;
 use vc_api::object::ResourceKind;
 use vc_api::pod::{Pod, PodConditionType, PodPhase};
-use vc_api::quantity::{add_resources, fits, sub_resources, ResourceList};
+use vc_api::quantity::{add_resources, resource_names, sub_resources, Quantity, ResourceList};
 use vc_client::{Client, InformerConfig, InformerEvent, SharedInformer, WorkQueue};
 
 /// Scheduler tuning.
@@ -193,9 +201,17 @@ fn record_assignment(state: &mut SchedulerState, key: &str, pod: &Pod) {
     if state.assignments.contains_key(key) {
         return;
     }
-    let requests = pod.spec.effective_requests();
-    let node = pod.spec.node_name.clone();
-    let alloc = state.nodes.entry(node.clone()).or_default();
+    assign(state, key, pod, pod.spec.node_name.clone(), pod.spec.effective_requests());
+}
+
+/// Charges `pod`'s `requests` and one pod slot to `node`.
+fn assign(state: &mut SchedulerState, key: &str, pod: &Pod, node: String, requests: ResourceList) {
+    // Look up before inserting: the name is cloned only for a node the
+    // node informer has not delivered yet.
+    if !state.nodes.contains_key(&node) {
+        state.nodes.insert(node.clone(), NodeAlloc::default());
+    }
+    let alloc = state.nodes.get_mut(&node).expect("inserted above");
     add_resources(&mut alloc.allocated, &requests);
     alloc.pods.insert(key.to_string(), pod.meta.labels.clone());
     state.assignments.insert(key.to_string(), (node, requests));
@@ -231,19 +247,14 @@ fn schedule_one(
     std::thread::sleep(config.service_time + config.service_time_per_kpod * bound / 1000);
 
     // Choose and reserve a node atomically.
+    let requests = pod.spec.effective_requests();
     let chosen = {
         let mut state = state.lock();
-        match choose_node(&state, pod) {
-            Some(node) => {
-                let requests = pod.spec.effective_requests();
-                let alloc = state.nodes.entry(node.clone()).or_default();
-                add_resources(&mut alloc.allocated, &requests);
-                alloc.pods.insert(key.to_string(), pod.meta.labels.clone());
-                state.assignments.insert(key.to_string(), (node.clone(), requests));
-                Some(node)
-            }
-            None => None,
+        let chosen = choose_node(&state, pod, &requests);
+        if let Some(node) = &chosen {
+            assign(&mut state, key, pod, node.clone(), requests);
         }
+        chosen
     };
 
     let Some(node_name) = chosen else {
@@ -316,31 +327,25 @@ fn emit_event(client: &Client, pod: &Pod, reason: &str, message: &str) {
     let _ = client.create(event.into());
 }
 
-/// Returns the best feasible node for `pod`, or `None`.
-fn choose_node(state: &SchedulerState, pod: &Pod) -> Option<String> {
-    let requests = pod.spec.effective_requests();
-    let mut best: Option<(String, f64)> = None;
+/// Returns the best feasible node for a pod that needs `requests`, or
+/// `None`. Ties go to the first best node in map order.
+fn choose_node(state: &SchedulerState, pod: &Pod, requests: &ResourceList) -> Option<String> {
+    let mut best: Option<(&str, f64)> = None;
     for (name, alloc) in &state.nodes {
         let Some(node) = &alloc.node else { continue };
-        if !feasible(state, node, alloc, pod, &requests) {
+        if !feasible(node, alloc, pod, requests) {
             continue;
         }
-        let score = least_allocated_score(node, alloc, &requests);
-        match &best {
-            Some((_, best_score)) if *best_score >= score => {}
-            _ => best = Some((name.clone(), score)),
+        let score = least_allocated_score(node, alloc, requests);
+        match best {
+            Some((_, best_score)) if best_score >= score => {}
+            _ => best = Some((name, score)),
         }
     }
-    best.map(|(name, _)| name)
+    best.map(|(name, _)| name.to_string())
 }
 
-fn feasible(
-    state: &SchedulerState,
-    node: &Node,
-    alloc: &NodeAlloc,
-    pod: &Pod,
-    requests: &ResourceList,
-) -> bool {
+fn feasible(node: &Node, alloc: &NodeAlloc, pod: &Pod, requests: &ResourceList) -> bool {
     if !node.is_ready() {
         return false;
     }
@@ -360,23 +365,14 @@ fn feasible(
             return false;
         }
     }
-    // Resource fit against allocatable - allocated.
-    let mut free = node.status.allocatable.clone();
-    sub_resources(&mut free, &alloc.allocated);
-    // Implicit pods=1 request.
-    let mut want = requests.clone();
-    add_resources(
-        &mut want,
-        &vc_api::quantity::resource_list(&[(vc_api::quantity::resource_names::PODS, "1")]),
-    );
-    if !fits(&want, &free) {
+    if !has_room(node, alloc, requests) {
         return false;
     }
     // Anti-affinity: no matching pod may share this node.
     for term in &pod.spec.affinity.pod_anti_affinity {
         let namespaces = effective_namespaces(term, pod);
         if alloc.pods.iter().any(|(peer_key, labels)| {
-            peer_in_namespaces(peer_key, &namespaces) && term.selector.matches(labels)
+            peer_in_namespaces(peer_key, namespaces) && term.selector.matches(labels)
         }) {
             return false;
         }
@@ -385,21 +381,38 @@ fn feasible(
     for term in &pod.spec.affinity.pod_affinity {
         let namespaces = effective_namespaces(term, pod);
         let satisfied = alloc.pods.iter().any(|(peer_key, labels)| {
-            peer_in_namespaces(peer_key, &namespaces) && term.selector.matches(labels)
+            peer_in_namespaces(peer_key, namespaces) && term.selector.matches(labels)
         });
         if !satisfied {
             return false;
         }
     }
-    let _ = state;
     true
 }
 
-fn effective_namespaces(term: &vc_api::pod::PodAffinityTerm, pod: &Pod) -> Vec<String> {
+/// Resource fit: every requested resource, plus one pod slot, within
+/// `allocatable − allocated`. A resource the node does not advertise has
+/// nothing left.
+fn has_room(node: &Node, alloc: &NodeAlloc, requests: &ResourceList) -> bool {
+    use resource_names::PODS;
+    let one_pod = Quantity::from_whole(1);
+    let left = |resource: &str| {
+        let mut held = alloc.allocated.get(resource).copied().unwrap_or_default();
+        if resource == PODS {
+            held += Quantity::from_whole(alloc.pods.len() as i64);
+        }
+        let allocatable = node.status.allocatable.get(resource).copied().unwrap_or_default();
+        allocatable.saturating_sub(held)
+    };
+    requests.iter().all(|(k, v)| left(k) >= if k == PODS { *v + one_pod } else { *v })
+        && (requests.contains_key(PODS) || left(PODS) >= one_pod)
+}
+
+fn effective_namespaces<'a>(term: &'a vc_api::pod::PodAffinityTerm, pod: &'a Pod) -> &'a [String] {
     if term.namespaces.is_empty() {
-        vec![pod.meta.namespace.clone()]
+        std::slice::from_ref(&pod.meta.namespace)
     } else {
-        term.namespaces.clone()
+        &term.namespaces
     }
 }
 
@@ -695,6 +708,33 @@ mod tests {
     }
 
     #[test]
+    fn pod_capacity_is_enforced() {
+        let server = fast_server();
+        let client = Client::new(Arc::clone(&server), "scheduler");
+        client
+            .create(Node::new("n1", resource_list(&[("cpu", "96"), ("pods", "2")])).into())
+            .unwrap();
+        let (mut handle, metrics) = start(client, fast_scheduler_config());
+        let user = Client::new(server, "u");
+        for name in ["p0", "p1"] {
+            user.create(pod_with_cpu("default", name, "100m").into()).unwrap();
+        }
+        assert!(wait_until(Duration::from_secs(5), Duration::from_millis(10), || {
+            ["p0", "p1"].iter().all(|name| bound_node(&user, "default", name) == "n1")
+        }));
+        // Plenty of cpu left, but both pod slots are taken.
+        user.create(pod_with_cpu("default", "p2", "100m").into()).unwrap();
+        assert!(wait_until(Duration::from_secs(3), Duration::from_millis(10), || {
+            metrics.unschedulable.get() >= 1
+        }));
+        assert!(bound_node(&user, "default", "p2").is_empty());
+        let pod = user.get(ResourceKind::Pod, "default", "p2").unwrap();
+        let cond = pod.as_pod().unwrap().status.condition(PodConditionType::PodScheduled).unwrap();
+        assert_eq!(cond.reason, "Unschedulable");
+        handle.stop();
+    }
+
+    #[test]
     fn sequential_service_time_caps_throughput() {
         let server = fast_server();
         let client = Client::new(Arc::clone(&server), "scheduler");
@@ -717,5 +757,372 @@ mod tests {
             "sequential scheduling must take at least n * service_time, took {elapsed:?}"
         );
         handle.stop();
+    }
+
+    /// The filter as it stood when it cloned `allocatable` and `requests`
+    /// and parsed a `pods=1` list for every node, kept verbatim as the
+    /// oracle for the in-place one. (`effective_namespaces` now returns a
+    /// slice, which makes two of its borrows needless.)
+    #[allow(clippy::needless_borrow)]
+    mod reference {
+        use super::super::*;
+
+        /// Returns the best feasible node for `pod`, or `None`.
+        pub(super) fn choose_node(state: &SchedulerState, pod: &Pod) -> Option<String> {
+            let requests = pod.spec.effective_requests();
+            let mut best: Option<(String, f64)> = None;
+            for (name, alloc) in &state.nodes {
+                let Some(node) = &alloc.node else { continue };
+                if !feasible(state, node, alloc, pod, &requests) {
+                    continue;
+                }
+                let score = least_allocated_score(node, alloc, &requests);
+                match &best {
+                    Some((_, best_score)) if *best_score >= score => {}
+                    _ => best = Some((name.clone(), score)),
+                }
+            }
+            best.map(|(name, _)| name)
+        }
+
+        fn feasible(
+            state: &SchedulerState,
+            node: &Node,
+            alloc: &NodeAlloc,
+            pod: &Pod,
+            requests: &ResourceList,
+        ) -> bool {
+            if !node.is_ready() {
+                return false;
+            }
+            // Node selector: every required label must match.
+            for (k, v) in &pod.spec.node_selector {
+                if node.meta.labels.get(k) != Some(v) {
+                    return false;
+                }
+            }
+            // Taints: every NoSchedule/NoExecute taint must be tolerated.
+            for taint in &node.spec.taints {
+                if matches!(
+                    taint.effect,
+                    vc_api::pod::TaintEffect::NoSchedule | vc_api::pod::TaintEffect::NoExecute
+                ) && !pod.spec.tolerations.iter().any(|t| tolerates(t, taint))
+                {
+                    return false;
+                }
+            }
+            // Resource fit against allocatable - allocated.
+            let mut free = node.status.allocatable.clone();
+            sub_resources(&mut free, &alloc.allocated);
+            // Implicit pods=1 request.
+            let mut want = requests.clone();
+            add_resources(
+                &mut want,
+                &vc_api::quantity::resource_list(&[(vc_api::quantity::resource_names::PODS, "1")]),
+            );
+            if !fits(&want, &free) {
+                return false;
+            }
+            // Anti-affinity: no matching pod may share this node.
+            for term in &pod.spec.affinity.pod_anti_affinity {
+                let namespaces = effective_namespaces(term, pod);
+                if alloc.pods.iter().any(|(peer_key, labels)| {
+                    peer_in_namespaces(peer_key, &namespaces) && term.selector.matches(labels)
+                }) {
+                    return false;
+                }
+            }
+            // Affinity: each term needs a matching pod on this node.
+            for term in &pod.spec.affinity.pod_affinity {
+                let namespaces = effective_namespaces(term, pod);
+                let satisfied = alloc.pods.iter().any(|(peer_key, labels)| {
+                    peer_in_namespaces(peer_key, &namespaces) && term.selector.matches(labels)
+                });
+                if !satisfied {
+                    return false;
+                }
+            }
+            let _ = state;
+            true
+        }
+
+        /// Returns `true` if `want` fits within `available` for every resource
+        /// present in `want`.
+        fn fits(want: &ResourceList, available: &ResourceList) -> bool {
+            want.iter().all(|(k, v)| available.get(k).copied().unwrap_or(Quantity::ZERO) >= *v)
+        }
+    }
+
+    /// splitmix64: a seeded, dependency-free source for the random tables.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn percent(&mut self, p: u64) -> bool {
+            self.below(100) < p
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len() as u64) as usize]
+        }
+    }
+
+    /// Up to `cpu` millicores, `gib` GiB of memory and two gpus, each key
+    /// present with probability `percent`, plus `pods` when given.
+    fn random_resources(
+        rng: &mut Rng,
+        percent: u64,
+        cpu: u64,
+        gib: u64,
+        pods: Option<i64>,
+    ) -> ResourceList {
+        let mut list = ResourceList::new();
+        if rng.percent(percent) {
+            list.insert("cpu".into(), Quantity::from_millis(rng.below(cpu + 1) as i64));
+        }
+        if rng.percent(percent) {
+            list.insert("memory".into(), Quantity::from_whole((rng.below(gib + 1) << 30) as i64));
+        }
+        if rng.percent(percent / 4) {
+            list.insert("gpu".into(), Quantity::from_whole(rng.below(3) as i64));
+        }
+        if let Some(pods) = pods {
+            list.insert("pods".into(), Quantity::from_whole(pods));
+        }
+        list
+    }
+
+    fn random_term(rng: &mut Rng) -> vc_api::pod::PodAffinityTerm {
+        let namespaces = match rng.below(3) {
+            0 => Vec::new(),
+            1 => vec!["ns-a".to_string()],
+            _ => vec!["ns-a".to_string(), "ns-b".to_string()],
+        };
+        let app = rng.pick(&["web", "db"]);
+        vc_api::pod::PodAffinityTerm { selector: Selector::from_pairs(&[("app", app)]), namespaces }
+    }
+
+    fn random_effect(rng: &mut Rng) -> vc_api::pod::TaintEffect {
+        use vc_api::pod::TaintEffect::*;
+        [NoSchedule, PreferNoSchedule, NoExecute][rng.below(3) as usize]
+    }
+
+    /// A random node table. Pod slots are either absent, zero, already
+    /// used up by explicit `pods` requests, or far above what the table
+    /// places, so the pods counted in use never decide a case.
+    fn random_state(rng: &mut Rng) -> SchedulerState {
+        let mut state = SchedulerState::default();
+        for i in 0..1 + rng.below(6) {
+            let name = format!("n{i}");
+            let pod_slots = match rng.below(10) {
+                0 | 1 => None,
+                2 => Some(0),
+                _ => Some(100 + rng.below(101) as i64),
+            };
+            let mut node = Node::new(name.clone(), random_resources(rng, 90, 8_000, 16, pod_slots));
+            if rng.percent(70) {
+                node.meta.labels.insert("zone".into(), rng.pick(&["a", "b"]).into());
+            }
+            for _ in 0..rng.below(4) / 2 {
+                node.spec.taints.push(vc_api::node::Taint {
+                    key: rng.pick(&["dedicated", "gpu"]).into(),
+                    value: rng.pick(&["a", "b"]).into(),
+                    effect: random_effect(rng),
+                });
+            }
+            if rng.percent(10) {
+                node.status.condition = vc_api::node::NodeCondition::NotReady;
+            }
+            node.spec.unschedulable = rng.percent(10);
+            let used_pods = match rng.below(10) {
+                0..=6 => None,
+                7 | 8 => Some(rng.below(4) as i64),
+                _ => Some(pod_slots.unwrap_or(0) + rng.below(5) as i64),
+            };
+            // Allocated is drawn independently, so it may exceed allocatable.
+            let allocated = random_resources(rng, 60, 10_000, 20, used_pods);
+            let mut pods = HashMap::new();
+            for j in 0..rng.below(4) {
+                let ns = rng.pick(&["ns-a", "ns-b"]);
+                pods.insert(format!("{ns}/peer-{j}"), labels(&[("app", rng.pick(&["web", "db"]))]));
+            }
+            let node = if rng.percent(90) { Some(node) } else { None };
+            state.nodes.insert(name, NodeAlloc { node, allocated, pods });
+        }
+        state
+    }
+
+    fn random_pod(rng: &mut Rng) -> Pod {
+        let mut pod = Pod::new(rng.pick(&["ns-a", "ns-b"]), "candidate");
+        for c in 0..1 + rng.below(2) {
+            let pods = rng.percent(15).then(|| rng.below(3) as i64);
+            let requests = random_resources(rng, 50, 2_000, 4, pods);
+            let container = Container::new(format!("c{c}"), "img").with_requests(requests);
+            if rng.percent(20) {
+                pod.spec.init_containers.push(container);
+            } else {
+                pod.spec.containers.push(container);
+            }
+        }
+        if rng.percent(30) {
+            pod.spec.node_selector = labels(&[("zone", rng.pick(&["a", "b"]))]);
+        }
+        for _ in 0..rng.below(3) {
+            pod.spec.tolerations.push(Toleration {
+                key: rng.pick(&["", "dedicated", "gpu"]).into(),
+                value: rng.pick(&["", "a", "b"]).into(),
+                effect: rng.percent(50).then(|| random_effect(rng)),
+            });
+        }
+        if rng.percent(30) {
+            pod.spec.affinity.pod_anti_affinity.push(random_term(rng));
+        }
+        if rng.percent(20) {
+            pod.spec.affinity.pod_affinity.push(random_term(rng));
+        }
+        pod
+    }
+
+    #[test]
+    fn in_place_filter_matches_the_allocating_one() {
+        let mut rng = Rng(0x5eed_0029);
+        let (mut placed, mut refused) = (0, 0);
+        for case in 0..3_000 {
+            let state = random_state(&mut rng);
+            let pod = random_pod(&mut rng);
+            let chosen = choose_node(&state, &pod, &pod.spec.effective_requests());
+            assert_eq!(
+                chosen,
+                reference::choose_node(&state, &pod),
+                "case {case}: pod {pod:?} on {state:?}"
+            );
+            if chosen.is_some() {
+                placed += 1;
+            } else {
+                refused += 1;
+            }
+        }
+        // The table must exercise both outcomes, not just one.
+        assert!(placed > 300 && refused > 300, "placed {placed}, refused {refused}");
+
+        // Fixed cases: what fits within capacity, and a resource the node
+        // does not advertise.
+        let mut state = SchedulerState::default();
+        let node =
+            Node::new("n", resource_list(&[("cpu", "4"), ("memory", "8Gi"), ("pods", "110")]));
+        state.nodes.insert("n".into(), NodeAlloc { node: Some(node), ..Default::default() });
+        for (requests, fits) in [
+            (resource_list(&[("cpu", "500m"), ("memory", "1Gi")]), true),
+            (resource_list(&[("cpu", "8")]), false),
+            (resource_list(&[("gpu", "1")]), false),
+        ] {
+            let pod = Pod::new("ns-a", "p")
+                .with_container(Container::new("c", "img").with_requests(requests));
+            let chosen = choose_node(&state, &pod, &pod.spec.effective_requests());
+            assert_eq!(chosen, reference::choose_node(&state, &pod));
+            assert_eq!(chosen.is_some(), fits, "{pod:?}");
+        }
+    }
+
+    /// Counts the allocations of the calling thread only, so tests running
+    /// in parallel do not disturb a measurement.
+    mod per_thread {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            // Const-initialised and without a destructor, so the allocator
+            // can touch it without allocating.
+            static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        fn count() {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
+
+        struct Counting;
+
+        // SAFETY: every call is forwarded unchanged to `System`, which upholds
+        // the `GlobalAlloc` contract; the counter is a side effect only.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                count();
+                // SAFETY: same layout the caller vouched for.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                count();
+                // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: Counting = Counting;
+
+        pub(super) fn allocations_during<T>(work: impl FnOnce() -> T) -> (u64, T) {
+            let before = ALLOCATIONS.with(Cell::get);
+            let out = work();
+            (ALLOCATIONS.with(Cell::get) - before, out)
+        }
+    }
+
+    #[test]
+    fn choosing_among_200_nodes_allocates_no_more_than_among_2() {
+        let table = |nodes: usize| {
+            let mut state = SchedulerState::default();
+            for i in 0..nodes {
+                let capacity =
+                    resource_list(&[("cpu", "96"), ("memory", "328Gi"), ("pods", "500")]);
+                let mut alloc = NodeAlloc {
+                    node: Some(Node::new(format!("n{i}"), capacity)),
+                    ..Default::default()
+                };
+                alloc.allocated = resource_list(&[("cpu", "1")]);
+                alloc.pods.insert(format!("default/peer-{i}"), labels(&[("app", "db")]));
+                state.nodes.insert(format!("n{i}"), alloc);
+            }
+            state
+        };
+        // Every predicate runs: selector-free, tolerations, both affinity
+        // kinds against the peer on each node.
+        let mut pod = pod_with_cpu("default", "p", "100m")
+            .with_anti_affinity(Selector::from_pairs(&[("app", "web")]));
+        pod.spec.affinity.pod_affinity.push(vc_api::pod::PodAffinityTerm {
+            selector: Selector::from_pairs(&[("app", "db")]),
+            namespaces: Vec::new(),
+        });
+        pod.spec.tolerations.push(Toleration {
+            key: "gpu".into(),
+            value: String::new(),
+            effect: None,
+        });
+        let requests = pod.spec.effective_requests();
+        let (small, large) = (table(2), table(200));
+        let (among_2, chosen) =
+            per_thread::allocations_during(|| choose_node(&small, &pod, &requests));
+        assert!(chosen.is_some());
+        let (among_200, chosen) =
+            per_thread::allocations_during(|| choose_node(&large, &pod, &requests));
+        assert!(chosen.is_some());
+        assert!(among_2 <= 1, "choosing among 2 nodes made {among_2} allocations");
+        assert!(among_200 <= among_2, "200 nodes: {among_200} allocations, 2 nodes: {among_2}");
     }
 }

@@ -88,7 +88,7 @@ fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenan
             if traced {
                 syncer.trace_dws_done(&item.tenant, &item.key);
             }
-            let created = create_with_namespace(syncer, tenant, desired);
+            let created = create_with_namespace(syncer, tenant, tenant_obj, desired);
             if traced && created.is_err() {
                 syncer.trace_dws_undone(&item.tenant, &item.key);
             }
@@ -176,12 +176,21 @@ fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenan
     }
 }
 
-/// Creates `desired` in the super cluster, creating the prefixed namespace
-/// on demand when the object beat its namespace through the queue.
-fn create_with_namespace(syncer: &Syncer, tenant: &TenantState, desired: Object) -> ApiResult<()> {
-    match syncer.super_client.create(desired.clone()) {
+/// Creates `desired`, the super copy of `tenant_obj`, in the super cluster,
+/// creating the prefixed namespace on demand when the object beat its
+/// namespace through the queue.
+fn create_with_namespace(
+    syncer: &Syncer,
+    tenant: &TenantState,
+    tenant_obj: &Object,
+    desired: Object,
+) -> ApiResult<()> {
+    match syncer.super_client.create(desired) {
         Ok(_) => Ok(()),
         Err(e) if e.is_namespace_missing() => {
+            // The create consumed `desired`; the rare retry maps it again
+            // rather than every create keeping a copy.
+            let desired = mapping::to_super(tenant_obj, &tenant.handle.name, &tenant.handle.prefix);
             let ns_name = desired.meta().namespace.clone();
             let mut ns = vc_api::namespace::Namespace::new(ns_name);
             ns.meta

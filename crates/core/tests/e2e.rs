@@ -60,6 +60,32 @@ fn tenant_pod_runs_end_to_end() {
 }
 
 #[test]
+fn pod_ahead_of_its_namespace_creates_the_namespace() {
+    // With namespaces not synced, every pod reaches the super cluster
+    // before its namespace does, and the downward create makes it.
+    let mut config = FrameworkConfig::minimal();
+    config.syncer.downward_kinds = vec![ResourceKind::Pod];
+    let fw = Framework::start(config);
+    fw.create_tenant("tenant-ns").unwrap();
+    let tenant = fw.tenant_client("tenant-ns", "nina");
+    tenant.create(simple_pod("default", "early").into()).unwrap();
+    assert!(wait_until(Duration::from_secs(20), Duration::from_millis(20), || {
+        tenant
+            .get(ResourceKind::Pod, "default", "early")
+            .is_ok_and(|o| o.as_pod().unwrap().status.is_ready())
+    }));
+
+    let prefix = &fw.registry.get("tenant-ns").unwrap().prefix;
+    let super_client = fw.super_client("admin");
+    let super_ns = format!("{prefix}-default");
+    let ns = super_client.get(ResourceKind::Namespace, "", &super_ns).unwrap();
+    assert_eq!(ns.meta().annotations["virtualcluster.io/cluster"], "tenant-ns");
+    let super_pod = super_client.get(ResourceKind::Pod, &super_ns, "early").unwrap();
+    assert_eq!(super_pod.meta().annotations["virtualcluster.io/cluster"], "tenant-ns");
+    fw.shutdown();
+}
+
+#[test]
 fn tenant_deletion_cleans_super_cluster() {
     let fw = framework();
     fw.create_tenant("tenant-b").unwrap();
