@@ -33,7 +33,9 @@ use vc_api::metrics::Counter;
 use vc_api::namespace::{Namespace, NamespacePhase};
 use vc_api::object::{Object, ResourceKind};
 use vc_api::time::{Clock, RealClock};
-use vc_obs::{current_trace, stage, CounterFamily, HistogramFamily, Observability, Tracer};
+use vc_obs::{
+    current_trace, stage, CounterFamily, HistogramFamily, MetricsRegistry, Observability, Tracer,
+};
 use vc_store::{DurabilityConfig, RecoveryReport, Store, StoreConfig, StoreError, WatchStream};
 
 /// Finalizer the apiserver puts on every namespace so contents are
@@ -108,6 +110,7 @@ const REQUEST_DURATION_BUCKETS_US: &[u64] =
 /// trace spans go once [`ApiServer::attach_observability`] is called.
 struct ObsHook {
     tracer: Arc<Tracer>,
+    registry: Arc<MetricsRegistry>,
     /// Label value identifying this server in metrics and trace stages
     /// (the tenant name for tenant apiservers, the server name otherwise).
     scope: String,
@@ -117,6 +120,46 @@ struct ObsHook {
     begin_pod_traces: bool,
     requests: CounterFamily,
     duration: HistogramFamily,
+}
+
+/// Binds `store`'s counters and levels into `registry` as the `vc_store_*`
+/// families, labeled `server`. The registry holds the very cells the store
+/// updates, so nothing is copied at scrape time.
+pub fn publish_store_metrics(store: &Store, registry: &MetricsRegistry, server: &str) {
+    let mut counters = vec![
+        ("vc_store_writes_total", "Writes (insert/update/delete).", &store.writes),
+        ("vc_store_events_delivered_total", "Watch events fanned out.", &store.events_delivered),
+    ];
+    if let Some(wal) = store.wal_stats() {
+        counters.push(("vc_store_wal_bytes_appended_total", "WAL bytes.", &wal.bytes_appended));
+        let ops = registry.counter("vc_store_wal_ops_total", "WAL operations.", &["server", "op"]);
+        for (op, cell) in [
+            ("append", &wal.appends),
+            ("fsync", &wal.fsyncs),
+            ("snapshot", &wal.snapshots),
+            ("flush_failure", &wal.flush_failures),
+            ("snapshot_failure", &wal.snapshot_failures),
+        ] {
+            ops.bind(&[server, op], Arc::clone(cell));
+        }
+    }
+    for (name, help, cell) in counters {
+        registry.counter(name, help, &["server"]).bind(&[server], Arc::clone(cell));
+    }
+    for (name, help, cell) in [
+        ("vc_store_objects", "Objects stored (all kinds).", &store.objects),
+        ("vc_store_bytes", "Estimated serialized bytes stored.", &store.bytes),
+    ] {
+        registry.gauge(name, help, &["server"]).bind(&[server], Arc::clone(cell));
+    }
+    // overflow = fell behind (buffer full); swept = consumer dropped the stream.
+    let evicted = registry.counter(
+        "vc_store_watchers_evicted_total",
+        "Watchers removed, by reason.",
+        &["server", "reason"],
+    );
+    evicted.bind(&[server, "overflow"], Arc::clone(&store.watchers_evicted));
+    evicted.bind(&[server, "swept"], Arc::clone(&store.watchers_swept));
 }
 
 /// Maps an [`ApiError`] to the short `code` label used on request counters.
@@ -304,6 +347,9 @@ impl ApiServer {
     /// successful pod create arriving from outside any trace context
     /// *begins* a trace for that pod and records the [`stage::GATE`]
     /// span; this is where an object's end-to-end trace starts.
+    ///
+    /// The store's own counters and levels (`vc_store_*`) are bound into
+    /// the registry under the same `server` label.
     pub fn attach_observability(
         &self,
         obs: &Arc<Observability>,
@@ -321,9 +367,12 @@ impl ApiServer {
             &["server", "verb", "kind"],
             REQUEST_DURATION_BUCKETS_US,
         );
+        let scope = scope.into();
+        publish_store_metrics(&self.store, &obs.registry, &scope);
         *self.obs.write() = Some(Arc::new(ObsHook {
             tracer: obs.tracer.clone(),
-            scope: scope.into(),
+            registry: Arc::clone(&obs.registry),
+            scope,
             begin_pod_traces,
             requests,
             duration,
@@ -331,17 +380,24 @@ impl ApiServer {
     }
 
     /// Detaches the observability hook attached by
-    /// [`ApiServer::attach_observability`] and reclaims this server's
-    /// cells from the shared metric families. Without the reclaim, every
-    /// tenant control plane ever attached would leave its
-    /// `server="<scope>"` cells behind in the registry — a label-space
-    /// leak that grows without bound under tenant onboarding/teardown
-    /// churn.
+    /// [`ApiServer::attach_observability`] and reclaims every
+    /// `server="<scope>"` cell from the registry: request counters, store
+    /// cells, and those of a wire front end serving this apiserver.
+    /// Without the reclaim, every tenant control plane ever attached would
+    /// leave its cells behind — a label-space leak that grows without
+    /// bound under tenant onboarding/teardown churn.
     pub fn detach_observability(&self) {
         if let Some(hook) = self.obs.write().take() {
-            hook.requests.remove_label_value("server", &hook.scope);
-            hook.duration.remove_label_value("server", &hook.scope);
+            hook.registry.remove_label_value("server", &hook.scope);
         }
+    }
+
+    /// The registry and `server` label this apiserver reports under, while
+    /// attached. A front end serving this apiserver binds its own cells
+    /// there, so one scrape covers both.
+    pub fn metrics_registry(&self) -> Option<(Arc<MetricsRegistry>, String)> {
+        let hook = self.obs.read().clone()?;
+        Some((Arc::clone(&hook.registry), hook.scope.clone()))
     }
 
     /// Records a client-side wait (e.g. rate-limiter throttling before a

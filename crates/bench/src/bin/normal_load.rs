@@ -16,9 +16,7 @@ use vc_api::object::ResourceKind;
 use vc_api::pod::PodConditionType;
 use vc_bench::calibration::{paper_framework, paper_super_cluster};
 use vc_bench::load::{robustness_counters, stress_pod};
-use vc_bench::report::{
-    dump_metrics_json, heading, mean, paper_vs_measured, print_robustness, record_store_metrics,
-};
+use vc_bench::report::{dump_metrics_json, heading, mean, paper_vs_measured, print_robustness};
 use vc_client::Client;
 use vc_controllers::util::wait_until;
 use vc_core::framework::Framework;
@@ -72,7 +70,6 @@ fn main() {
     let added = mean(&vc) - mean(&baseline);
     paper_vs_measured("syncer-added delay under normal load", "~1-2ms", &format!("{added:.1}ms"));
     println!("\n(note: the measurement includes informer event delivery in both directions; anything under ~10ms is 'negligible in typical Kubernetes use cases' per the paper.)");
-    record_store_metrics(&fw.obs().registry, "super", fw.super_cluster.apiserver.store());
     dump_metrics_json("normal_load", &fw.obs().registry);
     fw.shutdown();
 }

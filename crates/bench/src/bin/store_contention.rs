@@ -28,9 +28,7 @@ use vc_api::error::ApiResult;
 use vc_api::object::{Object, ResourceKind};
 use vc_api::pod::Pod;
 use vc_bench::baseline_store::CoarseStore;
-use vc_bench::report::{
-    dump_metrics_json, heading, percentile, record_store_metrics, WatchReceiver,
-};
+use vc_bench::report::{dump_metrics_json, heading, percentile, WatchReceiver};
 use vc_obs::MetricsRegistry;
 use vc_store::{Store, WatchEvent};
 
@@ -304,7 +302,7 @@ fn main() {
     let registry = MetricsRegistry::new();
     record(&registry, "coarse", &coarse);
     record(&registry, "sharded", &sharded);
-    record_store_metrics(&registry, "sharded", &store);
+    vc_apiserver::publish_store_metrics(&store, &registry, "sharded");
     let improvement = registry.gauge(
         "vc_store_bench_improvement_x10",
         "Improvement of sharded over coarse (ratio x10, integer).",

@@ -140,72 +140,6 @@ impl WatchReceiver for crossbeam::channel::Receiver<vc_store::WatchEvent> {
     }
 }
 
-/// Copies a [`vc_store::Store`]'s counters and incremental accounting into
-/// `registry` under the `vc_store_*` families (labeled by `server`), so
-/// bench metric snapshots capture store-level behavior — writes, watch
-/// fan-out volume, and the eviction/sweep split (`reason="overflow"` are
-/// watchers evicted for falling behind, `reason="swept"` dead watchers
-/// removed during publish fan-out).
-///
-/// Call once per store at the end of a run, immediately before
-/// [`dump_metrics_json`]: the registry cells are set to the counters'
-/// final values.
-pub fn record_store_metrics(registry: &MetricsRegistry, server: &str, store: &vc_store::Store) {
-    let writes = registry.counter(
-        "vc_store_writes_total",
-        "Store writes (insert/update/delete) performed.",
-        &["server"],
-    );
-    writes.with(&[server]).add(store.writes.get());
-    let delivered = registry.counter(
-        "vc_store_events_delivered_total",
-        "Watch events fanned out to watchers (replay + live).",
-        &["server"],
-    );
-    delivered.with(&[server]).add(store.events_delivered.get());
-    let evicted = registry.counter(
-        "vc_store_watchers_evicted_total",
-        "Watchers removed from the registry, by reason: overflow = fell \
-         behind (buffer full), swept = consumer dropped the stream.",
-        &["server", "reason"],
-    );
-    evicted.with(&[server, "overflow"]).add(store.watchers_evicted.get());
-    evicted.with(&[server, "swept"]).add(store.watchers_swept.get());
-    let objects =
-        registry.gauge("vc_store_objects", "Objects currently stored (all kinds).", &["server"]);
-    objects.with(&[server]).set(store.len() as i64);
-    let bytes = registry.gauge(
-        "vc_store_bytes",
-        "Estimated serialized size of stored objects (incremental accounting).",
-        &["server"],
-    );
-    bytes.with(&[server]).set(store.estimated_bytes() as i64);
-    let revision = registry.gauge("vc_store_revision", "Current store revision.", &["server"]);
-    revision.with(&[server]).set(store.revision() as i64);
-    if let Some(wal) = store.wal_stats() {
-        let ops = registry.counter(
-            "vc_store_wal_ops_total",
-            "Durable-tier WAL operations: record appends, group-commit \
-             fsyncs, snapshots written, and the two failure counters \
-             (flush_failure = a group-commit fsync failed, after which the \
-             fail-stop WAL errors every durable write; snapshot_failure = \
-             an auto-snapshot attempt failed and the WAL keeps growing).",
-            &["server", "op"],
-        );
-        ops.with(&[server, "append"]).add(wal.appends.get());
-        ops.with(&[server, "fsync"]).add(wal.fsyncs.get());
-        ops.with(&[server, "snapshot"]).add(wal.snapshots.get());
-        ops.with(&[server, "flush_failure"]).add(wal.flush_failures.get());
-        ops.with(&[server, "snapshot_failure"]).add(wal.snapshot_failures.get());
-        let wal_bytes = registry.counter(
-            "vc_store_wal_bytes_appended_total",
-            "Durable-tier WAL frame bytes appended (headers + payloads).",
-            &["server"],
-        );
-        wal_bytes.with(&[server]).add(wal.bytes_appended.get());
-    }
-}
-
 /// Writes a JSON [`MetricsReport`] of `registry` to
 /// `$VC_BENCH_JSON_DIR/BENCH_<label>_metrics.json` and returns the path.
 /// A no-op returning `None` when `VC_BENCH_JSON_DIR` is unset (normal

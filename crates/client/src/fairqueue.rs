@@ -52,8 +52,6 @@ struct SubQueue<T> {
 struct FqState<T> {
     /// Tenant name -> sub-queue (fair mode).
     subqueues: HashMap<String, SubQueue<T>>,
-    /// Registration order (metrics / `tenant_lens` reporting).
-    order: Vec<String>,
     /// Active-tenant ring: tenants with non-empty, non-paused sub-queues,
     /// each at most once. The front tenant is served until its WRR credit
     /// runs out, then rotated to the back; a drained tenant just leaves.
@@ -112,7 +110,6 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         WeightedFairQueue {
             state: Mutex::new(FqState {
                 subqueues: HashMap::new(),
-                order: Vec::new(),
                 ring: VecDeque::new(),
                 fifo: VecDeque::new(),
                 core: CoalesceCore::new(),
@@ -372,22 +369,6 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         self.state.lock().subqueues.len()
     }
 
-    /// Pending items per registered tenant, in round-robin visiting order
-    /// (empty in unfair mode). One lock acquisition — the coherent
-    /// all-tenants view the per-tenant queue-depth metrics are built
-    /// from, where a `tenant_len` loop would tear across dequeues.
-    pub fn tenant_lens(&self) -> Vec<(String, usize)> {
-        let state = self.state.lock();
-        state
-            .order
-            .iter()
-            .map(|tenant| {
-                let len = state.subqueues.get(tenant).map_or(0, |s| s.items.len());
-                (tenant.clone(), len)
-            })
-            .collect()
-    }
-
     /// Shuts down; blocked `get`s drain then return `None`.
     pub fn shutdown(&self) {
         self.state.lock().shutdown = true;
@@ -405,7 +386,6 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
                     in_ring: false,
                 },
             );
-            state.order.push(tenant.to_string());
         }
     }
 
@@ -445,7 +425,6 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
 
     fn drop_tenant(state: &mut FqState<T>, tenant: &str) {
         state.subqueues.remove(tenant);
-        state.order.retain(|t| t != tenant);
         state.ring.retain(|t| t != tenant);
         state.defunct.remove(tenant);
     }
@@ -765,20 +744,6 @@ mod tests {
         assert_eq!(q.try_get(), None);
         q.resume_tenant("sick");
         assert_eq!(q.try_get(), Some("s0"));
-    }
-
-    #[test]
-    fn tenant_lens_reports_all_subqueues() {
-        let q = WeightedFairQueue::new(true);
-        q.add("a", "a0");
-        q.add("a", "a1");
-        q.add("b", "b0");
-        let _ = q.try_get(); // drains a0
-        assert_eq!(q.tenant_lens(), vec![("a".to_string(), 1), ("b".to_string(), 1)]);
-
-        let fifo = WeightedFairQueue::new(false);
-        fifo.add("a", "a0");
-        assert!(fifo.tenant_lens().is_empty(), "unfair mode has no sub-queues");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   while their watches and deadlines are quiet,
 //! * [`workqueue::WorkQueue`] — deduplicating FIFO with client-go's
 //!   dirty/processing protocol and delayed delivery
-//!   ([`workqueue::WorkQueue::add_after`]), plus
-//!   [`workqueue::RateLimitingQueue`]'s per-item exponential backoff,
+//!   ([`workqueue::WorkQueue::add_after`]), plus the per-item exponential
+//!   [`workqueue::BackoffPolicy`],
 //! * [`fairqueue::WeightedFairQueue`] — the paper's fair-queuing extension:
 //!   per-tenant sub-queues dispatched by weighted round-robin (§III-C),
 //! * [`faults::FaultInjector`] — deterministic request-level fault injection
@@ -35,4 +35,4 @@ pub use fairqueue::WeightedFairQueue;
 pub use faults::{FaultAction, FaultInjector, FaultPolicy, FaultRule};
 pub use informer::{Cache, InformerConfig, InformerEvent, SharedInformer};
 pub use surface::{Encoding, ObjectApi, WatchHandle};
-pub use workqueue::{BackoffPolicy, RateLimitingQueue, WorkQueue};
+pub use workqueue::{BackoffPolicy, WorkQueue};

@@ -18,12 +18,11 @@
 //! per wakeup, amortizing lock and condvar traffic under bursty load.
 //!
 //! [`WorkQueue::add_after`] delivers an item after a delay on the queue's
-//! clock, and [`RateLimitingQueue`] adds client-go's per-item exponential
-//! backoff on top — the retry machinery reconcilers use when an apiserver
-//! write conflicts or fails transiently.
+//! clock; [`BackoffPolicy`] is client-go's per-item exponential backoff
+//! schedule for the delays of retried items.
 
 use crate::coalesce::{CoalesceCore, Offer};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -299,43 +298,6 @@ impl BackoffPolicy {
     }
 }
 
-/// Work queue with per-item exponential backoff retries, delivered through
-/// [`WorkQueue::add_after`] on the target's clock.
-pub struct RateLimitingQueue<T: Eq + Hash + Clone + Send + 'static> {
-    target: Arc<WorkQueue<T>>,
-    failures: Mutex<HashMap<T, u32>>,
-    policy: BackoffPolicy,
-}
-
-impl<T: Eq + Hash + Clone + Send + 'static> RateLimitingQueue<T> {
-    /// Creates a rate-limiting queue feeding `target` under `policy`.
-    pub fn with_policy(target: Arc<WorkQueue<T>>, policy: BackoffPolicy) -> Self {
-        RateLimitingQueue { target, failures: Mutex::new(HashMap::new()), policy }
-    }
-
-    /// Re-queues `item` after its next backoff delay.
-    pub fn add_rate_limited(&self, item: T) {
-        let delay = {
-            let mut failures = self.failures.lock();
-            let count = failures.entry(item.clone()).or_insert(0);
-            let delay = self.policy.delay(*count);
-            *count += 1;
-            delay
-        };
-        self.target.add_after(item, delay);
-    }
-
-    /// Clears `item`'s failure history (call after a successful reconcile).
-    pub fn forget(&self, item: &T) {
-        self.failures.lock().remove(item);
-    }
-
-    /// Number of consecutive failures recorded for `item`.
-    pub fn num_requeues(&self, item: &T) -> u32 {
-        self.failures.lock().get(item).copied().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,22 +434,6 @@ mod tests {
         assert_eq!(p.delay(2), Duration::from_millis(40));
         assert_eq!(p.delay(3), Duration::from_millis(50), "capped");
         assert_eq!(p.delay(30), Duration::from_millis(50), "no overflow");
-    }
-
-    #[test]
-    fn rate_limited_retries_grow_and_forget_resets() {
-        let target = Arc::new(WorkQueue::new());
-        let rlq = RateLimitingQueue::with_policy(
-            Arc::clone(&target),
-            BackoffPolicy { base: Duration::from_millis(5), max: Duration::from_millis(40) },
-        );
-        rlq.add_rate_limited("x");
-        assert_eq!(rlq.num_requeues(&"x"), 1);
-        rlq.add_rate_limited("x");
-        assert_eq!(rlq.num_requeues(&"x"), 2);
-        rlq.forget(&"x");
-        assert_eq!(rlq.num_requeues(&"x"), 0);
-        assert!(target.get_timeout(Duration::from_secs(1)).is_some());
     }
 
     #[test]

@@ -30,11 +30,11 @@ use vc_api::error::ApiError;
 use vc_api::metrics::{BusyTimer, Counter, Gauge, Histogram};
 use vc_api::object::ResourceKind;
 use vc_api::pod::PodConditionType;
-use vc_api::time::{Clock, RealClock, Timestamp};
+use vc_api::time::{waker_fn, Clock, RealClock, Timestamp};
 use vc_client::reflector::{Pool, Timer};
 use vc_client::{
-    BackoffPolicy, Client, InformerConfig, InformerEvent, RateLimitingQueue, SharedInformer,
-    WeightedFairQueue, WorkQueue,
+    BackoffPolicy, Client, InformerConfig, InformerEvent, SharedInformer, WeightedFairQueue,
+    WorkQueue,
 };
 use vc_controllers::util::{retry_on_conflict, ControllerHandle};
 use vc_obs::{
@@ -426,12 +426,11 @@ pub struct Syncer {
     /// The upward worker that propagates a deletion consumes its entry;
     /// without one an absent super pod is not a reason to delete anything.
     pub(crate) recent_super_deletions: Mutex<HashMap<String, Option<String>>>,
-    /// Failed downward items awaiting retry: each item waits out its
-    /// per-item exponential backoff, then lands on `retry_ready` for the
-    /// pump to re-validate and re-queue.
-    pub(crate) retry_queue: RateLimitingQueue<WorkItem>,
-    /// Conveyor between the backoff queue and the retry pump.
-    retry_ready: Arc<WorkQueue<WorkItem>>,
+    /// Consecutive failures per downward item: the exponent of its next
+    /// backoff, spent against the retry budget, cleared on success.
+    retry_failures: Mutex<HashMap<WorkItem, u32>>,
+    /// This syncer, for the retry timers that deliver into it.
+    this: Weak<Syncer>,
     /// Items that exhausted their retry budget; parked here until the
     /// periodic scanner re-validates and re-queues (or drops) them.
     dead_letter: Mutex<HashSet<WorkItem>>,
@@ -543,16 +542,11 @@ impl Syncer {
             &["tenant"],
         );
 
-        let retry_ready: Arc<WorkQueue<WorkItem>> =
-            Arc::new(WorkQueue::with_clock(Arc::clone(&clock)));
         let syncer = Arc::new_cyclic(|syncer: &Weak<Syncer>| Syncer {
             downward: Arc::new(WeightedFairQueue::new(config.fair_queuing)),
             upward: Arc::new(WorkQueue::with_clock(Arc::clone(&clock))),
-            retry_queue: RateLimitingQueue::with_policy(
-                Arc::clone(&retry_ready),
-                config.retry_backoff.clone(),
-            ),
-            retry_ready,
+            retry_failures: Mutex::new(HashMap::new()),
+            this: syncer.clone(),
             dead_letter: Mutex::new(HashSet::new()),
             policy_blocked_items: Mutex::new(HashMap::new()),
             breakers: Mutex::new(HashMap::new()),
@@ -728,38 +722,12 @@ impl Syncer {
                 }
             });
         }
-        // Retry pump: blocks on the backed-off conveyor (no polling) and
-        // re-validates each due item before it re-enters the downward
-        // queue — items whose tenant has been unregistered or hibernated
-        // since the failure are dropped instead of leaking into the queue.
-        {
-            let syncer_ref = Arc::clone(&syncer);
-            let retry_ready = Arc::clone(&syncer.retry_ready);
-            handle.add_thread(
-                std::thread::Builder::new()
-                    .name("syncer-retry-pump".into())
-                    .spawn(move || {
-                        while let Some(item) = retry_ready.get() {
-                            retry_ready.done(&item);
-                            if !syncer_ref.tenants.read().contains_key(&item.tenant) {
-                                syncer_ref.retry_queue.forget(&item);
-                                continue;
-                            }
-                            let tenant = item.tenant.clone();
-                            syncer_ref.downward.add(&tenant, item);
-                        }
-                    })
-                    .expect("spawn retry pump"),
-            );
-        }
         {
             let downward = Arc::clone(&syncer.downward);
             let upward = Arc::clone(&syncer.upward);
-            let retry_ready = Arc::clone(&syncer.retry_ready);
             handle.on_stop(move || {
                 downward.shutdown();
                 upward.shutdown();
-                retry_ready.shutdown();
             });
         }
         *syncer.handle.lock() = Some(handle);
@@ -796,13 +764,17 @@ impl Syncer {
     }
 
     /// Schedules a failed downward item for retry under its per-item
-    /// exponential backoff. An item that has already consumed its retry
-    /// budget is dead-lettered instead: parked until the periodic scanner
-    /// re-validates it (so a persistently failing object cannot occupy the
-    /// retry pipeline forever).
+    /// exponential backoff: a timer on the syncer clock delivers it back
+    /// into the downward queue. An item that has already consumed its
+    /// retry budget is dead-lettered instead: parked until the periodic
+    /// scanner re-validates it (so a persistently failing object cannot
+    /// occupy the retry pipeline forever).
     pub(crate) fn requeue_downward(&self, item: WorkItem) {
-        if self.retry_queue.num_requeues(&item) >= self.config.retry_budget {
-            self.retry_queue.forget(&item);
+        let mut failures = self.retry_failures.lock();
+        let count = failures.entry(item.clone()).or_insert(0);
+        if *count >= self.config.retry_budget {
+            failures.remove(&item);
+            drop(failures);
             let mut dead = self.dead_letter.lock();
             if dead.insert(item) {
                 self.metrics.retry_exhausted.inc();
@@ -810,8 +782,35 @@ impl Syncer {
             }
             return;
         }
+        let delay = self.config.retry_backoff.delay(*count);
+        *count += 1;
+        drop(failures);
         self.metrics.retries.inc();
-        self.retry_queue.add_rate_limited(item);
+        let syncer = self.this.clone();
+        let item = Mutex::new(Some(item));
+        let deliver = waker_fn(move || {
+            if let (Some(syncer), Some(item)) = (syncer.upgrade(), item.lock().take()) {
+                syncer.deliver_retry(item);
+            }
+        });
+        self.clock.wake_at(self.clock.now().add(delay), deliver);
+    }
+
+    /// Re-queues a backed-off item once its delay has passed — unless its
+    /// tenant was unregistered or hibernated since the failure, in which
+    /// case the item and its failure count are dropped instead of leaking
+    /// into the queue.
+    fn deliver_retry(&self, item: WorkItem) {
+        if !self.tenants.read().contains_key(&item.tenant) {
+            self.forget_failures(&item);
+            return;
+        }
+        let tenant = item.tenant.clone();
+        self.downward.add(&tenant, item);
+    }
+
+    fn forget_failures(&self, item: &WorkItem) {
+        self.retry_failures.lock().remove(item);
     }
 
     /// Routes a downward item rejected by an admission policy straight to
@@ -824,7 +823,7 @@ impl Syncer {
     /// VC so the denial is visible on its dashboard.
     pub(crate) fn dead_letter_policy_blocked(&self, item: WorkItem, err: &ApiError) {
         let tenant = item.tenant.clone();
-        self.retry_queue.forget(&item);
+        self.forget_failures(&item);
         {
             let mut dead = self.dead_letter.lock();
             if dead.insert(item.clone()) {
@@ -858,7 +857,7 @@ impl Syncer {
     /// condition is lowered — the tenant corrected (or deleted) the
     /// offending object.
     pub(crate) fn forget_retries(&self, item: &WorkItem) {
-        self.retry_queue.forget(item);
+        self.forget_failures(item);
         let unblocked = {
             let mut blocked = self.policy_blocked_items.lock();
             if blocked.is_empty() {
@@ -916,7 +915,7 @@ impl Syncer {
             ready
         };
         for item in drained {
-            self.retry_queue.forget(&item);
+            self.forget_failures(&item);
             let tenant = item.tenant.clone();
             self.downward.add(&tenant, item);
         }
@@ -1860,8 +1859,7 @@ impl Syncer {
             let Some(stats) = self.tenant_stats_with_slow(&tenant, slow_ops) else {
                 continue; // unregistered or hibernated since marked
             };
-            // Per-tenant depth reads instead of a tenant_lens() walk. Kept
-            // behind the registration check: re-creating the cell for a
+            // Kept behind the registration check: re-creating the cell for a
             // tenant that was just torn down would undo the label-space
             // reclamation unregister_tenant performs.
             self.tenant_queue_depth.with(&[&tenant]).set(self.downward.tenant_len(&tenant) as i64);
@@ -1909,5 +1907,79 @@ impl Drop for Syncer {
         if let Some(mut handle) = self.handle.lock().take() {
             handle.stop();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::framework::{Framework, FrameworkConfig};
+    use vc_api::time::SimClock;
+
+    #[test]
+    fn retries_back_off_within_budget_and_forget_resets() {
+        let clock = SimClock::new();
+        let mut config = FrameworkConfig::minimal();
+        config.clock = Some(clock.clone() as _);
+        config.syncer.scan_interval = None;
+        config.syncer.retry_backoff =
+            BackoffPolicy { base: Duration::from_millis(5), max: Duration::from_millis(40) };
+        config.syncer.retry_budget = 3;
+        let fw = Framework::start(config);
+        fw.create_tenant("t").unwrap();
+        let syncer = &fw.syncer;
+        let item = |tenant: &str| WorkItem {
+            tenant: tenant.to_string(),
+            kind: ResourceKind::ConfigMap,
+            key: "default/x".to_string(),
+        };
+        let failures = |item: &WorkItem| syncer.retry_failures.lock().get(item).copied();
+        // Every delivery into the downward queue is an add or, while the
+        // item is still pending, a dedup.
+        let delivered = || syncer.downward.adds.get() + syncer.downward.deduped.get();
+
+        // Three failures inside the budget arm 5, 10 and 20 ms timers.
+        let x = item("t");
+        for n in 1..=3 {
+            syncer.requeue_downward(x.clone());
+            assert_eq!(failures(&x), Some(n));
+        }
+        assert_eq!(syncer.metrics.retries.get(), 3);
+        // A failure past the budget dead-letters and clears the count.
+        syncer.requeue_downward(x.clone());
+        assert_eq!(syncer.metrics.retries.get(), 3);
+        assert_eq!(syncer.metrics.retry_exhausted.get(), 1);
+        assert_eq!(syncer.dead_letter_len(), 1);
+        assert_eq!(failures(&x), None);
+
+        let before = delivered();
+        clock.advance(Duration::from_millis(4));
+        assert_eq!(delivered(), before, "no retry is delivered early");
+        clock.advance(Duration::from_millis(1));
+        assert_eq!(delivered(), before + 1, "the 5 ms retry is due");
+        clock.advance(Duration::from_millis(5));
+        assert_eq!(delivered(), before + 2, "the 10 ms retry is due");
+        clock.advance(Duration::from_millis(9));
+        assert_eq!(delivered(), before + 2, "the 20 ms retry is not");
+        clock.advance(Duration::from_millis(1));
+        assert_eq!(delivered(), before + 3);
+
+        // Success forgets the failures: the next backoff starts at the base.
+        let y = WorkItem { key: "default/y".to_string(), ..x };
+        syncer.requeue_downward(y.clone());
+        syncer.requeue_downward(y.clone());
+        assert_eq!(failures(&y), Some(2));
+        syncer.forget_retries(&y);
+        assert_eq!(failures(&y), None);
+        clock.advance(Duration::from_millis(40));
+
+        // An item whose tenant went away is dropped, and forgotten, at delivery.
+        let gone = item("gone");
+        syncer.requeue_downward(gone.clone());
+        let before = delivered();
+        clock.advance(Duration::from_millis(5));
+        assert_eq!(delivered(), before, "no delivery for an unregistered tenant");
+        assert_eq!(failures(&gone), None);
+        fw.shutdown();
     }
 }

@@ -91,25 +91,26 @@ pub struct RecoveryReport {
 }
 
 /// Monotonic counters describing durable-tier activity, readable while
-/// the store runs (all atomic).
+/// the store runs (all atomic). Each is a shared cell a metrics registry
+/// binds once.
 #[derive(Debug, Default)]
 pub struct WalStats {
     /// Records appended to the WAL.
-    pub appends: Counter,
+    pub appends: Arc<Counter>,
     /// Batches written and fsynced (batches, not records; a flush that
     /// finds nothing pending is not one).
-    pub fsyncs: Counter,
+    pub fsyncs: Arc<Counter>,
     /// Frame bytes appended (headers + payloads).
-    pub bytes_appended: Counter,
+    pub bytes_appended: Arc<Counter>,
     /// Snapshots successfully written.
-    pub snapshots: Counter,
+    pub snapshots: Arc<Counter>,
     /// Group-commit flushes that failed. The WAL is fail-stop, so after
     /// the first real failure every durable write errors out.
-    pub flush_failures: Counter,
+    pub flush_failures: Arc<Counter>,
     /// Auto-snapshot attempts that failed (cut or write error). A
     /// persistently failing snapshot means the WAL keeps growing until
     /// one succeeds — watch this counter.
-    pub snapshot_failures: Counter,
+    pub snapshot_failures: Arc<Counter>,
 }
 
 /// One frame payload inside a snapshot file: metadata first, then the

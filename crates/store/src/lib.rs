@@ -58,7 +58,7 @@ use durability::{Durability, SnapshotData};
 use shard::Shard;
 use std::sync::Arc;
 use vc_api::error::{ApiError, ApiResult};
-use vc_api::metrics::Counter;
+use vc_api::metrics::{Counter, Gauge};
 use vc_api::object::{Object, ResourceKind};
 use vc_api::time::Clock;
 use vc_sync::atomic::{AtomicU64, Ordering};
@@ -130,23 +130,25 @@ pub struct Store {
     shards: Vec<Shard>,
     /// Store-wide revision allocator; the next write gets `revision + 1`.
     revision: AtomicU64,
-    /// Incrementally maintained object count (all kinds).
-    object_count: AtomicU64,
-    /// Incrementally maintained estimated byte total (all kinds).
-    bytes: AtomicU64,
     config: StoreConfig,
     /// Durable tier (WAL + snapshots); `None` for the in-memory store.
     durability: Option<Arc<Durability>>,
+    // The counters and levels below are shared cells: a metrics registry
+    // binds them once and reads the values the store itself updates.
+    /// Incrementally maintained object count (all kinds).
+    pub objects: Arc<Gauge>,
+    /// Incrementally maintained estimated byte total (all kinds).
+    pub bytes: Arc<Gauge>,
     /// Total writes (insert/update/delete) performed.
-    pub writes: Counter,
+    pub writes: Arc<Counter>,
     /// Total watch events fanned out to watchers (replay + live).
-    pub events_delivered: Counter,
+    pub events_delivered: Arc<Counter>,
     /// Watchers evicted for falling behind (live fan-out buffer overflow,
     /// or a replay backlog that exceeds the watcher buffer).
-    pub watchers_evicted: Counter,
+    pub watchers_evicted: Arc<Counter>,
     /// Dead watchers (consumer dropped its stream) swept out of the
     /// registry during publish fan-out or [`Store::watcher_count`].
-    pub watchers_swept: Counter,
+    pub watchers_swept: Arc<Counter>,
 }
 
 impl Default for Store {
@@ -160,9 +162,9 @@ impl std::fmt::Debug for Store {
     /// safe to log a store from code paths already holding one.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
-            .field("objects", &self.object_count.load(Ordering::Relaxed))
+            .field("objects", &self.objects.get())
             .field("revision", &self.revision.load(Ordering::Relaxed))
-            .field("estimated_bytes", &self.bytes.load(Ordering::Relaxed))
+            .field("estimated_bytes", &self.bytes.get())
             .field("writes", &self.writes.get())
             .field("events_delivered", &self.events_delivered.get())
             .field("watchers_evicted", &self.watchers_evicted.get())
@@ -185,14 +187,14 @@ impl Store {
         Store {
             shards: (0..SHARD_COUNT).map(|_| shard::new_shard()).collect(),
             revision: AtomicU64::new(0),
-            object_count: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
             config,
             durability: None,
-            writes: Counter::new(),
-            events_delivered: Counter::new(),
-            watchers_evicted: Counter::new(),
-            watchers_swept: Counter::new(),
+            objects: Arc::default(),
+            bytes: Arc::default(),
+            writes: Arc::default(),
+            events_delivered: Arc::default(),
+            watchers_evicted: Arc::default(),
+            watchers_swept: Arc::default(),
         }
     }
 
@@ -213,7 +215,7 @@ impl Store {
 
     /// Returns the number of stored objects (all kinds). Lock-free.
     pub fn len(&self) -> usize {
-        self.object_count.load(Ordering::Relaxed) as usize
+        self.objects.get().max(0) as usize
     }
 
     /// Returns `true` if the store holds no objects.
@@ -265,7 +267,7 @@ impl Store {
                 };
                 let arc = Arc::new(obj);
                 state.index_insert(key, Arc::clone(&arc));
-                self.object_count.fetch_add(1, Ordering::Relaxed);
+                self.objects.inc();
                 self.writes.inc();
                 let event =
                     WatchEvent { revision, event_type: EventType::Added, object: Arc::clone(&arc) };
@@ -278,9 +280,9 @@ impl Store {
             },
         )?;
         // Size estimation serializes the object — done after the shard lock
-        // is released; the atomics only need exact deltas, not lock-step
+        // is released; the gauge only needs exact deltas, not lock-step
         // timing with the map.
-        self.bytes.fetch_add(arc.estimated_size() as u64, Ordering::Relaxed);
+        self.bytes.add(arc.estimated_size() as i64);
         self.durable_ack(wal_ack)?;
         Ok(arc)
     }
@@ -362,8 +364,7 @@ impl Store {
                 (arc, old)
             },
         )?;
-        self.bytes.fetch_add(arc.estimated_size() as u64, Ordering::Relaxed);
-        self.bytes.fetch_sub(old.estimated_size() as u64, Ordering::Relaxed);
+        self.bytes.add(arc.estimated_size() as i64 - old.estimated_size() as i64);
         self.durable_ack(wal_ack)?;
         Ok(arc)
     }
@@ -406,7 +407,7 @@ impl Store {
                     None => self.next_revision(),
                 };
                 let removed = state.index_remove(key).expect("checked present above");
-                self.object_count.fetch_sub(1, Ordering::Relaxed);
+                self.objects.dec();
                 self.writes.inc();
                 let event = WatchEvent {
                     revision,
@@ -421,7 +422,7 @@ impl Store {
                 removed
             },
         )?;
-        self.bytes.fetch_sub(removed.estimated_size() as u64, Ordering::Relaxed);
+        self.bytes.add(-(removed.estimated_size() as i64));
         self.durable_ack(wal_ack)?;
         Ok(removed)
     }
@@ -549,7 +550,7 @@ impl Store {
     /// memory accounting). Maintained incrementally on writes — reading it
     /// is a single atomic load, no locks and no per-object walk.
     pub fn estimated_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed) as usize
+        self.bytes.get().max(0) as usize
     }
 
     /// Delivers `event` to every interested watcher, evicting full ones
@@ -622,8 +623,8 @@ impl Store {
                 let kind = arc.kind();
                 let key = arc.key();
                 let mut state = store.shards[kind as usize].state();
-                store.bytes.fetch_add(arc.estimated_size() as u64, Ordering::Relaxed);
-                store.object_count.fetch_add(1, Ordering::Relaxed);
+                store.bytes.add(arc.estimated_size() as i64);
+                store.objects.inc();
                 state.index_insert(key, arc);
             }
             for (revision, op, object) in snapshot.events {
@@ -662,21 +663,17 @@ impl Store {
         let event_object = match entry.op {
             WalOp::Insert | WalOp::Update => {
                 let arc = Arc::new(entry.object);
-                self.bytes.fetch_add(arc.estimated_size() as u64, Ordering::Relaxed);
+                self.bytes.add(arc.estimated_size() as i64);
                 match state.index_insert(key, Arc::clone(&arc)) {
-                    Some(old) => {
-                        self.bytes.fetch_sub(old.estimated_size() as u64, Ordering::Relaxed);
-                    }
-                    None => {
-                        self.object_count.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Some(old) => self.bytes.add(-(old.estimated_size() as i64)),
+                    None => self.objects.inc(),
                 }
                 arc
             }
             WalOp::Delete => {
                 if let Some(removed) = state.index_remove(&key) {
-                    self.bytes.fetch_sub(removed.estimated_size() as u64, Ordering::Relaxed);
-                    self.object_count.fetch_sub(1, Ordering::Relaxed);
+                    self.bytes.add(-(removed.estimated_size() as i64));
+                    self.objects.dec();
                 }
                 Arc::new(entry.object)
             }

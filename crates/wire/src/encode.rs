@@ -19,18 +19,20 @@
 //! Eviction is revision-ordered: revisions only grow, and old revisions
 //! stop being referenced as soon as newer state lands, so when the cache
 //! exceeds its byte budget it drops the lowest revisions first — an LRU
-//! approximation with no per-hit bookkeeping on the read path. Evictions
-//! and the live byte total are exported as `vc_wire_encode_cache_bytes` /
-//! `vc_wire_encode_cache_evictions`.
+//! approximation with no per-hit bookkeeping on the read path. Lookups,
+//! evictions and the live byte total are exported as
+//! `vc_wire_encode_cache_lookups_total`, `vc_wire_encode_cache_evictions_total`
+//! and `vc_wire_encode_cache_bytes`.
 
 use crate::codec;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vc_api::metrics::Counter;
+use vc_api::metrics::{Counter, Gauge};
 use vc_api::object::Object;
 use vc_client::Encoding;
+use vc_obs::registry::MetricsRegistry;
 
 /// Default bound on total cached encoding bytes across both codecs.
 pub const DEFAULT_ENCODE_CACHE_BYTES: usize = 32 * 1024 * 1024;
@@ -45,36 +47,58 @@ fn slot(encoding: Encoding) -> usize {
     }
 }
 
-#[derive(Debug, Default)]
-struct CacheState {
-    entries: BTreeMap<u64, Entry>,
-    /// Sum of cached buffer lengths across every entry and codec.
-    bytes: usize,
-}
-
 /// A byte-bounded `(rv, codec)` → encoded-bytes cache.
 #[derive(Debug)]
 pub struct EncodeCache {
-    state: Mutex<CacheState>,
+    entries: Mutex<BTreeMap<u64, Entry>>,
     max_bytes: usize,
     /// Lookups served from the cache (the "serialized once" wins).
-    pub hits: Counter,
+    pub hits: Arc<Counter>,
     /// Lookups that had to serialize.
-    pub misses: Counter,
+    pub misses: Arc<Counter>,
     /// Entries dropped to stay under the byte budget.
-    pub evictions: Counter,
+    pub evictions: Arc<Counter>,
+    /// Sum of cached buffer lengths across every entry and codec; changed
+    /// only under the `entries` lock.
+    pub resident_bytes: Arc<Gauge>,
 }
 
 impl EncodeCache {
     /// Creates a cache bounded to `max_bytes` of cached encodings.
     pub fn new(max_bytes: usize) -> EncodeCache {
         EncodeCache {
-            state: Mutex::new(CacheState::default()),
+            entries: Mutex::new(BTreeMap::new()),
             max_bytes: max_bytes.max(1),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            evictions: Arc::default(),
+            resident_bytes: Arc::default(),
         }
+    }
+
+    /// Binds the cache's cells into `registry`, labeled by `server`.
+    pub fn publish_metrics(&self, registry: &MetricsRegistry, server: &str) {
+        let lookups = registry.counter(
+            "vc_wire_encode_cache_lookups_total",
+            "Memoized-encoding lookups (serialized-once hits vs misses).",
+            &["server", "outcome"],
+        );
+        lookups.bind(&[server, "hit"], Arc::clone(&self.hits));
+        lookups.bind(&[server, "miss"], Arc::clone(&self.misses));
+        registry
+            .counter(
+                "vc_wire_encode_cache_evictions_total",
+                "Encode-cache entries dropped to stay under the byte budget.",
+                &["server"],
+            )
+            .bind(&[server], Arc::clone(&self.evictions));
+        registry
+            .gauge(
+                "vc_wire_encode_cache_bytes",
+                "Bytes of cached encodings resident in the encode cache.",
+                &["server"],
+            )
+            .bind(&[server], Arc::clone(&self.resident_bytes));
     }
 
     /// The encoding of `obj` under `encoding`, memoized on its
@@ -85,7 +109,7 @@ impl EncodeCache {
         let rv = obj.meta().resource_version;
         let idx = slot(encoding);
         if rv > 0 {
-            if let Some(bytes) = self.state.lock().entries.get(&rv).and_then(|e| e[idx].clone()) {
+            if let Some(bytes) = self.entries.lock().get(&rv).and_then(|e| e[idx].clone()) {
                 self.hits.inc();
                 return bytes;
             }
@@ -105,20 +129,20 @@ impl EncodeCache {
             }
         };
         if rv > 0 {
-            let mut state = self.state.lock();
-            let entry = state.entries.entry(rv).or_default();
+            let mut entries = self.entries.lock();
+            let entry = entries.entry(rv).or_default();
             if entry[idx].is_none() {
                 entry[idx] = Some(encoded.clone());
-                state.bytes += encoded.len();
+                self.resident_bytes.add(encoded.len() as i64);
             }
-            while state.bytes > self.max_bytes && state.entries.len() > 1 {
+            while self.bytes() > self.max_bytes && entries.len() > 1 {
                 // Drop the lowest revision: monotone revisions make the
                 // low keys the entries least likely to be re-read. Keep
                 // the newest entry resident even if it alone exceeds the
                 // budget, so fan-out of the current revision still hits.
-                let Some((_, dropped)) = state.entries.pop_first() else { break };
-                state.bytes -=
-                    dropped.iter().flatten().map(Bytes::len).sum::<usize>().min(state.bytes);
+                let Some((_, dropped)) = entries.pop_first() else { break };
+                let freed: usize = dropped.iter().flatten().map(Bytes::len).sum();
+                self.resident_bytes.add(-(freed as i64));
                 self.evictions.inc();
             }
         }
@@ -127,7 +151,7 @@ impl EncodeCache {
 
     /// Cached revisions currently held.
     pub fn len(&self) -> usize {
-        self.state.lock().entries.len()
+        self.entries.lock().len()
     }
 
     /// Returns `true` when nothing is cached.
@@ -137,7 +161,7 @@ impl EncodeCache {
 
     /// Total bytes of cached encodings currently resident.
     pub fn bytes(&self) -> usize {
-        self.state.lock().bytes
+        self.resident_bytes.get() as usize
     }
 
     /// The configured byte budget.

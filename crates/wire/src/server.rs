@@ -113,45 +113,92 @@ impl Default for WireServerConfig {
     }
 }
 
-/// Wire-tier counters, published as `vc_wire_*` families by
-/// [`WireServer::publish_metrics`].
+/// Wire-tier counters and levels. Each is a shared cell that
+/// [`WireMetrics::publish_metrics`] binds into a registry once.
 #[derive(Debug, Default)]
 pub struct WireMetrics {
     /// Connections accepted.
-    pub connections_opened: Counter,
+    pub connections_opened: Arc<Counter>,
     /// Connections refused because `max_connections` was reached.
-    pub connections_rejected: Counter,
+    pub connections_rejected: Arc<Counter>,
     /// Connections currently open.
-    pub active_connections: Gauge,
+    pub active_connections: Arc<Gauge>,
     /// Unary requests served (all verbs, any status).
-    pub requests: Counter,
-    /// Unary requests answered in the binary codec (the remainder of
-    /// `requests` were JSON).
-    pub binary_requests: Counter,
+    pub requests: Arc<Counter>,
+    /// Unary requests answered in JSON.
+    pub json_requests: Arc<Counter>,
+    /// Unary requests answered in the binary codec.
+    pub binary_requests: Arc<Counter>,
     /// Approximate bytes read off sockets.
-    pub bytes_in: Counter,
+    pub bytes_in: Arc<Counter>,
     /// Bytes written to sockets.
-    pub bytes_out: Counter,
+    pub bytes_out: Arc<Counter>,
     /// Watch streams opened.
-    pub watch_streams: Counter,
+    pub watch_streams: Arc<Counter>,
     /// Watch streams currently live.
-    pub active_watches: Gauge,
+    pub active_watches: Arc<Gauge>,
     /// Watch events fanned out on the wire.
-    pub watch_events_sent: Counter,
+    pub watch_events_sent: Arc<Counter>,
     /// Watch chunks that carried more than one event (batched bursts).
-    pub watch_batches: Counter,
+    pub watch_batches: Arc<Counter>,
     /// Watchers degraded (slow-reader write timeout, or store-side
     /// overflow eviction surfaced as a terminal `RESYNC`).
-    pub degraded_watchers: Counter,
+    pub degraded_watchers: Arc<Counter>,
     /// Unary requests that timed out in the classing queue (`504`).
-    pub queue_timeouts: Counter,
+    pub queue_timeouts: Arc<Counter>,
     /// Unary requests executed inline on their connection thread (queue
     /// empty + inline slot free), skipping the dispatcher handoff.
-    pub inline_dispatches: Counter,
+    pub inline_dispatches: Arc<Counter>,
     /// Requests rejected at the identity gate: malformed or oversized
     /// `x-vc-user` values, and identity switches on a pinned keep-alive
     /// connection (spoofing attempts).
-    pub identity_rejections: Counter,
+    pub identity_rejections: Arc<Counter>,
+}
+
+impl WireMetrics {
+    /// Binds these cells into `registry` as the `vc_wire_*` families,
+    /// labeled by `server`. Lifetime totals are `*_total` counters; open
+    /// connections and live watches are gauges.
+    pub fn publish_metrics(&self, registry: &MetricsRegistry, server: &str) {
+        for (name, help, cell) in [
+            ("vc_wire_connections_total", "Connections accepted.", &self.connections_opened),
+            (
+                "vc_wire_connections_rejected_total",
+                "Connections refused.",
+                &self.connections_rejected,
+            ),
+            ("vc_wire_requests_total", "Unary requests served.", &self.requests),
+            ("vc_wire_watches_total", "Watch streams opened.", &self.watch_streams),
+            ("vc_wire_watchers_degraded_total", "Watchers dropped.", &self.degraded_watchers),
+            ("vc_wire_watch_events_total", "Watch events sent.", &self.watch_events_sent),
+            ("vc_wire_watch_batches_total", "Multi-event watch chunks.", &self.watch_batches),
+            ("vc_wire_queue_timeouts_total", "Classing-queue expiries.", &self.queue_timeouts),
+            ("vc_wire_inline_dispatches_total", "Requests run inline.", &self.inline_dispatches),
+            (
+                "vc_wire_identity_rejections_total",
+                "Identity-gate refusals.",
+                &self.identity_rejections,
+            ),
+        ] {
+            registry.counter(name, help, &["server"]).bind(&[server], Arc::clone(cell));
+        }
+        for (name, help, cell) in [
+            ("vc_wire_active_connections", "Connections open.", &self.active_connections),
+            ("vc_wire_active_watches", "Watch streams live.", &self.active_watches),
+        ] {
+            registry.gauge(name, help, &["server"]).bind(&[server], Arc::clone(cell));
+        }
+        let bytes = registry.counter("vc_wire_bytes_total", "Bytes moved.", &["server", "dir"]);
+        bytes.bind(&[server, "in"], Arc::clone(&self.bytes_in));
+        bytes.bind(&[server, "out"], Arc::clone(&self.bytes_out));
+        let by_codec = registry.counter(
+            "vc_wire_codec_requests_total",
+            "Unary requests served, by response codec.",
+            &["server", "codec"],
+        );
+        by_codec.bind(&[server, "json"], Arc::clone(&self.json_requests));
+        by_codec.bind(&[server, "vcbin"], Arc::clone(&self.binary_requests));
+    }
 }
 
 /// One queued unary request: the op plus the channel its connection
@@ -180,6 +227,9 @@ struct Inner {
     local_addr: SocketAddr,
     cache: EncodeCache,
     metrics: WireMetrics,
+    /// What `GET /metrics` renders: the attached apiserver's registry, or
+    /// one holding only this server's cells.
+    registry: Arc<MetricsRegistry>,
     queue: WeightedFairQueue<u64>,
     jobs: Mutex<HashMap<u64, UnaryJob>>,
     next_job: AtomicU64,
@@ -206,15 +256,23 @@ impl std::fmt::Debug for WireServer {
 impl WireServer {
     /// Binds `cfg.addr` and starts the acceptor plus dispatcher pool.
     ///
+    /// On an apiserver attached to observability, the server binds its
+    /// cells into that registry under the apiserver's `server` label, and
+    /// `GET /metrics` serves the whole registry; otherwise it serves a
+    /// registry of its own cells, labeled `server="wire"`.
+    ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn start(api: Arc<ApiServer>, cfg: WireServerConfig) -> std::io::Result<WireServer> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
+        let (registry, scope) =
+            api.metrics_registry().unwrap_or_else(|| (Arc::default(), "wire".to_string()));
         let inner = Arc::new(Inner {
             cache: EncodeCache::new(cfg.encode_cache_bytes),
             metrics: WireMetrics::default(),
+            registry,
             queue: WeightedFairQueue::new(cfg.fair),
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
@@ -228,6 +286,8 @@ impl WireServer {
             local_addr,
             cfg,
         });
+        inner.metrics.publish_metrics(&inner.registry, &scope);
+        inner.cache.publish_metrics(&inner.registry, &scope);
         let mut threads = Vec::new();
         for i in 0..inner.cfg.dispatch_workers.max(1) {
             let inner = inner.clone();
@@ -270,11 +330,11 @@ impl WireServer {
         self.inner.queue.set_weight(flow, weight);
     }
 
-    /// Publishes the `vc_wire_*` families into `registry`, labeled by
-    /// `server`. Gauge semantics (`set`) make repeated publication — e.g.
-    /// on every `/metrics` scrape — idempotent.
+    /// Binds this server's cells — its [`WireMetrics`] and encode cache —
+    /// into `registry` as well, labeled by `server`.
     pub fn publish_metrics(&self, registry: &MetricsRegistry, server: &str) {
-        self.inner.publish_metrics(registry, server)
+        self.inner.metrics.publish_metrics(registry, server);
+        self.inner.cache.publish_metrics(registry, server);
     }
 
     /// Stops accepting, tears down every connection, and joins all
@@ -306,98 +366,6 @@ impl Drop for WireServer {
 }
 
 impl Inner {
-    fn publish_metrics(&self, registry: &MetricsRegistry, server: &str) {
-        let m = &self.metrics;
-        let conns = registry.gauge(
-            "vc_wire_connections",
-            "Wire connections by state (opened/rejected are lifetime totals).",
-            &["server", "state"],
-        );
-        conns.with(&[server, "opened"]).set(m.connections_opened.get() as i64);
-        conns.with(&[server, "rejected"]).set(m.connections_rejected.get() as i64);
-        conns.with(&[server, "active"]).set(m.active_connections.get());
-        let bytes = registry.gauge("vc_wire_bytes", "Bytes moved on the wire.", &["server", "dir"]);
-        bytes.with(&[server, "in"]).set(m.bytes_in.get() as i64);
-        bytes.with(&[server, "out"]).set(m.bytes_out.get() as i64);
-        let reqs = registry.gauge("vc_wire_requests", "Unary requests served.", &["server"]);
-        reqs.with(&[server]).set(m.requests.get() as i64);
-        let by_codec = registry.gauge(
-            "vc_wire_codec_requests",
-            "Unary requests served, by negotiated response codec.",
-            &["server", "codec"],
-        );
-        let binary = m.binary_requests.get();
-        by_codec.with(&[server, "json"]).set(m.requests.get().saturating_sub(binary) as i64);
-        by_codec.with(&[server, "vcbin"]).set(binary as i64);
-        let cache = registry.gauge(
-            "vc_wire_encode_cache",
-            "Memoized-encoding lookups (serialized-once hits vs misses).",
-            &["server", "outcome"],
-        );
-        cache.with(&[server, "hit"]).set(self.cache.hits.get() as i64);
-        cache.with(&[server, "miss"]).set(self.cache.misses.get() as i64);
-        let cache_bytes = registry.gauge(
-            "vc_wire_encode_cache_bytes",
-            "Bytes of cached encodings resident in the encode cache.",
-            &["server"],
-        );
-        cache_bytes.with(&[server]).set(self.cache.bytes() as i64);
-        let cache_evict = registry.gauge(
-            "vc_wire_encode_cache_evictions",
-            "Encode-cache entries dropped to stay under the byte budget.",
-            &["server"],
-        );
-        cache_evict.with(&[server]).set(self.cache.evictions.get() as i64);
-        let watchers = registry.gauge(
-            "vc_wire_watchers",
-            "Watch streams by state (opened/degraded are lifetime totals).",
-            &["server", "state"],
-        );
-        watchers.with(&[server, "opened"]).set(m.watch_streams.get() as i64);
-        watchers.with(&[server, "active"]).set(m.active_watches.get());
-        watchers.with(&[server, "degraded"]).set(m.degraded_watchers.get() as i64);
-        let events = registry.gauge(
-            "vc_wire_watch_events",
-            "Watch events fanned out on the wire.",
-            &["server"],
-        );
-        events.with(&[server]).set(m.watch_events_sent.get() as i64);
-        let batches = registry.gauge(
-            "vc_wire_watch_batches",
-            "Watch chunks that carried more than one event.",
-            &["server"],
-        );
-        batches.with(&[server]).set(m.watch_batches.get() as i64);
-        let timeouts = registry.gauge(
-            "vc_wire_queue_timeouts",
-            "Unary requests expired in the classing queue.",
-            &["server"],
-        );
-        timeouts.with(&[server]).set(m.queue_timeouts.get() as i64);
-        let inline = registry.gauge(
-            "vc_wire_inline_dispatches",
-            "Unary requests executed inline on their connection thread \
-             (classing queue empty, inline slot free).",
-            &["server"],
-        );
-        inline.with(&[server]).set(m.inline_dispatches.get() as i64);
-        let identity = registry.gauge(
-            "vc_wire_identity_rejections",
-            "Requests rejected at the identity gate (malformed/oversized \
-             x-vc-user, or identity switch on a pinned connection).",
-            &["server"],
-        );
-        identity.with(&[server]).set(m.identity_rejections.get() as i64);
-        let depth = registry.gauge(
-            "vc_wire_class_queue_depth",
-            "Queued unary requests per flow class.",
-            &["server", "flow"],
-        );
-        for (flow, len) in self.queue.tenant_lens() {
-            depth.with(&[server, &flow]).set(len as i64);
-        }
-    }
-
     /// Claims an inline-execution slot: only when the classing queue is
     /// empty and fewer than `dispatch_workers` inline executions are in
     /// flight. The cap keeps unary execution capacity identical to the
@@ -620,35 +588,28 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         }
         let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
         match segments.as_slice() {
-            ["healthz"] => {
+            [route @ ("healthz" | "metrics")] => {
+                let text;
+                let body: &[u8] = if *route == "metrics" {
+                    text = inner.registry.render_text();
+                    text.as_bytes()
+                } else {
+                    b"ok"
+                };
                 match http::write_response(
                     &mut stream,
                     200,
                     "text/plain",
                     &[],
-                    &[b"ok"],
+                    &[body],
                     keep_alive,
                     &mut head,
                 ) {
                     Ok(n) => inner.metrics.bytes_out.add(n as u64),
                     Err(_) => break,
                 }
-            }
-            ["metrics"] => {
-                let registry = MetricsRegistry::new();
-                inner.publish_metrics(&registry, "wire");
-                let text = registry.render_text();
-                match http::write_response(
-                    &mut stream,
-                    200,
-                    "text/plain",
-                    &[],
-                    &[text.as_bytes()],
-                    keep_alive,
-                    &mut head,
-                ) {
-                    Ok(n) => inner.metrics.bytes_out.add(n as u64),
-                    Err(_) => break,
+                if !keep_alive {
+                    break;
                 }
             }
             ["watch", kind] => {
@@ -744,8 +705,9 @@ fn serve_unary(
     head: &mut Vec<u8>,
 ) -> bool {
     inner.metrics.requests.inc();
-    if encoding == Encoding::Binary {
-        inner.metrics.binary_requests.inc();
+    match encoding {
+        Encoding::Json => inner.metrics.json_requests.inc(),
+        Encoding::Binary => inner.metrics.binary_requests.inc(),
     }
     let user = user.to_string();
     let flow = req.header("x-vc-flow").unwrap_or(&user).to_string();

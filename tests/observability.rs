@@ -101,6 +101,18 @@ fn abandoned_pods_leave_no_open_trace() {
     assert_eq!(tracer.open_count(), 1);
     fw.delete_tenant("hostile").unwrap();
     assert_eq!(tracer.open_count(), 0, "teardown must drop the tenant's open traces");
+    // ...and reclaims every registry cell in its name: apiserver requests,
+    // store cells, sync histograms, admission rejections.
+    for family in fw.obs().registry.snapshot().families {
+        for (i, label) in family.labels.iter().enumerate() {
+            if label != "server" && label != "tenant" {
+                continue;
+            }
+            for cell in &family.cells {
+                assert_ne!(cell.labels[i], "hostile", "{} {label} cell outlived it", family.name);
+            }
+        }
+    }
     fw.shutdown();
 }
 
@@ -139,6 +151,18 @@ fn registry_exposition_parses_and_covers_the_stack() {
             &[("server", "super"), ("verb", "create"), ("kind", "Pod"), ("code", "ok")],
         )
         .is_some());
+
+    // Every attached store reports its own cells under its server label.
+    for server in ["tenant-1", "super"] {
+        let writes = family("vc_store_writes_total")
+            .sample("vc_store_writes_total", &[("server", server)])
+            .unwrap_or_else(|| panic!("store writes of {server}"));
+        assert!(writes.value >= 1.0);
+        let objects = family("vc_store_objects")
+            .sample("vc_store_objects", &[("server", server)])
+            .unwrap_or_else(|| panic!("store objects of {server}"));
+        assert!(objects.value >= 1.0);
+    }
 
     // Syncer families absorbed the old SyncerMetrics counters.
     let ops = family("vc_syncer_ops_total");

@@ -5,6 +5,8 @@
 //! cluster, scheduling, and the upward Ready status — while an anchored
 //! wire watch streams every transition.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 use virtualcluster::api::object::ResourceKind;
 use virtualcluster::api::pod::{Container, Pod};
@@ -12,6 +14,7 @@ use virtualcluster::client::ObjectApi;
 use virtualcluster::controllers::util::wait_until;
 use virtualcluster::core::framework::{Framework, FrameworkConfig};
 use virtualcluster::core::mapping;
+use virtualcluster::obs::exposition;
 use virtualcluster::wire::{WireClient, WireServer, WireServerConfig};
 
 #[test]
@@ -74,6 +77,54 @@ fn wire_attached_tenant_syncs_down_and_up() {
     assert!(saw_create, "wire watch must deliver the create");
     assert!(saw_ready, "wire watch must deliver the Ready status transition");
 
+    // The front end serves the framework's registry: the attached
+    // apiserver's requests, every attached store, the wire tier itself
+    // and the reflector pool, in one scrape.
+    let first = scrape(server.local_addr());
+    let sample = |families: &[exposition::ParsedFamily], name: &str, labels: &[(&str, &str)]| {
+        families.iter().find_map(|f| f.sample(name, labels)).map(|s| s.value)
+    };
+    assert!(sample(&first, "vc_apiserver_requests_total", &[("server", "wired")]).is_some());
+    for server in ["wired", "super"] {
+        let writes = sample(&first, "vc_store_writes_total", &[("server", server)]);
+        assert!(writes.is_some_and(|w| w >= 1.0), "store writes of {server}: {writes:?}");
+    }
+    let requests = sample(&first, "vc_wire_requests_total", &[("server", "wired")])
+        .expect("wire requests in the scrape");
+    assert!(requests >= 3.0, "list, create and the Ready polls went over the wire");
+    assert!(sample(&first, "client_reflector_threads", &[]).is_some());
+    for family in &first {
+        if family.name.ends_with("_total") {
+            assert_eq!(family.kind, "counter", "{} is a lifetime total", family.name);
+        }
+    }
+    client.get(ResourceKind::Pod, "default", "wired-pod").unwrap();
+    let second = scrape(server.local_addr());
+    let again = sample(&second, "vc_wire_requests_total", &[("server", "wired")]).unwrap();
+    assert!(again >= requests + 1.0, "a counter never goes back: {requests} then {again}");
+
     server.shutdown();
     fw.shutdown();
+}
+
+/// `GET /metrics` over a plain socket, parsed.
+fn scrape(addr: SocketAddr) -> Vec<exposition::ParsedFamily> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(b"GET /metrics HTTP/1.1\r\nhost: vc\r\n\r\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("HTTP/1.1 200"), "{line}");
+    let mut length = 0;
+    while line != "\r\n" {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        if let Some(value) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            length = value.trim().parse().unwrap();
+        }
+    }
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body).unwrap();
+    let body = String::from_utf8(body).unwrap();
+    exposition::parse(&body).unwrap_or_else(|e| panic!("scrape must parse: {e}\n{body}"))
 }
