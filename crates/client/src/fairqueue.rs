@@ -29,6 +29,7 @@
 //! the fair shares).
 
 use crate::coalesce::{CoalesceCore, Offer};
+use crate::workqueue::WorkSource;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::time::{Duration, Instant};
@@ -274,14 +275,23 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
     /// the queue is shut down and drained. Every returned item is marked
     /// processing and must be [`WeightedFairQueue::done`] individually.
     pub fn get_batch(&self, max: usize) -> Vec<(T, u64)> {
-        let max = max.max(1);
+        let mut batch = Vec::new();
+        self.pop_batch(max, |item, generation| batch.push((item, generation)));
+        batch
+    }
+
+    /// Blocks for work, then pops up to `max` items of one WRR round under
+    /// one lock acquisition, handing each to `push` with its generation.
+    /// Returns `false` once the queue is shut down and drained.
+    fn pop_batch(&self, max: usize, push: impl FnMut(T, u64)) -> bool {
         let mut state = self.state.lock();
         loop {
             if let Some(first) = self.dequeue(&mut state) {
-                return self.fill_batch(&mut state, first, max);
+                self.fill_batch(&mut state, first, max, push);
+                return true;
             }
             if state.shutdown {
-                return Vec::new();
+                return false;
             }
             self.cond.wait(&mut state);
         }
@@ -294,27 +304,36 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
     /// parks on the queue condvar for the whole remainder: one wakeup, no
     /// polling.
     pub fn get_batch_timeout(&self, max: usize, timeout: Duration) -> Vec<(T, u64)> {
-        let max = max.max(1);
         let deadline = Instant::now() + timeout;
+        let mut batch = Vec::new();
         let mut state = self.state.lock();
         loop {
             if let Some(first) = self.dequeue(&mut state) {
-                return self.fill_batch(&mut state, first, max);
+                self.fill_batch(&mut state, first, max, |item, generation| {
+                    batch.push((item, generation))
+                });
+                return batch;
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if state.shutdown || left.is_zero() {
-                return Vec::new();
+                return batch;
             }
             self.cond.wait_for(&mut state, left);
         }
     }
 
-    /// Drains up to `max - 1` more items after `first` under the held
-    /// lock, staying within the front tenant's WRR round in fair mode.
-    fn fill_batch(&self, state: &mut FqState<T>, first: (T, u64), max: usize) -> Vec<(T, u64)> {
-        let batch_tenant = state.item_tenant.get(&first.0).cloned();
-        let mut batch = vec![first];
-        while batch.len() < max {
+    /// Hands `first` and up to `max - 1` more items to `push` under the
+    /// held lock, staying within the front tenant's WRR round in fair mode.
+    fn fill_batch(
+        &self,
+        state: &mut FqState<T>,
+        (item, generation): (T, u64),
+        max: usize,
+        mut push: impl FnMut(T, u64),
+    ) {
+        let batch_tenant = state.item_tenant.get(&item).cloned();
+        push(item, generation);
+        for _ in 1..max {
             if self.fair {
                 // Stop when the next serve would switch tenants
                 // (the front tenant rotated away or drained).
@@ -324,11 +343,10 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
                 }
             }
             match self.dequeue(state) {
-                Some(next) => batch.push(next),
+                Some((item, generation)) => push(item, generation),
                 None => break,
             }
         }
-        batch
     }
 
     /// Marks processing finished, re-queueing the item if it was re-added.
@@ -357,6 +375,11 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
     /// Returns `true` if no items are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of items currently being processed.
+    pub fn processing_count(&self) -> usize {
+        self.state.lock().core.processing_len()
     }
 
     /// Pending items for one tenant (0 in unfair mode).
@@ -500,6 +523,22 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
             return Some(item);
         }
         None
+    }
+}
+
+impl<T: Eq + Hash + Clone + Send> WorkSource for WeightedFairQueue<T> {
+    type Item = T;
+
+    fn take(&self, max: usize, into: &mut Vec<T>) -> bool {
+        self.pop_batch(max, |item, _generation| into.push(item))
+    }
+
+    fn done(&self, item: &T) {
+        WeightedFairQueue::done(self, item);
+    }
+
+    fn shutdown(&self) {
+        WeightedFairQueue::shutdown(self);
     }
 }
 

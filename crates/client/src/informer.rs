@@ -855,6 +855,11 @@ mod tests {
         assert_eq!(pool.tasks(), 1);
         assert_eq!(server.store().watcher_count(), 1);
         drop(informer);
+        // Both counts can lag the drop: a pool turn still running holds an
+        // `Arc` it upgraded from the pool's `Weak`, and then the last
+        // reference goes with that turn, just after ours. Its drop
+        // de-registers first and releases the watch after.
+        eventually(5000, || pool.tasks() == 0 && server.store().watcher_count() == 0);
         assert_eq!(pool.tasks(), 0);
         assert_eq!(server.store().watcher_count(), 0, "the watch went with it");
     }

@@ -13,7 +13,8 @@
 //! * [`workqueue::WorkQueue`] — deduplicating FIFO with client-go's
 //!   dirty/processing protocol and delayed delivery
 //!   ([`workqueue::WorkQueue::add_after`]), plus the per-item exponential
-//!   [`workqueue::BackoffPolicy`],
+//!   [`workqueue::BackoffPolicy`] and [`workqueue::WorkSource`], what
+//!   controller workers drain,
 //! * [`fairqueue::WeightedFairQueue`] — the paper's fair-queuing extension:
 //!   per-tenant sub-queues dispatched by weighted round-robin (§III-C),
 //! * [`faults::FaultInjector`] — deterministic request-level fault injection
@@ -35,4 +36,4 @@ pub use fairqueue::WeightedFairQueue;
 pub use faults::{FaultAction, FaultInjector, FaultPolicy, FaultRule};
 pub use informer::{Cache, InformerConfig, InformerEvent, SharedInformer};
 pub use surface::{Encoding, ObjectApi, WatchHandle};
-pub use workqueue::{BackoffPolicy, WorkQueue};
+pub use workqueue::{BackoffPolicy, WorkQueue, WorkSource};

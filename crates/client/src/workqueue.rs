@@ -206,20 +206,27 @@ impl<T: Eq + Hash + Clone> WorkQueue<T> {
     /// queue is shut down and drained. Every returned item is marked
     /// processing and must be [`WorkQueue::done`] individually.
     pub fn get_batch(&self, max: usize) -> Vec<(T, u64)> {
+        let mut batch = Vec::new();
+        self.pop_batch(max, |item, generation| batch.push((item, generation)));
+        batch
+    }
+
+    /// Blocks for work, then pops up to `max` pending items under one lock
+    /// acquisition, handing each to `push` with its generation. Returns
+    /// `false` once the queue is shut down and drained.
+    fn pop_batch(&self, max: usize, mut push: impl FnMut(T, u64)) -> bool {
         let mut state = self.state.lock();
         loop {
             if !state.queue.is_empty() {
-                let n = max.max(1).min(state.queue.len());
-                let mut batch = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let item = Self::pop_locked(&mut state).expect("queue non-empty");
+                for _ in 0..max.max(1).min(state.queue.len()) {
+                    let (item, generation) = Self::pop_locked(&mut state).expect("queue non-empty");
                     self.gets.inc();
-                    batch.push(item);
+                    push(item, generation);
                 }
-                return batch;
+                return true;
             }
             if state.shutting_down {
-                return Vec::new();
+                return false;
             }
             self.cond.wait(&mut state);
         }
@@ -269,6 +276,42 @@ impl<T: Eq + Hash + Clone> WorkQueue<T> {
     /// Returns `true` once shutdown was requested.
     pub fn is_shutting_down(&self) -> bool {
         self.state.lock().shutting_down
+    }
+}
+
+/// A queue that workers drain: it hands out items in batches and is told
+/// when each one is finished. [`WorkQueue`] and
+/// [`WeightedFairQueue`](crate::WeightedFairQueue) implement it with the
+/// pop code of their `get_batch`.
+pub trait WorkSource: Send + Sync {
+    /// What the queue hands out.
+    type Item;
+
+    /// Blocks for work, then moves up to `max` items into `into`, each
+    /// marked processing until [`WorkSource::done`]. Returns `false` once
+    /// the queue is shut down and drained.
+    fn take(&self, max: usize, into: &mut Vec<Self::Item>) -> bool;
+
+    /// Marks an item's processing finished.
+    fn done(&self, item: &Self::Item);
+
+    /// Shuts the queue down: takes drain the backlog, then return `false`.
+    fn shutdown(&self);
+}
+
+impl<T: Eq + Hash + Clone + Send> WorkSource for WorkQueue<T> {
+    type Item = T;
+
+    fn take(&self, max: usize, into: &mut Vec<T>) -> bool {
+        self.pop_batch(max, |item, _generation| into.push(item))
+    }
+
+    fn done(&self, item: &T) {
+        WorkQueue::done(self, item);
+    }
+
+    fn shutdown(&self) {
+        WorkQueue::shutdown(self);
     }
 }
 

@@ -20,12 +20,16 @@
 //! * **Latest-generation coalescing**: when two generation-tagged adds
 //!   both land before the dequeue, the single delivery carries exactly
 //!   the newer generation.
+//! * **A worker drains, then stops**: a worker looping on
+//!   `WorkSource::take` into one reused buffer receives every item added
+//!   before `shutdown()` exactly once, and then its take returns `false`
+//!   instead of parking for ever.
 
 #![cfg(loom)]
 
 use std::sync::Arc;
 use vc_client::fairqueue::WeightedFairQueue;
-use vc_client::workqueue::WorkQueue;
+use vc_client::workqueue::{WorkQueue, WorkSource};
 
 #[test]
 fn loom_fairqueue_no_lost_wakeup() {
@@ -140,5 +144,40 @@ fn loom_workqueue_batch_drains_each_item_exactly_once() {
         }
         delivered.sort_unstable();
         assert_eq!(delivered, vec![1, 2], "each item delivered exactly once");
+    });
+}
+
+#[test]
+fn loom_worker_take_drains_then_stops_on_shutdown() {
+    loom::model(|| {
+        let q: Arc<WeightedFairQueue<u32>> = Arc::new(WeightedFairQueue::new(true));
+        let worker = {
+            let q = Arc::clone(&q);
+            loom::thread::spawn(move || {
+                // The loop `ControllerHandle::workers` runs on each thread.
+                let (mut items, mut seen) = (Vec::new(), Vec::new());
+                while q.take(2, &mut items) {
+                    for item in items.drain(..) {
+                        WorkSource::done(&*q, &item);
+                        seen.push(item);
+                    }
+                }
+                seen
+            })
+        };
+        let producer = {
+            let q = Arc::clone(&q);
+            loom::thread::spawn(move || {
+                q.add("tenant-a", 1);
+                q.add("tenant-b", 2);
+            })
+        };
+        producer.join().unwrap();
+        // A shutdown whose wake-up could be lost would leave the worker
+        // parked, and loom's deadlock detection would fail the model.
+        WorkSource::shutdown(&*q);
+        let mut seen = worker.join().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![1, 2], "each item taken exactly once before the take fails");
     });
 }

@@ -149,24 +149,8 @@ impl Kubelet {
         kubelet.register_node()?;
 
         let worker = Arc::clone(&kubelet);
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name(format!("kubelet-{}", kubelet.config.node_name))
-                .spawn(move || {
-                    while let Some(key) = worker.queue.get() {
-                        if stop.is_set() {
-                            worker.queue.done(&key);
-                            break;
-                        }
-                        worker.reconcile(&key);
-                        worker.queue.done(&key);
-                    }
-                })
-                .expect("spawn kubelet worker"),
-        );
-        let queue = Arc::clone(&kubelet.queue);
-        handle.on_stop(move || queue.shutdown());
+        let name = format!("kubelet-{}", kubelet.config.node_name);
+        handle.workers(&name, 1, 1, &kubelet.queue, move |key| worker.reconcile(key));
         Ok(kubelet)
     }
 

@@ -57,33 +57,14 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<NamespaceGcMetrics>) {
     informer.wait_for_sync(Duration::from_secs(10));
 
     {
-        let queue = Arc::clone(&queue);
+        let worker_queue = Arc::clone(&queue);
         let metrics = Arc::clone(&metrics);
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("namespace-controller".into())
-                .spawn(move || {
-                    while let Some(name) = queue.get() {
-                        if stop.is_set() {
-                            queue.done(&name);
-                            break;
-                        }
-                        let finished = drain_namespace(&name, &client, &metrics);
-                        queue.done(&name);
-                        if !finished {
-                            // Requeue until the namespace is empty.
-                            queue.add_after(name, Duration::from_millis(50));
-                        }
-                    }
-                })
-                .expect("spawn namespace controller"),
-        );
-    }
-
-    {
-        let queue = Arc::clone(&queue);
-        handle.on_stop(move || queue.shutdown());
+        handle.workers("namespace-controller", 1, 1, &queue, move |name| {
+            if !drain_namespace(name, &client, &metrics) {
+                // Requeue until the namespace is empty.
+                worker_queue.add_after(name.clone(), Duration::from_millis(50));
+            }
+        });
     }
     handle.add_informer(informer);
     (handle, metrics)

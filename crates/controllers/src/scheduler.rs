@@ -3,9 +3,9 @@
 //! Faithful to the property the paper's evaluation hinges on: "the default
 //! Kubernetes scheduler has a single queue, and it schedules Pods
 //! sequentially … we have seen the scheduler throughput peaked at a few
-//! hundred Pods per second" (§IV-A). The default configuration therefore
-//! uses **one worker** and a per-pod service time of ~2.2 ms (~450 pods/s);
-//! both are configurable so the ablation benches can vary them.
+//! hundred Pods per second" (§IV-A). It therefore runs **one worker**, with
+//! a per-pod service time of ~2.2 ms by default (~450 pods/s) that the
+//! benches can vary.
 //!
 //! Predicates: node readiness/schedulability, node selector, taints vs.
 //! tolerations, resource fit, inter-pod affinity and anti-affinity (node
@@ -36,17 +36,14 @@ use vc_client::{Client, InformerConfig, InformerEvent, SharedInformer, WorkQueue
 /// Scheduler tuning.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Simulated cost of one scheduling decision. The sequential default
-    /// caps throughput at `1 / service_time` pods per second.
+    /// Simulated cost of one scheduling decision. The one sequential
+    /// worker caps throughput at `1 / service_time` pods per second.
     pub service_time: Duration,
     /// Additional service time per 1000 pods already bound in the
     /// cluster: the real scheduler's scoring cost grows with cluster
     /// occupancy, which is what makes baseline throughput decline with
     /// pod count in the paper's Fig 9(b). Zero disables the effect.
     pub service_time_per_kpod: Duration,
-    /// Number of scheduling workers. Kubernetes' scheduler is sequential;
-    /// keep 1 for fidelity (the ablation bench raises it).
-    pub workers: usize,
     /// Whether to write `Scheduled` / `FailedScheduling` Event objects.
     pub emit_events: bool,
     /// Backoff before retrying an unschedulable pod.
@@ -58,7 +55,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             service_time: Duration::from_micros(2200),
             service_time_per_kpod: Duration::ZERO,
-            workers: 1,
             emit_events: false,
             unschedulable_backoff: Duration::from_millis(500),
         }
@@ -159,34 +155,12 @@ pub fn start(client: Client, config: SchedulerConfig) -> (ControllerHandle, Arc<
     pod_informer.wait_for_sync(Duration::from_secs(10));
 
     let pod_cache = Arc::clone(pod_informer.cache());
-    for worker_id in 0..config.workers.max(1) {
-        let queue = Arc::clone(&queue);
-        let state = Arc::clone(&state);
-        let metrics = Arc::clone(&metrics);
-        let client = client.clone();
-        let config = config.clone();
-        let pod_cache = Arc::clone(&pod_cache);
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name(format!("scheduler-{worker_id}"))
-                .spawn(move || {
-                    while let Some(key) = queue.get() {
-                        if stop.is_set() {
-                            queue.done(&key);
-                            break;
-                        }
-                        schedule_one(&key, &client, &pod_cache, &state, &config, &metrics, &queue);
-                        queue.done(&key);
-                    }
-                })
-                .expect("spawn scheduler worker"),
-        );
-    }
-
     {
-        let queue = Arc::clone(&queue);
-        handle.on_stop(move || queue.shutdown());
+        let metrics = Arc::clone(&metrics);
+        let worker_queue = Arc::clone(&queue);
+        handle.workers("scheduler", 1, 1, &queue, move |key| {
+            schedule_one(key, &client, &pod_cache, &state, &config, &metrics, &worker_queue)
+        });
     }
     handle.add_informer(node_informer);
     handle.add_informer(pod_informer);

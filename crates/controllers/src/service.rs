@@ -15,13 +15,14 @@ use vc_api::object::{Object, ResourceKind};
 use vc_api::service::{EndpointAddress, Endpoints, Service, ServiceType};
 use vc_client::{Client, InformerConfig, SharedInformer, WorkQueue};
 
+/// Worker threads draining the service queue.
+const WORKERS: usize = 2;
+
 /// Service controller configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceControllerConfig {
     /// Second octet of the service CIDR (`10.S.x.y`).
     pub service_cidr_octet: u8,
-    /// Worker threads.
-    pub workers: usize,
     /// Provision ingress IPs for LoadBalancer services (a capability of
     /// the cluster that fronts real infrastructure — the super cluster).
     pub provision_load_balancers: bool,
@@ -29,11 +30,7 @@ pub struct ServiceControllerConfig {
 
 impl Default for ServiceControllerConfig {
     fn default() -> Self {
-        ServiceControllerConfig {
-            service_cidr_octet: 96,
-            workers: 2,
-            provision_load_balancers: true,
-        }
+        ServiceControllerConfig { service_cidr_octet: 96, provision_load_balancers: true }
     }
 }
 
@@ -90,43 +87,11 @@ pub fn start(
     pod_informer.wait_for_sync(Duration::from_secs(10));
 
     let pod_cache = Arc::clone(pod_informer.cache());
-    for worker_id in 0..config.workers.max(1) {
-        let queue = Arc::clone(&queue);
-        let client = client.clone();
-        let metrics = Arc::clone(&metrics);
-        let service_cache = Arc::clone(&service_cache);
-        let pod_cache = Arc::clone(&pod_cache);
-        let ip_counter = Arc::clone(&ip_counter);
-        let config = config.clone();
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name(format!("service-controller-{worker_id}"))
-                .spawn(move || {
-                    while let Some(key) = queue.get() {
-                        if stop.is_set() {
-                            queue.done(&key);
-                            break;
-                        }
-                        reconcile(
-                            &key,
-                            &client,
-                            &service_cache,
-                            &pod_cache,
-                            &ip_counter,
-                            &config,
-                            &metrics,
-                        );
-                        queue.done(&key);
-                    }
-                })
-                .expect("spawn service controller worker"),
-        );
-    }
-
     {
-        let queue = Arc::clone(&queue);
-        handle.on_stop(move || queue.shutdown());
+        let metrics = Arc::clone(&metrics);
+        handle.workers("service-controller", WORKERS, 1, &queue, move |key| {
+            reconcile(key, &client, &service_cache, &pod_cache, &ip_counter, &config, &metrics)
+        });
     }
     handle.add_informer(service_informer);
     handle.add_informer(pod_informer);

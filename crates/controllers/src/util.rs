@@ -1,5 +1,5 @@
-//! Shared controller plumbing: stop flags, thread and timer handles, retry
-//! helper.
+//! Shared controller plumbing: the handle that owns a controller's
+//! workers, timers and informers, and the retry helper.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -7,39 +7,20 @@ use std::time::Duration;
 use vc_api::error::{ApiError, ApiResult};
 use vc_api::time::Clock;
 use vc_client::reflector::Timer;
-use vc_client::SharedInformer;
+use vc_client::{SharedInformer, WorkSource};
 
-/// Cooperative stop signal shared by a controller's threads.
-#[derive(Debug, Clone, Default)]
-pub struct StopFlag(Arc<AtomicBool>);
-
-impl StopFlag {
-    /// Creates an unset flag.
-    pub fn new() -> Self {
-        StopFlag::default()
-    }
-
-    /// Sets the flag.
-    pub fn trigger(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Returns `true` once triggered.
-    pub fn is_set(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
-
-/// Owns a controller's threads, timers and informers; stopping joins
-/// everything.
+/// Owns a controller's worker threads, timers and informers; stopping
+/// joins everything.
 pub struct ControllerHandle {
     name: String,
-    stop: StopFlag,
+    /// Set by [`ControllerHandle::stop`]: workers then finish what they
+    /// take without reconciling it.
+    stopped: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
     timers: Vec<Arc<Timer>>,
     informers: Vec<Arc<SharedInformer>>,
-    /// Queues to shut down on stop (releases blocked workers).
-    on_stop: Vec<Box<dyn Fn() + Send + Sync>>,
+    /// Shuts down the queues the workers drain, releasing blocked takes.
+    shutdowns: Vec<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl std::fmt::Debug for ControllerHandle {
@@ -57,17 +38,12 @@ impl ControllerHandle {
     pub fn new(name: impl Into<String>) -> Self {
         ControllerHandle {
             name: name.into(),
-            stop: StopFlag::new(),
+            stopped: Arc::new(AtomicBool::new(false)),
             threads: Vec::new(),
             timers: Vec::new(),
             informers: Vec::new(),
-            on_stop: Vec::new(),
+            shutdowns: Vec::new(),
         }
-    }
-
-    /// The shared stop flag.
-    pub fn stop_flag(&self) -> StopFlag {
-        self.stop.clone()
     }
 
     /// Controller name.
@@ -75,9 +51,44 @@ impl ControllerHandle {
         &self.name
     }
 
-    /// Registers a thread to join on stop.
-    pub fn add_thread(&mut self, handle: std::thread::JoinHandle<()>) {
-        self.threads.push(handle);
+    /// Drains `queue` on `count.max(1)` threads named `{name}-{i}`: the one
+    /// way a controller runs its queue. Each thread takes up to `batch`
+    /// items at a time into one reused buffer, calls `reconcile` on each,
+    /// then marks it done. The threads share `reconcile`. Once
+    /// [`ControllerHandle::stop`] has run, a worker marks what it takes
+    /// done without reconciling it; `stop` shuts `queue` down and joins
+    /// the threads.
+    pub fn workers<Q: WorkSource + 'static>(
+        &mut self,
+        name: &str,
+        count: usize,
+        batch: usize,
+        queue: &Arc<Q>,
+        reconcile: impl Fn(&Q::Item) + Send + Sync + 'static,
+    ) {
+        let reconcile = Arc::new(reconcile);
+        for i in 0..count.max(1) {
+            let queue = Arc::clone(queue);
+            let reconcile = Arc::clone(&reconcile);
+            let stopped = Arc::clone(&self.stopped);
+            let thread = std::thread::Builder::new()
+                .name(format!("{name}-{i}"))
+                .spawn(move || {
+                    let mut items = Vec::with_capacity(batch.max(1));
+                    while queue.take(batch, &mut items) {
+                        for item in items.drain(..) {
+                            if !stopped.load(Ordering::SeqCst) {
+                                reconcile(&item);
+                            }
+                            queue.done(&item);
+                        }
+                    }
+                })
+                .expect("spawn worker thread");
+            self.threads.push(thread);
+        }
+        let queue = Arc::clone(queue);
+        self.shutdowns.push(Box::new(move || queue.shutdown()));
     }
 
     /// Runs `body` every `interval` on `clock`, the first time one interval
@@ -98,22 +109,18 @@ impl ControllerHandle {
         self.informers.push(informer);
     }
 
-    /// Registers a callback run at stop time (e.g. queue shutdown).
-    pub fn on_stop(&mut self, f: impl Fn() + Send + Sync + 'static) {
-        self.on_stop.push(Box::new(f));
-    }
-
     /// Waits until all registered informers report sync (with `timeout`).
     pub fn wait_for_informers(&self, timeout: std::time::Duration) -> bool {
         self.informers.iter().all(|i| i.wait_for_sync(timeout))
     }
 
-    /// Stops everything: flag, queue callbacks, timers, informers,
-    /// threads.
+    /// Stops everything: workers stop reconciling and their queues shut
+    /// down, then timers and informers stop and the worker threads are
+    /// joined. Idempotent.
     pub fn stop(&mut self) {
-        self.stop.trigger();
-        for f in &self.on_stop {
-            f();
+        self.stopped.store(true, Ordering::SeqCst);
+        for shutdown in &self.shutdowns {
+            shutdown();
         }
         for timer in self.timers.drain(..) {
             timer.stop();
@@ -185,40 +192,75 @@ pub fn assert_count_reaches(counter: &vc_api::metrics::Counter, expected: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stop_flag_shared() {
-        let flag = StopFlag::new();
-        let clone = flag.clone();
-        assert!(!clone.is_set());
-        flag.trigger();
-        assert!(clone.is_set());
-    }
+    use parking_lot::Mutex;
+    use std::sync::Barrier;
+    use vc_client::WorkQueue;
 
     #[test]
     fn handle_joins_threads_and_runs_callbacks() {
         let mut handle = ControllerHandle::new("test");
-        let stop = handle.stop_flag();
-        handle.add_thread(std::thread::spawn(move || {
-            while !stop.is_set() {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-        }));
-        let fired = Arc::new(AtomicBool::new(false));
-        let fired2 = Arc::clone(&fired);
-        handle.on_stop(move || fired2.store(true, Ordering::SeqCst));
+        let queue: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new());
+        handle.workers("test-worker", 1, 1, &queue, |_| {});
         let clock = vc_api::time::SimClock::new();
         let ticks = Arc::new(vc_api::metrics::Counter::new());
         let counted = Arc::clone(&ticks);
         let sim: Arc<dyn Clock> = clock.clone();
         handle.every(&sim, Duration::from_secs(1), move || counted.inc());
         handle.stop();
-        assert!(fired.load(Ordering::SeqCst));
+        assert!(queue.is_shutting_down(), "stop shuts the workers' queue down");
         clock.advance(Duration::from_secs(5));
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(ticks.get(), 0, "a stopped handle's timers never run");
         // Idempotent.
         handle.stop();
+    }
+
+    #[test]
+    fn workers_reconcile_each_item_once_and_stop_joins_them() {
+        let mut handle = ControllerHandle::new("test");
+        let queue: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        {
+            let (seen, entered, release) =
+                (Arc::clone(&seen), Arc::clone(&entered), Arc::clone(&release));
+            let held = AtomicBool::new(false);
+            handle.workers("test-worker", 3, 1, &queue, move |item: &u32| {
+                seen.lock().push(*item);
+                if *item == 0 && !held.swap(true, Ordering::SeqCst) {
+                    // Hold one worker inside a reconcile across stop().
+                    entered.wait();
+                    release.wait();
+                }
+            });
+        }
+        for item in 0..100 {
+            queue.add(item);
+        }
+        entered.wait();
+        assert!(wait_until(Duration::from_secs(5), Duration::from_millis(1), || {
+            seen.lock().len() == 100 && queue.processing_count() == 1
+        }));
+
+        // Item 0 is processing, so this add is deferred: done(0) re-queues
+        // it after stop(), and the worker that takes it must not reconcile.
+        queue.add(0);
+        let stopper = std::thread::spawn(move || {
+            handle.stop();
+            handle
+        });
+        assert!(wait_until(Duration::from_secs(5), Duration::from_millis(1), || {
+            queue.is_shutting_down()
+        }));
+        release.wait();
+        drop(stopper.join().unwrap());
+
+        // The workers' threads own the reconcile closure and its captures.
+        assert_eq!(Arc::strong_count(&seen), 1, "stop() returned with every worker joined");
+        assert!(queue.is_empty() && queue.processing_count() == 0, "taken after stop, then done");
+        let mut seen = seen.lock().clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..100).collect::<Vec<_>>(), "each item reconciled exactly once");
     }
 
     #[test]

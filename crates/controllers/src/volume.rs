@@ -65,58 +65,38 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<VolumeBinderMetrics>) {
     }
 
     {
-        let queue = Arc::clone(&queue);
+        let worker_queue = Arc::clone(&queue);
         let metrics = Arc::clone(&metrics);
         let pvc_cache = Arc::clone(pvc_informer.cache());
         let pv_cache = Arc::clone(pv_informer.cache());
         let sc_cache = Arc::clone(sc_informer.cache());
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("volume-binder".into())
-                .spawn(move || {
-                    while let Some(key) = queue.get() {
-                        if stop.is_set() {
-                            queue.done(&key);
-                            break;
-                        }
-                        if let Some(pvc_key) = key.strip_prefix("pvc:") {
-                            reconcile_claim(
-                                pvc_key, &client, &pvc_cache, &pv_cache, &sc_cache, &metrics,
-                            );
-                            if pvc_cache.get(pvc_key).is_none() {
-                                // Deleted claim: release any volume still
-                                // bound to it.
-                                for obj in pv_cache.list() {
-                                    if let Ok(pv) = PersistentVolume::try_from(obj) {
-                                        if pv.claim_ref == pvc_key {
-                                            reconcile_volume(
-                                                &pv.meta.name,
-                                                &client,
-                                                &pvc_cache,
-                                                &pv_cache,
-                                                &metrics,
-                                            );
-                                        }
-                                    }
-                                }
+        handle.workers("volume-binder", 1, 1, &queue, move |key| {
+            if let Some(pvc_key) = key.strip_prefix("pvc:") {
+                reconcile_claim(pvc_key, &client, &pvc_cache, &pv_cache, &sc_cache, &metrics);
+                if pvc_cache.get(pvc_key).is_none() {
+                    // Deleted claim: release any volume still bound to it.
+                    for obj in pv_cache.list() {
+                        if let Ok(pv) = PersistentVolume::try_from(obj) {
+                            if pv.claim_ref == pvc_key {
+                                reconcile_volume(
+                                    &pv.meta.name,
+                                    &client,
+                                    &pvc_cache,
+                                    &pv_cache,
+                                    &metrics,
+                                );
                             }
-                        } else if let Some(pv_key) = key.strip_prefix("pv:") {
-                            reconcile_volume(pv_key, &client, &pvc_cache, &pv_cache, &metrics);
-                            // An unbound volume may satisfy a waiting claim.
-                            requeue_pending_claims(&queue, &pvc_cache);
-                        } else if key == "requeue-pending" {
-                            requeue_pending_claims(&queue, &pvc_cache);
                         }
-                        queue.done(&key);
                     }
-                })
-                .expect("spawn volume binder"),
-        );
-    }
-    {
-        let queue = Arc::clone(&queue);
-        handle.on_stop(move || queue.shutdown());
+                }
+            } else if let Some(pv_key) = key.strip_prefix("pv:") {
+                reconcile_volume(pv_key, &client, &pvc_cache, &pv_cache, &metrics);
+                // An unbound volume may satisfy a waiting claim.
+                requeue_pending_claims(&worker_queue, &pvc_cache);
+            } else if key == "requeue-pending" {
+                requeue_pending_claims(&worker_queue, &pvc_cache);
+            }
+        });
     }
     handle.add_informer(pvc_informer);
     handle.add_informer(pv_informer);

@@ -105,70 +105,24 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<WorkloadMetrics>) {
     // ReplicaSet workers.
     let rs_cache = Arc::clone(rs_informer.cache());
     let pod_cache = Arc::clone(pod_informer.cache());
-    for worker_id in 0..2 {
-        let queue = Arc::clone(&rs_queue);
+    {
         let client = client.clone();
-        let rs_cache = Arc::clone(&rs_cache);
-        let pod_cache = Arc::clone(&pod_cache);
         let metrics = Arc::clone(&metrics);
-        let expectations = Arc::clone(&expectations);
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name(format!("replicaset-controller-{worker_id}"))
-                .spawn(move || {
-                    while let Some(key) = queue.get() {
-                        if stop.is_set() {
-                            queue.done(&key);
-                            break;
-                        }
-                        reconcile_replicaset(
-                            &key,
-                            &client,
-                            &rs_cache,
-                            &pod_cache,
-                            &expectations,
-                            &metrics,
-                        );
-                        queue.done(&key);
-                    }
-                })
-                .expect("spawn replicaset worker"),
-        );
+        handle.workers("replicaset-controller", 2, 1, &rs_queue, move |key| {
+            reconcile_replicaset(key, &client, &rs_cache, &pod_cache, &expectations, &metrics)
+        });
     }
 
     // Deployment worker.
     {
-        let queue = Arc::clone(&deploy_queue);
         let deploy_cache = Arc::clone(deploy_informer.cache());
         let rs_cache = Arc::clone(rs_informer.cache());
         let metrics = Arc::clone(&metrics);
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("deployment-controller".into())
-                .spawn(move || {
-                    while let Some(key) = queue.get() {
-                        if stop.is_set() {
-                            queue.done(&key);
-                            break;
-                        }
-                        reconcile_deployment(&key, &client, &deploy_cache, &rs_cache, &metrics);
-                        queue.done(&key);
-                    }
-                })
-                .expect("spawn deployment worker"),
-        );
-    }
-
-    {
-        let rs_queue = Arc::clone(&rs_queue);
-        let deploy_queue = Arc::clone(&deploy_queue);
-        handle.on_stop(move || {
-            rs_queue.shutdown();
-            deploy_queue.shutdown();
+        handle.workers("deployment-controller", 1, 1, &deploy_queue, move |key| {
+            reconcile_deployment(key, &client, &deploy_cache, &rs_cache, &metrics)
         });
     }
+
     handle.add_informer(rs_informer);
     handle.add_informer(deploy_informer);
     handle.add_informer(pod_informer);

@@ -106,44 +106,12 @@ pub fn start(
     informer.wait_for_sync(Duration::from_secs(10));
     let cache = Arc::clone(informer.cache());
 
-    for worker in 0..config.onboard_workers.max(1) {
-        let queue = Arc::clone(&queue);
-        let stop = handle.stop_flag();
-        let metrics = Arc::clone(&metrics);
-        let super_client = super_client.clone();
-        let cache = Arc::clone(&cache);
-        let registry = Arc::clone(&registry);
-        let syncer = Arc::clone(&syncer);
-        let clock = Arc::clone(&clock);
-        let config = config.clone();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name(format!("tenant-operator-{worker}"))
-                .spawn(move || {
-                    while let Some(name) = queue.get() {
-                        if stop.is_set() {
-                            queue.done(&name);
-                            break;
-                        }
-                        reconcile(
-                            &name,
-                            &super_client,
-                            &cache,
-                            &registry,
-                            &syncer,
-                            &clock,
-                            &config,
-                            &metrics,
-                        );
-                        queue.done(&name);
-                    }
-                })
-                .expect("spawn tenant operator"),
-        );
-    }
     {
-        let queue = Arc::clone(&queue);
-        handle.on_stop(move || queue.shutdown());
+        let metrics = Arc::clone(&metrics);
+        let workers = config.onboard_workers;
+        handle.workers("tenant-operator", workers, 1, &queue, move |name| {
+            reconcile(name, &super_client, &cache, &registry, &syncer, &clock, &config, &metrics)
+        });
     }
     handle.add_informer(informer);
     (handle, metrics)

@@ -597,109 +597,20 @@ impl Syncer {
         // Downward workers: each wakeup drains a small same-tenant batch
         // (one queue-lock round-trip per batch instead of per item; the
         // fair queue bounds batches to the tenant's WRR round, so batching
-        // cannot distort fair shares).
-        for worker_id in 0..syncer.config.downward_workers.max(1) {
+        // cannot distort fair shares). Upward workers batch the same way
+        // (upward items are independent status writes, so plain FIFO
+        // batches are safe).
+        {
             let syncer_ref = Arc::clone(&syncer);
-            let stop = handle.stop_flag();
-            handle.add_thread(
-                std::thread::Builder::new()
-                    .name(format!("syncer-dws-{worker_id}"))
-                    .spawn(move || loop {
-                        let batch = syncer_ref.downward.get_batch(DOWNWARD_BATCH);
-                        if batch.is_empty() {
-                            break; // shutdown
-                        }
-                        for (item, _generation) in batch {
-                            if stop.is_set() {
-                                syncer_ref.downward.done(&item);
-                                continue;
-                            }
-                            // Close the queue-wait span and run the
-                            // reconcile under the item's trace context so
-                            // super-apiserver calls attach their spans.
-                            let trace_id = syncer_ref.obs.tracer.lookup(&item.tenant, &item.key);
-                            if let Some(id) = trace_id {
-                                syncer_ref.obs.tracer.span_since_mark(
-                                    id,
-                                    stage::MARK_DWS_ENQUEUE,
-                                    stage::DWS_QUEUE,
-                                );
-                            }
-                            let started = Instant::now();
-                            syncer_ref.metrics.downward_busy.record(|| {
-                                let _ctx = trace_id.map(TraceContext::enter);
-                                let cost = congestion_cost(
-                                    syncer_ref.config.downward_process_cost,
-                                    syncer_ref.downward.len(),
-                                );
-                                if !cost.is_zero() {
-                                    std::thread::sleep(cost);
-                                }
-                                downward::reconcile(&syncer_ref, &item)
-                            });
-                            let elapsed = started.elapsed();
-                            if let Some(id) = trace_id {
-                                syncer_ref.obs.tracer.record_span(
-                                    id,
-                                    stage::DWS_PROCESS,
-                                    elapsed,
-                                    true,
-                                );
-                            }
-                            syncer_ref
-                                .tenant_sync_duration
-                                .with(&[&item.tenant, "downward"])
-                                .observe_ms(elapsed.as_micros() as u64);
-                            syncer_ref.mark_stats_dirty(&item.tenant);
-                            syncer_ref.downward.done(&item);
-                        }
-                    })
-                    .expect("spawn downward worker"),
-            );
-        }
-        // Upward workers: batched like the downward path (upward items
-        // are independent status writes, so plain FIFO batches are safe).
-        for worker_id in 0..syncer.config.upward_workers.max(1) {
+            let count = syncer.config.downward_workers;
+            handle.workers("syncer-dws", count, DOWNWARD_BATCH, &syncer.downward, move |item| {
+                syncer_ref.process(item, true)
+            });
             let syncer_ref = Arc::clone(&syncer);
-            let stop = handle.stop_flag();
-            handle.add_thread(
-                std::thread::Builder::new()
-                    .name(format!("syncer-uws-{worker_id}"))
-                    .spawn(move || loop {
-                        let batch = syncer_ref.upward.get_batch(UPWARD_BATCH);
-                        if batch.is_empty() {
-                            break; // shutdown
-                        }
-                        for (item, _generation) in batch {
-                            if stop.is_set() {
-                                syncer_ref.upward.done(&item);
-                                continue;
-                            }
-                            // (Pod trace spans are recorded inside the
-                            // upward reconciler, which knows whether the
-                            // super pod is Ready and maps the super key
-                            // back to the traced tenant key.)
-                            let started = Instant::now();
-                            syncer_ref.metrics.upward_busy.record(|| {
-                                let cost = congestion_cost(
-                                    syncer_ref.config.upward_process_cost,
-                                    syncer_ref.upward.len(),
-                                );
-                                if !cost.is_zero() {
-                                    std::thread::sleep(cost);
-                                }
-                                upward::reconcile(&syncer_ref, &item)
-                            });
-                            syncer_ref
-                                .tenant_sync_duration
-                                .with(&[&item.tenant, "upward"])
-                                .observe_ms(started.elapsed().as_micros() as u64);
-                            syncer_ref.mark_stats_dirty(&item.tenant);
-                            syncer_ref.upward.done(&item);
-                        }
-                    })
-                    .expect("spawn upward worker"),
-            );
+            let count = syncer.config.upward_workers;
+            handle.workers("syncer-uws", count, UPWARD_BATCH, &syncer.upward, move |item| {
+                syncer_ref.process(item, false)
+            });
         }
         // Periodic incremental mismatch scanner. Ticks are measured on
         // the syncer clock: under a virtual clock a test advances
@@ -722,16 +633,48 @@ impl Syncer {
                 }
             });
         }
-        {
-            let downward = Arc::clone(&syncer.downward);
-            let upward = Arc::clone(&syncer.upward);
-            handle.on_stop(move || {
-                downward.shutdown();
-                upward.shutdown();
-            });
-        }
         *syncer.handle.lock() = Some(handle);
         syncer
+    }
+
+    /// Runs one item of the downward (`down`) or upward queue as a worker
+    /// does: the modelled `congestion_cost` and the reconcile under the
+    /// direction's busy timer, then the tenant's duration histogram and
+    /// stats mark. A downward item also closes its queue-wait span and
+    /// reconciles under its trace; upward pod spans are recorded inside
+    /// the upward reconciler, which knows whether the super pod is Ready
+    /// and maps the super key back to the traced tenant key.
+    fn process(&self, item: &WorkItem, down: bool) {
+        let (busy, full_cost, direction) = if down {
+            (&self.metrics.downward_busy, self.config.downward_process_cost, "downward")
+        } else {
+            (&self.metrics.upward_busy, self.config.upward_process_cost, "upward")
+        };
+        let trace_id = down.then(|| self.obs.tracer.lookup(&item.tenant, &item.key)).flatten();
+        if let Some(id) = trace_id {
+            self.obs.tracer.span_since_mark(id, stage::MARK_DWS_ENQUEUE, stage::DWS_QUEUE);
+        }
+        let started = Instant::now();
+        busy.record(|| {
+            let _ctx = trace_id.map(TraceContext::enter);
+            if !full_cost.is_zero() {
+                let depth = if down { self.downward.len() } else { self.upward.len() };
+                std::thread::sleep(congestion_cost(full_cost, depth));
+            }
+            if down {
+                downward::reconcile(self, item)
+            } else {
+                upward::reconcile(self, item)
+            }
+        });
+        let elapsed = started.elapsed();
+        if let Some(id) = trace_id {
+            self.obs.tracer.record_span(id, stage::DWS_PROCESS, elapsed, true);
+        }
+        self.tenant_sync_duration
+            .with(&[&item.tenant, direction])
+            .observe_ms(elapsed.as_micros() as u64);
+        self.mark_stats_dirty(&item.tenant);
     }
 
     /// Hibernates an idle tenant (paper §V future work, implemented):
@@ -1265,6 +1208,17 @@ impl Syncer {
     /// Pending items in the upward queue.
     pub fn upward_len(&self) -> usize {
         self.upward.len()
+    }
+
+    /// Returns `true` while the syncer has no work of its own left: both
+    /// queues empty, no item in processing and no retry pending. Only an
+    /// informer event or a scanner tick starts new work then.
+    pub fn is_quiet(&self) -> bool {
+        self.downward.is_empty()
+            && self.downward.processing_count() == 0
+            && self.upward.is_empty()
+            && self.upward.processing_count() == 0
+            && self.retry_failures.lock().is_empty()
     }
 
     /// Total estimated bytes held in informer caches (super + all

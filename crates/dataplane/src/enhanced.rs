@@ -134,77 +134,36 @@ pub fn start(
 
     // Pod worker: attach to new sandboxes, inject initial rules, open gate.
     {
-        let pod_queue = Arc::clone(&pod_queue);
+        let requeue = Arc::clone(&pod_queue);
         let tracked = Arc::clone(&tracked);
         let metrics = Arc::clone(&metrics);
-        let kata = Arc::clone(&kata);
-        let pod_cache = Arc::clone(&pod_cache);
         let service_cache = Arc::clone(&service_cache);
         let endpoints_cache = Arc::clone(&endpoints_cache);
         let poll = config.sandbox_poll;
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("ekp-pods".into())
-                .spawn(move || {
-                    while let Some(key) = pod_queue.get() {
-                        if stop.is_set() {
-                            pod_queue.done(&key);
-                            break;
-                        }
-                        let requeue = handle_pod(
-                            &key,
-                            &client,
-                            &kata,
-                            &pod_cache,
-                            &service_cache,
-                            &endpoints_cache,
-                            &tracked,
-                            &metrics,
-                        );
-                        pod_queue.done(&key);
-                        if requeue && !stop.is_set() {
-                            pod_queue.add_after(key, poll);
-                        }
-                    }
-                })
-                .expect("spawn ekp pod worker"),
-        );
+        handle.workers("ekp-pods", 1, 1, &pod_queue, move |key| {
+            if handle_pod(
+                key,
+                &client,
+                &kata,
+                &pod_cache,
+                &service_cache,
+                &endpoints_cache,
+                &tracked,
+                &metrics,
+            ) {
+                requeue.add_after(key.clone(), poll);
+            }
+        });
     }
 
     // Rules worker: propagate service/endpoint changes to tracked guests.
     {
-        let rules_queue = Arc::clone(&rules_queue);
-        let tracked = Arc::clone(&tracked);
         let metrics = Arc::clone(&metrics);
-        let service_cache = Arc::clone(&service_cache);
-        let endpoints_cache = Arc::clone(&endpoints_cache);
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("ekp-rules".into())
-                .spawn(move || {
-                    while let Some(()) = rules_queue.get() {
-                        if stop.is_set() {
-                            rules_queue.done(&());
-                            break;
-                        }
-                        propagate_rules(&service_cache, &endpoints_cache, &tracked, &metrics);
-                        rules_queue.done(&());
-                    }
-                })
-                .expect("spawn ekp rules worker"),
-        );
-    }
-
-    {
-        let pod_queue = Arc::clone(&pod_queue);
-        let rules_queue = Arc::clone(&rules_queue);
-        handle.on_stop(move || {
-            pod_queue.shutdown();
-            rules_queue.shutdown();
+        handle.workers("ekp-rules", 1, 1, &rules_queue, move |()| {
+            propagate_rules(&service_cache, &endpoints_cache, &tracked, &metrics)
         });
     }
+
     handle.add_informer(pod_informer);
     handle.add_informer(service_informer);
     handle.add_informer(endpoints_informer);

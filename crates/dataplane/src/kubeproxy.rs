@@ -91,31 +91,13 @@ pub fn start_standard(
 
     let service_cache = Arc::clone(service_informer.cache());
     let endpoints_cache = Arc::clone(endpoints_informer.cache());
+    // Initial programming even before any event.
+    queue.add(());
     {
-        let queue = Arc::clone(&queue);
         let metrics = Arc::clone(&metrics);
-        let stop = handle.stop_flag();
-        handle.add_thread(
-            std::thread::Builder::new()
-                .name("kubeproxy".into())
-                .spawn(move || {
-                    // Initial programming even before any event.
-                    sync_host_tables(&service_cache, &endpoints_cache, &network, &metrics);
-                    while let Some(()) = queue.get() {
-                        if stop.is_set() {
-                            queue.done(&());
-                            break;
-                        }
-                        sync_host_tables(&service_cache, &endpoints_cache, &network, &metrics);
-                        queue.done(&());
-                    }
-                })
-                .expect("spawn kubeproxy"),
-        );
-    }
-    {
-        let queue = Arc::clone(&queue);
-        handle.on_stop(move || queue.shutdown());
+        handle.workers("kubeproxy", 1, 1, &queue, move |()| {
+            sync_host_tables(&service_cache, &endpoints_cache, &network, &metrics)
+        });
     }
     handle.add_informer(service_informer);
     handle.add_informer(endpoints_informer);
@@ -151,7 +133,7 @@ mod tests {
     use vc_api::pod::{Pod, PodConditionType, PodPhase};
     use vc_api::service::{Service, ServicePort};
     use vc_apiserver::{ApiServer, ApiServerConfig};
-    use vc_controllers::util::wait_until;
+    use vc_controllers::util::{assert_count_reaches, wait_until};
 
     fn fast_server() -> Arc<ApiServer> {
         let config = ApiServerConfig {
@@ -190,6 +172,9 @@ mod tests {
         network.host_table("n2");
         let (mut kp_handle, metrics) =
             start_standard(Client::new(Arc::clone(&server), "kubeproxy"), Arc::clone(&network));
+        // No services and no endpoints yet: the tables are programmed once
+        // at start, before any event.
+        assert_count_reaches(&metrics.syncs, 1);
 
         let user = Client::new(server, "u");
         user.create(ready_pod("default", "backend", "web", "10.1.0.7", "n1").into()).unwrap();

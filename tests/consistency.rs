@@ -19,6 +19,25 @@ fn ready(client: &Client, ns: &str, name: &str) -> bool {
     client.get(ResourceKind::Pod, ns, name).is_ok_and(|o| o.as_pod().unwrap().status.is_ready())
 }
 
+/// Waits until the syncer can no longer repair the tenant pod `ns/name` by
+/// itself: its tenant informer has seen the pod's latest write, so no echo
+/// of an upward write is still on its way down, and the syncer is quiet,
+/// with no queued, processing or retrying item. A tamper with the super pod
+/// made after this stays until the scanner finds it.
+fn wait_until_quiet(fw: &Framework, tenant: &str, ns: &str, name: &str) {
+    let client = fw.tenant_client(tenant, "user");
+    let cache = Arc::clone(fw.syncer.tenant(tenant).expect("registered").cache(ResourceKind::Pod));
+    let key = format!("{ns}/{name}");
+    assert!(
+        wait_until(Duration::from_secs(30), Duration::from_millis(5), || {
+            let latest = client.get(ResourceKind::Pod, ns, name).unwrap().meta().resource_version;
+            cache.get(&key).is_some_and(|o| o.meta().resource_version == latest)
+                && fw.syncer.is_quiet()
+        }),
+        "the syncer must go quiet for {key}"
+    );
+}
+
 #[test]
 fn rapid_create_delete_create_converges() {
     // The classic race: an object is deleted and recreated under the same
@@ -89,6 +108,7 @@ fn scanner_heals_out_of_band_label_drift() {
     assert!(wait_until(Duration::from_secs(30), Duration::from_millis(50), || {
         ready(&tenant, "default", "target")
     }));
+    wait_until_quiet(&fw, "heal", "default", "target");
 
     let prefix = fw.registry.get("heal").unwrap().prefix.clone();
     let super_ns = format!("{prefix}-default");
@@ -341,6 +361,7 @@ fn incremental_scanner_converges_within_two_ticks() {
     assert!(wait_until(Duration::from_secs(30), Duration::from_millis(50), || {
         ready(&tenant, "default", "target")
     }));
+    wait_until_quiet(&fw, "inc", "default", "target");
 
     // Tamper with the super copy out of band. Nothing repairs it until a
     // tick runs: a tick compares informer caches, and super-side events
