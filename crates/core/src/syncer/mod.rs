@@ -510,8 +510,14 @@ impl Syncer {
         config: SyncerConfig,
         clock: Arc<dyn Clock>,
     ) -> Arc<Syncer> {
-        let mut super_kinds: Vec<ResourceKind> = config.downward_kinds.clone();
-        for kind in UPWARD_KINDS.iter().chain([ResourceKind::Node].iter()) {
+        // The super informers start in this order, upward kinds first.
+        // `Pool::register` pins informers to pool workers round-robin, so
+        // the order decides which of them share a worker with the tenants'
+        // pod informers. A fixed order keeps that pairing, and with it the
+        // cost of a pod burst, the same in every process (EXPERIMENTS.md,
+        // "Informer start order").
+        let mut super_kinds: Vec<ResourceKind> = UPWARD_KINDS.to_vec();
+        for kind in [ResourceKind::Node].iter().chain(&config.downward_kinds) {
             if !super_kinds.contains(kind) {
                 super_kinds.push(*kind);
             }
@@ -588,8 +594,8 @@ impl Syncer {
             }));
         }
         let mut handle = ControllerHandle::new("vc-syncer");
-        for informer in syncer.super_informers.values() {
-            let started = SharedInformer::start(Arc::clone(informer));
+        for kind in &super_kinds {
+            let started = SharedInformer::start(Arc::clone(&syncer.super_informers[kind]));
             started.wait_for_sync(Duration::from_secs(30));
             handle.add_informer(started);
         }
