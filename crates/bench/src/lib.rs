@@ -10,11 +10,8 @@
 #![warn(missing_docs)]
 
 pub mod abuse;
-pub mod baseline_store;
-pub mod baseline_sync;
 pub mod calibration;
 pub mod load;
 pub mod report;
 pub mod scale;
-pub mod sync_harness;
 pub mod wire_load;

@@ -119,27 +119,6 @@ pub struct MetricsReport {
     pub registry: RegistrySnapshot,
 }
 
-/// Minimal blocking-receive interface over the two watch-stream types the
-/// store contention benches compare ([`vc_store::WatchStream`] and the
-/// baseline's raw channel receiver).
-pub trait WatchReceiver {
-    /// Blocks up to `ms` milliseconds for the next event, `None` on
-    /// timeout or closure.
-    fn recv_ms(&self, ms: u64) -> Option<vc_store::WatchEvent>;
-}
-
-impl WatchReceiver for vc_store::WatchStream {
-    fn recv_ms(&self, ms: u64) -> Option<vc_store::WatchEvent> {
-        self.recv_timeout_ms(ms)
-    }
-}
-
-impl WatchReceiver for crossbeam::channel::Receiver<vc_store::WatchEvent> {
-    fn recv_ms(&self, ms: u64) -> Option<vc_store::WatchEvent> {
-        self.recv_timeout(std::time::Duration::from_millis(ms)).ok()
-    }
-}
-
 /// Writes a JSON [`MetricsReport`] of `registry` to
 /// `$VC_BENCH_JSON_DIR/BENCH_<label>_metrics.json` and returns the path.
 /// A no-op returning `None` when `VC_BENCH_JSON_DIR` is unset (normal

@@ -32,7 +32,6 @@ use crate::coalesce::{CoalesceCore, Offer};
 use crate::workqueue::WorkSource;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
-use std::time::{Duration, Instant};
 use vc_api::metrics::Counter;
 use vc_sync::{Condvar, Mutex};
 
@@ -261,11 +260,6 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         self.dequeue(&mut state).map(|(item, _gen)| item)
     }
 
-    /// Blocks up to `timeout` of real time for the next item.
-    pub fn get_timeout(&self, timeout: Duration) -> Option<T> {
-        self.get_batch_timeout(1, timeout).pop().map(|(item, _gen)| item)
-    }
-
     /// Blocks for work, then drains up to `max` items under a single lock
     /// acquisition, each paired with the latest generation recorded for it
     /// (0 for plain `add`s). In fair mode the batch stays within the front
@@ -294,31 +288,6 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
                 return false;
             }
             self.cond.wait(&mut state);
-        }
-    }
-
-    /// Bounded-wait variant of [`WeightedFairQueue::get_batch`]: returns
-    /// an empty vec if no item arrives within `timeout` of real time (or
-    /// once the queue is shut down), so callers can poll a stop condition
-    /// instead of relying on `shutdown()` to release them. The waiter
-    /// parks on the queue condvar for the whole remainder: one wakeup, no
-    /// polling.
-    pub fn get_batch_timeout(&self, max: usize, timeout: Duration) -> Vec<(T, u64)> {
-        let deadline = Instant::now() + timeout;
-        let mut batch = Vec::new();
-        let mut state = self.state.lock();
-        loop {
-            if let Some(first) = self.dequeue(&mut state) {
-                self.fill_batch(&mut state, first, max, |item, generation| {
-                    batch.push((item, generation))
-                });
-                return batch;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if state.shutdown || left.is_zero() {
-                return batch;
-            }
-            self.cond.wait_for(&mut state, left);
         }
     }
 
@@ -546,6 +515,7 @@ impl<T: Eq + Hash + Clone + Send> WorkSource for WeightedFairQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn round_robin_interleaves_tenants() {
@@ -678,17 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn get_batch_timeout_releases_without_shutdown() {
-        let q: WeightedFairQueue<String> = WeightedFairQueue::new(true);
-        q.add("t", "a".to_string());
-        let batch = q.get_batch_timeout(8, Duration::from_millis(5));
-        assert_eq!(batch.len(), 1);
-        // Empty queue: the call returns an empty vec after the timeout
-        // instead of blocking until shutdown.
-        assert!(q.get_batch_timeout(8, Duration::from_millis(5)).is_empty());
-    }
-
-    #[test]
     fn coalesced_readd_keeps_latest_generation() {
         let q = WeightedFairQueue::new(true);
         q.add_coalescing("t", "x", 4);
@@ -727,12 +686,6 @@ mod tests {
         assert_eq!(handle.join().unwrap(), Some(42));
         q.shutdown();
         assert_eq!(q.get(), None);
-    }
-
-    #[test]
-    fn get_timeout_expires() {
-        let q: WeightedFairQueue<u32> = WeightedFairQueue::new(true);
-        assert_eq!(q.get_timeout(Duration::from_millis(20)), None);
     }
 
     #[test]

@@ -674,6 +674,36 @@ mod tests {
     }
 
     #[test]
+    fn watch_path_shares_the_store_arc_end_to_end() {
+        // DESIGN.md §11.1: the object a handler's event carries, the cache
+        // entry behind `get` and `list`, and the apiserver store's own
+        // entry are one allocation; nothing on the read path copies it.
+        let (server, informer) = setup(ResourceKind::Pod);
+        let added: Arc<Mutex<Option<Arc<Object>>>> = Arc::default();
+        let sink = Arc::clone(&added);
+        informer.add_handler(Box::new(move |ev| {
+            if let InformerEvent::Added(o) = ev {
+                *sink.lock() = Some(Arc::clone(o));
+            }
+        }));
+        let informer = SharedInformer::start(informer);
+        assert!(informer.wait_for_sync(Duration::from_secs(5)));
+        let user = Client::new(Arc::clone(&server), "u");
+        user.create(Pod::new("default", "p").into()).unwrap();
+        assert!(eventually(2000, || added.lock().is_some()));
+
+        let event = added.lock().clone().unwrap();
+        let cached = informer.cache().get("default/p").unwrap();
+        let listed = informer.cache().list();
+        let stored = server.store().get(ResourceKind::Pod, "default/p").unwrap();
+        assert!(Arc::ptr_eq(&event, &cached), "Cache::get copied the event's object");
+        assert_eq!(listed.len(), 1);
+        assert!(Arc::ptr_eq(&event, &listed[0]), "Cache::list copied the event's object");
+        assert!(Arc::ptr_eq(&event, &stored), "the watch path copied the store's object");
+        informer.stop();
+    }
+
+    #[test]
     fn cache_bytes_accounting() {
         let (server, informer) = setup(ResourceKind::Pod);
         let informer = SharedInformer::start(informer);

@@ -25,7 +25,7 @@ use crate::coalesce::{CoalesceCore, Offer};
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vc_api::metrics::Counter;
 use vc_api::time::{waker_fn, Clock, RealClock};
 use vc_sync::{Condvar, Mutex};
@@ -180,24 +180,6 @@ impl<T: Eq + Hash + Clone> WorkQueue<T> {
         let item = Self::pop_locked(&mut state)?;
         self.gets.inc();
         Some(item.0)
-    }
-
-    /// Blocks up to `timeout` of real time for the next item: how long the
-    /// caller will wait, not a deadline on the queue's clock.
-    pub fn get_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        loop {
-            if let Some(item) = Self::pop_locked(&mut state) {
-                self.gets.inc();
-                return Some(item.0);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if state.shutting_down || left.is_zero() {
-                return None;
-            }
-            self.cond.wait_for(&mut state, left);
-        }
     }
 
     /// Blocks for work, then drains up to `max` pending items under a
@@ -477,15 +459,6 @@ mod tests {
         assert_eq!(p.delay(2), Duration::from_millis(40));
         assert_eq!(p.delay(3), Duration::from_millis(50), "capped");
         assert_eq!(p.delay(30), Duration::from_millis(50), "no overflow");
-    }
-
-    #[test]
-    fn get_timeout_expires() {
-        use std::time::Instant;
-        let q: WorkQueue<u32> = WorkQueue::new();
-        let start = Instant::now();
-        assert_eq!(q.get_timeout(Duration::from_millis(30)), None);
-        assert!(start.elapsed() >= Duration::from_millis(25));
     }
 
     #[test]

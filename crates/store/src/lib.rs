@@ -834,6 +834,7 @@ fn wal_unavailable(err: StoreError) -> ApiError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vc_api::config::ConfigMap;
     use vc_api::namespace::Namespace;
     use vc_api::pod::Pod;
 
@@ -944,6 +945,44 @@ mod tests {
             ns2_after.iter().find(|o| o.key() == "ns2/b0").unwrap().meta().resource_version,
             updated.meta().resource_version
         );
+    }
+
+    #[test]
+    fn namespace_list_is_served_from_the_namespace_index() {
+        let store = Store::new();
+        for name in ["c", "a", "b"] {
+            store.insert(pod("ns-a", name)).unwrap();
+            store.insert(pod("ns-b", name)).unwrap();
+        }
+        // Empty the object map behind the index's back: a namespace list
+        // still answers in full because it never reads `objects`, so its
+        // cost is the namespace's size, not the kind's.
+        store.shard(ResourceKind::Pod).state().objects.clear();
+
+        let (ns_a, _) = store.list(ResourceKind::Pod, Some("ns-a"));
+        let keys: Vec<String> = ns_a.iter().map(|o| o.key()).collect();
+        assert_eq!(keys, ["ns-a/a", "ns-a/b", "ns-a/c"], "exactly ns-a, in key order");
+        assert!(store.list(ResourceKind::Pod, None).0.is_empty());
+    }
+
+    #[test]
+    fn kinds_do_not_share_a_lock() {
+        let store = Arc::new(Store::new());
+        store.insert(ConfigMap::new("ns", "before").into()).unwrap();
+        let pod_state = store.shard(ResourceKind::Pod).state();
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let other = Arc::clone(&store);
+        std::thread::spawn(move || {
+            let got = other.get(ResourceKind::ConfigMap, "ns/before").is_some();
+            let inserted = other.insert(ConfigMap::new("ns", "after").into()).is_ok();
+            let _ = done_tx.send((got, inserted));
+        });
+        // Bounded, so a shared lock fails the test instead of hanging it;
+        // releasing the guard afterwards lets a blocked thread finish.
+        let outcome = done_rx.recv_timeout(std::time::Duration::from_secs(5));
+        drop(pod_state);
+        assert_eq!(outcome, Ok((true, true)), "a ConfigMap get + insert waited on the Pod shard");
     }
 
     #[test]

@@ -9,32 +9,16 @@
 //! `vc-client`).
 //!
 //! The API is deliberately the parking_lot-flavored subset those modules
-//! use: `lock()` without poisoning, condvars taking `&mut MutexGuard`,
-//! and timed waits expressed as [`Condvar::wait_for`] relative durations
-//! (absolute-deadline waits don't compose with a virtual clock).
+//! use: `lock()` without poisoning and condvars taking `&mut MutexGuard`.
+//! The condvar has no timed wait: the store's and queues' waiters block
+//! until notified.
 
 #![warn(missing_docs)]
 
 pub use std::sync::Arc;
 
-/// Result of a [`Condvar::wait_for`] call.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Returns `true` if the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
 #[cfg(not(loom))]
 mod imp {
-    use super::WaitTimeoutResult;
-    use std::time::Duration;
-
     /// Mutual-exclusion lock (parking_lot backend; never poisons).
     pub struct Mutex<T>(parking_lot::Mutex<T>);
 
@@ -81,15 +65,6 @@ mod imp {
             self.0.wait(&mut guard.0);
         }
 
-        /// Blocks until notified or `timeout` elapses.
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            timeout: Duration,
-        ) -> WaitTimeoutResult {
-            WaitTimeoutResult { timed_out: self.0.wait_for(&mut guard.0, timeout).timed_out() }
-        }
-
         /// Wakes one blocked waiter.
         pub fn notify_one(&self) {
             self.0.notify_one();
@@ -109,9 +84,6 @@ mod imp {
 
 #[cfg(loom)]
 mod imp {
-    use super::WaitTimeoutResult;
-    use std::time::Duration;
-
     /// Mutual-exclusion lock (loom model-checking backend).
     pub struct Mutex<T>(loom::sync::Mutex<T>);
 
@@ -162,20 +134,6 @@ mod imp {
             guard.0 = Some(self.0.wait(inner).expect("loom condvar never poisons"));
         }
 
-        /// Timed wait; under loom it only times out when the model would
-        /// otherwise deadlock (virtual time passing).
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            timeout: Duration,
-        ) -> WaitTimeoutResult {
-            let inner = guard.0.take().expect("guard present");
-            let (inner, result) =
-                self.0.wait_timeout(inner, timeout).expect("loom condvar never poisons");
-            guard.0 = Some(inner);
-            WaitTimeoutResult { timed_out: result.timed_out() }
-        }
-
         /// Wakes one blocked waiter.
         pub fn notify_one(&self) {
             self.0.notify_one();
@@ -222,19 +180,25 @@ impl<T: Default> Default for Mutex<T> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn mutex_and_condvar_roundtrip() {
-        let m = Mutex::new(0u32);
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 1);
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        *pair.0.lock() += 1;
+        assert_eq!(*pair.0.lock(), 1);
 
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(5));
-        assert!(res.timed_out());
-        assert_eq!(*g, 1);
+        let waker = Arc::clone(&pair);
+        let handle = std::thread::spawn(move || {
+            *waker.0.lock() += 1;
+            waker.1.notify_all();
+        });
+        let mut g = pair.0.lock();
+        while *g < 2 {
+            pair.1.wait(&mut g);
+        }
+        assert_eq!(*g, 2);
+        drop(g);
+        handle.join().unwrap();
     }
 
     #[test]
