@@ -28,7 +28,7 @@ fn ablation_downward_workers() {
     for workers in [5usize, 10, 20, 40, 80] {
         let fw = Framework::start(paper_framework(100, workers, 100, true));
         let tenants = provision_tenants(&fw, 50);
-        let result = run_vc_burst(&fw, &tenants, pods / 50);
+        let result = run_vc_burst(&fw, &tenants, pods);
         println!(
             "  {:<10} {:>10.1} {:>10.1} {:>12.0}",
             workers,
@@ -113,7 +113,7 @@ fn ablation_hibernation() {
     let tenant_count = 50;
     let fw = Framework::start(paper_framework(100, 20, 100, true));
     let tenants = provision_tenants(&fw, tenant_count);
-    let _ = run_vc_burst(&fw, &tenants, scaled(2_000) / tenant_count);
+    let _ = run_vc_burst(&fw, &tenants, scaled(2_000));
 
     let before = fw.syncer.cache_bytes();
     // Hibernate the 80% of tenants that have gone idle.

@@ -56,7 +56,7 @@ fn main() {
             let pods = scaled(pods);
             let fw = Framework::start(paper_framework(100, downward_workers, 100, true));
             let names = provision_tenants(&fw, tenants);
-            let result = run_vc_burst(&fw, &names, pods / tenants);
+            let result = run_vc_burst(&fw, &names, pods);
             print_summary(&format!("vc {pods} pods"), &result.latencies_ms);
             print_histogram(
                 &format!("vc {pods} pods ({:.0} pods/s)", result.throughput()),

@@ -13,7 +13,7 @@
 //! Run: `cargo run --release -p vc-bench --bin fig8_breakdown`
 
 use vc_bench::calibration::{paper_framework, scaled};
-use vc_bench::load::{provision_tenants, run_vc_burst};
+use vc_bench::load::{burst_share, provision_tenants, run_vc_burst};
 use vc_bench::report::{bucket_counts, heading, mean, paper_vs_measured};
 use vc_core::framework::Framework;
 use vc_obs::stage;
@@ -38,8 +38,7 @@ fn main() {
     config.syncer.obs.trace_capacity = config.syncer.obs.trace_capacity.max(pods);
     let fw = Framework::start(config);
     let names = provision_tenants(&fw, tenants);
-    let pods_per_tenant = pods / tenants;
-    let result = run_vc_burst(&fw, &names, pods_per_tenant);
+    let result = run_vc_burst(&fw, &names, pods);
     println!(
         "burst finished: {} pods in {:.1}s ({:.0} pods/s)",
         result.pods,
@@ -50,8 +49,8 @@ fn main() {
     // Per-phase samples (ms), one entry per pod with a finished trace.
     let tracer = &fw.obs().tracer;
     let mut samples: [Vec<u64>; 5] = Default::default();
-    for tenant in &names {
-        for i in 0..pods_per_tenant {
+    for (t, tenant) in names.iter().enumerate() {
+        for i in 0..burst_share(pods, tenants, t) {
             let Some(trace) = tracer.find(tenant, &format!("default/stress-{i}")) else { continue };
             if trace.total.is_none() {
                 continue;

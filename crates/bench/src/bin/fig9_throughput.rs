@@ -18,7 +18,7 @@ use vc_core::framework::Framework;
 fn vc_throughput(tenants: usize, total_pods: usize) -> f64 {
     let fw = Framework::start(paper_framework(100, 20, 100, true));
     let names = provision_tenants(&fw, tenants);
-    let result = run_vc_burst(&fw, &names, total_pods / tenants);
+    let result = run_vc_burst(&fw, &names, total_pods);
     let throughput = result.throughput();
     fw.shutdown();
     throughput

@@ -22,7 +22,7 @@ fn main() {
 
     let fw = Framework::start(paper_framework(100, 20, 100, true));
     let names = provision_tenants(&fw, tenants);
-    let result = run_vc_burst(&fw, &names, pods / tenants);
+    let result = run_vc_burst(&fw, &names, pods);
     println!("populated: {} pods in {:.1}s", result.pods, result.wall.as_secs_f64());
 
     heading("restart: fresh syncer rebuilds every informer cache");

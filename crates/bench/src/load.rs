@@ -57,25 +57,32 @@ fn deadline_for(pods: usize) -> Duration {
     Duration::from_secs(120) + Duration::from_millis(pods as u64 * 20)
 }
 
-/// Runs a VirtualCluster burst: every tenant concurrently creates
-/// `pods_per_tenant` pods in its own control plane; returns once all pods
-/// are Ready **in the tenants**.
+/// The pods tenant `index` of `tenants` creates in a burst of `total`:
+/// an even share, plus one for each of the first `total % tenants`.
+pub fn burst_share(total: usize, tenants: usize, index: usize) -> usize {
+    total / tenants + usize::from(index < total % tenants)
+}
+
+/// Runs a VirtualCluster burst of `total` pods spread over the tenants by
+/// [`burst_share`]: every tenant concurrently creates its share in its own
+/// control plane, as `default/stress-{i}`. Returns once all pods are Ready
+/// **in the tenants**.
 ///
 /// # Panics
 ///
 /// Panics when the burst does not complete before the deadline (the
 /// harness treats that as an experiment failure).
-pub fn run_vc_burst(fw: &Framework, tenants: &[String], pods_per_tenant: usize) -> LoadResult {
+pub fn run_vc_burst(fw: &Framework, tenants: &[String], total: usize) -> LoadResult {
     // Traces (Fig 8 / Table I read them back) cover this burst only.
     fw.obs().tracer.reset();
-    let total = tenants.len() * pods_per_tenant;
     let start = Instant::now();
 
     std::thread::scope(|scope| {
-        for tenant in tenants {
+        for (t, tenant) in tenants.iter().enumerate() {
             let client = fw.tenant_client(tenant, "load-generator");
+            let count = burst_share(total, tenants.len(), t);
             scope.spawn(move || {
-                for i in 0..pods_per_tenant {
+                for i in 0..count {
                     client
                         .create(stress_pod("default", &format!("stress-{i}")).into())
                         .expect("create tenant pod");
@@ -221,7 +228,7 @@ mod tests {
         config.syncer.downward_workers = 8;
         let fw = Framework::start(config);
         let tenants = provision_tenants(&fw, 2);
-        let result = run_vc_burst(&fw, &tenants, 5);
+        let result = run_vc_burst(&fw, &tenants, 10);
         assert_eq!(result.pods, 10);
         assert_eq!(result.latencies_ms.len(), 10);
         assert!(result.throughput() > 0.0);

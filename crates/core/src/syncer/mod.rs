@@ -8,39 +8,49 @@
 //! ([`vc_client::WeightedFairQueue`]), so a bursty tenant cannot starve
 //! others. A periodic scanner remediates any state mismatch left behind by
 //! rare races by resending objects to the worker queues.
+//!
+//! This file holds the configuration, start/stop, the per-item `process`
+//! step, tenant attach/detach/hibernate and event routing. Each policy owns
+//! its state in its own file: `health` (breakers), `retry` (backoff, dead
+//! letters), `scanner`, `stats` (dashboard), `metrics` and `trace`.
 
 pub mod vnode;
 
 mod downward;
+mod health;
+mod metrics;
+mod retry;
+mod scanner;
+mod stats;
+mod trace;
 mod upward;
 
 use crate::mapping;
 use crate::registry::TenantHandle;
-use crate::vc_object::{
-    TenantSyncStats, VirtualCluster, COND_SYNCER_HEALTHY, COND_SYNCER_POLICY_BLOCKED,
-    VC_MANAGER_NAMESPACE,
-};
+use crate::vc_object::{VirtualCluster, VC_MANAGER_NAMESPACE};
+use health::Health;
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use retry::Retry;
+use scanner::Scanner;
+use stats::Stats;
+use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use vc_api::crd::CustomObject;
-use vc_api::error::ApiError;
-use vc_api::metrics::{BusyTimer, Counter, Gauge, Histogram};
 use vc_api::object::ResourceKind;
 use vc_api::pod::PodConditionType;
-use vc_api::time::{waker_fn, Clock, RealClock, Timestamp};
-use vc_client::reflector::{Pool, Timer};
+use vc_api::time::{Clock, RealClock};
+use vc_client::reflector::Pool;
 use vc_client::{
     BackoffPolicy, Client, InformerConfig, InformerEvent, SharedInformer, WeightedFairQueue,
     WorkQueue,
 };
 use vc_controllers::util::{retry_on_conflict, ControllerHandle};
-use vc_obs::{
-    stage, GaugeFamily, HistogramFamily, MetricsRegistry, ObsParams, Observability, TraceContext,
-};
+use vc_obs::{stage, ObsParams, Observability, TraceContext};
 use vnode::VNodeManager;
+
+pub use health::TenantHealth;
+pub use metrics::{SyncerCounters, SyncerMetrics};
 
 /// One unit of synchronization work.
 ///
@@ -71,12 +81,9 @@ pub struct SyncerConfig {
     pub downward_kinds: Vec<ResourceKind>,
     /// Incremental mismatch scan tick interval (`None` disables the
     /// scanner). Each tick re-validates keys dirtied by informer events
-    /// since the last tick plus one cold-sweep slice (see `scan_slice`).
+    /// since the last tick plus one cold-sweep slice (see
+    /// [`Syncer::scan_tick`]).
     pub scan_interval: Option<Duration>,
-    /// Keys the incremental scanner's cold sweep visits per tick (the
-    /// dirty set is always drained in full), making a tick O(changed +
-    /// scan_slice) instead of a full O(all objects) pass.
-    pub scan_slice: usize,
     /// vNode heartbeat broadcast interval.
     pub vnode_heartbeat_interval: Duration,
     /// Simulated per-item downward reconcile cost under congestion (deep
@@ -121,7 +128,6 @@ impl Default for SyncerConfig {
                 ResourceKind::CustomObject,
             ],
             scan_interval: Some(Duration::from_secs(60)),
-            scan_slice: 512,
             vnode_heartbeat_interval: Duration::from_secs(10),
             downward_process_cost: Duration::ZERO,
             upward_process_cost: Duration::ZERO,
@@ -148,12 +154,6 @@ impl SyncerConfig {
         }
     }
 }
-
-/// Upper bucket bounds (µs) for per-tenant sync-duration histograms:
-/// 100µs to 5s, matching the paper's sub-ms fast path through multi-second
-/// brownout tails.
-const SYNC_DURATION_BUCKETS_US: &[u64] =
-    &[100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000];
 
 /// Items a downward worker drains per wakeup. Batches never cross a
 /// tenant's weighted-round-robin round (see
@@ -192,221 +192,6 @@ impl TenantState {
     }
 }
 
-/// Syncer metrics, feeding Figs 8–11 and Table I.
-///
-/// Every counter, gauge and histogram is a cell in the syncer's unified
-/// [`MetricsRegistry`] (families `vc_syncer_ops_total`,
-/// `vc_syncer_events_total`, `vc_syncer_dead_letter_len`,
-/// `vc_syncer_scan_duration_ms`, `vc_syncer_wake_latency_ms`), so the
-/// same values appear in the Prometheus exposition and the JSON snapshot.
-/// The struct fields are direct handles for the hot paths: one atomic op
-/// per update, no label lookup.
-#[derive(Debug)]
-pub struct SyncerMetrics {
-    /// Busy time across downward workers (Fig 10 CPU accounting).
-    pub downward_busy: BusyTimer,
-    /// Busy time across upward workers.
-    pub upward_busy: BusyTimer,
-    /// Objects created in the super cluster.
-    pub downward_creates: Arc<Counter>,
-    /// Objects updated in the super cluster.
-    pub downward_updates: Arc<Counter>,
-    /// Objects deleted from the super cluster.
-    pub downward_deletes: Arc<Counter>,
-    /// Tenant statuses updated.
-    pub upward_updates: Arc<Counter>,
-    /// Tenant objects deleted due to super-side deletion.
-    pub upward_deletes: Arc<Counter>,
-    /// Mismatches repaired by the periodic scanner.
-    pub scan_requeues: Arc<Counter>,
-    /// Scan pass durations (ms).
-    pub scan_duration: Arc<Histogram>,
-    /// Completed scan passes.
-    pub scans: Arc<Counter>,
-    /// Write conflicts encountered (races).
-    pub conflicts: Arc<Counter>,
-    /// Tenants hibernated.
-    pub hibernations: Arc<Counter>,
-    /// Wake-from-hibernation latencies (ms) — the re-list cost.
-    pub wake_latency: Arc<Histogram>,
-    /// Failed downward items re-queued with exponential backoff.
-    pub retries: Arc<Counter>,
-    /// Items dead-lettered after exhausting their retry budget.
-    pub retry_exhausted: Arc<Counter>,
-    /// Items dead-lettered immediately because an admission policy
-    /// rejected them (`Forbidden` is permanently fatal — no backoff).
-    pub policy_blocked: Arc<Counter>,
-    /// Current size of the dead-letter set (drained by the scanner).
-    pub dead_letter_len: Arc<Gauge>,
-    /// Per-tenant circuit-breaker trips (tenant marked Degraded).
-    pub breaker_trips: Arc<Counter>,
-    /// Circuit-breaker recoveries (half-open probe succeeded).
-    pub breaker_recoveries: Arc<Counter>,
-}
-
-impl SyncerMetrics {
-    /// Registers the syncer's metric families in `registry` and returns
-    /// direct handles to the cells the hot paths update.
-    pub fn new(registry: &MetricsRegistry) -> Self {
-        let ops = registry.counter(
-            "vc_syncer_ops_total",
-            "Reconcile operations applied, by direction (downward/upward) and op.",
-            &["direction", "op"],
-        );
-        let events = registry.counter(
-            "vc_syncer_events_total",
-            "Syncer pipeline events: retries, scans, conflicts, breaker transitions.",
-            &["event"],
-        );
-        let dead_letter = registry.gauge(
-            "vc_syncer_dead_letter_len",
-            "Items parked in the dead-letter set awaiting scanner re-validation.",
-            &[],
-        );
-        let scan_duration = registry.histogram(
-            "vc_syncer_scan_duration_ms",
-            "Full mismatch scan pass duration (ms).",
-            &[],
-            &[1, 5, 10, 50, 100, 500, 1_000, 5_000],
-        );
-        let wake_latency = registry.histogram(
-            "vc_syncer_wake_latency_ms",
-            "Wake-from-hibernation re-list latency (ms).",
-            &[],
-            &[1, 5, 10, 50, 100, 500, 1_000, 5_000],
-        );
-        SyncerMetrics {
-            downward_busy: BusyTimer::default(),
-            upward_busy: BusyTimer::default(),
-            downward_creates: ops.with(&["downward", "create"]),
-            downward_updates: ops.with(&["downward", "update"]),
-            downward_deletes: ops.with(&["downward", "delete"]),
-            upward_updates: ops.with(&["upward", "update"]),
-            upward_deletes: ops.with(&["upward", "delete"]),
-            scan_requeues: events.with(&["scan_requeue"]),
-            scan_duration: scan_duration.with(&[]),
-            scans: events.with(&["scan"]),
-            conflicts: events.with(&["conflict"]),
-            hibernations: events.with(&["hibernation"]),
-            wake_latency: wake_latency.with(&[]),
-            retries: events.with(&["retry"]),
-            retry_exhausted: events.with(&["retry_exhausted"]),
-            policy_blocked: events.with(&["policy_blocked"]),
-            dead_letter_len: dead_letter.with(&[]),
-            breaker_trips: events.with(&["breaker_trip"]),
-            breaker_recoveries: events.with(&["breaker_recovery"]),
-        }
-    }
-
-    /// Copies every counter and gauge in one pass. Reports must use this
-    /// instead of reading fields one by one: a field-by-field read of live
-    /// atomics interleaves with concurrent updates, so derived rows (e.g.
-    /// retries vs. retry_exhausted) can tear across fields.
-    pub fn snapshot(&self) -> SyncerCounters {
-        SyncerCounters {
-            downward_creates: self.downward_creates.get(),
-            downward_updates: self.downward_updates.get(),
-            downward_deletes: self.downward_deletes.get(),
-            upward_updates: self.upward_updates.get(),
-            upward_deletes: self.upward_deletes.get(),
-            scan_requeues: self.scan_requeues.get(),
-            scans: self.scans.get(),
-            conflicts: self.conflicts.get(),
-            hibernations: self.hibernations.get(),
-            retries: self.retries.get(),
-            retry_exhausted: self.retry_exhausted.get(),
-            policy_blocked: self.policy_blocked.get(),
-            breaker_trips: self.breaker_trips.get(),
-            breaker_recoveries: self.breaker_recoveries.get(),
-            dead_letter_len: self.dead_letter_len.get(),
-        }
-    }
-}
-
-/// Point-in-time copy of the syncer's counters and gauges, taken in one
-/// pass (see [`SyncerMetrics::snapshot`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SyncerCounters {
-    /// Objects created in the super cluster.
-    pub downward_creates: u64,
-    /// Objects updated in the super cluster.
-    pub downward_updates: u64,
-    /// Objects deleted from the super cluster.
-    pub downward_deletes: u64,
-    /// Tenant statuses updated.
-    pub upward_updates: u64,
-    /// Tenant objects deleted due to super-side deletion.
-    pub upward_deletes: u64,
-    /// Mismatches repaired by the periodic scanner.
-    pub scan_requeues: u64,
-    /// Completed scan passes.
-    pub scans: u64,
-    /// Write conflicts encountered (races).
-    pub conflicts: u64,
-    /// Tenants hibernated.
-    pub hibernations: u64,
-    /// Failed downward items re-queued with exponential backoff.
-    pub retries: u64,
-    /// Items dead-lettered after exhausting their retry budget.
-    pub retry_exhausted: u64,
-    /// Items dead-lettered immediately on an admission policy rejection.
-    pub policy_blocked: u64,
-    /// Per-tenant circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Circuit-breaker recoveries.
-    pub breaker_recoveries: u64,
-    /// Size of the dead-letter set at snapshot time.
-    pub dead_letter_len: i64,
-}
-
-/// Tenant health as seen by the syncer's per-tenant circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TenantHealth {
-    /// Synchronization flowing normally.
-    Healthy,
-    /// Breaker open (or probing): the tenant's downward sub-queue is
-    /// paused and upward items are parked until a half-open probe
-    /// succeeds.
-    Degraded,
-}
-
-/// Circuit-breaker state machine for one tenant control plane.
-#[derive(Debug)]
-enum BreakerPhase {
-    /// Requests flowing; failures counted.
-    Closed,
-    /// Tripped: tenant paused until the deadline (measured on the
-    /// syncer's clock), then a probe runs.
-    Open { until: Timestamp },
-    /// Probe in flight; success closes, failure re-opens.
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct Breaker {
-    phase: BreakerPhase,
-    consecutive_failures: u32,
-}
-
-/// Resume position of the incremental scanner's paginated cold sweep.
-///
-/// The sweep walks one cache segment at a time — tenant-side caches first
-/// (divergence, missing super copies), then the super-side caches
-/// (orphans whose tenant source is gone) — visiting at most `scan_slice`
-/// keys per tick and wrapping around. Tenants are visited in name order
-/// so the cursor survives registration churn between ticks.
-#[derive(Debug, Clone, Default)]
-struct ScanCursor {
-    /// `false`: sweeping tenant caches; `true`: sweeping super caches.
-    super_side: bool,
-    /// Current tenant (tenant-side sweep only).
-    tenant: Option<String>,
-    /// Index into the downward kinds for the current segment.
-    kind_idx: usize,
-    /// Last key visited in the current segment (resume strictly after).
-    last_key: Option<String>,
-}
-
 /// The centralized resource syncer.
 pub struct Syncer {
     pub(crate) config: SyncerConfig,
@@ -426,36 +211,17 @@ pub struct Syncer {
     /// The upward worker that propagates a deletion consumes its entry;
     /// without one an absent super pod is not a reason to delete anything.
     pub(crate) recent_super_deletions: Mutex<HashMap<String, Option<String>>>,
-    /// Consecutive failures per downward item: the exponent of its next
-    /// backoff, spent against the retry budget, cleared on success.
-    retry_failures: Mutex<HashMap<WorkItem, u32>>,
     /// This syncer, for the retry timers that deliver into it.
     this: Weak<Syncer>,
-    /// Items that exhausted their retry budget; parked here until the
-    /// periodic scanner re-validates and re-queues (or drops) them.
-    dead_letter: Mutex<HashSet<WorkItem>>,
-    /// Per-tenant items dead-lettered by an admission policy rejection.
-    /// A tenant with a non-empty set carries the `SyncerPolicyBlocked` VC
-    /// condition; the condition is lowered when its last blocked item
-    /// reconciles cleanly (tenant fixed or deleted the object).
-    policy_blocked_items: Mutex<HashMap<String, HashSet<WorkItem>>>,
-    /// Per-tenant circuit breakers fed by tenant-apiserver failures.
-    breakers: Mutex<HashMap<String, Breaker>>,
-    /// Probes the breakers whose Open window has passed; armed at the
-    /// earliest Open deadline, idle while every breaker is closed.
-    breaker_probe: Arc<Timer>,
-    /// Upward items parked while their tenant's breaker is open; replayed
-    /// on recovery.
-    parked_upward: Mutex<HashSet<WorkItem>>,
+    /// Failure counts, dead letters and policy blocks.
+    retry: Retry,
+    /// Circuit breakers, their probe timer and parked upward items.
+    health: Health,
     /// Hibernated (idle) tenants: informers stopped, caches released
     /// (paper §V: "reducing the cost of running tenant control planes").
     pub(crate) hibernated: Mutex<HashMap<String, Arc<TenantHandle>>>,
-    /// Tenant-side keys dirtied by informer events since the last scan
-    /// tick; [`scan_tick`](Self::scan_tick) re-validates exactly these
-    /// plus one cold-sweep slice.
-    scan_dirty: Mutex<HashSet<WorkItem>>,
-    /// Cold-sweep resume position.
-    scan_cursor: Mutex<ScanCursor>,
+    /// The scanner's dirty set and cold-sweep cursor.
+    scanner: Scanner,
     /// vNode bookkeeping.
     pub vnodes: VNodeManager,
     /// Counters and busy timers.
@@ -464,17 +230,8 @@ pub struct Syncer {
     /// registry every attached apiserver and the syncer's own families
     /// report into.
     pub obs: Arc<Observability>,
-    /// Per-tenant reconcile duration (µs), labels `[tenant, direction]`.
-    pub(crate) tenant_sync_duration: HistogramFamily,
-    /// Per-tenant downward sub-queue depth, labels `[tenant]`.
-    tenant_queue_depth: GaugeFamily,
-    /// Last stats published onto each VC status, to skip no-op writes.
-    last_published_stats: Mutex<HashMap<String, TenantSyncStats>>,
-    /// Tenants whose dashboard inputs changed since the last publish
-    /// pass (reconciles, breaker transitions, registration). The scanner
-    /// republishes exactly these instead of walking every tenant — the
-    /// event-fed analogue of [`Self::scan_dirty`] for stats.
-    stats_dirty: Mutex<HashSet<String>>,
+    /// Per-tenant dashboard families and publish bookkeeping.
+    stats: Stats,
     /// The clock every syncer deadline is measured on: scanner ticks,
     /// vnode heartbeats, breaker-open windows and retry backoff. Tests
     /// inject a [`vc_api::time::SimClock`] and advance it instead of
@@ -536,33 +293,15 @@ impl Syncer {
         // The super apiserver reports into the shared registry under the
         // "super" scope; it never opens traces (tenant gates do that).
         super_client.server().attach_observability(&obs, "super", false);
-        let tenant_sync_duration = obs.registry.histogram(
-            "vc_syncer_tenant_sync_duration_us",
-            "Per-tenant reconcile duration (microseconds) by direction.",
-            &["tenant", "direction"],
-            SYNC_DURATION_BUCKETS_US,
-        );
-        let tenant_queue_depth = obs.registry.gauge(
-            "vc_syncer_tenant_queue_depth",
-            "Per-tenant downward sub-queue depth.",
-            &["tenant"],
-        );
+        let stats = Stats::new(&obs.registry);
 
         let syncer = Arc::new_cyclic(|syncer: &Weak<Syncer>| Syncer {
             downward: Arc::new(WeightedFairQueue::new(config.fair_queuing)),
             upward: Arc::new(WorkQueue::with_clock(Arc::clone(&clock))),
-            retry_failures: Mutex::new(HashMap::new()),
             this: syncer.clone(),
-            dead_letter: Mutex::new(HashSet::new()),
-            policy_blocked_items: Mutex::new(HashMap::new()),
-            breakers: Mutex::new(HashMap::new()),
-            breaker_probe: {
-                let syncer = syncer.clone();
-                Timer::new(Pool::global(), Arc::clone(&clock), move || {
-                    syncer.upgrade()?.probe_due_breakers()
-                })
-            },
-            parked_upward: Mutex::new(HashSet::new()),
+            retry: Retry::default(),
+            // The breaker timer is the syncer's first pool registration.
+            health: Health::new(syncer.clone(), Arc::clone(&clock)),
             config,
             super_client,
             super_informers,
@@ -570,15 +309,11 @@ impl Syncer {
             prefix_index: RwLock::new(HashMap::new()),
             recent_super_deletions: Mutex::new(HashMap::new()),
             hibernated: Mutex::new(HashMap::new()),
-            scan_dirty: Mutex::new(HashSet::new()),
-            scan_cursor: Mutex::new(ScanCursor::default()),
+            scanner: Scanner::default(),
             vnodes: VNodeManager::new(),
             metrics: SyncerMetrics::new(&obs.registry),
             obs,
-            tenant_sync_duration,
-            tenant_queue_depth,
-            last_published_stats: Mutex::new(HashMap::new()),
-            stats_dirty: Mutex::new(HashSet::new()),
+            stats,
             clock,
             handle: Mutex::new(None),
         });
@@ -677,9 +412,7 @@ impl Syncer {
         if let Some(id) = trace_id {
             self.obs.tracer.record_span(id, stage::DWS_PROCESS, elapsed, true);
         }
-        self.tenant_sync_duration
-            .with(&[&item.tenant, direction])
-            .observe_ms(elapsed.as_micros() as u64);
+        self.stats.observe(&item.tenant, direction, elapsed);
         self.mark_stats_dirty(&item.tenant);
     }
 
@@ -710,349 +443,6 @@ impl Syncer {
     /// Names of currently hibernated tenants.
     pub fn hibernated_tenants(&self) -> Vec<String> {
         self.hibernated.lock().keys().cloned().collect()
-    }
-
-    /// Schedules a failed downward item for retry under its per-item
-    /// exponential backoff: a timer on the syncer clock delivers it back
-    /// into the downward queue. An item that has already consumed its
-    /// retry budget is dead-lettered instead: parked until the periodic
-    /// scanner re-validates it (so a persistently failing object cannot
-    /// occupy the retry pipeline forever).
-    pub(crate) fn requeue_downward(&self, item: WorkItem) {
-        let mut failures = self.retry_failures.lock();
-        let count = failures.entry(item.clone()).or_insert(0);
-        if *count >= self.config.retry_budget {
-            failures.remove(&item);
-            drop(failures);
-            let mut dead = self.dead_letter.lock();
-            if dead.insert(item) {
-                self.metrics.retry_exhausted.inc();
-                self.metrics.dead_letter_len.set(dead.len() as i64);
-            }
-            return;
-        }
-        let delay = self.config.retry_backoff.delay(*count);
-        *count += 1;
-        drop(failures);
-        self.metrics.retries.inc();
-        let syncer = self.this.clone();
-        let item = Mutex::new(Some(item));
-        let deliver = waker_fn(move || {
-            if let (Some(syncer), Some(item)) = (syncer.upgrade(), item.lock().take()) {
-                syncer.deliver_retry(item);
-            }
-        });
-        self.clock.wake_at(self.clock.now().add(delay), deliver);
-    }
-
-    /// Re-queues a backed-off item once its delay has passed — unless its
-    /// tenant was unregistered or hibernated since the failure, in which
-    /// case the item and its failure count are dropped instead of leaking
-    /// into the queue.
-    fn deliver_retry(&self, item: WorkItem) {
-        if !self.tenants.read().contains_key(&item.tenant) {
-            self.forget_failures(&item);
-            return;
-        }
-        let tenant = item.tenant.clone();
-        self.downward.add(&tenant, item);
-    }
-
-    fn forget_failures(&self, item: &WorkItem) {
-        self.retry_failures.lock().remove(item);
-    }
-
-    /// Routes a downward item rejected by an admission policy straight to
-    /// the dead-letter set. `Forbidden` is permanently fatal — retrying
-    /// the identical object can never succeed — so unlike
-    /// [`requeue_downward`](Self::requeue_downward) this spends no retry
-    /// budget and occupies no backoff slot; the scanner re-validates the
-    /// item only after the tenant changes it. The first blocked item per
-    /// tenant raises the `SyncerPolicyBlocked` condition on the tenant's
-    /// VC so the denial is visible on its dashboard.
-    pub(crate) fn dead_letter_policy_blocked(&self, item: WorkItem, err: &ApiError) {
-        let tenant = item.tenant.clone();
-        self.forget_failures(&item);
-        {
-            let mut dead = self.dead_letter.lock();
-            if dead.insert(item.clone()) {
-                self.metrics.policy_blocked.inc();
-                self.metrics.dead_letter_len.set(dead.len() as i64);
-            }
-        }
-        let newly_blocked = {
-            let mut blocked = self.policy_blocked_items.lock();
-            let items = blocked.entry(tenant.clone()).or_default();
-            let was_empty = items.is_empty();
-            items.insert(item);
-            was_empty
-        };
-        if newly_blocked {
-            let rule = err.policy_rule().unwrap_or("forbidden");
-            self.publish_tenant_condition_type(
-                COND_SYNCER_POLICY_BLOCKED,
-                &tenant,
-                true,
-                rule,
-                &err.to_string(),
-            );
-            self.mark_stats_dirty(&tenant);
-        }
-    }
-
-    /// Clears an item's retry history after a successful reconcile so its
-    /// next failure starts from the base backoff again. When the item was
-    /// the tenant's last policy-blocked one, the `SyncerPolicyBlocked`
-    /// condition is lowered — the tenant corrected (or deleted) the
-    /// offending object.
-    pub(crate) fn forget_retries(&self, item: &WorkItem) {
-        self.forget_failures(item);
-        let unblocked = {
-            let mut blocked = self.policy_blocked_items.lock();
-            if blocked.is_empty() {
-                false
-            } else if let Some(items) = blocked.get_mut(&item.tenant) {
-                let removed = items.remove(item);
-                let drained = items.is_empty();
-                if drained {
-                    blocked.remove(&item.tenant);
-                }
-                removed && drained
-            } else {
-                false
-            }
-        };
-        if unblocked {
-            self.publish_tenant_condition_type(
-                COND_SYNCER_POLICY_BLOCKED,
-                &item.tenant,
-                false,
-                "Recovered",
-                "downward sync succeeded after policy rejection",
-            );
-            self.mark_stats_dirty(&item.tenant);
-        }
-    }
-
-    /// Number of items currently parked in the dead-letter set.
-    pub fn dead_letter_len(&self) -> usize {
-        self.dead_letter.lock().len()
-    }
-
-    /// Re-validates dead-lettered items: items belonging to live, healthy
-    /// tenants re-enter the downward queue with a fresh retry budget;
-    /// items of unregistered/hibernated tenants are dropped; items of
-    /// breaker-degraded tenants stay parked until recovery. Called by the
-    /// periodic scanner and on breaker recovery.
-    pub fn drain_dead_letters(&self) {
-        let drained: Vec<WorkItem> = {
-            let mut dead = self.dead_letter.lock();
-            let mut parked = HashSet::new();
-            let mut ready = Vec::new();
-            for item in dead.drain() {
-                if !self.tenants.read().contains_key(&item.tenant) {
-                    continue;
-                }
-                if self.tenant_health(&item.tenant) == Some(TenantHealth::Degraded) {
-                    parked.insert(item);
-                } else {
-                    ready.push(item);
-                }
-            }
-            *dead = parked;
-            self.metrics.dead_letter_len.set(dead.len() as i64);
-            ready
-        };
-        for item in drained {
-            self.forget_failures(&item);
-            let tenant = item.tenant.clone();
-            self.downward.add(&tenant, item);
-        }
-    }
-
-    /// Health of a registered tenant as seen by its circuit breaker;
-    /// `None` for unknown (unregistered or hibernated) tenants.
-    pub fn tenant_health(&self, tenant: &str) -> Option<TenantHealth> {
-        if !self.tenants.read().contains_key(tenant) {
-            return None;
-        }
-        let breakers = self.breakers.lock();
-        let degraded =
-            breakers.get(tenant).is_some_and(|b| !matches!(b.phase, BreakerPhase::Closed));
-        Some(if degraded { TenantHealth::Degraded } else { TenantHealth::Healthy })
-    }
-
-    /// Errors that indicate the tenant control plane itself is unreachable
-    /// (brownout/outage), as opposed to object-level races like conflicts
-    /// or not-found, which say nothing about the apiserver's health.
-    fn is_tenant_outage(err: &ApiError) -> bool {
-        matches!(
-            err,
-            ApiError::Unavailable { .. }
-                | ApiError::Timeout { .. }
-                | ApiError::TooManyRequests { .. }
-        )
-    }
-
-    /// Records a successful tenant-apiserver operation: resets the failure
-    /// streak while the breaker is closed. Open/half-open recovery is
-    /// driven exclusively by [`probe_tenant`](Self::probe_tenant) so that
-    /// recovery always resumes dispatch and drains dead letters.
-    pub(crate) fn note_tenant_ok(&self, tenant: &str) {
-        if let Some(breaker) = self.breakers.lock().get_mut(tenant) {
-            if matches!(breaker.phase, BreakerPhase::Closed) {
-                breaker.consecutive_failures = 0;
-            }
-        }
-    }
-
-    /// Records a failed tenant-apiserver operation; trips the breaker when
-    /// the consecutive-failure threshold is reached. Tripping pauses the
-    /// tenant's downward sub-queue (healthy tenants keep their fair-queue
-    /// shares) and publishes a `SyncerHealthy=false` condition on the VC
-    /// object.
-    pub(crate) fn note_tenant_error(&self, tenant: &str, err: &ApiError) {
-        if !Self::is_tenant_outage(err) {
-            return;
-        }
-        let until = self.clock.now().add(self.config.breaker_open);
-        let (opened, tripped) = {
-            let mut breakers = self.breakers.lock();
-            let breaker = breakers
-                .entry(tenant.to_string())
-                .or_insert(Breaker { phase: BreakerPhase::Closed, consecutive_failures: 0 });
-            match breaker.phase {
-                BreakerPhase::Closed => {
-                    breaker.consecutive_failures += 1;
-                    let tripped = breaker.consecutive_failures >= self.config.breaker_threshold;
-                    if tripped {
-                        breaker.phase = BreakerPhase::Open { until };
-                        // Counted under the lock so observers never see the
-                        // tripped phase before the counter reflects it.
-                        self.metrics.breaker_trips.inc();
-                    }
-                    (tripped, tripped)
-                }
-                BreakerPhase::HalfOpen => {
-                    // A straggler failed while probing: re-open.
-                    breaker.phase = BreakerPhase::Open { until };
-                    (true, false)
-                }
-                BreakerPhase::Open { .. } => (false, false),
-            }
-        };
-        if opened {
-            self.breaker_probe.wake_at(until);
-        }
-        if tripped {
-            self.mark_stats_dirty(tenant);
-            self.downward.pause_tenant(tenant);
-            self.publish_tenant_condition(
-                tenant,
-                false,
-                "BreakerOpen",
-                &format!("tenant apiserver unreachable: {err}"),
-            );
-        }
-    }
-
-    /// The breaker timer's body: flips every breaker whose Open deadline
-    /// has passed to HalfOpen, probes its tenant, and returns the earliest
-    /// Open deadline left.
-    fn probe_due_breakers(&self) -> Option<Timestamp> {
-        let now = self.clock.now();
-        let mut due = Vec::new();
-        for (tenant, breaker) in self.breakers.lock().iter_mut() {
-            if matches!(breaker.phase, BreakerPhase::Open { until } if until <= now) {
-                breaker.phase = BreakerPhase::HalfOpen;
-                due.push(tenant.clone());
-            }
-        }
-        for tenant in &due {
-            self.mark_stats_dirty(tenant);
-            self.probe_tenant(tenant);
-        }
-        let breakers = self.breakers.lock();
-        breakers
-            .values()
-            .filter_map(|b| match b.phase {
-                BreakerPhase::Open { until } => Some(until),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Half-open probe: one cheap read against the tenant apiserver. On
-    /// success the breaker closes — the sub-queue resumes, parked upward
-    /// items replay, dead letters drain, and the VC condition flips back
-    /// to healthy. On failure the breaker re-opens for another window.
-    fn probe_tenant(&self, tenant: &str) {
-        let Some(state) = self.tenant(tenant) else {
-            // Tenant disappeared while tripped; drop its breaker.
-            self.breakers.lock().remove(tenant);
-            return;
-        };
-        let healthy = state.client.list(ResourceKind::Namespace, None).is_ok();
-        {
-            let mut breakers = self.breakers.lock();
-            let Some(breaker) = breakers.get_mut(tenant) else { return };
-            if !matches!(breaker.phase, BreakerPhase::HalfOpen) {
-                return;
-            }
-            breaker.phase = if healthy {
-                // Counted under the lock so observers never see the closed
-                // phase before the counter reflects the recovery.
-                self.metrics.breaker_recoveries.inc();
-                BreakerPhase::Closed
-            } else {
-                BreakerPhase::Open { until: self.clock.now().add(self.config.breaker_open) }
-            };
-            breaker.consecutive_failures = 0;
-        }
-        if !healthy {
-            return;
-        }
-        self.mark_stats_dirty(tenant);
-        self.downward.resume_tenant(tenant);
-        let parked: Vec<WorkItem> = {
-            let mut parked = self.parked_upward.lock();
-            let (mine, rest): (HashSet<_>, HashSet<_>) =
-                parked.drain().partition(|i| i.tenant == tenant);
-            *parked = rest;
-            mine.into_iter().collect()
-        };
-        for item in parked {
-            self.upward.add(item);
-        }
-        self.publish_tenant_condition(tenant, true, "Recovered", "half-open probe succeeded");
-        self.drain_dead_letters();
-    }
-
-    /// Parks an upward item while its tenant's breaker is open; replayed
-    /// by [`probe_tenant`](Self::probe_tenant) on recovery.
-    pub(crate) fn park_upward(&self, item: WorkItem) {
-        self.parked_upward.lock().insert(item);
-    }
-
-    /// Publishes the [`COND_SYNCER_HEALTHY`] condition on the tenant's VC
-    /// object.
-    fn publish_tenant_condition(&self, tenant: &str, healthy: bool, reason: &str, message: &str) {
-        self.publish_tenant_condition_type(COND_SYNCER_HEALTHY, tenant, healthy, reason, message);
-    }
-
-    /// Publishes an arbitrary condition type on the tenant's VC object.
-    /// No-op when the condition already holds the given status.
-    fn publish_tenant_condition_type(
-        &self,
-        condition: &str,
-        tenant: &str,
-        status: bool,
-        reason: &str,
-        message: &str,
-    ) {
-        self.update_vc_status(tenant, |vc| {
-            vc.status.set_condition(condition, status, reason, message)
-        });
     }
 
     /// Applies `change` to the tenant's VC object in the super cluster and
@@ -1160,9 +550,9 @@ impl Syncer {
         // The sub-queue may still hold items; they become no-ops once the
         // tenant is gone, so force removal after drain attempts.
         let _ = self.downward.remove_tenant(name);
-        self.breakers.lock().remove(name);
-        self.scan_dirty.lock().retain(|i| i.tenant != name);
-        self.stats_dirty.lock().remove(name);
+        self.health.forget_breaker(name);
+        self.scanner.forget_tenant(name);
+        self.stats.forget_dirty(name);
         state
     }
 
@@ -1172,13 +562,8 @@ impl Syncer {
         self.detach_tenant(name);
         // Parked upward items, dead letters, policy blocks and open traces
         // would otherwise leak.
-        self.parked_upward.lock().retain(|i| i.tenant != name);
-        {
-            let mut dead = self.dead_letter.lock();
-            dead.retain(|i| i.tenant != name);
-            self.metrics.dead_letter_len.set(dead.len() as i64);
-        }
-        self.policy_blocked_items.lock().remove(name);
+        self.health.forget_parked(name);
+        self.retry.forget_tenant(name, &self.metrics.dead_letter_len);
         // Pods still in flight will never report Ready to anyone.
         self.obs.tracer.abandon_tenant(name);
         // Reclaim the tenant's cells from every `tenant`-labeled metric
@@ -1188,7 +573,7 @@ impl Syncer {
         // churn — each short-lived tenant would permanently leave its
         // cells (and their retained histogram windows) behind.
         self.obs.registry.remove_label_value("tenant", name);
-        self.last_published_stats.lock().remove(name);
+        self.stats.forget_published(name);
     }
 
     /// The registered tenants.
@@ -1224,7 +609,7 @@ impl Syncer {
             && self.downward.processing_count() == 0
             && self.upward.is_empty()
             && self.upward.processing_count() == 0
-            && self.retry_failures.lock().is_empty()
+            && !self.retry.has_pending()
     }
 
     /// Total estimated bytes held in informer caches (super + all
@@ -1242,281 +627,6 @@ impl Syncer {
         total.max(0) as usize
     }
 
-    /// Runs one full mismatch scan across all tenants (also called
-    /// periodically when `scan_interval` is set). Super-cluster caches are
-    /// indexed by owning tenant once per pass; per-tenant scan threads run
-    /// in parallel, one per tenant, as in the paper's evaluation. Returns
-    /// the wall-clock duration.
-    pub fn scan_all(&self) -> Duration {
-        let start = std::time::Instant::now();
-        // Give dead-lettered items another chance before scanning: the
-        // scan re-derives mismatches from caches, so a re-queued item that
-        // is already in sync is a cheap no-op.
-        self.drain_dead_letters();
-        // A full pass subsumes any pending dirty keys.
-        self.scan_dirty.lock().clear();
-        let tenants: Vec<Arc<TenantState>> = self.tenants.read().values().cloned().collect();
-
-        // Index super objects by owner once (kind -> tenant -> objects),
-        // instead of every tenant thread rescanning the full caches.
-        let mut by_owner: HashMap<ResourceKind, HashMap<String, Vec<Arc<vc_api::Object>>>> =
-            HashMap::new();
-        for kind in &self.config.downward_kinds {
-            let Some(cache) = self.super_cache(*kind) else { continue };
-            let per_tenant: &mut HashMap<String, Vec<Arc<vc_api::Object>>> =
-                by_owner.entry(*kind).or_default();
-            for obj in cache.list() {
-                if let Some(owner) = mapping::owner_cluster(&obj) {
-                    per_tenant.entry(owner.to_string()).or_default().push(obj);
-                }
-            }
-        }
-
-        std::thread::scope(|scope| {
-            for tenant in &tenants {
-                let by_owner = &by_owner;
-                scope.spawn(move || self.scan_tenant(tenant, by_owner));
-            }
-        });
-        let elapsed = start.elapsed();
-        self.metrics.scans.inc();
-        self.metrics.scan_duration.observe(elapsed);
-        elapsed
-    }
-
-    /// One tenant's share of a full pass: every tenant-side key, then
-    /// every super object the tenant owns whose tenant source is gone.
-    /// [`check_key`](Self::check_key) decides what, if anything, to
-    /// requeue.
-    fn scan_tenant(
-        &self,
-        tenant: &TenantState,
-        by_owner: &HashMap<ResourceKind, HashMap<String, Vec<Arc<vc_api::Object>>>>,
-    ) {
-        for kind in &self.config.downward_kinds {
-            let tenant_cache = tenant.cache(*kind);
-            for key in tenant_cache.keys() {
-                self.check_key(tenant, *kind, &key);
-            }
-            let owned = by_owner.get(kind).and_then(|m| m.get(&tenant.handle.name));
-            for obj in owned.into_iter().flatten() {
-                let tenant_key =
-                    mapping::super_key_to_tenant(&tenant.handle.prefix, *kind, &obj.key());
-                if let Some(key) = tenant_key.filter(|k| tenant_cache.get(k).is_none()) {
-                    self.check_key(tenant, *kind, &key);
-                }
-            }
-        }
-    }
-
-    /// One incremental scan tick: re-validates the keys dirtied by
-    /// informer events since the last tick, then advances the paginated
-    /// cold sweep by up to `scan_slice` keys — O(changed + slice) per
-    /// tick instead of [`scan_all`](Self::scan_all)'s O(all objects).
-    /// The cold sweep guards against the dirty set itself losing entries
-    /// (process restarts, missed watch events): every key is still
-    /// visited eventually, just spread over many ticks. Returns the
-    /// number of items requeued for repair.
-    pub fn scan_tick(&self) -> usize {
-        let start = std::time::Instant::now();
-        self.drain_dead_letters();
-        let mut requeues = 0;
-        let dirty: Vec<WorkItem> = {
-            let mut set = self.scan_dirty.lock();
-            set.drain().collect()
-        };
-        for item in &dirty {
-            if let Some(state) = self.tenant(&item.tenant) {
-                requeues += usize::from(self.check_key(&state, item.kind, &item.key));
-            }
-        }
-        requeues += self.cold_sweep(self.config.scan_slice);
-        self.metrics.scans.inc();
-        self.metrics.scan_duration.observe(start.elapsed());
-        requeues
-    }
-
-    /// Keys currently waiting in the scanner's dirty set.
-    pub fn scan_dirty_len(&self) -> usize {
-        self.scan_dirty.lock().len()
-    }
-
-    /// Marks a tenant-side key for re-validation on the next scan tick.
-    fn mark_dirty(&self, tenant: &str, kind: ResourceKind, tenant_key: &str) {
-        if !self.config.downward_kinds.contains(&kind) {
-            return;
-        }
-        self.scan_dirty.lock().insert(WorkItem {
-            tenant: tenant.to_string(),
-            kind,
-            key: tenant_key.to_string(),
-        });
-    }
-
-    /// Re-evaluates every custom object of `tenant` after a CRD change
-    /// (sync eligibility may have flipped for all of them at once).
-    fn redirty_custom_objects(&self, tenant: &str) {
-        let Some(state) = self.tenant(tenant) else { return };
-        let Some(informer) = state.informers.get(&ResourceKind::CustomObject) else { return };
-        for obj in informer.cache().list() {
-            let key = obj.key();
-            self.mark_dirty(tenant, ResourceKind::CustomObject, &key);
-            self.downward.add_coalescing(
-                tenant,
-                WorkItem { tenant: tenant.to_string(), kind: ResourceKind::CustomObject, key },
-                obj.meta().resource_version,
-            );
-        }
-    }
-
-    /// Re-validates one tenant-side key against the caches: requeues
-    /// downward when the super copy is missing, diverged or orphaned, and
-    /// upward when the super pod carries a status the tenant has not
-    /// seen. Returns whether anything was requeued.
-    fn check_key(&self, tenant: &TenantState, kind: ResourceKind, tenant_key: &str) -> bool {
-        if !self.config.downward_kinds.contains(&kind) {
-            return false;
-        }
-        let Some(super_cache) = self.super_cache(kind) else { return false };
-        let name = &tenant.handle.name;
-        let tenant_obj = tenant.cache(kind).get(tenant_key);
-        // Only a super copy this tenant owns is its business here.
-        let super_obj = downward::super_key_for(tenant, kind, tenant_key)
-            .and_then(|key| super_cache.get(&key))
-            .filter(|o| mapping::owner_cluster(o) == Some(name.as_str()));
-        let downward = match &tenant_obj {
-            Some(obj) => !downward::in_sync(self, tenant, kind, obj),
-            // Tenant source gone: the super copy is an orphan the downward
-            // delete path must remove.
-            None => super_obj.is_some(),
-        };
-        // Upward repair: super pod status the tenant has not seen.
-        let stale_pod = tenant_obj.as_deref().zip(super_obj.as_deref()).filter(|(t, s)| {
-            t.as_pod().zip(s.as_pod()).is_some_and(|(tp, sp)| {
-                tp.status != sp.status || tp.spec.node_name != sp.spec.node_name
-            })
-        });
-        if downward {
-            self.metrics.scan_requeues.inc();
-            self.downward
-                .add(name, WorkItem { tenant: name.clone(), kind, key: tenant_key.to_string() });
-        }
-        if let Some((_, super_pod)) = stale_pod {
-            self.metrics.scan_requeues.inc();
-            self.upward.add(WorkItem { tenant: name.clone(), kind, key: super_pod.key() });
-        }
-        downward || stale_pod.is_some()
-    }
-
-    /// Advances the paginated cold sweep by up to `budget` keys. The
-    /// sweep walks (tenant × downward kind) cache segments in name
-    /// order, then the super-side caches (mapping each owned object back
-    /// to its tenant key), wrapping around at the end. At most one full
-    /// lap runs per call so empty caches cannot spin the scanner.
-    fn cold_sweep(&self, budget: usize) -> usize {
-        let kinds = &self.config.downward_kinds;
-        if kinds.is_empty() || budget == 0 {
-            return 0;
-        }
-        let mut tenants: Vec<Arc<TenantState>> = self.tenants.read().values().cloned().collect();
-        tenants.sort_by(|a, b| a.handle.name.cmp(&b.handle.name));
-
-        // Segment list for this tick: every (tenant, kind) pair, then one
-        // super-side segment per kind.
-        let mut segments: Vec<(Option<Arc<TenantState>>, ResourceKind)> = Vec::new();
-        for tenant in &tenants {
-            for kind in kinds {
-                segments.push((Some(Arc::clone(tenant)), *kind));
-            }
-        }
-        for kind in kinds {
-            segments.push((None, *kind));
-        }
-        let total = segments.len();
-
-        // Map the persisted cursor onto this tick's segment list. A
-        // tenant unregistered since the last tick resolves to the next
-        // tenant in name order (a one-time partial skip is harmless: the
-        // sweep wraps around).
-        let mut cursor = self.scan_cursor.lock().clone();
-        let kind_idx = cursor.kind_idx.min(kinds.len() - 1);
-        let mut idx = if cursor.super_side {
-            tenants.len() * kinds.len() + kind_idx
-        } else {
-            match &cursor.tenant {
-                Some(name) => match tenants.iter().position(|t| t.handle.name >= *name) {
-                    Some(t_idx) => t_idx * kinds.len() + kind_idx,
-                    None => tenants.len() * kinds.len(), // past the last tenant
-                },
-                None => 0,
-            }
-        };
-
-        let mut checked = 0usize;
-        let mut requeues = 0usize;
-        let mut visited = 0usize;
-        let mut resuming = true;
-        while checked < budget && visited <= total {
-            let (state, kind) = &segments[idx % total];
-            let keys = match state {
-                Some(tenant) => tenant.cache(*kind).sorted_keys(),
-                None => self.super_cache(*kind).map(|c| c.sorted_keys()).unwrap_or_default(),
-            };
-            // Resume strictly after the last visited key (first segment
-            // only; later segments start fresh).
-            let start = match (&cursor.last_key, resuming) {
-                (Some(last), true) => keys.partition_point(|k| k.as_str() <= last.as_str()),
-                _ => 0,
-            };
-            resuming = false;
-            let take = (budget - checked).min(keys.len().saturating_sub(start));
-            for key in &keys[start..start + take] {
-                checked += 1;
-                match state {
-                    Some(tenant) => {
-                        requeues += usize::from(self.check_key(tenant, *kind, key));
-                    }
-                    None => {
-                        // Map the super object back to its owner's view.
-                        let Some(cache) = self.super_cache(*kind) else { continue };
-                        let Some(obj) = cache.get(key) else { continue };
-                        let Some(owner) = mapping::owner_cluster(&obj) else { continue };
-                        let Some(tenant) = self.tenant(owner) else { continue };
-                        let Some(tenant_key) =
-                            mapping::super_key_to_tenant(&tenant.handle.prefix, *kind, key)
-                        else {
-                            continue;
-                        };
-                        requeues += usize::from(self.check_key(&tenant, *kind, &tenant_key));
-                    }
-                }
-            }
-            if start + take < keys.len() {
-                // Budget exhausted mid-segment: remember where to resume.
-                cursor = ScanCursor {
-                    super_side: state.is_none(),
-                    tenant: state.as_ref().map(|t| t.handle.name.clone()),
-                    kind_idx: kinds.iter().position(|k| k == kind).unwrap_or(0),
-                    last_key: keys.get(start + take - 1).cloned(),
-                };
-                *self.scan_cursor.lock() = cursor;
-                return requeues;
-            }
-            idx += 1;
-            visited += 1;
-        }
-        // Lap (or budget) complete at a segment boundary: resume at the
-        // start of the segment the cursor now points at.
-        let (state, kind) = &segments[idx % total];
-        *self.scan_cursor.lock() = ScanCursor {
-            super_side: state.is_none(),
-            tenant: state.as_ref().map(|t| t.handle.name.clone()),
-            kind_idx: kinds.iter().position(|k| k == kind).unwrap_or(0),
-            last_key: None,
-        };
-        requeues
-    }
-
     /// Stops workers, scanner, broadcaster and all informers.
     pub fn stop(&self) {
         // Stop tenant informers first so no new work arrives.
@@ -1529,7 +639,7 @@ impl Syncer {
         if let Some(mut handle) = self.handle.lock().take() {
             handle.stop();
         }
-        self.breaker_probe.stop();
+        self.health.stop();
     }
 
     fn on_tenant_event(&self, tenant: &str, kind: ResourceKind, event: &InformerEvent) {
@@ -1556,6 +666,22 @@ impl Syncer {
             WorkItem { tenant: tenant.to_string(), kind, key },
             obj.meta().resource_version,
         );
+    }
+
+    /// Re-evaluates every custom object of `tenant` after a CRD change
+    /// (sync eligibility may have flipped for all of them at once).
+    fn redirty_custom_objects(&self, tenant: &str) {
+        let Some(state) = self.tenant(tenant) else { return };
+        let Some(informer) = state.informers.get(&ResourceKind::CustomObject) else { return };
+        for obj in informer.cache().list() {
+            let key = obj.key();
+            self.mark_dirty(tenant, ResourceKind::CustomObject, &key);
+            self.downward.add_coalescing(
+                tenant,
+                WorkItem { tenant: tenant.to_string(), kind: ResourceKind::CustomObject, key },
+                obj.meta().resource_version,
+            );
+        }
     }
 
     fn on_super_event(&self, kind: ResourceKind, event: &InformerEvent) {
@@ -1647,197 +773,6 @@ impl Syncer {
         None
     }
 
-    // ---- Trace plumbing -------------------------------------------------
-    //
-    // Pod traces are keyed `(tenant, tenant-side key)`. The tenant
-    // apiserver gate opens the trace on pod Create; the helpers below
-    // stamp queue marks and stage spans as the object moves through the
-    // pipeline. The five spans are the paper's Fig 8 / Table I phases
-    // (DWS-Queue, DWS-Process, Super-Sched, UWS-Queue, UWS-Process), which
-    // the `fig8_breakdown` bench reads back per pod. Marks are set-once
-    // and spans consume their mark, so duplicate events cannot inflate a
-    // stage; a requeue records a second span, and readers that want the
-    // creation path alone take the first one (`Trace::span`).
-
-    /// Called for every tenant-side pod event entering the downward
-    /// queue: marks the DWS-Queue wait start. Additions also open the
-    /// trace — a no-op when the apiserver gate already did (begin is
-    /// idempotent while the trace is open), but it covers pods written
-    /// before observability attached or via paths that bypass the gate.
-    /// A deletion drops a still-open trace: a pod deleted before Ready
-    /// (or blocked by policy for good) would otherwise hold it forever.
-    fn trace_downward_enqueue(&self, tenant: &str, key: &str, event: &InformerEvent) {
-        let tracer = &self.obs.tracer;
-        let id = match event {
-            InformerEvent::Added(_) => Some(tracer.begin(tenant, key)),
-            InformerEvent::Deleted(_) => {
-                tracer.abandon(tenant, key);
-                None
-            }
-            _ => tracer.lookup(tenant, key),
-        };
-        if let Some(id) = id {
-            tracer.mark(id, stage::MARK_DWS_ENQUEUE);
-        }
-    }
-
-    /// Downward reconcile reached the desired super-cluster state for a
-    /// pod: marks the Super-Sched span start. The create path calls this
-    /// *before* its write — the scheduler and kubelet can have the pod
-    /// Ready, and [`Self::trace_super_ready`] can have come looking for
-    /// the mark, before the worker is back from the call — and takes it
-    /// back with [`Self::trace_dws_undone`] if the write fails.
-    pub(crate) fn trace_dws_done(&self, tenant: &str, key: &str) {
-        if let Some(id) = self.obs.tracer.lookup(tenant, key) {
-            self.obs.tracer.mark(id, stage::MARK_SUPER_SCHED);
-        }
-    }
-
-    /// The super-cluster create announced by [`Self::trace_dws_done`]
-    /// failed: Super-Sched has not started after all.
-    pub(crate) fn trace_dws_undone(&self, tenant: &str, key: &str) {
-        if let Some(id) = self.obs.tracer.lookup(tenant, key) {
-            self.obs.tracer.unmark(id, stage::MARK_SUPER_SCHED);
-        }
-    }
-
-    /// The super pod turned Ready: closes the Super-Sched span and marks
-    /// the UWS-Queue wait start.
-    fn trace_super_ready(&self, tenant: &str, tenant_key: &str) {
-        if let Some(id) = self.obs.tracer.lookup(tenant, tenant_key) {
-            self.trace_super_ready_on(id);
-        }
-    }
-
-    fn trace_super_ready_on(&self, id: vc_obs::TraceId) {
-        let tracer = &self.obs.tracer;
-        tracer.span_since_mark(id, stage::MARK_SUPER_SCHED, stage::SUPER_SCHED);
-        tracer.mark(id, stage::MARK_UWS_ENQUEUE);
-    }
-
-    /// An upward worker picked up the ready pod: closes the UWS-Queue
-    /// span and marks the UWS-Process start. The worker reads the informer
-    /// cache, which shows the pod Ready a moment before the Ready event's
-    /// handler runs — holding an item queued by an earlier event it can be
-    /// here first, so it does the handler's bookkeeping itself (marks are
-    /// set-once and spans consume theirs: when the handler was first, this
-    /// changes nothing).
-    pub(crate) fn trace_uws_dequeued(&self, tenant: &str, tenant_key: &str) {
-        let tracer = &self.obs.tracer;
-        if let Some(id) = tracer.lookup(tenant, tenant_key) {
-            self.trace_super_ready_on(id);
-            tracer.span_since_mark(id, stage::MARK_UWS_ENQUEUE, stage::UWS_QUEUE);
-            tracer.mark(id, stage::MARK_UWS_PROCESS);
-        }
-    }
-
-    /// The tenant pod status now reflects Ready: closes the UWS-Process
-    /// span and finishes the trace (recording a slow-op log entry when
-    /// over threshold).
-    pub(crate) fn trace_uws_done(&self, tenant: &str, tenant_key: &str) {
-        let tracer = &self.obs.tracer;
-        if let Some(id) = tracer.lookup(tenant, tenant_key) {
-            tracer.span_since_mark(id, stage::MARK_UWS_PROCESS, stage::UWS_PROCESS);
-        }
-        tracer.finish(tenant, tenant_key);
-    }
-
-    // ---- Per-tenant dashboard -------------------------------------------
-
-    /// Point-in-time sync statistics for one registered tenant — the
-    /// dashboard row the syncer publishes onto the tenant's VC status.
-    /// `None` for unknown (unregistered or hibernated) tenants.
-    pub fn tenant_stats(&self, tenant: &str) -> Option<TenantSyncStats> {
-        let slow_ops = self.obs.tracer.slow_op_counts().remove(tenant).unwrap_or(0);
-        self.tenant_stats_with_slow(tenant, slow_ops)
-    }
-
-    /// [`Self::tenant_stats`] with the slow-op count supplied by the
-    /// caller, so the dashboard can aggregate the slow-op ring once per
-    /// pass instead of once per tenant.
-    fn tenant_stats_with_slow(&self, tenant: &str, slow_ops: u64) -> Option<TenantSyncStats> {
-        let health = self.tenant_health(tenant)?;
-        let hist = self.tenant_sync_duration.with(&[tenant, "downward"]);
-        Some(TenantSyncStats {
-            queue_depth: self.downward.tenant_len(tenant) as u64,
-            sync_p50_us: hist.percentile(0.5),
-            sync_p99_us: hist.percentile(0.99),
-            synced_objects: hist.count() as u64,
-            slow_ops,
-            breaker: format!("{health:?}"),
-        })
-    }
-
-    /// Dashboard rows for every registered tenant, sorted by name.
-    pub fn tenant_dashboard(&self) -> Vec<(String, TenantSyncStats)> {
-        let mut names = self.tenant_names();
-        names.sort();
-        let slow = self.obs.tracer.slow_op_counts();
-        names
-            .into_iter()
-            .filter_map(|n| {
-                let slow_ops = slow.get(&n).copied().unwrap_or(0);
-                self.tenant_stats_with_slow(&n, slow_ops).map(|s| (n, s))
-            })
-            .collect()
-    }
-
-    /// Marks a tenant's dashboard inputs changed, scheduling it for the
-    /// next [`Self::publish_tenant_stats`] pass. Called from the reconcile
-    /// workers, breaker transitions and registration — the event feed that
-    /// lets the publish pass touch only tenants with news instead of
-    /// walking every registered tenant (O(dirty), not O(tenants)).
-    pub(crate) fn mark_stats_dirty(&self, tenant: &str) {
-        self.stats_dirty.lock().insert(tenant.to_string());
-    }
-
-    /// Tenants currently scheduled for a dashboard republish.
-    pub fn stats_dirty_len(&self) -> usize {
-        self.stats_dirty.lock().len()
-    }
-
-    /// Refreshes the per-tenant queue-depth gauges and publishes each
-    /// tenant's [`TenantSyncStats`] onto its VC object status — but only
-    /// for tenants dirtied since the last pass (reconcile activity,
-    /// breaker transitions, fresh registration). Under tenant-density
-    /// load with mostly-idle tenants this pass is O(active tenants), not
-    /// O(all tenants). Best-effort (registry-only tenants have no VC
-    /// object) and write-avoiding: a tenant whose stats are unchanged
-    /// since the last publish is skipped. Runs from the scanner timer
-    /// after every scan pass.
-    pub fn publish_tenant_stats(&self) {
-        let mut dirty: Vec<String> =
-            std::mem::take(&mut *self.stats_dirty.lock()).into_iter().collect();
-        if dirty.is_empty() {
-            return;
-        }
-        dirty.sort();
-        // One slow-op ring aggregation per pass, shared by every row.
-        let slow = self.obs.tracer.slow_op_counts();
-        for tenant in dirty {
-            let slow_ops = slow.get(&tenant).copied().unwrap_or(0);
-            let Some(stats) = self.tenant_stats_with_slow(&tenant, slow_ops) else {
-                continue; // unregistered or hibernated since marked
-            };
-            // Kept behind the registration check: re-creating the cell for a
-            // tenant that was just torn down would undo the label-space
-            // reclamation unregister_tenant performs.
-            self.tenant_queue_depth.with(&[&tenant]).set(self.downward.tenant_len(&tenant) as i64);
-            {
-                let mut last = self.last_published_stats.lock();
-                if last.get(&tenant) == Some(&stats) {
-                    continue;
-                }
-                last.insert(tenant.clone(), stats.clone());
-            }
-            self.update_vc_status(&tenant, |vc| {
-                let changed = vc.status.sync != stats;
-                vc.status.sync = stats.clone();
-                changed
-            });
-        }
-    }
-
     /// Maps a super key back to a tenant key for the given tenant name.
     pub(crate) fn tenant_key_for(
         &self,
@@ -1867,79 +802,5 @@ impl Drop for Syncer {
         if let Some(mut handle) = self.handle.lock().take() {
             handle.stop();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::framework::{Framework, FrameworkConfig};
-    use vc_api::time::SimClock;
-
-    #[test]
-    fn retries_back_off_within_budget_and_forget_resets() {
-        let clock = SimClock::new();
-        let mut config = FrameworkConfig::minimal();
-        config.clock = Some(clock.clone() as _);
-        config.syncer.scan_interval = None;
-        config.syncer.retry_backoff =
-            BackoffPolicy { base: Duration::from_millis(5), max: Duration::from_millis(40) };
-        config.syncer.retry_budget = 3;
-        let fw = Framework::start(config);
-        fw.create_tenant("t").unwrap();
-        let syncer = &fw.syncer;
-        let item = |tenant: &str| WorkItem {
-            tenant: tenant.to_string(),
-            kind: ResourceKind::ConfigMap,
-            key: "default/x".to_string(),
-        };
-        let failures = |item: &WorkItem| syncer.retry_failures.lock().get(item).copied();
-        // Every delivery into the downward queue is an add or, while the
-        // item is still pending, a dedup.
-        let delivered = || syncer.downward.adds.get() + syncer.downward.deduped.get();
-
-        // Three failures inside the budget arm 5, 10 and 20 ms timers.
-        let x = item("t");
-        for n in 1..=3 {
-            syncer.requeue_downward(x.clone());
-            assert_eq!(failures(&x), Some(n));
-        }
-        assert_eq!(syncer.metrics.retries.get(), 3);
-        // A failure past the budget dead-letters and clears the count.
-        syncer.requeue_downward(x.clone());
-        assert_eq!(syncer.metrics.retries.get(), 3);
-        assert_eq!(syncer.metrics.retry_exhausted.get(), 1);
-        assert_eq!(syncer.dead_letter_len(), 1);
-        assert_eq!(failures(&x), None);
-
-        let before = delivered();
-        clock.advance(Duration::from_millis(4));
-        assert_eq!(delivered(), before, "no retry is delivered early");
-        clock.advance(Duration::from_millis(1));
-        assert_eq!(delivered(), before + 1, "the 5 ms retry is due");
-        clock.advance(Duration::from_millis(5));
-        assert_eq!(delivered(), before + 2, "the 10 ms retry is due");
-        clock.advance(Duration::from_millis(9));
-        assert_eq!(delivered(), before + 2, "the 20 ms retry is not");
-        clock.advance(Duration::from_millis(1));
-        assert_eq!(delivered(), before + 3);
-
-        // Success forgets the failures: the next backoff starts at the base.
-        let y = WorkItem { key: "default/y".to_string(), ..x };
-        syncer.requeue_downward(y.clone());
-        syncer.requeue_downward(y.clone());
-        assert_eq!(failures(&y), Some(2));
-        syncer.forget_retries(&y);
-        assert_eq!(failures(&y), None);
-        clock.advance(Duration::from_millis(40));
-
-        // An item whose tenant went away is dropped, and forgotten, at delivery.
-        let gone = item("gone");
-        syncer.requeue_downward(gone.clone());
-        let before = delivered();
-        clock.advance(Duration::from_millis(5));
-        assert_eq!(delivered(), before, "no delivery for an unregistered tenant");
-        assert_eq!(failures(&gone), None);
-        fw.shutdown();
     }
 }
