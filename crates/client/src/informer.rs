@@ -62,8 +62,8 @@ impl InformerEvent {
 }
 
 /// Handler invoked synchronously by the informer: for the initial list on
-/// the thread that called [`SharedInformer::start`], afterwards on the
-/// informer's reflector-pool thread.
+/// the thread that called [`SharedInformer::start`], afterwards on a
+/// reflector-pool thread, one turn at a time.
 pub type EventHandler = Box<dyn Fn(&InformerEvent) + Send + Sync>;
 
 /// Thread-safe read-only object cache, indexed by key and namespace.
@@ -183,7 +183,7 @@ impl Cache {
 }
 
 /// Most watch events one turn applies before the informer goes to the back
-/// of its pool thread's queue: what a flooding informer can delay its
+/// of the pool's ready queue: what a flooding informer can delay its
 /// neighbours by.
 const BATCH: usize = 64;
 
@@ -252,9 +252,9 @@ enum Drained {
 /// One informer's handlers see its events in revision order, never
 /// concurrently, and never after [`SharedInformer::stop`] returned. The
 /// initial list is applied on the thread that calls
-/// [`SharedInformer::start`]; everything after it on the one pool thread
-/// the informer is pinned to. Handlers must not block: they share that
-/// thread with other informers.
+/// [`SharedInformer::start`]; everything after it in turns on the pool's
+/// threads, one turn at a time. Handlers must not block: they share those
+/// threads with every other informer.
 ///
 /// # Examples
 ///
@@ -939,7 +939,7 @@ mod tests {
         assert!(!pods.has_synced(), "the neighbour's events overtook the slow list");
         assert!(pods.wait_for_sync(Duration::from_secs(5)));
         assert_eq!(pods.relists.get(), 1);
-        assert_eq!(pool.threads(), 2, "one worker and the helper the re-lists started");
+        assert_eq!(pool.threads(), 2, "one pool thread and the helper the re-lists started");
         pods.stop();
         maps.stop();
     }
@@ -980,5 +980,30 @@ mod tests {
         assert_eq!(pods.relists.get(), 1, "a default-sized buffer absorbs the flood");
         pods.stop();
         maps.stop();
+    }
+
+    #[test]
+    fn a_held_turn_holds_up_no_other_informer() {
+        use vc_api::config::ConfigMap;
+        // Started in this order on two threads. Were informers dealt to
+        // threads round-robin, `held` and `next` would share one, and
+        // `next` would wait for `held`'s turn to end.
+        let server = zero_latency_server(None);
+        let pool = Pool::new(2);
+        let held = informer_on(&server, ResourceKind::Pod);
+        let open = gate_first_event(&held);
+        let held = SharedInformer::start_on(held, &pool);
+        let filler = SharedInformer::start_on(informer_on(&server, ResourceKind::Secret), &pool);
+        let next = SharedInformer::start_on(informer_on(&server, ResourceKind::ConfigMap), &pool);
+        let user = Client::system(Arc::clone(&server), "u");
+        user.create(Pod::new("default", "p").into()).unwrap();
+        // The pod is cached before the handler that holds the turn runs.
+        assert!(eventually(2000, || held.cache().len() == 1));
+        user.create(ConfigMap::new("default", "m").into()).unwrap();
+        assert!(eventually(2000, || next.cache().len() == 1), "waited behind another's turn");
+        drop(open);
+        for informer in [held, filler, next] {
+            informer.stop();
+        }
     }
 }

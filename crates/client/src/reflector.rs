@@ -1,28 +1,35 @@
 //! The reflector pool: a few threads that run every informer and timer in
 //! the process and sleep when there is nothing to do.
 //!
-//! A [`Task`] (a [`crate::SharedInformer`] or a [`Timer`]) registers with one
-//! [`Worker`] — one pool thread — and stays **pinned** to it, so its turns
-//! never overlap and its events keep their order. A turn is requested with
+//! A [`Task`] (a [`crate::SharedInformer`] or a [`Timer`]) registers with
+//! the pool's one [`Worker`]: one ready queue, served by every pool thread.
+//! No task is tied to a thread. Its turns still never overlap and its
+//! events keep their order, because a registration sits in the ready queue
+//! only while no turn of it is running. A turn is requested with
 //! [`Registration::wake`]; a watch does that through [`std::task::Waker`]
 //! whenever it delivers an event or closes, and so does a
 //! [`Clock::wake_at`] timer when its deadline passes. The wake protocol is
-//! one flag:
+//! two bits of one state word, `QUEUED` and `RUNNING`:
 //!
-//! * `wake` sets `scheduled` and, **only on the false → true edge**, pushes
-//!   the registration onto its worker's ready queue and notifies the
-//!   worker — any number of events between two turns cost one push;
-//! * the worker pops a registration, **clears `scheduled` first**, then
-//!   runs the turn. An event that lands after the turn found its stream
-//!   empty therefore sees `scheduled == false` and queues a fresh turn; one
-//!   that lands earlier is drained by the turn in progress. No interleaving
-//!   loses a wake-up (`tests/loom_reflector.rs` and `tests/loom_timer.rs`
-//!   check them all).
+//! * `wake` sets `QUEUED` and, **only when the state was 0**, pushes the
+//!   registration onto the ready queue and notifies one thread — any
+//!   number of events between two turns cost one push;
+//! * the thread that pops a registration **stores `RUNNING` first**, which
+//!   also clears `QUEUED`, then runs the turn. An event that lands after
+//!   the turn found its stream empty sets `QUEUED` again; one that lands
+//!   earlier is drained by the turn in progress;
+//! * at the end of the turn the thread clears `RUNNING`. If `QUEUED` was
+//!   set meanwhile, it pushes the registration onto the tail of the queue.
+//!
+//! So no thread pops a registration whose turn is running, and no
+//! interleaving loses a wake-up (`tests/loom_reflector.rs` and
+//! `tests/loom_timer.rs` check them all).
 //!
 //! A turn is bounded by the task ([`Progress::more`] asks for another one
 //! at the **tail** of the queue), so a flooding informer takes turns with
-//! its neighbours instead of starving them. A worker with nothing ready
-//! blocks on its condvar indefinitely; deadlines are the clock's business.
+//! its neighbours instead of starving them. A thread with nothing ready
+//! blocks on the worker's condvar indefinitely; deadlines are the clock's
+//! business.
 //!
 //! A turn must not block. Work that calls an apiserver goes to the pool's
 //! one lazily started helper thread through [`Registration::offload`].
@@ -35,7 +42,7 @@ use std::time::Duration;
 use vc_api::metrics::{Counter, Gauge};
 use vc_api::time::{Clock, Timestamp};
 use vc_obs::MetricsRegistry;
-use vc_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use vc_sync::atomic::{AtomicBool, AtomicUsize, Ordering, Ordering::SeqCst};
 use vc_sync::{Arc, Condvar, Mutex};
 
 /// What one turn did.
@@ -50,7 +57,7 @@ pub struct Progress {
 
 /// Something a pool thread runs in bounded, non-blocking turns.
 pub trait Task: Send + Sync {
-    /// Runs one turn. Called only on the worker the task registered with,
+    /// Runs one turn. Called on any thread that serves the task's worker,
     /// never concurrently with itself, and never after
     /// [`Registration::stop`] returned. The handle is the worker's own
     /// upgrade of its weak reference; a task that needs to outlive the
@@ -71,16 +78,89 @@ struct Stats {
 
 type Job = Box<dyn FnOnce() + Send>;
 
-/// State shared by a pool's workers: the counters and the helper thread.
 #[derive(Default)]
-struct Shared {
+struct Queue {
+    /// Registrations whose state is `QUEUED`, in wake order.
+    ready: VecDeque<Arc<Registration>>,
+    shutdown: bool,
+}
+
+/// [`Registration`] state: a turn is requested.
+const QUEUED: usize = 1;
+/// [`Registration`] state: a thread is running the turn.
+const RUNNING: usize = 2;
+
+thread_local! {
+    /// The registration whose turn this thread is running, so `stop()`
+    /// called from inside that turn (an informer stopped by its own
+    /// handler) does not wait for itself.
+    static IN_TURN: Cell<*const Registration> = const { Cell::new(std::ptr::null()) };
+}
+
+/// A ready queue and the condvar its threads block on.
+///
+/// Any number of threads may call [`Worker::run`]: [`Pool`] starts one per
+/// core, a model checker drives it from threads of its own.
+pub struct Worker {
+    queue: Mutex<Queue>,
+    wake: Condvar,
     stats: Stats,
     /// Sending side of the helper thread's job queue; the thread starts
     /// with the first job and ends when the last sender is gone.
     helper: OnceLock<crossbeam::channel::Sender<Job>>,
 }
 
-impl Shared {
+impl std::fmt::Debug for Worker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Worker { .. }")
+    }
+}
+
+impl Worker {
+    /// Creates a worker with no thread; the caller provides the threads
+    /// that call [`Worker::run`].
+    pub fn new() -> Arc<Worker> {
+        Arc::new(Worker {
+            queue: Mutex::new(Queue::default()),
+            wake: Condvar::new(),
+            stats: Stats::default(),
+            helper: OnceLock::new(),
+        })
+    }
+
+    /// Registers `task` with this worker. The worker holds the task
+    /// weakly: when its last strong handle is dropped the registration
+    /// lapses.
+    pub fn register(self: &Arc<Self>, task: Weak<dyn Task>) -> Arc<Registration> {
+        self.stats.tasks.inc();
+        Arc::new(Registration {
+            worker: Arc::clone(self),
+            task,
+            state: AtomicUsize::new(0),
+            stopped: AtomicBool::new(false),
+            turn: Mutex::new(()),
+        })
+    }
+
+    /// Makes every [`Worker::run`] return; queued turns are abandoned.
+    pub fn shutdown(&self) {
+        self.queue.lock().shutdown = true;
+        self.wake.notify_all();
+    }
+
+    /// The worker loop: runs ready registrations one turn at a time and
+    /// blocks when none is ready. Returns after [`Worker::shutdown`].
+    pub fn run(&self) {
+        while let Some(registration) = self.next() {
+            registration.run_turn();
+        }
+    }
+
+    fn push(&self, registration: Arc<Registration>) {
+        self.queue.lock().ready.push_back(registration);
+        self.wake.notify_one();
+    }
+
     fn offload(&self, job: Job) {
         let jobs = self.helper.get_or_init(|| {
             let (tx, rx) = crossbeam::channel::unbounded::<Job>();
@@ -102,75 +182,6 @@ impl Shared {
         // The helper only exits once this sender is dropped.
         let _ = jobs.send(job);
     }
-}
-
-#[derive(Default)]
-struct Queue {
-    /// Registrations whose `scheduled` flag is set, in wake order.
-    ready: VecDeque<Arc<Registration>>,
-    shutdown: bool,
-}
-
-thread_local! {
-    /// The registration whose turn this thread is running, so `stop()`
-    /// called from inside that turn (an informer stopped by its own
-    /// handler) does not wait for itself.
-    static IN_TURN: Cell<*const Registration> = const { Cell::new(std::ptr::null()) };
-}
-
-/// One pool thread's ready queue.
-///
-/// [`Pool`] spawns a thread per worker; a model checker drives
-/// [`Worker::run`] from a thread of its own instead.
-pub struct Worker {
-    queue: Mutex<Queue>,
-    wake: Condvar,
-    shared: Arc<Shared>,
-}
-
-impl std::fmt::Debug for Worker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Worker { .. }")
-    }
-}
-
-impl Worker {
-    /// Creates a worker that belongs to no pool; the caller provides the
-    /// thread that calls [`Worker::run`].
-    pub fn new() -> Arc<Worker> {
-        Worker::with_shared(Arc::new(Shared::default()))
-    }
-
-    fn with_shared(shared: Arc<Shared>) -> Arc<Worker> {
-        Arc::new(Worker { queue: Mutex::new(Queue::default()), wake: Condvar::new(), shared })
-    }
-
-    /// Pins `task` to this worker. The worker holds the task weakly: when
-    /// its last strong handle is dropped the registration lapses.
-    pub fn register(self: &Arc<Self>, task: Weak<dyn Task>) -> Arc<Registration> {
-        self.shared.stats.tasks.inc();
-        Arc::new(Registration {
-            worker: Arc::clone(self),
-            task,
-            scheduled: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            turn: Mutex::new(()),
-        })
-    }
-
-    /// Makes [`Worker::run`] return; queued turns are abandoned.
-    pub fn shutdown(&self) {
-        self.queue.lock().shutdown = true;
-        self.wake.notify_one();
-    }
-
-    /// The worker loop: runs ready registrations one turn at a time and
-    /// blocks when none is ready. Returns after [`Worker::shutdown`].
-    pub fn run(&self) {
-        while let Some(registration) = self.next() {
-            registration.run_turn();
-        }
-    }
 
     /// Blocks for the next ready registration; `None` on shutdown.
     fn next(&self) -> Option<Arc<Registration>> {
@@ -183,30 +194,33 @@ impl Worker {
                 return Some(registration);
             }
             self.wake.wait(&mut queue);
-            self.shared.stats.wakeups.inc();
+            self.stats.wakeups.inc();
         }
     }
 }
 
-/// A task's place on its worker: the handle that wakes and stops it.
+/// A task's place in its worker's queue: the handle that wakes and stops
+/// it.
 ///
 /// `Waker::from(registration)` is what a [`vc_store::WatchStream`] takes
 /// in `set_waker`.
 pub struct Registration {
     worker: Arc<Worker>,
     task: Weak<dyn Task>,
-    /// Set while the registration sits in the ready queue.
-    scheduled: AtomicBool,
+    /// `QUEUED` and `RUNNING` bits: the registration is in the ready queue
+    /// exactly while `QUEUED` is set and `RUNNING` is not.
+    state: AtomicUsize,
     stopped: AtomicBool,
-    /// Held by the worker for the length of a turn; [`Registration::stop`]
-    /// passes through it to wait out a turn in flight.
+    /// Held by the running thread for the length of a turn;
+    /// [`Registration::stop`] passes through it to wait out a turn in
+    /// flight.
     turn: Mutex<()>,
 }
 
 impl std::fmt::Debug for Registration {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registration")
-            .field("scheduled", &self.scheduled.load(Ordering::SeqCst))
+            .field("state", &self.state.load(Ordering::SeqCst))
             .field("stopped", &self.stopped.load(Ordering::SeqCst))
             .finish()
     }
@@ -217,18 +231,22 @@ impl Registration {
     /// queued; callable from any thread, under any lock the task's turn
     /// does not take.
     pub fn wake(self: &Arc<Self>) {
-        if self.scheduled.swap(true, Ordering::SeqCst) {
-            return;
+        let mut state = self.state.load(Ordering::SeqCst);
+        while let Err(now) = self.state.compare_exchange(state, state | QUEUED, SeqCst, SeqCst) {
+            state = now;
         }
-        self.worker.queue.lock().ready.push_back(Arc::clone(self));
-        self.worker.wake.notify_one();
+        // Only from 0: a queued registration is in the queue already, and
+        // a running one is pushed by its turn when the turn ends.
+        if state == 0 {
+            self.worker.push(Arc::clone(self));
+        }
     }
 
     /// Runs `job` on the pool's helper thread — the place for calls that
     /// block (an apiserver LIST carries simulated latency and injected
-    /// delays) and would otherwise stall every task on this worker.
+    /// delays) and would otherwise stall a pool thread.
     pub fn offload(&self, job: impl FnOnce() + Send + 'static) {
-        self.worker.shared.offload(Box::new(job));
+        self.worker.offload(Box::new(job));
     }
 
     /// De-registers the task: no turn starts after this returns, and a
@@ -237,7 +255,7 @@ impl Registration {
     /// cannot wait for that turn and does not).
     pub fn stop(&self) {
         if !self.stopped.swap(true, Ordering::SeqCst) {
-            self.worker.shared.stats.tasks.dec();
+            self.worker.stats.tasks.dec();
         }
         if !std::ptr::eq(IN_TURN.get(), self) {
             drop(self.turn.lock());
@@ -252,8 +270,18 @@ impl Registration {
     }
 
     fn run_turn(self: &Arc<Self>) {
-        // Cleared before the turn looks at its input: see the module docs.
-        self.scheduled.store(false, Ordering::SeqCst);
+        // Stored before the turn looks at its input: see the module docs.
+        self.state.store(RUNNING, Ordering::SeqCst);
+        self.take_turn();
+        // A wake during the turn set `QUEUED` and left the push to us.
+        if self.state.compare_exchange(RUNNING, 0, SeqCst, SeqCst).is_err() {
+            self.state.store(QUEUED, Ordering::SeqCst);
+            self.worker.push(Arc::clone(self));
+        }
+    }
+
+    /// The task's turn, unless it stopped or lapsed.
+    fn take_turn(self: &Arc<Self>) {
         let turn = self.turn.lock();
         if self.is_stopped() {
             return;
@@ -263,16 +291,16 @@ impl Registration {
             return self.stop();
         };
         IN_TURN.set(Arc::as_ptr(self));
-        // A panicking handler ends its own informer, not the pool thread
-        // every other informer pinned here depends on. The handle may be
-        // the last one and is dropped inside the call: the task's `Drop`
-        // may call `stop()`, which must still see this turn as its own.
+        // A panicking handler ends its own informer, not a pool thread
+        // every other informer depends on. The handle may be the last one
+        // and is dropped inside the call: the task's `Drop` may call
+        // `stop()`, which must still see this turn as its own.
         let progress = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.turn()));
         IN_TURN.set(std::ptr::null());
         drop(turn);
         match progress {
             Ok(progress) => {
-                self.worker.shared.stats.events.add(progress.events);
+                self.worker.stats.events.add(progress.events);
                 if progress.more {
                     self.wake();
                 }
@@ -381,7 +409,7 @@ impl Timer {
         if self.registration.is_stopped() {
             return;
         }
-        self.registration.worker.shared.stats.timer_runs.inc();
+        self.registration.worker.stats.timer_runs.inc();
         let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut *body));
         drop(body);
         match next {
@@ -418,25 +446,23 @@ impl Drop for Timer {
     }
 }
 
-/// A set of [`Worker`]s, each with its own thread.
+/// One [`Worker`] and the threads that serve its ready queue.
 ///
 /// Production code uses [`Pool::global`]; tests that count wake-ups or
-/// need two informers on the same thread build a private one.
+/// need a known number of threads build a private one.
 pub struct Pool {
-    workers: Vec<Arc<Worker>>,
+    worker: Arc<Worker>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    next: AtomicUsize,
-    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool").field("workers", &self.workers.len()).finish()
+        f.debug_struct("Pool").field("threads", &self.threads.len()).finish()
     }
 }
 
 impl Pool {
-    /// The process-wide pool: one worker per available core, started by
+    /// The process-wide pool: one thread per available core, started by
     /// the first informer and never stopped.
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
@@ -445,60 +471,55 @@ impl Pool {
         })
     }
 
-    /// Starts a pool of `threads` workers (at least one). Dropping it
+    /// Starts a pool of `threads` threads (at least one). Dropping it
     /// stops and joins them.
     pub fn new(threads: usize) -> Pool {
-        let shared = Arc::new(Shared::default());
-        let workers: Vec<_> =
-            (0..threads.max(1)).map(|_| Worker::with_shared(Arc::clone(&shared))).collect();
-        let threads = workers
-            .iter()
-            .enumerate()
-            .map(|(index, worker)| {
-                let worker = Arc::clone(worker);
+        let worker = Worker::new();
+        let threads = (0..threads.max(1))
+            .map(|index| {
+                let worker = Arc::clone(&worker);
                 std::thread::Builder::new()
                     .name(format!("reflector-{index}"))
                     .spawn(move || {
-                        worker.shared.stats.threads.inc();
+                        worker.stats.threads.inc();
                         worker.run();
-                        worker.shared.stats.threads.dec();
+                        worker.stats.threads.dec();
                     })
                     .expect("spawn reflector pool thread")
             })
             .collect();
-        Pool { workers, threads, next: AtomicUsize::new(0), shared }
+        Pool { worker, threads }
     }
 
-    /// Pins `task` to one of the pool's workers, round-robin.
+    /// Registers `task` with the pool; any of its threads may run a turn.
     pub fn register(&self, task: Weak<dyn Task>) -> Arc<Registration> {
-        let index = self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len();
-        self.workers[index].register(task)
+        self.worker.register(task)
     }
 
     /// Times a pool thread came back from blocking (an event, a timer, or
     /// a shutdown). Events ÷ wake-ups is the batch size.
     pub fn wakeups(&self) -> u64 {
-        self.shared.stats.wakeups.get()
+        self.worker.stats.wakeups.get()
     }
 
     /// Events handled by this pool's tasks.
     pub fn events(&self) -> u64 {
-        self.shared.stats.events.get()
+        self.worker.stats.events.get()
     }
 
     /// Tasks registered and not yet stopped.
     pub fn tasks(&self) -> i64 {
-        self.shared.stats.tasks.get()
+        self.worker.stats.tasks.get()
     }
 
     /// Timer bodies run by this pool's helper thread.
     pub fn timer_runs(&self) -> u64 {
-        self.shared.stats.timer_runs.get()
+        self.worker.stats.timer_runs.get()
     }
 
     /// Pool threads running, the helper included once it has started.
     pub fn threads(&self) -> i64 {
-        self.shared.stats.threads.get()
+        self.worker.stats.threads.get()
     }
 
     /// Exposes the pool's counters in `registry` as
@@ -506,7 +527,7 @@ impl Pool {
     /// The registry holds the very cells the pool updates, so there is no
     /// publish step and any number of registries may share them.
     pub fn publish_metrics(&self, registry: &MetricsRegistry) {
-        let stats = &self.shared.stats;
+        let stats = &self.worker.stats;
         registry
             .gauge("client_reflector_threads", "Reflector pool threads running.", &[])
             .bind(&[], Arc::clone(&stats.threads));
@@ -543,12 +564,10 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        for worker in &self.workers {
-            worker.shutdown();
-        }
+        self.worker.shutdown();
         for thread in self.threads.drain(..) {
-            // A worker only panics if a task's turn did; that panic was
-            // already reported on its own thread.
+            // A pool thread only panics if a task's turn did; that panic
+            // was already reported on its own thread.
             let _ = thread.join();
         }
     }

@@ -9,15 +9,19 @@
 //! `vc_client::reflector` compiles against the loom backend through
 //! `vc-sync`, so these models drive the *production* `Worker::run`,
 //! `Registration::wake` and `Registration::stop` under exhaustive
-//! interleaving (bounded preemption). A model thread stands in for the
-//! pool thread; a mutex-guarded queue stands in for the watch channel. What
+//! interleaving (bounded preemption). Model threads stand in for the pool
+//! threads; a mutex-guarded queue stands in for the watch channel. What
 //! they prove:
 //!
 //! * **No lost wake-up**: an event delivered while the worker is between
 //!   "the turn found the stream empty" and "park" still gets a turn — if
-//!   the `scheduled` flag or the condvar hand-off could drop it, the worker
-//!   would park with the event buffered and loom's deadlock detection
-//!   fails the model.
+//!   the `QUEUED`/`RUNNING` state or the condvar hand-off could drop it,
+//!   the worker would park with the event buffered and loom's deadlock
+//!   detection fails the model.
+//! * **Order without placement**: with two threads serving one worker, a
+//!   task's turns never overlap, so its events are handled in delivery
+//!   order; a wake that lands during a turn is re-queued when the turn
+//!   ends, never lost.
 //! * **`stop()` is a barrier**: whatever a racing event does, no handler
 //!   is running, or starts, once `stop()` has returned.
 
@@ -103,10 +107,42 @@ fn loom_reflector_no_lost_wakeup() {
         while handled.len() < 2 {
             stream.progressed.wait(&mut handled);
         }
-        assert_eq!(*handled, [1, 2], "one pinned worker keeps the order");
+        assert_eq!(*handled, [1, 2], "one worker thread keeps the order");
         drop(handled);
         worker.shutdown();
         pool_thread.join().unwrap();
+    });
+}
+
+#[test]
+fn loom_reflector_two_runners_keep_one_tasks_order() {
+    loom::model(|| {
+        let worker = Worker::new();
+        let stream = Stream::new();
+        let registration = worker.register(stream.task());
+        let runners: Vec<_> = (0..2)
+            .map(|_| {
+                let worker = Arc::clone(&worker);
+                loom::thread::spawn(move || worker.run())
+            })
+            .collect();
+        // The model's own thread is the store.
+        for event in [1, 2] {
+            stream.buffered.lock().push_back(event);
+            registration.wake();
+        }
+        // A wake lost while the other runner's turn was in flight leaves
+        // both runners parked with an event buffered: loom's deadlock.
+        let mut handled = stream.handled.lock();
+        while handled.len() < 2 {
+            stream.progressed.wait(&mut handled);
+        }
+        assert_eq!(*handled, [1, 2], "turns on two threads overlapped or reordered");
+        drop(handled);
+        worker.shutdown();
+        for runner in runners {
+            runner.join().unwrap();
+        }
     });
 }
 

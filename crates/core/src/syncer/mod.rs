@@ -267,23 +267,11 @@ impl Syncer {
         config: SyncerConfig,
         clock: Arc<dyn Clock>,
     ) -> Arc<Syncer> {
-        // The super informers start in this order, upward kinds first.
-        // `Pool::register` pins informers to pool workers round-robin, so
-        // the order decides which of them share a worker with the tenants'
-        // pod informers. A fixed order keeps that pairing, and with it the
-        // cost of a pod burst, the same in every process (EXPERIMENTS.md,
-        // "Informer start order").
-        let mut super_kinds: Vec<ResourceKind> = UPWARD_KINDS.to_vec();
-        for kind in [ResourceKind::Node].iter().chain(&config.downward_kinds) {
-            if !super_kinds.contains(kind) {
-                super_kinds.push(*kind);
-            }
-        }
-
         let mut super_informers = HashMap::new();
-        for kind in &super_kinds {
-            let informer = SharedInformer::new(super_client.clone(), InformerConfig::new(*kind));
-            super_informers.insert(*kind, informer);
+        for kind in UPWARD_KINDS.iter().chain(&[ResourceKind::Node]).chain(&config.downward_kinds) {
+            super_informers.entry(*kind).or_insert_with(|| {
+                SharedInformer::new(super_client.clone(), InformerConfig::new(*kind))
+            });
         }
 
         let obs = Observability::new(config.obs.clone());
@@ -300,7 +288,6 @@ impl Syncer {
             upward: Arc::new(WorkQueue::with_clock(Arc::clone(&clock))),
             this: syncer.clone(),
             retry: Retry::default(),
-            // The breaker timer is the syncer's first pool registration.
             health: Health::new(syncer.clone(), Arc::clone(&clock)),
             config,
             super_client,
@@ -329,8 +316,8 @@ impl Syncer {
             }));
         }
         let mut handle = ControllerHandle::new("vc-syncer");
-        for kind in &super_kinds {
-            let started = SharedInformer::start(Arc::clone(&syncer.super_informers[kind]));
+        for informer in syncer.super_informers.values() {
+            let started = SharedInformer::start(Arc::clone(informer));
             started.wait_for_sync(Duration::from_secs(30));
             handle.add_informer(started);
         }
@@ -412,8 +399,14 @@ impl Syncer {
         if let Some(id) = trace_id {
             self.obs.tracer.record_span(id, stage::DWS_PROCESS, elapsed, true);
         }
-        self.stats.observe(&item.tenant, direction, elapsed);
-        self.mark_stats_dirty(&item.tenant);
+        // `detach_tenant` takes the write lock before the tenant's cells are
+        // reclaimed, so under the read lock this either records before the
+        // reclaim or finds the tenant gone and records nothing.
+        let tenants = self.tenants.read();
+        if tenants.contains_key(&item.tenant) {
+            self.stats.observe(&item.tenant, direction, elapsed);
+            self.mark_stats_dirty(&item.tenant);
+        }
     }
 
     /// Hibernates an idle tenant (paper §V future work, implemented):
@@ -802,5 +795,33 @@ impl Drop for Syncer {
         if let Some(mut handle) = self.handle.lock().take() {
             handle.stop();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::framework::{Framework, FrameworkConfig};
+
+    /// A worker still in `process` when its tenant is torn down must not
+    /// bring back the `tenant` cells the teardown reclaimed.
+    #[test]
+    fn processing_a_removed_tenants_item_records_nothing() {
+        let fw = Framework::start(FrameworkConfig::minimal());
+        fw.create_tenant("gone").unwrap();
+        fw.delete_tenant("gone").unwrap();
+        let item =
+            WorkItem { tenant: "gone".into(), kind: ResourceKind::Pod, key: "default/p".into() };
+        fw.syncer.process(&item, true);
+        fw.syncer.process(&item, false);
+        for family in fw.obs().registry.snapshot().families {
+            let Some(i) = family.labels.iter().position(|label| label == "tenant") else {
+                continue;
+            };
+            for cell in &family.cells {
+                assert_ne!(cell.labels[i], "gone", "{} cell outlived the tenant", family.name);
+            }
+        }
+        fw.shutdown();
     }
 }

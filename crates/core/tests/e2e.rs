@@ -218,6 +218,17 @@ fn scanner_repairs_manual_drift() {
             .get(ResourceKind::Pod, "default", "healme")
             .is_ok_and(|o| o.as_pod().unwrap().status.is_ready())
     }));
+    // Until the syncer's tenant informer has seen the pod's last write and
+    // the syncer is quiet, an echo of its own status write may still run a
+    // downward reconcile that repairs the sabotage before the scanner can.
+    let cache = fw.syncer.tenant("tenant-e").unwrap().cache(ResourceKind::Pod).clone();
+    assert!(wait_until(Duration::from_secs(20), Duration::from_millis(5), || {
+        let latest = tenant.get(ResourceKind::Pod, "default", "healme").unwrap();
+        cache
+            .get("default/healme")
+            .is_some_and(|o| o.meta().resource_version == latest.meta().resource_version)
+            && fw.syncer.is_quiet()
+    }));
 
     // Sabotage: mutate the super copy's labels behind the syncer's back
     // (no watch event reaches a downward reconciler for super-side edits;
