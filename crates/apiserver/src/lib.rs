@@ -42,6 +42,12 @@ use vc_store::{DurabilityConfig, RecoveryReport, Store, StoreConfig, StoreError,
 /// garbage-collected before the namespace disappears.
 pub const NAMESPACE_FINALIZER: &str = "kubernetes";
 
+/// Maximum queued requests beyond the inflight cap.
+const MAX_QUEUED: usize = 10_000;
+
+/// How long a queued request waits before timing out.
+const QUEUE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Tuning knobs for an [`ApiServer`].
 #[derive(Debug, Clone)]
 pub struct ApiServerConfig {
@@ -53,10 +59,6 @@ pub struct ApiServerConfig {
     pub write_latency: Duration,
     /// Maximum concurrently executing requests.
     pub max_inflight: usize,
-    /// Maximum queued requests beyond the inflight cap.
-    pub max_queued: usize,
-    /// How long a queued request waits before timing out.
-    pub queue_timeout: Duration,
     /// Store (event log / watch buffer) configuration.
     pub store: StoreConfig,
     /// When set, the backing store is durable: writes go through a
@@ -73,8 +75,6 @@ impl Default for ApiServerConfig {
             read_latency: Duration::from_micros(100),
             write_latency: Duration::from_micros(300),
             max_inflight: 400,
-            max_queued: 10_000,
-            queue_timeout: Duration::from_secs(30),
             store: StoreConfig::default(),
             durability: None,
         }
@@ -261,7 +261,7 @@ impl ApiServer {
             }
             None => (Store::with_config(config.store.clone()), None),
         };
-        let gate = InflightGate::new(config.max_inflight, config.max_queued, config.queue_timeout);
+        let gate = InflightGate::new(config.max_inflight, MAX_QUEUED, QUEUE_TIMEOUT);
         let server = Arc::new(ApiServer {
             store: Arc::new(store),
             gate,
@@ -462,7 +462,7 @@ impl ApiServer {
             );
         } else if let Some((key, (id, opened))) = gate {
             if result.is_ok() {
-                hook.tracer.record_opening_span(id, stage::GATE, elapsed);
+                hook.tracer.record_span(id, stage::GATE, elapsed, true);
             } else if opened {
                 // Nothing was created, so nothing will finish the trace.
                 hook.tracer.abandon(&hook.scope, key);

@@ -98,6 +98,7 @@ fn main() {
         .filter(|s| kata.agent(&s.id).is_some_and(|a| a.rule_count() == SERVICES))
         .count();
     println!("  guests with all {SERVICES} rules installed: {complete}/{PODS}");
+    assert_eq!(complete, PODS, "every guest must hold all {SERVICES} rules");
 
     heading("periodic reconciliation scan");
     // A dedicated short-interval proxy instance measures the scan path;

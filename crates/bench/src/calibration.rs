@@ -33,8 +33,6 @@ pub fn paper_scheduler() -> SchedulerConfig {
         // bound pods — the paper's Fig 9(b) baseline series.
         service_time: Duration::from_micros(600),
         service_time_per_kpod: Duration::from_micros(65),
-        emit_events: false,
-        unschedulable_backoff: Duration::from_millis(500),
     }
 }
 

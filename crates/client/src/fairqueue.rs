@@ -127,11 +127,6 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         }
     }
 
-    /// Returns `true` when fair dispatch is enabled.
-    pub fn is_fair(&self) -> bool {
-        self.fair
-    }
-
     /// Sets a tenant's weight (items served per WRR round). Registers the
     /// tenant if unknown.
     ///

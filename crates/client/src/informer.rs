@@ -47,15 +47,13 @@ pub enum InformerEvent {
     },
     /// Object disappeared (carries the last known state).
     Deleted(Arc<Object>),
-    /// Periodic resync re-delivery of a cached object.
-    Resync(Arc<Object>),
 }
 
 impl InformerEvent {
     /// The object the event is about (new state where applicable).
     pub fn object(&self) -> &Arc<Object> {
         match self {
-            InformerEvent::Added(o) | InformerEvent::Deleted(o) | InformerEvent::Resync(o) => o,
+            InformerEvent::Added(o) | InformerEvent::Deleted(o) => o,
             InformerEvent::Updated { new, .. } => new,
         }
     }
@@ -193,19 +191,14 @@ const RELIST_BACKOFF: Duration = Duration::from_millis(100);
 /// Configuration for a [`SharedInformer`].
 #[derive(Debug, Clone)]
 pub struct InformerConfig {
-    /// Resource kind to watch.
+    /// Resource kind to watch, in all namespaces.
     pub kind: ResourceKind,
-    /// Optional namespace restriction.
-    pub namespace: Option<String>,
-    /// Optional periodic resync: re-delivers every cached object as
-    /// [`InformerEvent::Resync`].
-    pub resync_interval: Option<Duration>,
 }
 
 impl InformerConfig {
-    /// Creates a config watching all namespaces of `kind`, no resync.
+    /// Creates a config watching all namespaces of `kind`.
     pub fn new(kind: ResourceKind) -> Self {
-        InformerConfig { kind, namespace: None, resync_interval: None }
+        InformerConfig { kind }
     }
 }
 
@@ -233,7 +226,6 @@ struct Reflector {
     stream: Option<WatchStream>,
     /// When a failed list is due to be tried again.
     retry_at: Option<Timestamp>,
-    next_resync: Option<Timestamp>,
 }
 
 /// How a turn's drain of the watch ended.
@@ -284,7 +276,7 @@ pub struct SharedInformer {
     cache: Arc<Cache>,
     handlers: RwLock<Vec<EventHandler>>,
     sync_flag: SyncFlag,
-    /// Back-off and resync deadlines run on real time, whatever clock the
+    /// Back-off deadlines run on real time, whatever clock the
     /// apiserver keeps (DESIGN.md §12.2).
     clock: RealClock,
     /// The informer's place in the pool, set once by `start`.
@@ -417,11 +409,10 @@ impl SharedInformer {
     /// the apiserver (its simulated latency, an injected delay) makes it:
     /// never call it from a turn.
     fn list_and_watch(&self) -> Listed {
-        let namespace = self.config.namespace.as_deref();
-        let Ok((items, revision)) = self.client.list(self.config.kind, namespace) else {
+        let Ok((items, revision)) = self.client.list(self.config.kind, None) else {
             return Listed { items: None, stream: None };
         };
-        let stream = self.client.watch(self.config.kind, namespace, revision).ok();
+        let stream = self.client.watch(self.config.kind, None, revision).ok();
         Listed { items: Some(items), stream }
     }
 
@@ -446,11 +437,6 @@ impl SharedInformer {
         reflector.stream = Some(stream);
         // Events that reached the stream before its waker woke nobody.
         registration.wake();
-        if let (Some(interval), None) = (self.config.resync_interval, reflector.next_resync) {
-            let at = self.clock.now().add(interval);
-            reflector.next_resync = Some(at);
-            self.wake_at(at, registration);
-        }
     }
 
     fn wake_at(&self, at: Timestamp, registration: &Arc<Registration>) {
@@ -473,22 +459,6 @@ impl SharedInformer {
                 registration.wake();
             }
         });
-    }
-
-    fn resync_if_due(&self, reflector: &mut Reflector, registration: &Arc<Registration>) {
-        let (Some(interval), Some(due)) = (self.config.resync_interval, reflector.next_resync)
-        else {
-            return;
-        };
-        let now = self.clock.now();
-        if now < due {
-            return;
-        }
-        for obj in self.cache.list() {
-            self.dispatch(&InformerEvent::Resync(obj));
-        }
-        reflector.next_resync = Some(now.add(interval));
-        self.wake_at(now.add(interval), registration);
     }
 
     /// Applies up to [`BATCH`] buffered events from `stream`, each to the
@@ -565,7 +535,6 @@ impl Task for SharedInformer {
         }
         let mut progress = Progress::default();
         if let Some(stream) = reflector.stream.take() {
-            self.resync_if_due(&mut reflector, registration);
             let (events, drained) = self.drain(&stream);
             progress.events = events;
             match drained {
@@ -643,7 +612,6 @@ mod tests {
                 InformerEvent::Added(o) => format!("add:{}", o.key()),
                 InformerEvent::Updated { new, .. } => format!("upd:{}", new.key()),
                 InformerEvent::Deleted(o) => format!("del:{}", o.key()),
-                InformerEvent::Resync(o) => format!("rs:{}", o.key()),
             };
             sink.lock().push(tag);
         }));
@@ -713,44 +681,6 @@ mod tests {
         assert!(eventually(2000, || informer.cache().bytes.get() > 0));
         user.delete(ResourceKind::Pod, "default", "p").unwrap();
         assert!(eventually(2000, || informer.cache().bytes.get() == 0));
-        informer.stop();
-    }
-
-    #[test]
-    fn resync_redelivers_cached_objects() {
-        let server = ApiServer::new_default("t");
-        let client = Client::new(Arc::clone(&server), "informer");
-        let mut config = InformerConfig::new(ResourceKind::Pod);
-        config.resync_interval = Some(Duration::from_millis(50));
-        let informer = SharedInformer::new(client, config);
-        let resyncs = Arc::new(Counter::new());
-        let counter = Arc::clone(&resyncs);
-        informer.add_handler(Box::new(move |ev| {
-            if matches!(ev, InformerEvent::Resync(_)) {
-                counter.inc();
-            }
-        }));
-        let informer = SharedInformer::start(informer);
-        informer.wait_for_sync(Duration::from_secs(5));
-        Client::new(server, "u").create(Pod::new("default", "p").into()).unwrap();
-        assert!(eventually(3000, || resyncs.get() >= 2));
-        informer.stop();
-    }
-
-    #[test]
-    fn namespace_scoped_informer() {
-        let server = ApiServer::new_default("t");
-        let admin = Client::new(Arc::clone(&server), "admin");
-        admin.create(vc_api::namespace::Namespace::new("other").into()).unwrap();
-        let client = Client::new(Arc::clone(&server), "informer");
-        let mut config = InformerConfig::new(ResourceKind::Pod);
-        config.namespace = Some("default".into());
-        let informer = SharedInformer::start(SharedInformer::new(client, config));
-        informer.wait_for_sync(Duration::from_secs(5));
-        admin.create(Pod::new("other", "x").into()).unwrap();
-        admin.create(Pod::new("default", "y").into()).unwrap();
-        assert!(eventually(2000, || informer.cache().get("default/y").is_some()));
-        assert!(informer.cache().get("other/x").is_none());
         informer.stop();
     }
 
@@ -832,7 +762,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let before = pool.wakeups();
         std::thread::sleep(Duration::from_millis(300));
-        assert_eq!(pool.wakeups(), before, "no traffic and no resync: nothing may wake");
+        assert_eq!(pool.wakeups(), before, "no traffic: nothing may wake");
         // ...and the pool is asleep, not dead.
         Client::system(server, "u").create(Pod::new("default", "p").into()).unwrap();
         assert!(eventually(2000, || informer.cache().len() == 1));

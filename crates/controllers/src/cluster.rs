@@ -177,7 +177,6 @@ impl Cluster {
                 // Only clusters fronting real infrastructure (i.e. with a
                 // scheduler + nodes) provision cloud load balancers.
                 provision_load_balancers: config.scheduler.is_some(),
-                ..Default::default()
             };
             let (handle, _metrics) = crate::service::start(
                 Client::system(Arc::clone(&apiserver), "system:service-controller"),

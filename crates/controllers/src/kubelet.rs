@@ -33,6 +33,10 @@ use vc_runtime::image::ImageStore;
 /// (the init-container coordination of §III-B(4)).
 pub const WAIT_FOR_ROUTES_ANNOTATION: &str = "virtualcluster.io/wait-for-routes";
 
+/// How long to wait on the route-injection gate before starting workload
+/// containers anyway.
+const ROUTE_GATE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// How the kubelet realizes pods.
 #[derive(Clone)]
 pub enum KubeletMode {
@@ -69,9 +73,6 @@ pub struct KubeletConfig {
     pub capacity: ResourceList,
     /// Third octet used for this node's pod IP range (`10.P.x.y`).
     pub pod_cidr_index: u32,
-    /// How long to wait on the route-injection gate before starting
-    /// workload containers anyway.
-    pub route_gate_timeout: Duration,
 }
 
 impl KubeletConfig {
@@ -86,7 +87,6 @@ impl KubeletConfig {
                 ("pods", "500"),
             ]),
             pod_cidr_index: index,
-            route_gate_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -313,7 +313,7 @@ impl Kubelet {
         // Route-injection gate: wait for the enhanced kubeproxy before
         // starting workload containers (paper's init-container protocol).
         if pod.meta.annotations.contains_key(WAIT_FOR_ROUTES_ANNOTATION) {
-            let deadline = std::time::Instant::now() + self.config.route_gate_timeout;
+            let deadline = std::time::Instant::now() + ROUTE_GATE_TIMEOUT;
             loop {
                 let gated = self.pod_cache.get(key).is_some_and(|o| {
                     o.as_pod().is_some_and(|p| {

@@ -43,10 +43,7 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<NamespaceGcMetrics>) {
     {
         let queue = Arc::clone(&queue);
         informer.add_handler(Box::new(move |event| {
-            if let InformerEvent::Added(obj)
-            | InformerEvent::Updated { new: obj, .. }
-            | InformerEvent::Resync(obj) = event
-            {
+            if let InformerEvent::Added(obj) | InformerEvent::Updated { new: obj, .. } = event {
                 if obj.meta().is_terminating() {
                     queue.add(obj.meta().name.clone());
                 }

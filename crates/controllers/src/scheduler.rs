@@ -24,7 +24,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-use vc_api::event::{Event, ObjectReference};
 use vc_api::labels::Labels;
 use vc_api::metrics::Counter;
 use vc_api::node::Node;
@@ -32,6 +31,9 @@ use vc_api::object::ResourceKind;
 use vc_api::pod::{Pod, PodConditionType, PodPhase};
 use vc_api::quantity::{add_resources, resource_names, sub_resources, Quantity, ResourceList};
 use vc_client::{Client, InformerConfig, InformerEvent, SharedInformer, WorkQueue};
+
+/// Backoff before retrying an unschedulable pod.
+const UNSCHEDULABLE_BACKOFF: Duration = Duration::from_millis(500);
 
 /// Scheduler tuning.
 #[derive(Debug, Clone)]
@@ -44,10 +46,6 @@ pub struct SchedulerConfig {
     /// occupancy, which is what makes baseline throughput decline with
     /// pod count in the paper's Fig 9(b). Zero disables the effect.
     pub service_time_per_kpod: Duration,
-    /// Whether to write `Scheduled` / `FailedScheduling` Event objects.
-    pub emit_events: bool,
-    /// Backoff before retrying an unschedulable pod.
-    pub unschedulable_backoff: Duration,
 }
 
 impl Default for SchedulerConfig {
@@ -55,8 +53,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             service_time: Duration::from_micros(2200),
             service_time_per_kpod: Duration::ZERO,
-            emit_events: false,
-            unschedulable_backoff: Duration::from_millis(500),
         }
     }
 }
@@ -104,9 +100,7 @@ pub fn start(client: Client, config: SchedulerConfig) -> (ControllerHandle, Arc<
         node_informer.add_handler(Box::new(move |event| {
             let mut state = state.lock();
             match event {
-                InformerEvent::Added(obj)
-                | InformerEvent::Updated { new: obj, .. }
-                | InformerEvent::Resync(obj) => {
+                InformerEvent::Added(obj) | InformerEvent::Updated { new: obj, .. } => {
                     if let Some(node) = obj.as_node() {
                         state.nodes.entry(node.meta.name.clone()).or_default().node =
                             Some(node.clone());
@@ -130,9 +124,7 @@ pub fn start(client: Client, config: SchedulerConfig) -> (ControllerHandle, Arc<
         let state = Arc::clone(&state);
         let queue = Arc::clone(&queue);
         pod_informer.add_handler(Box::new(move |event| match event {
-            InformerEvent::Added(obj)
-            | InformerEvent::Updated { new: obj, .. }
-            | InformerEvent::Resync(obj) => {
+            InformerEvent::Added(obj) | InformerEvent::Updated { new: obj, .. } => {
                 let Some(pod) = obj.as_pod() else { return };
                 let key = obj.key();
                 if pod.spec.is_bound() {
@@ -233,9 +225,6 @@ fn schedule_one(
 
     let Some(node_name) = chosen else {
         metrics.unschedulable.inc();
-        if config.emit_events {
-            emit_event(client, pod, "FailedScheduling", "no nodes available");
-        }
         // Record the condition once, then retry with backoff.
         let mut updated = pod.clone();
         updated.status.set_condition(
@@ -245,7 +234,7 @@ fn schedule_one(
             now(client),
         );
         let _ = client.update(updated.into());
-        queue.add_after(key.to_string(), config.unschedulable_backoff);
+        queue.add_after(key.to_string(), UNSCHEDULABLE_BACKOFF);
         return;
     };
 
@@ -264,9 +253,6 @@ fn schedule_one(
     match bind {
         Ok(()) => {
             metrics.scheduled.inc();
-            if config.emit_events {
-                emit_event(client, pod, "Scheduled", &format!("assigned {key} to {node_name}"));
-            }
         }
         Err(err) => {
             // Pod vanished or write failed: release the reservation.
@@ -281,24 +267,6 @@ fn schedule_one(
 
 fn now(client: &Client) -> vc_api::time::Timestamp {
     client.server().clock().now()
-}
-
-fn emit_event(client: &Client, pod: &Pod, reason: &str, message: &str) {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let event = Event::about(
-        pod.meta.namespace.clone(),
-        format!("{}.{:x}", pod.meta.name, seq),
-        ObjectReference {
-            kind: "Pod".into(),
-            namespace: pod.meta.namespace.clone(),
-            name: pod.meta.name.clone(),
-        },
-        reason,
-        message,
-        now(client),
-    );
-    let _ = client.create(event.into());
 }
 
 /// Returns the best feasible node for a pod that needs `requests`, or

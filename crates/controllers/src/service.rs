@@ -18,11 +18,12 @@ use vc_client::{Client, InformerConfig, SharedInformer, WorkQueue};
 /// Worker threads draining the service queue.
 const WORKERS: usize = 2;
 
+/// Second octet of the service CIDR (`10.S.x.y`).
+const SERVICE_CIDR_OCTET: u8 = 96;
+
 /// Service controller configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceControllerConfig {
-    /// Second octet of the service CIDR (`10.S.x.y`).
-    pub service_cidr_octet: u8,
     /// Provision ingress IPs for LoadBalancer services (a capability of
     /// the cluster that fronts real infrastructure — the super cluster).
     pub provision_load_balancers: bool,
@@ -30,7 +31,7 @@ pub struct ServiceControllerConfig {
 
 impl Default for ServiceControllerConfig {
     fn default() -> Self {
-        ServiceControllerConfig { service_cidr_octet: 96, provision_load_balancers: true }
+        ServiceControllerConfig { provision_load_balancers: true }
     }
 }
 
@@ -122,7 +123,7 @@ fn reconcile(
         && matches!(service.spec.service_type, ServiceType::ClusterIp | ServiceType::LoadBalancer)
     {
         let n = ip_counter.fetch_add(1, Ordering::Relaxed);
-        let ip = format!("10.{}.{}.{}", config.service_cidr_octet, (n >> 8) & 0xff, n & 0xff);
+        let ip = format!("10.{SERVICE_CIDR_OCTET}.{}.{}", (n >> 8) & 0xff, n & 0xff);
         let ok = retry_on_conflict(5, || {
             let fresh = client.get(ResourceKind::Service, namespace, name)?;
             let mut fresh: Service = fresh.try_into()?;

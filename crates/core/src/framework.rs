@@ -68,21 +68,6 @@ impl Default for FrameworkConfig {
 }
 
 impl FrameworkConfig {
-    /// The paper's evaluation environment: 100 virtual-kubelet nodes,
-    /// default syncer knobs (20 downward / 100 upward workers, fair
-    /// queuing on), pods-only sync for speed.
-    pub fn paper_environment() -> Self {
-        let mut config = FrameworkConfig {
-            mock_nodes: 100,
-            syncer: SyncerConfig::pods_only(),
-            ..Default::default()
-        };
-        // The load generator drives tenant apiservers directly; tenant
-        // control planes need no controller-manager for pod stress tests.
-        config.operator.tenant_template = minimal_tenant_template();
-        config
-    }
-
     /// A small fast configuration for tests and examples.
     pub fn minimal() -> Self {
         let mut config = FrameworkConfig {
@@ -335,19 +320,6 @@ impl Framework {
             )
             .with_metrics(&self.obs().registry),
         ));
-    }
-
-    /// Confines `user`'s identity at the super apiserver to `tenant`'s
-    /// namespace prefix: requests from that identity outside the prefix
-    /// (and all cluster-scoped access) are denied at the gate, closing the
-    /// trust-the-header hole for tenants handed direct super credentials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tenant is not provisioned.
-    pub fn bind_super_scope(&self, user: &str, tenant: &str) {
-        let handle = self.registry.get(tenant).expect("tenant provisioned");
-        self.super_cluster.apiserver.authorizer.bind_tenant_scope(user, &handle.prefix);
     }
 
     /// Builds the vn-agent for `node_name`.

@@ -368,10 +368,12 @@ impl Syncer {
     /// Runs one item of the downward (`down`) or upward queue as a worker
     /// does: the modelled `congestion_cost` and the reconcile under the
     /// direction's busy timer, then the tenant's duration histogram and
-    /// stats mark. A downward item also closes its queue-wait span and
-    /// reconciles under its trace; upward pod spans are recorded inside
-    /// the upward reconciler, which knows whether the super pod is Ready
-    /// and maps the super key back to the traced tenant key.
+    /// stats mark. A downward item also closes its queue-wait span, opens
+    /// DWS-Process and reconciles under its trace. The create path closes
+    /// DWS-Process before its super write (`trace_dws_done`); on any other
+    /// path it is closed here, after the reconcile. Upward pod spans are
+    /// recorded inside the upward reconciler, which knows whether the super
+    /// pod is Ready and maps the super key back to the traced tenant key.
     fn process(&self, item: &WorkItem, down: bool) {
         let (busy, full_cost, direction) = if down {
             (&self.metrics.downward_busy, self.config.downward_process_cost, "downward")
@@ -381,6 +383,7 @@ impl Syncer {
         let trace_id = down.then(|| self.obs.tracer.lookup(&item.tenant, &item.key)).flatten();
         if let Some(id) = trace_id {
             self.obs.tracer.span_since_mark(id, stage::MARK_DWS_ENQUEUE, stage::DWS_QUEUE);
+            self.obs.tracer.mark(id, stage::MARK_DWS_PROCESS);
         }
         let started = Instant::now();
         busy.record(|| {
@@ -397,7 +400,7 @@ impl Syncer {
         });
         let elapsed = started.elapsed();
         if let Some(id) = trace_id {
-            self.obs.tracer.record_span(id, stage::DWS_PROCESS, elapsed, true);
+            self.obs.tracer.span_since_mark(id, stage::MARK_DWS_PROCESS, stage::DWS_PROCESS);
         }
         // `detach_tenant` takes the write lock before the tenant's cells are
         // reclaimed, so under the read lock this either records before the

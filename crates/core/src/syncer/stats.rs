@@ -134,20 +134,6 @@ impl Syncer {
         Some(self.stats.row(tenant, queue_depth, slow_ops, health))
     }
 
-    /// Dashboard rows for every registered tenant, sorted by name.
-    pub fn tenant_dashboard(&self) -> Vec<(String, TenantSyncStats)> {
-        let mut names = self.tenant_names();
-        names.sort();
-        let slow = self.obs.tracer.slow_op_counts();
-        names
-            .into_iter()
-            .filter_map(|n| {
-                let slow_ops = slow.get(&n).copied().unwrap_or(0);
-                self.tenant_stats_with_slow(&n, slow_ops).map(|s| (n, s))
-            })
-            .collect()
-    }
-
     /// Marks a tenant's dashboard inputs changed, scheduling it for the
     /// next [`Self::publish_tenant_stats`] pass. Called from the reconcile
     /// workers, breaker transitions and registration — the event feed that

@@ -38,14 +38,17 @@ impl Syncer {
     }
 
     /// Downward reconcile reached the desired super-cluster state for a
-    /// pod: marks the Super-Sched span start. The create path calls this
-    /// *before* its write — the scheduler and kubelet can have the pod
-    /// Ready, and [`Self::trace_super_ready`] can have come looking for
-    /// the mark, before the worker is back from the call — and takes it
-    /// back with [`Self::trace_dws_undone`] if the write fails.
+    /// pod: closes the DWS-Process span and marks the Super-Sched span
+    /// start, so the two tile. The create path calls this *before* its
+    /// write — the scheduler, kubelet and upward worker can have the pod
+    /// Ready and its trace finished before the worker is back from the
+    /// call — and takes the mark back with [`Self::trace_dws_undone`] if
+    /// the write fails.
     pub(crate) fn trace_dws_done(&self, tenant: &str, key: &str) {
-        if let Some(id) = self.obs.tracer.lookup(tenant, key) {
-            self.obs.tracer.mark(id, stage::MARK_SUPER_SCHED);
+        let tracer = &self.obs.tracer;
+        if let Some(id) = tracer.lookup(tenant, key) {
+            tracer.span_since_mark(id, stage::MARK_DWS_PROCESS, stage::DWS_PROCESS);
+            tracer.mark(id, stage::MARK_SUPER_SCHED);
         }
     }
 

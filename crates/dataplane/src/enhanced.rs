@@ -33,6 +33,9 @@ use vc_runtime::cri::ContainerRuntime;
 use vc_runtime::kata::KataAgent;
 use vc_runtime::KataRuntime;
 
+/// Retry delay while waiting for a pod's sandbox to appear.
+const SANDBOX_POLL: Duration = Duration::from_millis(20);
+
 /// Enhanced kubeproxy configuration.
 #[derive(Debug, Clone)]
 pub struct EnhancedKubeProxyConfig {
@@ -40,8 +43,6 @@ pub struct EnhancedKubeProxyConfig {
     pub node_name: String,
     /// Interval of the periodic reconciliation scan.
     pub sync_interval: Duration,
-    /// Retry delay while waiting for a pod's sandbox to appear.
-    pub sandbox_poll: Duration,
 }
 
 impl EnhancedKubeProxyConfig {
@@ -50,7 +51,6 @@ impl EnhancedKubeProxyConfig {
         EnhancedKubeProxyConfig {
             node_name: node_name.into(),
             sync_interval: Duration::from_secs(30),
-            sandbox_poll: Duration::from_millis(20),
         }
     }
 }
@@ -139,7 +139,6 @@ pub fn start(
         let metrics = Arc::clone(&metrics);
         let service_cache = Arc::clone(&service_cache);
         let endpoints_cache = Arc::clone(&endpoints_cache);
-        let poll = config.sandbox_poll;
         handle.workers("ekp-pods", 1, 1, &pod_queue, move |key| {
             if handle_pod(
                 key,
@@ -151,7 +150,7 @@ pub fn start(
                 &tracked,
                 &metrics,
             ) {
-                requeue.add_after(key.clone(), poll);
+                requeue.add_after(key.clone(), SANDBOX_POLL);
             }
         });
     }

@@ -14,7 +14,7 @@
 //! Three primitives cover every stage shape:
 //!
 //! * [`Tracer::record_span`] — a stage whose duration the caller measured
-//!   (reconcile bodies, apiserver request handling),
+//!   (apiserver request handling, client-side waits),
 //! * [`Tracer::mark`] + [`Tracer::span_since_mark`] — a stage bracketed by
 //!   two *events* (queue wait: mark on enqueue, span on dequeue). Marks
 //!   are set-once and consumed on use, so requeues and dedup cannot
@@ -42,7 +42,8 @@ pub mod stage {
     pub const GATE: &str = "gate";
     /// Wait in the downward weighted-fair queue (mark: [`MARK_DWS_ENQUEUE`]).
     pub const DWS_QUEUE: &str = "dws_queue";
-    /// Downward reconcile execution.
+    /// Downward reconcile execution up to the super-cluster write (mark:
+    /// [`MARK_DWS_PROCESS`]).
     pub const DWS_PROCESS: &str = "dws_process";
     /// Super-cluster scheduling + run-up until the pod reports Ready.
     pub const SUPER_SCHED: &str = "super_sched";
@@ -55,6 +56,8 @@ pub mod stage {
 
     /// Mark set when an item enters the downward queue.
     pub const MARK_DWS_ENQUEUE: &str = "dws_enqueue";
+    /// Mark set when a downward worker dequeues the item.
+    pub const MARK_DWS_PROCESS: &str = "dws_process_start";
     /// Mark set when the downward sync completed (Super-Sched begins).
     pub const MARK_SUPER_SCHED: &str = "super_sched_start";
     /// Mark set when the ready pod enters the upward queue.
@@ -73,13 +76,6 @@ pub mod stage {
 /// Identifier of one end-to-end trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(u64);
-
-impl TraceId {
-    /// The raw numeric ID.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
 
 impl std::fmt::Display for TraceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -317,34 +313,20 @@ impl Tracer {
         Some(duration)
     }
 
-    /// Records a caller-measured span ending now. No-op for unknown or
-    /// finished traces.
+    /// Records a caller-measured span ending now. The span also lands on
+    /// a trace that finished while it ran: a write returns to its caller
+    /// only after the object became visible, and the pipeline it set off
+    /// can finish the object's trace first. No-op for unknown traces and
+    /// for a span that started after its trace finished.
     pub fn record_span(&self, id: TraceId, stage: &str, duration: Duration, ok: bool) {
         let mut state = self.state.lock();
         if let Some(trace) = state.traces.get_mut(&id) {
-            if trace.total.is_some() {
-                return;
-            }
             let duration = nonzero(duration);
             let start_offset = nonzero(trace.started.elapsed()).saturating_sub(duration);
+            if trace.total.is_some_and(|total| start_offset >= total) {
+                return;
+            }
             trace.spans.push(Span { stage: stage.to_string(), start_offset, duration, ok });
-        }
-    }
-
-    /// Records the span of the request that opened the trace, measured
-    /// from the trace's start. Unlike [`Tracer::record_span`] it also
-    /// lands on a trace that has finished meanwhile: the request returns
-    /// to its caller only after the object became visible, and the
-    /// pipeline it set off can finish the object's trace first.
-    pub fn record_opening_span(&self, id: TraceId, stage: &str, duration: Duration) {
-        let mut state = self.state.lock();
-        if let Some(trace) = state.traces.get_mut(&id) {
-            trace.spans.push(Span {
-                stage: stage.to_string(),
-                start_offset: Duration::ZERO,
-                duration: nonzero(duration),
-                ok: true,
-            });
         }
     }
 
@@ -679,6 +661,21 @@ mod tests {
         let id = t.begin("tn", "k");
         let _guard = TraceContext::enter(id);
         std::thread::spawn(|| assert!(current_trace().is_none())).join().unwrap();
+    }
+
+    #[test]
+    fn a_span_in_flight_at_finish_still_lands() {
+        let t = tracer();
+        let id = t.begin("tn", "k");
+        let request = Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
+        t.finish("tn", "k");
+        // Began before the finish: the trace's own request, returning late.
+        t.record_span(id, "in-flight", request.elapsed(), true);
+        std::thread::sleep(Duration::from_millis(5));
+        // Began after the finish: not part of the trace.
+        t.record_span(id, "late", Duration::from_millis(1), true);
+        assert_eq!(t.get(id).unwrap().distinct_stages(), vec!["in-flight"]);
     }
 
     #[test]

@@ -94,7 +94,6 @@ impl Conn {
 pub struct WireClient {
     addr: String,
     user: String,
-    flow: Option<String>,
     encoding: Encoding,
     limiter: Arc<RateLimiter>,
     conn: Mutex<Option<Conn>>,
@@ -118,7 +117,6 @@ impl Clone for WireClient {
         WireClient {
             addr: self.addr.clone(),
             user: self.user.clone(),
-            flow: self.flow.clone(),
             encoding: self.encoding,
             limiter: self.limiter.clone(),
             conn: Mutex::new(None),
@@ -143,18 +141,10 @@ impl WireClient {
         WireClient {
             addr: addr.into(),
             user: user.into(),
-            flow: None,
             encoding: Encoding::Json,
             limiter: Arc::new(RateLimiter::new(qps, burst)),
             conn: Mutex::new(None),
         }
-    }
-
-    /// Sets the request-classing flow label (`x-vc-flow`); defaults to
-    /// the user when unset.
-    pub fn with_flow(mut self, flow: impl Into<String>) -> WireClient {
-        self.flow = Some(flow.into());
-        self
     }
 
     /// Selects the payload encoding for every request this client sends
@@ -181,16 +171,7 @@ impl WireClient {
     }
 
     fn build_head(&self, out: &mut String, method: &str, target: &str, body_len: usize) {
-        build_head(
-            out,
-            method,
-            target,
-            body_len,
-            &self.addr,
-            &self.user,
-            self.flow.as_deref(),
-            self.encoding,
-        );
+        build_head(out, method, target, body_len, &self.addr, &self.user, self.encoding);
     }
 
     /// Sends one unary request over the persistent connection, returning
@@ -361,7 +342,6 @@ impl WireClient {
 
 /// Builds a request head into `out` (cleared first); standalone so the
 /// watch reader thread can reuse it without a `WireClient`.
-#[allow(clippy::too_many_arguments)]
 fn build_head(
     out: &mut String,
     method: &str,
@@ -369,7 +349,6 @@ fn build_head(
     body_len: usize,
     addr: &str,
     user: &str,
-    flow: Option<&str>,
     encoding: Encoding,
 ) {
     out.clear();
@@ -389,11 +368,6 @@ fn build_head(
         let _ = write!(out, "content-length: {body_len}\r\n");
         out.push_str("content-type: ");
         out.push_str(codec::content_type(encoding));
-        out.push_str("\r\n");
-    }
-    if let Some(flow) = flow {
-        out.push_str("x-vc-flow: ");
-        out.push_str(flow);
         out.push_str("\r\n");
     }
     out.push_str("\r\n");
@@ -488,7 +462,6 @@ impl ObjectApi for WireClient {
         let spec = WatchSpec {
             addr: self.addr.clone(),
             user: self.user.clone(),
-            flow: self.flow.clone(),
             encoding: self.encoding,
             kind,
             namespace: namespace.map(str::to_string),
@@ -504,7 +477,6 @@ impl ObjectApi for WireClient {
 struct WatchSpec {
     addr: String,
     user: String,
-    flow: Option<String>,
     encoding: Encoding,
     kind: ResourceKind,
     namespace: Option<String>,
@@ -521,16 +493,7 @@ fn open_watch(spec: &WatchSpec, from: u64) -> ApiResult<Conn> {
     let mut conn = Conn::open(&spec.addr)
         .map_err(|e| ApiError::unavailable(format!("connect {}: {e}", spec.addr)))?;
     let mut head = std::mem::take(&mut conn.head);
-    build_head(
-        &mut head,
-        "GET",
-        &target,
-        0,
-        &spec.addr,
-        &spec.user,
-        spec.flow.as_deref(),
-        spec.encoding,
-    );
+    build_head(&mut head, "GET", &target, 0, &spec.addr, &spec.user, spec.encoding);
     let wrote = crate::http::write_all_vectored(&mut conn.stream, &[head.as_bytes()]);
     conn.head = head;
     wrote.map_err(|e| ApiError::unavailable(format!("write {}: {e}", spec.addr)))?;

@@ -23,8 +23,8 @@
 //!    into single chunks, and [`WireClient`] pipelines idempotent reads
 //!    on its persistent connection.
 //! 4. **Request classing** ([`WireServer`]): unary requests queue in
-//!    per-flow buckets drained by weighted round-robin, so one noisy
-//!    tenant queues behind itself, not in front of everyone.
+//!    per-user buckets drained by round-robin, so one noisy tenant
+//!    queues behind itself, not in front of everyone.
 //! 5. **Degrade-to-resync**: a watcher that cannot keep up is dropped
 //!    (write timeout) or told to re-list (`RESYNC` terminal chunk) —
 //!    fan-out to healthy watchers never blocks on the slowest socket.

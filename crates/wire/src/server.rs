@@ -33,13 +33,13 @@
 //!   cache-shared body go out through one vectored write; connection
 //!   threads reuse their head/line scratch buffers across requests.
 //! - **Request classing** — under contention, unary requests enter a
-//!   [`WeightedFairQueue`] keyed by flow (the `x-vc-flow` header,
-//!   defaulting to the user) and a small dispatcher pool drains flows by
-//!   weighted round-robin. A flood from one flow queues behind its own
-//!   bucket instead of starving others. When the queue is empty and an
-//!   inline slot is free (capped at the dispatcher pool size, so classing
-//!   capacity is unchanged), the request executes directly on its
-//!   connection thread — two thread handoffs fewer per request.
+//!   [`WeightedFairQueue`] keyed by the authenticated user and a small
+//!   dispatcher pool drains users by round-robin. A flood from one user
+//!   queues behind its own bucket instead of starving others. When the
+//!   queue is empty and an inline slot is free (capped at the dispatcher
+//!   pool size, so classing capacity is unchanged), the request executes
+//!   directly on its connection thread — two thread handoffs fewer per
+//!   request.
 //! - **Watch batching** — when a watcher's stream has several ready
 //!   events, they are drained ([`vc_store::WatchStream::try_recv`]) into
 //!   one chunk: self-delimiting event frames in `vcbin`, newline-delimited
@@ -76,40 +76,30 @@ use vc_store::{EventType, RecvOutcome, WatchEvent};
 /// per-burst latency for the first event in the batch.
 const MAX_WATCH_BATCH: usize = 128;
 
+/// Maximum concurrent connections; excess are answered `503` and closed
+/// immediately rather than queued.
+const MAX_CONNECTIONS: usize = 256;
+
+/// Dispatcher threads draining the request-classing queue.
+const DISPATCH_WORKERS: usize = 4;
+
+/// Bound on how long a unary request may sit in the classing queue before
+/// the connection gives up with `504`.
+const QUEUE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Tunables for a [`WireServer`].
 #[derive(Debug, Clone)]
 pub struct WireServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Maximum concurrent connections; excess are answered `503` and
-    /// closed immediately rather than queued.
-    pub max_connections: usize,
-    /// Dispatcher threads draining the request-classing queue.
-    pub dispatch_workers: usize,
-    /// Weighted round-robin across flows (`false` = plain FIFO).
-    pub fair: bool,
-    /// Bound on how long a unary request may sit in the classing queue
-    /// before the connection gives up with `504`.
-    pub queue_timeout: Duration,
     /// Socket write budget per watch chunk; a reader stalled longer than
     /// this is degraded (dropped) so fan-out never blocks on it.
     pub write_timeout: Duration,
-    /// Byte budget of the memoized encode cache (total cached encoding
-    /// bytes across both codecs).
-    pub encode_cache_bytes: usize,
 }
 
 impl Default for WireServerConfig {
     fn default() -> Self {
-        WireServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            max_connections: 256,
-            dispatch_workers: 4,
-            fair: true,
-            queue_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(2),
-            encode_cache_bytes: crate::encode::DEFAULT_ENCODE_CACHE_BYTES,
-        }
+        WireServerConfig { addr: "127.0.0.1:0".to_string(), write_timeout: Duration::from_secs(2) }
     }
 }
 
@@ -119,7 +109,7 @@ impl Default for WireServerConfig {
 pub struct WireMetrics {
     /// Connections accepted.
     pub connections_opened: Arc<Counter>,
-    /// Connections refused because `max_connections` was reached.
+    /// Connections refused because the connection cap was reached.
     pub connections_rejected: Arc<Counter>,
     /// Connections currently open.
     pub active_connections: Arc<Gauge>,
@@ -270,10 +260,10 @@ impl WireServer {
         let (registry, scope) =
             api.metrics_registry().unwrap_or_else(|| (Arc::default(), "wire".to_string()));
         let inner = Arc::new(Inner {
-            cache: EncodeCache::new(cfg.encode_cache_bytes),
+            cache: EncodeCache::default(),
             metrics: WireMetrics::default(),
             registry,
-            queue: WeightedFairQueue::new(cfg.fair),
+            queue: WeightedFairQueue::new(true),
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
             next_conn: AtomicU64::new(1),
@@ -289,7 +279,7 @@ impl WireServer {
         inner.metrics.publish_metrics(&inner.registry, &scope);
         inner.cache.publish_metrics(&inner.registry, &scope);
         let mut threads = Vec::new();
-        for i in 0..inner.cfg.dispatch_workers.max(1) {
+        for i in 0..DISPATCH_WORKERS {
             let inner = inner.clone();
             threads.push(
                 std::thread::Builder::new()
@@ -323,11 +313,6 @@ impl WireServer {
     /// The shared encode cache (hit rate is the "serialized once" win).
     pub fn encode_cache(&self) -> &EncodeCache {
         &self.inner.cache
-    }
-
-    /// Sets the WRR weight for one flow class (default 1).
-    pub fn set_flow_weight(&self, flow: &str, weight: u32) {
-        self.inner.queue.set_weight(flow, weight);
     }
 
     /// Binds this server's cells — its [`WireMetrics`] and encode cache —
@@ -367,7 +352,7 @@ impl Drop for WireServer {
 
 impl Inner {
     /// Claims an inline-execution slot: only when the classing queue is
-    /// empty and fewer than `dispatch_workers` inline executions are in
+    /// empty and fewer than `DISPATCH_WORKERS` inline executions are in
     /// flight. The cap keeps unary execution capacity identical to the
     /// dispatcher pool's, so weighted fairness still governs whenever
     /// demand exceeds it — the fast path only removes the two thread
@@ -377,8 +362,7 @@ impl Inner {
         if !self.queue.is_empty() {
             return false;
         }
-        let cap = self.cfg.dispatch_workers.max(1);
-        if self.inline_active.fetch_add(1, Ordering::SeqCst) >= cap {
+        if self.inline_active.fetch_add(1, Ordering::SeqCst) >= DISPATCH_WORKERS {
             self.inline_active.fetch_sub(1, Ordering::SeqCst);
             return false;
         }
@@ -479,7 +463,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             break;
         }
         let Ok(mut stream) = accepted else { continue };
-        if inner.active.load(Ordering::SeqCst) >= inner.cfg.max_connections {
+        if inner.active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
             inner.metrics.connections_rejected.inc();
             let err = ApiError::unavailable("wire: connection limit reached");
             let body = serde_json::to_string(&err).unwrap_or_default();
@@ -516,7 +500,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
         // Opportunistically reap finished threads so a long-lived server
         // doesn't accumulate handles; join only the ones already done.
         let mut threads = inner.conn_threads.lock();
-        if threads.len() > inner.cfg.max_connections * 2 {
+        if threads.len() > MAX_CONNECTIONS * 2 {
             let (done, live): (Vec<_>, Vec<_>) = threads.drain(..).partition(|t| t.is_finished());
             *threads = live;
             drop(threads);
@@ -709,8 +693,6 @@ fn serve_unary(
         Encoding::Json => inner.metrics.json_requests.inc(),
         Encoding::Binary => inner.metrics.binary_requests.inc(),
     }
-    let user = user.to_string();
-    let flow = req.header("x-vc-flow").unwrap_or(&user).to_string();
     let op = match route_unary(req, path) {
         Ok(op) => op,
         Err(err) => return write_error(inner, stream, &err, encoding, keep_alive, head),
@@ -723,15 +705,15 @@ fn serve_unary(
     // handoffs fewer. Falls back to classing under any contention.
     let result = if inner.try_inline() {
         inner.metrics.inline_dispatches.inc();
-        let result = inner.execute(&user, op, encoding);
+        let result = inner.execute(user, op, encoding);
         inner.release_inline();
         result
     } else {
         let (tx, rx) = bounded(1);
         let id = inner.next_job.fetch_add(1, Ordering::SeqCst);
-        inner.jobs.lock().insert(id, UnaryJob { user, op, encoding, reply: tx });
-        inner.queue.add(&flow, id);
-        match rx.recv_timeout(inner.cfg.queue_timeout) {
+        inner.jobs.lock().insert(id, UnaryJob { user: user.to_string(), op, encoding, reply: tx });
+        inner.queue.add(user, id);
+        match rx.recv_timeout(QUEUE_TIMEOUT) {
             Ok(result) => result,
             Err(_) => {
                 // Withdraw the job so a late dispatch doesn't execute it;
@@ -740,8 +722,7 @@ fn serve_unary(
                 inner.jobs.lock().remove(&id);
                 inner.metrics.queue_timeouts.inc();
                 Err(ApiError::timeout(format!(
-                    "request expired in classing queue after {:?}",
-                    inner.cfg.queue_timeout
+                    "request expired in classing queue after {QUEUE_TIMEOUT:?}"
                 )))
             }
         }
@@ -967,4 +948,34 @@ fn serve_watch(
         }
     }
     inner.metrics.active_watches.dec();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    /// The connection cap refuses with `503` instead of queueing: with
+    /// `MAX_CONNECTIONS` idle connections open, one more is answered and
+    /// closed at once.
+    #[test]
+    fn connection_past_the_cap_is_refused_with_503() {
+        let server = WireServer::start(ApiServer::new_default("cap"), WireServerConfig::default())
+            .expect("bind");
+        let addr = server.local_addr();
+        let idle: Vec<TcpStream> =
+            (0..MAX_CONNECTIONS).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+        // The acceptor takes connections in arrival order, so all of the
+        // idle ones are counted before it reaches this one.
+        let mut extra = TcpStream::connect(addr).expect("connect");
+        extra.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut response = String::new();
+        extra.read_to_string(&mut response).expect("read the refusal");
+        assert!(response.starts_with("HTTP/1.1 503"), "got {response:?}");
+        assert_eq!(server.metrics().connections_rejected.get(), 1);
+        assert_eq!(server.metrics().connections_opened.get(), MAX_CONNECTIONS as u64);
+        drop(extra);
+        drop(idle);
+        server.shutdown();
+    }
 }

@@ -39,7 +39,6 @@ fn sim_apiserver(clock: &Arc<SimClock>) -> Arc<ApiServer> {
     ApiServer::new(
         ApiServerConfig {
             max_inflight: 4,
-            max_queued: 10_000,
             read_latency: Duration::from_millis(2),
             write_latency: Duration::ZERO,
             ..Default::default()

@@ -61,6 +61,16 @@ fn synced_pod_trace_covers_the_whole_pipeline() {
         assert!(stages.contains(&expected), "missing stage {expected:?} in {stages:?}");
     }
     assert!(stages.len() >= 4, "expected at least 4 distinct stages, got {stages:?}");
+    // DWS-Process closes just before the super write that starts
+    // Super-Sched, so the two tile instead of overlapping by the write.
+    let dws = trace.span(stage::DWS_PROCESS).unwrap();
+    let sched = trace.span(stage::SUPER_SCHED).unwrap();
+    assert!(
+        sched.start_offset >= dws.start_offset + dws.duration,
+        "super_sched starts at {:?}, before dws_process ends at {:?}",
+        sched.start_offset,
+        dws.start_offset + dws.duration
+    );
     for span in &trace.spans {
         assert!(span.duration > Duration::ZERO, "span {} must have a duration", span.stage);
     }
