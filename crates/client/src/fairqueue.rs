@@ -145,7 +145,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
     }
 
     /// Pauses dispatch for `tenant`: its items stay queued (and new adds
-    /// are accepted) but `get` skips them until [`resume_tenant`] is
+    /// are accepted) but dequeue skips them until [`resume_tenant`] is
     /// called — the tenant leaves the active ring, so paused backlog costs
     /// dequeue nothing. Other tenants' dispatch shares are unaffected.
     /// No-op on an already-paused tenant.
@@ -159,7 +159,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
     }
 
     /// Resumes dispatch for a paused tenant (re-entering the ring if it has
-    /// backlog), waking blocked `get`s.
+    /// backlog), waking blocked takes.
     pub fn resume_tenant(&self, tenant: &str) {
         let mut state = self.state.lock();
         if state.paused.remove(tenant) {
@@ -234,22 +234,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         }
     }
 
-    /// Blocks for the next item per the dispatch policy; `None` after
-    /// shutdown drains.
-    pub fn get(&self) -> Option<T> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some((item, _gen)) = self.dequeue(&mut state) {
-                return Some(item);
-            }
-            if state.shutdown {
-                return None;
-            }
-            self.cond.wait(&mut state);
-        }
-    }
-
-    /// Non-blocking variant of [`WeightedFairQueue::get`].
+    /// Takes the next item per the dispatch policy without blocking.
     pub fn try_get(&self) -> Option<T> {
         let mut state = self.state.lock();
         self.dequeue(&mut state).map(|(item, _gen)| item)
@@ -356,7 +341,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         self.state.lock().subqueues.len()
     }
 
-    /// Shuts down; blocked `get`s drain then return `None`.
+    /// Shuts down; blocked takes drain the backlog, then return empty.
     pub fn shutdown(&self) {
         self.state.lock().shutdown = true;
         self.cond.notify_all();
@@ -509,6 +494,7 @@ impl<T: Eq + Hash + Clone + Send> WorkSource for WeightedFairQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workqueue::tests::take;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -675,12 +661,12 @@ mod tests {
     fn blocking_get_and_shutdown() {
         let q = Arc::new(WeightedFairQueue::new(true));
         let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.get());
+        let handle = std::thread::spawn(move || take(&*q2, 1));
         std::thread::sleep(Duration::from_millis(20));
         q.add("t", 42);
-        assert_eq!(handle.join().unwrap(), Some(42));
+        assert_eq!(handle.join().unwrap(), Some(vec![42]));
         q.shutdown();
-        assert_eq!(q.get(), None);
+        assert_eq!(take(&*q, 1), None);
     }
 
     #[test]
@@ -715,10 +701,10 @@ mod tests {
         q.add("sick", "s0");
         q.pause_tenant("sick");
         let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.get());
+        let handle = std::thread::spawn(move || take(&*q2, 1));
         std::thread::sleep(Duration::from_millis(20));
         q.resume_tenant("sick");
-        assert_eq!(handle.join().unwrap(), Some("s0"));
+        assert_eq!(handle.join().unwrap(), Some(vec!["s0"]));
     }
 
     #[test]

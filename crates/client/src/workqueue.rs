@@ -8,7 +8,7 @@
 //! * an item `add`ed while already pending (dirty) is dropped,
 //! * an item `add`ed while being processed is remembered and re-queued when
 //!   its processing finishes (`done`),
-//! * `get` marks the item processing and removes it from dirty.
+//! * taking an item marks it processing and removes it from dirty.
 //!
 //! On top of the dedup protocol the queue supports **event coalescing**:
 //! [`WorkQueue::add_coalescing`] tags an item with a generation (the
@@ -44,14 +44,16 @@ struct State<T> {
 /// # Examples
 ///
 /// ```
-/// use vc_client::workqueue::WorkQueue;
+/// use vc_client::workqueue::{WorkQueue, WorkSource};
 ///
 /// let q: WorkQueue<String> = WorkQueue::new();
 /// q.add("a".to_string());
 /// q.add("a".to_string()); // deduplicated
 /// assert_eq!(q.len(), 1);
-/// let item = q.get().unwrap();
-/// q.done(&item);
+/// let mut items = Vec::new();
+/// assert!(q.take(8, &mut items)); // blocks until there is work
+/// assert_eq!(items, ["a"]);
+/// q.done(&items[0]);
 /// ```
 #[derive(Debug)]
 pub struct WorkQueue<T: Eq + Hash + Clone> {
@@ -158,23 +160,7 @@ impl<T: Eq + Hash + Clone> WorkQueue<T> {
         self.clock.wake_at(self.clock.now().add(delay), deliver);
     }
 
-    /// Blocks for the next item; returns `None` once the queue is shut down
-    /// and drained.
-    pub fn get(&self) -> Option<T> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(item) = Self::pop_locked(&mut state) {
-                self.gets.inc();
-                return Some(item.0);
-            }
-            if state.shutting_down {
-                return None;
-            }
-            self.cond.wait(&mut state);
-        }
-    }
-
-    /// Non-blocking variant of [`WorkQueue::get`].
+    /// Takes the next item without blocking.
     pub fn try_get(&self) -> Option<T> {
         let mut state = self.state.lock();
         let item = Self::pop_locked(&mut state)?;
@@ -247,8 +233,8 @@ impl<T: Eq + Hash + Clone> WorkQueue<T> {
         self.state.lock().core.processing_len()
     }
 
-    /// Shuts the queue down; blocked `get`s drain the backlog then return
-    /// `None`, and further `add`s are ignored.
+    /// Shuts the queue down; blocked takes drain the backlog, then return
+    /// empty, and further `add`s are ignored.
     pub fn shutdown(&self) {
         let mut state = self.state.lock();
         state.shutting_down = true;
@@ -324,7 +310,7 @@ impl BackoffPolicy {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Arc;
 
@@ -334,9 +320,9 @@ mod tests {
         q.add(1);
         q.add(2);
         q.add(3);
-        assert_eq!(q.get(), Some(1));
-        assert_eq!(q.get(), Some(2));
-        assert_eq!(q.get(), Some(3));
+        assert_eq!(q.try_get(), Some(1));
+        assert_eq!(q.try_get(), Some(2));
+        assert_eq!(q.try_get(), Some(3));
     }
 
     #[test]
@@ -353,14 +339,14 @@ mod tests {
     fn readd_while_processing_requeues_on_done() {
         let q = WorkQueue::new();
         q.add("x");
-        let item = q.get().unwrap();
+        let item = q.try_get().unwrap();
         assert_eq!(q.len(), 0);
         // Re-added while processing: not queued yet.
         q.add("x");
         assert_eq!(q.len(), 0, "deferred until done()");
         q.done(&item);
         assert_eq!(q.len(), 1, "requeued after done");
-        let again = q.get().unwrap();
+        let again = q.try_get().unwrap();
         q.done(&again);
         assert_eq!(q.len(), 0);
     }
@@ -369,7 +355,7 @@ mod tests {
     fn done_without_readd_leaves_queue_empty() {
         let q = WorkQueue::new();
         q.add(7);
-        let item = q.get().unwrap();
+        let item = q.try_get().unwrap();
         q.done(&item);
         assert!(q.is_empty());
         assert_eq!(q.processing_count(), 0);
@@ -423,14 +409,21 @@ mod tests {
         assert!(q.get_batch(4).is_empty());
     }
 
+    /// Takes up to `max` items the way a worker does, blocking until there
+    /// are some; `None` once the queue is shut down and drained.
+    pub(crate) fn take<Q: WorkSource>(q: &Q, max: usize) -> Option<Vec<Q::Item>> {
+        let mut items = Vec::new();
+        q.take(max, &mut items).then_some(items)
+    }
+
     #[test]
     fn shutdown_drains_then_none() {
         let q = Arc::new(WorkQueue::new());
         q.add(1);
         q.shutdown();
         q.add(2); // ignored
-        assert_eq!(q.get(), Some(1));
-        assert_eq!(q.get(), None);
+        assert_eq!(take(&*q, 8), Some(vec![1]));
+        assert_eq!(take(&*q, 8), None);
         assert!(q.is_shutting_down());
     }
 
@@ -465,10 +458,10 @@ mod tests {
     fn blocking_get_wakes_on_add() {
         let q = Arc::new(WorkQueue::new());
         let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.get());
+        let handle = std::thread::spawn(move || take(&*q2, 1));
         std::thread::sleep(Duration::from_millis(20));
         q.add(42);
-        assert_eq!(handle.join().unwrap(), Some(42));
+        assert_eq!(handle.join().unwrap(), Some(vec![42]));
     }
 
     #[test]
@@ -481,9 +474,11 @@ mod tests {
             let q = Arc::clone(&q);
             let processed = Arc::clone(&processed);
             workers.push(std::thread::spawn(move || {
-                while let Some(item) = q.get() {
-                    processed.lock().insert(item);
-                    q.done(&item);
+                while let Some(items) = take(&*q, 4) {
+                    for item in items {
+                        processed.lock().insert(item);
+                        q.done(&item);
+                    }
                 }
             }));
         }

@@ -11,9 +11,9 @@
 //! these models exercise the *production* lock/condvar protocol under
 //! exhaustive interleaving (bounded preemption). What they prove:
 //!
-//! * **No lost wakeup**: a consumer blocked in `get()` is always released
-//!   by a concurrent `add` — if the notify could be lost between the
-//!   consumer's emptiness check and its park, loom's deadlock detection
+//! * **No lost wakeup**: a worker blocked in `WorkSource::take` is always
+//!   released by a concurrent `add` — if the notify could be lost between
+//!   the worker's emptiness check and its park, loom's deadlock detection
 //!   fails the model.
 //! * **No double delivery**: an item handed to a worker is never handed
 //!   out again until `done()` — a concurrent re-add defers instead.
@@ -38,16 +38,20 @@ fn loom_fairqueue_no_lost_wakeup() {
         let consumer = {
             let q = Arc::clone(&q);
             // If add()'s notify could race past the emptiness check and
-            // be lost, this get() would block forever and loom's deadlock
+            // be lost, this take would block forever and loom's deadlock
             // detection would fail the model.
-            loom::thread::spawn(move || q.get())
+            loom::thread::spawn(move || {
+                let mut items = Vec::new();
+                assert!(q.take(1, &mut items));
+                items
+            })
         };
         let producer = {
             let q = Arc::clone(&q);
             loom::thread::spawn(move || q.add("tenant-a", 7))
         };
         producer.join().unwrap();
-        assert_eq!(consumer.join().unwrap(), Some(7));
+        assert_eq!(consumer.join().unwrap(), vec![7]);
     });
 }
 

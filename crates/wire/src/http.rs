@@ -182,13 +182,11 @@ pub fn write_all_vectored(stream: &mut TcpStream, parts: &[&[u8]]) -> std::io::R
 }
 
 /// Builds a response head into `head` (cleared first).
-#[allow(clippy::too_many_arguments)]
 fn build_head(
     head: &mut Vec<u8>,
     status: u16,
     content_type: &str,
     body_len: usize,
-    extra_headers: &[(&str, &str)],
     keep_alive: bool,
 ) {
     head.clear();
@@ -201,12 +199,6 @@ fn build_head(
     head.extend_from_slice(b"\r\ncontent-length: ");
     head.extend_from_slice(body_len.to_string().as_bytes());
     head.extend_from_slice(b"\r\n");
-    for (k, v) in extra_headers {
-        head.extend_from_slice(k.as_bytes());
-        head.extend_from_slice(b": ");
-        head.extend_from_slice(v.as_bytes());
-        head.extend_from_slice(b"\r\n");
-    }
     // Keep-alive is the HTTP/1.1 default, so only the close case needs a
     // header — every kept-alive response saves 24 bytes of head.
     head.extend_from_slice(if keep_alive {
@@ -221,18 +213,16 @@ fn build_head(
 /// `body` is a part list so callers can splice a frame prefix in front
 /// of a cache-shared buffer without copying either. Returns the total
 /// bytes put on the wire.
-#[allow(clippy::too_many_arguments)]
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
-    extra_headers: &[(&str, &str)],
     body: &[&[u8]],
     keep_alive: bool,
     head: &mut Vec<u8>,
 ) -> std::io::Result<usize> {
     let body_len: usize = body.iter().map(|p| p.len()).sum();
-    build_head(head, status, content_type, body_len, extra_headers, keep_alive);
+    build_head(head, status, content_type, body_len, keep_alive);
     let mut parts = [&[][..]; 8];
     parts[0] = head.as_slice();
     parts[1..=body.len()].copy_from_slice(body);
@@ -244,21 +234,11 @@ pub fn write_response(
 /// Starts a chunked (streaming) response; chunks follow via
 /// [`write_chunk`] and the stream ends with [`finish_chunks`]. Returns
 /// the header bytes written.
-pub fn start_chunked(
-    stream: &mut TcpStream,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<usize> {
-    let mut head = format!(
-        "HTTP/1.1 200 OK\r\ncontent-type: {content_type}\r\ntransfer-encoding: chunked\r\n",
+pub fn start_chunked(stream: &mut TcpStream, content_type: &str) -> std::io::Result<usize> {
+    let head = format!(
+        "HTTP/1.1 200 OK\r\ncontent-type: {content_type}\r\ntransfer-encoding: chunked\r\n\
+         connection: close\r\n\r\n",
     );
-    for (k, v) in extra_headers {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
-    }
-    head.push_str("connection: close\r\n\r\n");
     stream.write_all(head.as_bytes())?;
     stream.flush()?;
     Ok(head.len())

@@ -32,14 +32,15 @@
 //! - **One syscall per response** — response head, frame prefix, and the
 //!   cache-shared body go out through one vectored write; connection
 //!   threads reuse their head/line scratch buffers across requests.
-//! - **Request classing** — under contention, unary requests enter a
-//!   [`WeightedFairQueue`] keyed by the authenticated user and a small
-//!   dispatcher pool drains users by round-robin. A flood from one user
-//!   queues behind its own bucket instead of starving others. When the
-//!   queue is empty and an inline slot is free (capped at the dispatcher
-//!   pool size, so classing capacity is unchanged), the request executes
-//!   directly on its connection thread — two thread handoffs fewer per
-//!   request.
+//! - **One fair gate for unary requests** — every unary request is parsed,
+//!   routed and executed on its own connection thread, after it takes one
+//!   of `DISPATCH_WORKERS` permits. A free permit with nobody waiting is
+//!   taken at once; otherwise the request waits in a
+//!   [`WeightedFairQueue`] keyed by the authenticated user, and each
+//!   released permit passes to the next waiter in round-robin order. A
+//!   flood from one user waits behind its own bucket instead of in front
+//!   of everyone. Isolation between tenants comes from each tenant's own
+//!   apiserver; the gate only bounds one server's execution.
 //! - **Watch batching** — when a watcher's stream has several ready
 //!   events, they are drained ([`vc_store::WatchStream::try_recv`]) into
 //!   one chunk: self-delimiting event frames in `vcbin`, newline-delimited
@@ -54,15 +55,14 @@ use crate::codec;
 use crate::encode::EncodeCache;
 use crate::http;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vc_api::error::ApiError;
 use vc_api::metrics::{Counter, Gauge};
 use vc_api::object::{Object, ResourceKind};
@@ -80,11 +80,11 @@ const MAX_WATCH_BATCH: usize = 128;
 /// immediately rather than queued.
 const MAX_CONNECTIONS: usize = 256;
 
-/// Dispatcher threads draining the request-classing queue.
+/// Unary requests one server executes at once (the [`FairGate`]'s permits).
 const DISPATCH_WORKERS: usize = 4;
 
-/// Bound on how long a unary request may sit in the classing queue before
-/// the connection gives up with `504`.
+/// Bound on how long a unary request may wait for a permit before the
+/// connection gives up with `504`.
 const QUEUE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Tunables for a [`WireServer`].
@@ -134,10 +134,10 @@ pub struct WireMetrics {
     /// Watchers degraded (slow-reader write timeout, or store-side
     /// overflow eviction surfaced as a terminal `RESYNC`).
     pub degraded_watchers: Arc<Counter>,
-    /// Unary requests that timed out in the classing queue (`504`).
+    /// Unary requests that waited `QUEUE_TIMEOUT` for a permit (`504`).
     pub queue_timeouts: Arc<Counter>,
-    /// Unary requests executed inline on their connection thread (queue
-    /// empty + inline slot free), skipping the dispatcher handoff.
+    /// Unary requests admitted without waiting: a permit was free and
+    /// nobody else was waiting for one.
     pub inline_dispatches: Arc<Counter>,
     /// Requests rejected at the identity gate: malformed or oversized
     /// `x-vc-user` values, and identity switches on a pinned keep-alive
@@ -162,8 +162,12 @@ impl WireMetrics {
             ("vc_wire_watchers_degraded_total", "Watchers dropped.", &self.degraded_watchers),
             ("vc_wire_watch_events_total", "Watch events sent.", &self.watch_events_sent),
             ("vc_wire_watch_batches_total", "Multi-event watch chunks.", &self.watch_batches),
-            ("vc_wire_queue_timeouts_total", "Classing-queue expiries.", &self.queue_timeouts),
-            ("vc_wire_inline_dispatches_total", "Requests run inline.", &self.inline_dispatches),
+            ("vc_wire_queue_timeouts_total", "Permit waits expired.", &self.queue_timeouts),
+            (
+                "vc_wire_inline_dispatches_total",
+                "Requests admitted at once.",
+                &self.inline_dispatches,
+            ),
             (
                 "vc_wire_identity_rejections_total",
                 "Identity-gate refusals.",
@@ -191,13 +195,93 @@ impl WireMetrics {
     }
 }
 
-/// One queued unary request: the op plus the channel its connection
-/// thread is blocked on.
-struct UnaryJob {
-    user: String,
-    op: UnaryOp,
-    encoding: Encoding,
-    reply: Sender<Result<Bytes, ApiError>>,
+/// The admission gate for unary requests: `permits` may execute at once.
+///
+/// A request that finds a permit free (which implies nobody is waiting)
+/// takes it at once. Otherwise its ticket waits in a
+/// [`WeightedFairQueue`] keyed by the user, and [`FairGate::release`]
+/// passes the permit to the next ticket in round-robin order, or back to
+/// the pool when nobody waits. A ticket still waiting after `timeout` is
+/// withdrawn: its entry leaves `tickets`, and a release that later pops it
+/// from the queue skips it.
+struct FairGate {
+    state: Mutex<GateState>,
+    granted: Condvar,
+    waiting_room: WeightedFairQueue<u64>,
+    timeout: Duration,
+}
+
+struct GateState {
+    free: usize,
+    next_ticket: u64,
+    /// Waiting tickets: `true` once a release has handed one its permit.
+    tickets: HashMap<u64, bool>,
+}
+
+/// One permit of a [`FairGate`]; dropping it releases the permit.
+struct GatePermit<'a>(&'a FairGate);
+
+impl Drop for GatePermit<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+impl FairGate {
+    fn new(permits: usize, timeout: Duration) -> Self {
+        FairGate {
+            state: Mutex::new(GateState { free: permits, next_ticket: 0, tickets: HashMap::new() }),
+            granted: Condvar::new(),
+            waiting_room: WeightedFairQueue::new(true),
+            timeout,
+        }
+    }
+
+    /// Takes a permit for `user`, waiting for one in round-robin order
+    /// among users. Counts admissions without a wait in
+    /// `inline_dispatches` and expired waits in `queue_timeouts`.
+    fn acquire(&self, user: &str, metrics: &WireMetrics) -> Result<GatePermit<'_>, ApiError> {
+        let mut state = self.state.lock();
+        if state.free > 0 {
+            state.free -= 1;
+            metrics.inline_dispatches.inc();
+            return Ok(GatePermit(self));
+        }
+        let ticket = state.next_ticket;
+        state.next_ticket += 1;
+        state.tickets.insert(ticket, false);
+        self.waiting_room.add(user, ticket);
+        let deadline = Instant::now() + self.timeout;
+        let granted = loop {
+            let timed_out = self.granted.wait_until(&mut state, deadline).timed_out();
+            if state.tickets[&ticket] || timed_out {
+                break state.tickets.remove(&ticket).expect("own ticket");
+            }
+        };
+        // Drops the user's bucket once it drains, so identities that come
+        // and go leave nothing behind.
+        self.waiting_room.remove_tenant(user);
+        if granted {
+            return Ok(GatePermit(self));
+        }
+        metrics.queue_timeouts.inc();
+        Err(ApiError::timeout(format!("request waited {:?} for a permit", self.timeout)))
+    }
+
+    /// Hands the permit to the first ticket the queue yields that is still
+    /// waiting, or returns it to the pool.
+    fn release(&self) {
+        let mut state = self.state.lock();
+        while let Some(ticket) = self.waiting_room.try_get() {
+            self.waiting_room.done(&ticket);
+            if let Some(granted) = state.tickets.get_mut(&ticket) {
+                *granted = true;
+                self.granted.notify_all();
+                return;
+            }
+        }
+        state.free += 1;
+    }
 }
 
 enum UnaryOp {
@@ -208,7 +292,7 @@ enum UnaryOp {
     Delete(ResourceKind, String, String),
 }
 
-/// Shared server state; connection/dispatcher threads hold this, while
+/// Shared server state; the acceptor and connection threads hold this, while
 /// the [`WireServer`] handle itself owns the join handles so dropping the
 /// handle tears everything down.
 struct Inner {
@@ -220,12 +304,9 @@ struct Inner {
     /// What `GET /metrics` renders: the attached apiserver's registry, or
     /// one holding only this server's cells.
     registry: Arc<MetricsRegistry>,
-    queue: WeightedFairQueue<u64>,
-    jobs: Mutex<HashMap<u64, UnaryJob>>,
-    next_job: AtomicU64,
+    gate: FairGate,
     next_conn: AtomicU64,
     active: AtomicUsize,
-    inline_active: AtomicUsize,
     stop: AtomicBool,
     conns: Mutex<HashMap<u64, TcpStream>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -234,7 +315,7 @@ struct Inner {
 /// A running wire server; dropping the handle shuts it down.
 pub struct WireServer {
     inner: Arc<Inner>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for WireServer {
@@ -244,7 +325,7 @@ impl std::fmt::Debug for WireServer {
 }
 
 impl WireServer {
-    /// Binds `cfg.addr` and starts the acceptor plus dispatcher pool.
+    /// Binds `cfg.addr` and starts the acceptor.
     ///
     /// On an apiserver attached to observability, the server binds its
     /// cells into that registry under the apiserver's `server` label, and
@@ -263,12 +344,9 @@ impl WireServer {
             cache: EncodeCache::default(),
             metrics: WireMetrics::default(),
             registry,
-            queue: WeightedFairQueue::new(true),
-            jobs: Mutex::new(HashMap::new()),
-            next_job: AtomicU64::new(1),
+            gate: FairGate::new(DISPATCH_WORKERS, QUEUE_TIMEOUT),
             next_conn: AtomicU64::new(1),
             active: AtomicUsize::new(0),
-            inline_active: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             conn_threads: Mutex::new(Vec::new()),
@@ -278,26 +356,14 @@ impl WireServer {
         });
         inner.metrics.publish_metrics(&inner.registry, &scope);
         inner.cache.publish_metrics(&inner.registry, &scope);
-        let mut threads = Vec::new();
-        for i in 0..DISPATCH_WORKERS {
+        let acceptor = {
             let inner = inner.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("wire-dispatch-{i}"))
-                    .spawn(move || dispatch_loop(&inner))
-                    .expect("spawn dispatcher"),
-            );
-        }
-        {
-            let inner = inner.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("wire-accept".to_string())
-                    .spawn(move || accept_loop(&inner, &listener))
-                    .expect("spawn acceptor"),
-            );
-        }
-        Ok(WireServer { inner, threads: Mutex::new(threads) })
+            std::thread::Builder::new()
+                .name("wire-accept".to_string())
+                .spawn(move || accept_loop(&inner, &listener))
+                .expect("spawn acceptor")
+        };
+        Ok(WireServer { inner, acceptor: Mutex::new(Some(acceptor)) })
     }
 
     /// The bound socket address (`host:port`), for clients.
@@ -328,16 +394,17 @@ impl WireServer {
         if self.inner.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.inner.queue.shutdown();
         // Unblock the acceptor: accept() has no timeout, so poke it.
         let _ = TcpStream::connect(self.inner.local_addr);
         let conns: Vec<TcpStream> = self.inner.conns.lock().drain().map(|(_, s)| s).collect();
         for conn in conns {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        for t in self.threads.lock().drain(..) {
+        if let Some(t) = self.acceptor.lock().take() {
             let _ = t.join();
         }
+        // Requests waiting for a permit still get one as the running ones
+        // finish, so joining the connection threads drains them.
         for t in self.inner.conn_threads.lock().drain(..) {
             let _ = t.join();
         }
@@ -351,28 +418,6 @@ impl Drop for WireServer {
 }
 
 impl Inner {
-    /// Claims an inline-execution slot: only when the classing queue is
-    /// empty and fewer than `DISPATCH_WORKERS` inline executions are in
-    /// flight. The cap keeps unary execution capacity identical to the
-    /// dispatcher pool's, so weighted fairness still governs whenever
-    /// demand exceeds it — the fast path only removes the two thread
-    /// handoffs when there is no contention to arbitrate. Pair every
-    /// `true` with a `release_inline`.
-    fn try_inline(&self) -> bool {
-        if !self.queue.is_empty() {
-            return false;
-        }
-        if self.inline_active.fetch_add(1, Ordering::SeqCst) >= DISPATCH_WORKERS {
-            self.inline_active.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        true
-    }
-
-    fn release_inline(&self) {
-        self.inline_active.fetch_sub(1, Ordering::SeqCst);
-    }
-
     /// Executes one unary op, returning the response payload. Single
     /// objects come back as a bare (cache-shared) value encoding — the
     /// writer splices the frame prefix in front without copying; lists
@@ -445,18 +490,6 @@ fn parse_kind(s: &str) -> Option<ResourceKind> {
     ResourceKind::ALL.iter().copied().find(|k| k.as_str().eq_ignore_ascii_case(s))
 }
 
-fn dispatch_loop(inner: &Arc<Inner>) {
-    while let Some(id) = inner.queue.get() {
-        let job = inner.jobs.lock().remove(&id);
-        inner.queue.done(&id);
-        let Some(job) = job else {
-            continue; // the connection gave up waiting and withdrew it
-        };
-        let result = inner.execute(&job.user, job.op, job.encoding);
-        let _ = job.reply.send(result); // receiver may have timed out
-    }
-}
-
 fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
     for accepted in listener.incoming() {
         if inner.stop.load(Ordering::SeqCst) {
@@ -466,17 +499,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
         if inner.active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
             inner.metrics.connections_rejected.inc();
             let err = ApiError::unavailable("wire: connection limit reached");
-            let body = serde_json::to_string(&err).unwrap_or_default();
-            let mut head = Vec::new();
-            let _ = http::write_response(
-                &mut stream,
-                503,
-                codec::JSON_CONTENT_TYPE,
-                &[],
-                &[body.as_bytes()],
-                false,
-                &mut head,
-            );
+            write_error(inner, &mut stream, &err, Encoding::Json, false, &mut Vec::new());
             continue;
         }
         inner.metrics.connections_opened.inc();
@@ -537,15 +560,8 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                 if e.kind() == std::io::ErrorKind::InvalidData {
                     let err = ApiError::invalid("wire", "request", e.to_string());
                     let body = serde_json::to_string(&err).unwrap_or_default();
-                    let _ = http::write_response(
-                        &mut stream,
-                        400,
-                        codec::JSON_CONTENT_TYPE,
-                        &[],
-                        &[body.as_bytes()],
-                        false,
-                        &mut head,
-                    );
+                    let json = codec::JSON_CONTENT_TYPE;
+                    respond(inner, &mut stream, 400, json, &[body.as_bytes()], false, &mut head);
                 }
                 break;
             }
@@ -554,7 +570,7 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         let keep_alive = req.keep_alive() && !inner.stop.load(Ordering::SeqCst);
         let encoding = codec::encoding_of(req.header("accept"));
         // Identity gate: runs before any routing so a hostile header never
-        // reaches the classing queue or the apiserver.
+        // reaches the fair gate or the apiserver.
         let user = match request_identity(&req, pinned_identity.as_deref()) {
             Ok(user) => user,
             Err(err) => {
@@ -580,19 +596,9 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                 } else {
                     b"ok"
                 };
-                match http::write_response(
-                    &mut stream,
-                    200,
-                    "text/plain",
-                    &[],
-                    &[body],
-                    keep_alive,
-                    &mut head,
-                ) {
-                    Ok(n) => inner.metrics.bytes_out.add(n as u64),
-                    Err(_) => break,
-                }
-                if !keep_alive {
+                if !respond(inner, &mut stream, 200, "text/plain", &[body], keep_alive, &mut head)
+                    || !keep_alive
+                {
                     break;
                 }
             }
@@ -675,8 +681,9 @@ fn request_identity(req: &http::Request, pinned: Option<&str>) -> Result<String,
     Ok(raw.to_string())
 }
 
-/// Serves one unary request through the classing queue. Returns `false`
-/// when the connection is broken and should be dropped.
+/// Serves one unary request on the connection thread, once it holds a
+/// permit of the server's [`FairGate`]. Returns `false` when the
+/// connection is broken and should be dropped.
 #[allow(clippy::too_many_arguments)]
 fn serve_unary(
     inner: &Arc<Inner>,
@@ -700,54 +707,18 @@ fn serve_unary(
     // Lists come back as complete framed bodies; single objects as bare
     // value encodings that get the frame prefix spliced in at write time.
     let is_list = matches!(op, UnaryOp::List(..));
-    // Fast path: with nothing queued and an inline slot free, execute on
-    // this thread — same capacity as the dispatcher pool, two thread
-    // handoffs fewer. Falls back to classing under any contention.
-    let result = if inner.try_inline() {
-        inner.metrics.inline_dispatches.inc();
-        let result = inner.execute(user, op, encoding);
-        inner.release_inline();
-        result
-    } else {
-        let (tx, rx) = bounded(1);
-        let id = inner.next_job.fetch_add(1, Ordering::SeqCst);
-        inner.jobs.lock().insert(id, UnaryJob { user: user.to_string(), op, encoding, reply: tx });
-        inner.queue.add(user, id);
-        match rx.recv_timeout(QUEUE_TIMEOUT) {
-            Ok(result) => result,
-            Err(_) => {
-                // Withdraw the job so a late dispatch doesn't execute it;
-                // if it's already gone the dispatcher won the race and its
-                // reply lands on a dropped channel.
-                inner.jobs.lock().remove(&id);
-                inner.metrics.queue_timeouts.inc();
-                Err(ApiError::timeout(format!(
-                    "request expired in classing queue after {QUEUE_TIMEOUT:?}"
-                )))
-            }
-        }
-    };
+    let result = inner.gate.acquire(user, &inner.metrics).and_then(|_permit| {
+        // The permit is held until the op returns.
+        inner.execute(user, op, encoding)
+    });
     match result {
         Ok(body) => {
             let prefix: &[u8] = match (encoding, is_list) {
                 (Encoding::Binary, false) => &[codec::VCBIN_VERSION, codec::FRAME_OBJECT],
                 _ => &[],
             };
-            match http::write_response(
-                stream,
-                200,
-                codec::content_type(encoding),
-                &[],
-                &[prefix, &body],
-                keep_alive,
-                head,
-            ) {
-                Ok(n) => {
-                    inner.metrics.bytes_out.add(n as u64);
-                    true
-                }
-                Err(_) => false,
-            }
+            let content_type = codec::content_type(encoding);
+            respond(inner, stream, 200, content_type, &[prefix, &body], keep_alive, head)
         }
         Err(err) => write_error(inner, stream, &err, encoding, keep_alive, head),
     }
@@ -758,13 +729,14 @@ fn route_unary(req: &http::Request, path: &[&str]) -> Result<UnaryOp, ApiError> 
     let kind = parse_kind(kind_str).ok_or_else(|| {
         ApiError::invalid("wire", *kind_str, format!("unknown resource kind {kind_str:?}"))
     })?;
-    let body_encoding = codec::encoding_of(req.header("content-type"));
     match (req.method.as_str(), path.len()) {
-        ("POST", 1) => Ok(UnaryOp::Create(parse_body(&req.body, body_encoding)?)),
-        ("PUT", _) => Ok(UnaryOp::Update(parse_body(&req.body, body_encoding)?)),
+        ("POST", 1) => Ok(UnaryOp::Create(object_for_path(req, kind, None)?)),
+        ("PUT", 3) => {
+            Ok(UnaryOp::Update(object_for_path(req, kind, Some((ns_of(path[1]), path[2])))?))
+        }
         ("GET", 1) => Ok(UnaryOp::List(kind, req.query.get("namespace").cloned())),
-        ("GET", 3) => Ok(UnaryOp::Get(kind, ns_of(path[1]), path[2].to_string())),
-        ("DELETE", 3) => Ok(UnaryOp::Delete(kind, ns_of(path[1]), path[2].to_string())),
+        ("GET", 3) => Ok(UnaryOp::Get(kind, ns_of(path[1]).to_string(), path[2].to_string())),
+        ("DELETE", 3) => Ok(UnaryOp::Delete(kind, ns_of(path[1]).to_string(), path[2].to_string())),
         _ => Err(ApiError::invalid(
             "wire",
             &req.path,
@@ -774,12 +746,32 @@ fn route_unary(req: &http::Request, path: &[&str]) -> Result<UnaryOp, ApiError> 
 }
 
 /// `_` is the cluster-scoped namespace placeholder in paths.
-fn ns_of(segment: &str) -> String {
+fn ns_of(segment: &str) -> &str {
     if segment == "_" {
-        String::new()
+        ""
     } else {
-        segment.to_string()
+        segment
     }
+}
+
+/// Decodes the request body and checks that it names the object the path
+/// does: the path's kind and, given `key`, its namespace and name.
+fn object_for_path(
+    req: &http::Request,
+    kind: ResourceKind,
+    key: Option<(&str, &str)>,
+) -> Result<Object, ApiError> {
+    let obj = parse_body(&req.body, codec::encoding_of(req.header("content-type")))?;
+    let meta = obj.meta();
+    if obj.kind() != kind || key.is_some_and(|key| key != (&meta.namespace, &meta.name)) {
+        let named = format!("{} {}/{}", obj.kind(), meta.namespace, meta.name);
+        return Err(ApiError::invalid(
+            "wire",
+            "body",
+            format!("body names {named}, not {}", req.path),
+        ));
+    }
+    Ok(obj)
 }
 
 fn parse_body(body: &[u8], encoding: Encoding) -> Result<Object, ApiError> {
@@ -806,15 +798,29 @@ fn write_error(
         Encoding::Json => serde_json::to_string(err).unwrap_or_default().into_bytes(),
         Encoding::Binary => codec::to_framed_vec(codec::FRAME_ERROR, err),
     };
-    match http::write_response(
+    respond(
+        inner,
         stream,
         status_of(err),
         codec::content_type(encoding),
-        &[],
         &[&body],
         keep_alive,
         head,
-    ) {
+    )
+}
+
+/// Writes one whole response and counts its bytes. Returns `false` when
+/// the connection is broken.
+fn respond(
+    inner: &Inner,
+    stream: &mut TcpStream,
+    status: u16,
+    content_type: &str,
+    body: &[&[u8]],
+    keep_alive: bool,
+    head: &mut Vec<u8>,
+) -> bool {
+    match http::write_response(stream, status, content_type, body, keep_alive, head) {
         Ok(n) => {
             inner.metrics.bytes_out.add(n as u64);
             true
@@ -886,7 +892,15 @@ fn serve_watch(
         return;
     };
     let namespace = req.query.get("namespace").cloned();
-    let from: u64 = req.query.get("from").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let from = match req.query.get("from").map(|v| v.parse::<u64>()) {
+        None => 0,
+        Some(Ok(from)) => from,
+        Some(Err(_)) => {
+            let err = ApiError::invalid("wire", "from", "watch revision is not a number");
+            write_error(inner, stream, &err, encoding, false, &mut head);
+            return;
+        }
+    };
     let ws = match inner.api.watch(user, kind, namespace.as_deref(), from) {
         Ok(ws) => ws,
         Err(err) => {
@@ -897,7 +911,7 @@ fn serve_watch(
     inner.metrics.watch_streams.inc();
     inner.metrics.active_watches.inc();
     let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
-    if http::start_chunked(stream, codec::content_type(encoding), &[]).is_err() {
+    if http::start_chunked(stream, codec::content_type(encoding)).is_err() {
         inner.metrics.active_watches.dec();
         return;
     }
@@ -977,5 +991,56 @@ mod tests {
         drop(extra);
         drop(idle);
         server.shutdown();
+    }
+
+    /// Waits until `n` tickets wait in `gate`, so the next waiter queues
+    /// after them.
+    fn wait_for_tickets(gate: &FairGate, n: usize) {
+        while gate.state.lock().tickets.len() < n {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// With one permit held, waiters of users A, A, A, B are granted in
+    /// round-robin order by user: A, B, A, A.
+    #[test]
+    fn gate_passes_permits_round_robin_by_user() {
+        let gate = FairGate::new(1, QUEUE_TIMEOUT);
+        let metrics = WireMetrics::default();
+        let granted = Mutex::new(Vec::new());
+        let holder = gate.acquire("holder", &metrics).expect("free permit");
+        std::thread::scope(|s| {
+            for (i, user) in ["a", "a", "a", "b"].into_iter().enumerate() {
+                let (gate, metrics, granted) = (&gate, &metrics, &granted);
+                s.spawn(move || {
+                    let _permit = gate.acquire(user, metrics).expect("granted");
+                    granted.lock().push(user);
+                });
+                wait_for_tickets(gate, i + 1);
+            }
+            drop(holder);
+        });
+        assert_eq!(*granted.lock(), ["a", "b", "a", "a"]);
+        assert_eq!(metrics.inline_dispatches.get(), 1, "only the holder found a free permit");
+        assert_eq!(gate.state.lock().free, 1);
+    }
+
+    /// A waiter that outlives the timeout is answered `504` and counted;
+    /// the permit released afterwards goes back to the pool rather than to
+    /// the withdrawn ticket, so no permit leaks.
+    #[test]
+    fn gate_timeout_answers_504_and_leaks_no_permit() {
+        let gate = FairGate::new(1, Duration::from_millis(50));
+        let metrics = WireMetrics::default();
+        let holder = gate.acquire("holder", &metrics).expect("free permit");
+        let err = gate.acquire("late", &metrics).err().expect("no permit within the timeout");
+        assert_eq!(status_of(&err), 504);
+        assert_eq!(metrics.queue_timeouts.get(), 1);
+        assert!(gate.state.lock().tickets.is_empty(), "the ticket was withdrawn");
+        drop(holder);
+        assert_eq!(gate.state.lock().free, 1, "the permit went back to the pool");
+        drop(gate.acquire("next", &metrics).expect("free permit"));
+        assert_eq!(metrics.inline_dispatches.get(), 2, "taken at once, without a wait");
+        assert_eq!(gate.waiting_room.tenant_count(), 0, "no bucket left behind");
     }
 }

@@ -1,8 +1,8 @@
 //! Identity enforcement at the wire gate: the `x-vc-user` header is the
 //! only identity signal on the wire, so the server validates it before
-//! routing (malformed and oversized values never reach the classing
-//! queue) and pins one identity per keep-alive connection so a client
-//! cannot authenticate once and then smuggle requests as someone else.
+//! routing (malformed and oversized values never reach the fair gate)
+//! and pins one identity per keep-alive connection so a client cannot
+//! authenticate once and then smuggle requests as someone else.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

@@ -1,17 +1,21 @@
 //! Wire-protocol semantics over real sockets: the list→watch handoff,
 //! disconnect/reconnect resume, slow-reader isolation, mixed-codec
-//! clients, pipelined reads, and transparent watch reconnect. These are
-//! the contracts a controller relies on when it attaches over the
-//! network instead of in-process.
+//! clients, pipelined reads, transparent watch reconnect, the cap on
+//! concurrently executing requests, and the checks that a request's path
+//! and body agree. These are the contracts a controller relies on when it
+//! attaches over the network instead of in-process.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vc_api::object::ResourceKind;
+use vc_api::config::ConfigMap;
+use vc_api::namespace::Namespace;
+use vc_api::object::{Object, ResourceKind};
 use vc_api::pod::Pod;
-use vc_apiserver::ApiServer;
+use vc_api::time::RealClock;
+use vc_apiserver::{ApiServer, ApiServerConfig};
 use vc_client::{Encoding, ObjectApi};
 use vc_wire::{WireClient, WireServer, WireServerConfig};
 
@@ -345,4 +349,148 @@ fn watch_reconnect_replays_event_from_reconnect_window() {
         drop(watch);
         server.shutdown();
     }
+}
+
+/// Eight creates at once against an apiserver whose writes take 200 ms:
+/// the server executes at most `DISPATCH_WORKERS` (4) of them at a time,
+/// so the apiserver never sees more than 4 in flight, and the other 4
+/// wait for a permit and then succeed.
+#[test]
+fn concurrent_requests_are_capped_at_four() {
+    let config = ApiServerConfig {
+        name: "wire-cap".into(),
+        write_latency: Duration::from_millis(200),
+        ..Default::default()
+    };
+    let api = ApiServer::new(config, RealClock::shared());
+    let server = WireServer::start(Arc::clone(&api), WireServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let done = AtomicBool::new(false);
+    let peak = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                peak.fetch_max(api.gate().inflight(), Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let creates: Vec<_> = (0..8)
+            .map(|i| {
+                let client = WireClient::with_limits(
+                    addr.clone(),
+                    format!("user-{}", i % 2),
+                    10_000.0,
+                    1000,
+                );
+                s.spawn(move || client.create(Pod::new("default", format!("p{i}")).into()))
+            })
+            .collect();
+        for create in creates {
+            create.join().unwrap().expect("create succeeds after waiting for a permit");
+        }
+        done.store(true, Ordering::SeqCst);
+    });
+    let peak = peak.load(Ordering::SeqCst);
+    assert!((1..=4).contains(&peak), "at most 4 requests in flight, saw {peak}");
+    assert_eq!(api.list("admin", ResourceKind::Pod, Some("default")).unwrap().0.len(), 8);
+    assert_eq!(server.metrics().queue_timeouts.get(), 0);
+    server.shutdown();
+}
+
+/// Sends one request on a fresh connection and returns the status code.
+fn status_of(addr: &str, method: &str, path: &str, body: &[u8]) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nhost: x\r\nx-vc-user: raw\r\nconnection: close\r\n\
+         content-type: application/json\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line")
+}
+
+fn json(obj: impl Into<Object>) -> Vec<u8> {
+    serde_json::to_string(&obj.into()).unwrap().into_bytes()
+}
+
+/// A watch's `from` must be a revision: `from=abc` is refused instead of
+/// replaying the whole event log from 0.
+#[test]
+fn watch_with_malformed_from_is_invalid() {
+    let (_api, server) = start_server(WireServerConfig::default());
+    let addr = server.local_addr().to_string();
+    assert_eq!(status_of(&addr, "GET", "/watch/Pod?namespace=default&from=abc", b""), 422);
+    server.shutdown();
+}
+
+/// A create whose body is another kind than the path's is refused.
+#[test]
+fn create_body_of_another_kind_is_invalid() {
+    let (api, server) = start_server(WireServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let body = json(ConfigMap::new("default", "cm"));
+    assert_eq!(status_of(&addr, "POST", "/api/Pod", &body), 422);
+    assert!(api.get("admin", ResourceKind::ConfigMap, "default", "cm").is_err());
+    assert_eq!(status_of(&addr, "POST", "/api/ConfigMap", &body), 200);
+    server.shutdown();
+}
+
+/// An update whose body is another kind than the path's is refused.
+#[test]
+fn update_body_of_another_kind_is_invalid() {
+    let (api, server) = start_server(WireServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let cm = api.create("admin", ConfigMap::new("default", "a").into()).unwrap();
+    let body = serde_json::to_string(&*cm).unwrap();
+    assert_eq!(status_of(&addr, "PUT", "/api/Pod/default/a", body.as_bytes()), 422);
+    server.shutdown();
+}
+
+/// An update whose body names another namespace or another object than
+/// the path is refused, and the object the body names is left alone.
+#[test]
+fn update_body_naming_another_object_is_invalid() {
+    let (api, server) = start_server(WireServerConfig::default());
+    let addr = server.local_addr().to_string();
+    api.create("admin", Namespace::new("other").into()).unwrap();
+    let stored = api.create("admin", Pod::new("other", "b").into()).unwrap();
+    let mut edited = (*stored).clone();
+    edited.meta_mut().annotations.insert("edited".into(), "yes".into());
+    let body = serde_json::to_string(&edited).unwrap();
+    assert_eq!(status_of(&addr, "PUT", "/api/Pod/default/b", body.as_bytes()), 422, "namespace");
+    assert_eq!(status_of(&addr, "PUT", "/api/Pod/other/c", body.as_bytes()), 422, "name");
+    let now = api.get("admin", ResourceKind::Pod, "other", "b").unwrap();
+    assert_eq!(now.meta().resource_version, stored.meta().resource_version);
+    assert_eq!(status_of(&addr, "PUT", "/api/Pod/other/b", body.as_bytes()), 200);
+    server.shutdown();
+}
+
+/// An update must name its object in full: kind, namespace and name.
+#[test]
+fn update_path_without_three_segments_is_invalid() {
+    let (api, server) = start_server(WireServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let stored = api.create("admin", Pod::new("default", "p").into()).unwrap();
+    let body = serde_json::to_string(&*stored).unwrap();
+    assert_eq!(status_of(&addr, "PUT", "/api/Pod", body.as_bytes()), 422);
+    assert_eq!(status_of(&addr, "PUT", "/api/Pod/default", body.as_bytes()), 422);
+    assert_eq!(status_of(&addr, "PUT", "/api/Pod/default/p/extra", body.as_bytes()), 422);
+    server.shutdown();
+}
+
+/// `_` in an update path still stands for the empty namespace of a
+/// cluster-scoped object.
+#[test]
+fn cluster_scoped_update_uses_the_placeholder_namespace() {
+    let (api, server) = start_server(WireServerConfig::default());
+    let client = WireClient::with_limits(server.local_addr().to_string(), "admin", 10_000.0, 1000);
+    let stored = api.create("admin", Namespace::new("team").into()).unwrap();
+    let mut edited = (*stored).clone();
+    edited.meta_mut().labels.insert("tier".into(), "gold".into());
+    let updated = client.update(edited).expect("PUT /api/Namespace/_/team");
+    assert_eq!(updated.meta().labels.get("tier").map(String::as_str), Some("gold"));
+    server.shutdown();
 }
