@@ -48,6 +48,9 @@ const MAX_QUEUED: usize = 10_000;
 /// How long a queued request waits before timing out.
 const QUEUE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// The one key every request queues under: the gate's order is FIFO.
+const FIFO: &str = "";
+
 /// Tuning knobs for an [`ApiServer`].
 #[derive(Debug, Clone)]
 pub struct ApiServerConfig {
@@ -491,7 +494,7 @@ impl ApiServer {
     }
 
     fn create_inner(&self, user: &str, mut obj: Object) -> ApiResult<Arc<Object>> {
-        let _permit = self.gate.acquire()?;
+        let _permit = self.gate.acquire(FIFO)?;
         self.authorize(user, Verb::Create, &obj)?;
         self.validate_identity(&obj)?;
         self.clock.sleep(self.config.write_latency);
@@ -537,7 +540,7 @@ impl ApiServer {
         namespace: &str,
         name: &str,
     ) -> ApiResult<Arc<Object>> {
-        let _permit = self.gate.acquire()?;
+        let _permit = self.gate.acquire(FIFO)?;
         if !self.authorizer.authorize(user, Verb::Get, kind, namespace) {
             self.metrics.denied.inc();
             return Err(ApiError::forbidden(user, "get", kind.as_str(), "RBAC denied"));
@@ -576,7 +579,7 @@ impl ApiServer {
         kind: ResourceKind,
         namespace: Option<&str>,
     ) -> ApiResult<(Vec<Arc<Object>>, u64)> {
-        let _permit = self.gate.acquire()?;
+        let _permit = self.gate.acquire(FIFO)?;
         if !self.authorizer.authorize(user, Verb::List, kind, namespace.unwrap_or("")) {
             self.metrics.denied.inc();
             return Err(ApiError::forbidden(user, "list", kind.as_str(), "RBAC denied"));
@@ -609,7 +612,7 @@ impl ApiServer {
     }
 
     fn update_inner(&self, user: &str, mut obj: Object) -> ApiResult<Arc<Object>> {
-        let _permit = self.gate.acquire()?;
+        let _permit = self.gate.acquire(FIFO)?;
         self.authorize(user, Verb::Update, &obj)?;
         self.clock.sleep(self.config.write_latency);
 
@@ -681,7 +684,7 @@ impl ApiServer {
         namespace: &str,
         name: &str,
     ) -> ApiResult<Arc<Object>> {
-        let _permit = self.gate.acquire()?;
+        let _permit = self.gate.acquire(FIFO)?;
         if !self.authorizer.authorize(user, Verb::Delete, kind, namespace) {
             self.metrics.denied.inc();
             return Err(ApiError::forbidden(user, "delete", kind.as_str(), "RBAC denied"));

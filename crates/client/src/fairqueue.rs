@@ -58,6 +58,8 @@ struct FqState<T> {
     ring: VecDeque<String>,
     /// Single shared FIFO (unfair mode).
     fifo: VecDeque<T>,
+    /// Items in the sub-queues or the FIFO, kept so `len()` is O(1).
+    pending: usize,
     /// Dirty/processing/latest-generation protocol (shared with the plain
     /// work queue via [`CoalesceCore`]).
     core: CoalesceCore<T>,
@@ -112,6 +114,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
                 subqueues: HashMap::new(),
                 ring: VecDeque::new(),
                 fifo: VecDeque::new(),
+                pending: 0,
                 core: CoalesceCore::new(),
                 item_tenant: HashMap::new(),
                 paused: HashSet::new(),
@@ -313,12 +316,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
 
     /// Total pending items across sub-queues.
     pub fn len(&self) -> usize {
-        let state = self.state.lock();
-        if self.fair {
-            state.subqueues.values().map(|s| s.items.len()).sum()
-        } else {
-            state.fifo.len()
-        }
+        self.state.lock().pending
     }
 
     /// Returns `true` if no items are pending.
@@ -396,12 +394,15 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
     }
 
     fn drop_tenant(state: &mut FqState<T>, tenant: &str) {
-        state.subqueues.remove(tenant);
+        if let Some(sq) = state.subqueues.remove(tenant) {
+            state.pending -= sq.items.len();
+        }
         state.ring.retain(|t| t != tenant);
         state.defunct.remove(tenant);
     }
 
     fn enqueue(&self, state: &mut FqState<T>, tenant: &str, item: T) {
+        state.pending += 1;
         if self.fair {
             Self::ensure_tenant(state, tenant);
             state.subqueues.get_mut(tenant).expect("registered").items.push_back(item);
@@ -413,6 +414,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
 
     fn dequeue(&self, state: &mut FqState<T>) -> Option<(T, u64)> {
         let item = if self.fair { self.dequeue_wrr(state)? } else { Self::dequeue_fifo(state)? };
+        state.pending -= 1;
         let generation = state.core.take(&item);
         self.gets.inc();
         Some((item, generation))
@@ -555,6 +557,53 @@ mod tests {
         q.done(&item);
         assert_eq!(q.tenant_len("a"), 1);
         assert_eq!(q.try_get(), Some("x"));
+    }
+
+    /// `len()` is a kept count: it must match the items actually queued
+    /// through every path that adds or removes one.
+    #[test]
+    fn len_tracks_every_enqueue_and_dequeue() {
+        fn check(q: &WeightedFairQueue<String>) {
+            let state = q.state.lock();
+            let queued = if q.fair {
+                state.subqueues.values().map(|s| s.items.len()).sum()
+            } else {
+                state.fifo.len()
+            };
+            assert_eq!(state.pending, queued);
+            drop(state);
+            assert_eq!(q.len(), queued);
+        }
+        for fair in [true, false] {
+            let q = WeightedFairQueue::new(fair);
+            q.add("a", "a0".to_string());
+            q.add("a", "a0".to_string()); // dedup
+            q.add_coalescing("b", "b0".to_string(), 1);
+            q.add_coalescing("b", "b0".to_string(), 2); // coalesce
+            q.add("gone", "g0".to_string());
+            q.add("gone", "g1".to_string());
+            check(&q);
+            q.pause_tenant("a");
+            check(&q);
+            let taken = q.try_get().unwrap();
+            q.add("b", taken.clone()); // re-added while processing
+            check(&q);
+            q.resume_tenant("a");
+            // Fair mode keeps the backlog and drops the sub-queue once
+            // drained; unfair mode has no sub-queue to keep.
+            assert_eq!(q.remove_tenant("gone"), !fair);
+            check(&q);
+            q.done(&taken); // re-queued
+            check(&q);
+            while let Some(item) = q.try_get() {
+                q.done(&item);
+                check(&q);
+            }
+            assert_eq!(q.len(), 0);
+            if fair {
+                assert_eq!(q.tenant_count(), 2, "the defunct tenant was dropped");
+            }
+        }
     }
 
     #[test]

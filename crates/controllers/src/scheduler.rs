@@ -207,10 +207,12 @@ fn schedule_one(
         return;
     }
 
-    // The scheduling algorithm cost — the sequential bottleneck. The
-    // per-kpod term models scoring cost growth with cluster occupancy.
+    // The scheduling algorithm cost — the sequential bottleneck — paid on
+    // the cluster's clock. The per-kpod term models scoring cost growth
+    // with cluster occupancy.
     let bound = state.lock().assignments.len() as u32;
-    std::thread::sleep(config.service_time + config.service_time_per_kpod * bound / 1000);
+    let cost = config.service_time + config.service_time_per_kpod * bound / 1000;
+    client.server().clock().sleep(cost);
 
     // Choose and reserve a node atomically.
     let requests = pod.spec.effective_requests();
@@ -698,6 +700,38 @@ mod tests {
             elapsed >= Duration::from_millis(5 * n),
             "sequential scheduling must take at least n * service_time, took {elapsed:?}"
         );
+        handle.stop();
+    }
+
+    /// The service time is paid on the cluster's clock: on a `SimClock`,
+    /// no pod binds before the clock has advanced one service time.
+    #[test]
+    fn service_time_passes_on_the_cluster_clock() {
+        let clock = vc_api::time::SimClock::new();
+        let config = ApiServerConfig {
+            read_latency: Duration::ZERO,
+            write_latency: Duration::ZERO,
+            ..Default::default()
+        };
+        let server = ApiServer::new(config, Arc::clone(&clock) as _);
+        let client = Client::new(Arc::clone(&server), "scheduler");
+        add_node(&client, "n1", "4");
+        let config = SchedulerConfig { service_time: Duration::from_secs(1), ..Default::default() };
+        let (mut handle, metrics) = start(client, config);
+        let user = Client::new(server, "u");
+        user.create(pod_with_cpu("default", "p", "500m").into()).unwrap();
+        // More than one service time of real time passes: the scheduler
+        // has taken the pod and parked on the clock, not on the wall.
+        std::thread::sleep(Duration::from_millis(1200));
+        assert_eq!(bound_node(&user, "default", "p"), "", "service time paid in real time");
+        clock.advance(Duration::from_millis(999));
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(bound_node(&user, "default", "p"), "", "bound before the service time");
+        assert_eq!(metrics.scheduled.get(), 0);
+        clock.advance(Duration::from_millis(1));
+        assert!(wait_until(Duration::from_secs(5), Duration::from_millis(10), || {
+            bound_node(&user, "default", "p") == "n1"
+        }));
         handle.stop();
     }
 

@@ -390,7 +390,7 @@ impl Syncer {
             let _ctx = trace_id.map(TraceContext::enter);
             if !full_cost.is_zero() {
                 let depth = if down { self.downward.len() } else { self.upward.len() };
-                std::thread::sleep(congestion_cost(full_cost, depth));
+                self.clock.sleep(congestion_cost(full_cost, depth));
             }
             if down {
                 downward::reconcile(self, item)

@@ -65,6 +65,9 @@ use vc_sync::atomic::{AtomicU64, Ordering};
 use wal::{WalEntry, WalOp};
 
 pub use durability::{DurabilityConfig, FlushPolicy, RecoveryReport, WalStats};
+/// The synchronization facade the store is built on, for the crates above
+/// it that share its loom build (the apiserver's admission gate).
+pub use vc_sync as sync;
 pub use wal::{CrashPoint, StoreError};
 pub use watch::{EventType, RecvOutcome, WatchEvent, WatchStream};
 

@@ -1,17 +1,19 @@
 //! Synchronization facade for the concurrency-critical modules of
-//! `vc-store` and `vc-client`.
+//! `vc-store`, `vc-client` and `vc-apiserver`.
 //!
 //! In normal builds the types here are thin wrappers over `parking_lot`
 //! (and `std` atomics). Under `RUSTFLAGS="--cfg loom"` the same API is
 //! backed by the `loom` model checker, so the *production* store shards
 //! and work queues can be compiled unchanged into exhaustive
-//! interleaving tests (the `loom_*` test targets in `vc-store` and
-//! `vc-client`).
+//! interleaving tests (the `loom_*` test targets in `vc-store`,
+//! `vc-client` and `vc-apiserver`).
 //!
 //! The API is deliberately the parking_lot-flavored subset those modules
 //! use: `lock()` without poisoning and condvars taking `&mut MutexGuard`.
-//! The condvar has no timed wait: the store's and queues' waiters block
-//! until notified.
+//! The store's and queues' waiters block until notified; the admission
+//! gate's waiters use [`Condvar::wait_until`], which under loom may time
+//! out at any scheduling point where another thread could run, whatever
+//! the deadline.
 
 #![warn(missing_docs)]
 
@@ -19,6 +21,8 @@ pub use std::sync::Arc;
 
 #[cfg(not(loom))]
 mod imp {
+    use std::time::Instant;
+
     /// Mutual-exclusion lock (parking_lot backend; never poisons).
     pub struct Mutex<T>(parking_lot::Mutex<T>);
 
@@ -65,6 +69,12 @@ mod imp {
             self.0.wait(&mut guard.0);
         }
 
+        /// Like [`Condvar::wait`], but gives up at `deadline`; returns
+        /// `true` if it timed out.
+        pub fn wait_until<T>(&self, guard: &mut MutexGuard<'_, T>, deadline: Instant) -> bool {
+            self.0.wait_until(&mut guard.0, deadline).timed_out()
+        }
+
         /// Wakes one blocked waiter.
         pub fn notify_one(&self) {
             self.0.notify_one();
@@ -84,6 +94,8 @@ mod imp {
 
 #[cfg(loom)]
 mod imp {
+    use std::time::Instant;
+
     /// Mutual-exclusion lock (loom model-checking backend).
     pub struct Mutex<T>(loom::sync::Mutex<T>);
 
@@ -132,6 +144,17 @@ mod imp {
         pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
             let inner = guard.0.take().expect("guard present");
             guard.0 = Some(self.0.wait(inner).expect("loom condvar never poisons"));
+        }
+
+        /// Blocks until notified or timed out; returns `true` if it timed
+        /// out. The deadline is not modeled: the checker explores a timeout
+        /// at every scheduling point where another thread could run.
+        pub fn wait_until<T>(&self, guard: &mut MutexGuard<'_, T>, deadline: Instant) -> bool {
+            let inner = guard.0.take().expect("guard present");
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (inner, result) = self.0.wait_timeout(inner, left).expect("never poisons");
+            guard.0 = Some(inner);
+            result.timed_out()
         }
 
         /// Wakes one blocked waiter.
@@ -197,6 +220,28 @@ mod tests {
             pair.1.wait(&mut g);
         }
         assert_eq!(*g, 2);
+        drop(g);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn timed_wait_times_out_or_wakes() {
+        use std::time::{Duration, Instant};
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let mut g = pair.0.lock();
+        assert!(pair.1.wait_until(&mut g, Instant::now() + Duration::from_millis(5)));
+        drop(g);
+
+        let waker = Arc::clone(&pair);
+        let handle = std::thread::spawn(move || {
+            *waker.0.lock() = true;
+            waker.1.notify_one();
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut g = pair.0.lock();
+        while !*g {
+            assert!(!pair.1.wait_until(&mut g, deadline), "notified long before the deadline");
+        }
         drop(g);
         handle.join().unwrap();
     }

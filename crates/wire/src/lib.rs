@@ -23,10 +23,10 @@
 //!    into single chunks, and [`WireClient`] pipelines idempotent reads
 //!    on its persistent connection.
 //! 4. **One fair gate** ([`WireServer`]): every unary request executes
-//!    on its connection thread once it holds one of four permits; when
-//!    none is free it waits in a per-user bucket, and permits pass to
-//!    the waiting users by round-robin, so one noisy user waits behind
-//!    itself, not in front of everyone.
+//!    on its connection thread once it holds one of four permits of the
+//!    apiserver's own admission gate; when none is free it queues under
+//!    its user, and permits pass to the waiting users by round-robin, so
+//!    one noisy user waits behind itself, not in front of everyone.
 //! 5. **Degrade-to-resync**: a watcher that cannot keep up is dropped
 //!    (write timeout) or told to re-list (`RESYNC` terminal chunk) —
 //!    fan-out to healthy watchers never blocks on the slowest socket.

@@ -34,13 +34,14 @@
 //!   threads reuse their head/line scratch buffers across requests.
 //! - **One fair gate for unary requests** — every unary request is parsed,
 //!   routed and executed on its own connection thread, after it takes one
-//!   of `DISPATCH_WORKERS` permits. A free permit with nobody waiting is
-//!   taken at once; otherwise the request waits in a
-//!   [`WeightedFairQueue`] keyed by the authenticated user, and each
-//!   released permit passes to the next waiter in round-robin order. A
-//!   flood from one user waits behind its own bucket instead of in front
-//!   of everyone. Isolation between tenants comes from each tenant's own
-//!   apiserver; the gate only bounds one server's execution.
+//!   of `DISPATCH_WORKERS` permits of an [`InflightGate`], the apiserver's
+//!   own admission gate. A free permit with nobody waiting is taken at
+//!   once; otherwise the request queues a ticket keyed by the
+//!   authenticated user, and each released permit passes to the next
+//!   user's front ticket in round-robin order. A flood from one user waits
+//!   behind its own tickets instead of in front of everyone. Isolation
+//!   between tenants comes from each tenant's own apiserver; the gate only
+//!   bounds one server's execution.
 //! - **Watch batching** — when a watcher's stream has several ready
 //!   events, they are drained ([`vc_store::WatchStream::try_recv`]) into
 //!   one chunk: self-delimiting event frames in `vcbin`, newline-delimited
@@ -55,19 +56,19 @@ use crate::codec;
 use crate::encode::EncodeCache;
 use crate::http;
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vc_api::error::ApiError;
 use vc_api::metrics::{Counter, Gauge};
 use vc_api::object::{Object, ResourceKind};
+use vc_apiserver::gate::{InflightGate, Permit};
 use vc_apiserver::ApiServer;
-use vc_client::fairqueue::WeightedFairQueue;
 use vc_client::Encoding;
 use vc_obs::registry::MetricsRegistry;
 use vc_store::{EventType, RecvOutcome, WatchEvent};
@@ -80,7 +81,7 @@ const MAX_WATCH_BATCH: usize = 128;
 /// immediately rather than queued.
 const MAX_CONNECTIONS: usize = 256;
 
-/// Unary requests one server executes at once (the [`FairGate`]'s permits).
+/// Unary requests one server executes at once (the gate's permits).
 const DISPATCH_WORKERS: usize = 4;
 
 /// Bound on how long a unary request may wait for a permit before the
@@ -195,93 +196,16 @@ impl WireMetrics {
     }
 }
 
-/// The admission gate for unary requests: `permits` may execute at once.
-///
-/// A request that finds a permit free (which implies nobody is waiting)
-/// takes it at once. Otherwise its ticket waits in a
-/// [`WeightedFairQueue`] keyed by the user, and [`FairGate::release`]
-/// passes the permit to the next ticket in round-robin order, or back to
-/// the pool when nobody waits. A ticket still waiting after `timeout` is
-/// withdrawn: its entry leaves `tickets`, and a release that later pops it
-/// from the queue skips it.
-struct FairGate {
-    state: Mutex<GateState>,
-    granted: Condvar,
-    waiting_room: WeightedFairQueue<u64>,
-    timeout: Duration,
-}
-
-struct GateState {
-    free: usize,
-    next_ticket: u64,
-    /// Waiting tickets: `true` once a release has handed one its permit.
-    tickets: HashMap<u64, bool>,
-}
-
-/// One permit of a [`FairGate`]; dropping it releases the permit.
-struct GatePermit<'a>(&'a FairGate);
-
-impl Drop for GatePermit<'_> {
-    fn drop(&mut self) {
-        self.0.release();
+/// Takes a permit of `gate` for `user`, counting an admission without a
+/// wait in `inline_dispatches` and an expired wait in `queue_timeouts`.
+fn admit(gate: &Arc<InflightGate>, user: &str, metrics: &WireMetrics) -> Result<Permit, ApiError> {
+    let admitted = gate.acquire(user);
+    match &admitted {
+        Ok(permit) if !permit.waited() => metrics.inline_dispatches.inc(),
+        Err(ApiError::Timeout { .. }) => metrics.queue_timeouts.inc(),
+        _ => {}
     }
-}
-
-impl FairGate {
-    fn new(permits: usize, timeout: Duration) -> Self {
-        FairGate {
-            state: Mutex::new(GateState { free: permits, next_ticket: 0, tickets: HashMap::new() }),
-            granted: Condvar::new(),
-            waiting_room: WeightedFairQueue::new(true),
-            timeout,
-        }
-    }
-
-    /// Takes a permit for `user`, waiting for one in round-robin order
-    /// among users. Counts admissions without a wait in
-    /// `inline_dispatches` and expired waits in `queue_timeouts`.
-    fn acquire(&self, user: &str, metrics: &WireMetrics) -> Result<GatePermit<'_>, ApiError> {
-        let mut state = self.state.lock();
-        if state.free > 0 {
-            state.free -= 1;
-            metrics.inline_dispatches.inc();
-            return Ok(GatePermit(self));
-        }
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
-        state.tickets.insert(ticket, false);
-        self.waiting_room.add(user, ticket);
-        let deadline = Instant::now() + self.timeout;
-        let granted = loop {
-            let timed_out = self.granted.wait_until(&mut state, deadline).timed_out();
-            if state.tickets[&ticket] || timed_out {
-                break state.tickets.remove(&ticket).expect("own ticket");
-            }
-        };
-        // Drops the user's bucket once it drains, so identities that come
-        // and go leave nothing behind.
-        self.waiting_room.remove_tenant(user);
-        if granted {
-            return Ok(GatePermit(self));
-        }
-        metrics.queue_timeouts.inc();
-        Err(ApiError::timeout(format!("request waited {:?} for a permit", self.timeout)))
-    }
-
-    /// Hands the permit to the first ticket the queue yields that is still
-    /// waiting, or returns it to the pool.
-    fn release(&self) {
-        let mut state = self.state.lock();
-        while let Some(ticket) = self.waiting_room.try_get() {
-            self.waiting_room.done(&ticket);
-            if let Some(granted) = state.tickets.get_mut(&ticket) {
-                *granted = true;
-                self.granted.notify_all();
-                return;
-            }
-        }
-        state.free += 1;
-    }
+    admitted
 }
 
 enum UnaryOp {
@@ -304,7 +228,7 @@ struct Inner {
     /// What `GET /metrics` renders: the attached apiserver's registry, or
     /// one holding only this server's cells.
     registry: Arc<MetricsRegistry>,
-    gate: FairGate,
+    gate: Arc<InflightGate>,
     next_conn: AtomicU64,
     active: AtomicUsize,
     stop: AtomicBool,
@@ -344,7 +268,9 @@ impl WireServer {
             cache: EncodeCache::default(),
             metrics: WireMetrics::default(),
             registry,
-            gate: FairGate::new(DISPATCH_WORKERS, QUEUE_TIMEOUT),
+            // A waiter holds a connection, so the queue bound is never
+            // reached.
+            gate: InflightGate::new(DISPATCH_WORKERS, MAX_CONNECTIONS, QUEUE_TIMEOUT),
             next_conn: AtomicU64::new(1),
             active: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
@@ -682,7 +608,7 @@ fn request_identity(req: &http::Request, pinned: Option<&str>) -> Result<String,
 }
 
 /// Serves one unary request on the connection thread, once it holds a
-/// permit of the server's [`FairGate`]. Returns `false` when the
+/// permit of the server's [`InflightGate`]. Returns `false` when the
 /// connection is broken and should be dropped.
 #[allow(clippy::too_many_arguments)]
 fn serve_unary(
@@ -707,7 +633,7 @@ fn serve_unary(
     // Lists come back as complete framed bodies; single objects as bare
     // value encodings that get the frame prefix spliced in at write time.
     let is_list = matches!(op, UnaryOp::List(..));
-    let result = inner.gate.acquire(user, &inner.metrics).and_then(|_permit| {
+    let result = admit(&inner.gate, user, &inner.metrics).and_then(|_permit| {
         // The permit is held until the op returns.
         inner.execute(user, op, encoding)
     });
@@ -995,8 +921,8 @@ mod tests {
 
     /// Waits until `n` tickets wait in `gate`, so the next waiter queues
     /// after them.
-    fn wait_for_tickets(gate: &FairGate, n: usize) {
-        while gate.state.lock().tickets.len() < n {
+    fn wait_for_tickets(gate: &InflightGate, n: usize) {
+        while gate.queued() < n {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -1005,15 +931,15 @@ mod tests {
     /// round-robin order by user: A, B, A, A.
     #[test]
     fn gate_passes_permits_round_robin_by_user() {
-        let gate = FairGate::new(1, QUEUE_TIMEOUT);
+        let gate = InflightGate::new(1, MAX_CONNECTIONS, QUEUE_TIMEOUT);
         let metrics = WireMetrics::default();
         let granted = Mutex::new(Vec::new());
-        let holder = gate.acquire("holder", &metrics).expect("free permit");
+        let holder = admit(&gate, "holder", &metrics).expect("free permit");
         std::thread::scope(|s| {
             for (i, user) in ["a", "a", "a", "b"].into_iter().enumerate() {
                 let (gate, metrics, granted) = (&gate, &metrics, &granted);
                 s.spawn(move || {
-                    let _permit = gate.acquire(user, metrics).expect("granted");
+                    let _permit = admit(gate, user, metrics).expect("granted");
                     granted.lock().push(user);
                 });
                 wait_for_tickets(gate, i + 1);
@@ -1022,7 +948,7 @@ mod tests {
         });
         assert_eq!(*granted.lock(), ["a", "b", "a", "a"]);
         assert_eq!(metrics.inline_dispatches.get(), 1, "only the holder found a free permit");
-        assert_eq!(gate.state.lock().free, 1);
+        assert_eq!(gate.inflight(), 0);
     }
 
     /// A waiter that outlives the timeout is answered `504` and counted;
@@ -1030,17 +956,16 @@ mod tests {
     /// the withdrawn ticket, so no permit leaks.
     #[test]
     fn gate_timeout_answers_504_and_leaks_no_permit() {
-        let gate = FairGate::new(1, Duration::from_millis(50));
+        let gate = InflightGate::new(1, MAX_CONNECTIONS, Duration::from_millis(50));
         let metrics = WireMetrics::default();
-        let holder = gate.acquire("holder", &metrics).expect("free permit");
-        let err = gate.acquire("late", &metrics).err().expect("no permit within the timeout");
+        let holder = admit(&gate, "holder", &metrics).expect("free permit");
+        let err = admit(&gate, "late", &metrics).expect_err("no permit within the timeout");
         assert_eq!(status_of(&err), 504);
         assert_eq!(metrics.queue_timeouts.get(), 1);
-        assert!(gate.state.lock().tickets.is_empty(), "the ticket was withdrawn");
+        assert_eq!(gate.queued(), 0, "the ticket was withdrawn");
         drop(holder);
-        assert_eq!(gate.state.lock().free, 1, "the permit went back to the pool");
-        drop(gate.acquire("next", &metrics).expect("free permit"));
+        assert_eq!(gate.inflight(), 0, "the permit went back to the pool");
+        drop(admit(&gate, "next", &metrics).expect("free permit"));
         assert_eq!(metrics.inline_dispatches.get(), 2, "taken at once, without a wait");
-        assert_eq!(gate.waiting_room.tenant_count(), 0, "no bucket left behind");
     }
 }
