@@ -299,9 +299,13 @@ impl Clock for SimClock {
         Timestamp(self.state.lock().now)
     }
 
+    /// Blocks until the clock has advanced by at least `d`, counted in
+    /// whole milliseconds rounded up: like `std::thread::sleep`, it never
+    /// returns before `d` has passed, so a cost under a millisecond takes
+    /// one.
     fn sleep(&self, d: Duration) {
         let mut state = self.state.lock();
-        let deadline = state.now + d.as_millis() as u64;
+        let deadline = state.now + d.as_nanos().div_ceil(1_000_000) as u64;
         while state.now < deadline {
             self.sleepers.wait(&mut state);
         }
@@ -360,6 +364,25 @@ mod tests {
         assert!(!woke.load(Ordering::SeqCst), "must not wake before deadline");
         clock.advance(Duration::from_millis(50));
         handle.join().unwrap();
+        assert!(woke.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn sim_clock_sleep_rounds_a_partial_millisecond_up() {
+        let clock = SimClock::new();
+        clock.sleep(Duration::ZERO); // returns at once
+        let woke = Arc::new(AtomicBool::new(false));
+        let sleeper = {
+            let (clock, woke) = (Arc::clone(&clock), Arc::clone(&woke));
+            std::thread::spawn(move || {
+                clock.sleep(Duration::from_micros(600));
+                woke.store(true, Ordering::SeqCst);
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!woke.load(Ordering::SeqCst), "600 µs passed on a clock that did not move");
+        clock.advance(Duration::from_millis(1));
+        sleeper.join().unwrap();
         assert!(woke.load(Ordering::SeqCst));
     }
 

@@ -241,6 +241,22 @@ fn settle(
     }
 }
 
+/// Runs `work` on another thread while this one moves `clock` on a
+/// millisecond at a time: for a call that waits in real time on work that
+/// takes virtual time (an apiserver list), without firing the timers
+/// seconds apart (scanner, stats) whose side effects a measurement around
+/// the call would see, as [`settle`]'s one-second steps would.
+fn while_ticking<T: Send>(clock: &SimClock, work: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(work);
+        while !worker.is_finished() {
+            clock.advance(Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        worker.join().expect("work done while the clock ticked")
+    })
+}
+
 /// Runs `f(tenant)` for every name on a bounded worker pool.
 fn wave<F: Fn(&str) + Sync>(names: &[String], f: F) {
     if names.is_empty() {
@@ -309,7 +325,8 @@ pub fn run_density_campaign(cfg: &ScaleConfig) -> DensityPoint {
     fc.operator.tenant_template = minimal_tenant_template();
     fc.operator.cloud_provision_latency = Duration::ZERO;
     fc.operator.onboard_workers = cfg.onboard_workers.max(1);
-    let fw = Framework::start(fc);
+    // The syncer's first list of the mock nodes takes virtual time.
+    let fw = while_ticking(&clock, || Framework::start(fc));
 
     let rss_before = rss_bytes();
 
@@ -388,9 +405,13 @@ pub fn run_density_campaign(cfg: &ScaleConfig) -> DensityPoint {
         if last_round {
             cells_before_teardown = fw.obs().registry.cell_count();
         }
-        for tenant in &churners {
-            fw.delete_tenant(tenant).expect("churn teardown");
-        }
+        // Teardown lists the super cluster's namespaces, which takes
+        // virtual time.
+        while_ticking(&clock, || {
+            for tenant in &churners {
+                fw.delete_tenant(tenant).expect("churn teardown");
+            }
+        });
         if last_round {
             cells_after_teardown = fw.obs().registry.cell_count();
         }

@@ -60,8 +60,10 @@ impl InformerEvent {
 }
 
 /// Handler invoked synchronously by the informer: for the initial list on
-/// the thread that called [`SharedInformer::start`], afterwards on a
-/// reflector-pool thread, one turn at a time.
+/// the thread that called [`SharedInformer::start`] (for the replay of a
+/// handler added later, on the thread that called
+/// [`SharedInformer::add_handler`]), afterwards on a reflector-pool thread,
+/// one turn at a time.
 pub type EventHandler = Box<dyn Fn(&InformerEvent) + Send + Sync>;
 
 /// Thread-safe read-only object cache, indexed by key and namespace.
@@ -218,7 +220,9 @@ struct Listed {
 }
 
 /// Where the reflector is in its list → watch → closed → list cycle.
-/// `start` touches it before the informer's first turn, turns after.
+/// `start` touches it before the informer's first turn, turns after. Its
+/// lock is the turn lock: whoever holds it is the only one changing the
+/// cache, which is what lets `add_handler` replay the cache.
 #[derive(Default)]
 struct Reflector {
     /// The watch being drained; `None` while a re-list is in flight or
@@ -246,7 +250,9 @@ enum Drained {
 /// initial list is applied on the thread that calls
 /// [`SharedInformer::start`]; everything after it in turns on the pool's
 /// threads, one turn at a time. Handlers must not block: they share those
-/// threads with every other informer.
+/// threads with every other informer. A handler added after `start` gets
+/// the cache replayed to it first (see [`SharedInformer::add_handler`]), so
+/// one started informer can serve every consumer of its kind.
 ///
 /// # Examples
 ///
@@ -317,9 +323,19 @@ impl SharedInformer {
         })
     }
 
-    /// Registers a handler; must be called before [`SharedInformer::start`]
-    /// to observe the initial list.
+    /// Registers a handler. Added before [`SharedInformer::start`], it sees
+    /// the initial list. Added later, it is first called, on this thread,
+    /// with an `Added` event for each cached object, under the lock a turn
+    /// holds: no event is applied while that replay runs, so the handler
+    /// sees every object exactly once and in order with the events after
+    /// it. Never call this from inside a handler (the turn running that
+    /// handler holds the lock), and never stop the informer from a handler
+    /// during its replay.
     pub fn add_handler(&self, handler: EventHandler) {
+        let _turn = self.reflector.lock();
+        for object in self.cache.list() {
+            handler(&InformerEvent::Added(object));
+        }
         self.handlers.write().push(handler);
     }
 
@@ -910,6 +926,106 @@ mod tests {
         assert_eq!(pods.relists.get(), 1, "a default-sized buffer absorbs the flood");
         pods.stop();
         maps.stop();
+    }
+
+    /// What a handler saw, per key: how often it was added, and each event
+    /// that came for a key it had not been handed as added.
+    #[derive(Default)]
+    struct Seen {
+        added: HashMap<String, u32>,
+        out_of_order: Vec<String>,
+    }
+
+    fn recording_handler(seen: &Arc<Mutex<Seen>>) -> EventHandler {
+        let seen = Arc::clone(seen);
+        Box::new(move |event| {
+            let mut seen = seen.lock();
+            let key = event.object().key();
+            match event {
+                InformerEvent::Added(_) => *seen.added.entry(key).or_default() += 1,
+                InformerEvent::Updated { .. } | InformerEvent::Deleted(_) => {
+                    if !seen.added.contains_key(&key) {
+                        seen.out_of_order.push(key);
+                    }
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn a_handler_added_to_a_running_informer_sees_each_object_once_in_order() {
+        use std::sync::mpsc::channel;
+        const PODS: usize = 500;
+        let server = zero_latency_server(None);
+        let pool = Pool::new(1);
+        let informer = SharedInformer::start_on(informer_on(&server, ResourceKind::Pod), &pool);
+        // The writer creates and then updates each pod. It writes the
+        // second half while the new handler's replay is under way.
+        let (replaying, replay_started) = channel::<()>();
+        let (written, all_written) = channel::<()>();
+        let writer = {
+            let user = Client::system(Arc::clone(&server), "u");
+            std::thread::spawn(move || {
+                for i in 0..PODS {
+                    if i == PODS / 2 {
+                        replay_started.recv().unwrap();
+                    }
+                    let created = user.create(Pod::new("default", format!("p{i}")).into()).unwrap();
+                    let mut pod: Pod = created.try_into().unwrap();
+                    pod.meta.labels.insert("touched".into(), "yes".into());
+                    user.update(pod.into()).unwrap();
+                }
+                written.send(()).unwrap();
+            })
+        };
+        assert!(eventually(5000, || informer.cache().len() >= PODS / 2));
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let record = recording_handler(&seen);
+        // The first call is the replay's: it holds the replay open until
+        // the writer is done, so every later write races it.
+        let hold = Mutex::new(Some((replaying, all_written)));
+        informer.add_handler(Box::new(move |event| {
+            if let Some((replaying, all_written)) = hold.lock().take() {
+                replaying.send(()).unwrap();
+                all_written.recv_timeout(Duration::from_secs(10)).unwrap();
+            }
+            record(event);
+        }));
+        writer.join().unwrap();
+        // Events arrive in revision order: once the last write is seen,
+        // every earlier one has been handed over.
+        Client::system(Arc::clone(&server), "u")
+            .create(Pod::new("default", "last").into())
+            .unwrap();
+        assert!(eventually(5000, || seen.lock().added.contains_key("default/last")));
+
+        let seen = seen.lock();
+        assert!(seen.out_of_order.is_empty(), "events before their Added: {:?}", seen.out_of_order);
+        assert_eq!(seen.added.len(), PODS + 1, "every pod is handed over as added");
+        let twice: Vec<_> = seen.added.iter().filter(|(_, n)| **n != 1).collect();
+        assert!(twice.is_empty(), "added more than once: {twice:?}");
+        informer.stop();
+    }
+
+    #[test]
+    fn a_handler_added_before_start_sees_the_initial_list_once_in_start() {
+        let server = zero_latency_server(None);
+        let user = Client::system(Arc::clone(&server), "u");
+        for i in 0..3 {
+            user.create(Pod::new("default", format!("pre{i}")).into()).unwrap();
+        }
+        let pool = Pool::new(1);
+        let informer = informer_on(&server, ResourceKind::Pod);
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        informer.add_handler(recording_handler(&seen));
+        assert!(seen.lock().added.is_empty(), "nothing to replay before start");
+        let informer = SharedInformer::start_on(informer, &pool);
+        assert_eq!(seen.lock().added.len(), 3, "the initial list is handed over inside start");
+        user.create(Pod::new("default", "post").into()).unwrap();
+        assert!(eventually(2000, || seen.lock().added.contains_key("default/post")));
+        let seen = seen.lock();
+        assert!(seen.added.values().all(|n| *n == 1) && seen.out_of_order.is_empty());
+        informer.stop();
     }
 
     #[test]

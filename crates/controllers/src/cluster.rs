@@ -6,16 +6,16 @@
 
 use crate::kubelet::{Kubelet, KubeletConfig, KubeletMode};
 use crate::scheduler::{SchedulerConfig, SchedulerMetrics};
-use crate::util::ControllerHandle;
+use crate::util::{ControllerHandle, Informers};
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use std::time::Duration;
 use vc_api::error::{ApiError, ApiResult};
 use vc_api::object::{Object, ResourceKind};
 use vc_api::time::{Clock, RealClock};
 use vc_apiserver::{ApiServer, ApiServerConfig};
-use vc_client::{Client, InformerConfig, InformerEvent, SharedInformer};
+use vc_client::{Client, InformerEvent};
 
 /// Which control-plane components a [`Cluster`] runs.
 #[derive(Debug, Clone)]
@@ -96,12 +96,14 @@ pub struct Cluster {
     pub scheduler_metrics: Option<Arc<SchedulerMetrics>>,
     config: ClusterConfig,
     clock: Arc<dyn Clock>,
+    /// One informer per kind, shared by every component below.
+    informers: Informers,
     handles: Mutex<Vec<ControllerHandle>>,
-    /// Shared with the kubelet pod informer's handler, and with the
+    /// Shared with the pod informer's kubelet router, and with the
     /// heartbeat timer through a weak ref.
     kubelets: Arc<RwLock<Kubelets>>,
-    /// Shared pod informer feeding all kubelets (created lazily).
-    kubelet_pod_informer: Mutex<Option<Arc<SharedInformer>>>,
+    /// Registers the kubelet router with the first node.
+    kubelet_router: Once,
     heartbeat: Mutex<Option<ControllerHandle>>,
 }
 
@@ -154,22 +156,24 @@ impl Cluster {
     pub fn start_with_clock(mut config: ClusterConfig, clock: Arc<dyn Clock>) -> Cluster {
         config.apiserver.name = config.name.clone();
         let apiserver = ApiServer::new(config.apiserver.clone(), Arc::clone(&clock));
+        let informers = Informers::new(Client::system(Arc::clone(&apiserver), "system:informers"));
         let mut handles = Vec::new();
         let mut scheduler_metrics = None;
 
         if let Some(scheduler_config) = config.scheduler.clone() {
             let (handle, metrics) = crate::scheduler::start(
                 Client::system(Arc::clone(&apiserver), "system:scheduler"),
+                &informers,
                 scheduler_config,
             );
             handles.push(handle);
             scheduler_metrics = Some(metrics);
         }
         if config.workload_controllers {
-            let (handle, _metrics) = crate::workload::start(Client::system(
-                Arc::clone(&apiserver),
-                "system:workload-controller",
-            ));
+            let (handle, _metrics) = crate::workload::start(
+                Client::system(Arc::clone(&apiserver), "system:workload-controller"),
+                &informers,
+            );
             handles.push(handle);
         }
         if config.service_controller {
@@ -180,34 +184,37 @@ impl Cluster {
             };
             let (handle, _metrics) = crate::service::start(
                 Client::system(Arc::clone(&apiserver), "system:service-controller"),
+                &informers,
                 service_config,
             );
             handles.push(handle);
         }
         if config.namespace_controller {
-            let (handle, _metrics) = crate::namespace_gc::start(Client::system(
-                Arc::clone(&apiserver),
-                "system:namespace-controller",
-            ));
+            let (handle, _metrics) = crate::namespace_gc::start(
+                Client::system(Arc::clone(&apiserver), "system:namespace-controller"),
+                &informers,
+            );
             handles.push(handle);
         }
         if config.garbage_collector {
             let (handle, _metrics) = crate::garbage::start(
                 Client::system(Arc::clone(&apiserver), "system:gc"),
+                &informers,
                 Default::default(),
             );
             handles.push(handle);
         }
         if config.volume_binder {
-            let (handle, _metrics) = crate::volume::start(Client::system(
-                Arc::clone(&apiserver),
-                "system:volume-binder",
-            ));
+            let (handle, _metrics) = crate::volume::start(
+                Client::system(Arc::clone(&apiserver), "system:volume-binder"),
+                &informers,
+            );
             handles.push(handle);
         }
         if config.node_lifecycle {
             let (handle, _metrics) = crate::node_lifecycle::start(
                 Client::system(Arc::clone(&apiserver), "system:node-lifecycle"),
+                &informers,
                 Default::default(),
             );
             handles.push(handle);
@@ -219,9 +226,10 @@ impl Cluster {
             scheduler_metrics,
             config,
             clock,
+            informers,
             handles: Mutex::new(handles),
             kubelets: Arc::default(),
-            kubelet_pod_informer: Mutex::new(None),
+            kubelet_router: Once::new(),
             heartbeat: Mutex::new(None),
         }
     }
@@ -264,7 +272,12 @@ impl Cluster {
     /// `AlreadyExists` if a kubelet already runs this node; otherwise
     /// propagates node-registration failures.
     pub fn add_node(&self, config: KubeletConfig, mode: KubeletMode) -> ApiResult<Arc<Kubelet>> {
-        let informer = self.ensure_kubelet_informer();
+        let informer = self.informers.get(ResourceKind::Pod);
+        // One handler for all kubelets, routing by node name.
+        self.kubelet_router.call_once(|| {
+            let kubelets = Arc::clone(&self.kubelets);
+            informer.add_handler(Box::new(move |event| kubelets.read().route(event)));
+        });
         let mut handle = ControllerHandle::new(format!("kubelet-{}", config.node_name));
         let kubelet = Kubelet::start(
             self.system_client(format!("system:kubelet:{}", config.node_name)),
@@ -285,9 +298,9 @@ impl Cluster {
             };
             kubelets.ordered.push(Arc::clone(&kubelet));
         }
-        // A pod bound to the node before the insert above (listed with the
-        // informer, or bound as soon as the node registered) was routed to
-        // no kubelet.
+        // A pod bound to the node before the insert above (replayed to the
+        // router, or bound as soon as the node registered) was routed to no
+        // kubelet.
         for obj in informer.cache().list() {
             if obj.as_pod().is_some_and(|pod| pod.spec.node_name == kubelet.node_name()) {
                 kubelet.observe(&InformerEvent::Added(obj));
@@ -303,9 +316,9 @@ impl Cluster {
         self.kubelets.read().ordered.clone()
     }
 
-    /// Blocks until every controller informer reports sync.
+    /// Blocks until every informer of the cluster reports sync.
     pub fn wait_ready(&self, timeout: Duration) -> bool {
-        self.handles.lock().iter().all(|h| h.wait_for_informers(timeout))
+        self.informers.wait_for_sync(timeout)
     }
 
     /// Stops all controllers, kubelets and informers.
@@ -313,30 +326,10 @@ impl Cluster {
         if let Some(mut hb) = self.heartbeat.lock().take() {
             hb.stop();
         }
-        if let Some(informer) = self.kubelet_pod_informer.lock().take() {
-            informer.stop();
-        }
+        self.informers.stop();
         for handle in self.handles.lock().iter_mut() {
             handle.stop();
         }
-    }
-
-    fn ensure_kubelet_informer(&self) -> Arc<SharedInformer> {
-        let mut slot = self.kubelet_pod_informer.lock();
-        if let Some(informer) = &*slot {
-            return Arc::clone(informer);
-        }
-        let informer = SharedInformer::new(
-            self.system_client("system:kubelet-informer"),
-            InformerConfig::new(ResourceKind::Pod),
-        );
-        // One handler for all kubelets, routing by node name.
-        let kubelets = Arc::clone(&self.kubelets);
-        informer.add_handler(Box::new(move |event| kubelets.read().route(event)));
-        let informer = SharedInformer::start(informer);
-        informer.wait_for_sync(Duration::from_secs(10));
-        *slot = Some(Arc::clone(&informer));
-        informer
     }
 
     fn ensure_heartbeats(&self) {
@@ -443,6 +436,79 @@ mod tests {
             user.list(ResourceKind::Pod, Some("default")).unwrap().0.len() == 3
         }));
         tenant.shutdown();
+    }
+
+    #[test]
+    fn replica_set_survives_a_durable_restart_without_over_creation() {
+        // Workers start only once their caches have synced: a ReplicaSet
+        // worker that counted pods in an empty cache after the restart
+        // would create three more.
+        let dir = std::env::temp_dir().join(format!("vc-cluster-restart-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = || {
+            let mut config = ClusterConfig::tenant("restart").with_zero_latency();
+            config.apiserver.durability = Some(vc_store::DurabilityConfig::new(&dir));
+            Cluster::start(config)
+        };
+        let pods = |cluster: &Cluster| {
+            let (pods, _) = cluster.client("u").list(ResourceKind::Pod, Some("default")).unwrap();
+            let mut pods: Vec<_> = pods.iter().map(|p| (p.key(), p.meta().uid.clone())).collect();
+            pods.sort();
+            pods
+        };
+
+        let cluster = start();
+        let template = vc_api::workload::PodTemplate {
+            labels: vc_api::labels::labels(&[("app", "web")]),
+            spec: Default::default(),
+        };
+        let selector = vc_api::labels::Selector::from_pairs(&[("app", "web")]);
+        let rs = vc_api::workload::ReplicaSet::new("default", "web", 3, selector, template);
+        cluster.client("u").create(rs.into()).unwrap();
+        assert!(wait_until(Duration::from_secs(10), Duration::from_millis(5), || {
+            pods(&cluster).len() == 3
+        }));
+        // Expectations are met once the creations are observed; give the
+        // worker time to settle before the snapshot.
+        std::thread::sleep(Duration::from_millis(100));
+        let before = pods(&cluster);
+        cluster.shutdown();
+        drop(cluster);
+
+        let cluster = start();
+        std::thread::sleep(Duration::from_millis(500));
+        let after = pods(&cluster);
+        cluster.shutdown();
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(before.len(), 3);
+        assert_eq!(after, before, "the restarted controllers created or replaced pods");
+    }
+
+    #[test]
+    fn one_informer_per_kind_serves_every_component() {
+        // Scheduler, ReplicaSet, service, GC and kubelet router all read
+        // pods; node lifecycle and scheduler both read nodes.
+        let cluster = fast_super();
+        let kinds = [
+            ResourceKind::Pod,
+            ResourceKind::Node,
+            ResourceKind::ReplicaSet,
+            ResourceKind::Deployment,
+            ResourceKind::Service,
+            ResourceKind::Namespace,
+            ResourceKind::PersistentVolumeClaim,
+            ResourceKind::PersistentVolume,
+            ResourceKind::StorageClass,
+        ];
+        assert_eq!(cluster.apiserver.store().watcher_count(), kinds.len());
+        cluster.shutdown();
+        assert!(
+            wait_until(Duration::from_secs(5), Duration::from_millis(5), || {
+                cluster.apiserver.store().watcher_count() == 0
+            }),
+            "shutdown releases every watch"
+        );
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! Kubernetes' garbage collection (deleting a Deployment reaps its
 //! ReplicaSets, whose deletion reaps their Pods).
 
-use crate::util::ControllerHandle;
+use crate::util::{ControllerHandle, Informers};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 use vc_api::meta::Uid;
 use vc_api::metrics::Counter;
 use vc_api::object::ResourceKind;
-use vc_client::{Client, InformerConfig, SharedInformer};
+use vc_client::Client;
 
 /// Garbage collector configuration.
 #[derive(Debug, Clone)]
@@ -42,20 +42,20 @@ const EDGES: [(ResourceKind, &str, ResourceKind); 2] = [
     (ResourceKind::ReplicaSet, "Deployment", ResourceKind::Deployment),
 ];
 
-/// Starts the garbage collector.
-pub fn start(client: Client, config: GcConfig) -> (ControllerHandle, Arc<GcMetrics>) {
+/// Starts the garbage collector, reading the cluster through `informers`.
+pub fn start(
+    client: Client,
+    informers: &Informers,
+    config: GcConfig,
+) -> (ControllerHandle, Arc<GcMetrics>) {
     let mut handle = ControllerHandle::new("garbage-collector");
     let metrics = Arc::new(GcMetrics::default());
 
-    // Informers over every kind involved, for cheap uid-existence lookups.
-    let mut informers = Vec::new();
-    for kind in [ResourceKind::Pod, ResourceKind::ReplicaSet, ResourceKind::Deployment] {
-        let informer =
-            SharedInformer::start(SharedInformer::new(client.clone(), InformerConfig::new(kind)));
-        informer.wait_for_sync(Duration::from_secs(10));
-        informers.push(informer);
-    }
-    let caches: Vec<_> = informers.iter().map(|i| (i.kind(), Arc::clone(i.cache()))).collect();
+    // Caches of every kind involved, for cheap uid-existence lookups.
+    let caches: Vec<_> = [ResourceKind::Pod, ResourceKind::ReplicaSet, ResourceKind::Deployment]
+        .into_iter()
+        .map(|kind| (kind, Arc::clone(informers.get(kind).cache())))
+        .collect();
 
     // Scan cadence runs on the server's clock: with a virtual clock, tests
     // advance `interval` to trigger the next pass instead of sleeping
@@ -63,9 +63,6 @@ pub fn start(client: Client, config: GcConfig) -> (ControllerHandle, Arc<GcMetri
     let clock = Arc::clone(client.server().clock());
     let scanned = Arc::clone(&metrics);
     handle.every(&clock, config.interval, move || scan(&client, &caches, &scanned));
-    for informer in informers {
-        handle.add_informer(informer);
-    }
     (handle, metrics)
 }
 
@@ -154,8 +151,9 @@ mod tests {
         // A free pod without owners must survive.
         user.create(Pod::new("default", "free").into()).unwrap();
 
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
         let (mut handle, metrics) =
-            start(Client::new(Arc::clone(&server), "gc"), GcConfig { interval });
+            start(Client::new(Arc::clone(&server), "gc"), &informers, GcConfig { interval });
 
         // While the owner exists, nothing is collected. Each predicate
         // poll advances one virtual scan interval to release the sleeping
@@ -205,8 +203,10 @@ mod tests {
         ));
         user.create(pod.into()).unwrap();
 
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
         let (mut handle, _metrics) = start(
             Client::new(Arc::clone(&server), "gc"),
+            &informers,
             GcConfig { interval: Duration::from_millis(30) },
         );
         assert!(wait_until(Duration::from_secs(5), Duration::from_millis(20), || {

@@ -1,13 +1,13 @@
 //! Namespace controller: drains terminating namespaces, then releases the
 //! `kubernetes` finalizer so the apiserver can remove them.
 
-use crate::util::{retry_on_conflict, ControllerHandle};
+use crate::util::{retry_on_conflict, ControllerHandle, Informers};
 use std::sync::Arc;
 use std::time::Duration;
 use vc_api::metrics::Counter;
 use vc_api::namespace::Namespace;
 use vc_api::object::ResourceKind;
-use vc_client::{Client, InformerConfig, InformerEvent, SharedInformer, WorkQueue};
+use vc_client::{Client, InformerEvent, WorkQueue};
 
 /// Namespaced kinds drained during namespace deletion, in a dependency-
 /// friendly order.
@@ -32,17 +32,15 @@ pub struct NamespaceGcMetrics {
     pub objects_drained: Counter,
 }
 
-/// Starts the namespace controller.
-pub fn start(client: Client) -> (ControllerHandle, Arc<NamespaceGcMetrics>) {
+/// Starts the namespace controller, reading namespaces through `informers`.
+pub fn start(client: Client, informers: &Informers) -> (ControllerHandle, Arc<NamespaceGcMetrics>) {
     let mut handle = ControllerHandle::new("namespace-controller");
     let metrics = Arc::new(NamespaceGcMetrics::default());
     let queue: Arc<WorkQueue<String>> = Arc::new(WorkQueue::new());
 
-    let informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Namespace));
     {
         let queue = Arc::clone(&queue);
-        informer.add_handler(Box::new(move |event| {
+        informers.get(ResourceKind::Namespace).add_handler(Box::new(move |event| {
             if let InformerEvent::Added(obj) | InformerEvent::Updated { new: obj, .. } = event {
                 if obj.meta().is_terminating() {
                     queue.add(obj.meta().name.clone());
@@ -50,9 +48,6 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<NamespaceGcMetrics>) {
             }
         }));
     }
-    let informer = SharedInformer::start(informer);
-    informer.wait_for_sync(Duration::from_secs(10));
-
     {
         let worker_queue = Arc::clone(&queue);
         let metrics = Arc::clone(&metrics);
@@ -63,7 +58,6 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<NamespaceGcMetrics>) {
             }
         });
     }
-    handle.add_informer(informer);
     (handle, metrics)
 }
 
@@ -127,7 +121,8 @@ mod tests {
     #[test]
     fn deleting_namespace_drains_contents() {
         let server = fast_server();
-        let (mut handle, metrics) = start(Client::new(Arc::clone(&server), "ns-ctrl"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(Client::new(Arc::clone(&server), "ns-ctrl"), &informers);
         let user = Client::new(server, "u");
         user.create(vc_api::namespace::Namespace::new("team").into()).unwrap();
         user.create(Pod::new("team", "p1").into()).unwrap();
@@ -147,7 +142,8 @@ mod tests {
     #[test]
     fn active_namespaces_untouched() {
         let server = fast_server();
-        let (mut handle, _metrics) = start(Client::new(Arc::clone(&server), "ns-ctrl"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, _metrics) = start(Client::new(Arc::clone(&server), "ns-ctrl"), &informers);
         let user = Client::new(server, "u");
         user.create(Pod::new("default", "keep").into()).unwrap();
         std::thread::sleep(Duration::from_millis(200));

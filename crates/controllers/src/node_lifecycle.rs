@@ -2,14 +2,14 @@
 //! and, after an eviction grace period, deletes the pods stranded on them
 //! so workload controllers can reschedule elsewhere.
 
-use crate::util::{retry_on_conflict, ControllerHandle};
+use crate::util::{retry_on_conflict, ControllerHandle, Informers};
 use std::sync::Arc;
 use std::time::Duration;
 use vc_api::metrics::Counter;
 use vc_api::node::{Node, NodeCondition};
 use vc_api::object::ResourceKind;
 use vc_api::time::Timestamp;
-use vc_client::{Client, InformerConfig, SharedInformer};
+use vc_client::Client;
 
 /// Node lifecycle configuration.
 #[derive(Debug, Clone)]
@@ -42,20 +42,16 @@ pub struct NodeLifecycleMetrics {
     pub pods_evicted: Counter,
 }
 
-/// Starts the node lifecycle controller.
+/// Starts the node lifecycle controller, reading nodes through `informers`.
 pub fn start(
     client: Client,
+    informers: &Informers,
     config: NodeLifecycleConfig,
 ) -> (ControllerHandle, Arc<NodeLifecycleMetrics>) {
     let mut handle = ControllerHandle::new("node-lifecycle");
     let metrics = Arc::new(NodeLifecycleMetrics::default());
 
-    let informer = SharedInformer::start(SharedInformer::new(
-        client.clone(),
-        InformerConfig::new(ResourceKind::Node),
-    ));
-    informer.wait_for_sync(Duration::from_secs(10));
-    let cache = Arc::clone(informer.cache());
+    let cache = Arc::clone(informers.get(ResourceKind::Node).cache());
 
     {
         let metrics = Arc::clone(&metrics);
@@ -98,7 +94,6 @@ pub fn start(
             }
         });
     }
-    handle.add_informer(informer);
     (handle, metrics)
 }
 
@@ -145,7 +140,9 @@ mod tests {
             interval: Duration::from_millis(20),
             eviction_grace: None,
         };
-        let (mut handle, metrics) = start(Client::new(Arc::clone(&server), "nlc"), config);
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) =
+            start(Client::new(Arc::clone(&server), "nlc"), &informers, config);
         assert!(wait_until(Duration::from_secs(5), Duration::from_millis(20), || {
             user.get(ResourceKind::Node, "", "n1")
                 .is_ok_and(|o| o.as_node().unwrap().status.condition == NodeCondition::NotReady)
@@ -167,7 +164,9 @@ mod tests {
             interval: Duration::from_millis(20),
             eviction_grace: None,
         };
-        let (mut handle, metrics) = start(Client::new(Arc::clone(&server), "nlc"), config);
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) =
+            start(Client::new(Arc::clone(&server), "nlc"), &informers, config);
         std::thread::sleep(Duration::from_millis(200));
         let node = user.get(ResourceKind::Node, "", "n1").unwrap();
         assert_eq!(node.as_node().unwrap().status.condition, NodeCondition::Ready);
@@ -213,7 +212,9 @@ mod tests {
             interval,
             eviction_grace: Some(Duration::from_secs(120)),
         };
-        let (mut handle, metrics) = start(Client::system(Arc::clone(&server), "nlc"), config);
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) =
+            start(Client::system(Arc::clone(&server), "nlc"), &informers, config);
         assert!(crate::util::wait_until(
             Duration::from_secs(10),
             Duration::from_millis(30),

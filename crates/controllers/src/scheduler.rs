@@ -19,7 +19,7 @@
 //! scoring allocate nothing per node; one decision clones one node name,
 //! the winner's.
 
-use crate::util::{retry_on_conflict, ControllerHandle};
+use crate::util::{retry_on_conflict, ControllerHandle, Informers};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ use vc_api::node::Node;
 use vc_api::object::ResourceKind;
 use vc_api::pod::{Pod, PodConditionType, PodPhase};
 use vc_api::quantity::{add_resources, resource_names, sub_resources, Quantity, ResourceList};
-use vc_client::{Client, InformerConfig, InformerEvent, SharedInformer, WorkQueue};
+use vc_client::{Client, InformerEvent, WorkQueue};
 
 /// Backoff before retrying an unschedulable pod.
 const UNSCHEDULABLE_BACKOFF: Duration = Duration::from_millis(500);
@@ -83,21 +83,23 @@ pub struct SchedulerMetrics {
     pub bind_errors: Counter,
 }
 
-/// Starts the scheduler against `client`'s cluster. Returns the handle and
-/// shared metrics.
-pub fn start(client: Client, config: SchedulerConfig) -> (ControllerHandle, Arc<SchedulerMetrics>) {
+/// Starts the scheduler against `client`'s cluster, reading it through
+/// `informers`. Returns the handle and shared metrics.
+pub fn start(
+    client: Client,
+    informers: &Informers,
+    config: SchedulerConfig,
+) -> (ControllerHandle, Arc<SchedulerMetrics>) {
     let mut handle = ControllerHandle::new("scheduler");
     let metrics = Arc::new(SchedulerMetrics::default());
     let state = Arc::new(Mutex::new(SchedulerState::default()));
     let queue: Arc<WorkQueue<String>> = Arc::new(WorkQueue::new());
 
-    // Node informer maintains the allocatable map.
-    let node_informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Node));
+    // The node informer maintains the allocatable map. New capacity
+    // requeues nothing: unschedulable pods retry on their backoff.
     {
         let state = Arc::clone(&state);
-        let queue = Arc::clone(&queue);
-        node_informer.add_handler(Box::new(move |event| {
+        informers.get(ResourceKind::Node).add_handler(Box::new(move |event| {
             let mut state = state.lock();
             match event {
                 InformerEvent::Added(obj) | InformerEvent::Updated { new: obj, .. } => {
@@ -110,16 +112,11 @@ pub fn start(client: Client, config: SchedulerConfig) -> (ControllerHandle, Arc<
                     state.nodes.remove(&obj.meta().name);
                 }
             }
-            drop(state);
-            // New capacity may unblock pending pods — nothing to requeue
-            // directly; unschedulable pods retry via backoff through the
-            // queue, so nothing else to do here.
-            let _ = &queue;
         }));
     }
 
     // Pod informer feeds the scheduling queue and tracks assignments.
-    let pod_informer = SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Pod));
+    let pod_informer = informers.get(ResourceKind::Pod);
     {
         let state = Arc::clone(&state);
         let queue = Arc::clone(&queue);
@@ -141,11 +138,6 @@ pub fn start(client: Client, config: SchedulerConfig) -> (ControllerHandle, Arc<
         }));
     }
 
-    let node_informer = SharedInformer::start(node_informer);
-    let pod_informer = SharedInformer::start(pod_informer);
-    node_informer.wait_for_sync(Duration::from_secs(10));
-    pod_informer.wait_for_sync(Duration::from_secs(10));
-
     let pod_cache = Arc::clone(pod_informer.cache());
     {
         let metrics = Arc::clone(&metrics);
@@ -154,8 +146,6 @@ pub fn start(client: Client, config: SchedulerConfig) -> (ControllerHandle, Arc<
             schedule_one(key, &client, &pod_cache, &state, &config, &metrics, &worker_queue)
         });
     }
-    handle.add_informer(node_informer);
-    handle.add_informer(pod_informer);
     (handle, metrics)
 }
 
@@ -450,7 +440,8 @@ mod tests {
         let server = fast_server();
         let client = Client::new(Arc::clone(&server), "scheduler");
         add_node(&client, "n1", "4");
-        let (mut handle, metrics) = start(client, fast_scheduler_config());
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(client, &informers, fast_scheduler_config());
         let user = Client::new(server, "u");
         user.create(pod_with_cpu("default", "p", "500m").into()).unwrap();
         assert!(wait_until(Duration::from_secs(5), Duration::from_millis(10), || {
@@ -470,7 +461,8 @@ mod tests {
         let client = Client::new(Arc::clone(&server), "scheduler");
         add_node(&client, "n1", "4");
         add_node(&client, "n2", "4");
-        let (mut handle, _metrics) = start(client, fast_scheduler_config());
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, _metrics) = start(client, &informers, fast_scheduler_config());
         let user = Client::new(server, "u");
         for i in 0..4 {
             user.create(pod_with_cpu("default", &format!("p{i}"), "1").into()).unwrap();
@@ -490,7 +482,8 @@ mod tests {
         let server = fast_server();
         let client = Client::new(Arc::clone(&server), "scheduler");
         add_node(&client, "small", "1");
-        let (mut handle, metrics) = start(client, fast_scheduler_config());
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(client, &informers, fast_scheduler_config());
         let user = Client::new(server, "u");
         user.create(pod_with_cpu("default", "big", "2").into()).unwrap();
         assert!(wait_until(Duration::from_secs(3), Duration::from_millis(10), || {
@@ -516,7 +509,8 @@ mod tests {
         gpu_node.meta.labels.insert("accelerator".into(), "gpu".into());
         client.create(gpu_node.into()).unwrap();
 
-        let (mut handle, _metrics) = start(client, fast_scheduler_config());
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, _metrics) = start(client, &informers, fast_scheduler_config());
         let user = Client::new(server, "u");
         let mut pod = pod_with_cpu("default", "needs-gpu", "100m");
         pod.spec.node_selector = labels(&[("accelerator", "gpu")]);
@@ -542,7 +536,8 @@ mod tests {
         });
         client.create(tainted.into()).unwrap();
 
-        let (mut handle, metrics) = start(client, fast_scheduler_config());
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(client, &informers, fast_scheduler_config());
         let user = Client::new(server, "u");
         user.create(pod_with_cpu("default", "intolerant", "100m").into()).unwrap();
         assert!(wait_until(Duration::from_secs(3), Duration::from_millis(10), || {
@@ -570,7 +565,8 @@ mod tests {
         let client = Client::new(Arc::clone(&server), "scheduler");
         add_node(&client, "n1", "8");
         add_node(&client, "n2", "8");
-        let (mut handle, _metrics) = start(client, fast_scheduler_config());
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, _metrics) = start(client, &informers, fast_scheduler_config());
         let user = Client::new(server, "u");
 
         let a = pod_with_cpu("default", "pod-a", "100m")
@@ -599,7 +595,8 @@ mod tests {
         let client = Client::new(Arc::clone(&server), "scheduler");
         add_node(&client, "n1", "8");
         add_node(&client, "n2", "8");
-        let (mut handle, _metrics) = start(client, fast_scheduler_config());
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, _metrics) = start(client, &informers, fast_scheduler_config());
         let user = Client::new(server, "u");
 
         user.create(
@@ -632,7 +629,8 @@ mod tests {
         let server = fast_server();
         let client = Client::new(Arc::clone(&server), "scheduler");
         add_node(&client, "n1", "1");
-        let (mut handle, metrics) = start(client, fast_scheduler_config());
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(client, &informers, fast_scheduler_config());
         let user = Client::new(server, "u");
         user.create(pod_with_cpu("default", "first", "1").into()).unwrap();
         assert!(wait_until(Duration::from_secs(5), Duration::from_millis(10), || {
@@ -658,7 +656,8 @@ mod tests {
         client
             .create(Node::new("n1", resource_list(&[("cpu", "96"), ("pods", "2")])).into())
             .unwrap();
-        let (mut handle, metrics) = start(client, fast_scheduler_config());
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(client, &informers, fast_scheduler_config());
         let user = Client::new(server, "u");
         for name in ["p0", "p1"] {
             user.create(pod_with_cpu("default", name, "100m").into()).unwrap();
@@ -685,7 +684,8 @@ mod tests {
         add_node(&client, "n1", "96");
         let config =
             SchedulerConfig { service_time: Duration::from_millis(5), ..Default::default() };
-        let (mut handle, metrics) = start(client, config);
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(client, &informers, config);
         let user = Client::new(server, "u");
         let n = 20;
         let start_time = std::time::Instant::now();
@@ -717,7 +717,8 @@ mod tests {
         let client = Client::new(Arc::clone(&server), "scheduler");
         add_node(&client, "n1", "4");
         let config = SchedulerConfig { service_time: Duration::from_secs(1), ..Default::default() };
-        let (mut handle, metrics) = start(client, config);
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(client, &informers, config);
         let user = Client::new(server, "u");
         user.create(pod_with_cpu("default", "p", "500m").into()).unwrap();
         // More than one service time of real time passes: the scheduler

@@ -6,14 +6,13 @@
 //! endpoints (possibly synchronized by the VirtualCluster syncer), matching
 //! upstream semantics.
 
-use crate::util::{retry_on_conflict, ControllerHandle};
+use crate::util::{retry_on_conflict, ControllerHandle, Informers};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use vc_api::metrics::Counter;
 use vc_api::object::{Object, ResourceKind};
 use vc_api::service::{EndpointAddress, Endpoints, Service, ServiceType};
-use vc_client::{Client, InformerConfig, SharedInformer, WorkQueue};
+use vc_client::{Client, WorkQueue};
 
 /// Worker threads draining the service queue.
 const WORKERS: usize = 2;
@@ -44,9 +43,10 @@ pub struct ServiceMetrics {
     pub endpoints_writes: Counter,
 }
 
-/// Starts the service controller.
+/// Starts the service controller, reading the cluster through `informers`.
 pub fn start(
     client: Client,
+    informers: &Informers,
     config: ServiceControllerConfig,
 ) -> (ControllerHandle, Arc<ServiceMetrics>) {
     let mut handle = ControllerHandle::new("service-controller");
@@ -54,8 +54,7 @@ pub fn start(
     let queue: Arc<WorkQueue<String>> = Arc::new(WorkQueue::new());
     let ip_counter = Arc::new(AtomicU32::new(1));
 
-    let service_informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Service));
+    let service_informer = informers.get(ResourceKind::Service);
     {
         let queue = Arc::clone(&queue);
         service_informer.add_handler(Box::new(move |event| {
@@ -63,7 +62,7 @@ pub fn start(
         }));
     }
 
-    let pod_informer = SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Pod));
+    let pod_informer = informers.get(ResourceKind::Pod);
     let service_cache = Arc::clone(service_informer.cache());
     {
         let queue = Arc::clone(&queue);
@@ -82,11 +81,6 @@ pub fn start(
         }));
     }
 
-    let service_informer = SharedInformer::start(service_informer);
-    let pod_informer = SharedInformer::start(pod_informer);
-    service_informer.wait_for_sync(Duration::from_secs(10));
-    pod_informer.wait_for_sync(Duration::from_secs(10));
-
     let pod_cache = Arc::clone(pod_informer.cache());
     {
         let metrics = Arc::clone(&metrics);
@@ -94,8 +88,6 @@ pub fn start(
             reconcile(key, &client, &service_cache, &pod_cache, &ip_counter, &config, &metrics)
         });
     }
-    handle.add_informer(service_informer);
-    handle.add_informer(pod_informer);
     (handle, metrics)
 }
 
@@ -212,6 +204,7 @@ fn reconcile(
 mod tests {
     use super::*;
     use crate::util::{assert_count_reaches, wait_until};
+    use std::time::Duration;
     use vc_api::labels::labels;
     use vc_api::pod::{Pod, PodConditionType, PodPhase};
     use vc_api::service::ServicePort;
@@ -243,8 +236,9 @@ mod tests {
     #[test]
     fn allocates_cluster_ip() {
         let server = fast_server();
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
         let (mut handle, metrics) =
-            start(Client::new(Arc::clone(&server), "svc-ctrl"), Default::default());
+            start(Client::new(Arc::clone(&server), "svc-ctrl"), &informers, Default::default());
         let user = Client::new(server, "u");
         user.create(Service::new("default", "web").with_port(ServicePort::tcp(80, 8080)).into())
             .unwrap();
@@ -263,8 +257,9 @@ mod tests {
         // Synced tenant services arrive with an IP; the controller must not
         // reallocate it.
         let server = fast_server();
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
         let (mut handle, metrics) =
-            start(Client::new(Arc::clone(&server), "svc-ctrl"), Default::default());
+            start(Client::new(Arc::clone(&server), "svc-ctrl"), &informers, Default::default());
         let user = Client::new(server, "u");
         let mut svc = Service::new("default", "synced");
         svc.spec.cluster_ip = "10.200.0.5".into();
@@ -279,8 +274,9 @@ mod tests {
     #[test]
     fn endpoints_track_ready_pods() {
         let server = fast_server();
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
         let (mut handle, _metrics) =
-            start(Client::new(Arc::clone(&server), "svc-ctrl"), Default::default());
+            start(Client::new(Arc::clone(&server), "svc-ctrl"), &informers, Default::default());
         let user = Client::new(Arc::clone(&server), "u");
         user.create(ready_pod("default", "p1", "web", "10.1.0.1").into()).unwrap();
         user.create(ready_pod("default", "p2", "web", "10.1.0.2").into()).unwrap();
@@ -324,8 +320,9 @@ mod tests {
     #[test]
     fn selectorless_service_endpoints_untouched() {
         let server = fast_server();
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
         let (mut handle, _metrics) =
-            start(Client::new(Arc::clone(&server), "svc-ctrl"), Default::default());
+            start(Client::new(Arc::clone(&server), "svc-ctrl"), &informers, Default::default());
         let user = Client::new(Arc::clone(&server), "u");
         user.create(Service::new("default", "external").into()).unwrap();
         // Custom endpoints created by hand (or by the VC syncer).
@@ -345,8 +342,9 @@ mod tests {
     #[test]
     fn deleting_service_removes_endpoints() {
         let server = fast_server();
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
         let (mut handle, _metrics) =
-            start(Client::new(Arc::clone(&server), "svc-ctrl"), Default::default());
+            start(Client::new(Arc::clone(&server), "svc-ctrl"), &informers, Default::default());
         let user = Client::new(Arc::clone(&server), "u");
         user.create(ready_pod("default", "p1", "web", "10.1.0.1").into()).unwrap();
         user.create(Service::new("default", "web").with_selector(labels(&[("app", "web")])).into())

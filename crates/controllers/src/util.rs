@@ -1,16 +1,72 @@
-//! Shared controller plumbing: the handle that owns a controller's
-//! workers, timers and informers, and the retry helper.
+//! Shared controller plumbing: the informer set a cluster's components
+//! share, the handle that owns a controller's workers and timers, and the
+//! retry helper.
 
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use vc_api::error::{ApiError, ApiResult};
+use vc_api::object::ResourceKind;
 use vc_api::time::Clock;
 use vc_client::reflector::Timer;
-use vc_client::{SharedInformer, WorkSource};
+use vc_client::{Client, InformerConfig, SharedInformer, WorkSource};
 
-/// Owns a controller's worker threads, timers and informers; stopping
-/// joins everything.
+/// How long [`Informers::get`] waits for a new informer's first list.
+const SYNC_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// One [`SharedInformer`] per kind over one client: the list/watch caches a
+/// cluster's controllers, scheduler and kubelets share, as client-go's
+/// `SharedInformerFactory` serves a controller-manager. Each extra informer
+/// on a kind would cost the apiserver another list and watch (paper
+/// §III-C).
+///
+/// A consumer takes an informer with [`Informers::get`] and registers its
+/// handlers on it; a handler added after the first consumer's gets the
+/// cache replayed (`SharedInformer::add_handler`). The owner stops the set.
+pub struct Informers {
+    client: Client,
+    by_kind: Mutex<HashMap<ResourceKind, Arc<SharedInformer>>>,
+}
+
+impl Informers {
+    /// An empty set whose informers will list and watch through `client`.
+    pub fn new(client: Client) -> Self {
+        Informers { client, by_kind: Mutex::default() }
+    }
+
+    /// The informer for `kind`, created and started on the first call.
+    /// Returns once its first list has been applied, or after 10 s of
+    /// trying, so a controller that starts its workers after its `get`s
+    /// starts them on synced caches.
+    pub fn get(&self, kind: ResourceKind) -> Arc<SharedInformer> {
+        let informer = Arc::clone(self.by_kind.lock().entry(kind).or_insert_with(|| {
+            SharedInformer::start(SharedInformer::new(
+                self.client.clone(),
+                InformerConfig::new(kind),
+            ))
+        }));
+        informer.wait_for_sync(SYNC_TIMEOUT);
+        informer
+    }
+
+    /// Waits until every informer in the set has synced (with `timeout`).
+    pub fn wait_for_sync(&self, timeout: Duration) -> bool {
+        let informers: Vec<_> = self.by_kind.lock().values().cloned().collect();
+        informers.iter().all(|informer| informer.wait_for_sync(timeout))
+    }
+
+    /// Stops every informer in the set. Idempotent.
+    pub fn stop(&self) {
+        for informer in self.by_kind.lock().values() {
+            informer.stop();
+        }
+    }
+}
+
+/// Owns a controller's worker threads and timers; stopping joins
+/// everything.
 pub struct ControllerHandle {
     name: String,
     /// Set by [`ControllerHandle::stop`]: workers then finish what they
@@ -18,8 +74,9 @@ pub struct ControllerHandle {
     stopped: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
     timers: Vec<Arc<Timer>>,
-    informers: Vec<Arc<SharedInformer>>,
-    /// Shuts down the queues the workers drain, releasing blocked takes.
+    /// Run first by `stop`: shut down the queues the workers drain,
+    /// releasing blocked takes, and whatever [`ControllerHandle::on_stop`]
+    /// registered.
     shutdowns: Vec<Box<dyn Fn() + Send + Sync>>,
 }
 
@@ -41,7 +98,6 @@ impl ControllerHandle {
             stopped: Arc::new(AtomicBool::new(false)),
             threads: Vec::new(),
             timers: Vec::new(),
-            informers: Vec::new(),
             shutdowns: Vec::new(),
         }
     }
@@ -88,7 +144,14 @@ impl ControllerHandle {
             self.threads.push(thread);
         }
         let queue = Arc::clone(queue);
-        self.shutdowns.push(Box::new(move || queue.shutdown()));
+        self.on_stop(move || queue.shutdown());
+    }
+
+    /// Runs `stop` when the handle stops, before its timers stop and its
+    /// threads are joined: how a component ties what else it owns (its
+    /// informers) to its handle.
+    pub fn on_stop(&mut self, stop: impl Fn() + Send + Sync + 'static) {
+        self.shutdowns.push(Box::new(stop));
     }
 
     /// Runs `body` every `interval` on `clock`, the first time one interval
@@ -104,19 +167,9 @@ impl ControllerHandle {
         self.timers.push(Timer::every(Arc::clone(clock), interval, body));
     }
 
-    /// Registers an informer to stop.
-    pub fn add_informer(&mut self, informer: Arc<SharedInformer>) {
-        self.informers.push(informer);
-    }
-
-    /// Waits until all registered informers report sync (with `timeout`).
-    pub fn wait_for_informers(&self, timeout: std::time::Duration) -> bool {
-        self.informers.iter().all(|i| i.wait_for_sync(timeout))
-    }
-
-    /// Stops everything: workers stop reconciling and their queues shut
-    /// down, then timers and informers stop and the worker threads are
-    /// joined. Idempotent.
+    /// Stops everything: workers stop reconciling, their queues shut down
+    /// and the [`ControllerHandle::on_stop`] hooks run, then timers stop
+    /// and the worker threads are joined. Idempotent.
     pub fn stop(&mut self) {
         self.stopped.store(true, Ordering::SeqCst);
         for shutdown in &self.shutdowns {
@@ -124,9 +177,6 @@ impl ControllerHandle {
         }
         for timer in self.timers.drain(..) {
             timer.stop();
-        }
-        for informer in &self.informers {
-            informer.stop();
         }
         for handle in self.threads.drain(..) {
             let _ = handle.join();

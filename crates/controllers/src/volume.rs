@@ -5,13 +5,12 @@
 //! tenant PVCs flow downward, this controller binds (or provisions) PVs in
 //! the super cluster, and the bound volumes + claim statuses flow back up.
 
-use crate::util::{retry_on_conflict, ControllerHandle};
+use crate::util::{retry_on_conflict, ControllerHandle, Informers};
 use std::sync::Arc;
-use std::time::Duration;
 use vc_api::metrics::Counter;
 use vc_api::object::{Object, ResourceKind};
 use vc_api::storage::{PersistentVolume, PersistentVolumeClaim, StorageClass, VolumePhase};
-use vc_client::{Client, InformerConfig, SharedInformer, WorkQueue};
+use vc_client::{Client, WorkQueue};
 
 /// Volume binder metrics.
 #[derive(Debug, Default)]
@@ -24,20 +23,18 @@ pub struct VolumeBinderMetrics {
     pub released: Counter,
 }
 
-/// Starts the volume binder.
-pub fn start(client: Client) -> (ControllerHandle, Arc<VolumeBinderMetrics>) {
+/// Starts the volume binder, reading the cluster through `informers`.
+pub fn start(
+    client: Client,
+    informers: &Informers,
+) -> (ControllerHandle, Arc<VolumeBinderMetrics>) {
     let mut handle = ControllerHandle::new("volume-binder");
     let metrics = Arc::new(VolumeBinderMetrics::default());
     let queue: Arc<WorkQueue<String>> = Arc::new(WorkQueue::new());
 
-    let pvc_informer = SharedInformer::new(
-        client.clone(),
-        InformerConfig::new(ResourceKind::PersistentVolumeClaim),
-    );
-    let pv_informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::PersistentVolume));
-    let sc_informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::StorageClass));
+    let pvc_informer = informers.get(ResourceKind::PersistentVolumeClaim);
+    let pv_informer = informers.get(ResourceKind::PersistentVolume);
+    let sc_informer = informers.get(ResourceKind::StorageClass);
     {
         let queue = Arc::clone(&queue);
         pvc_informer.add_handler(Box::new(move |event| {
@@ -57,13 +54,6 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<VolumeBinderMetrics>) {
             queue.add("requeue-pending".to_string());
         }));
     }
-    let pvc_informer = SharedInformer::start(pvc_informer);
-    let pv_informer = SharedInformer::start(pv_informer);
-    let sc_informer = SharedInformer::start(sc_informer);
-    for informer in [&pvc_informer, &pv_informer, &sc_informer] {
-        informer.wait_for_sync(Duration::from_secs(10));
-    }
-
     {
         let worker_queue = Arc::clone(&queue);
         let metrics = Arc::clone(&metrics);
@@ -98,9 +88,6 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<VolumeBinderMetrics>) {
             }
         });
     }
-    handle.add_informer(pvc_informer);
-    handle.add_informer(pv_informer);
-    handle.add_informer(sc_informer);
     (handle, metrics)
 }
 
@@ -284,6 +271,7 @@ fn reconcile_volume(
 mod tests {
     use super::*;
     use crate::util::wait_until;
+    use std::time::Duration;
     use vc_api::quantity::Quantity;
     use vc_apiserver::{ApiServer, ApiServerConfig};
 
@@ -305,7 +293,9 @@ mod tests {
     #[test]
     fn binds_to_smallest_fitting_volume() {
         let server = fast_server();
-        let (mut handle, metrics) = start(Client::system(Arc::clone(&server), "binder"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) =
+            start(Client::system(Arc::clone(&server), "binder"), &informers);
         let user = Client::new(server, "u");
         for (name, gib) in [("pv-small", 5i64), ("pv-right", 10), ("pv-big", 100)] {
             user.create(PersistentVolume::new(name, Quantity::from_whole(gib)).into()).unwrap();
@@ -330,7 +320,9 @@ mod tests {
     #[test]
     fn provisions_dynamically_from_storage_class() {
         let server = fast_server();
-        let (mut handle, metrics) = start(Client::system(Arc::clone(&server), "binder"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) =
+            start(Client::system(Arc::clone(&server), "binder"), &informers);
         let user = Client::new(server, "u");
         user.create(StorageClass::new("fast", "csi.sim/disk").into()).unwrap();
         let mut claim = PersistentVolumeClaim::new("default", "dyn", Quantity::from_whole(20));
@@ -352,7 +344,9 @@ mod tests {
     #[test]
     fn pending_without_class_or_volume() {
         let server = fast_server();
-        let (mut handle, _metrics) = start(Client::system(Arc::clone(&server), "binder"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, _metrics) =
+            start(Client::system(Arc::clone(&server), "binder"), &informers);
         let user = Client::new(server, "u");
         let mut claim = PersistentVolumeClaim::new("default", "stuck", Quantity::from_whole(5));
         claim.storage_class = "nonexistent".into();
@@ -365,7 +359,9 @@ mod tests {
     #[test]
     fn deleted_claim_releases_volume() {
         let server = fast_server();
-        let (mut handle, metrics) = start(Client::system(Arc::clone(&server), "binder"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) =
+            start(Client::system(Arc::clone(&server), "binder"), &informers);
         let user = Client::new(server, "u");
         user.create(PersistentVolume::new("pv-1", Quantity::from_whole(10)).into()).unwrap();
         user.create(PersistentVolumeClaim::new("default", "temp", Quantity::from_whole(10)).into())

@@ -7,16 +7,15 @@
 //! what "most of the existing Kubernetes plugins and operators can be
 //! ported to VirtualCluster with almost zero integration efforts" rests on.
 
-use crate::util::{retry_on_conflict, ControllerHandle};
+use crate::util::{retry_on_conflict, ControllerHandle, Informers};
 use std::sync::Arc;
-use std::time::Duration;
 use vc_api::meta::OwnerReference;
 use vc_api::metrics::Counter;
 use vc_api::object::ResourceKind;
 use vc_api::pod::Pod;
 use vc_api::sha256::sha256_hex;
 use vc_api::workload::{Deployment, ReplicaSet};
-use vc_client::{Client, InformerConfig, InformerEvent, SharedInformer, WorkQueue};
+use vc_client::{Client, InformerEvent, WorkQueue};
 
 /// Metrics for the workload controllers.
 #[derive(Debug, Default)]
@@ -29,8 +28,9 @@ pub struct WorkloadMetrics {
     pub replicasets_created: Counter,
 }
 
-/// Starts the ReplicaSet + Deployment controllers.
-pub fn start(client: Client) -> (ControllerHandle, Arc<WorkloadMetrics>) {
+/// Starts the ReplicaSet + Deployment controllers, reading the cluster
+/// through `informers`.
+pub fn start(client: Client, informers: &Informers) -> (ControllerHandle, Arc<WorkloadMetrics>) {
     let mut handle = ControllerHandle::new("workload-controllers");
     let metrics = Arc::new(WorkloadMetrics::default());
     let rs_queue: Arc<WorkQueue<String>> = Arc::new(WorkQueue::new());
@@ -42,11 +42,9 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<WorkloadMetrics>) {
     let expectations: Arc<parking_lot::Mutex<std::collections::HashMap<String, i64>>> =
         Arc::new(parking_lot::Mutex::new(std::collections::HashMap::new()));
 
-    let rs_informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::ReplicaSet));
-    let deploy_informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Deployment));
-    let pod_informer = SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Pod));
+    let rs_informer = informers.get(ResourceKind::ReplicaSet);
+    let deploy_informer = informers.get(ResourceKind::Deployment);
+    let pod_informer = informers.get(ResourceKind::Pod);
 
     {
         let rs_queue = Arc::clone(&rs_queue);
@@ -84,8 +82,7 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<WorkloadMetrics>) {
     {
         // ReplicaSet changes wake their owning Deployment.
         let deploy_queue = Arc::clone(&deploy_queue);
-        let rs_informer2 = &rs_informer;
-        rs_informer2.add_handler(Box::new(move |event| {
+        rs_informer.add_handler(Box::new(move |event| {
             let obj = event.object();
             if let Some(owner) = obj.meta().controller_owner() {
                 if owner.kind == "Deployment" {
@@ -93,13 +90,6 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<WorkloadMetrics>) {
                 }
             }
         }));
-    }
-
-    let rs_informer = SharedInformer::start(rs_informer);
-    let deploy_informer = SharedInformer::start(deploy_informer);
-    let pod_informer = SharedInformer::start(pod_informer);
-    for informer in [&rs_informer, &deploy_informer, &pod_informer] {
-        informer.wait_for_sync(Duration::from_secs(10));
     }
 
     // ReplicaSet workers.
@@ -122,10 +112,6 @@ pub fn start(client: Client) -> (ControllerHandle, Arc<WorkloadMetrics>) {
             reconcile_deployment(key, &client, &deploy_cache, &rs_cache, &metrics)
         });
     }
-
-    handle.add_informer(rs_informer);
-    handle.add_informer(deploy_informer);
-    handle.add_informer(pod_informer);
     (handle, metrics)
 }
 
@@ -310,6 +296,7 @@ fn reconcile_deployment(
 mod tests {
     use super::*;
     use crate::util::{assert_count_reaches, wait_until};
+    use std::time::Duration;
     use vc_api::labels::{labels, Selector};
     use vc_api::pod::{Container, PodSpec};
     use vc_api::workload::PodTemplate;
@@ -337,7 +324,8 @@ mod tests {
     #[test]
     fn replicaset_creates_pods() {
         let server = fast_server();
-        let (mut handle, metrics) = start(Client::new(Arc::clone(&server), "ctrl"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(Client::new(Arc::clone(&server), "ctrl"), &informers);
         let user = Client::new(server, "u");
         user.create(
             ReplicaSet::new(
@@ -365,7 +353,8 @@ mod tests {
     #[test]
     fn replicaset_replaces_deleted_pod() {
         let server = fast_server();
-        let (mut handle, _metrics) = start(Client::new(Arc::clone(&server), "ctrl"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, _metrics) = start(Client::new(Arc::clone(&server), "ctrl"), &informers);
         let user = Client::new(server, "u");
         user.create(
             ReplicaSet::new("default", "web-rs", 2, Selector::everything(), template("web")).into(),
@@ -386,7 +375,8 @@ mod tests {
     #[test]
     fn replicaset_scales_down() {
         let server = fast_server();
-        let (mut handle, _metrics) = start(Client::new(Arc::clone(&server), "ctrl"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, _metrics) = start(Client::new(Arc::clone(&server), "ctrl"), &informers);
         let user = Client::new(server, "u");
         let created = user
             .create(
@@ -410,7 +400,8 @@ mod tests {
     #[test]
     fn deployment_creates_replicaset_and_pods() {
         let server = fast_server();
-        let (mut handle, metrics) = start(Client::new(Arc::clone(&server), "ctrl"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, metrics) = start(Client::new(Arc::clone(&server), "ctrl"), &informers);
         let user = Client::new(server, "u");
         user.create(
             Deployment::new(
@@ -436,7 +427,8 @@ mod tests {
     #[test]
     fn deployment_status_aggregates() {
         let server = fast_server();
-        let (mut handle, _metrics) = start(Client::new(Arc::clone(&server), "ctrl"));
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
+        let (mut handle, _metrics) = start(Client::new(Arc::clone(&server), "ctrl"), &informers);
         let user = Client::new(Arc::clone(&server), "u");
         user.create(
             Deployment::new("default", "web", 2, Selector::everything(), template("web")).into(),

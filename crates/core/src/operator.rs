@@ -105,6 +105,7 @@ pub fn start(
     let informer = SharedInformer::start(informer);
     informer.wait_for_sync(Duration::from_secs(10));
     let cache = Arc::clone(informer.cache());
+    handle.on_stop(move || informer.stop());
 
     {
         let metrics = Arc::clone(&metrics);
@@ -113,7 +114,6 @@ pub fn start(
             reconcile(name, &super_client, &cache, &registry, &syncer, &clock, &config, &metrics)
         });
     }
-    handle.add_informer(informer);
     (handle, metrics)
 }
 

@@ -317,9 +317,7 @@ impl Syncer {
         }
         let mut handle = ControllerHandle::new("vc-syncer");
         for informer in syncer.super_informers.values() {
-            let started = SharedInformer::start(Arc::clone(informer));
-            started.wait_for_sync(Duration::from_secs(30));
-            handle.add_informer(started);
+            SharedInformer::start(Arc::clone(informer)).wait_for_sync(Duration::from_secs(30));
         }
 
         // Downward workers: each wakeup drains a small same-tenant batch
@@ -625,12 +623,15 @@ impl Syncer {
 
     /// Stops workers, scanner, broadcaster and all informers.
     pub fn stop(&self) {
-        // Stop tenant informers first so no new work arrives.
+        // Stop the informers first so no new work arrives.
         let tenants: Vec<Arc<TenantState>> = self.tenants.read().values().cloned().collect();
         for tenant in tenants {
             for informer in tenant.informers.values() {
                 informer.stop();
             }
+        }
+        for informer in self.super_informers.values() {
+            informer.stop();
         }
         if let Some(mut handle) = self.handle.lock().take() {
             handle.stop();

@@ -27,8 +27,8 @@ use std::time::Duration;
 use vc_api::metrics::{Counter, Histogram};
 use vc_api::object::ResourceKind;
 use vc_api::pod::{Pod, PodConditionType, RuntimeClass};
-use vc_client::{Client, InformerConfig, SharedInformer, WorkQueue};
-use vc_controllers::util::{retry_on_conflict, ControllerHandle};
+use vc_client::{Client, WorkQueue};
+use vc_controllers::util::{retry_on_conflict, ControllerHandle, Informers};
 use vc_runtime::cri::ContainerRuntime;
 use vc_runtime::kata::KataAgent;
 use vc_runtime::KataRuntime;
@@ -89,7 +89,8 @@ pub fn start(
     let pod_queue: Arc<WorkQueue<String>> = Arc::new(WorkQueue::new());
     let rules_queue: Arc<WorkQueue<()>> = Arc::new(WorkQueue::new());
 
-    let pod_informer = SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Pod));
+    let informers = Arc::new(Informers::new(client.clone()));
+    let pod_informer = informers.get(ResourceKind::Pod);
     {
         let pod_queue = Arc::clone(&pod_queue);
         let node = config.node_name.clone();
@@ -102,20 +103,11 @@ pub fn start(
             }
         }));
     }
-    let service_informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Service));
-    let endpoints_informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Endpoints));
+    let service_informer = informers.get(ResourceKind::Service);
+    let endpoints_informer = informers.get(ResourceKind::Endpoints);
     for informer in [&service_informer, &endpoints_informer] {
         let rules_queue = Arc::clone(&rules_queue);
         informer.add_handler(Box::new(move |_event| rules_queue.add(())));
-    }
-
-    let pod_informer = SharedInformer::start(pod_informer);
-    let service_informer = SharedInformer::start(service_informer);
-    let endpoints_informer = SharedInformer::start(endpoints_informer);
-    for informer in [&pod_informer, &service_informer, &endpoints_informer] {
-        informer.wait_for_sync(Duration::from_secs(10));
     }
     let pod_cache = Arc::clone(pod_informer.cache());
     let service_cache = Arc::clone(service_informer.cache());
@@ -163,9 +155,7 @@ pub fn start(
         });
     }
 
-    handle.add_informer(pod_informer);
-    handle.add_informer(service_informer);
-    handle.add_informer(endpoints_informer);
+    handle.on_stop(move || informers.stop());
     (handle, metrics)
 }
 

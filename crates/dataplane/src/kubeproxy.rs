@@ -10,11 +10,10 @@
 use crate::network::PodNetwork;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 use vc_api::metrics::Counter;
 use vc_api::object::ResourceKind;
-use vc_client::{Cache, Client, InformerConfig, SharedInformer, WorkQueue};
-use vc_controllers::util::ControllerHandle;
+use vc_client::{Cache, Client, WorkQueue};
+use vc_controllers::util::{ControllerHandle, Informers};
 use vc_runtime::netfilter::NatRule;
 
 /// Computes the DNAT rules realizing every cluster-IP service in
@@ -76,19 +75,13 @@ pub fn start_standard(
     let metrics = Arc::new(KubeProxyMetrics::default());
     let queue: Arc<WorkQueue<()>> = Arc::new(WorkQueue::new());
 
-    let service_informer =
-        SharedInformer::new(client.clone(), InformerConfig::new(ResourceKind::Service));
-    let endpoints_informer =
-        SharedInformer::new(client, InformerConfig::new(ResourceKind::Endpoints));
+    let informers = Arc::new(Informers::new(client));
+    let service_informer = informers.get(ResourceKind::Service);
+    let endpoints_informer = informers.get(ResourceKind::Endpoints);
     for informer in [&service_informer, &endpoints_informer] {
         let queue = Arc::clone(&queue);
         informer.add_handler(Box::new(move |_event| queue.add(())));
     }
-    let service_informer = SharedInformer::start(service_informer);
-    let endpoints_informer = SharedInformer::start(endpoints_informer);
-    service_informer.wait_for_sync(Duration::from_secs(10));
-    endpoints_informer.wait_for_sync(Duration::from_secs(10));
-
     let service_cache = Arc::clone(service_informer.cache());
     let endpoints_cache = Arc::clone(endpoints_informer.cache());
     // Initial programming even before any event.
@@ -99,8 +92,7 @@ pub fn start_standard(
             sync_host_tables(&service_cache, &endpoints_cache, &network, &metrics)
         });
     }
-    handle.add_informer(service_informer);
-    handle.add_informer(endpoints_informer);
+    handle.on_stop(move || informers.stop());
     (handle, metrics)
 }
 
@@ -129,6 +121,7 @@ fn sync_host_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use vc_api::labels::labels;
     use vc_api::pod::{Pod, PodConditionType, PodPhase};
     use vc_api::service::{Service, ServicePort};
@@ -162,8 +155,10 @@ mod tests {
     fn programs_host_tables_from_services() {
         let server = fast_server();
         // Service controller computes endpoints; kubeproxy programs nodes.
+        let informers = Informers::new(Client::system(Arc::clone(&server), "informers"));
         let (mut svc_handle, _m) = vc_controllers::service::start(
             Client::new(Arc::clone(&server), "svc-ctrl"),
+            &informers,
             Default::default(),
         );
         let network = PodNetwork::new();

@@ -166,14 +166,9 @@ fn tenants_cannot_reach_the_super_cluster() {
     let super_server = &fw.super_cluster.apiserver;
     super_server.authorizer.enable();
     // System components get cluster-admin.
-    for system_user in [
-        "system:scheduler",
-        "system:kubelet-informer",
-        "vc-syncer",
-        "vc-operator",
-        "vc-admin",
-        "admin",
-    ] {
+    for system_user in
+        ["system:scheduler", "system:informers", "vc-syncer", "vc-operator", "vc-admin", "admin"]
+    {
         super_server.authorizer.bind(system_user, PolicyRule::allow_all());
     }
     for i in 1..=10 {

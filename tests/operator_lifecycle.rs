@@ -6,7 +6,7 @@ use std::time::Duration;
 use virtualcluster::api::object::ResourceKind;
 use virtualcluster::api::pod::{Container, Pod};
 use virtualcluster::controllers::util::wait_until;
-use virtualcluster::core::framework::{Framework, FrameworkConfig};
+use virtualcluster::core::framework::{minimal_tenant_template, Framework, FrameworkConfig};
 use virtualcluster::core::vc_object::{
     ProvisionMode, VcPhase, VirtualClusterSpec, VC_MANAGER_NAMESPACE,
 };
@@ -230,5 +230,29 @@ fn crd_instances_sync_when_enabled() {
     assert!(super_client
         .get(ResourceKind::CustomObject, &format!("{prefix}-default"), "mine")
         .is_err());
+    fw.shutdown();
+}
+
+#[test]
+fn each_cluster_watches_a_kind_once_per_informer_owner() {
+    // One list/watch per (cluster, kind) for the cluster's own components,
+    // plus the syncer's and the operator's, which run apart from the
+    // cluster they watch. Super: 9 kinds for the scheduler, controllers
+    // and kubelets, 13 for the syncer, 1 for the operator. Default tenant:
+    // 5 kinds for its controllers, 10 for the syncer. Bare tenant: the
+    // syncer's 10.
+    let watches = |fw: &Framework, tenant: &str| {
+        let handle = fw.create_tenant(tenant).unwrap();
+        let super_watches = fw.super_cluster.apiserver.store().watcher_count();
+        (super_watches, handle.cluster.apiserver.store().watcher_count())
+    };
+    let fw = Framework::start(FrameworkConfig::minimal());
+    assert_eq!(watches(&fw, "watched"), (23, 15));
+    fw.shutdown();
+
+    let mut config = FrameworkConfig::minimal();
+    config.operator.tenant_template = minimal_tenant_template();
+    let fw = Framework::start(config);
+    assert_eq!(watches(&fw, "bare"), (23, 10));
     fw.shutdown();
 }
