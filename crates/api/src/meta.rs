@@ -26,16 +26,22 @@ static UID_COUNTER: AtomicU64 = AtomicU64::new(1);
 impl Uid {
     /// Generates a fresh process-unique UID.
     pub fn generate() -> Uid {
+        use std::fmt::Write;
         let counter = UID_COUNTER.fetch_add(1, Ordering::Relaxed);
         let salt: u64 = rand::random();
-        Uid(format!(
+        // Sized up front: `format!` would grow the string four times.
+        let mut uid = String::with_capacity(36);
+        write!(
+            uid,
             "{:08x}-{:04x}-{:04x}-{:04x}-{:012x}",
             (salt >> 32) as u32,
             (salt >> 16) as u16,
             salt as u16,
             (counter >> 48) as u16,
             counter & 0xffff_ffff_ffff
-        ))
+        )
+        .expect("writing to a String cannot fail");
+        Uid(uid)
     }
 
     /// Wraps an explicit UID string (useful in tests).
@@ -182,6 +188,21 @@ impl ObjectMeta {
         full
     }
 
+    /// [`ObjectMeta::full_name`] built on the stack: a key to look
+    /// something up by, at no allocation.
+    pub fn full_name_buf(&self) -> KeyBuf {
+        if self.namespace.is_empty() {
+            return KeyBuf::join(&[&self.name]);
+        }
+        KeyBuf::join(&[&self.namespace, "/", &self.name])
+    }
+
+    /// [`ObjectMeta::full_name`] as a shared key: one allocation, and every
+    /// later holder clones the `Arc` instead of the string.
+    pub fn shared_key(&self) -> std::sync::Arc<str> {
+        self.full_name_buf().as_str().into()
+    }
+
     /// Returns `true` if a graceful deletion is in progress.
     pub fn is_terminating(&self) -> bool {
         self.deletion_timestamp.is_some()
@@ -252,6 +273,54 @@ pub fn validate_name(name: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Longest key a [`KeyBuf`] holds on the stack. Names are at most 253
+/// bytes and namespaces 63, so every `namespace/name` fits.
+const STACK_KEY: usize = 320;
+
+/// A key joined from parts, held on the stack when it fits (on the heap
+/// only beyond 320 bytes, more than any `namespace/name`). A key made to
+/// look something up, not to keep, costs no allocation this way.
+/// Dereferences to `str`.
+pub struct KeyBuf {
+    bytes: [u8; STACK_KEY],
+    len: usize,
+    spilled: Option<String>,
+}
+
+impl KeyBuf {
+    /// `parts`, concatenated.
+    pub fn join(parts: &[&str]) -> KeyBuf {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        let mut key = KeyBuf { bytes: [0; STACK_KEY], len, spilled: None };
+        if len > STACK_KEY {
+            key.spilled = Some(parts.concat());
+            return key;
+        }
+        let mut at = 0;
+        for part in parts {
+            key.bytes[at..at + part.len()].copy_from_slice(part.as_bytes());
+            at += part.len();
+        }
+        key
+    }
+
+    /// The key.
+    pub fn as_str(&self) -> &str {
+        match &self.spilled {
+            Some(key) => key,
+            None => std::str::from_utf8(&self.bytes[..self.len]).expect("joined from &strs"),
+        }
+    }
+}
+
+impl std::ops::Deref for KeyBuf {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +339,15 @@ mod tests {
     fn full_name_forms() {
         assert_eq!(ObjectMeta::namespaced("ns1", "pod-a").full_name(), "ns1/pod-a");
         assert_eq!(ObjectMeta::cluster_scoped("node-1").full_name(), "node-1");
+        let long = "x".repeat(STACK_KEY); // spills to the heap
+        for meta in [
+            ObjectMeta::namespaced("ns1", "pod-a"),
+            ObjectMeta::cluster_scoped("n"),
+            ObjectMeta::namespaced("ns1", &long),
+        ] {
+            assert_eq!(meta.full_name_buf().as_str(), meta.full_name());
+            assert_eq!(*meta.shared_key(), meta.full_name());
+        }
     }
 
     #[test]

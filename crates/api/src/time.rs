@@ -17,6 +17,8 @@ use std::sync::{Arc, OnceLock};
 use std::task::{Wake, Waker};
 use std::time::{Duration, Instant};
 
+const NANOS_PER_MILLI: u128 = 1_000_000;
+
 /// Milliseconds since an arbitrary epoch (process start for [`RealClock`],
 /// zero for [`SimClock`]).
 ///
@@ -54,10 +56,12 @@ impl Timestamp {
         Duration::from_millis(self.0.saturating_sub(earlier.0))
     }
 
-    /// Returns this timestamp advanced by `d`.
+    /// Returns this timestamp advanced by `d`, rounded up to the next
+    /// whole millisecond (as [`Clock::sleep`] on a [`SimClock`] rounds), so
+    /// a deadline `d` ahead is never already due.
     #[allow(clippy::should_implement_trait)] // inherent `add` keeps call sites import-free
     pub fn add(self, d: Duration) -> Timestamp {
-        Timestamp(self.0 + d.as_millis() as u64)
+        Timestamp(self.0 + d.as_nanos().div_ceil(NANOS_PER_MILLI) as u64)
     }
 }
 
@@ -253,6 +257,9 @@ pub struct SimClock {
 #[derive(Debug)]
 struct SimState {
     now: u64,
+    /// Nanoseconds advanced past `now` that do not yet make a whole
+    /// millisecond; the next [`SimClock::advance`] carries them on.
+    carry_ns: u64,
     timers: Timers<Timestamp>,
 }
 
@@ -260,17 +267,20 @@ impl SimClock {
     /// Creates a simulated clock starting at zero.
     pub fn new() -> Arc<Self> {
         Arc::new(SimClock {
-            state: Mutex::new(SimState { now: 0, timers: Timers::new() }),
+            state: Mutex::new(SimState { now: 0, carry_ns: 0, timers: Timers::new() }),
             sleepers: Condvar::new(),
         })
     }
 
     /// Advances the clock by `d`, waking the sleepers whose deadline passed
     /// and firing, on this thread and in deadline order, the timers that
-    /// came due.
+    /// came due. A part of a millisecond is carried to the next call: two
+    /// advances of 600 µs move the clock by 1 ms.
     pub fn advance(&self, d: Duration) {
-        let state = self.state.lock();
-        let to = state.now + d.as_millis() as u64;
+        let mut state = self.state.lock();
+        let total_ns = u128::from(state.carry_ns) + d.as_nanos();
+        state.carry_ns = (total_ns % NANOS_PER_MILLI) as u64;
+        let to = state.now + (total_ns / NANOS_PER_MILLI) as u64;
         self.move_to(state, to);
     }
 
@@ -280,8 +290,9 @@ impl SimClock {
     ///
     /// Panics if `t` is earlier than the current simulated time.
     pub fn set(&self, t: Timestamp) {
-        let state = self.state.lock();
+        let mut state = self.state.lock();
         assert!(t.0 >= state.now, "SimClock cannot move backwards");
+        state.carry_ns = 0;
         self.move_to(state, t.0);
     }
 
@@ -305,7 +316,7 @@ impl Clock for SimClock {
     /// one.
     fn sleep(&self, d: Duration) {
         let mut state = self.state.lock();
-        let deadline = state.now + d.as_nanos().div_ceil(1_000_000) as u64;
+        let deadline = state.now + d.as_nanos().div_ceil(NANOS_PER_MILLI) as u64;
         while state.now < deadline {
             self.sleepers.wait(&mut state);
         }
@@ -384,6 +395,38 @@ mod tests {
         clock.advance(Duration::from_millis(1));
         sleeper.join().unwrap();
         assert!(woke.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn sim_clock_advance_carries_a_partial_millisecond() {
+        let clock = SimClock::new();
+        let woke = Arc::new(AtomicBool::new(false));
+        let (sleeping, asleep) = std::sync::mpsc::channel();
+        let sleeper = {
+            let (clock, woke) = (Arc::clone(&clock), Arc::clone(&woke));
+            std::thread::spawn(move || {
+                sleeping.send(()).unwrap();
+                clock.sleep(Duration::from_millis(1));
+                woke.store(true, Ordering::SeqCst);
+            })
+        };
+        asleep.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(20)); // into `sleep`, at 0 ms
+        clock.advance(Duration::from_micros(600));
+        assert!(!woke.load(Ordering::SeqCst), "0.6 ms is not 1 ms");
+        assert_eq!(clock.now().as_millis(), 0);
+        clock.advance(Duration::from_micros(600));
+        assert_eq!(clock.now().as_millis(), 1, "1.2 ms advanced in two steps");
+        sleeper.join().unwrap();
+        assert!(woke.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn timestamp_add_rounds_a_partial_millisecond_up() {
+        let t = Timestamp::from_millis(10);
+        assert_eq!(t.add(Duration::from_micros(600)), Timestamp::from_millis(11));
+        assert_eq!(t.add(Duration::from_millis(2)), Timestamp::from_millis(12));
+        assert_eq!(t.add(Duration::ZERO), t);
     }
 
     #[test]

@@ -30,6 +30,10 @@ pub enum Verb {
 }
 
 impl Verb {
+    /// Every verb, in declaration order (`Verb::ALL[verb as usize] == verb`).
+    pub const ALL: [Verb; 6] =
+        [Verb::Get, Verb::List, Verb::Watch, Verb::Create, Verb::Update, Verb::Delete];
+
     /// Returns the lowercase verb name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -245,6 +249,9 @@ mod tests {
     fn verb_names() {
         assert_eq!(Verb::List.as_str(), "list");
         assert_eq!(Verb::Create.as_str(), "create");
+        for (i, verb) in Verb::ALL.into_iter().enumerate() {
+            assert_eq!(verb as usize, i, "{verb:?} indexes per-verb tables");
+        }
     }
 
     #[test]

@@ -28,13 +28,14 @@ use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::Duration;
 use vc_api::error::{ApiError, ApiResult};
-use vc_api::meta::{validate_name, Uid};
+use vc_api::meta::{validate_name, KeyBuf, Uid};
 use vc_api::metrics::Counter;
 use vc_api::namespace::{Namespace, NamespacePhase};
 use vc_api::object::{Object, ResourceKind};
 use vc_api::time::{Clock, RealClock};
 use vc_obs::{
-    current_trace, stage, CounterFamily, HistogramFamily, MetricsRegistry, Observability, Tracer,
+    current_trace, stage, CounterFamily, HistogramFamily, MetricsRegistry, Observability,
+    StageName, Tracer,
 };
 use vc_store::{DurabilityConfig, RecoveryReport, Store, StoreConfig, StoreError, WatchStream};
 
@@ -117,6 +118,9 @@ struct ObsHook {
     /// Label value identifying this server in metrics and trace stages
     /// (the tenant name for tenant apiservers, the server name otherwise).
     scope: String,
+    /// `apiserver:<scope>:<verb>` per verb, indexed by `verb as usize`:
+    /// built once here, shared by every span this server records.
+    stages: [StageName; Verb::ALL.len()],
     /// When set, a successful pod create that is not already inside a
     /// trace context begins a new trace for the pod — this is the "gate"
     /// stamp on tenant apiservers.
@@ -372,10 +376,13 @@ impl ApiServer {
         );
         let scope = scope.into();
         publish_store_metrics(&self.store, &obs.registry, &scope);
+        let stages = Verb::ALL
+            .map(|verb| StageName::from(Arc::<str>::from(stage::apiserver(&scope, verb.as_str()))));
         *self.obs.write() = Some(Arc::new(ObsHook {
             tracer: obs.tracer.clone(),
             registry: Arc::clone(&obs.registry),
             scope,
+            stages,
             begin_pod_traces,
             requests,
             duration,
@@ -407,7 +414,7 @@ impl ApiServer {
     /// request to this server) as a span on the calling thread's current
     /// trace. No-op without an attached observability hook or an active
     /// trace context.
-    pub fn record_client_wait(&self, stage_name: &str, waited: Duration) {
+    pub fn record_client_wait(&self, stage_name: &'static str, waited: Duration) {
         if waited.is_zero() {
             return;
         }
@@ -432,17 +439,13 @@ impl ApiServer {
         let Some(hook) = self.obs.read().clone() else {
             return f();
         };
-        // The gate: a pod create from outside any trace opens the pod's
-        // trace — before the write, because the write makes the pod visible
-        // and the pipeline it sets off may finish before this request
-        // returns; a trace opened afterwards would never be finished.
-        let gate = (hook.begin_pod_traces
-            && verb == Verb::Create
-            && kind == ResourceKind::Pod
-            && current_trace().is_none())
-        .then_some(trace_key)
-        .flatten()
-        .map(|key| (key, hook.tracer.begin_or_join(&hook.scope, key)));
+        // The gate (`trace_key` is set only for one, see
+        // `opens_pod_trace`): a pod create from outside any trace opens the
+        // pod's trace — before the write, because the write makes the pod
+        // visible and the pipeline it sets off may finish before this
+        // request returns; a trace opened afterwards would never be
+        // finished.
+        let gate = trace_key.map(|key| (key, hook.tracer.begin_or_join(&hook.scope, key)));
         let start = std::time::Instant::now();
         let result = f();
         let elapsed = start.elapsed();
@@ -457,12 +460,8 @@ impl ApiServer {
         if let Some(id) = current_trace() {
             // A syncer worker (or other traced caller) made this request:
             // attach the request span to its trace.
-            hook.tracer.record_span(
-                id,
-                &stage::apiserver(&hook.scope, verb.as_str()),
-                elapsed,
-                result.is_ok(),
-            );
+            let stage = hook.stages[verb as usize].clone();
+            hook.tracer.record_span(id, stage, elapsed, result.is_ok());
         } else if let Some((key, (id, opened))) = gate {
             if result.is_ok() {
                 hook.tracer.record_span(id, stage::GATE, elapsed, true);
@@ -489,8 +488,16 @@ impl ApiServer {
     /// admission), [`ApiError::AlreadyExists`].
     pub fn create(&self, user: &str, obj: Object) -> ApiResult<Arc<Object>> {
         let kind = obj.kind();
-        let key = obj.key();
-        self.observed(Verb::Create, kind, Some(&key), move || self.create_inner(user, obj))
+        let gate_key = self.opens_pod_trace(kind).then(|| obj.key());
+        self.observed(Verb::Create, kind, gate_key.as_deref(), move || self.create_inner(user, obj))
+    }
+
+    /// Whether a create of `kind` made now is a gate that opens a trace:
+    /// a pod create on a tenant apiserver, from outside any trace context.
+    fn opens_pod_trace(&self, kind: ResourceKind) -> bool {
+        kind == ResourceKind::Pod
+            && current_trace().is_none()
+            && self.obs.read().as_ref().is_some_and(|hook| hook.begin_pod_traces)
     }
 
     fn create_inner(&self, user: &str, mut obj: Object) -> ApiResult<Arc<Object>> {
@@ -546,9 +553,10 @@ impl ApiServer {
             return Err(ApiError::forbidden(user, "get", kind.as_str(), "RBAC denied"));
         }
         self.clock.sleep(self.config.read_latency);
-        let key = object_key(kind, namespace, name);
-        let obj =
-            self.store.get(kind, &key).ok_or_else(|| ApiError::not_found(kind.as_str(), key))?;
+        let obj = self
+            .store
+            .get(kind, &object_key_buf(kind, namespace, name))
+            .ok_or_else(|| ApiError::not_found(kind.as_str(), object_key(kind, namespace, name)))?;
         self.metrics.gets.inc();
         Ok(obj)
     }
@@ -617,11 +625,10 @@ impl ApiServer {
         self.clock.sleep(self.config.write_latency);
 
         let kind = obj.kind();
-        let key = obj.key();
         let current = self
             .store
-            .get(kind, &key)
-            .ok_or_else(|| ApiError::not_found(kind.as_str(), key.clone()))?;
+            .get(kind, &obj.meta().full_name_buf())
+            .ok_or_else(|| ApiError::not_found(kind.as_str(), obj.key()))?;
 
         let expected = match obj.meta().resource_version {
             0 => None,
@@ -630,7 +637,10 @@ impl ApiServer {
         {
             let cur_meta = current.meta();
             let meta = obj.meta_mut();
-            meta.uid = cur_meta.uid.clone();
+            // Usually the uid the client read: copied only when it differs.
+            if meta.uid != cur_meta.uid {
+                meta.uid = cur_meta.uid.clone();
+            }
             meta.creation_timestamp = cur_meta.creation_timestamp;
             // Deletion is one-way: a set deletion_timestamp sticks.
             if cur_meta.deletion_timestamp.is_some() {
@@ -647,7 +657,7 @@ impl ApiServer {
 
         // Removing the last finalizer from a terminating object deletes it.
         if obj.meta().is_terminating() && obj.meta().finalizers.is_empty() {
-            let removed = self.store.delete(kind, &key)?;
+            let removed = self.store.delete(kind, &obj.meta().full_name_buf())?;
             self.metrics.deletes.inc();
             return Ok(removed);
         }
@@ -783,10 +793,15 @@ impl ApiServer {
 
 /// Builds the store key for `(kind, namespace, name)`.
 pub fn object_key(kind: ResourceKind, namespace: &str, name: &str) -> String {
+    object_key_buf(kind, namespace, name).as_str().to_string()
+}
+
+/// [`object_key`] built on the stack, for a lookup.
+fn object_key_buf(kind: ResourceKind, namespace: &str, name: &str) -> KeyBuf {
     if kind.is_cluster_scoped() || namespace.is_empty() {
-        name.to_string()
+        KeyBuf::join(&[name])
     } else {
-        format!("{namespace}/{name}")
+        KeyBuf::join(&[namespace, "/", name])
     }
 }
 

@@ -59,9 +59,11 @@ impl<T: Eq + Hash + Clone> CoalesceCore<T> {
     /// what the caller must do with it.
     pub(crate) fn offer(&mut self, item: &T, generation: Option<u64>) -> Offer {
         if let Some(generation) = generation {
-            let slot = self.latest_gen.entry(item.clone()).or_insert(generation);
-            if generation > *slot {
-                *slot = generation;
+            match self.latest_gen.get_mut(item) {
+                Some(slot) => *slot = (*slot).max(generation),
+                None => {
+                    self.latest_gen.insert(item.clone(), generation);
+                }
             }
         }
         if self.dirty.contains(item) {

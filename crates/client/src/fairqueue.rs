@@ -32,6 +32,7 @@ use crate::coalesce::{CoalesceCore, Offer};
 use crate::workqueue::WorkSource;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
+use std::sync::Arc;
 use vc_api::metrics::Counter;
 use vc_sync::{Condvar, Mutex};
 
@@ -48,14 +49,18 @@ struct SubQueue<T> {
     in_ring: bool,
 }
 
+/// Tenant names are `Arc<str>`s, made once when a tenant registers (its
+/// sub-queue key) and shared by the ring and every item's tenant entry, so
+/// moving items and tenants through the queue copies no string.
 #[derive(Debug)]
 struct FqState<T> {
-    /// Tenant name -> sub-queue (fair mode).
-    subqueues: HashMap<String, SubQueue<T>>,
+    /// Tenant name -> sub-queue (fair mode; unfair mode keeps the entries
+    /// only as the tenants' names and weights).
+    subqueues: HashMap<Arc<str>, SubQueue<T>>,
     /// Active-tenant ring: tenants with non-empty, non-paused sub-queues,
     /// each at most once. The front tenant is served until its WRR credit
     /// runs out, then rotated to the back; a drained tenant just leaves.
-    ring: VecDeque<String>,
+    ring: VecDeque<Arc<str>>,
     /// Single shared FIFO (unfair mode).
     fifo: VecDeque<T>,
     /// Items in the sub-queues or the FIFO, kept so `len()` is O(1).
@@ -65,7 +70,7 @@ struct FqState<T> {
     core: CoalesceCore<T>,
     /// Tenant that last enqueued each in-flight item (for re-queue on
     /// `done`).
-    item_tenant: HashMap<T, String>,
+    item_tenant: HashMap<T, Arc<str>>,
     /// Tenants whose items are retained but not dispatched (circuit-breaker
     /// support): dequeue skips them until resumed.
     paused: HashSet<String>,
@@ -225,13 +230,15 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
             Offer::Deduped => self.deduped.inc(),
             Offer::Deferred => {
                 // Re-queued on done().
-                state.item_tenant.insert(item, tenant.to_string());
+                let tenant = Self::ensure_tenant(state, tenant);
+                state.item_tenant.insert(item, tenant);
                 self.adds.inc();
             }
             Offer::Enqueue => {
-                state.item_tenant.insert(item.clone(), tenant.to_string());
+                let tenant = Self::ensure_tenant(state, tenant);
+                state.item_tenant.insert(item.clone(), Arc::clone(&tenant));
                 self.adds.inc();
-                self.enqueue(state, tenant, item);
+                self.enqueue(state, &tenant, item);
                 self.cond.notify_one();
             }
         }
@@ -305,8 +312,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
     pub fn done(&self, item: &T) {
         let mut state = self.state.lock();
         if state.core.finish(item) {
-            let tenant =
-                state.item_tenant.get(item).cloned().unwrap_or_else(|| "unknown".to_string());
+            let tenant = state.item_tenant.get(item).cloned().unwrap_or_else(|| "unknown".into());
             self.enqueue(&mut state, &tenant, item.clone());
             self.cond.notify_one();
         } else {
@@ -345,18 +351,16 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         self.cond.notify_all();
     }
 
-    fn ensure_tenant(state: &mut FqState<T>, tenant: &str) {
-        if !state.subqueues.contains_key(tenant) {
-            state.subqueues.insert(
-                tenant.to_string(),
-                SubQueue {
-                    items: VecDeque::new(),
-                    weight: DEFAULT_WEIGHT,
-                    credit: 0,
-                    in_ring: false,
-                },
-            );
+    /// Registers `tenant` if unknown; returns its shared name.
+    fn ensure_tenant(state: &mut FqState<T>, tenant: &str) -> Arc<str> {
+        if let Some((name, _)) = state.subqueues.get_key_value(tenant) {
+            return Arc::clone(name);
         }
+        let name: Arc<str> = Arc::from(tenant);
+        let sq =
+            SubQueue { items: VecDeque::new(), weight: DEFAULT_WEIGHT, credit: 0, in_ring: false };
+        state.subqueues.insert(Arc::clone(&name), sq);
+        name
     }
 
     /// Gives `tenant` a ring slot if it has backlog, is not paused, and is
@@ -365,11 +369,11 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         if state.paused.contains(tenant) {
             return;
         }
-        if let Some(sq) = state.subqueues.get_mut(tenant) {
-            if !sq.in_ring && !sq.items.is_empty() {
-                sq.in_ring = true;
-                state.ring.push_back(tenant.to_string());
-            }
+        let Some((name, sq)) = state.subqueues.get_key_value(tenant) else { return };
+        if !sq.in_ring && !sq.items.is_empty() {
+            let name = Arc::clone(name);
+            state.subqueues.get_mut(tenant).expect("looked up above").in_ring = true;
+            state.ring.push_back(name);
         }
     }
 
@@ -379,7 +383,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
             if sq.in_ring {
                 sq.in_ring = false;
                 sq.credit = 0;
-                state.ring.retain(|t| t != tenant);
+                state.ring.retain(|t| &**t != tenant);
             }
         }
     }
@@ -397,18 +401,23 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
         if let Some(sq) = state.subqueues.remove(tenant) {
             state.pending -= sq.items.len();
         }
-        state.ring.retain(|t| t != tenant);
+        state.ring.retain(|t| &**t != tenant);
         state.defunct.remove(tenant);
     }
 
-    fn enqueue(&self, state: &mut FqState<T>, tenant: &str, item: T) {
+    fn enqueue(&self, state: &mut FqState<T>, tenant: &Arc<str>, item: T) {
         state.pending += 1;
-        if self.fair {
-            Self::ensure_tenant(state, tenant);
-            state.subqueues.get_mut(tenant).expect("registered").items.push_back(item);
-            Self::ring_insert(state, tenant);
-        } else {
+        if !self.fair {
             state.fifo.push_back(item);
+            return;
+        }
+        Self::ensure_tenant(state, tenant);
+        let sq = state.subqueues.get_mut(&**tenant).expect("registered");
+        sq.items.push_back(item);
+        // `ring_insert`, with the name already in hand.
+        if !sq.in_ring && !state.paused.contains(&**tenant) {
+            sq.in_ring = true;
+            state.ring.push_back(Arc::clone(tenant));
         }
     }
 
@@ -427,7 +436,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
             return state.fifo.pop_front();
         }
         let idx = state.fifo.iter().position(|item| {
-            state.item_tenant.get(item).is_none_or(|t| !state.paused.contains(t))
+            state.item_tenant.get(item).is_none_or(|t| !state.paused.contains(&**t))
         })?;
         state.fifo.remove(idx)
     }
@@ -439,7 +448,7 @@ impl<T: Eq + Hash + Clone> WeightedFairQueue<T> {
     /// them.
     fn dequeue_wrr(&self, state: &mut FqState<T>) -> Option<T> {
         while let Some(tenant) = state.ring.front().cloned() {
-            let paused = state.paused.contains(&tenant);
+            let paused = state.paused.contains(&*tenant);
             let Some(sq) = state.subqueues.get_mut(&tenant) else {
                 state.ring.pop_front();
                 continue;

@@ -34,27 +34,52 @@ use vc_store::{EventType, RecvOutcome, WatchStream};
 /// without a single copy. Handlers that need an owned object clone it
 /// explicitly (or `try_into()` a typed value); everything else reads
 /// through the shared pointer.
+///
+/// Each event also carries the object's key, the very `Arc<str>` the
+/// [`Cache`] holds it under: made once, when the key first entered the
+/// cache, and shared from there (a handler keeps it by cloning the `Arc`).
 #[derive(Debug, Clone)]
 pub enum InformerEvent {
     /// Object appeared (initial list or watch add).
-    Added(Arc<Object>),
+    Added {
+        /// The object's cache key.
+        key: Arc<str>,
+        /// The object.
+        object: Arc<Object>,
+    },
     /// Object changed.
     Updated {
+        /// The object's cache key.
+        key: Arc<str>,
         /// Previous cached state.
         old: Arc<Object>,
         /// New state.
         new: Arc<Object>,
     },
     /// Object disappeared (carries the last known state).
-    Deleted(Arc<Object>),
+    Deleted {
+        /// The object's cache key.
+        key: Arc<str>,
+        /// The last known state.
+        object: Arc<Object>,
+    },
 }
 
 impl InformerEvent {
     /// The object the event is about (new state where applicable).
     pub fn object(&self) -> &Arc<Object> {
         match self {
-            InformerEvent::Added(o) | InformerEvent::Deleted(o) => o,
+            InformerEvent::Added { object, .. } | InformerEvent::Deleted { object, .. } => object,
             InformerEvent::Updated { new, .. } => new,
+        }
+    }
+
+    /// The object's key (`namespace/name`, or `name` when cluster-scoped).
+    pub fn key(&self) -> &Arc<str> {
+        match self {
+            InformerEvent::Added { key, .. }
+            | InformerEvent::Updated { key, .. }
+            | InformerEvent::Deleted { key, .. } => key,
         }
     }
 }
@@ -81,7 +106,9 @@ pub type EventHandler = Box<dyn Fn(&InformerEvent) + Send + Sync>;
 /// than re-serializing the displaced object too.
 #[derive(Debug, Default)]
 pub struct Cache {
-    objects: RwLock<HashMap<String, CacheEntry>>,
+    /// Keyed by `Arc<str>`: an entry's key is made once, when it first
+    /// enters, and every later event for it shares that key.
+    objects: RwLock<HashMap<Arc<str>, CacheEntry>>,
     /// Estimated serialized bytes of the cached objects (Fig 10 memory
     /// accounting).
     pub bytes: Gauge,
@@ -132,14 +159,26 @@ impl Cache {
             .collect()
     }
 
-    /// All cached keys.
-    pub fn keys(&self) -> Vec<String> {
+    /// The cache's own shared key for `key`, if it holds the object: the
+    /// `Arc<str>` every event about the object carried, found without
+    /// allocating.
+    pub fn shared_key(&self, key: &str) -> Option<Arc<str>> {
+        self.objects.read().get_key_value(key).map(|(key, _)| Arc::clone(key))
+    }
+
+    /// All cached keys (shared, not copied).
+    pub fn keys(&self) -> Vec<Arc<str>> {
         self.objects.read().keys().cloned().collect()
+    }
+
+    /// Every cached `(key, object)` pair (shared aliases).
+    fn entries(&self) -> Vec<(Arc<str>, Arc<Object>)> {
+        self.objects.read().iter().map(|(k, e)| (Arc::clone(k), Arc::clone(&e.object))).collect()
     }
 
     /// All cached keys in sorted order (the incremental scanner's cold
     /// sweep pages through these).
-    pub fn sorted_keys(&self) -> Vec<String> {
+    pub fn sorted_keys(&self) -> Vec<Arc<str>> {
         let mut keys = self.keys();
         keys.sort_unstable();
         keys
@@ -165,20 +204,36 @@ impl Cache {
     /// Inserts an already-shared object without copying it — the watch
     /// dispatch path, where the `Arc` originates in the store.
     pub fn insert_arc(&self, obj: Arc<Object>) -> Option<Arc<Object>> {
+        self.put(obj).1
+    }
+
+    /// [`Cache::insert_arc`] that also returns the key the object is
+    /// cached under: the entry's own key when the object replaces one (no
+    /// allocation), a key made here when it is new.
+    fn put(&self, obj: Arc<Object>) -> (Arc<str>, Option<Arc<Object>>) {
         let size = obj.estimated_size();
-        let old = self.objects.write().insert(obj.key(), CacheEntry { object: obj, size });
+        let mut objects = self.objects.write();
+        let key = match objects.get_key_value(&*obj.meta().full_name_buf()) {
+            Some((key, _)) => Arc::clone(key),
+            None => obj.meta().shared_key(),
+        };
+        let old = objects.insert(Arc::clone(&key), CacheEntry { object: obj, size });
+        drop(objects);
         let old_size = old.as_ref().map_or(0, |e| e.size as i64);
         self.bytes.add(size as i64 - old_size);
-        old.map(|e| e.object)
+        (key, old.map(|e| e.object))
     }
 
     /// Removes an object by key, returning it. See [`Cache::insert`].
     pub fn remove(&self, key: &str) -> Option<Arc<Object>> {
-        let old = self.objects.write().remove(key);
-        if let Some(e) = &old {
-            self.bytes.add(-(e.size as i64));
-        }
-        old.map(|e| e.object)
+        self.remove_entry(key).map(|(_, object)| object)
+    }
+
+    /// [`Cache::remove`] that also hands back the entry's key.
+    fn remove_entry(&self, key: &str) -> Option<(Arc<str>, Arc<Object>)> {
+        let (key, old) = self.objects.write().remove_entry(key)?;
+        self.bytes.add(-(old.size as i64));
+        Some((key, old.object))
     }
 }
 
@@ -333,8 +388,8 @@ impl SharedInformer {
     /// during its replay.
     pub fn add_handler(&self, handler: EventHandler) {
         let _turn = self.reflector.lock();
-        for object in self.cache.list() {
-            handler(&InformerEvent::Added(object));
+        for (key, object) in self.cache.entries() {
+            handler(&InformerEvent::Added { key, object });
         }
         self.handlers.write().push(handler);
     }
@@ -503,40 +558,45 @@ impl SharedInformer {
         let fresh: HashMap<String, Arc<Object>> = items.into_iter().map(|o| (o.key(), o)).collect();
         // Deletions first.
         for key in self.cache.keys() {
-            if !fresh.contains_key(&key) {
-                if let Some(old) = self.cache.remove(&key) {
+            if !fresh.contains_key(&*key) {
+                if let Some((key, object)) = self.cache.remove_entry(&key) {
                     self.events_applied.inc();
-                    self.dispatch(&InformerEvent::Deleted(old));
+                    self.dispatch(&InformerEvent::Deleted { key, object });
                 }
             }
         }
         for (_key, obj) in fresh {
-            let old = self.cache.insert_arc(Arc::clone(&obj));
+            let (key, old) = self.cache.put(Arc::clone(&obj));
             self.events_applied.inc();
             match old {
-                None => self.dispatch(&InformerEvent::Added(obj)),
+                None => self.dispatch(&InformerEvent::Added { key, object: obj }),
                 Some(old) if old.meta().resource_version != obj.meta().resource_version => {
-                    self.dispatch(&InformerEvent::Updated { old, new: obj })
+                    self.dispatch(&InformerEvent::Updated { key, old, new: obj })
                 }
                 Some(_) => {} // unchanged across relist: no event
             }
         }
     }
 
+    /// Applies one watch event to the cache and the handlers. The event's
+    /// key is found or made here, once: handlers read it off the event.
     fn apply(&self, event_type: EventType, obj: Arc<Object>) {
         self.events_applied.inc();
         match event_type {
             EventType::Added | EventType::Modified => {
-                let old = self.cache.insert_arc(Arc::clone(&obj));
+                let (key, old) = self.cache.put(Arc::clone(&obj));
                 match old {
-                    None => self.dispatch(&InformerEvent::Added(obj)),
-                    Some(old) => self.dispatch(&InformerEvent::Updated { old, new: obj }),
+                    None => self.dispatch(&InformerEvent::Added { key, object: obj }),
+                    Some(old) => self.dispatch(&InformerEvent::Updated { key, old, new: obj }),
                 }
             }
             EventType::Deleted => {
-                let key = obj.key();
-                let last = self.cache.remove(&key).unwrap_or(obj);
-                self.dispatch(&InformerEvent::Deleted(last));
+                let removed = self.cache.remove_entry(&obj.meta().full_name_buf());
+                let event = match removed {
+                    Some((key, object)) => InformerEvent::Deleted { key, object },
+                    None => InformerEvent::Deleted { key: obj.meta().shared_key(), object: obj },
+                };
+                self.dispatch(&event);
             }
         }
     }
@@ -624,10 +684,12 @@ mod tests {
         let events: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&events);
         informer.add_handler(Box::new(move |ev| {
+            // The event's key is the object's.
+            assert_eq!(**ev.key(), ev.object().key());
             let tag = match ev {
-                InformerEvent::Added(o) => format!("add:{}", o.key()),
-                InformerEvent::Updated { new, .. } => format!("upd:{}", new.key()),
-                InformerEvent::Deleted(o) => format!("del:{}", o.key()),
+                InformerEvent::Added { key, .. } => format!("add:{key}"),
+                InformerEvent::Updated { key, .. } => format!("upd:{key}"),
+                InformerEvent::Deleted { key, .. } => format!("del:{key}"),
             };
             sink.lock().push(tag);
         }));
@@ -666,7 +728,7 @@ mod tests {
         let added: Arc<Mutex<Option<Arc<Object>>>> = Arc::default();
         let sink = Arc::clone(&added);
         informer.add_handler(Box::new(move |ev| {
-            if let InformerEvent::Added(o) = ev {
+            if let InformerEvent::Added { object: o, .. } = ev {
                 *sink.lock() = Some(Arc::clone(o));
             }
         }));
@@ -942,8 +1004,8 @@ mod tests {
             let mut seen = seen.lock();
             let key = event.object().key();
             match event {
-                InformerEvent::Added(_) => *seen.added.entry(key).or_default() += 1,
-                InformerEvent::Updated { .. } | InformerEvent::Deleted(_) => {
+                InformerEvent::Added { .. } => *seen.added.entry(key).or_default() += 1,
+                InformerEvent::Updated { .. } | InformerEvent::Deleted { .. } => {
                     if !seen.added.contains_key(&key) {
                         seen.out_of_order.push(key);
                     }

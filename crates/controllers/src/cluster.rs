@@ -301,9 +301,10 @@ impl Cluster {
         // A pod bound to the node before the insert above (replayed to the
         // router, or bound as soon as the node registered) was routed to no
         // kubelet.
-        for obj in informer.cache().list() {
-            if obj.as_pod().is_some_and(|pod| pod.spec.node_name == kubelet.node_name()) {
-                kubelet.observe(&InformerEvent::Added(obj));
+        for key in informer.cache().keys() {
+            let Some(object) = informer.cache().get(&key) else { continue };
+            if object.as_pod().is_some_and(|pod| pod.spec.node_name == kubelet.node_name()) {
+                kubelet.observe(&InformerEvent::Added { key, object });
             }
         }
         self.handles.lock().push(handle);

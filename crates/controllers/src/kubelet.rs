@@ -100,7 +100,8 @@ pub struct Kubelet {
     config: KubeletConfig,
     client: Client,
     mode: KubeletMode,
-    queue: Arc<WorkQueue<String>>,
+    /// Pod keys, shared with the informer's cache (no copy per event).
+    queue: Arc<WorkQueue<Arc<str>>>,
     pod_cache: Arc<Cache>,
     /// Pods this kubelet runs: pod key -> (runtime used, sandbox), `None`
     /// for a mock pod.
@@ -169,12 +170,12 @@ impl Kubelet {
     /// informer gets every event; the check here drops the others.
     pub fn observe(&self, event: &InformerEvent) {
         self.pod_events.inc();
-        let obj = event.object();
+        let (obj, key) = (event.object(), event.key());
         let Some(pod) = obj.as_pod() else { return };
         let mine = pod.spec.node_name == self.config.node_name;
         // Also react to deletions of pods we hosted.
-        if mine || self.hosted.lock().contains_key(&obj.key()) {
-            self.queue.add(obj.key());
+        if mine || self.hosted.lock().contains_key(&**key) {
+            self.queue.add(Arc::clone(key));
         }
     }
 

@@ -41,7 +41,9 @@ pub fn start(client: Client, informers: &Informers) -> (ControllerHandle, Arc<Na
     {
         let queue = Arc::clone(&queue);
         informers.get(ResourceKind::Namespace).add_handler(Box::new(move |event| {
-            if let InformerEvent::Added(obj) | InformerEvent::Updated { new: obj, .. } = event {
+            if let InformerEvent::Added { object: obj, .. }
+            | InformerEvent::Updated { new: obj, .. } = event
+            {
                 if obj.meta().is_terminating() {
                     queue.add(obj.meta().name.clone());
                 }

@@ -93,7 +93,7 @@ pub fn start(
     let mut handle = ControllerHandle::new("scheduler");
     let metrics = Arc::new(SchedulerMetrics::default());
     let state = Arc::new(Mutex::new(SchedulerState::default()));
-    let queue: Arc<WorkQueue<String>> = Arc::new(WorkQueue::new());
+    let queue: Arc<WorkQueue<Arc<str>>> = Arc::new(WorkQueue::new());
 
     // The node informer maintains the allocatable map. New capacity
     // requeues nothing: unschedulable pods retry on their backoff.
@@ -102,13 +102,14 @@ pub fn start(
         informers.get(ResourceKind::Node).add_handler(Box::new(move |event| {
             let mut state = state.lock();
             match event {
-                InformerEvent::Added(obj) | InformerEvent::Updated { new: obj, .. } => {
+                InformerEvent::Added { object: obj, .. }
+                | InformerEvent::Updated { new: obj, .. } => {
                     if let Some(node) = obj.as_node() {
                         state.nodes.entry(node.meta.name.clone()).or_default().node =
                             Some(node.clone());
                     }
                 }
-                InformerEvent::Deleted(obj) => {
+                InformerEvent::Deleted { object: obj, .. } => {
                     state.nodes.remove(&obj.meta().name);
                 }
             }
@@ -121,18 +122,18 @@ pub fn start(
         let state = Arc::clone(&state);
         let queue = Arc::clone(&queue);
         pod_informer.add_handler(Box::new(move |event| match event {
-            InformerEvent::Added(obj) | InformerEvent::Updated { new: obj, .. } => {
+            InformerEvent::Added { key, object: obj }
+            | InformerEvent::Updated { key, new: obj, .. } => {
                 let Some(pod) = obj.as_pod() else { return };
-                let key = obj.key();
                 if pod.spec.is_bound() {
-                    record_assignment(&mut state.lock(), &key, pod);
+                    record_assignment(&mut state.lock(), key, pod);
                 } else if needs_scheduling(pod) {
-                    queue.add(key);
+                    queue.add(Arc::clone(key));
                 }
             }
-            InformerEvent::Deleted(obj) => {
+            InformerEvent::Deleted { key, object: obj } => {
                 if obj.as_pod().is_some() {
-                    release_assignment(&mut state.lock(), &obj.key());
+                    release_assignment(&mut state.lock(), key);
                 }
             }
         }));
@@ -183,13 +184,13 @@ fn release_assignment(state: &mut SchedulerState, key: &str) {
 }
 
 fn schedule_one(
-    key: &str,
+    key: &Arc<str>,
     client: &Client,
     pod_cache: &vc_client::Cache,
     state: &Arc<Mutex<SchedulerState>>,
     config: &SchedulerConfig,
     metrics: &SchedulerMetrics,
-    queue: &Arc<WorkQueue<String>>,
+    queue: &Arc<WorkQueue<Arc<str>>>,
 ) {
     let Some(obj) = pod_cache.get(key) else { return };
     let Some(pod) = obj.as_pod() else { return };
@@ -216,8 +217,8 @@ fn schedule_one(
     };
 
     let Some(node_name) = chosen else {
-        metrics.unschedulable.inc();
-        // Record the condition once, then retry with backoff.
+        // Record the condition once, then retry with backoff. Counted after
+        // the write, so whoever sees the count can read the condition.
         let mut updated = pod.clone();
         updated.status.set_condition(
             PodConditionType::PodScheduled,
@@ -226,7 +227,8 @@ fn schedule_one(
             now(client),
         );
         let _ = client.update(updated.into());
-        queue.add_after(key.to_string(), UNSCHEDULABLE_BACKOFF);
+        metrics.unschedulable.inc();
+        queue.add_after(Arc::clone(key), UNSCHEDULABLE_BACKOFF);
         return;
     };
 
@@ -251,7 +253,7 @@ fn schedule_one(
             release_assignment(&mut state.lock(), key);
             if !err.is_not_found() {
                 metrics.bind_errors.inc();
-                queue.add(key.to_string());
+                queue.add(Arc::clone(key));
             }
         }
     }

@@ -70,8 +70,7 @@ pub fn start(
         pod_informer.add_handler(Box::new(move |event| {
             // A pod change may affect any selector service in its
             // namespace.
-            let ns = event.object().meta().namespace.clone();
-            for svc in service_cache.list_namespace(&ns) {
+            for svc in service_cache.list_namespace(&event.object().meta().namespace) {
                 if let Some(service) = svc.as_service() {
                     if !service.spec.selector.is_empty() {
                         queue.add(svc.key());

@@ -68,7 +68,7 @@ pub fn start(client: Client, informers: &Informers) -> (ControllerHandle, Arc<Wo
             if let Some(owner) = obj.meta().controller_owner() {
                 if owner.kind == "ReplicaSet" {
                     let rs_key = format!("{}/{}", obj.meta().namespace, owner.name);
-                    if matches!(event, InformerEvent::Added(_)) {
+                    if matches!(event, InformerEvent::Added { .. }) {
                         let mut exp = expectations.lock();
                         if let Some(pending) = exp.get_mut(&rs_key) {
                             *pending = (*pending - 1).max(0);

@@ -6,7 +6,7 @@
 //! VC's object name and a short hash of the object's UID." (paper
 //! §III-B(2)).
 
-use vc_api::meta::Uid;
+use vc_api::meta::{KeyBuf, Uid};
 use vc_api::object::Object;
 use vc_api::sha256::sha256_hex;
 
@@ -32,7 +32,12 @@ pub fn tenant_ns_to_super(prefix: &str, tenant_ns: &str) -> String {
 /// Maps a super-cluster namespace back to the tenant namespace, if it
 /// carries this tenant's prefix.
 pub fn super_ns_to_tenant(prefix: &str, super_ns: &str) -> Option<String> {
-    super_ns.strip_prefix(prefix)?.strip_prefix('-').map(str::to_string)
+    strip_prefix(prefix, super_ns).map(str::to_string)
+}
+
+/// [`super_ns_to_tenant`], borrowed from `super_ns`.
+fn strip_prefix<'a>(prefix: &str, super_ns: &'a str) -> Option<&'a str> {
+    super_ns.strip_prefix(prefix)?.strip_prefix('-')
 }
 
 /// Converts a tenant object into its super-cluster representation:
@@ -119,16 +124,42 @@ pub fn super_key_to_tenant(
     kind: vc_api::ResourceKind,
     super_key: &str,
 ) -> Option<String> {
+    tenant_key_buf(prefix, kind, super_key).map(|key| key.to_string())
+}
+
+/// [`super_key_to_tenant`] built on the stack: the lookup form, at no
+/// allocation.
+pub(crate) fn tenant_key_buf(
+    prefix: &str,
+    kind: vc_api::ResourceKind,
+    super_key: &str,
+) -> Option<KeyBuf> {
     if kind.is_cluster_scoped() {
         // Namespaces were renamed; other cluster-scoped kinds keep names.
         if kind == vc_api::ResourceKind::Namespace {
-            return super_ns_to_tenant(prefix, super_key);
+            return strip_prefix(prefix, super_key).map(|ns| KeyBuf::join(&[ns]));
         }
-        return Some(super_key.to_string());
+        return Some(KeyBuf::join(&[super_key]));
     }
     let (ns, name) = super_key.split_once('/')?;
-    let tenant_ns = super_ns_to_tenant(prefix, ns)?;
-    Some(format!("{tenant_ns}/{name}"))
+    Some(KeyBuf::join(&[strip_prefix(prefix, ns)?, "/", name]))
+}
+
+/// The super-cluster key of the tenant-side `tenant_key` (the inverse of
+/// [`tenant_key_buf`]), built on the stack.
+pub(crate) fn super_key_buf(
+    prefix: &str,
+    kind: vc_api::ResourceKind,
+    tenant_key: &str,
+) -> Option<KeyBuf> {
+    if kind.is_cluster_scoped() {
+        if kind == vc_api::ResourceKind::Namespace {
+            return Some(KeyBuf::join(&[prefix, "-", tenant_key]));
+        }
+        return Some(KeyBuf::join(&[tenant_key]));
+    }
+    let (ns, name) = tenant_key.split_once('/')?;
+    Some(KeyBuf::join(&[prefix, "-", ns, "/", name]))
 }
 
 #[cfg(test)]

@@ -9,7 +9,11 @@
 use super::{Syncer, TenantState, WorkItem};
 use crate::mapping;
 use vc_api::error::ApiError;
+use vc_api::meta::ObjectMeta;
 use vc_api::object::{Object, ResourceKind};
+use vc_api::pod::PodSpec;
+use vc_api::service::ServiceSpec;
+use vc_api::storage::PersistentVolumeClaim;
 use vc_api::ApiResult;
 
 /// Reconciles one downward work item.
@@ -45,7 +49,7 @@ pub(crate) fn in_sync(
     }
     let Some(super_cache) = syncer.super_cache(kind) else { return true };
     let desired = mapping::to_super(tenant_obj, &tenant.handle.name, &tenant.handle.prefix);
-    match super_cache.get(&desired.key()) {
+    match super_cache.get(&desired.meta().full_name_buf()) {
         None => tenant_obj.meta().is_terminating(),
         Some(existing) => equivalent(&desired, &existing),
     }
@@ -79,7 +83,7 @@ fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenan
         None => return,
     };
 
-    match super_cache.get(&desired.key()) {
+    match super_cache.get(&desired.meta().full_name_buf()) {
         None => {
             // Create path. The super copy might exist but not yet be in
             // our cache; AlreadyExists then routes to the update path via
@@ -121,7 +125,7 @@ fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenan
             }
         }
         Some(existing) => {
-            if mapping::owner_cluster(&existing) != Some(tenant.handle.name.as_str()) {
+            if mapping::owner_cluster(&existing) != Some(&*tenant.name) {
                 // A foreign object occupies our key — cannot happen with
                 // healthy prefixes; leave it alone.
                 return;
@@ -254,19 +258,103 @@ fn merge_super_managed(desired: &mut Object, existing: &Object) {
 }
 
 /// Equivalence for "does the super copy match the tenant intent":
-/// desired-state equality with super-managed fields normalized.
+/// desired-state equality with the super-managed fields of
+/// [`merge_super_managed`] taken from `existing`. Compared in place, field
+/// by field, instead of merging into a copy of `desired`: it runs on every
+/// downward reconcile that finds the super copy. The destructuring makes a
+/// new field a compile error here rather than a silently ignored one.
 pub(crate) fn equivalent(desired: &Object, existing: &Object) -> bool {
-    let mut d = desired.clone();
-    merge_super_managed(&mut d, existing);
-    d.same_desired_state(existing)
+    match (desired, existing) {
+        (Object::Pod(d), Object::Pod(e)) => {
+            // Binding and status are the super cluster's.
+            let PodSpec {
+                init_containers,
+                containers,
+                node_name: _,
+                node_selector,
+                affinity,
+                tolerations,
+                service_account_name,
+                runtime_class,
+                secret_names,
+                config_map_names,
+                volume_claim_names,
+                host_paths,
+                host_network,
+                host_pid,
+            } = &d.spec;
+            let s = &e.spec;
+            d.meta.same_desired_state(&e.meta)
+                && *init_containers == s.init_containers
+                && *containers == s.containers
+                && *node_selector == s.node_selector
+                && *affinity == s.affinity
+                && *tolerations == s.tolerations
+                && *service_account_name == s.service_account_name
+                && *runtime_class == s.runtime_class
+                && *secret_names == s.secret_names
+                && *config_map_names == s.config_map_names
+                && *volume_claim_names == s.volume_claim_names
+                && *host_paths == s.host_paths
+                && *host_network == s.host_network
+                && *host_pid == s.host_pid
+        }
+        (Object::Service(d), Object::Service(e)) => {
+            // Status is the super cluster's, and so is the cluster IP
+            // unless the tenant asked for one.
+            let ServiceSpec { service_type, selector, cluster_ip, ports } = &d.spec;
+            d.meta.same_desired_state(&e.meta)
+                && *service_type == e.spec.service_type
+                && *selector == e.spec.selector
+                && (cluster_ip.is_empty() || *cluster_ip == e.spec.cluster_ip)
+                && *ports == e.spec.ports
+        }
+        (Object::Namespace(d), Object::Namespace(e)) => {
+            // Finalizers and phase are the super cluster's.
+            let ObjectMeta {
+                name,
+                namespace,
+                uid: _,
+                resource_version: _,
+                generation: _,
+                creation_timestamp: _,
+                deletion_timestamp,
+                labels,
+                annotations,
+                owner_references,
+                finalizers: _,
+            } = &d.meta;
+            *name == e.meta.name
+                && *namespace == e.meta.namespace
+                && *deletion_timestamp == e.meta.deletion_timestamp
+                && *labels == e.meta.labels
+                && *annotations == e.meta.annotations
+                && *owner_references == e.meta.owner_references
+        }
+        (Object::PersistentVolumeClaim(d), Object::PersistentVolumeClaim(e)) => {
+            // Claim binding is the super cluster's volume binder's.
+            let PersistentVolumeClaim {
+                meta,
+                requested,
+                access_mode,
+                storage_class,
+                phase: _,
+                volume_name: _,
+            } = d;
+            meta.same_desired_state(&e.meta)
+                && *requested == e.requested
+                && *access_mode == e.access_mode
+                && *storage_class == e.storage_class
+        }
+        _ => desired.same_desired_state(existing),
+    }
 }
 
 fn delete_from_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem) {
     let Some(super_cache) = syncer.super_cache(item.kind) else { return };
-    // Map the tenant key to the super key by converting a shell object.
-    let super_key = match super_key_for(tenant, item.kind, &item.key) {
-        Some(key) => key,
-        None => return,
+    let Some(super_key) = mapping::super_key_buf(&tenant.handle.prefix, item.kind, &item.key)
+    else {
+        return;
     };
     let Some(existing) = super_cache.get(&super_key) else {
         // Nothing to delete: the reconcile succeeded vacuously. This also
@@ -277,7 +365,7 @@ fn delete_from_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem) {
         syncer.forget_retries(item);
         return;
     };
-    if mapping::owner_cluster(&existing) != Some(tenant.handle.name.as_str()) {
+    if mapping::owner_cluster(&existing) != Some(&*tenant.name) {
         return; // never delete objects we do not own
     }
     let meta = existing.meta();
@@ -292,19 +380,157 @@ fn delete_from_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem) {
     }
 }
 
-/// Computes the super-cluster key for a tenant-side key.
-pub(crate) fn super_key_for(
-    tenant: &TenantState,
-    kind: ResourceKind,
-    tenant_key: &str,
-) -> Option<String> {
-    let prefix = &tenant.handle.prefix;
-    if kind.is_cluster_scoped() {
-        if kind == ResourceKind::Namespace {
-            return Some(mapping::tenant_ns_to_super(prefix, tenant_key));
-        }
-        return Some(tenant_key.to_string());
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vc_api::namespace::{Namespace, NamespacePhase};
+    use vc_api::pod::{Container, Pod, PodPhase};
+    use vc_api::quantity::Quantity;
+    use vc_api::service::Service;
+    use vc_api::storage::VolumePhase;
+
+    /// The definition `equivalent` replaced: merge the super-managed
+    /// fields into a copy of `desired`, then compare desired states.
+    fn equivalent_by_copy(desired: &Object, existing: &Object) -> bool {
+        let mut d = desired.clone();
+        merge_super_managed(&mut d, existing);
+        d.same_desired_state(existing)
     }
-    let (ns, name) = tenant_key.split_once('/')?;
-    Some(format!("{}/{}", mapping::tenant_ns_to_super(prefix, ns), name))
+
+    type Edit = fn(&mut Object);
+
+    fn pod(o: &mut Object) -> &mut Pod {
+        match o {
+            Object::Pod(p) => p,
+            _ => unreachable!(),
+        }
+    }
+
+    fn service(o: &mut Object) -> &mut Service {
+        match o {
+            Object::Service(s) => s,
+            _ => unreachable!(),
+        }
+    }
+
+    fn namespace(o: &mut Object) -> &mut Namespace {
+        match o {
+            Object::Namespace(n) => n,
+            _ => unreachable!(),
+        }
+    }
+
+    fn claim(o: &mut Object) -> &mut PersistentVolumeClaim {
+        match o {
+            Object::PersistentVolumeClaim(c) => c,
+            _ => unreachable!(),
+        }
+    }
+
+    /// For each kind with super-managed fields, each of those fields and a
+    /// few the tenant owns, perturbed in the desired copy, the existing
+    /// copy or both (and not at all): the in-place comparison agrees with
+    /// the merged-copy one.
+    #[test]
+    fn equivalent_agrees_with_the_merged_copy_comparison() {
+        let base_pod: Object =
+            Pod::new("t-abc-default", "web").with_container(Container::new("c", "nginx")).into();
+        let mut base_service = Service::new("t-abc-default", "svc");
+        base_service.spec.cluster_ip = "10.0.0.7".into();
+        let base_claim: Object =
+            PersistentVolumeClaim::new("t-abc-default", "data", Quantity::from_whole(1)).into();
+        let cases: Vec<(Object, Vec<Edit>)> = vec![
+            (
+                base_pod,
+                vec![
+                    |o| pod(o).spec.node_name = "node-1".into(),
+                    |o| pod(o).spec.node_name = "node-2".into(),
+                    |o| pod(o).status.phase = PodPhase::Running,
+                    |o| pod(o).status.pod_ip = "10.1.0.9".into(),
+                    |o| pod(o).spec.containers[0].image = "nginx:2".into(),
+                    |o| pod(o).spec.host_network = true,
+                    |o| pod(o).meta.resource_version = 42,
+                    |o| {
+                        pod(o).meta.labels.insert("app".into(), "web".into());
+                    },
+                ],
+            ),
+            (
+                base_service.into(),
+                vec![
+                    |o| service(o).status.load_balancer_ip = "1.2.3.4".into(),
+                    |o| service(o).spec.cluster_ip = String::new(),
+                    |o| service(o).spec.cluster_ip = "10.0.0.8".into(),
+                    |o| {
+                        service(o).spec.selector.insert("app".into(), "web".into());
+                    },
+                    |o| {
+                        service(o).meta.annotations.insert("a".into(), "b".into());
+                    },
+                ],
+            ),
+            (
+                Namespace::new("t-abc-default").into(),
+                vec![
+                    |o| namespace(o).meta.finalizers.push("kubernetes".into()),
+                    |o| namespace(o).phase = NamespacePhase::Terminating,
+                    |o| namespace(o).meta.uid = vc_api::meta::Uid::generate(),
+                    |o| {
+                        namespace(o).meta.labels.insert("team".into(), "a".into());
+                    },
+                ],
+            ),
+            (
+                base_claim,
+                vec![
+                    |o| claim(o).phase = VolumePhase::Bound,
+                    |o| claim(o).volume_name = "pv-1".into(),
+                    |o| claim(o).storage_class = "fast".into(),
+                    |o| claim(o).requested = Quantity::from_whole(2),
+                ],
+            ),
+        ];
+        let (mut equal, mut unequal) = (0, 0);
+        for (base, edits) in &cases {
+            let mut variants = vec![(base.clone(), base.clone())];
+            for edit in edits {
+                for (on_desired, on_existing) in [(true, false), (false, true), (true, true)] {
+                    let (mut desired, mut existing) = (base.clone(), base.clone());
+                    if on_desired {
+                        edit(&mut desired);
+                    }
+                    if on_existing {
+                        edit(&mut existing);
+                    }
+                    variants.push((desired, existing));
+                }
+            }
+            // Every pair of single edits, one on each side.
+            for first in edits {
+                for second in edits {
+                    let (mut desired, mut existing) = (base.clone(), base.clone());
+                    first(&mut desired);
+                    second(&mut existing);
+                    variants.push((desired, existing));
+                }
+            }
+            for (desired, existing) in &variants {
+                let expected = equivalent_by_copy(desired, existing);
+                assert_eq!(
+                    equivalent(desired, existing),
+                    expected,
+                    "desired {desired:?}\nexisting {existing:?}"
+                );
+                if expected {
+                    equal += 1;
+                } else {
+                    unequal += 1;
+                }
+            }
+        }
+        assert!(equal > 0 && unequal > 0, "the table covers both outcomes");
+        // A pair of different kinds is never equivalent.
+        let (a, b) = (&cases[0].0, &cases[2].0);
+        assert_eq!(equivalent(a, b), equivalent_by_copy(a, b));
+    }
 }

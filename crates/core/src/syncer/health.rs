@@ -181,7 +181,7 @@ impl Health {
     fn take_parked(&self, tenant: &str) -> Vec<WorkItem> {
         let mut parked = self.parked.lock();
         let (mine, rest): (HashSet<_>, HashSet<_>) =
-            parked.drain().partition(|i| i.tenant == tenant);
+            parked.drain().partition(|i| &*i.tenant == tenant);
         *parked = rest;
         mine.into_iter().collect()
     }
@@ -193,7 +193,7 @@ impl Health {
 
     /// Drops the tenant's parked upward items.
     pub(super) fn forget_parked(&self, tenant: &str) {
-        self.parked.lock().retain(|i| i.tenant != tenant);
+        self.parked.lock().retain(|i| &*i.tenant != tenant);
     }
 
     /// Stops the probe timer.

@@ -55,15 +55,19 @@ pub use metrics::{SyncerCounters, SyncerMetrics};
 /// One unit of synchronization work.
 ///
 /// For downward items `key` is the tenant-side object key; for upward items
-/// it is the super-cluster key.
+/// it is the super-cluster key. Both strings are shared, not owned: the
+/// tenant name is the one [`TenantState::name`] minted at registration and
+/// the key is the informer's (DESIGN.md §11A.9), so cloning an item — into
+/// the queues' dedup sets, the scanner's dirty set, a retry — only bumps
+/// two reference counts.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WorkItem {
     /// Owning tenant (VC name).
-    pub tenant: String,
+    pub tenant: Arc<str>,
     /// Resource kind.
     pub kind: ResourceKind,
     /// Object key.
-    pub key: String,
+    pub key: Arc<str>,
 }
 
 /// Syncer configuration.
@@ -175,6 +179,9 @@ pub const UPWARD_KINDS: [ResourceKind; 6] = [
 
 /// Per-tenant syncer state.
 pub struct TenantState {
+    /// The tenant's name, minted once at registration; every work item,
+    /// handler and index entry of the tenant shares it.
+    pub name: Arc<str>,
     /// Registry handle (control plane, prefix, weight, cert).
     pub handle: Arc<TenantHandle>,
     /// Tenant-side informers per downward kind, plus the CRD informer
@@ -190,6 +197,15 @@ impl TenantState {
     pub fn cache(&self, kind: ResourceKind) -> &Arc<vc_client::Cache> {
         self.informers.get(&kind).map(|i| i.cache()).expect("downward kind informer")
     }
+
+    /// Maps a super key of `kind` back to this tenant's key: the tenant
+    /// cache's own shared key when it holds the object (no allocation),
+    /// else a new one. `None` for keys outside the tenant's prefix.
+    pub(crate) fn tenant_key(&self, kind: ResourceKind, super_key: &str) -> Option<Arc<str>> {
+        let key = mapping::tenant_key_buf(&self.handle.prefix, kind, super_key)?;
+        let cached = self.informers.get(&kind).and_then(|i| i.cache().shared_key(&key));
+        Some(cached.unwrap_or_else(|| key.as_str().into()))
+    }
 }
 
 /// The centralized resource syncer.
@@ -197,20 +213,20 @@ pub struct Syncer {
     pub(crate) config: SyncerConfig,
     pub(crate) super_client: Client,
     pub(crate) super_informers: HashMap<ResourceKind, Arc<SharedInformer>>,
-    pub(crate) tenants: RwLock<HashMap<String, Arc<TenantState>>>,
+    pub(crate) tenants: RwLock<HashMap<Arc<str>, Arc<TenantState>>>,
     /// Namespace prefix → tenant name, maintained alongside `tenants`.
     /// Super-cluster objects without an owner annotation (events,
     /// endpoints, PVs) resolve their tenant through this index in
     /// O(dashes-in-namespace) hash lookups instead of a scan over every
     /// registered tenant per super event.
-    prefix_index: RwLock<HashMap<String, String>>,
+    prefix_index: RwLock<HashMap<String, Arc<str>>>,
     pub(crate) downward: Arc<WeightedFairQueue<WorkItem>>,
     pub(crate) upward: Arc<WorkQueue<WorkItem>>,
     /// Super-side pod deletions awaiting upward processing: key → the
     /// tenant uid the deleted copy mirrored (`None` if it carried none).
     /// The upward worker that propagates a deletion consumes its entry;
     /// without one an absent super pod is not a reason to delete anything.
-    pub(crate) recent_super_deletions: Mutex<HashMap<String, Option<String>>>,
+    pub(crate) recent_super_deletions: Mutex<HashMap<Arc<str>, Option<String>>>,
     /// This syncer, for the retry timers that deliver into it.
     this: Weak<Syncer>,
     /// Failure counts, dead letters and policy blocks.
@@ -465,12 +481,13 @@ impl Syncer {
         // tenant's name and opens a trace for every pod admitted at its
         // gate.
         handle.cluster.apiserver.attach_observability(&self.obs, &handle.name, true);
+        let name: Arc<str> = Arc::from(handle.name.as_str());
         let client = handle.system_client("vc-syncer");
         let mut informers = HashMap::new();
         for kind in &self.config.downward_kinds {
             let informer = SharedInformer::new(client.clone(), InformerConfig::new(*kind));
             let weak = Arc::downgrade(self);
-            let tenant_name = handle.name.clone();
+            let tenant_name = Arc::clone(&name);
             let kind = *kind;
             informer.add_handler(Box::new(move |event| {
                 if let Some(syncer) = weak.upgrade() {
@@ -492,7 +509,7 @@ impl Syncer {
                 InformerConfig::new(ResourceKind::CustomResourceDefinition),
             );
             let weak = Arc::downgrade(self);
-            let tenant_name = handle.name.clone();
+            let tenant_name = Arc::clone(&name);
             informer.add_handler(Box::new(move |_event| {
                 // A CRD change (e.g. `sync_to_super` flipped) changes the
                 // eligibility of every custom object of the tenant:
@@ -505,21 +522,23 @@ impl Syncer {
             informer.wait_for_sync(Duration::from_secs(30));
             informers.insert(ResourceKind::CustomResourceDefinition, informer);
         }
-        self.downward.set_weight(&handle.name, handle.weight.max(1));
-        let state = Arc::new(TenantState { handle: Arc::clone(&handle), informers, client });
-        self.prefix_index.write().insert(handle.prefix.clone(), handle.name.clone());
-        self.tenants.write().insert(handle.name.clone(), state);
+        self.downward.set_weight(&name, handle.weight.max(1));
+        let state = Arc::new(TenantState {
+            name: Arc::clone(&name),
+            handle: Arc::clone(&handle),
+            informers,
+            client,
+        });
+        self.prefix_index.write().insert(handle.prefix.clone(), Arc::clone(&name));
+        self.tenants.write().insert(Arc::clone(&name), state);
         // Seed the first dashboard publish for the new tenant.
-        self.mark_stats_dirty(&handle.name);
+        self.mark_stats_dirty(&name);
 
         // Existing storage classes flow to the new tenant immediately.
         if let Some(cache) = self.super_cache(ResourceKind::StorageClass) {
-            for sc in cache.list() {
-                self.upward.add(WorkItem {
-                    tenant: handle.name.clone(),
-                    kind: ResourceKind::StorageClass,
-                    key: sc.key(),
-                });
+            for key in cache.keys() {
+                let kind = ResourceKind::StorageClass;
+                self.upward.add(WorkItem { tenant: Arc::clone(&name), kind, key });
             }
         }
     }
@@ -540,7 +559,7 @@ impl Syncer {
         }
         // By value, so a repeated detach can never leave the index stale;
         // re-registering (wake) re-inserts the prefix.
-        self.prefix_index.write().retain(|_, tenant| tenant != name);
+        self.prefix_index.write().retain(|_, tenant| &**tenant != name);
         // The sub-queue may still hold items; they become no-ops once the
         // tenant is gone, so force removal after drain attempts.
         let _ = self.downward.remove_tenant(name);
@@ -572,7 +591,7 @@ impl Syncer {
 
     /// The registered tenants.
     pub fn tenant_names(&self) -> Vec<String> {
-        self.tenants.read().keys().cloned().collect()
+        self.tenants.read().keys().map(|name| name.to_string()).collect()
     }
 
     /// Looks a tenant state up.
@@ -639,89 +658,98 @@ impl Syncer {
         self.health.stop();
     }
 
-    fn on_tenant_event(&self, tenant: &str, kind: ResourceKind, event: &InformerEvent) {
-        let obj = event.object();
-        let key = obj.key();
-        self.mark_dirty(tenant, kind, &key);
+    /// Routes a tenant-side event: the key is the informer's, the tenant
+    /// name the one minted at registration, so nothing here formats a key
+    /// or copies a name.
+    fn on_tenant_event(&self, tenant: &Arc<str>, kind: ResourceKind, event: &InformerEvent) {
+        let key = event.key();
+        self.mark_dirty(tenant, kind, key);
         // A status-only update is this syncer's own upward write coming
         // back: nothing the downward path reads has changed, so there is
         // nothing to reconcile. (The key stays dirty for the scanner,
         // whose job re-validating an unchanged object is.)
-        if let InformerEvent::Updated { old, new } = event {
+        if let InformerEvent::Updated { old, new, .. } = event {
             if old.same_desired_state(new) {
                 return;
             }
         }
         if kind == ResourceKind::Pod {
-            self.trace_downward_enqueue(tenant, &key, event);
+            self.trace_downward_enqueue(tenant, key, event);
         }
         // Coalescing enqueue: a key re-added while still queued keeps one
         // slot and records only the latest generation, so an object
         // modified N times while waiting is reconciled once.
         self.downward.add_coalescing(
             tenant,
-            WorkItem { tenant: tenant.to_string(), kind, key },
-            obj.meta().resource_version,
+            WorkItem { tenant: Arc::clone(tenant), kind, key: Arc::clone(key) },
+            event.object().meta().resource_version,
         );
     }
 
     /// Re-evaluates every custom object of `tenant` after a CRD change
     /// (sync eligibility may have flipped for all of them at once).
-    fn redirty_custom_objects(&self, tenant: &str) {
+    fn redirty_custom_objects(&self, tenant: &Arc<str>) {
         let Some(state) = self.tenant(tenant) else { return };
         let Some(informer) = state.informers.get(&ResourceKind::CustomObject) else { return };
-        for obj in informer.cache().list() {
-            let key = obj.key();
-            self.mark_dirty(tenant, ResourceKind::CustomObject, &key);
+        let cache = informer.cache();
+        for key in cache.keys() {
+            let Some(obj) = cache.get(&key) else { continue };
+            let kind = ResourceKind::CustomObject;
+            self.mark_dirty(tenant, kind, &key);
             self.downward.add_coalescing(
                 tenant,
-                WorkItem { tenant: tenant.to_string(), kind: ResourceKind::CustomObject, key },
+                WorkItem { tenant: Arc::clone(tenant), kind, key },
                 obj.meta().resource_version,
             );
         }
     }
 
+    /// Routes a super-side event. The super key comes with the event and
+    /// is mapped to the tenant's key at most once.
     fn on_super_event(&self, kind: ResourceKind, event: &InformerEvent) {
-        let obj = event.object();
+        let (obj, key) = (event.object(), event.key());
         match kind {
             ResourceKind::Node => {} // heartbeat broadcaster reads the cache
             ResourceKind::StorageClass => {
                 // Broadcast to every tenant.
                 for tenant in self.tenants.read().keys() {
-                    self.upward.add(WorkItem { tenant: tenant.clone(), kind, key: obj.key() });
+                    let item = WorkItem { tenant: Arc::clone(tenant), kind, key: Arc::clone(key) };
+                    self.upward.add(item);
                 }
             }
             _ => {
-                let Some(tenant) = self.tenant_for_super_object(kind, obj) else { return };
+                let Some(tenant) = self.tenant_for_super_object(obj) else { return };
+                // The Super-Sched phase ends when the super pod turns Ready.
+                let ready = kind == ResourceKind::Pod
+                    && obj.as_pod().is_some_and(|pod| {
+                        pod.status.condition(PodConditionType::Ready).is_some_and(|c| c.status)
+                    });
                 if kind == ResourceKind::Pod {
-                    if let InformerEvent::Deleted(deleted) = event {
+                    if let InformerEvent::Deleted { object: deleted, .. } = event {
                         self.recent_super_deletions.lock().insert(
-                            deleted.key(),
+                            Arc::clone(key),
                             mapping::tenant_uid(deleted).map(str::to_string),
                         );
-                    }
-                    // The Super-Sched phase ends when the super pod turns
-                    // Ready.
-                    if let Some(pod) = obj.as_pod() {
-                        if pod.status.condition(PodConditionType::Ready).is_some_and(|c| c.status) {
-                            if let Some(tenant_key) = self.tenant_key_for(&tenant, kind, &obj.key())
-                            {
-                                self.trace_super_ready(&tenant, &tenant_key);
-                            }
-                        }
                     }
                 }
                 // Super-side mutations of downward-synced kinds (crashes,
                 // out-of-band writes, evictions) dirty the tenant-side key
                 // so the next scan tick re-validates it.
-                if self.config.downward_kinds.contains(&kind) {
-                    if let Some(tenant_key) = self.tenant_key_for(&tenant, kind, &obj.key()) {
-                        self.mark_dirty(&tenant, kind, &tenant_key);
+                let dirties = self.config.downward_kinds.contains(&kind);
+                if ready || dirties {
+                    if let Some(tenant_key) = tenant.tenant_key(kind, key) {
+                        if ready {
+                            self.trace_super_ready(&tenant.name, &tenant_key);
+                        }
+                        if dirties {
+                            self.mark_dirty(&tenant.name, kind, &tenant_key);
+                        }
                     }
                 }
                 // Only kinds with an upward reconciler are queued upward.
                 if UPWARD_KINDS.contains(&kind) {
-                    self.upward.add(WorkItem { tenant, kind, key: obj.key() });
+                    let tenant = Arc::clone(&tenant.name);
+                    self.upward.add(WorkItem { tenant, kind, key: Arc::clone(key) });
                 }
             }
         }
@@ -729,10 +757,9 @@ impl Syncer {
 
     /// Finds which tenant a super-cluster object belongs to, via the
     /// cluster annotation or (for events) the namespace prefix.
-    fn tenant_for_super_object(&self, _kind: ResourceKind, obj: &vc_api::Object) -> Option<String> {
+    fn tenant_for_super_object(&self, obj: &vc_api::Object) -> Option<Arc<TenantState>> {
         if let Some(owner) = mapping::owner_cluster(obj) {
-            let owner = owner.to_string();
-            return self.tenants.read().contains_key(&owner).then_some(owner);
+            return self.tenant(owner);
         }
         // Objects created by super-cluster controllers (events, endpoints,
         // PVs) carry no annotation; match the namespace prefix.
@@ -758,28 +785,13 @@ impl Syncer {
     /// tenants are registered. (The previous implementation scanned every
     /// tenant per super event: O(tenants) on the informer hot path, which
     /// dominated at 1,000+ tenants.)
-    fn tenant_for_super_ns(&self, ns: &str) -> Option<String> {
-        let index = self.prefix_index.read();
-        for (i, b) in ns.bytes().enumerate() {
-            if b == b'-' {
-                if let Some(tenant) = index.get(&ns[..i]) {
-                    return Some(tenant.clone());
-                }
-            }
-        }
-        None
-    }
-
-    /// Maps a super key back to a tenant key for the given tenant name.
-    pub(crate) fn tenant_key_for(
-        &self,
-        tenant: &str,
-        kind: ResourceKind,
-        super_key: &str,
-    ) -> Option<String> {
-        let tenants = self.tenants.read();
-        let state = tenants.get(tenant)?;
-        mapping::super_key_to_tenant(&state.handle.prefix, kind, super_key)
+    fn tenant_for_super_ns(&self, ns: &str) -> Option<Arc<TenantState>> {
+        let name = {
+            let index = self.prefix_index.read();
+            let mut at = ns.bytes().enumerate().filter(|&(_, b)| b == b'-');
+            at.find_map(|(i, _)| index.get(&ns[..i]).cloned())?
+        };
+        self.tenant(&name)
     }
 }
 

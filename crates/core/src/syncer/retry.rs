@@ -6,6 +6,7 @@ use super::{Syncer, TenantHealth, WorkItem};
 use crate::vc_object::COND_SYNCER_POLICY_BLOCKED;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Duration;
 use vc_api::error::ApiError;
 use vc_api::metrics::{Counter, Gauge};
@@ -25,7 +26,7 @@ pub(super) struct Retry {
     /// A tenant with a non-empty set carries the `SyncerPolicyBlocked` VC
     /// condition; the condition is lowered when its last blocked item
     /// reconciles cleanly (tenant fixed or deleted the object).
-    policy_blocked: Mutex<HashMap<String, HashSet<WorkItem>>>,
+    policy_blocked: Mutex<HashMap<Arc<str>, HashSet<WorkItem>>>,
 }
 
 impl Retry {
@@ -128,7 +129,7 @@ impl Retry {
     pub(super) fn forget_tenant(&self, tenant: &str, len: &Gauge) {
         {
             let mut dead = self.dead_letter.lock();
-            dead.retain(|i| i.tenant != tenant);
+            dead.retain(|i| &*i.tenant != tenant);
             len.set(dead.len() as i64);
         }
         self.policy_blocked.lock().remove(tenant);
@@ -254,9 +255,9 @@ mod tests {
         fw.create_tenant("t").unwrap();
         let syncer = &fw.syncer;
         let item = |tenant: &str| WorkItem {
-            tenant: tenant.to_string(),
+            tenant: tenant.into(),
             kind: ResourceKind::ConfigMap,
-            key: "default/x".to_string(),
+            key: "default/x".into(),
         };
         let failures = |item: &WorkItem| syncer.retry.failures.lock().get(item).copied();
         // Every delivery into the downward queue is an add or, while the
@@ -290,7 +291,7 @@ mod tests {
         assert_eq!(delivered(), before + 3);
 
         // Success forgets the failures: the next backoff starts at the base.
-        let y = WorkItem { key: "default/y".to_string(), ..x };
+        let y = WorkItem { key: "default/y".into(), ..x };
         syncer.requeue_downward(y.clone());
         syncer.requeue_downward(y.clone());
         assert_eq!(failures(&y), Some(2));

@@ -32,11 +32,11 @@ struct ScanCursor {
     /// `false`: sweeping tenant caches; `true`: sweeping super caches.
     super_side: bool,
     /// Current tenant (tenant-side sweep only).
-    tenant: Option<String>,
+    tenant: Option<Arc<str>>,
     /// Index into the downward kinds for the current segment.
     kind_idx: usize,
     /// Last key visited in the current segment (resume strictly after).
-    last_key: Option<String>,
+    last_key: Option<Arc<str>>,
 }
 
 /// The dirty set and the cold-sweep cursor.
@@ -63,7 +63,7 @@ impl Scanner {
 
     /// Drops the tenant's dirty keys.
     pub(super) fn forget_tenant(&self, tenant: &str) {
-        self.dirty.lock().retain(|i| i.tenant != tenant);
+        self.dirty.lock().retain(|i| &*i.tenant != tenant);
     }
 
     fn cursor(&self) -> ScanCursor {
@@ -121,14 +121,14 @@ impl Syncer {
     }
 
     /// Marks a tenant-side key for re-validation on the next scan tick.
-    pub(super) fn mark_dirty(&self, tenant: &str, kind: ResourceKind, tenant_key: &str) {
+    pub(super) fn mark_dirty(&self, tenant: &Arc<str>, kind: ResourceKind, tenant_key: &Arc<str>) {
         if !self.config.downward_kinds.contains(&kind) {
             return;
         }
         self.scanner.mark(WorkItem {
-            tenant: tenant.to_string(),
+            tenant: Arc::clone(tenant),
             kind,
-            key: tenant_key.to_string(),
+            key: Arc::clone(tenant_key),
         });
     }
 
@@ -136,17 +136,17 @@ impl Syncer {
     /// downward when the super copy is missing, diverged or orphaned, and
     /// upward when the super pod carries a status the tenant has not
     /// seen. Returns whether anything was requeued.
-    fn check_key(&self, tenant: &TenantState, kind: ResourceKind, tenant_key: &str) -> bool {
+    fn check_key(&self, tenant: &TenantState, kind: ResourceKind, tenant_key: &Arc<str>) -> bool {
         if !self.config.downward_kinds.contains(&kind) {
             return false;
         }
         let Some(super_cache) = self.super_cache(kind) else { return false };
-        let name = &tenant.handle.name;
+        let name = &tenant.name;
         let tenant_obj = tenant.cache(kind).get(tenant_key);
         // Only a super copy this tenant owns is its business here.
-        let super_obj = downward::super_key_for(tenant, kind, tenant_key)
+        let super_obj = mapping::super_key_buf(&tenant.handle.prefix, kind, tenant_key)
             .and_then(|key| super_cache.get(&key))
-            .filter(|o| mapping::owner_cluster(o) == Some(name.as_str()));
+            .filter(|o| mapping::owner_cluster(o) == Some(&**name));
         let downward = match &tenant_obj {
             Some(obj) => !downward::in_sync(self, tenant, kind, obj),
             // Tenant source gone: the super copy is an orphan the downward
@@ -161,12 +161,13 @@ impl Syncer {
         });
         if downward {
             self.metrics.scan_requeues.inc();
-            self.downward
-                .add(name, WorkItem { tenant: name.clone(), kind, key: tenant_key.to_string() });
+            let item = WorkItem { tenant: Arc::clone(name), kind, key: Arc::clone(tenant_key) };
+            self.downward.add(name, item);
         }
         if let Some((_, super_pod)) = stale_pod {
             self.metrics.scan_requeues.inc();
-            self.upward.add(WorkItem { tenant: name.clone(), kind, key: super_pod.key() });
+            let key = super_pod.meta().shared_key();
+            self.upward.add(WorkItem { tenant: Arc::clone(name), kind, key });
         }
         downward || stale_pod.is_some()
     }
@@ -184,7 +185,7 @@ impl Syncer {
             return 0;
         }
         let mut tenants: Vec<Arc<TenantState>> = self.tenants.read().values().cloned().collect();
-        tenants.sort_by(|a, b| a.handle.name.cmp(&b.handle.name));
+        tenants.sort_by(|a, b| a.name.cmp(&b.name));
 
         // Segment list for this call: every (tenant, kind) pair, then one
         // super-side segment per kind. Segment `i` sweeps `kinds[i % K]`.
@@ -194,11 +195,11 @@ impl Syncer {
         }
         segments.extend(kinds.iter().map(|kind| (None, *kind)));
         let total = segments.len();
-        let cursor_at = |segment: usize, last_key: Option<String>| {
+        let cursor_at = |segment: usize, last_key: Option<Arc<str>>| {
             let (state, _) = &segments[segment];
             ScanCursor {
                 super_side: state.is_none(),
-                tenant: state.map(|t| t.handle.name.clone()),
+                tenant: state.map(|t| Arc::clone(&t.name)),
                 kind_idx: segment % kinds.len(),
                 last_key,
             }
@@ -214,9 +215,9 @@ impl Syncer {
             (tenants.len() * kinds.len() + kind_idx, cursor.last_key)
         } else {
             match &cursor.tenant {
-                Some(name) => match tenants.iter().position(|t| t.handle.name >= *name) {
+                Some(name) => match tenants.iter().position(|t| t.name >= *name) {
                     Some(t) => {
-                        let same = tenants[t].handle.name == *name;
+                        let same = tenants[t].name == *name;
                         (t * kinds.len() + kind_idx, cursor.last_key.filter(|_| same))
                     }
                     None => (tenants.len() * kinds.len(), None), // past the last tenant
@@ -238,9 +239,7 @@ impl Syncer {
                 Some(tenant) => tenant.cache(kind).sorted_keys(),
                 None => self.super_cache(kind).map(|c| c.sorted_keys()).unwrap_or_default(),
             };
-            let split = resume
-                .as_ref()
-                .map_or(0, |last| keys.partition_point(|k| k.as_str() <= last.as_str()));
+            let split = resume.as_ref().map_or(0, |last| keys.partition_point(|k| k <= last));
             let range = match step {
                 0 => split..keys.len(),
                 s if s == total => 0..split,
@@ -274,8 +273,9 @@ impl Syncer {
         let Some(tenant) = mapping::owner_cluster(&obj).and_then(|o| self.tenant(o)) else {
             return false;
         };
-        match mapping::super_key_to_tenant(&tenant.handle.prefix, kind, key) {
+        match mapping::tenant_key_buf(&tenant.handle.prefix, kind, key) {
             Some(tenant_key) if tenant.cache(kind).get(&tenant_key).is_none() => {
+                let tenant_key = Arc::from(tenant_key.as_str());
                 self.check_key(&tenant, kind, &tenant_key)
             }
             _ => false,
@@ -330,9 +330,9 @@ mod tests {
         // A budget-limited sweep from the start stops right after orphan-a.
         let tenant_keys = fw.syncer.tenant("t").unwrap().cache(ResourceKind::ConfigMap).len();
         let orphan_a = format!("{super_ns}/orphan-a");
-        let at = cms.sorted_keys().iter().position(|k| *k == orphan_a).unwrap();
+        let at = cms.sorted_keys().iter().position(|k| **k == *orphan_a).unwrap();
         fw.syncer.cold_sweep(tenant_keys + at + 1);
-        assert_eq!(fw.syncer.scanner.cursor().last_key, Some(orphan_a));
+        assert_eq!(fw.syncer.scanner.cursor().last_key.as_deref(), Some(orphan_a.as_str()));
         let requeues = || fw.syncer.metrics.scan_requeues.get();
         for _ in 0..2 {
             let before = requeues();

@@ -55,9 +55,14 @@ impl Stats {
         self.sync_duration.with(&[tenant, direction]).observe_ms(elapsed.as_micros() as u64);
     }
 
-    /// Schedules the tenant for the next publish pass.
+    /// Schedules the tenant for the next publish pass. The name is copied
+    /// only when the tenant is not scheduled yet: once per pass, not once
+    /// per reconcile.
     fn mark(&self, tenant: &str) {
-        self.dirty.lock().insert(tenant.to_string());
+        let mut dirty = self.dirty.lock();
+        if !dirty.contains(tenant) {
+            dirty.insert(tenant.to_string());
+        }
     }
 
     fn dirty_len(&self) -> usize {

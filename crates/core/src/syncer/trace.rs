@@ -25,8 +25,8 @@ impl Syncer {
     pub(super) fn trace_downward_enqueue(&self, tenant: &str, key: &str, event: &InformerEvent) {
         let tracer = &self.obs.tracer;
         let id = match event {
-            InformerEvent::Added(_) => Some(tracer.begin(tenant, key)),
-            InformerEvent::Deleted(_) => {
+            InformerEvent::Added { .. } => Some(tracer.begin(tenant, key)),
+            InformerEvent::Deleted { .. } => {
                 tracer.abandon(tenant, key);
                 None
             }

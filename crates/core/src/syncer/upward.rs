@@ -34,9 +34,7 @@ pub(crate) fn reconcile(syncer: &Syncer, item: &WorkItem) {
 
 fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
     let Some(super_cache) = syncer.super_cache(ResourceKind::Pod) else { return };
-    let Some(tenant_key) = syncer.tenant_key_for(&item.tenant, ResourceKind::Pod, &item.key) else {
-        return;
-    };
+    let Some(tenant_key) = tenant.tenant_key(ResourceKind::Pod, &item.key) else { return };
     let Some((tenant_ns, tenant_name)) = split_key(&tenant_key) else { return };
 
     match super_cache.get(&item.key) {
@@ -49,7 +47,7 @@ fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
             // handled (re-added by the `Deleted` handler while a worker
             // had it in flight): the tenant may have recreated the pod
             // since, and nothing says the new one should go.
-            let deletion = syncer.recent_super_deletions.lock().remove(&item.key);
+            let deletion = syncer.recent_super_deletions.lock().remove(&*item.key);
             if let Some(expected_uid) = deletion {
                 if let Ok(existing) = tenant.client.get(ResourceKind::Pod, tenant_ns, tenant_name) {
                     let same_incarnation = expected_uid
@@ -150,10 +148,7 @@ fn service(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
     if super_svc.status.load_balancer_ip.is_empty() {
         return;
     }
-    let Some(tenant_key) = syncer.tenant_key_for(&item.tenant, ResourceKind::Service, &item.key)
-    else {
-        return;
-    };
+    let Some(tenant_key) = tenant.tenant_key(ResourceKind::Service, &item.key) else { return };
     let Some((ns, name)) = split_key(&tenant_key) else { return };
     let status = super_svc.status.clone();
     let result = retry_on_conflict(3, || {
@@ -233,9 +228,7 @@ fn claim_status(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
     };
     let Some(super_obj) = super_cache.get(&item.key) else { return };
     let Object::PersistentVolumeClaim(super_claim) = &*super_obj else { return };
-    let Some(tenant_key) =
-        syncer.tenant_key_for(&item.tenant, ResourceKind::PersistentVolumeClaim, &item.key)
-    else {
+    let Some(tenant_key) = tenant.tenant_key(ResourceKind::PersistentVolumeClaim, &item.key) else {
         return;
     };
     let Some((ns, name)) = split_key(&tenant_key) else { return };
@@ -354,7 +347,7 @@ mod tests {
         let item = WorkItem {
             tenant: "race".into(),
             kind: ResourceKind::Pod,
-            key: format!("{prefix}-default/flappy"),
+            key: format!("{prefix}-default/flappy").into(),
         };
         assert!(fw.syncer.super_cache(ResourceKind::Pod).unwrap().get(&item.key).is_none());
 

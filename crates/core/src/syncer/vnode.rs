@@ -23,18 +23,31 @@ use vc_controllers::util::retry_on_conflict;
 
 /// Tracks pod→vNode bindings and materializes vNodes in tenant control
 /// planes.
+///
+/// Both maps nest by tenant, so a lookup borrows the tenant name and key
+/// instead of building an owned pair; names are copied only when a binding
+/// is new.
 #[derive(Debug, Default)]
 pub struct VNodeManager {
-    /// (tenant, node) -> super-side pod keys bound there.
-    bindings: Mutex<HashMap<(String, String), HashSet<String>>>,
-    /// (tenant, super pod key) -> node, for release.
-    pod_nodes: Mutex<HashMap<(String, String), String>>,
+    /// tenant -> node -> super-side pod keys bound there.
+    bindings: Mutex<HashMap<String, HashMap<String, HashSet<String>>>>,
+    /// tenant -> super pod key -> node, for release.
+    pod_nodes: Mutex<HashMap<String, HashMap<String, String>>>,
     /// vNodes created.
     pub vnodes_created: Counter,
     /// vNodes removed after their last pod unbound.
     pub vnodes_removed: Counter,
     /// Heartbeat broadcasts performed (vnode-updates, not rounds).
     pub heartbeats_sent: Counter,
+}
+
+/// `map[key]`, inserted empty first when absent (the key is copied then
+/// only).
+fn entry<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
 }
 
 impl VNodeManager {
@@ -44,7 +57,9 @@ impl VNodeManager {
     }
 
     /// Ensures a vNode mirroring `node_name` exists in the tenant control
-    /// plane and records the binding of `super_pod_key` to it.
+    /// plane and records the binding of `super_pod_key` to it. A binding
+    /// already recorded — every later status item of a bound pod — is a
+    /// lookup and nothing more.
     pub fn bind(
         &self,
         tenant: &Arc<TenantHandle>,
@@ -52,17 +67,23 @@ impl VNodeManager {
         node_name: &str,
         super_pod_key: &str,
     ) {
-        let tenant_key = (tenant.name.clone(), node_name.to_string());
+        let known = self
+            .pod_nodes
+            .lock()
+            .get(&tenant.name)
+            .and_then(|pods| pods.get(super_pod_key).map(|node| node == node_name));
+        if known == Some(true) {
+            return;
+        }
         let is_new_node = {
             let mut bindings = self.bindings.lock();
-            let set = bindings.entry(tenant_key).or_default();
+            let set = entry(entry(&mut bindings, &tenant.name), node_name);
             let was_empty = set.is_empty();
             set.insert(super_pod_key.to_string());
             was_empty
         };
-        self.pod_nodes
-            .lock()
-            .insert((tenant.name.clone(), super_pod_key.to_string()), node_name.to_string());
+        entry(&mut self.pod_nodes.lock(), &tenant.name)
+            .insert(super_pod_key.to_string(), node_name.to_string());
 
         if is_new_node {
             self.ensure_vnode(tenant, super_node_cache, node_name);
@@ -72,25 +93,28 @@ impl VNodeManager {
     /// Releases `super_pod_key`'s binding; removes the vNode when it was
     /// the last pod.
     pub fn release(&self, tenant: &Arc<TenantHandle>, super_pod_key: &str) {
-        let node =
-            match self.pod_nodes.lock().remove(&(tenant.name.clone(), super_pod_key.to_string())) {
-                Some(node) => node,
-                None => return,
-            };
+        let node = {
+            let mut pod_nodes = self.pod_nodes.lock();
+            let Some(pods) = pod_nodes.get_mut(&tenant.name) else { return };
+            let Some(node) = pods.remove(super_pod_key) else { return };
+            if pods.is_empty() {
+                pod_nodes.remove(&tenant.name);
+            }
+            node
+        };
         let now_empty = {
             let mut bindings = self.bindings.lock();
-            let key = (tenant.name.clone(), node.clone());
-            if let Some(set) = bindings.get_mut(&key) {
-                set.remove(super_pod_key);
-                if set.is_empty() {
-                    bindings.remove(&key);
-                    true
-                } else {
-                    false
+            let Some(nodes) = bindings.get_mut(&tenant.name) else { return };
+            let Some(set) = nodes.get_mut(&node) else { return };
+            set.remove(super_pod_key);
+            let now_empty = set.is_empty();
+            if now_empty {
+                nodes.remove(&node);
+                if nodes.is_empty() {
+                    bindings.remove(&tenant.name);
                 }
-            } else {
-                false
             }
+            now_empty
         };
         if now_empty {
             let client = tenant.system_client("vc-syncer");
@@ -102,7 +126,8 @@ impl VNodeManager {
 
     /// Number of pods bound to `(tenant, node)`.
     pub fn binding_count(&self, tenant: &str, node: &str) -> usize {
-        self.bindings.lock().get(&(tenant.to_string(), node.to_string())).map_or(0, |s| s.len())
+        let bindings = self.bindings.lock();
+        bindings.get(tenant).and_then(|nodes| nodes.get(node)).map_or(0, HashSet::len)
     }
 
     /// Broadcasts physical-node heartbeats to every tenant vNode.
@@ -114,7 +139,12 @@ impl VNodeManager {
     pub fn broadcast_heartbeats(&self, tenants: &[Arc<TenantHandle>], super_node_cache: &Cache) {
         let by_name: HashMap<&str, &Arc<TenantHandle>> =
             tenants.iter().map(|t| (t.name.as_str(), t)).collect();
-        let pairs: Vec<(String, String)> = self.bindings.lock().keys().cloned().collect();
+        let pairs: Vec<(String, String)> = self
+            .bindings
+            .lock()
+            .iter()
+            .flat_map(|(tenant, nodes)| nodes.keys().map(|node| (tenant.clone(), node.clone())))
+            .collect();
         for (tenant_name, node_name) in pairs {
             let Some(&tenant) = by_name.get(tenant_name.as_str()) else { continue };
             let Some(super_obj) = super_node_cache.get(&node_name) else { continue };

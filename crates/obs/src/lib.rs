@@ -36,7 +36,9 @@ pub use registry::{
     CellSnapshot, CounterFamily, FamilySnapshot, GaugeFamily, HistogramFamily, MetricKind,
     MetricsRegistry, RegistrySnapshot,
 };
-pub use trace::{current_trace, stage, SlowOp, Span, Trace, TraceContext, TraceId, Tracer};
+pub use trace::{
+    current_trace, stage, SlowOp, Span, StageName, Trace, TraceContext, TraceId, Tracer,
+};
 
 use std::sync::Arc;
 use std::time::Duration;

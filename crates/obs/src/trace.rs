@@ -33,6 +33,7 @@ use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vc_api::metrics::Counter;
 
@@ -67,7 +68,8 @@ pub mod stage {
 
     /// Stage name for an apiserver request observed inside a trace
     /// context, e.g. `apiserver:super:create` for the super-cluster
-    /// write.
+    /// write. An apiserver builds its names once, when observability is
+    /// attached, and shares them with every span it records.
     pub fn apiserver(scope: &str, verb: &str) -> String {
         format!("apiserver:{scope}:{verb}")
     }
@@ -83,11 +85,50 @@ impl std::fmt::Display for TraceId {
     }
 }
 
+/// A span's stage name: one of the [`stage`] literals, or a name its owner
+/// built once and shares (an apiserver's `apiserver:<scope>:<verb>`, made
+/// when observability is attached). Recording either costs no allocation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum StageName {
+    /// A name fixed at compile time.
+    Static(&'static str),
+    /// A name built once at run time.
+    Shared(Arc<str>),
+}
+
+impl StageName {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        match self {
+            StageName::Static(name) => name,
+            StageName::Shared(name) => name,
+        }
+    }
+}
+
+impl std::fmt::Display for StageName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl From<&'static str> for StageName {
+    fn from(name: &'static str) -> Self {
+        StageName::Static(name)
+    }
+}
+
+impl From<Arc<str>> for StageName {
+    fn from(name: Arc<str>) -> Self {
+        StageName::Shared(name)
+    }
+}
+
 /// One timed stage within a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Stage name (see [`stage`] for the well-known set).
-    pub stage: String,
+    pub stage: StageName,
     /// Offset of the span's start from the trace's start.
     pub start_offset: Duration,
     /// Span duration (≥ 1ns by construction).
@@ -125,7 +166,7 @@ impl Trace {
 
     /// The first span recorded for `stage`, if any.
     pub fn span(&self, stage: &str) -> Option<&Span> {
-        self.spans.iter().find(|s| s.stage == stage)
+        self.spans.iter().find(|s| s.stage.as_str() == stage)
     }
 
     /// Per-stage total durations, in first-appearance order (requeued
@@ -174,20 +215,31 @@ impl SlowOp {
     }
 }
 
+/// Spans a pod trace records on its way through the stack (the six
+/// pipeline stages plus the apiserver requests made under it): the span
+/// list is sized for them once, at `begin`.
+const EXPECTED_SPANS: usize = 12;
+
 #[derive(Debug)]
 struct TraceInner {
-    tenant: String,
-    key: String,
+    /// Shared with the tenant's entry in `TracerState::by_key`.
+    tenant: Arc<str>,
+    /// Shared with the key's entry in `TracerState::by_key`.
+    key: Arc<str>,
     started: Instant,
     spans: Vec<Span>,
-    marks: HashMap<String, Instant>,
+    /// Set-once marks; a trace holds a handful at most, so a list beats a
+    /// map.
+    marks: Vec<(&'static str, Instant)>,
     total: Option<Duration>,
 }
 
 #[derive(Debug, Default)]
 struct TracerState {
-    /// Most recent trace for each `(tenant, key)` — open or finished.
-    by_key: HashMap<(String, String), TraceId>,
+    /// Most recent trace for each key, per tenant — open or finished.
+    /// Nested so a lookup borrows both halves instead of building an owned
+    /// `(tenant, key)` pair.
+    by_key: HashMap<Arc<str>, HashMap<Arc<str>, TraceId>>,
     traces: HashMap<TraceId, TraceInner>,
     /// Finished traces in completion order (ring buffer).
     finished: VecDeque<TraceId>,
@@ -195,9 +247,35 @@ struct TracerState {
     slow: VecDeque<SlowOp>,
 }
 
+impl TracerState {
+    /// The most recent trace for `(tenant, key)`, open or finished.
+    fn id_of(&self, tenant: &str, key: &str) -> Option<TraceId> {
+        self.by_key.get(tenant)?.get(key).copied()
+    }
+
+    /// The open trace for `(tenant, key)`.
+    fn open_id_of(&self, tenant: &str, key: &str) -> Option<TraceId> {
+        let id = self.id_of(tenant, key)?;
+        self.traces.get(&id).is_some_and(|t| t.total.is_none()).then_some(id)
+    }
+
+    /// Forgets `(tenant, key)`'s index entry when it still names `id`.
+    fn unindex(&mut self, tenant: &str, key: &str, id: TraceId) {
+        let Some(keys) = self.by_key.get_mut(tenant) else { return };
+        if keys.get(key) == Some(&id) {
+            keys.remove(key);
+            if keys.is_empty() {
+                self.by_key.remove(tenant);
+            }
+        }
+    }
+}
+
 /// Records traces for objects flowing through the stack.
 ///
 /// All methods take `&self`; a single internal mutex guards the state.
+/// Finding a trace by `(tenant, key)` borrows both: only `begin` of a new
+/// trace allocates.
 #[derive(Debug)]
 pub struct Tracer {
     state: Mutex<TracerState>,
@@ -247,43 +325,43 @@ impl Tracer {
     /// know before it may [`Tracer::abandon`] the trace on its own failure.
     pub fn begin_or_join(&self, tenant: &str, key: &str) -> (TraceId, bool) {
         let mut state = self.state.lock();
-        let map_key = (tenant.to_string(), key.to_string());
-        if let Some(id) = state.by_key.get(&map_key) {
-            if state.traces.get(id).is_some_and(|t| t.total.is_none()) {
-                return (*id, false);
-            }
+        if let Some(id) = state.open_id_of(tenant, key) {
+            return (id, false);
         }
         let id = TraceId(self.next_id.fetch_add(1, Ordering::Relaxed));
+        let tenant = match state.by_key.get_key_value(tenant) {
+            Some((name, _)) => Arc::clone(name),
+            None => Arc::from(tenant),
+        };
+        let key: Arc<str> = Arc::from(key);
         state.traces.insert(
             id,
             TraceInner {
-                tenant: tenant.to_string(),
-                key: key.to_string(),
+                tenant: Arc::clone(&tenant),
+                key: Arc::clone(&key),
                 started: Instant::now(),
-                spans: Vec::new(),
-                marks: HashMap::new(),
+                spans: Vec::with_capacity(EXPECTED_SPANS),
+                marks: Vec::new(),
                 total: None,
             },
         );
-        state.by_key.insert(map_key, id);
+        state.by_key.entry(tenant).or_default().insert(key, id);
         self.started.inc();
         (id, true)
     }
 
     /// The open trace for `(tenant, key)`, if any.
     pub fn lookup(&self, tenant: &str, key: &str) -> Option<TraceId> {
-        let state = self.state.lock();
-        let id = *state.by_key.get(&(tenant.to_string(), key.to_string()))?;
-        state.traces.get(&id).is_some_and(|t| t.total.is_none()).then_some(id)
+        self.state.lock().open_id_of(tenant, key)
     }
 
     /// Sets a named mark (set-once: re-marking does not move it). No-op
     /// for unknown or finished traces.
-    pub fn mark(&self, id: TraceId, name: &str) {
+    pub fn mark(&self, id: TraceId, name: &'static str) {
         let mut state = self.state.lock();
         if let Some(trace) = state.traces.get_mut(&id) {
-            if trace.total.is_none() {
-                trace.marks.entry(name.to_string()).or_insert_with(Instant::now);
+            if trace.total.is_none() && !trace.marks.iter().any(|(mark, _)| *mark == name) {
+                trace.marks.push((name, Instant::now()));
             }
         }
     }
@@ -292,7 +370,7 @@ impl Tracer {
     /// it was set ahead of failed), so a retry marks afresh.
     pub fn unmark(&self, id: TraceId, name: &str) {
         if let Some(trace) = self.state.lock().traces.get_mut(&id) {
-            trace.marks.remove(name);
+            trace.marks.retain(|(mark, _)| *mark != name);
         }
     }
 
@@ -300,16 +378,22 @@ impl Tracer {
     /// consuming the mark (so only the first dequeue after an enqueue
     /// produces a span). Returns the span duration, or `None` when the
     /// mark or trace is absent.
-    pub fn span_since_mark(&self, id: TraceId, mark: &str, stage: &str) -> Option<Duration> {
+    pub fn span_since_mark(
+        &self,
+        id: TraceId,
+        mark: &str,
+        stage: &'static str,
+    ) -> Option<Duration> {
         let mut state = self.state.lock();
         let trace = state.traces.get_mut(&id)?;
         if trace.total.is_some() {
             return None;
         }
-        let at = trace.marks.remove(mark)?;
+        let at = trace.marks.iter().position(|(name, _)| *name == mark)?;
+        let (_, at) = trace.marks.swap_remove(at);
         let duration = nonzero(at.elapsed());
         let start_offset = at.saturating_duration_since(trace.started);
-        trace.spans.push(Span { stage: stage.to_string(), start_offset, duration, ok: true });
+        trace.spans.push(Span { stage: stage.into(), start_offset, duration, ok: true });
         Some(duration)
     }
 
@@ -318,7 +402,13 @@ impl Tracer {
     /// only after the object became visible, and the pipeline it set off
     /// can finish the object's trace first. No-op for unknown traces and
     /// for a span that started after its trace finished.
-    pub fn record_span(&self, id: TraceId, stage: &str, duration: Duration, ok: bool) {
+    pub fn record_span(
+        &self,
+        id: TraceId,
+        stage: impl Into<StageName>,
+        duration: Duration,
+        ok: bool,
+    ) {
         let mut state = self.state.lock();
         if let Some(trace) = state.traces.get_mut(&id) {
             let duration = nonzero(duration);
@@ -326,7 +416,7 @@ impl Tracer {
             if trace.total.is_some_and(|total| start_offset >= total) {
                 return;
             }
-            trace.spans.push(Span { stage: stage.to_string(), start_offset, duration, ok });
+            trace.spans.push(Span { stage: stage.into(), start_offset, duration, ok });
         }
     }
 
@@ -337,8 +427,7 @@ impl Tracer {
     /// trace was open (finish is idempotent).
     pub fn finish(&self, tenant: &str, key: &str) -> Option<Duration> {
         let mut state = self.state.lock();
-        let map_key = (tenant.to_string(), key.to_string());
-        let id = *state.by_key.get(&map_key)?;
+        let id = state.id_of(tenant, key)?;
         let threshold = Duration::from_nanos(self.slow_threshold_ns.load(Ordering::Relaxed));
         let (total, slow) = {
             let trace = state.traces.get_mut(&id)?;
@@ -350,8 +439,8 @@ impl Tracer {
             trace.marks.clear();
             let slow = (total >= threshold).then(|| SlowOp {
                 id,
-                tenant: trace.tenant.clone(),
-                key: trace.key.clone(),
+                tenant: trace.tenant.to_string(),
+                key: trace.key.to_string(),
                 total,
                 breakdown: breakdown_of(&trace.spans),
             });
@@ -361,10 +450,7 @@ impl Tracer {
         while state.finished.len() > self.capacity {
             if let Some(evicted) = state.finished.pop_front() {
                 if let Some(gone) = state.traces.remove(&evicted) {
-                    let gone_key = (gone.tenant, gone.key);
-                    if state.by_key.get(&gone_key) == Some(&evicted) {
-                        state.by_key.remove(&gone_key);
-                    }
+                    state.unindex(&gone.tenant, &gone.key, evicted);
                 }
             }
         }
@@ -386,13 +472,9 @@ impl Tracer {
     /// dropped.
     pub fn abandon(&self, tenant: &str, key: &str) -> bool {
         let mut state = self.state.lock();
-        let map_key = (tenant.to_string(), key.to_string());
-        let Some(&id) = state.by_key.get(&map_key) else { return false };
-        if state.traces.get(&id).is_none_or(|t| t.total.is_some()) {
-            return false;
-        }
+        let Some(id) = state.open_id_of(tenant, key) else { return false };
         state.traces.remove(&id);
-        state.by_key.remove(&map_key);
+        state.unindex(tenant, key, id);
         true
     }
 
@@ -401,9 +483,14 @@ impl Tracer {
     pub fn abandon_tenant(&self, tenant: &str) -> usize {
         let mut state = self.state.lock();
         let before = state.traces.len();
-        state.traces.retain(|_, t| t.tenant != tenant || t.total.is_some());
+        state.traces.retain(|_, t| &*t.tenant != tenant || t.total.is_some());
         let TracerState { by_key, traces, .. } = &mut *state;
-        by_key.retain(|_, id| traces.contains_key(id));
+        if let Some(keys) = by_key.get_mut(tenant) {
+            keys.retain(|_, id| traces.contains_key(id));
+            if keys.is_empty() {
+                by_key.remove(tenant);
+            }
+        }
         before - traces.len()
     }
 
@@ -416,7 +503,7 @@ impl Tracer {
     /// The most recent trace (open or finished) for `(tenant, key)`.
     pub fn find(&self, tenant: &str, key: &str) -> Option<Trace> {
         let state = self.state.lock();
-        let id = *state.by_key.get(&(tenant.to_string(), key.to_string()))?;
+        let id = state.id_of(tenant, key)?;
         state.traces.get(&id).map(|t| clone_out(id, t))
     }
 
@@ -468,9 +555,9 @@ impl Tracer {
 fn breakdown_of(spans: &[Span]) -> Vec<(String, Duration)> {
     let mut out: Vec<(String, Duration)> = Vec::new();
     for span in spans {
-        match out.iter_mut().find(|(name, _)| name == &span.stage) {
+        match out.iter_mut().find(|(name, _)| name == span.stage.as_str()) {
             Some((_, d)) => *d += span.duration,
-            None => out.push((span.stage.clone(), span.duration)),
+            None => out.push((span.stage.to_string(), span.duration)),
         }
     }
     out
@@ -479,8 +566,8 @@ fn breakdown_of(spans: &[Span]) -> Vec<(String, Duration)> {
 fn clone_out(id: TraceId, inner: &TraceInner) -> Trace {
     Trace {
         id,
-        tenant: inner.tenant.clone(),
-        key: inner.key.clone(),
+        tenant: inner.tenant.to_string(),
+        key: inner.key.to_string(),
         spans: inner.spans.clone(),
         total: inner.total,
     }

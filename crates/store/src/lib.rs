@@ -269,7 +269,7 @@ impl Store {
                     }
                 };
                 let arc = Arc::new(obj);
-                state.index_insert(key, Arc::clone(&arc));
+                state.index_insert(key.into(), Arc::clone(&arc));
                 self.objects.inc();
                 self.writes.inc();
                 let event =
@@ -305,20 +305,22 @@ impl Store {
         expected_revision: Option<u64>,
     ) -> ApiResult<Arc<Object>> {
         let kind = obj.kind();
-        let key = obj.key();
+        // Borrowed, on the stack: an update overwrites an existing key.
+        let key_buf = obj.meta().full_name_buf();
+        let key = key_buf.as_str();
         let mut wal_ack = None;
         let (arc, old) = self.shard(kind).publish(
             |state| {
                 let current = state
                     .objects
-                    .get(&key)
-                    .ok_or_else(|| ApiError::not_found(kind.as_str(), key.clone()))?;
+                    .get(key)
+                    .ok_or_else(|| ApiError::not_found(kind.as_str(), key))?;
                 if let Some(expected) = expected_revision {
                     let actual = current.meta().resource_version;
                     if actual != expected {
                         return Err(ApiError::conflict(
                             kind.as_str(),
-                            key.clone(),
+                            key,
                             format!(
                                 "the object has been modified \
                                  (expected rv {expected}, actual {actual})"
@@ -352,7 +354,7 @@ impl Store {
                     }
                 };
                 let arc = Arc::new(obj);
-                state.index_insert(key, Arc::clone(&arc));
+                state.index_insert(key.into(), Arc::clone(&arc));
                 self.writes.inc();
                 let event = WatchEvent {
                     revision,
@@ -628,7 +630,7 @@ impl Store {
                 let mut state = store.shards[kind as usize].state();
                 store.bytes.add(arc.estimated_size() as i64);
                 store.objects.inc();
-                state.index_insert(key, arc);
+                state.index_insert(key.into(), arc);
             }
             for (revision, op, object) in snapshot.events {
                 let kind = object.kind();
@@ -667,7 +669,7 @@ impl Store {
             WalOp::Insert | WalOp::Update => {
                 let arc = Arc::new(entry.object);
                 self.bytes.add(arc.estimated_size() as i64);
-                match state.index_insert(key, Arc::clone(&arc)) {
+                match state.index_insert(key.into(), Arc::clone(&arc)) {
                     Some(old) => self.bytes.add(-(old.estimated_size() as i64)),
                     None => self.objects.inc(),
                 }

@@ -21,6 +21,7 @@
 
 use crate::handoff::DualLock;
 use crate::watch::{WatchEvent, WatcherHandle};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use vc_api::object::Object;
@@ -53,11 +54,29 @@ impl ShardState {
     }
 
     /// Inserts `obj` under `key` into the object map and the namespace
-    /// index, returning the previous object (if any).
-    pub(crate) fn index_insert(&mut self, key: String, obj: Arc<Object>) -> Option<Arc<Object>> {
-        let ns = obj.meta().namespace.clone();
-        self.by_namespace.entry(ns).or_default().insert(key.clone(), Arc::clone(&obj));
-        self.objects.insert(key, obj)
+    /// index, returning the previous object (if any). An update of a key
+    /// already present overwrites both entries in place: only a new key
+    /// (or the first key of a namespace) is copied into the index.
+    pub(crate) fn index_insert(
+        &mut self,
+        key: Cow<'_, str>,
+        obj: Arc<Object>,
+    ) -> Option<Arc<Object>> {
+        let ns = obj.meta().namespace.as_str();
+        if !self.by_namespace.contains_key(ns) {
+            self.by_namespace.insert(ns.to_string(), BTreeMap::new());
+        }
+        let per_ns = self.by_namespace.get_mut(ns).expect("inserted above");
+        match per_ns.get_mut(&*key) {
+            Some(slot) => *slot = Arc::clone(&obj),
+            None => {
+                per_ns.insert(key.to_string(), Arc::clone(&obj));
+            }
+        }
+        match self.objects.get_mut(&*key) {
+            Some(slot) => Some(std::mem::replace(slot, obj)),
+            None => self.objects.insert(key.into_owned(), obj),
+        }
     }
 
     /// Removes `key` from the object map and the namespace index,
@@ -127,6 +146,29 @@ mod tests {
         state.index_remove("ns1/a").unwrap();
         assert!(!state.by_namespace.contains_key("ns1"), "empty ns entry dropped");
         assert_eq!(state.objects.len(), 1);
+    }
+
+    #[test]
+    fn updates_overwrite_the_index_entries_in_place() {
+        let mut state = ShardState::new();
+        let mut last = None;
+        for rev in 1..=100 {
+            let mut pod = Pod::new("ns", "p");
+            pod.meta.resource_version = rev;
+            let pod: Arc<Object> = Arc::new(pod.into());
+            let previous = state.index_insert("ns/p".into(), Arc::clone(&pod));
+            assert_eq!(previous.map(|o| o.meta().resource_version), last);
+            last = Some(rev);
+        }
+        assert_eq!(state.objects.len(), 1);
+        assert_eq!(state.by_namespace.len(), 1);
+        assert_eq!(state.by_namespace["ns"].len(), 1);
+        assert_eq!(state.objects["ns/p"].meta().resource_version, 100);
+        assert_eq!(state.by_namespace["ns"]["ns/p"].meta().resource_version, 100);
+
+        state.index_remove("ns/p").unwrap();
+        assert!(state.objects.is_empty());
+        assert!(state.by_namespace.is_empty());
     }
 
     #[test]
