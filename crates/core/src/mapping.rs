@@ -6,9 +6,13 @@
 //! VC's object name and a short hash of the object's UID." (paper
 //! §III-B(2)).
 
-use vc_api::meta::{KeyBuf, Uid};
+use std::collections::BTreeMap;
+use vc_api::meta::{KeyBuf, ObjectMeta, Uid};
 use vc_api::object::Object;
+use vc_api::pod::{Affinity, PodAffinityTerm, PodSpec};
+use vc_api::service::ServiceSpec;
 use vc_api::sha256::sha256_hex;
+use vc_api::storage::PersistentVolumeClaim;
 
 /// Annotation on super-cluster objects naming the owning VirtualCluster.
 pub const CLUSTER_ANNOTATION: &str = "virtualcluster.io/cluster";
@@ -52,8 +56,6 @@ pub fn to_super(obj: &Object, vc_name: &str, prefix: &str) -> Object {
         let meta = converted.meta_mut();
         if !meta.namespace.is_empty() {
             meta.namespace = tenant_ns_to_super(prefix, &meta.namespace);
-        } else if converted_is_namespace(obj) {
-            // handled below (namespaces rename, not re-namespace)
         }
         meta.uid = Uid::default();
         meta.resource_version = 0;
@@ -102,8 +104,187 @@ pub fn to_super(obj: &Object, vc_name: &str, prefix: &str) -> Object {
     converted
 }
 
-fn converted_is_namespace(obj: &Object) -> bool {
-    matches!(obj, Object::Namespace(_))
+/// Whether `existing` already is the super copy of `tenant_obj`: exactly
+/// what `downward::equivalent(&to_super(tenant_obj, vc_name, prefix),
+/// existing)` answers, read through the mapping rules in place instead of
+/// from a built copy. Most downward reconciles find the super copy right,
+/// so [`to_super`] runs only where a super object is written.
+///
+/// Pods, services, namespaces and claims are compared field by field (the
+/// destructuring makes a new field a compile error here). Every other kind
+/// is compared as a whole desired state through the copy: none of them is
+/// on a workload's per-op path.
+pub fn matches_super(tenant_obj: &Object, existing: &Object, vc_name: &str, prefix: &str) -> bool {
+    let meta = |t: &ObjectMeta, e: &ObjectMeta| meta_matches(t, e, vc_name, prefix, false);
+    match (tenant_obj, existing) {
+        (Object::Pod(t), Object::Pod(e)) => {
+            // `node_name` (the binding) and the status are the super
+            // cluster's.
+            let PodSpec {
+                init_containers,
+                containers,
+                node_name: _,
+                node_selector,
+                affinity,
+                tolerations,
+                service_account_name,
+                runtime_class,
+                secret_names,
+                config_map_names,
+                volume_claim_names,
+                host_paths,
+                host_network,
+                host_pid,
+            } = &t.spec;
+            let s = &e.spec;
+            meta(&t.meta, &e.meta)
+                && *init_containers == s.init_containers
+                && *containers == s.containers
+                && *node_selector == s.node_selector
+                && affinity_matches(prefix, affinity, &s.affinity)
+                && *tolerations == s.tolerations
+                && *service_account_name == s.service_account_name
+                && *runtime_class == s.runtime_class
+                && refs_match(prefix, secret_names, &s.secret_names)
+                && refs_match(prefix, config_map_names, &s.config_map_names)
+                && refs_match(prefix, volume_claim_names, &s.volume_claim_names)
+                && *host_paths == s.host_paths
+                && *host_network == s.host_network
+                && *host_pid == s.host_pid
+        }
+        (Object::Service(t), Object::Service(e)) => {
+            // The status is the super cluster's, and so is the cluster IP
+            // unless the tenant asked for one.
+            let ServiceSpec { service_type, selector, cluster_ip, ports } = &t.spec;
+            meta(&t.meta, &e.meta)
+                && *service_type == e.spec.service_type
+                && *selector == e.spec.selector
+                && (cluster_ip.is_empty() || *cluster_ip == e.spec.cluster_ip)
+                && *ports == e.spec.ports
+        }
+        // Renamed into the prefix; finalizers and phase are the super
+        // cluster's.
+        (Object::Namespace(t), Object::Namespace(e)) => {
+            meta_matches(&t.meta, &e.meta, vc_name, prefix, true)
+        }
+        (Object::PersistentVolumeClaim(t), Object::PersistentVolumeClaim(e)) => {
+            // Claim binding is the super cluster's volume binder's.
+            let PersistentVolumeClaim {
+                meta: t_meta,
+                requested,
+                access_mode,
+                storage_class,
+                phase: _,
+                volume_name: _,
+            } = t;
+            meta(t_meta, &e.meta)
+                && *requested == e.requested
+                && *access_mode == e.access_mode
+                && *storage_class == e.storage_class
+        }
+        _ => crate::syncer::downward::equivalent(&to_super(tenant_obj, vc_name, prefix), existing),
+    }
+}
+
+/// Whether `super_name` is `tenant_name` mapped into `prefix`
+/// (`<prefix>-<tenant_name>`).
+fn is_mapped(prefix: &str, tenant_name: &str, super_name: &str) -> bool {
+    strip_prefix(prefix, super_name) == Some(tenant_name)
+}
+
+/// [`matches_super`] for the metadata: `e` against what [`to_super`] makes
+/// of `t`. A namespace (`renamed`) gets a prefixed name and keeps the super
+/// cluster's finalizers.
+fn meta_matches(
+    t: &ObjectMeta,
+    e: &ObjectMeta,
+    vc_name: &str,
+    prefix: &str,
+    renamed: bool,
+) -> bool {
+    // The server-managed identity, the deletion timestamp and the owner
+    // references are cleared by the mapping.
+    let ObjectMeta {
+        name,
+        namespace,
+        uid,
+        resource_version: _,
+        generation: _,
+        creation_timestamp: _,
+        deletion_timestamp: _,
+        labels,
+        annotations,
+        owner_references: _,
+        finalizers,
+    } = t;
+    let tenant_namespace =
+        if renamed { Some(name) } else { (!namespace.is_empty()).then_some(namespace) };
+    let provenance = [
+        (CLUSTER_ANNOTATION, Some(vc_name)),
+        (TENANT_UID_ANNOTATION, Some(uid.as_str())),
+        (TENANT_NAMESPACE_ANNOTATION, tenant_namespace.map(String::as_str)),
+    ];
+    (if renamed { is_mapped(prefix, name, &e.name) } else { *name == e.name })
+        && (if namespace.is_empty() {
+            e.namespace.is_empty()
+        } else {
+            is_mapped(prefix, namespace, &e.namespace)
+        })
+        && e.deletion_timestamp.is_none()
+        && e.owner_references.is_empty()
+        && *labels == e.labels
+        && (renamed
+            || finalizers
+                .iter()
+                .filter(|f| *f != vc_apiserver::NAMESPACE_FINALIZER)
+                .eq(&e.finalizers))
+        && annotations_match(annotations, &provenance, &e.annotations)
+}
+
+/// Whether `existing` equals `tenant` with each `Some` value of
+/// `provenance` set over its key (a tenant-set value under that key is
+/// overwritten, as [`to_super`] does).
+fn annotations_match(
+    tenant: &BTreeMap<String, String>,
+    provenance: &[(&str, Option<&str>)],
+    existing: &BTreeMap<String, String>,
+) -> bool {
+    let set = || provenance.iter().filter_map(|&(key, value)| Some((key, value?)));
+    let added = set().filter(|(key, _)| !tenant.contains_key(*key)).count();
+    // Same size, and every existing entry is one of the mapped ones.
+    existing.len() == tenant.len() + added
+        && existing.iter().all(|(key, value)| match set().find(|(k, _)| k == key) {
+            Some((_, mapped)) => mapped == value,
+            None => tenant.get(key) == Some(value),
+        })
+}
+
+/// The affinity terms of `t` with their namespaces mapped, against `e`.
+fn affinity_matches(prefix: &str, t: &Affinity, e: &Affinity) -> bool {
+    let terms = |t: &[PodAffinityTerm], e: &[PodAffinityTerm]| {
+        t.len() == e.len()
+            && t.iter().zip(e).all(|(t, e)| {
+                let PodAffinityTerm { selector, namespaces } = t;
+                *selector == e.selector
+                    && namespaces.len() == e.namespaces.len()
+                    && namespaces.iter().zip(&e.namespaces).all(|(t, s)| is_mapped(prefix, t, s))
+            })
+    };
+    let Affinity { pod_affinity, pod_anti_affinity } = t;
+    terms(pod_affinity, &e.pod_affinity) && terms(pod_anti_affinity, &e.pod_anti_affinity)
+}
+
+/// Secret, config-map or claim references of `t`, the `ns/name` ones with
+/// their namespace mapped, against `e`.
+fn refs_match(prefix: &str, t: &[String], e: &[String]) -> bool {
+    t.len() == e.len()
+        && t.iter().zip(e).all(|(t, e)| match t.split_once('/') {
+            Some((ns, rest)) => strip_prefix(prefix, e)
+                .and_then(|e| e.strip_prefix(ns))
+                .and_then(|e| e.strip_prefix('/'))
+                .is_some_and(|e| e == rest),
+            None => t == e,
+        })
 }
 
 /// Returns the owning VC name recorded on a super-cluster object, if any.
@@ -269,12 +450,165 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::syncer::downward::equivalent;
     use proptest::prelude::*;
-    use vc_api::pod::Pod;
+    use vc_api::labels::Selector;
+    use vc_api::meta::OwnerReference;
+    use vc_api::namespace::{Namespace, NamespacePhase};
+    use vc_api::pod::{Container, Pod, PodPhase};
+    use vc_api::service::Service;
+    use vc_api::time::Timestamp;
     use vc_api::ResourceKind;
 
     fn dns_name() -> impl Strategy<Value = String> {
         "[a-z0-9]([a-z0-9-]{0,15}[a-z0-9])?"
+    }
+
+    /// A tenant pod, namespace or service over every input the mapping
+    /// rewrites or `equivalent` leaves out: tenant-set provenance
+    /// annotations, plain and `ns/name` references, affinity namespaces,
+    /// the namespace finalizer, owner references and a deletion timestamp.
+    /// Names come from a two-letter alphabet so that tenant values collide
+    /// with mapped ones.
+    struct TenantObject;
+
+    const VC: &str = "vc";
+    const PREFIX: &str = "vc-abcdef";
+
+    impl Strategy for TenantObject {
+        type Value = Object;
+
+        fn sample(&self, rng: &mut TestRng) -> Object {
+            let short = "[ab]{1,2}";
+            let namespace = prop_oneof![Just(String::new()), short.prop_map(|s| s)].sample(rng);
+            let mut meta = ObjectMeta::namespaced(namespace, short.sample(rng));
+            meta.uid = Uid::from_string(short.sample(rng));
+            meta.resource_version = (0u64..3).sample(rng);
+            meta.labels = collection::btree_map("[ab]", "[ab]?", 0..3).sample(rng);
+            let annotation_key = prop_oneof![
+                Just(CLUSTER_ANNOTATION.to_string()),
+                Just(TENANT_UID_ANNOTATION.to_string()),
+                Just(TENANT_NAMESPACE_ANNOTATION.to_string()),
+                Just("virtualcluster.io/other".to_string()),
+                "[ab]",
+            ];
+            let annotation_value = prop_oneof![Just(VC.to_string()), "[ab]{0,2}"];
+            meta.annotations =
+                collection::btree_map(annotation_key, annotation_value, 0..4).sample(rng);
+            let finalizer = prop_oneof![
+                Just(vc_apiserver::NAMESPACE_FINALIZER.to_string()),
+                Just("example.io/keep".to_string()),
+            ];
+            meta.finalizers = collection::vec(finalizer, 0..3).sample(rng);
+            for _ in 0..(0usize..2).sample(rng) {
+                meta.owner_references.push(OwnerReference::controller_of(
+                    "ReplicaSet",
+                    "rs",
+                    Uid::from_string("rs-uid"),
+                ));
+            }
+            if bool::ANY.sample(rng) {
+                meta.deletion_timestamp = Some(Timestamp::from_millis(5));
+            }
+            match (0u8..3).sample(rng) {
+                0 => {
+                    let mut pod = Pod::new("", "").with_container(Container::new("c", "nginx"));
+                    pod.meta = meta;
+                    let reference = prop_oneof!["[ab]{1,2}", "[ab]{1,2}/[ab]{1,2}", "a/b/a"];
+                    pod.spec.secret_names = collection::vec(reference, 0..3).sample(rng);
+                    let reference = prop_oneof!["[ab]{1,2}", "[ab]{1,2}/[ab]{1,2}"];
+                    pod.spec.config_map_names = collection::vec(reference, 0..3).sample(rng);
+                    let reference = prop_oneof!["[ab]{1,2}", "[ab]/[ab]"];
+                    pod.spec.volume_claim_names = collection::vec(reference, 0..2).sample(rng);
+                    let terms =
+                        collection::vec(collection::vec(short, 0..3), 0..2).prop_map(|terms| {
+                            let term = |namespaces| PodAffinityTerm {
+                                selector: Selector::everything(),
+                                namespaces,
+                            };
+                            terms.into_iter().map(term).collect::<Vec<_>>()
+                        });
+                    pod.spec.affinity.pod_affinity = terms.sample(rng);
+                    pod.spec.affinity.pod_anti_affinity = terms.sample(rng);
+                    pod.spec.host_network = bool::ANY.sample(rng);
+                    pod.into()
+                }
+                1 => {
+                    let mut ns = Namespace::new("");
+                    ns.meta = meta;
+                    ns.into()
+                }
+                _ => {
+                    let mut service = Service::new("", "");
+                    service.meta = meta;
+                    service.spec.cluster_ip =
+                        prop_oneof![Just(String::new()), Just("10.0.0.1".to_string())].sample(rng);
+                    service.spec.selector = collection::btree_map("[ab]", "[ab]", 0..2).sample(rng);
+                    service.into()
+                }
+            }
+        }
+    }
+
+    /// Number of [`perturb`] cases.
+    const PERTURBATIONS: usize = 23;
+
+    /// Changes one field of `e`, a super copy of `t`: a mapped one, one the
+    /// super cluster owns, one the tenant owns, or (case 0) none.
+    fn perturb(e: &mut Object, t: &Object, which: usize) {
+        let meta = e.meta_mut();
+        match which {
+            1 => meta.namespace.push('a'),
+            2 => meta.name.push('a'),
+            3 => drop(meta.annotations.insert(CLUSTER_ANNOTATION.into(), "other".into())),
+            4 => drop(meta.annotations.remove(TENANT_UID_ANNOTATION)),
+            5 => drop(meta.annotations.insert(TENANT_NAMESPACE_ANNOTATION.into(), "a".into())),
+            6 => drop(meta.annotations.insert("a".into(), "z".into())),
+            7 => drop(meta.annotations.pop_last()),
+            8 => drop(meta.labels.insert("a".into(), "z".into())),
+            9 => meta.finalizers.push(vc_apiserver::NAMESPACE_FINALIZER.into()),
+            10 => meta.finalizers.clear(),
+            11 => {
+                meta.owner_references.push(OwnerReference::controller_of("X", "x", Uid::generate()))
+            }
+            12 => meta.deletion_timestamp = Some(Timestamp::from_millis(9)),
+            13 => {
+                meta.uid = Uid::generate();
+                meta.resource_version = 7;
+                meta.generation = 3;
+            }
+            14 => meta.namespace = t.meta().namespace.clone(),
+            15 => meta.name = t.meta().name.clone(),
+            _ => {}
+        }
+        match (&mut *e, t) {
+            (Object::Pod(e), Object::Pod(t)) => match which {
+                16 => {
+                    e.spec.node_name = "node-9".into();
+                    e.status.phase = PodPhase::Running;
+                }
+                17 => e.spec.secret_names = t.spec.secret_names.clone(),
+                18 => e.spec.config_map_names = t.spec.config_map_names.clone(),
+                19 => e.spec.volume_claim_names = t.spec.volume_claim_names.clone(),
+                20 => e.spec.affinity = t.spec.affinity.clone(),
+                21 => e.spec.containers[0].image = "nginx:2".into(),
+                _ => {}
+            },
+            (Object::Service(e), _) => match which {
+                16 => e.status.load_balancer_ip = "1.2.3.4".into(),
+                17 => e.spec.cluster_ip = "10.9.9.9".into(),
+                _ => {}
+            },
+            (Object::Namespace(e), _) if which == 16 => e.phase = NamespacePhase::Terminating,
+            _ => {}
+        }
+        // Another kind under the same key.
+        if which == 22 {
+            *e = match t {
+                Object::Pod(_) => Namespace::new(PREFIX).into(),
+                _ => Pod::new(PREFIX, "a").into(),
+            };
+        }
     }
 
     proptest! {
@@ -332,6 +666,23 @@ mod proptests {
             prop_assert_eq!(&meta.labels, &labels);
             // Converting twice is deterministic.
             prop_assert_eq!(to_super(&pod.into(), "vc", "vc-abcdef"), converted);
+        }
+
+        /// `matches_super` answers what comparing against the built copy
+        /// answers, for every perturbation of the super copy (and none).
+        #[test]
+        fn prop_matches_super_agrees_with_the_built_copy(t in TenantObject) {
+            let mapped = to_super(&t, VC, PREFIX);
+            prop_assert!(matches_super(&t, &mapped, VC, PREFIX), "a copy matches its source");
+            for which in 0..PERTURBATIONS {
+                let mut e = mapped.clone();
+                perturb(&mut e, &t, which);
+                prop_assert_eq!(
+                    matches_super(&t, &e, VC, PREFIX),
+                    equivalent(&mapped, &e),
+                    "perturbation {which}: super copy {e:?}"
+                );
+            }
         }
     }
 }

@@ -8,6 +8,7 @@
 
 use super::{Syncer, TenantState, WorkItem};
 use crate::mapping;
+use std::sync::Arc;
 use vc_api::error::ApiError;
 use vc_api::meta::ObjectMeta;
 use vc_api::object::{Object, ResourceKind};
@@ -15,6 +16,7 @@ use vc_api::pod::PodSpec;
 use vc_api::service::ServiceSpec;
 use vc_api::storage::PersistentVolumeClaim;
 use vc_api::ApiResult;
+use vc_client::Cache;
 
 /// Reconciles one downward work item.
 pub(crate) fn reconcile(syncer: &Syncer, item: &WorkItem) {
@@ -37,22 +39,40 @@ pub(crate) fn reconcile(syncer: &Syncer, item: &WorkItem) {
 }
 
 /// Returns `true` if the tenant object's super-cluster copy exists and
-/// matches the desired state (used by the scanner).
+/// matches the desired state (used by the scanner, once per cached object
+/// every lap).
 pub(crate) fn in_sync(
     syncer: &Syncer,
     tenant: &TenantState,
     kind: ResourceKind,
+    tenant_key: &str,
     tenant_obj: &Object,
 ) -> bool {
     if kind == ResourceKind::CustomObject && !custom_object_synced(tenant, tenant_obj) {
         return true; // not subject to sync
     }
     let Some(super_cache) = syncer.super_cache(kind) else { return true };
-    let desired = mapping::to_super(tenant_obj, &tenant.handle.name, &tenant.handle.prefix);
-    match super_cache.get(&desired.meta().full_name_buf()) {
+    match super_copy(super_cache, tenant, kind, tenant_key) {
         None => tenant_obj.meta().is_terminating(),
-        Some(existing) => equivalent(&desired, &existing),
+        Some(existing) => mapping::matches_super(
+            tenant_obj,
+            &existing,
+            &tenant.handle.name,
+            &tenant.handle.prefix,
+        ),
     }
+}
+
+/// The cached super copy of the tenant object at `tenant_key`, looked up by
+/// a key built on the stack.
+fn super_copy(
+    super_cache: &Cache,
+    tenant: &TenantState,
+    kind: ResourceKind,
+    tenant_key: &str,
+) -> Option<Arc<Object>> {
+    let key = mapping::super_key_buf(&tenant.handle.prefix, kind, tenant_key)?;
+    super_cache.get(&key)
 }
 
 fn custom_object_synced(tenant: &TenantState, obj: &Object) -> bool {
@@ -77,13 +97,10 @@ fn custom_object_synced(tenant: &TenantState, obj: &Object) -> bool {
 }
 
 fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenant_obj: &Object) {
-    let desired = mapping::to_super(tenant_obj, &tenant.handle.name, &tenant.handle.prefix);
-    let super_cache = match syncer.super_cache(item.kind) {
-        Some(cache) => cache,
-        None => return,
-    };
+    let Some(super_cache) = syncer.super_cache(item.kind) else { return };
+    let (vc_name, prefix) = (&tenant.handle.name, &tenant.handle.prefix);
 
-    match super_cache.get(&desired.meta().full_name_buf()) {
+    match super_copy(super_cache, tenant, item.kind, &item.key) {
         None => {
             // Create path. The super copy might exist but not yet be in
             // our cache; AlreadyExists then routes to the update path via
@@ -92,6 +109,7 @@ fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenan
             if traced {
                 syncer.trace_dws_done(&item.tenant, &item.key);
             }
+            let desired = mapping::to_super(tenant_obj, vc_name, prefix);
             let created = create_with_namespace(syncer, tenant, tenant_obj, desired);
             if traced && created.is_err() {
                 syncer.trace_dws_undone(&item.tenant, &item.key);
@@ -142,7 +160,7 @@ fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenan
                 syncer.requeue_downward(item.clone());
                 return;
             }
-            if equivalent(&desired, &existing) {
+            if mapping::matches_super(tenant_obj, &existing, vc_name, prefix) {
                 syncer.forget_retries(item);
                 if item.kind == ResourceKind::Pod {
                     // Create already happened (e.g. before a syncer
@@ -151,7 +169,8 @@ fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenan
                 }
                 return;
             }
-            match update_super(syncer, item.kind, &desired, &existing) {
+            let desired = mapping::to_super(tenant_obj, vc_name, prefix);
+            match update_super(syncer, tenant, tenant_obj, desired, &existing) {
                 Ok(()) => {
                     syncer.metrics.downward_updates.inc();
                     syncer.forget_retries(item);
@@ -210,17 +229,25 @@ fn create_with_namespace(
     }
 }
 
+/// Overwrites `cached_existing` with `desired`, the super copy of
+/// `tenant_obj`, keeping the fields the super cluster owns.
 fn update_super(
     syncer: &Syncer,
-    kind: ResourceKind,
-    desired: &Object,
+    tenant: &TenantState,
+    tenant_obj: &Object,
+    desired: Object,
     cached_existing: &Object,
 ) -> ApiResult<()> {
     let meta = cached_existing.meta();
-    let (ns, name) = (meta.namespace.clone(), meta.name.clone());
+    let (kind, ns, name) = (desired.kind(), meta.namespace.as_str(), meta.name.as_str());
+    let mut desired = Some(desired);
     vc_controllers::util::retry_on_conflict(3, || {
-        let fresh = syncer.super_client.get(kind, &ns, &name)?;
-        let mut updated = desired.clone();
+        let fresh = syncer.super_client.get(kind, ns, name)?;
+        // The first write consumes `desired`; the rare conflict retry maps
+        // the tenant object again rather than every update keeping a copy.
+        let mut updated = desired.take().unwrap_or_else(|| {
+            mapping::to_super(tenant_obj, &tenant.handle.name, &tenant.handle.prefix)
+        });
         merge_super_managed(&mut updated, &fresh);
         updated.meta_mut().resource_version = fresh.meta().resource_version;
         syncer.super_client.update(updated).map(|_| ())

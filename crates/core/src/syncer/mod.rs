@@ -16,7 +16,7 @@
 
 pub mod vnode;
 
-mod downward;
+pub(crate) mod downward;
 mod health;
 mod metrics;
 mod retry;
@@ -368,8 +368,8 @@ impl Syncer {
         {
             let syncer_ref = Arc::clone(&syncer);
             handle.every(&syncer.clock, syncer.config.vnode_heartbeat_interval, move || {
-                let tenants: Vec<Arc<TenantHandle>> =
-                    syncer_ref.tenants.read().values().map(|t| Arc::clone(&t.handle)).collect();
+                let tenants: Vec<Arc<TenantState>> =
+                    syncer_ref.tenants.read().values().cloned().collect();
                 if let Some(cache) = syncer_ref.super_cache(ResourceKind::Node) {
                     syncer_ref.vnodes.broadcast_heartbeats(&tenants, cache);
                 }

@@ -148,7 +148,7 @@ impl Syncer {
             .and_then(|key| super_cache.get(&key))
             .filter(|o| mapping::owner_cluster(o) == Some(&**name));
         let downward = match &tenant_obj {
-            Some(obj) => !downward::in_sync(self, tenant, kind, obj),
+            Some(obj) => !downward::in_sync(self, tenant, kind, tenant_key, obj),
             // Tenant source gone: the super copy is an orphan the downward
             // delete path must remove.
             None => super_obj.is_some(),

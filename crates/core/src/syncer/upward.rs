@@ -61,7 +61,7 @@ fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
                     }
                 }
             }
-            syncer.vnodes.release(&tenant.handle, &item.key);
+            syncer.vnodes.release(tenant, &item.key);
         }
         Some(super_obj) => {
             let Some(super_pod) = super_obj.as_pod() else { return };
@@ -73,12 +73,7 @@ fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
             // Binding: materialize the vNode before exposing the binding.
             if super_pod.spec.is_bound() {
                 if let Some(node_cache) = syncer.super_cache(ResourceKind::Node) {
-                    syncer.vnodes.bind(
-                        &tenant.handle,
-                        node_cache,
-                        &super_pod.spec.node_name,
-                        &item.key,
-                    );
+                    syncer.vnodes.bind(tenant, node_cache, &super_pod.spec.node_name, &item.key);
                 }
             }
             let expected_tenant_uid = mapping::tenant_uid(&super_obj);

@@ -11,7 +11,7 @@
 //! inter-pod anti-affinity visible to tenants (Fig 6) — unlike a virtual
 //! kubelet's single synthetic node.
 
-use crate::registry::TenantHandle;
+use super::TenantState;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -21,33 +21,28 @@ use vc_api::object::ResourceKind;
 use vc_client::Cache;
 use vc_controllers::util::retry_on_conflict;
 
+/// A shared name: a tenant's, a node's or a super pod key.
+type Name = Arc<str>;
+
 /// Tracks pod→vNode bindings and materializes vNodes in tenant control
-/// planes.
+/// planes, through each tenant's syncer client ([`TenantState::client`]).
 ///
-/// Both maps nest by tenant, so a lookup borrows the tenant name and key
-/// instead of building an owned pair; names are copied only when a binding
-/// is new.
+/// Both maps nest by tenant and hold shared names: the tenant's minted
+/// name, the super pod key of the work item, and a node name copied once,
+/// when the tenant's first pod binds there. A lookup borrows; a snapshot
+/// bumps reference counts.
 #[derive(Debug, Default)]
 pub struct VNodeManager {
     /// tenant -> node -> super-side pod keys bound there.
-    bindings: Mutex<HashMap<String, HashMap<String, HashSet<String>>>>,
+    bindings: Mutex<HashMap<Name, HashMap<Name, HashSet<Name>>>>,
     /// tenant -> super pod key -> node, for release.
-    pod_nodes: Mutex<HashMap<String, HashMap<String, String>>>,
+    pod_nodes: Mutex<HashMap<Name, HashMap<Name, Name>>>,
     /// vNodes created.
     pub vnodes_created: Counter,
     /// vNodes removed after their last pod unbound.
     pub vnodes_removed: Counter,
     /// Heartbeat broadcasts performed (vnode-updates, not rounds).
     pub heartbeats_sent: Counter,
-}
-
-/// `map[key]`, inserted empty first when absent (the key is copied then
-/// only).
-fn entry<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
-    if !map.contains_key(key) {
-        map.insert(key.to_string(), V::default());
-    }
-    map.get_mut(key).expect("inserted above")
 }
 
 impl VNodeManager {
@@ -62,28 +57,35 @@ impl VNodeManager {
     /// lookup and nothing more.
     pub fn bind(
         &self,
-        tenant: &Arc<TenantHandle>,
+        tenant: &TenantState,
         super_node_cache: &Cache,
         node_name: &str,
-        super_pod_key: &str,
+        super_pod_key: &Arc<str>,
     ) {
         let known = self
             .pod_nodes
             .lock()
             .get(&tenant.name)
-            .and_then(|pods| pods.get(super_pod_key).map(|node| node == node_name));
+            .and_then(|pods| pods.get(super_pod_key).map(|node| &**node == node_name));
         if known == Some(true) {
             return;
         }
-        let is_new_node = {
+        let (node, is_new_node) = {
             let mut bindings = self.bindings.lock();
-            let set = entry(entry(&mut bindings, &tenant.name), node_name);
+            let nodes = bindings.entry(Arc::clone(&tenant.name)).or_default();
+            let node = nodes
+                .get_key_value(node_name)
+                .map_or_else(|| Arc::from(node_name), |(node, _)| Arc::clone(node));
+            let set = nodes.entry(Arc::clone(&node)).or_default();
             let was_empty = set.is_empty();
-            set.insert(super_pod_key.to_string());
-            was_empty
+            set.insert(Arc::clone(super_pod_key));
+            (node, was_empty)
         };
-        entry(&mut self.pod_nodes.lock(), &tenant.name)
-            .insert(super_pod_key.to_string(), node_name.to_string());
+        self.pod_nodes
+            .lock()
+            .entry(Arc::clone(&tenant.name))
+            .or_default()
+            .insert(Arc::clone(super_pod_key), node);
 
         if is_new_node {
             self.ensure_vnode(tenant, super_node_cache, node_name);
@@ -92,7 +94,7 @@ impl VNodeManager {
 
     /// Releases `super_pod_key`'s binding; removes the vNode when it was
     /// the last pod.
-    pub fn release(&self, tenant: &Arc<TenantHandle>, super_pod_key: &str) {
+    pub fn release(&self, tenant: &TenantState, super_pod_key: &str) {
         let node = {
             let mut pod_nodes = self.pod_nodes.lock();
             let Some(pods) = pod_nodes.get_mut(&tenant.name) else { return };
@@ -116,11 +118,8 @@ impl VNodeManager {
             }
             now_empty
         };
-        if now_empty {
-            let client = tenant.system_client("vc-syncer");
-            if client.delete(ResourceKind::Node, "", &node).is_ok() {
-                self.vnodes_removed.inc();
-            }
+        if now_empty && tenant.client.delete(ResourceKind::Node, "", &node).is_ok() {
+            self.vnodes_removed.inc();
         }
     }
 
@@ -130,46 +129,63 @@ impl VNodeManager {
         bindings.get(tenant).and_then(|nodes| nodes.get(node)).map_or(0, HashSet::len)
     }
 
-    /// Broadcasts physical-node heartbeats to every tenant vNode.
+    /// Broadcasts physical-node heartbeats to every tenant vNode. A vNode
+    /// that already mirrors its node's heartbeat, condition and resources
+    /// is not written.
     ///
     /// Tenants are indexed by name up front, so a round costs
     /// O(bindings + tenants) instead of the O(bindings × tenants) a
     /// per-pair scan over the tenant list would — at 1,000+ registered
-    /// tenants the scan dominated every heartbeat round.
-    pub fn broadcast_heartbeats(&self, tenants: &[Arc<TenantHandle>], super_node_cache: &Cache) {
-        let by_name: HashMap<&str, &Arc<TenantHandle>> =
-            tenants.iter().map(|t| (t.name.as_str(), t)).collect();
-        let pairs: Vec<(String, String)> = self
+    /// tenants the scan dominated every heartbeat round. The bindings are
+    /// snapshotted as shared names, so no apiserver call runs under their
+    /// lock.
+    pub fn broadcast_heartbeats(&self, tenants: &[Arc<TenantState>], super_node_cache: &Cache) {
+        let by_name: HashMap<&str, &TenantState> =
+            tenants.iter().map(|t| (&*t.name, &**t)).collect();
+        let pairs: Vec<(Arc<str>, Arc<str>)> = self
             .bindings
             .lock()
             .iter()
-            .flat_map(|(tenant, nodes)| nodes.keys().map(|node| (tenant.clone(), node.clone())))
+            .flat_map(|(tenant, nodes)| {
+                nodes.keys().map(move |node| (Arc::clone(tenant), Arc::clone(node)))
+            })
             .collect();
-        for (tenant_name, node_name) in pairs {
-            let Some(&tenant) = by_name.get(tenant_name.as_str()) else { continue };
-            let Some(super_obj) = super_node_cache.get(&node_name) else { continue };
+        for (tenant_name, node_name) in &pairs {
+            let Some(tenant) = by_name.get(&**tenant_name) else { continue };
+            let Some(super_obj) = super_node_cache.get(node_name) else { continue };
             let Some(super_node) = super_obj.as_node() else { continue };
-            let client = tenant.system_client("vc-syncer");
-            let ok = retry_on_conflict(3, || {
-                let fresh = client.get(ResourceKind::Node, "", &node_name)?;
+            let (client, source) = (&tenant.client, &super_node.status);
+            let written = retry_on_conflict(3, || {
+                let fresh = client.get(ResourceKind::Node, "", node_name)?;
+                // Compare through the shared pointer: only a write needs an
+                // owned copy.
+                if fresh.as_node().is_some_and(|current| {
+                    let status = &current.status;
+                    status.last_heartbeat == source.last_heartbeat
+                        && status.condition == source.condition
+                        && status.capacity == source.capacity
+                        && status.allocatable == source.allocatable
+                }) {
+                    return Ok(false);
+                }
                 let mut vnode: Node = fresh.try_into()?;
-                vnode.status.last_heartbeat = super_node.status.last_heartbeat;
-                vnode.status.condition = super_node.status.condition;
-                vnode.status.capacity = super_node.status.capacity.clone();
-                vnode.status.allocatable = super_node.status.allocatable.clone();
-                client.update(vnode.into()).map(|_| ())
+                vnode.status.last_heartbeat = source.last_heartbeat;
+                vnode.status.condition = source.condition;
+                vnode.status.capacity = source.capacity.clone();
+                vnode.status.allocatable = source.allocatable.clone();
+                client.update(vnode.into()).map(|_| true)
             });
-            if ok.is_ok() {
+            if matches!(written, Ok(true)) {
                 self.heartbeats_sent.inc();
             }
         }
     }
 
-    fn ensure_vnode(&self, tenant: &Arc<TenantHandle>, super_node_cache: &Cache, node_name: &str) {
-        let client = tenant.system_client("vc-syncer");
-        if client.get(ResourceKind::Node, "", node_name).is_ok() {
-            return;
-        }
+    /// Creates the vNode mirroring `node_name`. Reached only when this
+    /// manager had no pod of the tenant bound there, so no GET asks first:
+    /// a vNode that exists anyway (left by an earlier syncer) answers the
+    /// create with `AlreadyExists`, which is success.
+    fn ensure_vnode(&self, tenant: &TenantState, super_node_cache: &Cache, node_name: &str) {
         // Mirror the real node's shape 1:1.
         let vnode = match super_node_cache.get(node_name).and_then(|o| Node::try_from(o).ok()) {
             Some(mut node) => {
@@ -188,10 +204,8 @@ impl VNodeManager {
             )
             .as_vnode_of(node_name),
         };
-        match client.create(vnode.into()) {
-            Ok(_) => self.vnodes_created.inc(),
-            Err(e) if e.is_already_exists() => {}
-            Err(_) => {}
+        if tenant.client.create(vnode.into()).is_ok() {
+            self.vnodes_created.inc();
         }
     }
 }
@@ -199,17 +213,18 @@ impl VNodeManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::generate_cert;
+    use crate::registry::{generate_cert, TenantHandle};
     use vc_controllers::{Cluster, ClusterConfig};
 
-    fn tenant(name: &str) -> Arc<TenantHandle> {
+    /// A tenant as the syncer holds it: the handle and the syncer's client.
+    fn tenant(name: &str) -> Arc<TenantState> {
         let (cert, cert_hash) = generate_cert(name);
         let mut config = ClusterConfig::tenant(name).with_zero_latency();
         config.workload_controllers = false;
         config.service_controller = false;
         config.namespace_controller = false;
         config.garbage_collector = false;
-        Arc::new(TenantHandle {
+        let handle = Arc::new(TenantHandle {
             name: name.into(),
             prefix: format!("{name}-h"),
             cluster: Arc::new(Cluster::start(config)),
@@ -217,6 +232,12 @@ mod tests {
             cert_hash,
             weight: 1,
             sync_crds: false,
+        });
+        Arc::new(TenantState {
+            name: name.into(),
+            client: handle.system_client("vc-syncer"),
+            handle,
+            informers: HashMap::new(),
         })
     }
 
@@ -238,16 +259,16 @@ mod tests {
         let manager = VNodeManager::new();
         let t = tenant("t1");
         let cache = super_node_cache(&["node-1"]);
-        manager.bind(&t, &cache, "node-1", "pfx-default/p1");
-        manager.bind(&t, &cache, "node-1", "pfx-default/p2");
+        manager.bind(&t, &cache, "node-1", &"pfx-default/p1".into());
+        manager.bind(&t, &cache, "node-1", &"pfx-default/p2".into());
         assert_eq!(manager.binding_count("t1", "node-1"), 2);
         assert_eq!(manager.vnodes_created.get(), 1);
-        let client = t.client("test");
+        let client = t.handle.client("test");
         let vnode = client.get(ResourceKind::Node, "", "node-1").unwrap();
         let vnode = vnode.as_node().unwrap();
         assert!(vnode.is_vnode());
         assert_eq!(vnode.vnode_source(), Some("node-1"));
-        t.cluster.shutdown();
+        t.handle.cluster.shutdown();
     }
 
     #[test]
@@ -255,18 +276,18 @@ mod tests {
         let manager = VNodeManager::new();
         let t = tenant("t2");
         let cache = super_node_cache(&["node-1"]);
-        manager.bind(&t, &cache, "node-1", "a/p1");
-        manager.bind(&t, &cache, "node-1", "a/p2");
+        manager.bind(&t, &cache, "node-1", &"a/p1".into());
+        manager.bind(&t, &cache, "node-1", &"a/p2".into());
         manager.release(&t, "a/p1");
         assert_eq!(manager.binding_count("t2", "node-1"), 1);
-        assert!(t.client("test").get(ResourceKind::Node, "", "node-1").is_ok());
+        assert!(t.handle.client("test").get(ResourceKind::Node, "", "node-1").is_ok());
         manager.release(&t, "a/p2");
         assert_eq!(manager.binding_count("t2", "node-1"), 0);
-        assert!(t.client("test").get(ResourceKind::Node, "", "node-1").is_err());
+        assert!(t.handle.client("test").get(ResourceKind::Node, "", "node-1").is_err());
         assert_eq!(manager.vnodes_removed.get(), 1);
         // Releasing an unknown pod is a no-op.
         manager.release(&t, "a/ghost");
-        t.cluster.shutdown();
+        t.handle.cluster.shutdown();
     }
 
     #[test]
@@ -276,12 +297,12 @@ mod tests {
         let manager = VNodeManager::new();
         let t = tenant("t3");
         let cache = super_node_cache(&["node-1", "node-2"]);
-        manager.bind(&t, &cache, "node-1", "a/p1");
-        manager.bind(&t, &cache, "node-2", "a/p2");
-        let client = t.client("test");
+        manager.bind(&t, &cache, "node-1", &"a/p1".into());
+        manager.bind(&t, &cache, "node-2", &"a/p2".into());
+        let client = t.handle.client("test");
         let (nodes, _) = client.list(ResourceKind::Node, None).unwrap();
         assert_eq!(nodes.len(), 2);
-        t.cluster.shutdown();
+        t.handle.cluster.shutdown();
     }
 
     #[test]
@@ -289,7 +310,7 @@ mod tests {
         let manager = VNodeManager::new();
         let t = tenant("t4");
         let cache = super_node_cache(&["node-1"]);
-        manager.bind(&t, &cache, "node-1", "a/p1");
+        manager.bind(&t, &cache, "node-1", &"a/p1".into());
 
         // Advance the super node's heartbeat and broadcast.
         let mut node = Node::try_from(cache.get("node-1").unwrap()).unwrap();
@@ -297,12 +318,18 @@ mod tests {
         cache.insert(node.into());
         manager.broadcast_heartbeats(&[Arc::clone(&t)], &cache);
 
-        let vnode = t.client("test").get(ResourceKind::Node, "", "node-1").unwrap();
+        let vnode = t.handle.client("test").get(ResourceKind::Node, "", "node-1").unwrap();
         assert_eq!(
             vnode.as_node().unwrap().status.last_heartbeat,
             vc_api::time::Timestamp::from_millis(999)
         );
         assert_eq!(manager.heartbeats_sent.get(), 1);
-        t.cluster.shutdown();
+
+        // A round with the super node unchanged writes nothing.
+        manager.broadcast_heartbeats(&[Arc::clone(&t)], &cache);
+        let again = t.handle.client("test").get(ResourceKind::Node, "", "node-1").unwrap();
+        assert_eq!(again.meta().resource_version, vnode.meta().resource_version);
+        assert_eq!(manager.heartbeats_sent.get(), 1);
+        t.handle.cluster.shutdown();
     }
 }

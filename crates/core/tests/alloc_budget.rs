@@ -1,19 +1,29 @@
 //! Allocation budgets of the per-event sync path: what a work item, a trip
-//! through the downward fair queue and a trace lookup cost in heap
-//! allocations. The syncer pays these once per informer event of every
-//! tenant, so each is pinned; the count before identities were shared as
-//! `Arc<str>` (tenant and key `String`s copied on every clone and lookup)
-//! is noted beside each budget.
+//! through the downward fair queue, a trace lookup, a no-op downward
+//! comparison and a vNode binding cost in heap allocations. The syncer pays
+//! these once per informer event of every tenant, so each is pinned; the
+//! count before the change that brought it down is noted beside each
+//! budget.
 //!
 //! The allocator counts only the calling thread's allocations, so tests
 //! running in parallel on other threads do not disturb a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::hint::black_box;
-use vc_api::object::ResourceKind;
-use vc_client::WeightedFairQueue;
-use vc_core::syncer::WorkItem;
+use std::sync::Arc;
+use vc_api::meta::Uid;
+use vc_api::node::Node;
+use vc_api::object::{Object, ResourceKind};
+use vc_api::pod::{Container, Pod, PodPhase};
+use vc_client::{Cache, WeightedFairQueue};
+use vc_controllers::{Cluster, ClusterConfig};
+use vc_core::mapping;
+use vc_core::registry::generate_cert;
+use vc_core::syncer::vnode::VNodeManager;
+use vc_core::syncer::{TenantState, WorkItem};
+use vc_core::TenantHandle;
 use vc_obs::{ObsParams, Tracer};
 
 struct ThreadCountingAlloc;
@@ -115,4 +125,69 @@ fn a_trace_lookup_allocates_nothing_on_a_hit_or_a_miss() {
     // Before: 2 each (an owned `(tenant, key)` pair built per lookup).
     assert_eq!((hit_allocs, miss_allocs, other_allocs), (0, 0, 0));
     black_box(tracer);
+}
+
+#[test]
+fn a_downward_comparison_that_finds_the_super_copy_right_allocates_nothing() {
+    let (vc, prefix) = ("tenant-a", "tenant-a-abc123");
+    let mut pod = Pod::new("default", "web-0").with_container(Container::new("c", "nginx"));
+    pod.meta.uid = Uid::from_string("pod-uid");
+    pod.meta.resource_version = 7;
+    pod.meta.labels.insert("app".into(), "web".into());
+    pod.spec.secret_names.push("default/token".into());
+    let tenant: Object = pod.into();
+    // The super copy as the scheduler and kubelet leave it: bound and
+    // running, with its own identity.
+    let Object::Pod(mut bound) = mapping::to_super(&tenant, vc, prefix) else { unreachable!() };
+    bound.spec.node_name = "node-1".into();
+    bound.status.phase = PodPhase::Running;
+    bound.meta.uid = Uid::from_string("super-uid");
+    bound.meta.resource_version = 12;
+    let existing: Object = bound.into();
+    let (n, matches) =
+        allocations_during(|| mapping::matches_super(&tenant, &existing, vc, prefix));
+    assert!(matches);
+    // Before: 25 (`equivalent(&to_super(..), ..)`: the mapped copy of the
+    // pod with its strings and maps, its prefixed namespace and reference,
+    // and three annotations).
+    assert_eq!(n, 0, "the comparison reads through the mapping");
+}
+
+#[test]
+fn binding_a_second_pod_to_a_node_with_a_vnode_allocates_nothing() {
+    let (cert, cert_hash) = generate_cert("t1");
+    let mut config = ClusterConfig::tenant("t1").with_zero_latency();
+    config.workload_controllers = false;
+    config.service_controller = false;
+    config.namespace_controller = false;
+    config.garbage_collector = false;
+    let handle = Arc::new(TenantHandle {
+        name: "t1".into(),
+        prefix: "t1-h".into(),
+        cluster: Arc::new(Cluster::start(config)),
+        cert,
+        cert_hash,
+        weight: 1,
+        sync_crds: false,
+    });
+    let tenant = TenantState {
+        name: "t1".into(),
+        client: handle.system_client("vc-syncer"),
+        handle,
+        informers: HashMap::new(),
+    };
+    let nodes = Cache::new();
+    nodes.insert(
+        Node::new("node-1", vc_api::quantity::resource_list(&[("cpu", "96"), ("pods", "500")]))
+            .into(),
+    );
+    let manager = VNodeManager::new();
+    manager.bind(&tenant, &nodes, "node-1", &"t1-h-default/p1".into());
+    assert_eq!(manager.vnodes_created.get(), 1);
+    let second: Arc<str> = "t1-h-default/p2".into();
+    let (n, ()) = allocations_during(|| manager.bind(&tenant, &nodes, "node-1", &second));
+    assert_eq!(manager.binding_count("t1", "node-1"), 2);
+    // Before: 3 (owned copies of the pod key, twice, and of the node name).
+    assert_eq!(n, 0, "the binding shares the names it was handed");
+    tenant.handle.cluster.shutdown();
 }
