@@ -39,6 +39,7 @@ pub mod policy;
 pub mod quantity;
 pub mod service;
 pub mod sha256;
+pub mod shared;
 pub mod storage;
 pub mod time;
 pub mod workload;

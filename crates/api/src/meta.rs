@@ -6,6 +6,7 @@
 //! `deletion_timestamp` (for graceful deletion).
 
 use crate::labels::Labels;
+use crate::shared::Shared;
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -126,8 +127,9 @@ pub struct ObjectMeta {
     pub deletion_timestamp: Option<Timestamp>,
     /// Labels for selection.
     pub labels: Labels,
-    /// Unstructured annotations.
-    pub annotations: BTreeMap<String, String>,
+    /// Unstructured annotations, shared with the stored object until
+    /// written.
+    pub annotations: Shared<BTreeMap<String, String>>,
     /// Owners for cascading deletion.
     pub owner_references: Vec<OwnerReference>,
     /// Tokens that block physical deletion until removed.

@@ -7,6 +7,7 @@
 use crate::meta::ObjectMeta;
 use crate::pod::TaintEffect;
 use crate::quantity::ResourceList;
+use crate::shared::Shared;
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
 
@@ -77,8 +78,9 @@ pub struct Node {
     pub meta: ObjectMeta,
     /// Desired state.
     pub spec: NodeSpec,
-    /// Observed state.
-    pub status: NodeStatus,
+    /// Observed state, shared with the stored object until written (a
+    /// vNode shares its super node's).
+    pub status: Shared<NodeStatus>,
 }
 
 /// Annotation key marking a tenant-side node as a vNode mirror.
@@ -92,12 +94,12 @@ impl Node {
         Node {
             meta: ObjectMeta::cluster_scoped(name),
             spec: NodeSpec::default(),
-            status: NodeStatus {
+            status: Shared::Owned(NodeStatus {
                 allocatable: capacity.clone(),
                 capacity,
                 condition: NodeCondition::Ready,
                 ..Default::default()
-            },
+            }),
         }
     }
 

@@ -223,6 +223,23 @@ impl Object {
         dispatch!(self, o => &mut o.meta)
     }
 
+    /// Freezes the parts a write may leave unchanged (every kind's
+    /// annotations, a pod's spec and status, a node's status) behind
+    /// `Arc`s, so that copies of this object share them (see
+    /// [`crate::shared`]). The store calls this once per stored object,
+    /// just before it shares the object itself.
+    pub fn freeze(&mut self) {
+        match self {
+            Object::Pod(pod) => {
+                pod.spec.freeze();
+                pod.status.freeze();
+            }
+            Object::Node(node) => node.status.freeze(),
+            _ => {}
+        }
+        self.meta_mut().annotations.freeze();
+    }
+
     /// Returns `namespace/name` (or `name` for cluster-scoped kinds).
     pub fn key(&self) -> String {
         self.meta().full_name()

@@ -12,6 +12,7 @@
 use crate::labels::{Labels, Selector};
 use crate::meta::ObjectMeta;
 use crate::quantity::ResourceList;
+use crate::shared::Shared;
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -345,10 +346,10 @@ impl PodStatus {
 pub struct Pod {
     /// Standard metadata.
     pub meta: ObjectMeta,
-    /// Desired state.
-    pub spec: PodSpec,
-    /// Observed state.
-    pub status: PodStatus,
+    /// Desired state, shared with the stored object until written.
+    pub spec: Shared<PodSpec>,
+    /// Observed state, shared with the stored object until written.
+    pub status: Shared<PodStatus>,
 }
 
 impl Pod {

@@ -103,9 +103,11 @@ pub struct Kubelet {
     /// Pod keys, shared with the informer's cache (no copy per event).
     queue: Arc<WorkQueue<Arc<str>>>,
     pod_cache: Arc<Cache>,
-    /// Pods this kubelet runs: pod key -> (runtime used, sandbox), `None`
-    /// for a mock pod.
-    hosted: Mutex<HashMap<String, Option<PodSandbox>>>,
+    /// Pods this kubelet runs: pod key (the queue's) -> (runtime used,
+    /// sandbox), `None` for a mock pod.
+    hosted: Mutex<HashMap<Arc<str>, Option<PodSandbox>>>,
+    /// This node's IP, the `host_ip` of every pod it runs.
+    host_ip: String,
     ip_counter: AtomicU32,
     /// Pods this kubelet brought to Ready.
     pub pods_started: Counter,
@@ -142,6 +144,7 @@ impl Kubelet {
             pod_cache,
             hosted: Mutex::new(HashMap::new()),
             ip_counter: AtomicU32::new(1),
+            host_ip: format!("10.{}.0.1", config.pod_cidr_index),
             pods_started: Counter::new(),
             pods_stopped: Counter::new(),
             pod_events: Counter::new(),
@@ -198,7 +201,7 @@ impl Kubelet {
     fn register_node(&self) -> ApiResult<()> {
         let mut node = Node::new(self.config.node_name.clone(), self.config.capacity.clone());
         node.meta.labels = self.config.node_labels.clone();
-        node.status.address = format!("10.{}.0.1", self.config.pod_cidr_index);
+        node.status.address = self.host_ip.clone();
         node.status.kubelet_version = "v1.18-sim".into();
         node.status.last_heartbeat = self.client.server().clock().now();
         match self.client.create(node.into()) {
@@ -213,7 +216,7 @@ impl Kubelet {
         format!("10.{}.{}.{}", self.config.pod_cidr_index, (n >> 8) & 0xff, n & 0xff)
     }
 
-    fn reconcile(&self, key: &str) {
+    fn reconcile(&self, key: &Arc<str>) {
         match self.pod_cache.get(key) {
             None => self.teardown(key),
             Some(obj) => {
@@ -232,7 +235,7 @@ impl Kubelet {
         }
     }
 
-    fn start_pod(&self, key: &str, pod: &Pod) {
+    fn start_pod(&self, key: &Arc<str>, pod: &Pod) {
         let pod_ip = if pod.status.pod_ip.is_empty() {
             self.allocate_pod_ip()
         } else {
@@ -260,7 +263,7 @@ impl Kubelet {
             let now = clock.now();
             fresh.status.phase = PodPhase::Running;
             fresh.status.pod_ip = pod_ip.clone();
-            fresh.status.host_ip = format!("10.{}.0.1", self.config.pod_cidr_index);
+            fresh.status.host_ip.clone_from(&self.host_ip);
             fresh.status.started_at = Some(now);
             fresh.status.set_condition(PodConditionType::Initialized, true, "PodCompleted", now);
             fresh.status.set_condition(
@@ -274,7 +277,7 @@ impl Kubelet {
         });
         if result.is_ok() {
             if let KubeletMode::MockInstant = self.mode {
-                self.hosted.lock().insert(key.to_string(), None);
+                self.hosted.lock().insert(Arc::clone(key), None);
             }
             self.pods_started.inc();
         }
@@ -282,7 +285,7 @@ impl Kubelet {
 
     fn run_pod_on_runtime(
         &self,
-        key: &str,
+        key: &Arc<str>,
         pod: &Pod,
         pod_ip: &str,
         runtime: &Arc<dyn ContainerRuntime>,
@@ -299,7 +302,7 @@ impl Kubelet {
             pod.meta.uid.as_str().to_string(),
             pod_ip.to_string(),
         ))?;
-        self.hosted.lock().insert(key.to_string(), Some((Arc::clone(runtime), sandbox.clone())));
+        self.hosted.lock().insert(Arc::clone(key), Some((Arc::clone(runtime), sandbox.clone())));
 
         // Init containers run sequentially to completion.
         for init in &pod.spec.init_containers {

@@ -235,10 +235,12 @@ fn schedule_one(
     // Bind: write spec.node_name + PodScheduled condition.
     let bind = retry_on_conflict(5, || {
         let fresh = client.get(ResourceKind::Pod, &pod.meta.namespace, &pod.meta.name)?;
-        let mut fresh: Pod = fresh.try_into()?;
-        if fresh.spec.is_bound() {
+        if fresh.as_pod().is_some_and(|fresh| fresh.spec.is_bound()) {
             return Ok(()); // someone else bound it
         }
+        // The copy shares the stored annotations; the spec and the status
+        // are un-shared by the two writes below, and nothing else is.
+        let mut fresh: Pod = fresh.try_into()?;
         fresh.spec.node_name = node_name.clone();
         fresh.status.set_condition(PodConditionType::PodScheduled, true, "Scheduled", now(client));
         client.update(fresh.into()).map(|_| ())

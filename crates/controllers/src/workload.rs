@@ -168,7 +168,7 @@ fn reconcile_replicaset(
                 rs.meta.name.clone(),
                 rs.meta.uid.clone(),
             ));
-            pod.spec = rs.template.spec.clone();
+            pod.spec = rs.template.spec.clone().into();
             if client.create(pod.into()).is_ok() {
                 metrics.pods_created.inc();
             } else {

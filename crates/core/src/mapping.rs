@@ -81,27 +81,47 @@ pub fn to_super(obj: &Object, vc_name: &str, prefix: &str) -> Object {
     // prefix domain keeps multi-namespace affinity working after the
     // rename and neutralizes forgery: a tenant that writes another
     // tenant's super namespace verbatim just gets it re-prefixed into its
-    // own domain.
+    // own domain. The spec is borrowed mutably (un-shared from the tenant
+    // object) only when it holds such a reference; most pods hold none.
     if let Object::Pod(pod) = &mut converted {
-        let affinity = &mut pod.spec.affinity;
-        for term in affinity.pod_affinity.iter_mut().chain(affinity.pod_anti_affinity.iter_mut()) {
-            for ns in &mut term.namespaces {
-                *ns = tenant_ns_to_super(prefix, ns);
+        if has_namespace_refs(&pod.spec) {
+            let spec = &mut *pod.spec;
+            let affinity = &mut spec.affinity;
+            for term in affinity.pod_affinity.iter_mut().chain(&mut affinity.pod_anti_affinity) {
+                for ns in &mut term.namespaces {
+                    *ns = tenant_ns_to_super(prefix, ns);
+                }
             }
-        }
-        for name in pod
-            .spec
-            .secret_names
-            .iter_mut()
-            .chain(&mut pod.spec.config_map_names)
-            .chain(&mut pod.spec.volume_claim_names)
-        {
-            if let Some((ns, rest)) = name.split_once('/') {
-                *name = format!("{}/{rest}", tenant_ns_to_super(prefix, ns));
+            for name in spec
+                .secret_names
+                .iter_mut()
+                .chain(&mut spec.config_map_names)
+                .chain(&mut spec.volume_claim_names)
+            {
+                if let Some((ns, rest)) = name.split_once('/') {
+                    *name = format!("{}/{rest}", tenant_ns_to_super(prefix, ns));
+                }
             }
         }
     }
     converted
+}
+
+/// Whether [`to_super`] rewrites anything in `spec`: an affinity term that
+/// names namespaces, or an `ns/name` reference.
+fn has_namespace_refs(spec: &PodSpec) -> bool {
+    let affinity = &spec.affinity;
+    affinity
+        .pod_affinity
+        .iter()
+        .chain(&affinity.pod_anti_affinity)
+        .any(|t| !t.namespaces.is_empty())
+        || spec
+            .secret_names
+            .iter()
+            .chain(&spec.config_map_names)
+            .chain(&spec.volume_claim_names)
+            .any(|name| name.contains('/'))
 }
 
 /// Whether `existing` already is the super copy of `tenant_obj`: exactly
@@ -135,7 +155,7 @@ pub fn matches_super(tenant_obj: &Object, existing: &Object, vc_name: &str, pref
                 host_paths,
                 host_network,
                 host_pid,
-            } = &t.spec;
+            } = &*t.spec;
             let s = &e.spec;
             meta(&t.meta, &e.meta)
                 && *init_containers == s.init_containers
@@ -494,7 +514,7 @@ mod proptests {
             ];
             let annotation_value = prop_oneof![Just(VC.to_string()), "[ab]{0,2}"];
             meta.annotations =
-                collection::btree_map(annotation_key, annotation_value, 0..4).sample(rng);
+                collection::btree_map(annotation_key, annotation_value, 0..4).sample(rng).into();
             let finalizer = prop_oneof![
                 Just(vc_apiserver::NAMESPACE_FINALIZER.to_string()),
                 Just("example.io/keep".to_string()),

@@ -309,7 +309,7 @@ pub(crate) fn equivalent(desired: &Object, existing: &Object) -> bool {
                 host_paths,
                 host_network,
                 host_pid,
-            } = &d.spec;
+            } = &*d.spec;
             let s = &e.spec;
             d.meta.same_desired_state(&e.meta)
                 && *init_containers == s.init_containers

@@ -103,8 +103,12 @@ fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
                         return Ok(false); // already in sync
                     }
                 }
+                // The copy shares the tenant's spec until a new binding
+                // is written into it, and then shares the super status.
                 let mut fresh: Pod = fresh.try_into()?;
-                fresh.spec.node_name = super_pod.spec.node_name.clone();
+                if fresh.spec.node_name != super_pod.spec.node_name {
+                    fresh.spec.node_name.clone_from(&super_pod.spec.node_name);
+                }
                 fresh.status = super_pod.status.clone();
                 tenant.client.update(fresh.into()).map(|_| true)
             });
@@ -145,18 +149,18 @@ fn service(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
     }
     let Some(tenant_key) = tenant.tenant_key(ResourceKind::Service, &item.key) else { return };
     let Some((ns, name)) = split_key(&tenant_key) else { return };
-    let status = super_svc.status.clone();
     let result = retry_on_conflict(3, || {
         let fresh = match tenant.client.get(ResourceKind::Service, ns, name) {
             Ok(obj) => obj,
             Err(e) if e.is_not_found() => return Ok(false),
             Err(e) => return Err(e),
         };
-        let mut fresh: vc_api::service::Service = fresh.try_into()?;
-        if fresh.status == status {
+        // Compare through the shared pointer: only a write needs a copy.
+        if fresh.as_service().is_some_and(|current| current.status == super_svc.status) {
             return Ok(false);
         }
-        fresh.status = status.clone();
+        let mut fresh: vc_api::service::Service = fresh.try_into()?;
+        fresh.status = super_svc.status.clone();
         tenant.client.update(fresh.into()).map(|_| true)
     });
     match result {
@@ -227,19 +231,22 @@ fn claim_status(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
         return;
     };
     let Some((ns, name)) = split_key(&tenant_key) else { return };
-    let (phase, volume_name) = (super_claim.phase, super_claim.volume_name.clone());
+    let (phase, volume_name) = (super_claim.phase, &super_claim.volume_name);
     let result = retry_on_conflict(3, || {
         let fresh = match tenant.client.get(ResourceKind::PersistentVolumeClaim, ns, name) {
             Ok(obj) => obj,
             Err(e) if e.is_not_found() => return Ok(false),
             Err(e) => return Err(e),
         };
-        let mut fresh: vc_api::storage::PersistentVolumeClaim = fresh.try_into()?;
-        if fresh.phase == phase && fresh.volume_name == volume_name {
-            return Ok(false);
+        // Compare through the shared pointer: only a write needs a copy.
+        if let Object::PersistentVolumeClaim(current) = &*fresh {
+            if current.phase == phase && current.volume_name == *volume_name {
+                return Ok(false);
+            }
         }
+        let mut fresh: vc_api::storage::PersistentVolumeClaim = fresh.try_into()?;
         fresh.phase = phase;
-        fresh.volume_name = volume_name.clone();
+        fresh.volume_name.clone_from(volume_name);
         tenant.client.update(fresh.into()).map(|_| true)
     });
     match result {

@@ -129,9 +129,9 @@ impl VNodeManager {
         bindings.get(tenant).and_then(|nodes| nodes.get(node)).map_or(0, HashSet::len)
     }
 
-    /// Broadcasts physical-node heartbeats to every tenant vNode. A vNode
-    /// that already mirrors its node's heartbeat, condition and resources
-    /// is not written.
+    /// Broadcasts physical-node heartbeats to every tenant vNode: each
+    /// vNode's status becomes its node's, shared, not copied. A vNode that
+    /// already mirrors its node's status is not written.
     ///
     /// Tenants are indexed by name up front, so a round costs
     /// O(bindings + tenants) instead of the O(bindings × tenants) a
@@ -157,22 +157,13 @@ impl VNodeManager {
             let (client, source) = (&tenant.client, &super_node.status);
             let written = retry_on_conflict(3, || {
                 let fresh = client.get(ResourceKind::Node, "", node_name)?;
-                // Compare through the shared pointer: only a write needs an
-                // owned copy.
-                if fresh.as_node().is_some_and(|current| {
-                    let status = &current.status;
-                    status.last_heartbeat == source.last_heartbeat
-                        && status.condition == source.condition
-                        && status.capacity == source.capacity
-                        && status.allocatable == source.allocatable
-                }) {
+                // Compare through the shared pointer (a vNode written here
+                // shares its node's status): only a write needs a copy.
+                if fresh.as_node().is_some_and(|current| current.status == *source) {
                     return Ok(false);
                 }
                 let mut vnode: Node = fresh.try_into()?;
-                vnode.status.last_heartbeat = source.last_heartbeat;
-                vnode.status.condition = source.condition;
-                vnode.status.capacity = source.capacity.clone();
-                vnode.status.allocatable = source.allocatable.clone();
+                vnode.status = source.clone();
                 client.update(vnode.into()).map(|_| true)
             });
             if matches!(written, Ok(true)) {
@@ -181,10 +172,11 @@ impl VNodeManager {
         }
     }
 
-    /// Creates the vNode mirroring `node_name`. Reached only when this
-    /// manager had no pod of the tenant bound there, so no GET asks first:
-    /// a vNode that exists anyway (left by an earlier syncer) answers the
-    /// create with `AlreadyExists`, which is success.
+    /// Creates the vNode mirroring `node_name`, sharing the super node's
+    /// status. Reached only when this manager had no pod of the tenant
+    /// bound there, so no GET asks first: a vNode that exists anyway (left
+    /// by an earlier syncer) answers the create with `AlreadyExists`, which
+    /// is success.
     fn ensure_vnode(&self, tenant: &TenantState, super_node_cache: &Cache, node_name: &str) {
         // Mirror the real node's shape 1:1.
         let vnode = match super_node_cache.get(node_name).and_then(|o| Node::try_from(o).ok()) {

@@ -1,9 +1,11 @@
 //! Allocation budgets of the per-event sync path: what a work item, a trip
 //! through the downward fair queue, a trace lookup, a no-op downward
-//! comparison and a vNode binding cost in heap allocations. The syncer pays
-//! these once per informer event of every tenant, so each is pinned; the
-//! count before the change that brought it down is noted beside each
-//! budget.
+//! comparison and a vNode binding cost in heap allocations, and what a copy
+//! of a stored pod and the two Ready writes of each pod (the kubelet's in
+//! the super cluster, the syncer's upward one in the tenant's) cost. The
+//! syncer pays these once per informer event of every tenant, so each is
+//! pinned; the count before the change that brought it down is noted
+//! beside each budget.
 //!
 //! The allocator counts only the calling thread's allocations, so tests
 //! running in parallel on other threads do not disturb a count.
@@ -14,10 +16,13 @@ use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use vc_api::meta::Uid;
+use vc_api::namespace::Namespace;
 use vc_api::node::Node;
 use vc_api::object::{Object, ResourceKind};
-use vc_api::pod::{Container, Pod, PodPhase};
-use vc_client::{Cache, WeightedFairQueue};
+use vc_api::pod::{Container, Pod, PodConditionType, PodPhase};
+use vc_api::time::RealClock;
+use vc_apiserver::{ApiServer, ApiServerConfig};
+use vc_client::{Cache, Client, WeightedFairQueue};
 use vc_controllers::{Cluster, ClusterConfig};
 use vc_core::mapping;
 use vc_core::registry::generate_cert;
@@ -190,4 +195,111 @@ fn binding_a_second_pod_to_a_node_with_a_vnode_allocates_nothing() {
     // Before: 3 (owned copies of the pod key, twice, and of the node name).
     assert_eq!(n, 0, "the binding shares the names it was handed");
     tenant.handle.cluster.shutdown();
+}
+
+/// A tenant's stress pod as the super cluster stores it: mapped (prefixed
+/// namespace, three provenance annotations), bound, and marked Ready the
+/// way the kubelet marks it.
+fn running_super_pod() -> Pod {
+    let mut tenant = Pod::new("default", "web-0").with_container(
+        Container::new("app", "stress:1")
+            .with_requests(vc_api::quantity::resource_list(&[("cpu", "50m")])),
+    );
+    tenant.meta.uid = Uid::from_string("tenant-uid");
+    let Object::Pod(mut pod) = mapping::to_super(&tenant.into(), "tenant-a", "tenant-a-abc123")
+    else {
+        unreachable!()
+    };
+    pod.spec.node_name = "node-1".into();
+    let now = vc_api::time::Timestamp::from_millis(5);
+    pod.status.set_condition(PodConditionType::PodScheduled, true, "Scheduled", now);
+    mark_running(&mut pod, "10.1.0.7", now);
+    pod
+}
+
+/// The status edits of the kubelet's Ready write (`Kubelet::start_pod`).
+fn mark_running(pod: &mut Pod, pod_ip: &str, now: vc_api::time::Timestamp) {
+    pod.status.phase = PodPhase::Running;
+    pod.status.pod_ip = pod_ip.to_string();
+    pod.status.host_ip = "10.1.0.1".to_string();
+    pod.status.started_at = Some(now);
+    pod.status.set_condition(PodConditionType::Initialized, true, "PodCompleted", now);
+    pod.status.set_condition(PodConditionType::ContainersReady, true, "ContainersReady", now);
+    pod.status.set_condition(PodConditionType::Ready, true, "PodReady", now);
+}
+
+/// A system client of a zero-latency apiserver that holds namespace `ns`.
+fn apiserver(ns: &str) -> Client {
+    let config = ApiServerConfig {
+        read_latency: std::time::Duration::ZERO,
+        write_latency: std::time::Duration::ZERO,
+        ..Default::default()
+    };
+    let client = Client::system(ApiServer::new(config, RealClock::shared()), "writer");
+    let _ = client.create(Namespace::new(ns).into()); // `default` exists already
+    client
+}
+
+const SUPER_NS: &str = "tenant-a-abc123-default";
+
+#[test]
+fn copying_a_stored_bound_pod_copies_only_its_identity() {
+    let stored = apiserver(SUPER_NS).create(running_super_pod().into()).unwrap();
+    let (n, copy) = allocations_during(|| Pod::try_from(Arc::clone(&stored)).unwrap());
+    assert_eq!(Object::from(copy), *stored);
+    // Before: 24 (the spec with its container, the status with its four
+    // conditions and the three annotations, each copied).
+    assert_eq!(n, 3, "the name, namespace and uid; the rest is shared");
+}
+
+#[test]
+fn the_kubelets_ready_write_copies_only_the_status() {
+    let client = apiserver(SUPER_NS);
+    let mut pending = running_super_pod();
+    pending.status = Default::default();
+    let now = vc_api::time::Timestamp::from_millis(5);
+    pending.status.set_condition(PodConditionType::PodScheduled, true, "Scheduled", now);
+    let created = client.create(pending.into()).unwrap();
+    let (ns, name) = (&created.meta().namespace, &created.meta().name);
+    // The write as `Kubelet::start_pod` makes it.
+    let (n, written) = allocations_during(|| {
+        let fresh = client.get(ResourceKind::Pod, ns, name).unwrap();
+        let mut fresh: Pod = fresh.try_into().unwrap();
+        mark_running(&mut fresh, "10.1.0.7", now);
+        client.update(fresh.into()).unwrap()
+    });
+    assert!(written.as_pod().unwrap().status.is_ready());
+    // Before: 27 (the spec and the annotations copied as well).
+    assert_eq!(n, 14, "the identity, the status and its new strings, the stored object");
+}
+
+#[test]
+fn the_upward_ready_write_shares_the_super_status() {
+    let super_client = apiserver(SUPER_NS);
+    let super_obj = super_client.create(running_super_pod().into()).unwrap();
+    let super_pod = super_obj.as_pod().unwrap();
+    // The tenant pod after the upward bind: bound, status still Pending.
+    let tenant = apiserver("default");
+    let mut bound = Pod::new("default", "web-0").with_container(
+        Container::new("app", "stress:1")
+            .with_requests(vc_api::quantity::resource_list(&[("cpu", "50m")])),
+    );
+    bound.spec.node_name = "node-1".into();
+    let now = vc_api::time::Timestamp::from_millis(5);
+    bound.status.set_condition(PodConditionType::PodScheduled, true, "Scheduled", now);
+    tenant.create(bound.into()).unwrap();
+    // The write as `upward::pod` makes it.
+    let (n, written) = allocations_during(|| {
+        let fresh = tenant.get(ResourceKind::Pod, "default", "web-0").unwrap();
+        let mut fresh: Pod = fresh.try_into().unwrap();
+        if fresh.spec.node_name != super_pod.spec.node_name {
+            fresh.spec.node_name.clone_from(&super_pod.spec.node_name);
+        }
+        fresh.status = super_pod.status.clone();
+        tenant.update(fresh.into()).unwrap()
+    });
+    assert_eq!(written.as_pod().unwrap().status, super_pod.status);
+    // Before: 21 (the tenant pod's spec and status copied, then the super
+    // status copied over the latter).
+    assert_eq!(n, 5, "the identity and the stored object; the status is the super pod's");
 }

@@ -24,10 +24,10 @@
 //! later recovery never mistakes it for mid-log corruption.
 
 use crate::wal::{
-    self, decode_frame, encode_frame, Frame, StoreError, Wal, WalEntry, WalOp, SNAP_MAGIC,
-    WAL_MAGIC,
+    self, decode_frame, encode_frame, EntryRef, Frame, StoreError, Wal, WalEntry, WalOp,
+    SNAP_MAGIC, WAL_MAGIC,
 };
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -140,6 +140,35 @@ pub(crate) enum SnapRecord {
         /// Object state the event carries.
         object: Object,
     },
+}
+
+/// A [`SnapRecord`] object or event frame that borrows its object, so that
+/// a snapshot copies no object. It writes what the derived `SnapRecord`
+/// writes: an event's fields are a WAL entry's.
+enum SnapRecordRef<'a> {
+    /// [`SnapRecord::Object`].
+    Object(&'a Object),
+    /// [`SnapRecord::Event`].
+    Event(EntryRef<'a>),
+}
+
+impl Serialize for SnapRecordRef<'_> {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        let mut variant = out.begin_map(1);
+        match self {
+            SnapRecordRef::Object(object) => {
+                out.key(&mut variant, "Object");
+                let mut fields = out.begin_struct(1);
+                out.field(&mut fields, "object", *object);
+                out.end_map(fields);
+            }
+            SnapRecordRef::Event(entry) => {
+                out.key(&mut variant, "Event");
+                entry.serialize(out);
+            }
+        }
+        out.end_map(variant);
+    }
 }
 
 /// Everything recovery reads back from a store directory.
@@ -268,13 +297,11 @@ impl Durability {
                     std::io::Error::other("injected crash: mid-snapshot"),
                 ));
             }
-            let record = SnapRecord::Object { object: (**object).clone() };
-            file.write_all(&encode_snap_frame(&record))
+            file.write_all(&encode_snap_frame(&SnapRecordRef::Object(object)))
                 .map_err(|e| StoreError::io("write snapshot object", e))?;
         }
         for (revision, op, object) in &data.events {
-            let record =
-                SnapRecord::Event { revision: *revision, op: *op, object: (**object).clone() };
+            let record = SnapRecordRef::Event(EntryRef { revision: *revision, op: *op, object });
             file.write_all(&encode_snap_frame(&record))
                 .map_err(|e| StoreError::io("write snapshot event", e))?;
         }
@@ -320,7 +347,7 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     File::open(dir).and_then(|d| d.sync_all()).map_err(|e| StoreError::io("fsync wal dir", e))
 }
 
-fn encode_snap_frame(record: &SnapRecord) -> Vec<u8> {
+fn encode_snap_frame(record: &impl Serialize) -> Vec<u8> {
     let payload = serde_json::to_string(record).expect("SnapRecord serializes");
     encode_frame(payload.as_bytes())
 }
@@ -389,9 +416,9 @@ fn load_snapshot(dir: &Path) -> Result<Option<SnapshotData>, StoreError> {
                         }
                         meta = Some((revision, floors));
                     }
-                    SnapRecord::Object { object } => objects.push(Arc::new(object)),
+                    SnapRecord::Object { object } => objects.push(Arc::new(frozen(object))),
                     SnapRecord::Event { revision, op, object } => {
-                        events.push((revision, op, Arc::new(object)))
+                        events.push((revision, op, Arc::new(frozen(object))))
                     }
                 }
                 offset = next;
@@ -474,4 +501,35 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<Recovered, StoreError> {
         }
     }
     Ok(Recovered { snapshot, entries, torn_tail, next_seq: last_seq + 1 })
+}
+
+/// `object` with its shareable parts frozen, as the store holds it.
+fn frozen(mut object: Object) -> Object {
+    object.freeze();
+    object
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vc_api::pod::Pod;
+
+    #[test]
+    fn borrowed_snapshot_records_write_the_owned_record_text() {
+        let mut pod = Pod::new("ns", "p");
+        pod.meta.annotations.insert("a".into(), "b".into());
+        let object: Object = pod.into();
+        let owned = SnapRecord::Object { object: object.clone() };
+        assert_eq!(
+            serde_json::to_string(&SnapRecordRef::Object(&object)).unwrap(),
+            serde_json::to_string(&owned).unwrap()
+        );
+        let owned = SnapRecord::Event { revision: 9, op: WalOp::Delete, object: object.clone() };
+        let borrowed =
+            SnapRecordRef::Event(EntryRef { revision: 9, op: WalOp::Delete, object: &object });
+        assert_eq!(
+            serde_json::to_string(&borrowed).unwrap(),
+            serde_json::to_string(&owned).unwrap()
+        );
+    }
 }

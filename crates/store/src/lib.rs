@@ -62,7 +62,7 @@ use vc_api::metrics::{Counter, Gauge};
 use vc_api::object::{Object, ResourceKind};
 use vc_api::time::Clock;
 use vc_sync::atomic::{AtomicU64, Ordering};
-use wal::{WalEntry, WalOp};
+use wal::{EntryRef, WalEntry, WalOp};
 
 pub use durability::{DurabilityConfig, FlushPolicy, RecoveryReport, WalStats};
 /// The synchronization facade the store is built on, for the crates above
@@ -251,10 +251,10 @@ impl Store {
                                 || self.next_revision(),
                                 |revision| {
                                     obj.meta_mut().resource_version = revision;
-                                    wal::encode_entry(&WalEntry {
+                                    wal::encode_entry(&EntryRef {
                                         revision,
                                         op: WalOp::Insert,
-                                        object: obj.clone(),
+                                        object: &obj,
                                     })
                                 },
                             )
@@ -268,6 +268,7 @@ impl Store {
                         revision
                     }
                 };
+                obj.freeze();
                 let arc = Arc::new(obj);
                 state.index_insert(key.into(), Arc::clone(&arc));
                 self.objects.inc();
@@ -336,10 +337,10 @@ impl Store {
                                 || self.next_revision(),
                                 |revision| {
                                     obj.meta_mut().resource_version = revision;
-                                    wal::encode_entry(&WalEntry {
+                                    wal::encode_entry(&EntryRef {
                                         revision,
                                         op: WalOp::Update,
-                                        object: obj.clone(),
+                                        object: &obj,
                                     })
                                 },
                             )
@@ -353,6 +354,7 @@ impl Store {
                         revision
                     }
                 };
+                obj.freeze();
                 let arc = Arc::new(obj);
                 state.index_insert(key.into(), Arc::clone(&arc));
                 self.writes.inc();
@@ -398,10 +400,10 @@ impl Store {
                                     // A delete does not bump the object's
                                     // resource_version; the record carries
                                     // its last state for event replay.
-                                    wal::encode_entry(&WalEntry {
+                                    wal::encode_entry(&EntryRef {
                                         revision,
                                         op: WalOp::Delete,
-                                        object: (**current).clone(),
+                                        object: current,
                                     })
                                 },
                             )
@@ -660,7 +662,8 @@ impl Store {
     /// Applies one replayed WAL record to the in-memory state, maintaining
     /// the incremental object/byte counters exactly like the live write
     /// path so recovery cannot drift from a from-scratch recount.
-    fn apply_recovered(&self, entry: WalEntry) {
+    fn apply_recovered(&self, mut entry: WalEntry) {
+        entry.object.freeze();
         let kind = entry.object.kind();
         let key = entry.object.key();
         let revision = entry.revision;

@@ -42,7 +42,7 @@
 //! batch (see `durability`).
 
 use crate::durability::WalStats;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -188,7 +188,29 @@ pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-pub(crate) fn encode_entry(entry: &WalEntry) -> Vec<u8> {
+/// A [`WalEntry`] that borrows its object, so that logging a write copies
+/// nothing. It writes the fields the derived `WalEntry` writes, in the same
+/// (sorted) order, so the bytes are a `WalEntry`'s.
+pub(crate) struct EntryRef<'a> {
+    /// Store revision allocated to this write.
+    pub revision: u64,
+    /// Operation kind.
+    pub op: WalOp,
+    /// Object state after the write (last state for deletes).
+    pub object: &'a Object,
+}
+
+impl Serialize for EntryRef<'_> {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        let mut fields = out.begin_struct(3);
+        out.field(&mut fields, "object", self.object);
+        out.field(&mut fields, "op", &self.op);
+        out.field(&mut fields, "revision", &self.revision);
+        out.end_map(fields);
+    }
+}
+
+pub(crate) fn encode_entry(entry: &EntryRef<'_>) -> Vec<u8> {
     let payload = serde_json::to_string(entry).expect("WalEntry serializes");
     encode_frame(payload.as_bytes())
 }
@@ -603,6 +625,22 @@ mod tests {
         WalEntry { revision, op: WalOp::Insert, object: Pod::new("ns", "p").into() }
     }
 
+    fn encode(entry: &WalEntry) -> Vec<u8> {
+        encode_entry(&EntryRef { revision: entry.revision, op: entry.op, object: &entry.object })
+    }
+
+    #[test]
+    fn a_borrowed_entry_writes_the_owned_entry_text() {
+        for op in [WalOp::Insert, WalOp::Update, WalOp::Delete] {
+            let owned = WalEntry { op, ..entry(u64::MAX) };
+            let borrowed = EntryRef { revision: owned.revision, op, object: &owned.object };
+            assert_eq!(
+                serde_json::to_string(&borrowed).unwrap(),
+                serde_json::to_string(&owned).unwrap()
+            );
+        }
+    }
+
     /// Fresh scratch directory (no tempfile crate: pid + counter keeps
     /// parallel tests apart).
     fn scratch(tag: &str) -> PathBuf {
@@ -667,7 +705,7 @@ mod tests {
     #[test]
     fn entry_roundtrip_through_frame() {
         let original = entry(42);
-        let frame = encode_entry(&original);
+        let frame = encode(&original);
         match decode_frame(&frame, 0) {
             Frame::Ok { payload, .. } => {
                 let back: WalEntry =
@@ -684,14 +722,14 @@ mod tests {
     fn ack_offsets_stay_monotonic_across_rotation() {
         let dir = scratch("rotate");
         let wal = Wal::create(&dir, 1).unwrap();
-        let (_, off1, _) = wal.append_allocating(|| 1, |r| encode_entry(&entry(r))).unwrap();
+        let (_, off1, _) = wal.append_allocating(|| 1, |r| encode(&entry(r))).unwrap();
         // rotate() flushes the pending batch itself, exactly like the
         // snapshot-cut path.
         wal.rotate(&dir, 2).unwrap();
         // A writer parked on a retired-segment offset must see it as
         // durable — a regression here hangs this call forever.
         wal.wait_durable(off1).unwrap();
-        let (_, off2, _) = wal.append_allocating(|| 2, |r| encode_entry(&entry(r))).unwrap();
+        let (_, off2, _) = wal.append_allocating(|| 2, |r| encode(&entry(r))).unwrap();
         assert!(off2 > off1, "ack offsets reset across rotation: {off2} <= {off1}");
         wal.flush().unwrap();
         wal.wait_durable(off2).unwrap();
@@ -707,7 +745,7 @@ mod tests {
         };
         // Any file handle will do: no segment naming is involved.
         let wal = Wal::on(full, 0);
-        let (_, offset, _) = wal.append_allocating(|| 1, |r| encode_entry(&entry(r))).unwrap();
+        let (_, offset, _) = wal.append_allocating(|| 1, |r| encode(&entry(r))).unwrap();
         let err = wal.flush().expect_err("write to /dev/full must fail");
         assert!(!err.is_corrupt(), "{err}");
         assert!(wal.state.lock().crashed, "flush failure must kill the WAL");
@@ -715,7 +753,7 @@ mod tests {
         // Waiters error out instead of hanging on a record that was
         // dropped from the batch, and later appends are refused.
         wal.wait_durable(offset).expect_err("waiter must observe the death");
-        wal.append_allocating(|| 2, |r| encode_entry(&entry(r)))
+        wal.append_allocating(|| 2, |r| encode(&entry(r)))
             .expect_err("append after flush failure must fail");
     }
 
@@ -730,7 +768,7 @@ mod tests {
         assert!(err.to_string().contains("frame limit"), "{err}");
         assert!(wal.state.lock().batch.is_empty(), "the oversized frame must not be batched");
         // The WAL stays alive: a normal append still commits.
-        let (_, offset, _) = wal.append_allocating(|| 2, |r| encode_entry(&entry(r))).unwrap();
+        let (_, offset, _) = wal.append_allocating(|| 2, |r| encode(&entry(r))).unwrap();
         wal.flush().unwrap();
         wal.wait_durable(offset).unwrap();
         let _ = std::fs::remove_dir_all(&dir);

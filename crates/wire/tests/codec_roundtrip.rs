@@ -115,7 +115,7 @@ fn arb_object() -> impl Strategy<Value = Object> {
             )| {
                 let mut pod = Pod::new(&ns, &name);
                 pod.meta.labels = labels;
-                pod.meta.annotations = annotations;
+                pod.meta.annotations = annotations.into();
                 pod.meta.generation = generation;
                 pod.meta.resource_version = rv;
                 pod.spec.node_name = node;
@@ -395,6 +395,23 @@ proptest! {
             let raw = [&[codec::VCBIN_VERSION, codec::FRAME_LIST][..], payload].concat();
             let _ = codec::read_list_frame::<Object>(&raw);
         }
+    }
+
+    /// An object the store froze (its annotations, spec and status behind
+    /// shared `Arc`s) encodes to exactly the bytes of the owned object, in
+    /// JSON and in vcbin, and sizes the same; decoding gives back an owned
+    /// object equal to both.
+    #[test]
+    fn frozen_object_encodes_like_owned(obj in arb_object()) {
+        let mut frozen = obj.clone();
+        frozen.freeze();
+        let json = serde_json::to_string(&obj).expect("json");
+        prop_assert_eq!(&serde_json::to_string(&frozen).expect("json"), &json);
+        let vcbin = codec::to_framed_vec(codec::FRAME_OBJECT, &obj);
+        prop_assert_eq!(&codec::to_framed_vec(codec::FRAME_OBJECT, &frozen), &vcbin);
+        prop_assert_eq!(frozen.estimated_size(), obj.estimated_size());
+        prop_assert_eq!(&frozen, &obj);
+        prop_assert_eq!(&via_vcbin(&frozen), &obj);
     }
 
     /// Objects decode identically through either codec and through a

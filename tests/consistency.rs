@@ -5,7 +5,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use virtualcluster::api::config::ConfigMap;
 use virtualcluster::api::object::{Object, ResourceKind};
-use virtualcluster::api::pod::{Container, Pod};
+use virtualcluster::api::pod::{Container, Pod, PodPhase};
+use virtualcluster::api::shared::Shared;
 use virtualcluster::client::Client;
 use virtualcluster::controllers::util::wait_until;
 use virtualcluster::core::framework::{Framework, FrameworkConfig};
@@ -296,6 +297,41 @@ fn shared_cache_arcs_are_immutable_snapshots() {
     // The Arc taken before the update is an isolated snapshot.
     assert!(!snapshot.meta().labels.contains_key("mutated"));
     assert_eq!(snapshot.meta().resource_version, snapshot_rv);
+
+    // A copy out of a cache Arc shares the spec, status and annotations the
+    // store froze; writing them un-shares that copy's parts alone. The
+    // super pod is bound, Ready and annotated, so all three are frozen.
+    // Wait for the label's downward write, the last one, to reach the cache.
+    let cache = fw.syncer.super_cache(ResourceKind::Pod).unwrap();
+    let super_client = fw.super_client("reader");
+    let find = || cache.list().into_iter().find(|o| o.meta().name == "snap");
+    let mut entry = find().unwrap();
+    assert!(wait_until(Duration::from_secs(10), Duration::from_millis(20), || {
+        entry = find().unwrap();
+        let stored = super_client.get(ResourceKind::Pod, &entry.meta().namespace, "snap");
+        entry.meta().labels.contains_key("mutated")
+            && stored.is_ok_and(|s| s.meta().resource_version == entry.meta().resource_version)
+    }));
+    let before = (*entry).clone();
+    let other: Pod = Arc::clone(&entry).try_into().unwrap();
+    let mut edited: Pod = Arc::clone(&entry).try_into().unwrap();
+    let cached = entry.as_pod().unwrap();
+    assert!(Shared::ptr_eq(&edited.spec, &cached.spec));
+    assert!(Shared::ptr_eq(&edited.status, &cached.status));
+    assert!(Shared::ptr_eq(&edited.meta.annotations, &cached.meta.annotations));
+    edited.spec.node_name = "elsewhere".into();
+    edited.spec.containers[0].image = "other:2".into();
+    edited.status.phase = PodPhase::Failed;
+    edited.status.conditions.clear();
+    edited.meta.annotations.insert("edited".into(), "yes".into());
+    assert_ne!(edited.spec, other.spec);
+    assert_ne!(edited.status, other.status);
+    assert_ne!(edited.meta.annotations, other.meta.annotations);
+    let stored = super_client.get(ResourceKind::Pod, &entry.meta().namespace, "snap").unwrap();
+    let current = cache.get(&entry.key()).unwrap();
+    for untouched in [&*entry, &*current, &*stored, &Object::from(other)] {
+        assert_eq!(*untouched, before);
+    }
     fw.shutdown();
 }
 
