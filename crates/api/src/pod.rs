@@ -213,6 +213,40 @@ impl PodSpec {
         !self.node_name.is_empty()
     }
 
+    /// Whether this spec equals `other` in every field but `node_name`,
+    /// compared in place.
+    pub fn eq_except_node_name(&self, other: &PodSpec) -> bool {
+        let PodSpec {
+            init_containers,
+            containers,
+            node_name: _,
+            node_selector,
+            affinity,
+            tolerations,
+            service_account_name,
+            runtime_class,
+            secret_names,
+            config_map_names,
+            volume_claim_names,
+            host_paths,
+            host_network,
+            host_pid,
+        } = self;
+        *init_containers == other.init_containers
+            && *containers == other.containers
+            && *node_selector == other.node_selector
+            && *affinity == other.affinity
+            && *tolerations == other.tolerations
+            && *service_account_name == other.service_account_name
+            && *runtime_class == other.runtime_class
+            && *secret_names == other.secret_names
+            && *config_map_names == other.config_map_names
+            && *volume_claim_names == other.volume_claim_names
+            && *host_paths == other.host_paths
+            && *host_network == other.host_network
+            && *host_pid == other.host_pid
+    }
+
     /// Returns `true` if any workload or init container requests full
     /// host privileges.
     pub fn any_privileged(&self) -> bool {
@@ -356,6 +390,21 @@ impl Pod {
     /// Creates a pending pod with no containers.
     pub fn new(namespace: impl Into<String>, name: impl Into<String>) -> Self {
         Pod { meta: ObjectMeta::namespaced(namespace, name), ..Default::default() }
+    }
+
+    /// Gives this pod `bound`'s `node_name`. When the two specs differ in
+    /// nothing else, this pod takes `bound`'s spec, so a frozen one is
+    /// shared instead of this pod's own being un-shared and copied to
+    /// change one string.
+    pub fn adopt_binding(&mut self, bound: &Pod) {
+        if self.spec.node_name == bound.spec.node_name {
+            return;
+        }
+        if self.spec.eq_except_node_name(&bound.spec) {
+            self.spec = bound.spec.clone();
+        } else {
+            self.spec.node_name.clone_from(&bound.spec.node_name);
+        }
     }
 
     /// Adds a workload container (builder style).

@@ -103,12 +103,11 @@ fn pod(syncer: &Syncer, tenant: &Arc<TenantState>, item: &WorkItem) {
                         return Ok(false); // already in sync
                     }
                 }
-                // The copy shares the tenant's spec until a new binding
-                // is written into it, and then shares the super status.
+                // The copy shares the tenant's spec, or the super spec
+                // when a new binding is all that tells them apart, and
+                // then shares the super status.
                 let mut fresh: Pod = fresh.try_into()?;
-                if fresh.spec.node_name != super_pod.spec.node_name {
-                    fresh.spec.node_name.clone_from(&super_pod.spec.node_name);
-                }
+                fresh.adopt_binding(super_pod);
                 fresh.status = super_pod.status.clone();
                 tenant.client.update(fresh.into()).map(|_| true)
             });

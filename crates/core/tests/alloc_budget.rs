@@ -1,8 +1,9 @@
 //! Allocation budgets of the per-event sync path: what a work item, a trip
 //! through the downward fair queue, a trace lookup, a no-op downward
 //! comparison and a vNode binding cost in heap allocations, and what a copy
-//! of a stored pod and the two Ready writes of each pod (the kubelet's in
-//! the super cluster, the syncer's upward one in the tenant's) cost. The
+//! of a stored pod, the two Ready writes of each pod (the kubelet's in
+//! the super cluster, the syncer's upward one in the tenant's) and the
+//! upward bind write cost. The
 //! syncer pays these once per informer event of every tenant, so each is
 //! pinned; the count before the change that brought it down is noted
 //! beside each budget.
@@ -20,6 +21,7 @@ use vc_api::namespace::Namespace;
 use vc_api::node::Node;
 use vc_api::object::{Object, ResourceKind};
 use vc_api::pod::{Container, Pod, PodConditionType, PodPhase};
+use vc_api::shared::Shared;
 use vc_api::time::RealClock;
 use vc_apiserver::{ApiServer, ApiServerConfig};
 use vc_client::{Cache, Client, WeightedFairQueue};
@@ -201,10 +203,7 @@ fn binding_a_second_pod_to_a_node_with_a_vnode_allocates_nothing() {
 /// namespace, three provenance annotations), bound, and marked Ready the
 /// way the kubelet marks it.
 fn running_super_pod() -> Pod {
-    let mut tenant = Pod::new("default", "web-0").with_container(
-        Container::new("app", "stress:1")
-            .with_requests(vc_api::quantity::resource_list(&[("cpu", "50m")])),
-    );
+    let mut tenant = tenant_stress_pod();
     tenant.meta.uid = Uid::from_string("tenant-uid");
     let Object::Pod(mut pod) = mapping::to_super(&tenant.into(), "tenant-a", "tenant-a-abc123")
     else {
@@ -215,6 +214,14 @@ fn running_super_pod() -> Pod {
     pod.status.set_condition(PodConditionType::PodScheduled, true, "Scheduled", now);
     mark_running(&mut pod, "10.1.0.7", now);
     pod
+}
+
+/// A tenant's stress pod as its user creates it.
+fn tenant_stress_pod() -> Pod {
+    Pod::new("default", "web-0").with_container(
+        Container::new("app", "stress:1")
+            .with_requests(vc_api::quantity::resource_list(&[("cpu", "50m")])),
+    )
 }
 
 /// The status edits of the kubelet's Ready write (`Kubelet::start_pod`).
@@ -302,4 +309,32 @@ fn the_upward_ready_write_shares_the_super_status() {
     // Before: 21 (the tenant pod's spec and status copied, then the super
     // status copied over the latter).
     assert_eq!(n, 5, "the identity and the stored object; the status is the super pod's");
+}
+
+#[test]
+fn the_upward_bind_write_shares_the_super_spec() {
+    // The super pod as the scheduler leaves it: bound, status Pending.
+    let super_client = apiserver(SUPER_NS);
+    let mut scheduled = running_super_pod();
+    scheduled.status = Default::default();
+    let now = vc_api::time::Timestamp::from_millis(5);
+    scheduled.status.set_condition(PodConditionType::PodScheduled, true, "Scheduled", now);
+    let super_obj = super_client.create(scheduled.into()).unwrap();
+    let super_pod = super_obj.as_pod().unwrap();
+    let tenant = apiserver("default");
+    tenant.create(tenant_stress_pod().into()).unwrap();
+    // The write as `upward::pod` makes it.
+    let (n, written) = allocations_during(|| {
+        let fresh = tenant.get(ResourceKind::Pod, "default", "web-0").unwrap();
+        let mut fresh: Pod = fresh.try_into().unwrap();
+        fresh.adopt_binding(super_pod);
+        fresh.status = super_pod.status.clone();
+        tenant.update(fresh.into()).unwrap()
+    });
+    let written = written.as_pod().unwrap();
+    assert_eq!(written.spec.node_name, "node-1");
+    assert!(Shared::ptr_eq(&written.spec, &super_pod.spec), "the tenant pod shares the super spec");
+    // Before: 13 (setting `node_name` un-shared and copied the tenant
+    // spec, its container and requests).
+    assert_eq!(n, 5, "the identity and the stored object; spec and status are the super pod's");
 }

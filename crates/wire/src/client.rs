@@ -25,8 +25,14 @@
 //! `RESYNC` (store-side compaction/overflow: the server cannot replay)
 //! surfaces as [`RecvOutcome::Closed`], telling the consumer to re-list
 //! exactly like an in-process overflow eviction would.
+//!
+//! A client, its clones and its watches share one [`DecodeCache`]: every
+//! `vcbin` object, list item and watch event decodes once per distinct
+//! encoding, and a repeat of the same bytes hands out the same
+//! `Arc<Object>`. JSON bodies are decoded every time.
 
 use crate::codec;
+use crate::decode::DecodeCache;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -75,6 +81,50 @@ struct Conn {
     line: String,
 }
 
+/// A request target, written straight into the request head.
+#[derive(Debug, Clone, Copy)]
+enum Target<'a> {
+    /// One object: `/api/{kind}/{namespace}/{name}`, the namespace `_`
+    /// for cluster-scoped kinds or an empty namespace.
+    Object(ResourceKind, &'a str, &'a str),
+    /// A kind's collection: `/api/{kind}`, with `?namespace=` when given.
+    Kind(ResourceKind, Option<&'a str>),
+    /// A watch: `/watch/{kind}?from={revision}`, with `&namespace=` when
+    /// given.
+    Watch(ResourceKind, Option<&'a str>, u64),
+}
+
+impl Target<'_> {
+    fn write(self, out: &mut String) {
+        match self {
+            Target::Object(kind, namespace, name) => {
+                let cluster = kind.is_cluster_scoped() || namespace.is_empty();
+                out.push_str("/api/");
+                out.push_str(kind.as_str());
+                out.push('/');
+                out.push_str(if cluster { "_" } else { namespace });
+                out.push('/');
+                out.push_str(name);
+            }
+            Target::Kind(kind, namespace) => {
+                out.push_str("/api/");
+                out.push_str(kind.as_str());
+                if let Some(ns) = namespace {
+                    out.push_str("?namespace=");
+                    out.push_str(ns);
+                }
+            }
+            Target::Watch(kind, namespace, from) => {
+                let _ = write!(out, "/watch/{}?from={from}", kind.as_str());
+                if let Some(ns) = namespace {
+                    out.push_str("&namespace=");
+                    out.push_str(ns);
+                }
+            }
+        }
+    }
+}
+
 impl Conn {
     fn open(addr: &str) -> std::io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
@@ -97,6 +147,7 @@ pub struct WireClient {
     encoding: Encoding,
     limiter: Arc<RateLimiter>,
     conn: Mutex<Option<Conn>>,
+    decoded: Arc<DecodeCache>,
 }
 
 impl std::fmt::Debug for WireClient {
@@ -110,9 +161,9 @@ impl std::fmt::Debug for WireClient {
 }
 
 impl Clone for WireClient {
-    /// Clones share identity, codec, and rate budget but not the
-    /// connection — each clone opens its own socket, which is what makes
-    /// a clone safe to hand to another thread.
+    /// Clones share identity, codec, rate budget and decoded objects but
+    /// not the connection — each clone opens its own socket, which is
+    /// what makes a clone safe to hand to another thread.
     fn clone(&self) -> Self {
         WireClient {
             addr: self.addr.clone(),
@@ -120,6 +171,7 @@ impl Clone for WireClient {
             encoding: self.encoding,
             limiter: self.limiter.clone(),
             conn: Mutex::new(None),
+            decoded: Arc::clone(&self.decoded),
         }
     }
 }
@@ -144,6 +196,7 @@ impl WireClient {
             encoding: Encoding::Json,
             limiter: Arc::new(RateLimiter::new(qps, burst)),
             conn: Mutex::new(None),
+            decoded: Arc::default(),
         }
     }
 
@@ -170,7 +223,14 @@ impl WireClient {
         self.encoding
     }
 
-    fn build_head(&self, out: &mut String, method: &str, target: &str, body_len: usize) {
+    /// The objects this client, its clones and its watches decoded from
+    /// `vcbin` bodies.
+    pub fn decode_cache(&self) -> &DecodeCache {
+        &self.decoded
+    }
+
+    /// Appends a request head to `out`.
+    fn build_head(&self, out: &mut String, method: &str, target: Target<'_>, body_len: usize) {
         build_head(out, method, target, body_len, &self.addr, &self.user, self.encoding);
     }
 
@@ -184,7 +244,7 @@ impl WireClient {
     fn request(
         &self,
         method: &str,
-        target: &str,
+        target: Target<'_>,
         body: &[u8],
         idempotent: bool,
     ) -> ApiResult<(u16, Vec<u8>, Encoding)> {
@@ -199,6 +259,7 @@ impl WireClient {
             }
             let conn = guard.as_mut().expect("connection just ensured");
             let mut head = std::mem::take(&mut conn.head);
+            head.clear();
             self.build_head(&mut head, method, target, body.len());
             let wrote = crate::http::write_all_vectored(&mut conn.stream, &[head.as_bytes(), body]);
             conn.head = head;
@@ -236,15 +297,19 @@ impl WireClient {
     fn object_request(
         &self,
         method: &str,
-        target: &str,
+        target: Target<'_>,
         body: &[u8],
         idempotent: bool,
     ) -> ApiResult<Arc<Object>> {
         let (status, body, enc) = self.request(method, target, body, idempotent)?;
+        self.parse_response(status, &body, enc)
+    }
+
+    fn parse_response(&self, status: u16, body: &[u8], enc: Encoding) -> ApiResult<Arc<Object>> {
         if status == 200 {
-            parse_object(&body, enc).map(Arc::new)
+            parse_object(body, enc, &self.decoded)
         } else {
-            Err(parse_error(status, &body, enc))
+            Err(parse_error(status, body, enc))
         }
     }
 
@@ -299,11 +364,9 @@ impl WireClient {
             let pending = &items[results.len()..];
             // One buffer, one write, `pending.len()` requests in flight.
             let mut heads = std::mem::take(&mut conn.head);
-            let mut one = String::with_capacity(128);
             heads.clear();
-            for (namespace, name) in pending {
-                self.build_head(&mut one, "GET", &Self::target(kind, namespace, name), 0);
-                heads.push_str(&one);
+            for &(namespace, name) in pending {
+                self.build_head(&mut heads, "GET", Target::Object(kind, namespace, name), 0);
             }
             let wrote = crate::http::write_all_vectored(&mut conn.stream, &[heads.as_bytes()]);
             conn.head = heads;
@@ -316,11 +379,7 @@ impl WireClient {
                 match crate::http::read_response_head(&mut conn.reader, &mut line) {
                     Ok(resp) => {
                         let enc = codec::encoding_of(resp.content_type());
-                        results.push(if resp.status == 200 {
-                            parse_object(&resp.body, enc).map(Arc::new)
-                        } else {
-                            Err(parse_error(resp.status, &resp.body, enc))
-                        });
+                        results.push(self.parse_response(resp.status, &resp.body, enc));
                     }
                     Err(_) => break, // retry the unanswered suffix
                 }
@@ -333,28 +392,22 @@ impl WireClient {
         }
         Ok(results)
     }
-
-    fn target(kind: ResourceKind, namespace: &str, name: &str) -> String {
-        let ns = if kind.is_cluster_scoped() || namespace.is_empty() { "_" } else { namespace };
-        format!("/api/{}/{ns}/{name}", kind.as_str())
-    }
 }
 
-/// Builds a request head into `out` (cleared first); standalone so the
-/// watch reader thread can reuse it without a `WireClient`.
+/// Appends a request head to `out`; standalone so the watch reader thread
+/// can reuse it without a `WireClient`.
 fn build_head(
     out: &mut String,
     method: &str,
-    target: &str,
+    target: Target<'_>,
     body_len: usize,
     addr: &str,
     user: &str,
     encoding: Encoding,
 ) {
-    out.clear();
     out.push_str(method);
     out.push(' ');
-    out.push_str(target);
+    target.write(out);
     out.push_str(" HTTP/1.1\r\nhost: ");
     out.push_str(addr);
     out.push_str("\r\nx-vc-user: ");
@@ -373,15 +426,17 @@ fn build_head(
     out.push_str("\r\n");
 }
 
-fn parse_object(body: &[u8], encoding: Encoding) -> ApiResult<Object> {
+fn parse_object(body: &[u8], encoding: Encoding, decoded: &DecodeCache) -> ApiResult<Arc<Object>> {
     match encoding {
         Encoding::Json => {
             let text = std::str::from_utf8(body)
                 .map_err(|_| ApiError::internal("wire response is not UTF-8"))?;
             serde_json::from_str(text)
+                .map(Arc::new)
                 .map_err(|e| ApiError::internal(format!("undecodable wire object: {e}")))
         }
-        Encoding::Binary => codec::from_framed_slice(codec::FRAME_OBJECT, body)
+        Encoding::Binary => codec::frame_payload(body, codec::FRAME_OBJECT)
+            .and_then(|item| decoded.decode(item))
             .map_err(|e| ApiError::internal(format!("undecodable vcbin object: {e}"))),
     }
 }
@@ -405,11 +460,11 @@ fn parse_error(status: u16, body: &[u8], encoding: Encoding) -> ApiError {
 impl ObjectApi for WireClient {
     fn create(&self, obj: Object) -> ApiResult<Arc<Object>> {
         let body = self.encode_object(&obj)?;
-        self.object_request("POST", &format!("/api/{}", obj.kind().as_str()), &body, false)
+        self.object_request("POST", Target::Kind(obj.kind(), None), &body, false)
     }
 
     fn get(&self, kind: ResourceKind, namespace: &str, name: &str) -> ApiResult<Arc<Object>> {
-        self.object_request("GET", &Self::target(kind, namespace, name), &[], true)
+        self.object_request("GET", Target::Object(kind, namespace, name), &[], true)
     }
 
     fn list(
@@ -417,12 +472,7 @@ impl ObjectApi for WireClient {
         kind: ResourceKind,
         namespace: Option<&str>,
     ) -> ApiResult<(Vec<Arc<Object>>, u64)> {
-        let mut target = format!("/api/{}", kind.as_str());
-        if let Some(ns) = namespace {
-            target.push_str("?namespace=");
-            target.push_str(ns);
-        }
-        let (status, body, enc) = self.request("GET", &target, &[], true)?;
+        let (status, body, enc) = self.request("GET", Target::Kind(kind, namespace), &[], true)?;
         if status != 200 {
             return Err(parse_error(status, &body, enc));
         }
@@ -435,21 +485,23 @@ impl ObjectApi for WireClient {
                 Ok((list.items.into_iter().map(Arc::new).collect(), list.resource_version))
             }
             Encoding::Binary => {
-                let (revision, items) = codec::read_list_frame::<Object>(&body)
+                let (revision, items) = self
+                    .decoded
+                    .decode_list(&body)
                     .map_err(|e| ApiError::internal(format!("undecodable vcbin list: {e}")))?;
-                Ok((items.into_iter().map(Arc::new).collect(), revision))
+                Ok((items, revision))
             }
         }
     }
 
     fn update(&self, obj: Object) -> ApiResult<Arc<Object>> {
-        let target = Self::target(obj.kind(), &obj.meta().namespace, &obj.meta().name);
         let body = self.encode_object(&obj)?;
-        self.object_request("PUT", &target, &body, false)
+        let target = Target::Object(obj.kind(), &obj.meta().namespace, &obj.meta().name);
+        self.object_request("PUT", target, &body, false)
     }
 
     fn delete(&self, kind: ResourceKind, namespace: &str, name: &str) -> ApiResult<Arc<Object>> {
-        self.object_request("DELETE", &Self::target(kind, namespace, name), &[], false)
+        self.object_request("DELETE", Target::Object(kind, namespace, name), &[], false)
     }
 
     fn watch(
@@ -465,6 +517,7 @@ impl ObjectApi for WireClient {
             encoding: self.encoding,
             kind,
             namespace: namespace.map(str::to_string),
+            decoded: Arc::clone(&self.decoded),
         };
         // The first connect reports errors synchronously (Forbidden,
         // server down, …); reconnects after that are the reader's job.
@@ -480,20 +533,18 @@ struct WatchSpec {
     encoding: Encoding,
     kind: ResourceKind,
     namespace: Option<String>,
+    decoded: Arc<DecodeCache>,
 }
 
 /// Opens one watch connection anchored at `from`, returning it with the
 /// chunked response header already consumed.
 fn open_watch(spec: &WatchSpec, from: u64) -> ApiResult<Conn> {
-    let mut target = format!("/watch/{}?from={from}", spec.kind.as_str());
-    if let Some(ns) = &spec.namespace {
-        target.push_str("&namespace=");
-        target.push_str(ns);
-    }
+    let target = Target::Watch(spec.kind, spec.namespace.as_deref(), from);
     let mut conn = Conn::open(&spec.addr)
         .map_err(|e| ApiError::unavailable(format!("connect {}: {e}", spec.addr)))?;
     let mut head = std::mem::take(&mut conn.head);
-    build_head(&mut head, "GET", &target, 0, &spec.addr, &spec.user, spec.encoding);
+    head.clear();
+    build_head(&mut head, "GET", target, 0, &spec.addr, &spec.user, spec.encoding);
     let wrote = crate::http::write_all_vectored(&mut conn.stream, &[head.as_bytes()]);
     conn.head = head;
     wrote.map_err(|e| ApiError::unavailable(format!("write {}: {e}", spec.addr)))?;
@@ -557,12 +608,7 @@ impl WireWatch {
 /// revision in `anchor` — delivered meaning the event actually landed in
 /// the channel, so a reconnect never skips an event the consumer has not
 /// seen.
-fn pump(
-    conn: &mut Conn,
-    tx: &Sender<WatchEvent>,
-    anchor: &mut u64,
-    encoding: Encoding,
-) -> PumpExit {
+fn pump(conn: &mut Conn, tx: &Sender<WatchEvent>, anchor: &mut u64, spec: &WatchSpec) -> PumpExit {
     let mut line = std::mem::take(&mut conn.line);
     loop {
         let chunk = match crate::http::read_chunk(&mut conn.reader, &mut line) {
@@ -570,7 +616,7 @@ fn pump(
             Ok(None) => return PumpExit::Done, // clean terminator follows RESYNC
             Err(_) => return PumpExit::Disconnected,
         };
-        let events = match decode_chunk(&chunk, encoding) {
+        let events = match decode_chunk(&chunk, spec.encoding, &spec.decoded) {
             Ok(ChunkEvents::Events(events)) => events,
             Ok(ChunkEvents::Resync) => return PumpExit::Done,
             Err(_) => return PumpExit::Done,
@@ -594,7 +640,11 @@ enum ChunkEvents {
 /// into watch events. A RESYNC frame terminates the stream (any events
 /// earlier in the same chunk are discarded with it: the consumer is about
 /// to re-list anyway).
-fn decode_chunk(chunk: &[u8], encoding: Encoding) -> Result<ChunkEvents, ApiError> {
+fn decode_chunk(
+    chunk: &[u8],
+    encoding: Encoding,
+    decoded: &DecodeCache,
+) -> Result<ChunkEvents, ApiError> {
     match encoding {
         Encoding::Json => {
             let text = std::str::from_utf8(chunk)
@@ -623,8 +673,8 @@ fn decode_chunk(chunk: &[u8], encoding: Encoding) -> Result<ChunkEvents, ApiErro
             Ok(ChunkEvents::Events(events))
         }
         Encoding::Binary => {
-            let frames = codec::read_event_frames::<Object>(chunk)
-                .map_err(|e| ApiError::internal(format!("undecodable watch chunk: {e}")))?;
+            let undecodable = |e| ApiError::internal(format!("undecodable watch chunk: {e}"));
+            let frames = codec::split_event_frames(chunk).map_err(undecodable)?;
             let mut events = Vec::with_capacity(frames.len());
             for frame in frames {
                 let event_type = match frame.event_type {
@@ -636,12 +686,12 @@ fn decode_chunk(chunk: &[u8], encoding: Encoding) -> Result<ChunkEvents, ApiErro
                         return Err(ApiError::internal(format!("unknown event type byte {other}")))
                     }
                 };
-                let object =
+                let item =
                     frame.object.ok_or_else(|| ApiError::internal("event frame missing object"))?;
                 events.push(WatchEvent {
                     revision: frame.revision,
                     event_type,
-                    object: Arc::new(object),
+                    object: decoded.decode(item).map_err(undecodable)?,
                 });
             }
             Ok(ChunkEvents::Events(events))
@@ -663,7 +713,7 @@ fn reader_loop(
     // lost across a reconnect.
     let mut anchor = from;
     loop {
-        let exit = pump(&mut conn, tx, &mut anchor, spec.encoding);
+        let exit = pump(&mut conn, tx, &mut anchor, &spec);
         let _ = conn.stream.shutdown(Shutdown::Both);
         match exit {
             PumpExit::Done => break,

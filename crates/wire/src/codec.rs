@@ -45,8 +45,11 @@
 //! items) collapse to one or two bytes after first sight. The streaming
 //! table is implicit — no dictionary section, so any prefix of a message
 //! decodes without lookahead and each encoded object is fully
-//! self-contained (the [`crate::EncodeCache`] splices cached object
-//! bytes into lists and watch frames without re-encoding). Neither end
+//! self-contained: the [`crate::EncodeCache`] splices cached object
+//! bytes into lists and watch frames without re-encoding, and a client's
+//! [`crate::DecodeCache`] hands out the object it decoded from equal item
+//! bytes before ([`split_list_frame`] and [`split_event_frames`] yield the
+//! item slices without decoding them). Neither end
 //! copies a dictionary string: the encoder remembers where in its output
 //! it wrote each one, the decoder keeps slices of its input.
 //!
@@ -98,6 +101,9 @@ pub const VCBIN_VERSION: u8 = 1;
 /// strings are emitted verbatim every time — they are almost never
 /// repeated, and skipping them keeps the table small.
 pub const INTERN_MAX_LEN: usize = 128;
+
+/// Streaming-dictionary slots [`decode`] reserves up front.
+const DICT_RESERVE: usize = 16;
 
 /// MIME type announcing the binary codec in `accept`/`content-type`.
 pub const VCBIN_CONTENT_TYPE: &str = "application/vcbin";
@@ -484,12 +490,18 @@ impl<'a> Reader<'a> {
         Ok(value)
     }
 
-    /// Decodes a length-prefixed, self-contained value (a list item or an
-    /// event's object) under a dictionary of its own; the dictionary's
-    /// buffer is reused from one item to the next.
-    fn item<T: Deserialize>(&mut self) -> Result<T, CodecError> {
+    /// The bytes of a length-prefixed, self-contained value (a list item
+    /// or an event's object), undecoded.
+    fn item_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.varint()? as usize;
-        let buf = self.take(len)?;
+        self.take(len)
+    }
+
+    /// Decodes a length-prefixed, self-contained value under a dictionary
+    /// of its own; the dictionary's buffer is reused from one item to the
+    /// next.
+    fn item<T: Deserialize>(&mut self) -> Result<T, CodecError> {
+        let buf = self.item_bytes()?;
         let mut dict = std::mem::take(&mut self.dict);
         dict.clear();
         let mut item = Reader { buf, pos: 0, dict, depth: 0 };
@@ -735,7 +747,11 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
 /// references, invalid UTF-8, nesting past `serde::MAX_DEPTH`, or the
 /// type's own decoding errors.
 pub fn decode<T: Deserialize>(buf: &[u8]) -> Result<T, CodecError> {
-    Reader::new(buf).finish()
+    let mut reader = Reader::new(buf);
+    // An object interns about a dozen strings: one reservation instead of
+    // growing the dictionary from 4 to 8 to 16.
+    reader.dict.reserve(DICT_RESERVE);
+    reader.finish()
 }
 
 /// Decodes one raw value tree occupying the whole of `buf`.
@@ -820,12 +836,30 @@ pub fn write_list_frame<'a>(
 ///
 /// Fails on malformed framing or any undecodable item.
 pub fn read_list_frame<T: Deserialize>(buf: &[u8]) -> Result<(u64, Vec<T>), CodecError> {
+    read_list(buf, Reader::item)
+}
+
+/// Splits a list frame into `(revision, item slices)` without decoding an
+/// item: each slice is a self-contained value encoding, so equal slices
+/// decode to equal values.
+///
+/// # Errors
+///
+/// Fails on malformed framing (not on an undecodable item).
+pub fn split_list_frame(buf: &[u8]) -> Result<(u64, Vec<&[u8]>), CodecError> {
+    read_list(buf, Reader::item_bytes)
+}
+
+fn read_list<'a, T>(
+    buf: &'a [u8],
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<(u64, Vec<T>), CodecError> {
     let mut r = Reader::new(frame_payload(buf, FRAME_LIST)?);
     let revision = r.varint()?;
     let count = r.count()?;
     let mut items = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
-        items.push(r.item()?);
+        items.push(item(&mut r)?);
     }
     if r.pos != r.buf.len() {
         return Err(err("vcbin: trailing bytes after list"));
@@ -837,7 +871,8 @@ pub fn read_list_frame<T: Deserialize>(buf: &[u8]) -> Result<(u64, Vec<T>), Code
 // Event frames
 // ---------------------------------------------------------------------------
 
-/// One decoded watch-event frame carrying a `T`.
+/// One watch-event frame carrying a `T`: a decoded object
+/// ([`read_event_frames`]) or its encoding ([`split_event_frames`]).
 #[derive(Debug)]
 pub struct EventFrame<T> {
     /// Event type byte ([`EVENT_ADDED`] … [`EVENT_RESYNC`]).
@@ -868,6 +903,23 @@ pub fn write_event_frame(out: &mut Vec<u8>, event_type: u8, revision: u64, encod
 /// Fails on malformed framing; a RESYNC frame decodes successfully and is
 /// expected to be the chunk's last frame.
 pub fn read_event_frames<T: Deserialize>(buf: &[u8]) -> Result<Vec<EventFrame<T>>, CodecError> {
+    read_events(buf, Reader::item)
+}
+
+/// Splits a watch chunk into its event frames without decoding an object:
+/// each frame's `object` is the object's self-contained value encoding.
+///
+/// # Errors
+///
+/// Fails on malformed framing (not on an undecodable object).
+pub fn split_event_frames(buf: &[u8]) -> Result<Vec<EventFrame<&[u8]>>, CodecError> {
+    read_events(buf, Reader::item_bytes)
+}
+
+fn read_events<'a, T>(
+    buf: &'a [u8],
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<EventFrame<T>>, CodecError> {
     let mut frames = Vec::new();
     let mut r = Reader::new(buf);
     while r.pos < buf.len() {
@@ -875,7 +927,7 @@ pub fn read_event_frames<T: Deserialize>(buf: &[u8]) -> Result<Vec<EventFrame<T>
         r.pos += 2;
         let event_type = r.byte()?;
         let revision = r.varint()?;
-        let object = if event_type == EVENT_RESYNC { None } else { Some(r.item()?) };
+        let object = if event_type == EVENT_RESYNC { None } else { Some(item(&mut r)?) };
         frames.push(EventFrame { event_type, revision, object });
     }
     Ok(frames)

@@ -190,15 +190,12 @@ fn build_head(
     keep_alive: bool,
 ) {
     head.clear();
-    head.extend_from_slice(b"HTTP/1.1 ");
-    head.extend_from_slice(status.to_string().as_bytes());
-    head.push(b' ');
-    head.extend_from_slice(reason(status).as_bytes());
-    head.extend_from_slice(b"\r\ncontent-type: ");
-    head.extend_from_slice(content_type.as_bytes());
-    head.extend_from_slice(b"\r\ncontent-length: ");
-    head.extend_from_slice(body_len.to_string().as_bytes());
-    head.extend_from_slice(b"\r\n");
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        head,
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {body_len}\r\n",
+        reason(status)
+    );
     // Keep-alive is the HTTP/1.1 default, so only the close case needs a
     // header — every kept-alive response saves 24 bytes of head.
     head.extend_from_slice(if keep_alive {

@@ -18,16 +18,20 @@
 //!    object revisions are globally unique, so their encodings are
 //!    memoized and fanned out as shared [`bytes::Bytes`] buffers,
 //!    bounded by total cached bytes.
-//! 3. **Pipelined, vectored I/O**: responses leave in one vectored
+//! 3. **Decode once per encoding** ([`DecodeCache`]): a [`WireClient`]
+//!    maps each `vcbin` item's exact bytes to the shared object they
+//!    decoded to, so a re-list or a watch event of bytes it already
+//!    decoded costs a hash and a compare.
+//! 4. **Pipelined, vectored I/O**: responses leave in one vectored
 //!    syscall (head + frame prefix + cached body), watch bursts batch
 //!    into single chunks, and [`WireClient`] pipelines idempotent reads
 //!    on its persistent connection.
-//! 4. **One fair gate** ([`WireServer`]): every unary request executes
+//! 5. **One fair gate** ([`WireServer`]): every unary request executes
 //!    on its connection thread once it holds one of four permits of the
 //!    apiserver's own admission gate; when none is free it queues under
 //!    its user, and permits pass to the waiting users by round-robin, so
 //!    one noisy user waits behind itself, not in front of everyone.
-//! 5. **Degrade-to-resync**: a watcher that cannot keep up is dropped
+//! 6. **Degrade-to-resync**: a watcher that cannot keep up is dropped
 //!    (write timeout) or told to re-list (`RESYNC` terminal chunk) —
 //!    fan-out to healthy watchers never blocks on the slowest socket.
 //!
@@ -62,11 +66,13 @@
 
 pub mod client;
 pub mod codec;
+pub mod decode;
 pub mod encode;
 pub mod http;
 pub mod server;
 
 pub use client::{WireClient, WireWatch};
 pub use codec::{JSON_CONTENT_TYPE, VCBIN_CONTENT_TYPE, VCBIN_VERSION};
+pub use decode::{DecodeCache, DECODE_CACHE_BYTES};
 pub use encode::{EncodeCache, DEFAULT_ENCODE_CACHE_BYTES};
 pub use server::{WireMetrics, WireServer, WireServerConfig};

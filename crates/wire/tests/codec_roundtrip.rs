@@ -18,18 +18,23 @@
 //! spelled; that is pinned by literal texts, in
 //! `derived_types_stream_pinned_text` below and in `vendor/serde`'s own tests.
 //!
+//! A client's decode cache is held to the codec: a cached decode of any
+//! bytes, perturbed or not, equals a fresh decode of the same bytes.
+//!
 //! Case count honors `PROPTEST_CASES` (CI runs 256).
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 use vc_api::error::ApiError;
+use vc_api::namespace::Namespace;
 use vc_api::object::Object;
 use vc_api::pod::{
     Container, ContainerPort, Pod, PodCondition, PodConditionType, PodPhase, Protocol,
 };
 use vc_api::quantity::{resource_list, Quantity};
+use vc_api::service::{Service, ServicePort, ServiceType};
 use vc_api::time::Timestamp;
-use vc_wire::codec;
+use vc_wire::{codec, DecodeCache};
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -132,6 +137,37 @@ fn arb_object() -> impl Strategy<Value = Object> {
                 pod.into()
             },
         )
+}
+
+/// Arbitrary namespaces and services beside the pods of [`arb_object`].
+fn arb_kinds() -> impl Strategy<Value = Object> {
+    let labels = || proptest::collection::btree_map("[a-z.-]{1,12}", "[a-zA-Z0-9_-]{0,16}", 0..4);
+    prop_oneof![
+        arb_object(),
+        ("[a-z][a-z0-9-]{0,20}", labels(), 0u64..u64::MAX).prop_map(|(name, labels, rv)| {
+            let mut ns = Namespace::new(name);
+            ns.meta.labels = labels;
+            ns.meta.resource_version = rv;
+            ns.into()
+        }),
+        (
+            ("[a-z][a-z0-9-]{0,20}", "[a-z][a-z0-9]{0,8}", labels()),
+            ("[0-9.]{0,15}", 0u16..u16::MAX, 0u16..4),
+        )
+            .prop_map(|((name, ns, selector), (cluster_ip, port, kind))| {
+                let mut svc = Service::new(ns, name);
+                svc.spec.selector = selector;
+                svc.spec.cluster_ip = cluster_ip;
+                svc.spec.ports.push(ServicePort::tcp(port, port / 2));
+                svc.spec.service_type = match kind {
+                    0 => ServiceType::ClusterIp,
+                    1 => ServiceType::NodePort,
+                    2 => ServiceType::LoadBalancer,
+                    _ => ServiceType::Headless,
+                };
+                svc.into()
+            }),
+    ]
 }
 
 /// Every [`ApiError`] variant with arbitrary payloads.
@@ -512,6 +548,41 @@ proptest! {
         for (frame, (obj, rev)) in frames.iter().zip(&events) {
             prop_assert_eq!(frame.revision, *rev);
             prop_assert_eq!(frame.object.as_ref(), Some(obj));
+        }
+    }
+
+    /// A cached decode equals a fresh decode of the same bytes: for each
+    /// object's encoding and for copies of it with one byte changed (which
+    /// may decode to another object or fail), each decoded twice through
+    /// one cache, a miss and then a hit.
+    #[test]
+    fn cached_decode_equals_a_fresh_decode(
+        objs in proptest::collection::vec(arb_kinds(), 1..4),
+        edits in proptest::collection::vec((0usize..4096, 0u8..=255), 0..4),
+    ) {
+        let cache = DecodeCache::default();
+        let mut variants = Vec::new();
+        for obj in &objs {
+            let mut encoded = Vec::new();
+            codec::encode(obj, &mut encoded);
+            for &(at, byte) in &edits {
+                let mut edited = encoded.clone();
+                let at = at % edited.len();
+                edited[at] = byte;
+                variants.push(edited);
+            }
+            variants.push(encoded);
+        }
+        for _ in 0..2 {
+            for bytes in &variants {
+                match (cache.decode(bytes), codec::decode::<Object>(bytes)) {
+                    (Ok(cached), Ok(fresh)) => prop_assert_eq!(&*cached, &fresh),
+                    (Err(_), Err(_)) => {}
+                    (cached, fresh) => {
+                        prop_assert!(false, "cached {:?}, fresh {:?}", cached, fresh)
+                    }
+                }
+            }
         }
     }
 }

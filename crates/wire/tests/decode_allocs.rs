@@ -2,28 +2,40 @@
 //! ends of the wire. Decoding builds the typed objects straight from the
 //! input bytes, so a decoded list should cost about what cloning the same
 //! objects costs; encoding writes tags straight into the output buffer, so
-//! it should cost little beyond that buffer. This file holds a single test
-//! so that no other test thread allocates while the counter is read.
+//! it should cost little beyond that buffer. A client decodes each
+//! distinct item encoding once ([`DecodeCache`]), so a repeat of bytes it
+//! has decoded costs no object at all.
+//!
+//! The allocator counts only the calling thread's allocations, so tests
+//! running in parallel on other threads do not disturb a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use vc_api::meta::Uid;
 use vc_api::object::Object;
 use vc_api::pod::{Container, Pod};
 use vc_api::quantity::resource_list;
 use vc_api::time::Timestamp;
-use vc_wire::codec;
+use vc_wire::{codec, DecodeCache};
 
-struct CountingAlloc;
+struct ThreadCountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it inside the
+    // allocator neither allocates nor runs after thread teardown.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
+unsafe impl GlobalAlloc for ThreadCountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -34,19 +46,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: ThreadCountingAlloc = ThreadCountingAlloc;
 
 fn allocations_during<T>(work: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = work();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 /// The benchmark's stress pod (`benchmark/src/pods.rs`): one small container.
@@ -84,9 +96,8 @@ fn stored_pods() -> Vec<Object> {
         .collect()
 }
 
-#[test]
-fn list_decode_costs_about_a_clone_and_encode_about_its_buffer() {
-    let objects = stored_pods();
+/// The list frame a server sends for `objects`.
+fn list_frame(objects: &[Object]) -> Vec<u8> {
     let encoded: Vec<Vec<u8>> = objects
         .iter()
         .map(|o| {
@@ -97,11 +108,18 @@ fn list_decode_costs_about_a_clone_and_encode_about_its_buffer() {
         .collect();
     let mut frame = Vec::new();
     codec::write_list_frame(&mut frame, 7, encoded.iter().map(Vec::as_slice));
+    frame
+}
+
+#[test]
+fn list_decode_costs_about_a_clone_and_encode_about_its_buffer() {
+    let objects = stored_pods();
+    let frame = list_frame(&objects);
 
     // What a LIST must build at the least: every object, each in an `Arc`.
     let (floor, cloned) =
         allocations_during(|| objects.iter().map(|o| Arc::new(o.clone())).collect::<Vec<_>>());
-    // What the client's LIST builds from the frame (`WireClient::list`).
+    // What a plain decode of the frame builds.
     let (decoding, decoded) = allocations_during(|| {
         let (_, items) = codec::read_list_frame::<Object>(&frame).expect("decode");
         items.into_iter().map(Arc::new).collect::<Vec<_>>()
@@ -121,4 +139,46 @@ fn list_decode_costs_about_a_clone_and_encode_about_its_buffer() {
         "to_framed_vec made {framing} allocations for a {}-byte frame",
         framed.len()
     );
+}
+
+#[test]
+fn listing_the_same_frame_again_builds_no_object() {
+    let objects = stored_pods();
+    let frame = list_frame(&objects);
+    let (decoding, _) = allocations_during(|| {
+        let (_, items) = codec::read_list_frame::<Object>(&frame).expect("decode");
+        items.into_iter().map(Arc::new).collect::<Vec<_>>()
+    });
+    let cache = DecodeCache::default();
+    let (cold, (_, first)) = allocations_during(|| cache.decode_list(&frame).expect("decode"));
+    // A first sight pays the decode, a copy of each item's bytes, each
+    // item's own dictionary and the cache's growth.
+    assert!(
+        cold <= decoding + 3 * objects.len(),
+        "a cold list of 50 pods made {cold} allocations, a plain decode {decoding}"
+    );
+    let (n, (revision, again)) = allocations_during(|| cache.decode_list(&frame).expect("decode"));
+    assert_eq!(revision, 7);
+    assert!(first.iter().zip(&again).all(|(a, b)| Arc::ptr_eq(a, b)), "the same objects");
+    assert!(again.iter().map(|o| &**o).eq(&objects));
+    assert!(n <= 2, "a warm list of 50 pods made {n} allocations: the slices and the result");
+}
+
+#[test]
+fn a_watch_event_of_created_bytes_builds_no_object() {
+    let cache = DecodeCache::default();
+    let pod = &stored_pods()[2]; // a fat pod
+                                 // The create response, then the watch event the same write caused:
+                                 // both carry the stored object's one encoding.
+    let response = codec::to_framed_vec(codec::FRAME_OBJECT, pod);
+    let payload = codec::frame_payload(&response, codec::FRAME_OBJECT).expect("object frame");
+    let created = cache.decode(payload).expect("decode");
+    let mut chunk = Vec::new();
+    codec::write_event_frame(&mut chunk, codec::EVENT_ADDED, 1_002, Some(payload));
+    let (n, event) = allocations_during(|| {
+        let frames = codec::split_event_frames(&chunk).expect("event frames");
+        cache.decode(frames[0].object.expect("an object")).expect("decode")
+    });
+    assert!(Arc::ptr_eq(&created, &event));
+    assert!(n <= 1, "a watch event of decoded bytes made {n} allocations: the frame vector");
 }

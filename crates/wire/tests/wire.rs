@@ -1,8 +1,9 @@
 //! Wire-protocol semantics over real sockets: the list→watch handoff,
 //! disconnect/reconnect resume, slow-reader isolation, mixed-codec
 //! clients, pipelined reads, transparent watch reconnect, the cap on
-//! concurrently executing requests, and the checks that a request's path
-//! and body agree. These are the contracts a controller relies on when it
+//! concurrently executing requests, the checks that a request's path
+//! and body agree, and fresh contents after a server restart that re-issues
+//! revisions. These are the contracts a controller relies on when it
 //! attaches over the network instead of in-process.
 
 use std::io::{BufRead, BufReader, Write};
@@ -13,10 +14,10 @@ use std::time::{Duration, Instant};
 use vc_api::config::ConfigMap;
 use vc_api::namespace::Namespace;
 use vc_api::object::{Object, ResourceKind};
-use vc_api::pod::Pod;
+use vc_api::pod::{Container, Pod};
 use vc_api::time::RealClock;
 use vc_apiserver::{ApiServer, ApiServerConfig};
-use vc_client::{Encoding, ObjectApi};
+use vc_client::{Client, Encoding, ObjectApi};
 use vc_wire::{WireClient, WireServer, WireServerConfig};
 
 fn start_server(cfg: WireServerConfig) -> (Arc<ApiServer>, WireServer) {
@@ -98,6 +99,69 @@ fn watch_resume_after_reconnect() {
     let expected: Vec<String> = (0..9).map(|i| format!("p-{i}")).collect();
     assert_eq!(delivered, expected, "no event lost or duplicated across the reconnect");
     assert!(resumed.recv_timeout_ms(200).is_none());
+    server.shutdown();
+}
+
+/// The image of a listed, fetched or watched pod.
+fn image(obj: &Object) -> &str {
+    &obj.as_pod().expect("a pod").spec.containers[0].image
+}
+
+/// A server restarted at the same address over a fresh in-memory store
+/// re-issues the same revisions for different objects. A client that
+/// listed and watched before the restart gets the new contents after it:
+/// what it decoded is keyed by the bytes, not by the revision.
+#[test]
+fn restarted_server_reissuing_revisions_serves_new_contents() {
+    let pods = |image: &'static str| {
+        (0..3).map(move |i| {
+            Pod::new("default", format!("p-{i}")).with_container(Container::new("app", image))
+        })
+    };
+    let (api, server) = start_server(WireServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let client =
+        WireClient::with_limits(&addr, "tenant-a", 10_000.0, 1000).with_codec(Encoding::Binary);
+    let (_, from) = client.list(ResourceKind::Pod, Some("default")).unwrap();
+    let watch = client.watch(ResourceKind::Pod, Some("default"), from).unwrap();
+    let seeder = Client::system(api, "seeder");
+    let old: Vec<u64> =
+        pods("old:1").map(|p| seeder.create(p.into()).unwrap().meta().resource_version).collect();
+    for _ in &old {
+        assert_eq!(image(&watch.recv_timeout_ms(5000).expect("event").object), "old:1");
+    }
+    let (items, _) = client.list(ResourceKind::Pod, Some("default")).unwrap();
+    assert!(items.iter().all(|o| image(o) == "old:1"));
+    assert_eq!(client.decode_cache().hits(), 3, "the list shared the watched objects");
+    server.shutdown();
+
+    // The same writes, with other contents, into a fresh store, served at
+    // the same address.
+    let api = ApiServer::new_default("wire-test");
+    let seeder = Client::system(Arc::clone(&api), "seeder");
+    let new: Vec<u64> =
+        pods("new:2").map(|p| seeder.create(p.into()).unwrap().meta().resource_version).collect();
+    assert_eq!(new, old, "the fresh store re-issues the same revisions");
+    let cfg = WireServerConfig { addr, ..WireServerConfig::default() };
+    let server = WireServer::start(api, cfg).expect("rebind the same address");
+
+    let (items, _) = client.list(ResourceKind::Pod, Some("default")).unwrap();
+    assert_eq!(items.iter().map(|o| image(o)).collect::<Vec<_>>(), ["new:2"; 3]);
+    let got = client.get(ResourceKind::Pod, "default", "p-1").unwrap();
+    assert_eq!(image(&got), "new:2");
+    let replay = client.watch(ResourceKind::Pod, Some("default"), from).unwrap();
+    for revision in &new {
+        let ev = replay.recv_timeout_ms(5000).expect("replayed event");
+        assert_eq!((ev.revision, image(&ev.object)), (*revision, "new:2"));
+    }
+    // The watch opened before the restart reconnects from the last
+    // revision it delivered and sees the next write.
+    let mut p0: Pod = Pod::try_from(Arc::clone(&items[0])).unwrap();
+    p0.meta.labels.insert("touched".into(), "yes".into());
+    seeder.update(p0.into()).unwrap();
+    let ev = watch.recv_timeout_ms(5000).expect("event after the reconnect");
+    assert_eq!(ev.object.meta().name, "p-0");
+    assert_eq!(image(&ev.object), "new:2");
     server.shutdown();
 }
 
