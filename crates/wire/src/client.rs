@@ -71,14 +71,16 @@ const RESYNC_PREFIX: &str = "{\"event_type\":\"RESYNC\"";
 const WATCH_RECONNECT_ATTEMPTS: u32 = 8;
 const WATCH_RECONNECT_BACKOFF: Duration = Duration::from_millis(25);
 
-/// One persistent unary connection: write half, buffered read half, and
-/// the reusable scratch buffers that make a warm connection allocation-free
-/// on the framing path.
+/// One persistent connection: write half, buffered read half, and the
+/// reusable buffers that make a warm connection allocation-free on the
+/// framing path: the request head, the response line, and the response
+/// body (a watch's chunk payload).
 struct Conn {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
     head: String,
-    line: String,
+    line: Vec<u8>,
+    body: Vec<u8>,
 }
 
 /// A request target, written straight into the request head.
@@ -134,7 +136,8 @@ impl Conn {
             stream,
             reader,
             head: String::with_capacity(256),
-            line: String::with_capacity(256),
+            line: Vec::with_capacity(256),
+            body: Vec::new(),
         })
     }
 }
@@ -234,20 +237,22 @@ impl WireClient {
         build_head(out, method, target, body_len, &self.addr, &self.user, self.encoding);
     }
 
-    /// Sends one unary request over the persistent connection, returning
-    /// `(status, body, response encoding)`.
+    /// Sends one unary request over the persistent connection and hands
+    /// the response's status, body and encoding to `parse` while the body
+    /// is still in the connection's buffer.
     ///
     /// Retry semantics: a failed *write* means the server cannot have
     /// executed anything (stale keep-alive socket), so any verb retries
     /// once on a fresh connection. A failed *read* means the request may
     /// have executed — only `idempotent` requests (GETs) are resent.
-    fn request(
+    fn request<T>(
         &self,
         method: &str,
         target: Target<'_>,
         body: &[u8],
         idempotent: bool,
-    ) -> ApiResult<(u16, Vec<u8>, Encoding)> {
+        parse: impl FnOnce(u16, &[u8], Encoding) -> ApiResult<T>,
+    ) -> ApiResult<T> {
         self.limiter.acquire();
         let mut guard = self.conn.lock();
         for attempt in 0..2 {
@@ -258,11 +263,10 @@ impl WireClient {
                     })?);
             }
             let conn = guard.as_mut().expect("connection just ensured");
-            let mut head = std::mem::take(&mut conn.head);
-            head.clear();
-            self.build_head(&mut head, method, target, body.len());
-            let wrote = crate::http::write_all_vectored(&mut conn.stream, &[head.as_bytes(), body]);
-            conn.head = head;
+            conn.head.clear();
+            self.build_head(&mut conn.head, method, target, body.len());
+            let wrote =
+                crate::http::write_all_vectored(&mut conn.stream, &[conn.head.as_bytes(), body]);
             if let Err(e) = wrote {
                 // A stale keep-alive connection the server already closed;
                 // nothing was executed, so retrying on a fresh socket is safe.
@@ -272,14 +276,9 @@ impl WireClient {
                 }
                 return Err(ApiError::unavailable(format!("write {}: {e}", self.addr)));
             }
-            let mut line = std::mem::take(&mut conn.line);
-            let read = crate::http::read_response_head(&mut conn.reader, &mut line);
-            match read {
-                Ok(resp) => {
-                    conn.line = line;
-                    let enc = codec::encoding_of(resp.content_type());
-                    return Ok((resp.status, resp.body, enc));
-                }
+            match crate::http::read_response_head(&mut conn.reader, &mut conn.line, &mut conn.body)
+            {
+                Ok(resp) => return parse(resp.status, &conn.body, resp.encoding),
                 Err(e) => {
                     // The request may have executed server-side; only
                     // idempotent reads are safe to replay.
@@ -301,8 +300,9 @@ impl WireClient {
         body: &[u8],
         idempotent: bool,
     ) -> ApiResult<Arc<Object>> {
-        let (status, body, enc) = self.request(method, target, body, idempotent)?;
-        self.parse_response(status, &body, enc)
+        self.request(method, target, body, idempotent, |status, body, enc| {
+            self.parse_response(status, body, enc)
+        })
     }
 
     fn parse_response(&self, status: u16, body: &[u8], enc: Encoding) -> ApiResult<Arc<Object>> {
@@ -363,31 +363,28 @@ impl WireClient {
             let conn = guard.as_mut().expect("connection just ensured");
             let pending = &items[results.len()..];
             // One buffer, one write, `pending.len()` requests in flight.
-            let mut heads = std::mem::take(&mut conn.head);
-            heads.clear();
+            conn.head.clear();
             for &(namespace, name) in pending {
-                self.build_head(&mut heads, "GET", Target::Object(kind, namespace, name), 0);
+                self.build_head(&mut conn.head, "GET", Target::Object(kind, namespace, name), 0);
             }
-            let wrote = crate::http::write_all_vectored(&mut conn.stream, &[heads.as_bytes()]);
-            conn.head = heads;
-            if wrote.is_err() {
+            if crate::http::write_all_vectored(&mut conn.stream, &[conn.head.as_bytes()]).is_err() {
                 *guard = None;
                 continue;
             }
-            let mut line = std::mem::take(&mut conn.line);
             for _ in 0..pending.len() {
-                match crate::http::read_response_head(&mut conn.reader, &mut line) {
+                match crate::http::read_response_head(
+                    &mut conn.reader,
+                    &mut conn.line,
+                    &mut conn.body,
+                ) {
                     Ok(resp) => {
-                        let enc = codec::encoding_of(resp.content_type());
-                        results.push(self.parse_response(resp.status, &resp.body, enc));
+                        results.push(self.parse_response(resp.status, &conn.body, resp.encoding));
                     }
                     Err(_) => break, // retry the unanswered suffix
                 }
             }
             if results.len() < items.len() {
                 *guard = None;
-            } else if let Some(conn) = guard.as_mut() {
-                conn.line = line;
             }
         }
         Ok(results)
@@ -472,26 +469,27 @@ impl ObjectApi for WireClient {
         kind: ResourceKind,
         namespace: Option<&str>,
     ) -> ApiResult<(Vec<Arc<Object>>, u64)> {
-        let (status, body, enc) = self.request("GET", Target::Kind(kind, namespace), &[], true)?;
-        if status != 200 {
-            return Err(parse_error(status, &body, enc));
-        }
-        match enc {
-            Encoding::Json => {
-                let text = std::str::from_utf8(&body)
-                    .map_err(|_| ApiError::internal("wire list response is not UTF-8"))?;
-                let list: WireList = serde_json::from_str(text)
-                    .map_err(|e| ApiError::internal(format!("undecodable wire list: {e}")))?;
-                Ok((list.items.into_iter().map(Arc::new).collect(), list.resource_version))
+        self.request("GET", Target::Kind(kind, namespace), &[], true, |status, body, enc| {
+            if status != 200 {
+                return Err(parse_error(status, body, enc));
             }
-            Encoding::Binary => {
-                let (revision, items) = self
-                    .decoded
-                    .decode_list(&body)
-                    .map_err(|e| ApiError::internal(format!("undecodable vcbin list: {e}")))?;
-                Ok((items, revision))
+            match enc {
+                Encoding::Json => {
+                    let text = std::str::from_utf8(body)
+                        .map_err(|_| ApiError::internal("wire list response is not UTF-8"))?;
+                    let list: WireList = serde_json::from_str(text)
+                        .map_err(|e| ApiError::internal(format!("undecodable wire list: {e}")))?;
+                    Ok((list.items.into_iter().map(Arc::new).collect(), list.resource_version))
+                }
+                Encoding::Binary => {
+                    let (revision, items) = self
+                        .decoded
+                        .decode_list(body)
+                        .map_err(|e| ApiError::internal(format!("undecodable vcbin list: {e}")))?;
+                    Ok((items, revision))
+                }
             }
-        }
+        })
     }
 
     fn update(&self, obj: Object) -> ApiResult<Arc<Object>> {
@@ -542,19 +540,13 @@ fn open_watch(spec: &WatchSpec, from: u64) -> ApiResult<Conn> {
     let target = Target::Watch(spec.kind, spec.namespace.as_deref(), from);
     let mut conn = Conn::open(&spec.addr)
         .map_err(|e| ApiError::unavailable(format!("connect {}: {e}", spec.addr)))?;
-    let mut head = std::mem::take(&mut conn.head);
-    head.clear();
-    build_head(&mut head, "GET", target, 0, &spec.addr, &spec.user, spec.encoding);
-    let wrote = crate::http::write_all_vectored(&mut conn.stream, &[head.as_bytes()]);
-    conn.head = head;
-    wrote.map_err(|e| ApiError::unavailable(format!("write {}: {e}", spec.addr)))?;
-    let mut line = std::mem::take(&mut conn.line);
-    let resp = crate::http::read_response_head(&mut conn.reader, &mut line)
+    build_head(&mut conn.head, "GET", target, 0, &spec.addr, &spec.user, spec.encoding);
+    crate::http::write_all_vectored(&mut conn.stream, &[conn.head.as_bytes()])
+        .map_err(|e| ApiError::unavailable(format!("write {}: {e}", spec.addr)))?;
+    let resp = crate::http::read_response_head(&mut conn.reader, &mut conn.line, &mut conn.body)
         .map_err(|e| ApiError::unavailable(format!("read {}: {e}", spec.addr)))?;
-    conn.line = line;
     if resp.status != 200 {
-        let enc = codec::encoding_of(resp.content_type());
-        return Err(parse_error(resp.status, &resp.body, enc));
+        return Err(parse_error(resp.status, &conn.body, resp.encoding));
     }
     if !resp.chunked {
         return Err(ApiError::internal("watch response was not chunked"));
@@ -607,16 +599,15 @@ impl WireWatch {
 /// Pumps one connection's chunks into `tx`, tracking the last *delivered*
 /// revision in `anchor` — delivered meaning the event actually landed in
 /// the channel, so a reconnect never skips an event the consumer has not
-/// seen.
+/// seen. Every chunk is read into the connection's one payload buffer.
 fn pump(conn: &mut Conn, tx: &Sender<WatchEvent>, anchor: &mut u64, spec: &WatchSpec) -> PumpExit {
-    let mut line = std::mem::take(&mut conn.line);
     loop {
-        let chunk = match crate::http::read_chunk(&mut conn.reader, &mut line) {
-            Ok(Some(chunk)) => chunk,
-            Ok(None) => return PumpExit::Done, // clean terminator follows RESYNC
+        match crate::http::read_chunk(&mut conn.reader, &mut conn.line, &mut conn.body) {
+            Ok(true) => {}
+            Ok(false) => return PumpExit::Done, // clean terminator follows RESYNC
             Err(_) => return PumpExit::Disconnected,
-        };
-        let events = match decode_chunk(&chunk, spec.encoding, &spec.decoded) {
+        }
+        let events = match decode_chunk(&conn.body, spec.encoding, &spec.decoded) {
             Ok(ChunkEvents::Events(events)) => events,
             Ok(ChunkEvents::Resync) => return PumpExit::Done,
             Err(_) => return PumpExit::Done,

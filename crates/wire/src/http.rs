@@ -7,121 +7,213 @@
 //! (`keep-alive` default), and `Transfer-Encoding: chunked` responses for
 //! watch streams where each chunk carries one or more framed events.
 //!
-//! Two hot-path disciplines live here rather than in the callers:
+//! Three hot-path disciplines live here rather than in the callers:
 //!
 //! - **One syscall per frame** — response heads, bodies, and chunk
 //!   framing go out through [`write_all_vectored`], which coalesces the
 //!   header buffer and the (often cache-shared) body buffer into a
 //!   single `writev` instead of a write per piece.
-//! - **Buffer reuse** — head construction and line reading work in
-//!   caller-owned scratch buffers that persist for the life of a
-//!   connection, so a keep-alive connection serving thousands of
-//!   requests stops allocating per request.
+//! - **Buffer reuse** — head construction, line reading and bodies work
+//!   in caller-owned buffers that persist for the life of a connection,
+//!   so a keep-alive connection serving thousands of requests stops
+//!   allocating per request.
+//! - **Borrowed, bounded heads** — a parsed [`Request`] borrows its
+//!   method, path, query and the five headers the server reads from the
+//!   connection's [`RequestBuf`], and a [`Response`] keeps only what the
+//!   client acts on; every other header is dropped once read. No line
+//!   is buffered past 64 KiB and no head past 64 header lines, so a peer
+//!   that never sends a newline, or sends headers without end, is
+//!   refused instead of growing a buffer.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, IoSlice, Read, Write};
+use crate::codec;
+use std::io::{BufRead, IoSlice, Read, Write};
 use std::net::TcpStream;
+use vc_client::Encoding;
 
-/// Largest accepted request body / header section, a crude defense
-/// against a misbehaving peer streaming garbage at the server.
+/// Largest accepted request or response body, and largest chunk, a
+/// crude defense against a misbehaving peer streaming garbage.
 pub const MAX_BODY: usize = 64 * 1024 * 1024;
 
-/// Largest accepted single header line.
+/// Largest accepted single head line, terminator included.
 const MAX_LINE: usize = 64 * 1024;
 
-/// A parsed HTTP/1.1 request.
-#[derive(Debug)]
-pub struct Request {
-    /// Request method (`GET`, `POST`, `PUT`, `DELETE`).
-    pub method: String,
-    /// Path component of the request target, percent-decoding not
-    /// required (the wire protocol only uses DNS-safe names).
-    pub path: String,
-    /// Query parameters (`?a=b&c=d`), last occurrence wins.
-    pub query: HashMap<String, String>,
-    /// Headers, keys lower-cased.
-    pub headers: HashMap<String, String>,
-    /// Request body (empty when no `Content-Length`).
-    pub body: Vec<u8>,
+/// Most header lines accepted in one request or response head.
+const MAX_HEADERS: usize = 64;
+
+/// A connection buffer that one large message grew past this is released
+/// before the next message instead of being kept for the connection's
+/// life.
+const RETAINED_CAPACITY: usize = 1 << 20;
+
+fn invalid(msg: &'static str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-impl Request {
+fn eof(msg: &'static str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, msg)
+}
+
+/// Clears `buf` for the next message, dropping its storage if an earlier
+/// message grew it past `RETAINED_CAPACITY`.
+fn recycle(buf: &mut Vec<u8>) {
+    if buf.capacity() > RETAINED_CAPACITY {
+        *buf = Vec::new();
+    }
+    buf.clear();
+}
+
+/// Appends one line, terminator included, to `buf`, reading no more than
+/// `MAX_LINE` bytes of it. Returns the bytes appended: 0 at end of
+/// stream, and a line cut short by end of stream counts as a line.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+    let n = reader.by_ref().take(MAX_LINE as u64 + 1).read_until(b'\n', buf)?;
+    if n > MAX_LINE {
+        return Err(invalid("header line too long"));
+    }
+    Ok(n)
+}
+
+/// `line` without its terminator (`\r\n`, bare `\n`, or stray `\r`s).
+fn trim_eol(line: &[u8]) -> &[u8] {
+    let end = line.iter().rposition(|&b| b != b'\n' && b != b'\r').map_or(0, |i| i + 1);
+    &line[..end]
+}
+
+/// A connection's request buffers: the head is read into `head` and the
+/// body into `body`, and a [`Request`] borrows from both, so a warm
+/// keep-alive connection reads a request without allocating.
+#[derive(Debug, Default)]
+pub struct RequestBuf {
+    head: Vec<u8>,
+    body: Vec<u8>,
+}
+
+/// A parsed HTTP/1.1 request, borrowed from its connection's
+/// [`RequestBuf`]. Of the headers it keeps only those the server reads;
+/// for each, the last occurrence wins.
+#[derive(Debug)]
+pub struct Request<'a> {
+    /// Request method (`GET`, `POST`, `PUT`, `DELETE`).
+    pub method: &'a str,
+    /// Path component of the request target, percent-decoding not
+    /// required (the wire protocol only uses DNS-safe names).
+    pub path: &'a str,
+    /// The raw query (`a=b&c=d`, without the `?`); see
+    /// [`Request::query_param`].
+    pub query: &'a str,
+    /// The `connection` header.
+    pub connection: Option<&'a str>,
+    /// The `accept` header.
+    pub accept: Option<&'a str>,
+    /// The `content-type` header.
+    pub content_type: Option<&'a str>,
+    /// The `x-vc-user` header: the identity the request claims.
+    pub user: Option<&'a str>,
+    /// Request body (empty when no `Content-Length`).
+    pub body: &'a [u8],
+    /// Bytes the request took on the wire: head and body.
+    pub wire_len: usize,
+}
+
+impl<'a> Request<'a> {
     /// The `keep-alive`/`close` decision for this request: HTTP/1.1
     /// defaults to persistent unless the peer asked to close.
     pub fn keep_alive(&self) -> bool {
-        !self.headers.get("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        !self.connection.is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 
-    /// A header value, `None` when absent.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.get(name).map(String::as_str)
+    /// The value of query parameter `key`, `None` when absent; the last
+    /// occurrence wins and a key without `=` has an empty value.
+    pub fn query_param(&self, key: &str) -> Option<&'a str> {
+        // Scanning from the end, the first match is the last occurrence.
+        self.query.rsplit('&').find_map(|pair| {
+            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+            (!pair.is_empty() && k == key).then_some(v)
+        })
     }
 }
 
-/// Reads one line terminated by `\r\n` (or bare `\n`) into `line`
-/// (cleared first), without the terminator. Returns `false` on clean EOF
-/// before any byte.
-fn read_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> std::io::Result<bool> {
-    line.clear();
-    let n = reader.read_line(line)?;
-    if n == 0 {
-        return Ok(false);
-    }
-    if line.len() > MAX_LINE {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "header line too long"));
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(true)
-}
-
-/// Reads one request off a persistent connection, using `scratch` as the
-/// connection's reusable line buffer. `Ok(None)` means the peer closed
+/// Reads one request off a persistent connection into `buf`, the
+/// connection's reusable buffers. `Ok(None)` means the peer closed
 /// cleanly between requests.
-pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    scratch: &mut String,
-) -> std::io::Result<Option<Request>> {
-    if !read_line(reader, scratch)? {
+///
+/// # Errors
+///
+/// A malformed request line, a head that is not UTF-8, a line longer
+/// than 64 KiB, more than 64 header lines or a body over [`MAX_BODY`] is
+/// [`std::io::ErrorKind::InvalidData`]; a stream that ends inside the
+/// head or body is [`std::io::ErrorKind::UnexpectedEof`].
+pub fn read_request<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut RequestBuf,
+) -> std::io::Result<Option<Request<'b>>> {
+    let RequestBuf { head, body } = buf;
+    recycle(head);
+    recycle(body);
+    if read_line(reader, head)? == 0 {
         return Ok(None);
     }
-    let mut parts = scratch.split_whitespace();
-    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed request line"));
-    };
-    let method = method.to_string();
-    let (path, query_str) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q),
-        None => (target.to_string(), ""),
-    };
-    let mut query = HashMap::new();
-    for pair in query_str.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        query.insert(k.to_string(), v.to_string());
-    }
-    let mut headers = HashMap::new();
+    let mut headers = 0;
     loop {
-        if !read_line(reader, scratch)? {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "eof inside headers",
-            ));
+        let start = head.len();
+        if read_line(reader, head)? == 0 {
+            return Err(eof("eof inside headers"));
         }
-        if scratch.is_empty() {
+        if trim_eol(&head[start..]).is_empty() {
             break;
         }
-        if let Some((k, v)) = scratch.split_once(':') {
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(invalid("too many headers"));
         }
     }
-    let len: usize = headers.get("content-length").and_then(|v| v.parse().ok()).unwrap_or(0);
-    if len > MAX_BODY {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "body too large"));
+    let head: &'b [u8] = head;
+    let text = std::str::from_utf8(head).map_err(|_| invalid("request head is not UTF-8"))?;
+    let mut lines = text.split('\n').map(|line| line.trim_end_matches('\r'));
+    let mut parts = lines.next().unwrap_or_default().split_whitespace();
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return Err(invalid("malformed request line"));
+    };
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let mut req = Request {
+        method,
+        path,
+        query,
+        connection: None,
+        accept: None,
+        content_type: None,
+        user: None,
+        body: &[],
+        wire_len: head.len(),
+    };
+    let mut content_length = None;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else { continue };
+        let name = name.trim();
+        let slot = if name.eq_ignore_ascii_case("connection") {
+            &mut req.connection
+        } else if name.eq_ignore_ascii_case("accept") {
+            &mut req.accept
+        } else if name.eq_ignore_ascii_case("content-type") {
+            &mut req.content_type
+        } else if name.eq_ignore_ascii_case("content-length") {
+            &mut content_length
+        } else if name.eq_ignore_ascii_case("x-vc-user") {
+            &mut req.user
+        } else {
+            continue;
+        };
+        *slot = Some(value.trim());
     }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    Ok(Some(Request { method, path, query, headers, body }))
+    let len: usize = content_length.and_then(|v| v.parse().ok()).unwrap_or(0);
+    if len > MAX_BODY {
+        return Err(invalid("body too large"));
+    }
+    body.resize(len, 0);
+    reader.read_exact(body)?;
+    req.body = body;
+    req.wire_len += len;
+    Ok(Some(req))
 }
 
 /// Canonical reason phrase for the status codes the wire protocol emits.
@@ -232,13 +324,16 @@ pub fn write_response(
 /// [`write_chunk`] and the stream ends with [`finish_chunks`]. Returns
 /// the header bytes written.
 pub fn start_chunked(stream: &mut TcpStream, content_type: &str) -> std::io::Result<usize> {
-    let head = format!(
-        "HTTP/1.1 200 OK\r\ncontent-type: {content_type}\r\ntransfer-encoding: chunked\r\n\
-         connection: close\r\n\r\n",
-    );
-    stream.write_all(head.as_bytes())?;
+    let n = write_all_vectored(
+        stream,
+        &[
+            b"HTTP/1.1 200 OK\r\ncontent-type: ",
+            content_type.as_bytes(),
+            b"\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n",
+        ],
+    )?;
     stream.flush()?;
-    Ok(head.len())
+    Ok(n)
 }
 
 /// Writes one chunk (size line + payload + terminator) in a single
@@ -271,88 +366,245 @@ pub fn finish_chunks(stream: &mut TcpStream) -> std::io::Result<usize> {
     Ok(5)
 }
 
-/// A parsed unary response (client side).
-#[derive(Debug)]
+/// What the client keeps of a response head (client side); the body, if
+/// any, is in the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
-    /// Headers, keys lower-cased.
-    pub headers: HashMap<String, String>,
-    /// Response body (already de-framed).
-    pub body: Vec<u8>,
-    /// Whether the body arrived chunked (watch streams); when `true` the
-    /// body is empty and chunks are read incrementally off the reader.
+    /// The codec the `content-type` names; JSON when absent.
+    pub encoding: Encoding,
+    /// Body length; 0 for a chunked response.
+    pub content_length: usize,
+    /// Whether the body arrives chunked (watch streams); when `true` the
+    /// body buffer is empty and chunks are read with [`read_chunk`].
     pub chunked: bool,
 }
 
-impl Response {
-    /// The response `content-type`, `None` when absent.
-    pub fn content_type(&self) -> Option<&str> {
-        self.headers.get("content-type").map(String::as_str)
-    }
-}
-
-/// Reads the status line + headers of a response; for `Content-Length`
-/// responses also consumes the body. For chunked responses the caller
-/// drains chunks with [`read_chunk`]. `scratch` is the connection's
-/// reusable line buffer.
+/// Reads the status line and headers of a response into `line`, the
+/// connection's reusable line buffer; for a `Content-Length` response
+/// also reads the body into `body` (cleared first). For a chunked
+/// response the caller drains chunks with [`read_chunk`].
+///
+/// # Errors
+///
+/// As [`read_request`]; a malformed status line is
+/// [`std::io::ErrorKind::InvalidData`].
 pub fn read_response_head(
-    reader: &mut BufReader<TcpStream>,
-    scratch: &mut String,
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    body: &mut Vec<u8>,
 ) -> std::io::Result<Response> {
-    if !read_line(reader, scratch)? {
-        return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "connection closed"));
+    line.clear();
+    if read_line(reader, line)? == 0 {
+        return Err(eof("connection closed"));
     }
-    let status: u16 =
-        scratch.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-        })?;
-    let mut headers = HashMap::new();
+    let status: u16 = std::str::from_utf8(trim_eol(line))
+        .ok()
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| invalid("bad status line"))?;
+    let mut resp = Response { status, encoding: Encoding::Json, content_length: 0, chunked: false };
+    let mut headers = 0;
     loop {
-        if !read_line(reader, scratch)? {
-            return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof in headers"));
+        line.clear();
+        if read_line(reader, line)? == 0 {
+            return Err(eof("eof in headers"));
         }
-        if scratch.is_empty() {
+        let text =
+            std::str::from_utf8(trim_eol(line)).map_err(|_| invalid("header is not UTF-8"))?;
+        if text.is_empty() {
             break;
         }
-        if let Some((k, v)) = scratch.split_once(':') {
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(invalid("too many headers"));
+        }
+        let Some((name, value)) = text.split_once(':') else { continue };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-type") {
+            resp.encoding = codec::encoding_of(Some(value));
+        } else if name.eq_ignore_ascii_case("content-length") {
+            resp.content_length = value.parse().unwrap_or(0);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            resp.chunked = value.eq_ignore_ascii_case("chunked");
         }
     }
-    let chunked =
-        headers.get("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
-    let mut body = Vec::new();
-    if !chunked {
-        let len: usize = headers.get("content-length").and_then(|v| v.parse().ok()).unwrap_or(0);
-        if len > MAX_BODY {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "body too large"));
+    recycle(body);
+    if resp.chunked {
+        resp.content_length = 0;
+    } else {
+        if resp.content_length > MAX_BODY {
+            return Err(invalid("body too large"));
         }
-        body = vec![0u8; len];
-        reader.read_exact(&mut body)?;
+        body.resize(resp.content_length, 0);
+        reader.read_exact(body)?;
     }
-    Ok(Response { status, headers, body, chunked })
+    Ok(resp)
 }
 
-/// Reads one chunk of a chunked response. `Ok(None)` signals the
-/// terminating zero-length chunk (clean end of stream). `scratch` is the
+/// Reads one chunk of a chunked response into `payload` (cleared first),
+/// the stream's reusable payload buffer. `Ok(false)` signals the
+/// terminating zero-length chunk (clean end of stream). `line` is the
 /// connection's reusable line buffer.
 pub fn read_chunk(
-    reader: &mut BufReader<TcpStream>,
-    scratch: &mut String,
-) -> std::io::Result<Option<Vec<u8>>> {
-    if !read_line(reader, scratch)? {
-        return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof before chunk"));
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    payload: &mut Vec<u8>,
+) -> std::io::Result<bool> {
+    line.clear();
+    if read_line(reader, line)? == 0 {
+        return Err(eof("eof before chunk"));
     }
-    let size = usize::from_str_radix(scratch.trim(), 16)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad chunk size"))?;
+    let size = std::str::from_utf8(trim_eol(line))
+        .ok()
+        .and_then(|s| usize::from_str_radix(s.trim(), 16).ok())
+        .ok_or_else(|| invalid("bad chunk size"))?;
     if size > MAX_BODY {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "chunk too large"));
+        return Err(invalid("chunk too large"));
     }
-    let mut payload = vec![0u8; size + 2];
-    reader.read_exact(&mut payload)?;
+    recycle(payload);
+    payload.resize(size + 2, 0);
+    reader.read_exact(payload)?;
     payload.truncate(size); // drop trailing \r\n
-    if size == 0 {
-        return Ok(None);
+    Ok(size != 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses `bytes` as one request and hands it to `check`.
+    fn with_request(bytes: &str, check: impl FnOnce(Request<'_>)) {
+        let mut buf = RequestBuf::default();
+        check(read_request(&mut bytes.as_bytes(), &mut buf).unwrap().expect("a request"));
     }
-    Ok(Some(payload))
+
+    fn request_error(bytes: &str) -> std::io::ErrorKind {
+        read_request(&mut bytes.as_bytes(), &mut RequestBuf::default()).unwrap_err().kind()
+    }
+
+    #[test]
+    fn header_names_match_in_any_case_and_values_are_trimmed() {
+        let bytes =
+            "GET /api/Pod HTTP/1.1\r\nX-VC-User:   alice  \r\nACCEPT:\tapplication/vcbin\r\n\r\n";
+        with_request(bytes, |req| {
+            assert_eq!(req.user, Some("alice"));
+            assert_eq!(req.accept, Some("application/vcbin"));
+        });
+    }
+
+    #[test]
+    fn bare_newlines_end_lines() {
+        with_request("PUT /api/Pod/a/b HTTP/1.1\ncontent-length: 3\n\nabc", |req| {
+            assert_eq!((req.method, req.path), ("PUT", "/api/Pod/a/b"));
+            assert_eq!(req.body, b"abc");
+        });
+    }
+
+    #[test]
+    fn a_repeated_query_key_keeps_its_last_value() {
+        with_request("GET /watch/Pod?namespace=a&from=3&namespace=b HTTP/1.1\r\n\r\n", |req| {
+            assert_eq!(req.path, "/watch/Pod");
+            assert_eq!(req.query_param("namespace"), Some("b"));
+            assert_eq!(req.query_param("from"), Some("3"));
+            assert_eq!(req.query_param("name"), None);
+        });
+    }
+
+    #[test]
+    fn no_content_length_means_an_empty_body() {
+        with_request("POST /api/Pod HTTP/1.1\r\nhost: x\r\n\r\nleftover", |req| {
+            assert!(req.body.is_empty());
+        });
+    }
+
+    #[test]
+    fn connection_close_is_honoured_in_any_case() {
+        for (header, keep) in
+            [("", true), ("Connection: Close\r\n", false), ("connection: keep-alive\r\n", true)]
+        {
+            with_request(&format!("GET / HTTP/1.1\r\n{header}\r\n"), |req| {
+                assert_eq!(req.keep_alive(), keep, "{header:?}");
+            });
+        }
+    }
+
+    #[test]
+    fn unknown_headers_are_skipped() {
+        let bytes = "GET /healthz HTTP/1.1\r\nx-unknown: 1\r\nnot a header\r\nuser-agent: t\r\n\
+                     accept: text/plain\r\n\r\n";
+        with_request(bytes, |req| {
+            assert_eq!(req.path, "/healthz");
+            assert_eq!(req.accept, Some("text/plain"));
+            assert!(req.keep_alive());
+        });
+    }
+
+    #[test]
+    fn a_malformed_request_line_is_invalid_data() {
+        assert_eq!(request_error("GARBAGE\r\n\r\n"), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn eof_inside_the_headers_is_unexpected_eof() {
+        assert_eq!(
+            request_error("GET / HTTP/1.1\r\nhost: x\r\n"),
+            std::io::ErrorKind::UnexpectedEof
+        );
+        let closed = read_request(&mut &b""[..], &mut RequestBuf::default()).unwrap().is_none();
+        assert!(closed, "a clean close between requests");
+    }
+
+    #[test]
+    fn chunked_transfer_encoding_is_detected_in_any_case() {
+        let mut reader = &b"HTTP/1.1 200 OK\r\nContent-Type: application/vcbin\r\n\
+                            Transfer-Encoding: Chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n"[..];
+        let (mut line, mut payload) = (Vec::new(), Vec::new());
+        let resp = read_response_head(&mut reader, &mut line, &mut payload).unwrap();
+        assert!(resp.chunked);
+        assert_eq!(resp.encoding, Encoding::Binary);
+        assert!(read_chunk(&mut reader, &mut line, &mut payload).unwrap());
+        assert_eq!(payload, b"abc");
+        assert!(!read_chunk(&mut reader, &mut line, &mut payload).unwrap());
+    }
+
+    #[test]
+    fn a_response_body_is_read_to_its_content_length() {
+        let mut reader = &b"HTTP/1.1 404 Not Found\nCONTENT-LENGTH: 2\nx-other: y\n\nnoEXTRA"[..];
+        let mut body = Vec::new();
+        let resp = read_response_head(&mut reader, &mut Vec::new(), &mut body).unwrap();
+        assert_eq!((resp.status, resp.chunked, resp.content_length), (404, false, 2));
+        assert_eq!(body, b"no");
+        assert_eq!(resp.encoding, Encoding::Json);
+    }
+
+    #[test]
+    fn a_line_past_the_bound_is_refused_without_buffering_it() {
+        let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(2 * MAX_LINE));
+        assert_eq!(request_error(&long), std::io::ErrorKind::InvalidData);
+        let mut reader = long.as_bytes();
+        let mut buf = RequestBuf::default();
+        assert!(read_request(&mut reader, &mut buf).is_err());
+        assert!(buf.head.len() <= MAX_LINE + 1, "buffered {} bytes", buf.head.len());
+    }
+
+    #[test]
+    fn headers_past_the_bound_are_refused() {
+        let head = |n: usize| format!("GET / HTTP/1.1\r\n{}\r\n", "x-filler: 1\r\n".repeat(n));
+        with_request(&head(MAX_HEADERS), |req| assert_eq!(req.path, "/"));
+        assert_eq!(request_error(&head(MAX_HEADERS + 1)), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn wire_len_counts_head_and_body_bytes() {
+        let bytes =
+            "PUT /api/Pod/a/b HTTP/1.1\r\ncontent-length: 3\r\n\r\nabcGET / HTTP/1.1\r\n\r\n";
+        let mut reader = bytes.as_bytes();
+        let mut buf = RequestBuf::default();
+        let first = read_request(&mut reader, &mut buf).unwrap().unwrap().wire_len;
+        assert_eq!(first, bytes.find("GET").unwrap());
+        let second = read_request(&mut reader, &mut buf).unwrap().unwrap().wire_len;
+        assert_eq!(first + second, bytes.len());
+    }
 }

@@ -31,7 +31,8 @@
 //!   connections read it.
 //! - **One syscall per response** — response head, frame prefix, and the
 //!   cache-shared body go out through one vectored write; connection
-//!   threads reuse their head/line scratch buffers across requests.
+//!   threads reuse their response-head and request buffers across
+//!   requests, and a request's head is borrowed from them, not copied.
 //! - **One fair gate for unary requests** — every unary request is parsed,
 //!   routed and executed on its own connection thread, after it takes one
 //!   of `DISPATCH_WORKERS` permits of an [`InflightGate`], the apiserver's
@@ -58,7 +59,7 @@ use crate::http;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -120,7 +121,7 @@ pub struct WireMetrics {
     pub json_requests: Arc<Counter>,
     /// Unary requests answered in the binary codec.
     pub binary_requests: Arc<Counter>,
-    /// Approximate bytes read off sockets.
+    /// Request bytes read off sockets: every head and body byte.
     pub bytes_in: Arc<Counter>,
     /// Bytes written to sockets.
     pub bytes_out: Arc<Counter>,
@@ -208,12 +209,13 @@ fn admit(gate: &Arc<InflightGate>, user: &str, metrics: &WireMetrics) -> Result<
     admitted
 }
 
-enum UnaryOp {
+/// A routed unary request; names borrow from the request.
+enum UnaryOp<'a> {
     Create(Object),
-    Get(ResourceKind, String, String),
-    List(ResourceKind, Option<String>),
+    Get(ResourceKind, &'a str, &'a str),
+    List(ResourceKind, Option<&'a str>),
     Update(Object),
-    Delete(ResourceKind, String, String),
+    Delete(ResourceKind, &'a str, &'a str),
 }
 
 /// Shared server state; the acceptor and connection threads hold this, while
@@ -349,22 +351,22 @@ impl Inner {
     /// writer splices the frame prefix in front without copying; lists
     /// come back as a complete body with the cached item encodings
     /// spliced in.
-    fn execute(&self, user: &str, op: UnaryOp, encoding: Encoding) -> Result<Bytes, ApiError> {
+    fn execute(&self, user: &str, op: UnaryOp<'_>, encoding: Encoding) -> Result<Bytes, ApiError> {
         match op {
             UnaryOp::Create(obj) => {
                 self.api.create(user, obj).map(|o| self.cache.encode(&o, encoding))
             }
             UnaryOp::Get(kind, ns, name) => {
-                self.api.get(user, kind, &ns, &name).map(|o| self.cache.encode(&o, encoding))
+                self.api.get(user, kind, ns, name).map(|o| self.cache.encode(&o, encoding))
             }
             UnaryOp::Update(obj) => {
                 self.api.update(user, obj).map(|o| self.cache.encode(&o, encoding))
             }
             UnaryOp::Delete(kind, ns, name) => {
-                self.api.delete(user, kind, &ns, &name).map(|o| self.cache.encode(&o, encoding))
+                self.api.delete(user, kind, ns, name).map(|o| self.cache.encode(&o, encoding))
             }
             UnaryOp::List(kind, ns) => {
-                let (items, revision) = self.api.list(user, kind, ns.as_deref())?;
+                let (items, revision) = self.api.list(user, kind, ns)?;
                 match encoding {
                     Encoding::Json => {
                         let mut body =
@@ -460,26 +462,35 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
     }
 }
 
-/// Rough size of a parsed request, for the `bytes_in` counter (the exact
-/// on-wire framing overhead is not worth re-counting).
-fn request_size(req: &http::Request) -> u64 {
-    let headers: usize = req.headers.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
-    (req.method.len() + req.path.len() + headers + req.body.len() + 16) as u64
+/// Deepest route: `/api/{kind}/{ns}/{name}`.
+const MAX_SEGMENTS: usize = 4;
+
+/// The non-empty segments of `path`, in a stack array with one slot more
+/// than the deepest route: a deeper path keeps that many and is refused
+/// by the route it extends, as if it were split in full.
+fn split_path(path: &str) -> ([&str; MAX_SEGMENTS + 1], usize) {
+    let mut segments = [""; MAX_SEGMENTS + 1];
+    let mut n = 0;
+    for (slot, segment) in segments.iter_mut().zip(path.split('/').filter(|s| !s.is_empty())) {
+        *slot = segment;
+        n += 1;
+    }
+    (segments, n)
 }
 
 fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
-    // Connection-lifetime scratch buffers: head assembly and line reads
-    // stop allocating once the connection is warm.
+    // Connection-lifetime buffers: response heads, request heads and
+    // bodies stop allocating once the connection is warm.
     let mut head = Vec::with_capacity(256);
-    let mut scratch = String::with_capacity(256);
+    let mut buf = http::RequestBuf::default();
     // First authenticated identity seen on this connection; later requests
     // presenting a different identity are rejected (keep-alive spoofing).
     let mut pinned_identity: Option<String> = None;
     loop {
-        let req = match http::read_request(&mut reader, &mut scratch) {
+        let req = match http::read_request(&mut reader, &mut buf) {
             Ok(Some(req)) => req,
             Ok(None) => break,
             Err(e) => {
@@ -492,12 +503,12 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                 break;
             }
         };
-        inner.metrics.bytes_in.add(request_size(&req));
+        inner.metrics.bytes_in.add(req.wire_len as u64);
         let keep_alive = req.keep_alive() && !inner.stop.load(Ordering::SeqCst);
-        let encoding = codec::encoding_of(req.header("accept"));
+        let encoding = codec::encoding_of(req.accept);
         // Identity gate: runs before any routing so a hostile header never
         // reaches the fair gate or the apiserver.
-        let user = match request_identity(&req, pinned_identity.as_deref()) {
+        let user = match request_identity(&req, &mut pinned_identity) {
             Ok(user) => user,
             Err(err) => {
                 inner.metrics.identity_rejections.inc();
@@ -509,11 +520,8 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                 continue;
             }
         };
-        if pinned_identity.is_none() && user != ANONYMOUS_IDENTITY {
-            pinned_identity = Some(user.clone());
-        }
-        let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-        match segments.as_slice() {
+        let (segments, depth) = split_path(req.path);
+        match &segments[..depth] {
             [route @ ("healthz" | "metrics")] => {
                 let text;
                 let body: &[u8] = if *route == "metrics" {
@@ -530,7 +538,7 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
             }
             ["watch", kind] => {
                 // The stream takes over the connection; never keep-alive.
-                serve_watch(inner, &mut stream, &req, &user, kind, encoding);
+                serve_watch(inner, &mut stream, &req, user, kind, encoding);
                 break;
             }
             ["api", rest @ ..] => {
@@ -538,7 +546,7 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                     inner,
                     &mut stream,
                     &req,
-                    &user,
+                    user,
                     rest,
                     encoding,
                     keep_alive,
@@ -549,7 +557,7 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                 }
             }
             _ => {
-                let err = ApiError::not_found("route", &req.path);
+                let err = ApiError::not_found("route", req.path);
                 if !write_error(inner, &mut stream, &err, encoding, keep_alive, &mut head)
                     || !keep_alive
                 {
@@ -568,17 +576,23 @@ const ANONYMOUS_IDENTITY: &str = "anonymous";
 /// check and log line).
 const MAX_IDENTITY_LEN: usize = 128;
 
-/// Validates the request identity before routing.
+/// Validates the request identity before routing, and pins the
+/// connection to the first identity other than [`ANONYMOUS_IDENTITY`] it
+/// presents.
 ///
 /// A missing header inherits the connection's pinned identity (same
 /// principal continuing a keep-alive exchange) or defaults to
 /// [`ANONYMOUS_IDENTITY`]. Malformed values (empty, non-printable, spaces)
 /// and oversized values are rejected as `Invalid`; presenting a different
 /// identity than the one the connection was pinned to is rejected as
-/// `Forbidden` (keep-alive spoofing).
-fn request_identity(req: &http::Request, pinned: Option<&str>) -> Result<String, ApiError> {
-    let Some(raw) = req.header("x-vc-user") else {
-        return Ok(pinned.unwrap_or(ANONYMOUS_IDENTITY).to_string());
+/// `Forbidden` (keep-alive spoofing). The identity returned borrows the
+/// header, the pinned identity or the constant.
+fn request_identity<'r>(
+    req: &http::Request<'r>,
+    pinned: &'r mut Option<String>,
+) -> Result<&'r str, ApiError> {
+    let Some(raw) = req.user else {
+        return Ok(pinned.as_deref().unwrap_or(ANONYMOUS_IDENTITY));
     };
     if raw.is_empty() || raw.len() > MAX_IDENTITY_LEN {
         return Err(ApiError::invalid(
@@ -594,17 +608,21 @@ fn request_identity(req: &http::Request, pinned: Option<&str>) -> Result<String,
             "identity must be printable ASCII without spaces",
         ));
     }
-    if let Some(pinned) = pinned {
-        if raw != pinned && raw != ANONYMOUS_IDENTITY {
-            return Err(ApiError::forbidden(
-                raw,
-                req.method.clone(),
-                req.path.clone(),
-                format!("connection is pinned to identity {pinned:?}"),
-            ));
+    match pinned {
+        Some(pinned) if raw != pinned && raw != ANONYMOUS_IDENTITY => Err(ApiError::forbidden(
+            raw,
+            req.method,
+            req.path,
+            format!("connection is pinned to identity {pinned:?}"),
+        )),
+        Some(_) => Ok(raw),
+        None => {
+            if raw != ANONYMOUS_IDENTITY {
+                *pinned = Some(raw.to_string());
+            }
+            Ok(raw)
         }
     }
-    Ok(raw.to_string())
 }
 
 /// Serves one unary request on the connection thread, once it holds a
@@ -614,7 +632,7 @@ fn request_identity(req: &http::Request, pinned: Option<&str>) -> Result<String,
 fn serve_unary(
     inner: &Arc<Inner>,
     stream: &mut TcpStream,
-    req: &http::Request,
+    req: &http::Request<'_>,
     user: &str,
     path: &[&str],
     encoding: Encoding,
@@ -650,22 +668,22 @@ fn serve_unary(
     }
 }
 
-fn route_unary(req: &http::Request, path: &[&str]) -> Result<UnaryOp, ApiError> {
-    let kind_str = path.first().ok_or_else(|| ApiError::not_found("route", &req.path))?;
+fn route_unary<'a>(req: &http::Request<'a>, path: &[&'a str]) -> Result<UnaryOp<'a>, ApiError> {
+    let kind_str = path.first().ok_or_else(|| ApiError::not_found("route", req.path))?;
     let kind = parse_kind(kind_str).ok_or_else(|| {
         ApiError::invalid("wire", *kind_str, format!("unknown resource kind {kind_str:?}"))
     })?;
-    match (req.method.as_str(), path.len()) {
+    match (req.method, path.len()) {
         ("POST", 1) => Ok(UnaryOp::Create(object_for_path(req, kind, None)?)),
         ("PUT", 3) => {
             Ok(UnaryOp::Update(object_for_path(req, kind, Some((ns_of(path[1]), path[2])))?))
         }
-        ("GET", 1) => Ok(UnaryOp::List(kind, req.query.get("namespace").cloned())),
-        ("GET", 3) => Ok(UnaryOp::Get(kind, ns_of(path[1]).to_string(), path[2].to_string())),
-        ("DELETE", 3) => Ok(UnaryOp::Delete(kind, ns_of(path[1]).to_string(), path[2].to_string())),
+        ("GET", 1) => Ok(UnaryOp::List(kind, req.query_param("namespace"))),
+        ("GET", 3) => Ok(UnaryOp::Get(kind, ns_of(path[1]), path[2])),
+        ("DELETE", 3) => Ok(UnaryOp::Delete(kind, ns_of(path[1]), path[2])),
         _ => Err(ApiError::invalid(
             "wire",
-            &req.path,
+            req.path,
             format!("unsupported method {} on {}", req.method, req.path),
         )),
     }
@@ -683,11 +701,11 @@ fn ns_of(segment: &str) -> &str {
 /// Decodes the request body and checks that it names the object the path
 /// does: the path's kind and, given `key`, its namespace and name.
 fn object_for_path(
-    req: &http::Request,
+    req: &http::Request<'_>,
     kind: ResourceKind,
     key: Option<(&str, &str)>,
 ) -> Result<Object, ApiError> {
-    let obj = parse_body(&req.body, codec::encoding_of(req.header("content-type")))?;
+    let obj = parse_body(req.body, codec::encoding_of(req.content_type))?;
     let meta = obj.meta();
     if obj.kind() != kind || key.is_some_and(|key| key != (&meta.namespace, &meta.name)) {
         let named = format!("{} {}/{}", obj.kind(), meta.namespace, meta.name);
@@ -765,9 +783,11 @@ fn append_event(inner: &Inner, payload: &mut Vec<u8>, ev: &WatchEvent, encoding:
                 EventType::Modified => "MODIFIED",
                 EventType::Deleted => "DELETED",
             };
-            payload.extend_from_slice(
-                format!("{{\"event_type\":\"{tag}\",\"revision\":{},\"object\":", ev.revision)
-                    .as_bytes(),
+            // Writing into a `Vec` cannot fail.
+            let _ = write!(
+                payload,
+                "{{\"event_type\":\"{tag}\",\"revision\":{},\"object\":",
+                ev.revision
             );
             payload.extend_from_slice(&encoded);
             payload.extend_from_slice(b"}\n");
@@ -800,7 +820,7 @@ fn resync_payload(encoding: Encoding) -> Vec<u8> {
 fn serve_watch(
     inner: &Arc<Inner>,
     stream: &mut TcpStream,
-    req: &http::Request,
+    req: &http::Request<'_>,
     user: &str,
     kind_str: &str,
     encoding: Encoding,
@@ -817,8 +837,8 @@ fn serve_watch(
         );
         return;
     };
-    let namespace = req.query.get("namespace").cloned();
-    let from = match req.query.get("from").map(|v| v.parse::<u64>()) {
+    let namespace = req.query_param("namespace");
+    let from = match req.query_param("from").map(str::parse::<u64>) {
         None => 0,
         Some(Ok(from)) => from,
         Some(Err(_)) => {
@@ -827,7 +847,7 @@ fn serve_watch(
             return;
         }
     };
-    let ws = match inner.api.watch(user, kind, namespace.as_deref(), from) {
+    let ws = match inner.api.watch(user, kind, namespace, from) {
         Ok(ws) => ws,
         Err(err) => {
             write_error(inner, stream, &err, encoding, false, &mut head);

@@ -558,3 +558,89 @@ fn cluster_scoped_update_uses_the_placeholder_namespace() {
     assert_eq!(updated.meta().labels.get("tier").map(String::as_str), Some("gold"));
     server.shutdown();
 }
+
+/// Sends `bytes` on a fresh connection, reads the whole answer, and
+/// returns its status and whether the server then closed the connection.
+fn answer_to(addr: &str, bytes: &[u8]) -> (u16, bool) {
+    use std::io::Read;
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let status = line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
+    // The rest of the answer, then the end of the stream: a reset counts
+    // as closed too, since the server stops reading what the peer sent.
+    let mut rest = Vec::new();
+    let closed = match reader.read_to_end(&mut rest) {
+        Ok(_) => true,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    };
+    (status, closed)
+}
+
+/// A head line that never ends and a head that never ends are both
+/// refused with `400` and a closed connection once they pass their bounds,
+/// and the server keeps serving other connections.
+#[test]
+fn unbounded_head_lines_and_header_floods_are_refused() {
+    let (_api, server) = start_server(WireServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let mut endless_line = b"GET /healthz HTTP/1.1\r\nx-filler: ".to_vec();
+    endless_line.resize(endless_line.len() + 128 * 1024, b'a');
+    assert_eq!(answer_to(&addr, &endless_line), (400, true), "a 128 KiB line without a newline");
+    let mut flood = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    for i in 0..1_000 {
+        flood.extend_from_slice(format!("x-filler-{i}: 1\r\n").as_bytes());
+    }
+    flood.extend_from_slice(b"\r\n");
+    assert_eq!(answer_to(&addr, &flood), (400, true), "1,000 headers");
+    assert_eq!(status_of(&addr, "GET", "/healthz", b""), 200, "the server still serves");
+    server.shutdown();
+}
+
+/// `bytes_in` counts exactly the bytes a client wrote: every head and
+/// body byte of its requests.
+#[test]
+fn bytes_in_counts_the_bytes_a_client_wrote() {
+    let (api, server) = start_server(WireServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let stored = api.create("admin", Pod::new("default", "p").into()).unwrap();
+    let body = serde_json::to_string(&*stored).unwrap();
+    let requests = [
+        "GET /api/Pod/default/p HTTP/1.1\r\nhost: x\r\nx-vc-user: admin\r\n\r\n".to_string(),
+        format!(
+            "PUT /api/Pod/default/p HTTP/1.1\r\nHost: x\r\nX-VC-User: admin\r\n\
+             Content-Length: {}\r\nUser-Agent: raw\r\n\r\n{body}",
+            body.len()
+        ),
+        "GET /api/Pod?namespace=default HTTP/1.1\nx-vc-user: admin\nconnection: close\n\n"
+            .to_string(),
+    ];
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut written = 0;
+    for request in &requests {
+        stream.write_all(request.as_bytes()).unwrap();
+        written += request.len();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("HTTP/1.1 200"), "{request:?} got {line:?}");
+        let mut length = 0;
+        loop {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            match line.trim_end().split_once(':') {
+                Some((name, value)) if name.eq_ignore_ascii_case("content-length") => {
+                    length = value.trim().parse().unwrap();
+                }
+                Some(_) => {}
+                None => break,
+            }
+        }
+        std::io::Read::read_exact(&mut reader, &mut vec![0; length]).unwrap();
+    }
+    assert_eq!(server.metrics().bytes_in.get(), written as u64);
+    server.shutdown();
+}
