@@ -812,21 +812,34 @@ pub fn decode_error(status: u16, buf: &[u8]) -> ApiError {
 // List frames
 // ---------------------------------------------------------------------------
 
+/// Appends a list frame's head to `out`: the frame header, `revision` and
+/// the item `count`. Exactly `count` items must follow, each appended with
+/// [`write_list_item`].
+pub(crate) fn write_list_head(out: &mut Vec<u8>, revision: u64, count: usize) {
+    out.push(VCBIN_VERSION);
+    out.push(FRAME_LIST);
+    put_varint(out, revision);
+    put_varint(out, count as u64);
+}
+
+/// Appends one list item to `out`: its byte length, then `item`, a
+/// self-contained value encoding.
+pub(crate) fn write_list_item(out: &mut Vec<u8>, item: &[u8]) {
+    put_varint(out, item.len() as u64);
+    out.extend_from_slice(item);
+}
+
 /// Assembles a list frame into `out` from pre-encoded item buffers (the
-/// splice path: each item is a self-contained value encoding straight out
-/// of the [`crate::EncodeCache`]).
+/// splice path: each item is a self-contained value encoding, as the
+/// [`crate::EncodeCache`] holds them).
 pub fn write_list_frame<'a>(
     out: &mut Vec<u8>,
     revision: u64,
     items: impl ExactSizeIterator<Item = &'a [u8]>,
 ) {
-    out.push(VCBIN_VERSION);
-    out.push(FRAME_LIST);
-    put_varint(out, revision);
-    put_varint(out, items.len() as u64);
+    write_list_head(out, revision, items.len());
     for item in items {
-        put_varint(out, item.len() as u64);
-        out.extend_from_slice(item);
+        write_list_item(out, item);
     }
 }
 

@@ -23,11 +23,22 @@
 //! evictions and the live byte total are exported as
 //! `vc_wire_encode_cache_lookups_total`, `vc_wire_encode_cache_evictions_total`
 //! and `vc_wire_encode_cache_bytes`.
+//!
+//! A `vcbin` miss encodes into a buffer its thread reuses (dropped before
+//! the next miss if an object grew it past 1 MiB), and the cache keeps an
+//! exact-size copy: one allocation for the bytes, plus the encoder's
+//! string dictionary. A list body is never cached as a whole:
+//! [`EncodeCache::write_list`] copies each item's cached bytes once,
+//! straight into the caller's buffer (a server connection keeps one for
+//! its life), so once the items are cached and the buffer has grown to
+//! fit, serving a list allocates nothing.
 
-use crate::codec;
+use crate::{codec, http};
 use bytes::Bytes;
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::sync::Arc;
 use vc_api::metrics::{Counter, Gauge};
 use vc_api::object::Object;
@@ -39,6 +50,11 @@ pub const DEFAULT_ENCODE_CACHE_BYTES: usize = 32 * 1024 * 1024;
 
 /// One cached revision: the JSON and/or `vcbin` encodings seen so far.
 type Entry = [Option<Bytes>; 2];
+
+thread_local! {
+    /// The `vcbin` encoder's output on this thread, reused across misses.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 fn slot(encoding: Encoding) -> usize {
     match encoding {
@@ -118,15 +134,16 @@ impl EncodeCache {
         // Serialize outside the lock: encoding a large object must not
         // stall every other reader. A racing encode of the same rv
         // produces identical bytes, so last-writer-wins is harmless.
-        let encoded: Bytes = match encoding {
+        let encoded = match encoding {
             Encoding::Json => {
-                serde_json::to_string(&**obj).expect("objects always serialize").into()
+                let text = serde_json::to_string(&**obj).expect("objects always serialize");
+                Bytes::copy_from_slice(text.as_bytes())
             }
-            Encoding::Binary => {
-                let mut out = Vec::with_capacity(obj.estimated_size());
-                codec::encode(&**obj, &mut out);
-                out.into()
-            }
+            Encoding::Binary => SCRATCH.with_borrow_mut(|scratch| {
+                http::recycle(scratch);
+                codec::encode(&**obj, scratch);
+                Bytes::copy_from_slice(scratch)
+            }),
         };
         if rv > 0 {
             let mut entries = self.entries.lock();
@@ -147,6 +164,37 @@ impl EncodeCache {
             }
         }
         encoded
+    }
+
+    /// Appends the list body of `items` at `revision` under `encoding` to
+    /// `out`, each item's cached encoding spliced in: a `vcbin` list frame,
+    /// or `{"resource_version":R,"items":[…]}` in JSON.
+    pub fn write_list(
+        &self,
+        items: &[Arc<Object>],
+        revision: u64,
+        encoding: Encoding,
+        out: &mut Vec<u8>,
+    ) {
+        match encoding {
+            Encoding::Json => {
+                // Writing into a `Vec` cannot fail.
+                let _ = write!(out, "{{\"resource_version\":{revision},\"items\":[");
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(b',');
+                    }
+                    out.extend_from_slice(&self.encode(item, encoding));
+                }
+                out.extend_from_slice(b"]}");
+            }
+            Encoding::Binary => {
+                codec::write_list_head(out, revision, items.len());
+                for item in items {
+                    codec::write_list_item(out, &self.encode(item, encoding));
+                }
+            }
+        }
     }
 
     /// Cached revisions currently held.

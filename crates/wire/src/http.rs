@@ -40,6 +40,11 @@ const MAX_LINE: usize = 64 * 1024;
 /// Most header lines accepted in one request or response head.
 const MAX_HEADERS: usize = 64;
 
+/// Most parts one vectored write takes: [`write_all_vectored`] builds its
+/// slice list on the stack, and [`write_response`] spends one part on the
+/// head.
+pub const MAX_WRITE_PARTS: usize = 8;
+
 /// A connection buffer that one large message grew past this is released
 /// before the next message instead of being kept for the connection's
 /// life.
@@ -55,7 +60,7 @@ fn eof(msg: &'static str) -> std::io::Error {
 
 /// Clears `buf` for the next message, dropping its storage if an earlier
 /// message grew it past `RETAINED_CAPACITY`.
-fn recycle(buf: &mut Vec<u8>) {
+pub(crate) fn recycle(buf: &mut Vec<u8>) {
     if buf.capacity() > RETAINED_CAPACITY {
         *buf = Vec::new();
     }
@@ -235,21 +240,33 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+fn too_many_parts() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        "more parts than one vectored write takes",
+    )
+}
+
 /// Writes every byte of `parts`, coalescing them into as few `writev`
 /// syscalls as possible (one, on an unsaturated socket). Returns the
 /// total bytes written.
 ///
 /// # Errors
 ///
+/// More than [`MAX_WRITE_PARTS`] parts is
+/// [`std::io::ErrorKind::InvalidInput`], and nothing is written.
 /// Propagates socket errors; a socket that reports progress of zero
 /// surfaces as [`std::io::ErrorKind::WriteZero`].
 pub fn write_all_vectored(stream: &mut TcpStream, parts: &[&[u8]]) -> std::io::Result<usize> {
+    if parts.len() > MAX_WRITE_PARTS {
+        return Err(too_many_parts());
+    }
     let total: usize = parts.iter().map(|p| p.len()).sum();
     let mut written = 0usize;
     while written < total {
         // Rebuild the slice list past the consumed prefix; the loop body
         // runs once unless the kernel takes a partial write.
-        let mut slices = [IoSlice::new(&[]); 8];
+        let mut slices = [IoSlice::new(&[]); MAX_WRITE_PARTS];
         let mut count = 0;
         let mut skip = written;
         for part in parts {
@@ -302,6 +319,12 @@ fn build_head(
 /// `body` is a part list so callers can splice a frame prefix in front
 /// of a cache-shared buffer without copying either. Returns the total
 /// bytes put on the wire.
+///
+/// # Errors
+///
+/// More than `MAX_WRITE_PARTS - 1` body parts is
+/// [`std::io::ErrorKind::InvalidInput`], and nothing is written; socket
+/// errors as [`write_all_vectored`].
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -310,9 +333,12 @@ pub fn write_response(
     keep_alive: bool,
     head: &mut Vec<u8>,
 ) -> std::io::Result<usize> {
+    if body.len() >= MAX_WRITE_PARTS {
+        return Err(too_many_parts());
+    }
     let body_len: usize = body.iter().map(|p| p.len()).sum();
     build_head(head, status, content_type, body_len, keep_alive);
-    let mut parts = [&[][..]; 8];
+    let mut parts = [&[][..]; MAX_WRITE_PARTS];
     parts[0] = head.as_slice();
     parts[1..=body.len()].copy_from_slice(body);
     let n = write_all_vectored(stream, &parts[..body.len() + 1])?;
@@ -594,6 +620,32 @@ mod tests {
         let head = |n: usize| format!("GET / HTTP/1.1\r\n{}\r\n", "x-filler: 1\r\n".repeat(n));
         with_request(&head(MAX_HEADERS), |req| assert_eq!(req.path, "/"));
         assert_eq!(request_error(&head(MAX_HEADERS + 1)), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn writes_past_the_part_bound_are_refused_before_any_byte() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let parts = [&b"ab"[..]; MAX_WRITE_PARTS + 1];
+        let refused = write_all_vectored(&mut stream, &parts).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+        let mut head = Vec::new();
+        let refused = write_response(&mut stream, 200, "text/plain", &parts[1..], true, &mut head)
+            .unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+        // At the bound both write, and the peer sees only those bytes.
+        let sent = write_all_vectored(&mut stream, &parts[1..]).unwrap();
+        assert_eq!(sent, 2 * MAX_WRITE_PARTS);
+        let body = &parts[2..];
+        write_response(&mut stream, 200, "text/plain", body, true, &mut head).unwrap();
+        drop(stream);
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        let mut reader = &got[2 * MAX_WRITE_PARTS..];
+        let resp = read_response_head(&mut reader, &mut Vec::new(), &mut Vec::new()).unwrap();
+        assert_eq!(resp.content_length, 2 * body.len());
+        assert!(got.starts_with(b"abab") && reader.is_empty());
     }
 
     #[test]

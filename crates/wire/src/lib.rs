@@ -23,9 +23,10 @@
 //!    decoded to, so a re-list or a watch event of bytes it already
 //!    decoded costs a hash and a compare.
 //! 4. **Pipelined, vectored I/O**: responses leave in one vectored
-//!    syscall (head + frame prefix + cached body), watch bursts batch
-//!    into single chunks, and [`WireClient`] pipelines idempotent reads
-//!    on its persistent connection.
+//!    syscall (head + frame prefix + cached body, or head + a list body
+//!    spliced into the connection's buffer), watch bursts batch into
+//!    single chunks, and [`WireClient`] pipelines idempotent reads on its
+//!    persistent connection.
 //! 5. **One fair gate** ([`WireServer`]): every unary request executes
 //!    on its connection thread once it holds one of four permits of the
 //!    apiserver's own admission gate; when none is free it queues under

@@ -31,8 +31,10 @@
 //!   connections read it.
 //! - **One syscall per response** — response head, frame prefix, and the
 //!   cache-shared body go out through one vectored write; connection
-//!   threads reuse their response-head and request buffers across
-//!   requests, and a request's head is borrowed from them, not copied.
+//!   threads reuse their response-head, request and list-body buffers
+//!   across requests, and a request's head is borrowed from them, not
+//!   copied. A list body is the cached item encodings spliced once into
+//!   the connection's body buffer.
 //! - **One fair gate for unary requests** — every unary request is parsed,
 //!   routed and executed on its own connection thread, after it takes one
 //!   of `DISPATCH_WORKERS` permits of an [`InflightGate`], the apiserver's
@@ -345,57 +347,39 @@ impl Drop for WireServer {
     }
 }
 
+/// What a unary op answers with.
+enum Reply {
+    /// One object's cache-shared value encoding; the writer splices the
+    /// frame prefix in front without copying either.
+    Object(Bytes),
+    /// A complete list body, written into the connection's body buffer.
+    List,
+}
+
 impl Inner {
-    /// Executes one unary op, returning the response payload. Single
-    /// objects come back as a bare (cache-shared) value encoding — the
-    /// writer splices the frame prefix in front without copying; lists
-    /// come back as a complete body with the cached item encodings
-    /// spliced in.
-    fn execute(&self, user: &str, op: UnaryOp<'_>, encoding: Encoding) -> Result<Bytes, ApiError> {
-        match op {
-            UnaryOp::Create(obj) => {
-                self.api.create(user, obj).map(|o| self.cache.encode(&o, encoding))
-            }
-            UnaryOp::Get(kind, ns, name) => {
-                self.api.get(user, kind, ns, name).map(|o| self.cache.encode(&o, encoding))
-            }
-            UnaryOp::Update(obj) => {
-                self.api.update(user, obj).map(|o| self.cache.encode(&o, encoding))
-            }
-            UnaryOp::Delete(kind, ns, name) => {
-                self.api.delete(user, kind, ns, name).map(|o| self.cache.encode(&o, encoding))
-            }
+    /// Executes one unary op. A list body is written into `body`, the
+    /// connection's body buffer, with the cached item encodings spliced
+    /// in; a single object comes back as its cached encoding.
+    fn execute(
+        &self,
+        user: &str,
+        op: UnaryOp<'_>,
+        encoding: Encoding,
+        body: &mut Vec<u8>,
+    ) -> Result<Reply, ApiError> {
+        let object = match op {
+            UnaryOp::Create(obj) => self.api.create(user, obj)?,
+            UnaryOp::Get(kind, ns, name) => self.api.get(user, kind, ns, name)?,
+            UnaryOp::Update(obj) => self.api.update(user, obj)?,
+            UnaryOp::Delete(kind, ns, name) => self.api.delete(user, kind, ns, name)?,
             UnaryOp::List(kind, ns) => {
                 let (items, revision) = self.api.list(user, kind, ns)?;
-                match encoding {
-                    Encoding::Json => {
-                        let mut body =
-                            format!("{{\"resource_version\":{revision},\"items\":[").into_bytes();
-                        for (i, item) in items.iter().enumerate() {
-                            if i > 0 {
-                                body.push(b',');
-                            }
-                            body.extend_from_slice(&self.cache.encode(item, encoding));
-                        }
-                        body.extend_from_slice(b"]}");
-                        Ok(Bytes::from(body))
-                    }
-                    Encoding::Binary => {
-                        let encoded: Vec<Bytes> =
-                            items.iter().map(|item| self.cache.encode(item, encoding)).collect();
-                        let mut body = Vec::with_capacity(
-                            16 + encoded.iter().map(|e| e.len() + 4).sum::<usize>(),
-                        );
-                        codec::write_list_frame(
-                            &mut body,
-                            revision,
-                            encoded.iter().map(|e| &e[..]),
-                        );
-                        Ok(Bytes::from(body))
-                    }
-                }
+                body.clear();
+                self.cache.write_list(&items, revision, encoding, body);
+                return Ok(Reply::List);
             }
-        }
+        };
+        Ok(Reply::Object(self.cache.encode(&object, encoding)))
     }
 }
 
@@ -483,9 +467,10 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     // Connection-lifetime buffers: response heads, request heads and
-    // bodies stop allocating once the connection is warm.
+    // bodies, and list bodies stop allocating once the connection is warm.
     let mut head = Vec::with_capacity(256);
     let mut buf = http::RequestBuf::default();
+    let mut body = Vec::new();
     // First authenticated identity seen on this connection; later requests
     // presenting a different identity are rejected (keep-alive spoofing).
     let mut pinned_identity: Option<String> = None;
@@ -551,6 +536,7 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                     encoding,
                     keep_alive,
                     &mut head,
+                    &mut body,
                 );
                 if !done || !keep_alive {
                     break;
@@ -626,8 +612,9 @@ fn request_identity<'r>(
 }
 
 /// Serves one unary request on the connection thread, once it holds a
-/// permit of the server's [`InflightGate`]. Returns `false` when the
-/// connection is broken and should be dropped.
+/// permit of the server's [`InflightGate`]. `head` and `body` are the
+/// connection's response-head and list-body buffers. Returns `false` when
+/// the connection is broken and should be dropped.
 #[allow(clippy::too_many_arguments)]
 fn serve_unary(
     inner: &Arc<Inner>,
@@ -638,6 +625,7 @@ fn serve_unary(
     encoding: Encoding,
     keep_alive: bool,
     head: &mut Vec<u8>,
+    body: &mut Vec<u8>,
 ) -> bool {
     inner.metrics.requests.inc();
     match encoding {
@@ -648,21 +636,25 @@ fn serve_unary(
         Ok(op) => op,
         Err(err) => return write_error(inner, stream, &err, encoding, keep_alive, head),
     };
-    // Lists come back as complete framed bodies; single objects as bare
-    // value encodings that get the frame prefix spliced in at write time.
-    let is_list = matches!(op, UnaryOp::List(..));
     let result = admit(&inner.gate, user, &inner.metrics).and_then(|_permit| {
         // The permit is held until the op returns.
-        inner.execute(user, op, encoding)
+        inner.execute(user, op, encoding, body)
     });
+    let content_type = codec::content_type(encoding);
     match result {
-        Ok(body) => {
-            let prefix: &[u8] = match (encoding, is_list) {
-                (Encoding::Binary, false) => &[codec::VCBIN_VERSION, codec::FRAME_OBJECT],
-                _ => &[],
+        Ok(Reply::Object(object)) => {
+            let prefix: &[u8] = match encoding {
+                Encoding::Binary => &[codec::VCBIN_VERSION, codec::FRAME_OBJECT],
+                Encoding::Json => &[],
             };
-            let content_type = codec::content_type(encoding);
-            respond(inner, stream, 200, content_type, &[prefix, &body], keep_alive, head)
+            respond(inner, stream, 200, content_type, &[prefix, &object], keep_alive, head)
+        }
+        Ok(Reply::List) => {
+            let sent = respond(inner, stream, 200, content_type, &[body], keep_alive, head);
+            // A list that grew the buffer past the bound releases it now
+            // instead of holding it for the connection's life.
+            http::recycle(body);
+            sent
         }
         Err(err) => write_error(inner, stream, &err, encoding, keep_alive, head),
     }

@@ -4,7 +4,9 @@
 //! objects costs; encoding writes tags straight into the output buffer, so
 //! it should cost little beyond that buffer. A client decodes each
 //! distinct item encoding once ([`DecodeCache`]), so a repeat of bytes it
-//! has decoded costs no object at all.
+//! has decoded costs no object at all. A server encodes each object
+//! revision once ([`EncodeCache`]), into a buffer its thread reuses, so
+//! the cached bytes cost one allocation of their exact size.
 //!
 //! The allocator counts only the calling thread's allocations, so tests
 //! running in parallel on other threads do not disturb a count.
@@ -17,7 +19,8 @@ use vc_api::object::Object;
 use vc_api::pod::{Container, Pod};
 use vc_api::quantity::resource_list;
 use vc_api::time::Timestamp;
-use vc_wire::{codec, DecodeCache};
+use vc_client::Encoding;
+use vc_wire::{codec, DecodeCache, EncodeCache};
 
 struct ThreadCountingAlloc;
 
@@ -181,4 +184,30 @@ fn a_watch_event_of_created_bytes_builds_no_object() {
     });
     assert!(Arc::ptr_eq(&created, &event));
     assert!(n <= 1, "a watch event of decoded bytes made {n} allocations: the frame vector");
+}
+
+#[test]
+fn an_encode_cache_miss_allocates_its_bytes_once() {
+    let objects: Vec<Arc<Object>> = stored_pods().into_iter().map(Arc::new).collect();
+    let cache = EncodeCache::default();
+    // The first miss sizes this thread's encoder buffer.
+    cache.encode(&objects[2], Encoding::Binary);
+    let (mut misses, mut allocs, mut interning) = (0, 0, 0);
+    for obj in objects.iter().filter(|o| !Arc::ptr_eq(o, &objects[2])) {
+        // What the encoder's dictionary costs for this object, into an
+        // output buffer that needs no growth.
+        let mut out = Vec::with_capacity(64 * 1024);
+        interning += allocations_during(|| codec::encode(&**obj, &mut out)).0;
+        let (n, encoded) = allocations_during(|| cache.encode(obj, Encoding::Binary));
+        assert_eq!(&encoded[..], &out[..]);
+        allocs += n;
+        misses += 1;
+    }
+    assert_eq!(cache.misses.get(), 50);
+    // Past the dictionary: one allocation for each object's bytes, and
+    // the cache's map splitting a node every few inserts.
+    assert!(
+        allocs <= interning + misses + misses / 4,
+        "{misses} misses made {allocs} allocations; their dictionaries alone {interning}"
+    );
 }

@@ -4,6 +4,10 @@
 //! and the body into a buffer the connection keeps. Once those buffers
 //! have grown to fit, neither end allocates to frame a request.
 //!
+//! The same holds for a list body: the server splices each item's cached
+//! encoding into the connection's body buffer, so once the items are
+//! cached and the buffer fits, serving a list allocates nothing.
+//!
 //! The allocator counts only the calling thread's allocations, so the
 //! server's threads and tests running in parallel do not disturb a count.
 
@@ -11,12 +15,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use vc_api::object::ResourceKind;
-use vc_api::pod::Pod;
+use std::sync::Arc;
+use vc_api::object::{Object, ResourceKind};
+use vc_api::pod::{Container, Pod};
 use vc_apiserver::ApiServer;
 use vc_client::{Encoding, ObjectApi};
 use vc_wire::http::{self, RequestBuf};
-use vc_wire::{WireClient, WireServer, WireServerConfig};
+use vc_wire::{codec, EncodeCache, WireClient, WireServer, WireServerConfig};
 
 struct ThreadCountingAlloc;
 
@@ -152,4 +157,63 @@ fn a_warm_binary_get_of_a_cached_object_allocates_nothing_on_the_caller() {
     assert_eq!(pod.meta().name, "p0");
     assert_eq!(n, 0, "a warm binary GET made {n} allocations on the calling thread");
     server.shutdown();
+}
+
+/// Fifty pods as a store lists them, each at its own revision.
+fn stored_pods() -> Vec<Arc<Object>> {
+    (0..50u64)
+        .map(|i| {
+            let mut pod = Pod::new("tenant-a", format!("stress-{i:05}"))
+                .with_container(Container::new("app", "stress:1"));
+            pod.meta.resource_version = 1_000 + i;
+            Arc::new(pod.into())
+        })
+        .collect()
+}
+
+#[test]
+fn a_list_of_cached_items_is_written_into_a_warm_buffer_without_allocating() {
+    let cache = EncodeCache::default();
+    let pods = stored_pods();
+    for encoding in [Encoding::Binary, Encoding::Json] {
+        let mut out = Vec::new();
+        // The first list encodes every item and sizes the buffer.
+        cache.write_list(&pods, 77, encoding, &mut out);
+        let first = out.clone();
+        out.clear();
+        let (n, ()) = allocations_during(|| cache.write_list(&pods, 77, encoding, &mut out));
+        assert_eq!(out, first);
+        assert_eq!(n, 0, "a warm {encoding:?} list of 50 pods made {n} allocations");
+    }
+    assert_eq!(cache.misses.get(), 100, "each pod encoded once per codec");
+}
+
+#[test]
+fn a_spliced_list_is_byte_identical_to_a_freshly_encoded_one() {
+    let cache = EncodeCache::default();
+    for pods in [stored_pods(), Vec::new()] {
+        let fresh: Vec<Vec<u8>> = pods
+            .iter()
+            .map(|pod| {
+                let mut out = Vec::new();
+                codec::encode(&**pod, &mut out);
+                out
+            })
+            .collect();
+        let mut framed = Vec::new();
+        codec::write_list_frame(&mut framed, 77, fresh.iter().map(Vec::as_slice));
+        let mut out = Vec::new();
+        cache.write_list(&pods, 77, Encoding::Binary, &mut out);
+        assert_eq!(out, framed, "vcbin, {} items", pods.len());
+        let (revision, items) = codec::read_list_frame::<Object>(&out).expect("a list frame");
+        assert_eq!(revision, 77);
+        assert!(items.iter().eq(pods.iter().map(|pod| &**pod)));
+
+        let items: Vec<String> =
+            pods.iter().map(|pod| serde_json::to_string(&**pod).unwrap()).collect();
+        let json = format!("{{\"resource_version\":77,\"items\":[{}]}}", items.join(","));
+        out.clear();
+        cache.write_list(&pods, 77, Encoding::Json, &mut out);
+        assert_eq!(String::from_utf8(out).unwrap(), json, "JSON, {} items", pods.len());
+    }
 }

@@ -644,3 +644,39 @@ fn bytes_in_counts_the_bytes_a_client_wrote() {
     assert_eq!(server.metrics().bytes_in.get(), written as u64);
     server.shutdown();
 }
+
+/// A list of more than 1 MiB, then a small one, on one keep-alive
+/// connection: the large body is released from the connection's buffer
+/// after it is sent, and both lists decode whole in each codec.
+#[test]
+fn a_list_past_a_mebibyte_then_a_small_one_on_one_connection() {
+    let (api, server) = start_server(WireServerConfig::default());
+    for namespace in ["big", "small"] {
+        api.create("admin", Namespace::new(namespace).into()).unwrap();
+    }
+    // 300 pods of 4 KiB each: past 1 MiB in either codec.
+    let filler = "x".repeat(4096);
+    for i in 0..300 {
+        let mut pod = Pod::new("big", format!("p-{i:03}"));
+        pod.meta.annotations.insert("filler".to_string(), filler.clone());
+        api.create("admin", pod.into()).unwrap();
+    }
+    for i in 0..3 {
+        api.create("admin", Pod::new("small", format!("s-{i}")).into()).unwrap();
+    }
+    for (clients, encoding) in [Encoding::Binary, Encoding::Json].into_iter().enumerate() {
+        let client =
+            WireClient::with_limits(server.local_addr().to_string(), "admin", 1e9, 1 << 30)
+                .with_codec(encoding);
+        let (big, revision) = client.list(ResourceKind::Pod, Some("big")).unwrap();
+        assert_eq!(big.len(), 300);
+        assert!(big.iter().all(|o| o.meta().annotations.get("filler") == Some(&filler)));
+        let (small, again) = client.list(ResourceKind::Pod, Some("small")).unwrap();
+        let mut names: Vec<&str> = small.iter().map(|o| o.meta().name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["s-0", "s-1", "s-2"], "{encoding:?}");
+        assert_eq!(again, revision);
+        assert_eq!(server.metrics().connections_opened.get(), clients as u64 + 1, "{encoding:?}");
+    }
+    server.shutdown();
+}
