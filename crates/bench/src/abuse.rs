@@ -36,30 +36,23 @@ use vc_obs::MetricsRegistry;
 
 use crate::report::percentile;
 
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Knobs for one abuse campaign, each with a `VC_ABUSE_*` environment
-/// override so CI can run a reduced rung.
+/// Sizes of one abuse campaign: the defaults, or the `vc_abuse` row of
+/// CI's reduced rung ([`crate::experiments::CI`]).
 #[derive(Debug, Clone)]
 pub struct AbuseConfig {
-    /// Well-behaved tenants measured as victims (`VC_ABUSE_VICTIMS`,
-    /// default 4).
+    /// Well-behaved tenants measured as victims (default 4).
     pub victims: usize,
-    /// Pods each victim deploys per measurement phase (`VC_ABUSE_PODS`,
-    /// default 25).
+    /// Pods each victim deploys per measurement phase (default 25).
     pub pods_per_victim: usize,
-    /// Hostile watch streams held open (`VC_ABUSE_WATCHERS`, default 64).
+    /// Hostile watch streams held open (default 64).
     pub watchers: usize,
-    /// Hostile LIST-flood threads (`VC_ABUSE_FLOODERS`, default 8).
+    /// Hostile LIST-flood threads (default 8).
     pub flooders: usize,
-    /// Policy-violating objects the hostile tenant submits
-    /// (`VC_ABUSE_HOSTILE_OBJECTS`, default 60).
+    /// Policy-violating objects the hostile tenant submits (default 60).
     pub hostile_objects: usize,
     /// Victims' per-pod sync-p99 target in milliseconds while the attack
     /// runs; the `abuse_p99_headroom` gate ratio is `target / attack_p99`
-    /// (`VC_ABUSE_TARGET_P99_MS`, default 500).
+    /// (default 500).
     pub target_p99_ms: u64,
 }
 
@@ -72,21 +65,6 @@ impl Default for AbuseConfig {
             flooders: 8,
             hostile_objects: 60,
             target_p99_ms: 500,
-        }
-    }
-}
-
-impl AbuseConfig {
-    /// Reads overrides from `VC_ABUSE_*` environment variables.
-    pub fn from_env() -> Self {
-        let d = AbuseConfig::default();
-        AbuseConfig {
-            victims: env_parse("VC_ABUSE_VICTIMS", d.victims),
-            pods_per_victim: env_parse("VC_ABUSE_PODS", d.pods_per_victim),
-            watchers: env_parse("VC_ABUSE_WATCHERS", d.watchers),
-            flooders: env_parse("VC_ABUSE_FLOODERS", d.flooders),
-            hostile_objects: env_parse("VC_ABUSE_HOSTILE_OBJECTS", d.hostile_objects),
-            target_p99_ms: env_parse("VC_ABUSE_TARGET_P99_MS", d.target_p99_ms),
         }
     }
 }

@@ -36,11 +36,12 @@ pub fn paper_scheduler() -> SchedulerConfig {
     }
 }
 
-/// Syncer settings calibrated to the paper's syncer deployment.
-pub fn paper_syncer(downward_workers: usize, upward_workers: usize, fair: bool) -> SyncerConfig {
+/// Syncer settings calibrated to the paper's syncer deployment (100
+/// upward workers).
+pub fn paper_syncer(downward_workers: usize, fair: bool) -> SyncerConfig {
     SyncerConfig {
         downward_workers,
-        upward_workers,
+        upward_workers: 100,
         fair_queuing: fair,
         scan_interval: Some(Duration::from_secs(60)),
         // 20 workers x 45 ms => ~445 items/s downward capacity: the
@@ -70,17 +71,13 @@ pub fn paper_super_cluster(name: &str) -> ClusterConfig {
     config
 }
 
-/// Full framework config for a VirtualCluster run.
-pub fn paper_framework(
-    nodes: u32,
-    downward_workers: usize,
-    upward_workers: usize,
-    fair: bool,
-) -> FrameworkConfig {
+/// Full framework config for a VirtualCluster run on the paper's 100
+/// virtual kubelets.
+pub fn paper_framework(downward_workers: usize, fair: bool) -> FrameworkConfig {
     let mut config = FrameworkConfig {
         super_cluster: paper_super_cluster("super"),
-        mock_nodes: nodes,
-        syncer: paper_syncer(downward_workers, upward_workers, fair),
+        mock_nodes: 100,
+        syncer: paper_syncer(downward_workers, fair),
         ..Default::default()
     };
     config.operator.cloud_provision_latency = Duration::ZERO;
@@ -88,20 +85,10 @@ pub fn paper_framework(
     config
 }
 
-/// Scale factor from the `VC_BENCH_SCALE` environment variable (percent of
-/// the paper's pod counts; default 100 = full scale). Lets CI run the
-/// harnesses quickly: `VC_BENCH_SCALE=10 cargo run --bin fig7_latency`.
-pub fn scale_percent() -> usize {
-    std::env::var("VC_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|v| *v >= 1 && *v <= 100)
-        .unwrap_or(100)
-}
-
-/// Applies the scale factor to a paper pod count.
-pub fn scaled(pods: usize) -> usize {
-    (pods * scale_percent() / 100).max(1)
+/// A paper pod count at `percent` % (at least one pod): the figure
+/// harnesses run at `VC_BENCH_SCALE` % ([`crate::env::scale_percent`]).
+pub fn scaled(pods: usize, percent: usize) -> usize {
+    (pods * percent / 100).max(1)
 }
 
 #[cfg(test)]
@@ -115,7 +102,7 @@ mod tests {
         // EFFECTIVE empty-cluster rate is 1/(raw + 0.9ms) ≈ 660/s.
         let effective = 1.0 / (sched.service_time.as_secs_f64() + 0.0009);
         assert!((500.0..800.0).contains(&effective), "{effective}");
-        let syncer = paper_syncer(20, 100, true);
+        let syncer = paper_syncer(20, true);
         let downward_rate =
             syncer.downward_workers as f64 / syncer.downward_process_cost.as_secs_f64();
         assert!((400.0..700.0).contains(&downward_rate), "{downward_rate}");
@@ -125,11 +112,8 @@ mod tests {
 
     #[test]
     fn scaling_bounds() {
-        // Mirrors `scaled` with an explicit percent instead of the env var.
-        fn scaled_at(pods: usize, percent: usize) -> usize {
-            (pods * percent / 100).max(1)
-        }
-        assert_eq!(scaled_at(10_000, 100), 10_000);
-        assert_eq!(scaled_at(10, 1), 1, "floors at one pod");
+        assert_eq!(scaled(10_000, 100), 10_000);
+        assert_eq!(scaled(10_000, 2), 200);
+        assert_eq!(scaled(10, 1), 1, "floors at one pod");
     }
 }

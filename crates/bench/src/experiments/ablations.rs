@@ -9,24 +9,22 @@
 //! 3. **Tenant hibernation** (paper future work, implemented) — syncer
 //!    memory for idle tenants and the wake (re-list) cost.
 //!
-//! Run: `cargo run --release -p vc-bench --bin ablations`
+//! Run: `cargo run --release -p vc-bench -- ablations`
 
+use crate::calibration::{paper_framework, scaled};
+use crate::load::{provision_tenants, ready_latencies_ms, ready_pods, run_vc_burst, stress_pod};
+use crate::report::{heading, mean, paper_vs_measured, percentile};
 use std::time::Duration;
-use vc_api::object::ResourceKind;
-use vc_api::pod::PodConditionType;
-use vc_bench::calibration::{paper_framework, scaled};
-use vc_bench::load::{provision_tenants, run_vc_burst, stress_pod};
-use vc_bench::report::{heading, paper_vs_measured, percentile};
 use vc_controllers::util::wait_until;
 use vc_core::framework::Framework;
 use vc_core::vc_object::VirtualClusterSpec;
 
-fn ablation_downward_workers() {
+fn ablation_downward_workers(percent: usize) {
     heading("ablation 1: downward worker count (50 tenants, 5000 pods)");
     println!("  {:<10} {:>10} {:>10} {:>12}", "workers", "wall(s)", "p99(s)", "pods/s");
-    let pods = scaled(5_000);
+    let pods = scaled(5_000, percent);
     for workers in [5usize, 10, 20, 40, 80] {
-        let fw = Framework::start(paper_framework(100, workers, 100, true));
+        let fw = Framework::start(paper_framework(workers, true));
         let tenants = provision_tenants(&fw, 50);
         let result = run_vc_burst(&fw, &tenants, pods);
         println!(
@@ -45,12 +43,12 @@ fn ablation_downward_workers() {
     );
 }
 
-fn ablation_weights() {
+fn ablation_weights(percent: usize) {
     heading("ablation 2: custom tenant weights (paper future work)");
     // Two tenants, weight 4 vs 1, identical simultaneous bursts through a
     // deliberately narrow downward path: service share should follow the
     // weights.
-    let mut config = paper_framework(100, 2, 100, true);
+    let mut config = paper_framework(2, true);
     config.syncer.downward_process_cost = Duration::from_millis(40);
     let fw = Framework::start(config);
     fw.create_tenant_with_spec("gold", VirtualClusterSpec { weight: 4, ..Default::default() })
@@ -58,7 +56,7 @@ fn ablation_weights() {
     fw.create_tenant_with_spec("bronze", VirtualClusterSpec { weight: 1, ..Default::default() })
         .unwrap();
 
-    let pods = scaled(400);
+    let pods = scaled(400, percent);
     std::thread::scope(|scope| {
         for tenant in ["gold", "bronze"] {
             let client = fw.tenant_client(tenant, "load");
@@ -71,31 +69,9 @@ fn ablation_weights() {
     });
     let clients = [fw.tenant_client("gold", "obs"), fw.tenant_client("bronze", "obs")];
     assert!(wait_until(Duration::from_secs(600), Duration::from_millis(250), || {
-        clients
-            .iter()
-            .map(|c| {
-                c.list(ResourceKind::Pod, Some("default"))
-                    .map(|(p, _)| {
-                        p.iter().filter(|x| x.as_pod().is_some_and(|x| x.status.is_ready())).count()
-                    })
-                    .unwrap_or(0)
-            })
-            .sum::<usize>()
-            >= 2 * pods
+        ready_pods(&clients) >= 2 * pods
     }));
-    let avg = |client: &vc_client::Client| -> f64 {
-        let (pods, _) = client.list(ResourceKind::Pod, Some("default")).unwrap();
-        let lats: Vec<f64> = pods
-            .iter()
-            .filter_map(|o| {
-                let pod = o.as_pod()?;
-                let ready = pod.status.condition(PodConditionType::Ready)?;
-                Some(ready.last_transition.duration_since(pod.meta.creation_timestamp).as_millis()
-                    as f64)
-            })
-            .collect();
-        lats.iter().sum::<f64>() / lats.len().max(1) as f64
-    };
+    let avg = |client| mean(&ready_latencies_ms(client));
     let gold = avg(&clients[0]);
     let bronze = avg(&clients[1]);
     println!("  gold  (weight 4) avg creation: {:.1}s", gold / 1000.0);
@@ -108,12 +84,12 @@ fn ablation_weights() {
     fw.shutdown();
 }
 
-fn ablation_hibernation() {
+fn ablation_hibernation(percent: usize) {
     heading("ablation 3: tenant hibernation (paper future work)");
     let tenant_count = 50;
-    let fw = Framework::start(paper_framework(100, 20, 100, true));
+    let fw = Framework::start(paper_framework(20, true));
     let tenants = provision_tenants(&fw, tenant_count);
-    let _ = run_vc_burst(&fw, &tenants, scaled(2_000));
+    let _ = run_vc_burst(&fw, &tenants, scaled(2_000, percent));
 
     let before = fw.syncer.cache_bytes();
     // Hibernate the 80% of tenants that have gone idle.
@@ -141,9 +117,10 @@ fn ablation_hibernation() {
     fw.shutdown();
 }
 
-fn main() {
+/// Runs the three ablations at `percent` % of their pod counts.
+pub fn run(percent: usize) {
     println!("Ablation studies (see DESIGN.md §6)");
-    ablation_downward_workers();
-    ablation_weights();
-    ablation_hibernation();
+    ablation_downward_workers(percent);
+    ablation_weights(percent);
+    ablation_hibernation(percent);
 }

@@ -13,14 +13,15 @@
 //! values differ from the Go implementation; the linear *shape* is the
 //! reproduced result.
 //!
-//! Run: `cargo run --release -p vc-bench --bin fig10_resources`
+//! Run: `cargo run --release -p vc-bench -- fig10_resources`
 
-use vc_bench::calibration::{paper_framework, scaled};
-use vc_bench::load::{provision_tenants, run_vc_burst};
-use vc_bench::report::{heading, paper_vs_measured};
+use crate::calibration::{paper_framework, scaled};
+use crate::load::{provision_tenants, run_vc_burst};
+use crate::report::{heading, paper_vs_measured};
 use vc_core::framework::Framework;
 
-fn main() {
+/// Runs Fig 10 and the §IV-C scan at `percent` % of the paper's pod counts.
+pub fn run(percent: usize) {
     let tenants = 100;
     println!("Fig 10 — syncer resource usage (100 tenants)");
     println!(
@@ -30,8 +31,8 @@ fn main() {
 
     let mut series = Vec::new();
     for pods in [1_250usize, 2_500, 5_000, 10_000] {
-        let pods = scaled(pods);
-        let fw = Framework::start(paper_framework(100, 20, 100, true));
+        let pods = scaled(pods, percent);
+        let fw = Framework::start(paper_framework(20, true));
         let names = provision_tenants(&fw, tenants);
         let base_bytes = fw.syncer.cache_bytes();
         let result = run_vc_burst(&fw, &names, pods);
@@ -50,7 +51,7 @@ fn main() {
         );
         series.push((pods, busy.as_secs_f64(), bytes));
 
-        if pods == scaled(10_000) {
+        if pods == scaled(10_000, percent) {
             // §IV-C: periodic scan cost at full load — one lap of the
             // cold sweep over every tenant, on this thread.
             heading("periodic scan (§IV-C)");

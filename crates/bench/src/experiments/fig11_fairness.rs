@@ -6,14 +6,12 @@
 //! bear the queueing cost; with the shared FIFO, regular users are starved
 //! behind the greedy burst.
 //!
-//! Run: `cargo run --release -p vc-bench --bin fig11_fairness`
+//! Run: `cargo run --release -p vc-bench -- fig11_fairness`
 
+use crate::calibration::{paper_framework, scaled};
+use crate::load::{provision_tenants, ready_latencies_ms, ready_pods, stress_pod};
+use crate::report::{heading, mean, paper_vs_measured};
 use std::time::{Duration, Instant};
-use vc_api::object::ResourceKind;
-use vc_api::pod::PodConditionType;
-use vc_bench::calibration::{paper_framework, scaled};
-use vc_bench::load::{provision_tenants, stress_pod};
-use vc_bench::report::{heading, paper_vs_measured};
 use vc_controllers::util::wait_until;
 use vc_core::framework::Framework;
 
@@ -25,10 +23,10 @@ struct FairnessOutcome {
     regular_avg_ms: Vec<u64>,
 }
 
-fn run_mode(fair: bool) -> FairnessOutcome {
-    let greedy_pods = scaled(900);
+fn run_mode(fair: bool, percent: usize) -> FairnessOutcome {
+    let greedy_pods = scaled(900, percent);
     let regular_pods = 10usize;
-    let fw = Framework::start(paper_framework(100, 20, 100, fair));
+    let fw = Framework::start(paper_framework(20, fair));
     let tenants = provision_tenants(&fw, GREEDY + REGULAR);
     let (greedy, regular) = tenants.split_at(GREEDY);
 
@@ -58,39 +56,10 @@ fn run_mode(fair: bool) -> FairnessOutcome {
 
     let clients: Vec<_> = tenants.iter().map(|t| fw.tenant_client(t, "observer")).collect();
     let deadline = Duration::from_secs(180) + Duration::from_millis(total as u64 * 10);
-    let done = wait_until(deadline, Duration::from_millis(250), || {
-        clients
-            .iter()
-            .map(|c| {
-                c.list(ResourceKind::Pod, Some("default"))
-                    .map(|(pods, _)| {
-                        pods.iter()
-                            .filter(|p| p.as_pod().is_some_and(|p| p.status.is_ready()))
-                            .count()
-                    })
-                    .unwrap_or(0)
-            })
-            .sum::<usize>()
-            >= total
-    });
+    let done = wait_until(deadline, Duration::from_millis(250), || ready_pods(&clients) >= total);
     assert!(done, "fairness burst did not finish in {:?}", start.elapsed());
 
-    let avg_for = |client: &vc_client::Client| -> u64 {
-        let (pods, _) = client.list(ResourceKind::Pod, Some("default")).unwrap();
-        let latencies: Vec<u64> = pods
-            .iter()
-            .filter_map(|obj| {
-                let pod = obj.as_pod()?;
-                let ready = pod.status.condition(PodConditionType::Ready)?;
-                ready
-                    .status
-                    .then(|| ready.last_transition.duration_since(pod.meta.creation_timestamp))
-                    .map(|d| d.as_millis() as u64)
-            })
-            .collect();
-        (latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64) as u64
-    };
-
+    let avg_for = |client| mean(&ready_latencies_ms(client)) as u64;
     let outcome = FairnessOutcome {
         greedy_avg_ms: clients[..GREEDY].iter().map(avg_for).collect(),
         regular_avg_ms: clients[GREEDY..].iter().map(avg_for).collect(),
@@ -99,51 +68,43 @@ fn run_mode(fair: bool) -> FairnessOutcome {
     outcome
 }
 
-fn stats(values: &[u64]) -> (u64, u64, u64) {
+/// (min, mean, max) of the per-tenant averages, in seconds.
+fn stats(values: &[u64]) -> (f64, f64, f64) {
+    let secs = |ms: u64| ms as f64 / 1000.0;
     let min = values.iter().copied().min().unwrap_or(0);
     let max = values.iter().copied().max().unwrap_or(0);
-    let mean = values.iter().sum::<u64>() / values.len().max(1) as u64;
-    (min, mean, max)
+    (secs(min), secs(values.iter().sum::<u64>() / values.len().max(1) as u64), secs(max))
 }
 
-fn main() {
+/// Runs Fig 11 at `percent` % of the paper's greedy burst.
+pub fn run(percent: usize) {
     println!(
         "Fig 11 — fair queuing: {GREEDY} greedy tenants x {} burst pods, {REGULAR} regular tenants x 10 sequential pods",
-        scaled(900)
+        scaled(900, percent)
     );
 
     for fair in [true, false] {
         heading(if fair { "(a) fair queuing ENABLED" } else { "(b) fair queuing DISABLED" });
-        let outcome = run_mode(fair);
+        let outcome = run_mode(fair, percent);
         let (gmin, gmean, gmax) = stats(&outcome.greedy_avg_ms);
         let (rmin, rmean, rmax) = stats(&outcome.regular_avg_ms);
         println!(
-            "  greedy tenants  avg pod creation: min={:.1}s mean={:.1}s max={:.1}s",
-            gmin as f64 / 1000.0,
-            gmean as f64 / 1000.0,
-            gmax as f64 / 1000.0
+            "  greedy tenants  avg pod creation: min={gmin:.1}s mean={gmean:.1}s max={gmax:.1}s"
         );
         println!(
-            "  regular tenants avg pod creation: min={:.1}s mean={:.1}s max={:.1}s",
-            rmin as f64 / 1000.0,
-            rmean as f64 / 1000.0,
-            rmax as f64 / 1000.0
+            "  regular tenants avg pod creation: min={rmin:.1}s mean={rmean:.1}s max={rmax:.1}s"
         );
         if fair {
             paper_vs_measured(
                 "regular users protected",
                 "avg < 2s, greedy much higher",
-                &format!(
-                    "regular mean {:.1}s vs greedy mean {:.1}s",
-                    rmean as f64 / 1000.0,
-                    gmean as f64 / 1000.0
-                ),
+                &format!("regular mean {rmean:.1}s vs greedy mean {gmean:.1}s"),
             );
         } else {
             paper_vs_measured(
                 "regular users starved behind burst",
                 "significantly delayed",
-                &format!("regular mean {:.1}s (vs <2s with FQ)", rmean as f64 / 1000.0),
+                &format!("regular mean {rmean:.1}s (vs <2s with FQ)"),
             );
         }
     }

@@ -5,15 +5,13 @@
 //! reference point (100 tenants, 20 downward workers): p99 latencies of
 //! 3/4/8/14 s for 1250/2500/5000/10000 pods vs 1/2/8/8 s in the baseline.
 //!
-//! Run: `cargo run --release -p vc-bench --bin fig7_latency`
+//! Run: `cargo run --release -p vc-bench -- fig7_latency`
 //! (`VC_BENCH_SCALE=10` for a quick pass).
 
+use crate::calibration::{paper_framework, paper_super_cluster, scaled};
+use crate::load::{print_robustness, provision_tenants, run_baseline_burst, run_vc_burst};
+use crate::report::{heading, paper_vs_measured, percentile, print_histogram, print_summary};
 use std::sync::Arc;
-use vc_bench::calibration::{paper_framework, paper_super_cluster, scaled};
-use vc_bench::load::{provision_tenants, robustness_counters, run_baseline_burst, run_vc_burst};
-use vc_bench::report::{
-    heading, paper_vs_measured, percentile, print_histogram, print_robustness, print_summary,
-};
 use vc_core::framework::Framework;
 
 const POD_COUNTS: [usize; 4] = [1_250, 2_500, 5_000, 10_000];
@@ -25,7 +23,8 @@ const CASES: [(&str, usize, usize); 3] = [
     ("100 tenants / 5 downward workers", 100, 5),
 ];
 
-fn main() {
+/// Runs Fig 7 at `percent` % of the paper's pod counts.
+pub fn run(percent: usize) {
     println!("Fig 7 — Pod creation time histograms (VirtualCluster vs baseline)");
     let bucket_ms = 2_000; // the paper's 2-second buckets
     let buckets = 10;
@@ -34,7 +33,7 @@ fn main() {
     let mut baseline_p99 = Vec::new();
     heading("Baseline: load sent directly to the super cluster (100 generator threads)");
     for pods in POD_COUNTS {
-        let pods = scaled(pods);
+        let pods = scaled(pods, percent);
         let cluster = Arc::new(vc_controllers::Cluster::start(paper_super_cluster("baseline")));
         cluster.add_mock_nodes(100).expect("nodes");
         let result = run_baseline_burst(&cluster, pods, 100);
@@ -53,8 +52,8 @@ fn main() {
     for (label, tenants, downward_workers) in CASES {
         heading(&format!("VirtualCluster: {label}"));
         for pods in POD_COUNTS {
-            let pods = scaled(pods);
-            let fw = Framework::start(paper_framework(100, downward_workers, 100, true));
+            let pods = scaled(pods, percent);
+            let fw = Framework::start(paper_framework(downward_workers, true));
             let names = provision_tenants(&fw, tenants);
             let result = run_vc_burst(&fw, &names, pods);
             print_summary(&format!("vc {pods} pods"), &result.latencies_ms);
@@ -67,7 +66,7 @@ fn main() {
             if tenants == 100 && downward_workers == 20 {
                 reference_p99.push(percentile(&result.latencies_ms, 0.99));
             }
-            print_robustness(&robustness_counters(&fw));
+            print_robustness(&fw);
             fw.shutdown();
         }
     }

@@ -10,11 +10,11 @@
 //! by a later status event records further spans, which are not part of
 //! creation latency).
 //!
-//! Run: `cargo run --release -p vc-bench --bin fig8_breakdown`
+//! Run: `cargo run --release -p vc-bench -- fig8_breakdown`
 
-use vc_bench::calibration::{paper_framework, scaled};
-use vc_bench::load::{burst_share, provision_tenants, run_vc_burst};
-use vc_bench::report::{bucket_counts, heading, mean, paper_vs_measured};
+use crate::calibration::{paper_framework, scaled};
+use crate::load::{burst_share, provision_tenants, run_vc_burst};
+use crate::report::{bucket_counts, heading, mean, paper_vs_measured};
 use vc_core::framework::Framework;
 use vc_obs::stage;
 
@@ -28,12 +28,13 @@ const PHASES: [(&str, &str); 5] = [
     ("UWS-Process", stage::UWS_PROCESS),
 ];
 
-fn main() {
+/// Runs Fig 8 and Table I at `percent` % of the paper's pod count.
+pub fn run(percent: usize) {
     let tenants = 100;
-    let pods = scaled(10_000);
+    let pods = scaled(10_000, percent);
     println!("Fig 8 / Table I — latency breakdown: {pods} pods across {tenants} tenants");
 
-    let mut config = paper_framework(100, 20, 100, true);
+    let mut config = paper_framework(20, true);
     // Every pod's finished trace must still be in the ring at the end.
     config.syncer.obs.trace_capacity = config.syncer.obs.trace_capacity.max(pods);
     let fw = Framework::start(config);

@@ -6,17 +6,17 @@
 //!     scheduler slows as the cluster fills), VC roughly constant; maximum
 //!     degradation ~34%.
 //!
-//! Run: `cargo run --release -p vc-bench --bin fig9_throughput`
+//! Run: `cargo run --release -p vc-bench -- fig9_throughput`
 //! (`VC_BENCH_SCALE=10` for a quick pass at 10% of the pod counts).
 
+use crate::calibration::{paper_framework, paper_super_cluster, scaled};
+use crate::load::{provision_tenants, run_baseline_burst, run_vc_burst};
+use crate::report::{heading, paper_vs_measured};
 use std::sync::Arc;
-use vc_bench::calibration::{paper_framework, paper_super_cluster, scaled};
-use vc_bench::load::{provision_tenants, run_baseline_burst, run_vc_burst};
-use vc_bench::report::{heading, paper_vs_measured};
 use vc_core::framework::Framework;
 
 fn vc_throughput(tenants: usize, total_pods: usize) -> f64 {
-    let fw = Framework::start(paper_framework(100, 20, 100, true));
+    let fw = Framework::start(paper_framework(20, true));
     let names = provision_tenants(&fw, tenants);
     let result = run_vc_burst(&fw, &names, total_pods);
     let throughput = result.throughput();
@@ -33,12 +33,13 @@ fn baseline_throughput(threads: usize, total_pods: usize) -> f64 {
     throughput
 }
 
-fn main() {
+/// Runs Fig 9 at `percent` % of the paper's pod counts.
+pub fn run(percent: usize) {
     println!("Fig 9 — Pod creation throughput (pods/s)");
     println!("paper: VC ~21% below baseline at fixed pods; baseline declines with pod count (max degradation ~34%)");
 
     heading("Fig 9(a): fixed pods, varying tenants");
-    let pods_a = scaled(10_000);
+    let pods_a = scaled(10_000, percent);
     println!("  total pods = {pods_a}");
     println!("  {:<10} {:>12} {:>12} {:>14}", "tenants", "baseline", "vc", "degradation");
     for tenants in [25usize, 50, 100] {
@@ -55,7 +56,7 @@ fn main() {
     let mut baseline_series = Vec::new();
     let mut vc_series = Vec::new();
     for pods in [1_250usize, 2_500, 5_000, 10_000] {
-        let pods = scaled(pods);
+        let pods = scaled(pods, percent);
         let base = baseline_throughput(100, pods);
         let vc = vc_throughput(100, pods);
         let degradation = 100.0 * (base - vc) / base;

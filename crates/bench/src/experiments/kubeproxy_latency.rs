@@ -6,14 +6,14 @@
 //! latency per pod for the injection (gRPC + iptables update), ~300 ms to
 //! scan all thirty pods' rules in the periodic reconciliation.
 //!
-//! Run: `cargo run --release -p vc-bench --bin kubeproxy_latency`
+//! Run: `cargo run --release -p vc-bench -- kubeproxy_latency`
 
+use crate::report::{heading, paper_vs_measured};
 use std::sync::Arc;
 use std::time::Duration;
 use vc_api::pod::{Container, Pod, PodPhase};
 use vc_api::service::{Service, ServicePort};
 use vc_apiserver::{ApiServer, ApiServerConfig};
-use vc_bench::report::{heading, paper_vs_measured};
 use vc_client::Client;
 use vc_controllers::util::wait_until;
 use vc_dataplane::enhanced::{self, EnhancedKubeProxyConfig};
@@ -23,7 +23,8 @@ use vc_runtime::{KataConfig, KataRuntime};
 const SERVICES: usize = 100;
 const PODS: usize = 30;
 
-fn main() {
+/// Runs the §IV-E measurement.
+pub fn run() {
     println!("§IV-E — enhanced kubeproxy: {SERVICES} services, {PODS} kata pods on one node");
 
     let server = ApiServer::new(ApiServerConfig::default(), vc_api::time::RealClock::shared());

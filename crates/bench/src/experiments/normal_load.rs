@@ -8,15 +8,13 @@
 //! through the baseline (direct super-cluster) path, compare mean
 //! creation→ready latency; the difference is the syncer's added delay.
 //!
-//! Run: `cargo run --release -p vc-bench --bin normal_load`
+//! Run: `cargo run --release -p vc-bench -- normal_load`
 
+use crate::calibration::{paper_framework, paper_super_cluster};
+use crate::load::{print_robustness, ready_latencies_ms, stress_pod};
+use crate::report::{dump_metrics_json, heading, mean, paper_vs_measured};
 use std::sync::Arc;
 use std::time::Duration;
-use vc_api::object::ResourceKind;
-use vc_api::pod::PodConditionType;
-use vc_bench::calibration::{paper_framework, paper_super_cluster};
-use vc_bench::load::{robustness_counters, stress_pod};
-use vc_bench::report::{dump_metrics_json, heading, mean, paper_vs_measured, print_robustness};
 use vc_client::Client;
 use vc_controllers::util::wait_until;
 use vc_core::framework::Framework;
@@ -24,32 +22,19 @@ use vc_core::framework::Framework;
 const PODS: usize = 100;
 const RATE_PER_SEC: u64 = 20;
 
-fn collect_latencies(client: &Client) -> Vec<u64> {
-    let (pods, _) = client.list(ResourceKind::Pod, Some("default")).unwrap();
-    pods.iter()
-        .filter_map(|obj| {
-            let pod = obj.as_pod()?;
-            let ready = pod.status.condition(PodConditionType::Ready)?;
-            ready
-                .status
-                .then(|| ready.last_transition.duration_since(pod.meta.creation_timestamp))
-                .map(|d| d.as_millis() as u64)
-        })
-        .collect()
-}
-
 fn drive(client: &Client) -> Vec<u64> {
     for i in 0..PODS {
         client.create(stress_pod("default", &format!("n{i}")).into()).unwrap();
         std::thread::sleep(Duration::from_millis(1000 / RATE_PER_SEC));
     }
     assert!(wait_until(Duration::from_secs(60), Duration::from_millis(100), || {
-        collect_latencies(client).len() >= PODS
+        ready_latencies_ms(client).len() >= PODS
     }));
-    collect_latencies(client)
+    ready_latencies_ms(client)
 }
 
-fn main() {
+/// Runs the normal-load comparison.
+pub fn run() {
     println!("normal load — {RATE_PER_SEC} pod creations/s, {PODS} pods");
 
     heading("baseline: direct to super cluster");
@@ -60,11 +45,11 @@ fn main() {
     cluster.shutdown();
 
     heading("VirtualCluster: through one tenant control plane");
-    let fw = Framework::start(paper_framework(100, 20, 100, true));
+    let fw = Framework::start(paper_framework(20, true));
     fw.create_tenant("tenant-1").expect("tenant");
     let vc = drive(&fw.tenant_client("tenant-1", "normal-load"));
     println!("  mean latency: {:.1}ms", mean(&vc));
-    print_robustness(&robustness_counters(&fw));
+    print_robustness(&fw);
 
     heading("result");
     let added = mean(&vc) - mean(&baseline);

@@ -21,15 +21,15 @@
 //! appends per fsync under group commit at 8 writers; `> 1` means
 //! concurrent writers share fsyncs.
 //!
-//! Run: `cargo run --release -p vc-bench --bin store_durability`
+//! Run: `cargo run --release -p vc-bench -- store_durability`
 
+use crate::report::{dump_metrics_json, heading, percentile};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vc_api::object::Object;
 use vc_api::pod::Pod;
 use vc_api::time::RealClock;
-use vc_bench::report::{dump_metrics_json, heading, percentile};
 use vc_obs::MetricsRegistry;
 use vc_store::{DurabilityConfig, FlushPolicy, Store, StoreConfig};
 
@@ -189,7 +189,8 @@ fn record(registry: &MetricsRegistry, r: &ModeResult) {
     }
 }
 
-fn main() {
+/// Runs the three flush policies and dumps the gate ratio.
+pub fn run() {
     println!(
         "store durability — {THREADS} writer threads x {OPS_PER_THREAD} commits, async flush \
          window {}ms",

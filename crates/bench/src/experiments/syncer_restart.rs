@@ -6,21 +6,22 @@
 //! a super-cluster apiserver restart triggers one list per tenant — the
 //! relist flood the centralized design avoids (one list total).
 //!
-//! Run: `cargo run --release -p vc-bench --bin syncer_restart`
+//! Run: `cargo run --release -p vc-bench -- syncer_restart`
 
+use crate::calibration::{paper_framework, paper_syncer, scaled};
+use crate::load::{provision_tenants, run_vc_burst};
+use crate::report::{heading, paper_vs_measured};
 use std::time::Instant;
-use vc_bench::calibration::{paper_framework, paper_syncer, scaled};
-use vc_bench::load::{provision_tenants, run_vc_burst};
-use vc_bench::report::{heading, paper_vs_measured};
 use vc_core::framework::Framework;
 use vc_core::syncer::Syncer;
 
-fn main() {
+/// Runs the §IV-C restart at `percent` % of the paper's pod count.
+pub fn run(percent: usize) {
     let tenants = 100;
-    let pods = scaled(10_000);
+    let pods = scaled(10_000, percent);
     println!("§IV-C — syncer restart with {tenants} tenants / {pods} pods");
 
-    let fw = Framework::start(paper_framework(100, 20, 100, true));
+    let fw = Framework::start(paper_framework(20, true));
     let names = provision_tenants(&fw, tenants);
     let result = run_vc_burst(&fw, &names, pods);
     println!("populated: {} pods in {:.1}s", result.pods, result.wall.as_secs_f64());
@@ -30,7 +31,7 @@ fn main() {
     let start = Instant::now();
     let fresh = Syncer::start(
         fw.super_cluster.system_client("vc-syncer-restarted"),
-        paper_syncer(20, 100, true),
+        paper_syncer(20, true),
     );
     for tenant in fw.registry.list() {
         fresh.register_tenant(tenant);

@@ -3,20 +3,19 @@
 //! victims' sync p99 moved and how completely the admission policy kept
 //! the hostile objects out of the super cluster.
 //!
-//! ```text
-//! cargo run --release -p vc-bench --bin vc_abuse
-//! VC_ABUSE_VICTIMS=2 VC_ABUSE_PODS=8 cargo run --release -p vc-bench --bin vc_abuse
-//! ```
+//! Run: `cargo run --release -p vc-bench -- vc_abuse` (CI's reduced rung:
+//! `-- ci vc_abuse`).
 //!
 //! With `VC_BENCH_JSON_DIR` set, dumps `BENCH_vc_abuse_metrics.json` for
 //! `bench_gate` (`abuse_p99_headroom` and `admission_reject_rate` floors).
 
-use vc_bench::abuse::{record_abuse_metrics, run_abuse_campaign, AbuseConfig};
-use vc_bench::report::dump_metrics_json;
+use crate::abuse::{record_abuse_metrics, run_abuse_campaign, AbuseConfig};
+use crate::report::dump_metrics_json;
 use vc_obs::MetricsRegistry;
 
-fn main() {
-    let cfg = AbuseConfig::from_env();
+/// Runs one abuse campaign of `cfg`, dumps its artifact and asserts the
+/// two gate floors.
+pub fn run(cfg: &AbuseConfig) {
     println!(
         "abuse-containment campaign — {} victims x {} pods, {} watchers, {} flooders, \
          {} hostile objects, p99 target {}ms",
@@ -28,7 +27,7 @@ fn main() {
         cfg.target_p99_ms,
     );
 
-    let point = run_abuse_campaign(&cfg);
+    let point = run_abuse_campaign(cfg);
 
     println!("\nresults");
     println!(

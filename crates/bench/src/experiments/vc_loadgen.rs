@@ -24,18 +24,15 @@
 //! and `bytes_per_op` — the JSON÷vcbin bytes-per-op ratio, whose floor
 //! of 4.0x enforces the "binary ships ≤¼ the bytes" contract).
 //!
-//! Env knobs: `VC_LOADGEN_THREADS`, `VC_LOADGEN_OPS`,
-//! `VC_LOADGEN_SEED_PODS`, `VC_LOADGEN_WATCHERS`, `VC_LOADGEN_EVENTS`,
-//! `VC_LOADGEN_TARGET_P99_MS`.
-//!
-//! Run: `cargo run --release -p vc-bench --bin vc_loadgen`
+//! Run: `cargo run --release -p vc-bench -- vc_loadgen` (CI's reduced
+//! rung: `-- ci vc_loadgen`).
 
-use vc_api::object::ResourceKind;
-use vc_apiserver::ApiServer;
-use vc_bench::report::{dump_metrics_json, heading};
-use vc_bench::wire_load::{
+use crate::report::{dump_metrics_json, heading};
+use crate::wire_load::{
     fanout_campaign, seed_namespaces, unary_campaign, FanoutResult, LoadgenConfig, UnaryResult,
 };
+use vc_api::object::ResourceKind;
+use vc_apiserver::ApiServer;
 use vc_client::{Client, Encoding, ObjectApi};
 use vc_obs::MetricsRegistry;
 use vc_wire::{WireClient, WireServer, WireServerConfig};
@@ -59,8 +56,9 @@ fn print_fanout(label: &str, r: &FanoutResult) {
     );
 }
 
-fn main() {
-    let cfg = LoadgenConfig::from_env();
+/// Runs the in-process, wire/json and wire/vcbin campaigns of `cfg` and
+/// dumps their artifact.
+pub fn run(cfg: &LoadgenConfig) {
     heading("vc_loadgen: wire protocol throughput campaign");
     println!(
         "  {} threads x {} ops, {} watchers x {} events",
@@ -70,9 +68,9 @@ fn main() {
     // ---- in-process ----
     heading("unary: mixed CRUD workload");
     let inproc_api = ApiServer::new_default("loadgen-inproc");
-    seed_namespaces(&cfg, &Client::with_limits(inproc_api.clone(), "seeder", QPS, BURST));
+    seed_namespaces(cfg, &Client::with_limits(inproc_api.clone(), "seeder", QPS, BURST));
     let inproc_server = inproc_api.clone();
-    let inproc_unary = unary_campaign(&cfg, &move |t| {
+    let inproc_unary = unary_campaign(cfg, &move |t| {
         Box::new(Client::with_limits(inproc_server.clone(), format!("tenant-{t}"), QPS, BURST))
     });
     print_unary("in-process", &inproc_unary);
@@ -84,12 +82,12 @@ fn main() {
             WireServer::start(api, WireServerConfig::default()).expect("bind loadgen wire server");
         let addr = server.local_addr().to_string();
         seed_namespaces(
-            &cfg,
+            cfg,
             &WireClient::with_limits(addr.clone(), "seeder", QPS, BURST).with_codec(codec),
         );
         let bytes_before = server.metrics().bytes_out.get() + server.metrics().bytes_in.get();
         let reqs_before = server.metrics().requests.get();
-        let unary = unary_campaign(&cfg, &move |t| {
+        let unary = unary_campaign(cfg, &move |t| {
             Box::new(
                 WireClient::with_limits(addr.clone(), format!("tenant-{t}"), QPS, BURST)
                     .with_codec(codec),
@@ -119,7 +117,7 @@ fn main() {
     heading("watch fan-out: create -> delivery latency");
     let inproc_writer = Client::with_limits(inproc_api.clone(), "writer", QPS, BURST);
     let inproc_server = inproc_api;
-    let inproc_fanout = fanout_campaign(&cfg, "fanout-inproc", &inproc_writer, &move |w, rev| {
+    let inproc_fanout = fanout_campaign(cfg, "fanout-inproc", &inproc_writer, &move |w, rev| {
         Client::with_limits(inproc_server.clone(), format!("watcher-{w}"), QPS, BURST)
             .watch(ResourceKind::Pod, Some("fanout-inproc"), rev)
             .map(|s| Box::new(s) as Box<dyn vc_client::WatchHandle>)
@@ -129,7 +127,7 @@ fn main() {
 
     let wire_writer = WireClient::with_limits(addr.clone(), "writer", QPS, BURST);
     let watch_addr = addr;
-    let wire_fanout = fanout_campaign(&cfg, "fanout-wire", &wire_writer, &move |w, rev| {
+    let wire_fanout = fanout_campaign(cfg, "fanout-wire", &wire_writer, &move |w, rev| {
         WireClient::with_limits(watch_addr.clone(), format!("watcher-{w}"), QPS, BURST)
             .watch(ResourceKind::Pod, Some("fanout-wire"), rev)
             .expect("wire watch")
@@ -170,16 +168,14 @@ fn main() {
         "Unary campaign results by transport (rate in req/s, latency us).",
         &["transport", "stat"],
     );
-    unary.with(&["inproc", "rate"]).set(inproc_unary.rate as i64);
-    unary.with(&["inproc", "p50_us"]).set(inproc_unary.p50_us as i64);
-    unary.with(&["inproc", "p99_us"]).set(inproc_unary.p99_us as i64);
-    unary.with(&["wire_json", "rate"]).set(wire_unary.rate as i64);
-    unary.with(&["wire_json", "p50_us"]).set(wire_unary.p50_us as i64);
-    unary.with(&["wire_json", "p99_us"]).set(wire_unary.p99_us as i64);
+    for (transport, r) in
+        [("inproc", &inproc_unary), ("wire_json", &wire_unary), ("wire_vcbin", &vcbin_unary)]
+    {
+        unary.with(&[transport, "rate"]).set(r.rate as i64);
+        unary.with(&[transport, "p50_us"]).set(r.p50_us as i64);
+        unary.with(&[transport, "p99_us"]).set(r.p99_us as i64);
+    }
     unary.with(&["wire_json", "bytes_per_op"]).set(json_bytes_per_op as i64);
-    unary.with(&["wire_vcbin", "rate"]).set(vcbin_unary.rate as i64);
-    unary.with(&["wire_vcbin", "p50_us"]).set(vcbin_unary.p50_us as i64);
-    unary.with(&["wire_vcbin", "p99_us"]).set(vcbin_unary.p99_us as i64);
     unary.with(&["wire_vcbin", "bytes_per_op"]).set(vcbin_bytes_per_op as i64);
     let fanout = gauge(
         "vc_loadgen_fanout",

@@ -94,33 +94,23 @@ pub fn run_vc_burst(fw: &Framework, tenants: &[String], total: usize) -> LoadRes
     let clients: Vec<Client> =
         tenants.iter().map(|t| fw.tenant_client(t, "load-observer")).collect();
     let done = wait_until(deadline_for(total), Duration::from_millis(200), || {
-        ready_count_vc(&clients) >= total
+        ready_pods(&clients) >= total
     });
     let wall = start.elapsed();
     assert!(
         done,
         "VC burst did not finish: {}/{} ready, downward={}, upward={}",
-        ready_count_vc(&clients),
+        ready_pods(&clients),
         total,
         fw.syncer.downward_len(),
         fw.syncer.upward_len()
     );
-
-    let mut latencies_ms = Vec::with_capacity(total);
-    for client in &clients {
-        let (pods, _) = client.list(ResourceKind::Pod, Some("default")).expect("list pods");
-        for obj in pods {
-            if let Some(pod) = obj.as_pod() {
-                if let Some(ms) = pod_latency_ms(pod) {
-                    latencies_ms.push(ms);
-                }
-            }
-        }
-    }
+    let latencies_ms = clients.iter().flat_map(ready_latencies_ms).collect();
     LoadResult { latencies_ms, wall, pods: total }
 }
 
-fn ready_count_vc(clients: &[Client]) -> usize {
+/// Pods Ready in the `default` namespace across `clients`.
+pub fn ready_pods(clients: &[Client]) -> usize {
     clients
         .iter()
         .map(|c| {
@@ -133,6 +123,17 @@ fn ready_count_vc(clients: &[Client]) -> usize {
         .sum()
 }
 
+/// The creation→Ready time in milliseconds of every Ready pod in the
+/// `default` namespace of `client`.
+///
+/// # Panics
+///
+/// Panics when the list fails.
+pub fn ready_latencies_ms(client: &Client) -> Vec<u64> {
+    let (pods, _) = client.list(ResourceKind::Pod, Some("default")).expect("list pods");
+    pods.iter().filter_map(|obj| obj.as_pod().and_then(pod_latency_ms)).collect()
+}
+
 /// Runs a baseline burst: `threads` generator threads create `total_pods`
 /// directly in the super cluster (the paper's baseline configuration).
 ///
@@ -141,13 +142,10 @@ fn ready_count_vc(clients: &[Client]) -> usize {
 /// Panics when the burst does not complete before the deadline.
 pub fn run_baseline_burst(cluster: &Arc<Cluster>, total_pods: usize, threads: usize) -> LoadResult {
     let start = Instant::now();
-    let per_thread = total_pods / threads;
-    let remainder = total_pods % threads;
-
     std::thread::scope(|scope| {
         for t in 0..threads {
             let client = cluster.client(format!("load-generator-{t}"));
-            let count = per_thread + usize::from(t < remainder);
+            let count = burst_share(total_pods, threads, t);
             scope.spawn(move || {
                 for i in 0..count {
                     client
@@ -158,48 +156,30 @@ pub fn run_baseline_burst(cluster: &Arc<Cluster>, total_pods: usize, threads: us
         }
     });
 
-    let observer = cluster.client("load-observer");
+    let observer = [cluster.client("load-observer")];
     let done = wait_until(deadline_for(total_pods), Duration::from_millis(200), || {
-        ready_count_baseline(&observer) >= total_pods
+        ready_pods(&observer) >= total_pods
     });
     let wall = start.elapsed();
-    assert!(
-        done,
-        "baseline burst did not finish: {}/{} ready",
-        ready_count_baseline(&observer),
-        total_pods
-    );
-
-    let (pods, _) = observer.list(ResourceKind::Pod, Some("default")).expect("list pods");
-    let latencies_ms =
-        pods.iter().filter_map(|obj| obj.as_pod().and_then(pod_latency_ms)).collect();
-    LoadResult { latencies_ms, wall, pods: total_pods }
+    assert!(done, "baseline burst did not finish: {}/{} ready", ready_pods(&observer), total_pods);
+    LoadResult { latencies_ms: ready_latencies_ms(&observer[0]), wall, pods: total_pods }
 }
 
-fn ready_count_baseline(client: &Client) -> usize {
-    client
-        .list(ResourceKind::Pod, Some("default"))
-        .map(|(pods, _)| {
-            pods.iter().filter(|p| p.as_pod().is_some_and(|p| p.status.is_ready())).count()
-        })
-        .unwrap_or(0)
-}
-
-/// Snapshots the syncer's robustness counters (retry pipeline + breakers)
-/// for reporting alongside latency results. Taken from one coherent
+/// Prints the syncer's robustness counters after a run (retry pipeline,
+/// dead letters, per-tenant circuit breakers), read from one coherent
 /// [`SyncerMetrics::snapshot`](vc_core::syncer::SyncerMetrics::snapshot)
-/// rather than field-by-field reads of the live atomics, so the reported
-/// row cannot tear across concurrently updating counters.
-pub fn robustness_counters(fw: &Framework) -> crate::report::RobustnessCounters {
+/// so the row cannot tear across concurrently updating counters.
+pub fn print_robustness(fw: &Framework) {
     let snap = fw.syncer.metrics.snapshot();
-    crate::report::RobustnessCounters {
-        retries: snap.retries,
-        retry_exhausted: snap.retry_exhausted,
-        dead_letters: snap.dead_letter_len.max(0) as u64,
-        breaker_trips: snap.breaker_trips,
-        breaker_recoveries: snap.breaker_recoveries,
-        injected_failures: 0,
-    }
+    println!(
+        "  robustness: retries={} exhausted={} dead_letters={} breaker_trips={} \
+         breaker_recoveries={}",
+        snap.retries,
+        snap.retry_exhausted,
+        snap.dead_letter_len.max(0),
+        snap.breaker_trips,
+        snap.breaker_recoveries,
+    );
 }
 
 /// Provisions `count` tenants named `tenant-1..count` and returns their

@@ -65,38 +65,6 @@ pub fn print_summary(label: &str, samples: &[u64]) {
     );
 }
 
-/// Snapshot of the syncer's robustness counters after a run (retry
-/// pipeline, dead letters, per-tenant circuit breakers, injected faults).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RobustnessCounters {
-    /// Downward items re-queued with backoff.
-    pub retries: u64,
-    /// Items that exhausted their retry budget.
-    pub retry_exhausted: u64,
-    /// Items currently parked in the dead-letter set.
-    pub dead_letters: u64,
-    /// Circuit-breaker trips (tenant marked Degraded).
-    pub breaker_trips: u64,
-    /// Circuit-breaker recoveries (half-open probe succeeded).
-    pub breaker_recoveries: u64,
-    /// Requests failed by an armed fault injector, if any.
-    pub injected_failures: u64,
-}
-
-/// Prints the robustness counter line for a run.
-pub fn print_robustness(c: &RobustnessCounters) {
-    println!(
-        "  robustness: retries={} exhausted={} dead_letters={} breaker_trips={} \
-         breaker_recoveries={} injected_failures={}",
-        c.retries,
-        c.retry_exhausted,
-        c.dead_letters,
-        c.breaker_trips,
-        c.breaker_recoveries,
-        c.injected_failures,
-    );
-}
-
 /// Prints a paper-vs-measured comparison row.
 pub fn paper_vs_measured(metric: &str, paper: &str, measured: &str) {
     println!("  {metric:<42} paper: {paper:<18} measured: {measured}");
@@ -109,7 +77,7 @@ pub fn heading(title: &str) {
 
 /// A bench run's machine-readable metrics report: the bench label plus a
 /// full [`RegistrySnapshot`] of the unified metrics registry.
-/// Deserializable so the `bench_gate` binary can read the artifacts back
+/// Deserializable so `bench_gate` can read the artifacts back
 /// and compare them against the committed baseline.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct MetricsReport {
@@ -124,10 +92,10 @@ pub struct MetricsReport {
 /// A no-op returning `None` when `VC_BENCH_JSON_DIR` is unset (normal
 /// interactive runs) or the write fails (reports never fail a bench).
 pub fn dump_metrics_json(label: &str, registry: &MetricsRegistry) -> Option<std::path::PathBuf> {
-    let dir = std::env::var_os("VC_BENCH_JSON_DIR")?;
+    let dir = crate::env::json_dir()?;
     let report = MetricsReport { bench: label.to_string(), registry: registry.snapshot() };
     let json = serde_json::to_string_pretty(&report).ok()?;
-    let path = std::path::Path::new(&dir).join(format!("BENCH_{label}_metrics.json"));
+    let path = dir.join(format!("BENCH_{label}_metrics.json"));
     if std::fs::create_dir_all(&dir).is_err() || std::fs::write(&path, json).is_err() {
         return None;
     }

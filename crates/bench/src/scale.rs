@@ -45,7 +45,7 @@ use vc_core::syncer::SyncerConfig;
 use vc_core::vc_object::{VirtualCluster, VirtualClusterSpec};
 use vc_obs::MetricsRegistry;
 
-use crate::load::stress_pod;
+use crate::load::{ready_pods, stress_pod};
 use crate::report::percentile;
 
 /// Annotation bumped by the rolling-update wave.
@@ -54,43 +54,35 @@ const REVISION_ANNOTATION: &str = "scale.virtualcluster.dev/revision";
 /// Generator threads used for create/update/delete waves.
 const WAVE_WORKERS: usize = 32;
 
-/// Knobs for one density campaign. Every field has a `VC_SCALE_*`
-/// environment override so CI can run a reduced campaign and a developer
-/// can push past the defaults without recompiling.
+/// Sizes of one density campaign: the defaults, or the `vc_scale` row of
+/// CI's reduced rung ([`crate::experiments::CI`]). `vc_scale` sets
+/// `tenants` per rung of its ladder.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
-    /// Tenant control planes to onboard (`VC_SCALE_TENANTS`, default 1000).
+    /// Tenant control planes to onboard (default 1000).
     pub tenants: usize,
-    /// Pods each tenant deploys per churn round (`VC_SCALE_PODS`,
-    /// default 2).
+    /// Pods each tenant deploys per churn round (default 2).
     pub pods_per_tenant: usize,
-    /// Churn rounds (`VC_SCALE_ROUNDS`, default 2).
+    /// Churn rounds (default 2).
     pub churn_rounds: usize,
-    /// Tenants onboarded + torn down per churn round
-    /// (`VC_SCALE_CHURN`, default 25).
+    /// Tenants onboarded + torn down per churn round (default 25).
     pub churn_tenants: usize,
     /// Simulated maintenance window in minutes crossed with
-    /// [`SimClock::advance`] (`VC_SCALE_SIM_MINUTES`, default 60).
+    /// [`SimClock::advance`] (default 60).
     pub sim_minutes: u64,
     /// Per-tenant p99 sync-latency target in milliseconds; the
-    /// `p99_headroom` gate ratio is `target / worst` (`VC_SCALE_TARGET_P99_MS`,
-    /// default 500).
+    /// `p99_headroom` gate ratio is `target / worst` (default 500).
     pub target_p99_ms: u64,
-    /// Mock super-cluster nodes (`VC_SCALE_NODES`, default 20).
+    /// Mock super-cluster nodes (default 20).
     pub mock_nodes: u32,
     /// Operator reconcile workers provisioning tenants concurrently
-    /// (`VC_SCALE_ONBOARD_WORKERS`, default 4; set 1 to measure the old
-    /// serial onboarding path).
+    /// (default 4).
     pub onboard_workers: usize,
     /// Sync every default downward kind instead of pods and namespaces
     /// only (`VC_SCALE_ALL_KINDS=1`): ten syncer informers per tenant
     /// instead of two, which is what a tenant costs under
     /// `SyncerConfig::default()`.
     pub all_kinds: bool,
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 impl Default for ScaleConfig {
@@ -105,24 +97,6 @@ impl Default for ScaleConfig {
             mock_nodes: 20,
             onboard_workers: 4,
             all_kinds: false,
-        }
-    }
-}
-
-impl ScaleConfig {
-    /// Defaults with `VC_SCALE_*` environment overrides applied.
-    pub fn from_env() -> Self {
-        let d = ScaleConfig::default();
-        ScaleConfig {
-            tenants: env_parse("VC_SCALE_TENANTS", d.tenants),
-            pods_per_tenant: env_parse("VC_SCALE_PODS", d.pods_per_tenant),
-            churn_rounds: env_parse("VC_SCALE_ROUNDS", d.churn_rounds),
-            churn_tenants: env_parse("VC_SCALE_CHURN", d.churn_tenants),
-            sim_minutes: env_parse("VC_SCALE_SIM_MINUTES", d.sim_minutes),
-            target_p99_ms: env_parse("VC_SCALE_TARGET_P99_MS", d.target_p99_ms),
-            mock_nodes: env_parse("VC_SCALE_NODES", d.mock_nodes),
-            onboard_workers: env_parse("VC_SCALE_ONBOARD_WORKERS", d.onboard_workers),
-            all_kinds: env_parse("VC_SCALE_ALL_KINDS", u8::from(d.all_kinds)) != 0,
         }
     }
 }
@@ -273,19 +247,6 @@ fn wave<F: Fn(&str) + Sync>(names: &[String], f: F) {
             });
         }
     });
-}
-
-fn ready_pods(clients: &[Client]) -> usize {
-    clients
-        .iter()
-        .map(|c| {
-            c.list(ResourceKind::Pod, Some("default"))
-                .map(|(pods, _)| {
-                    pods.iter().filter(|p| p.as_pod().is_some_and(|p| p.status.is_ready())).count()
-                })
-                .unwrap_or(0)
-        })
-        .sum()
 }
 
 /// Creates `count` VC objects named `{stem}-{i}` in one wave and waits
@@ -544,7 +505,7 @@ pub fn record_density_metrics(registry: &MetricsRegistry, cfg: &ScaleConfig, p: 
     improvement.with(&["p99_headroom"]).set((p.p99_headroom(cfg.target_p99_ms) * 10.0) as i64);
 }
 
-/// Prints the density-table header the `vc_scale` bin emits.
+/// Prints the density-table header `vc_scale` emits.
 pub fn print_density_header() {
     println!(
         "  {:>7} {:>9} {:>11} {:>10} {:>10} {:>9} {:>9} {:>10} {:>9}",

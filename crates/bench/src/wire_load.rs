@@ -1,4 +1,4 @@
-//! Wire-vs-in-process load generation for the `vc_loadgen` bin.
+//! Wire-vs-in-process load generation for `vc_loadgen`.
 //!
 //! Both campaigns run against `dyn ObjectApi`, so the *same* workload
 //! drives the in-process client (shared-memory `Arc` handoff) and the
@@ -14,7 +14,8 @@ use vc_api::object::ResourceKind;
 use vc_api::pod::Pod;
 use vc_client::ObjectApi;
 
-/// Loadgen campaign shape, env-tunable for the CI smoke rung.
+/// Loadgen campaign shape: the defaults, or the `vc_loadgen` row of CI's
+/// reduced rung ([`crate::experiments::CI`]).
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
     /// Concurrent unary client threads.
@@ -45,24 +46,6 @@ impl Default for LoadgenConfig {
 }
 
 impl LoadgenConfig {
-    /// Reads `VC_LOADGEN_*` overrides (`THREADS`, `OPS`, `SEED_PODS`,
-    /// `WATCHERS`, `EVENTS`, `TARGET_P99_MS`) on top of the defaults.
-    pub fn from_env() -> Self {
-        fn env(name: &str, default: usize) -> usize {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-        }
-        let d = LoadgenConfig::default();
-        LoadgenConfig {
-            threads: env("VC_LOADGEN_THREADS", d.threads).max(1),
-            ops_per_thread: env("VC_LOADGEN_OPS", d.ops_per_thread).max(1),
-            seed_pods: env("VC_LOADGEN_SEED_PODS", d.seed_pods).max(1),
-            watchers: env("VC_LOADGEN_WATCHERS", d.watchers).max(1),
-            events: env("VC_LOADGEN_EVENTS", d.events).max(1),
-            target_fanout_p99_ms: env("VC_LOADGEN_TARGET_P99_MS", d.target_fanout_p99_ms as usize)
-                as u64,
-        }
-    }
-
     /// Namespace owned by unary thread `t` (shared with the seeder).
     pub fn ns(t: usize) -> String {
         format!("loadgen-{t}")

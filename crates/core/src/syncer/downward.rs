@@ -85,15 +85,9 @@ fn custom_object_synced(tenant: &TenantState, obj: &Object) -> bool {
             if crd.kind == custom.kind && crd.sync_to_super)
     };
     // The tenant must have a CRD of this kind marked for sync. Served
-    // from the tenant's CRD informer cache; the LIST against the tenant
-    // apiserver is a fallback for tenants registered without one.
-    if let Some(informer) = tenant.informers.get(&ResourceKind::CustomResourceDefinition) {
-        return informer.cache().list().iter().any(|c| crd_opted_in(c));
-    }
-    match tenant.client.list(ResourceKind::CustomResourceDefinition, None) {
-        Ok((crds, _)) => crds.iter().any(|c| crd_opted_in(c)),
-        Err(_) => false,
-    }
+    // from the tenant's CRD informer cache, which `register_tenant` starts
+    // whenever custom objects are a downward kind.
+    tenant.cache(ResourceKind::CustomResourceDefinition).list().iter().any(|c| crd_opted_in(c))
 }
 
 fn ensure_in_super(syncer: &Syncer, tenant: &TenantState, item: &WorkItem, tenant_obj: &Object) {

@@ -193,7 +193,7 @@ pub struct TenantState {
 
 impl TenantState {
     /// The tenant-side cache for `kind` (must be a configured downward
-    /// kind).
+    /// kind, or the CRD kind when custom objects are one).
     pub fn cache(&self, kind: ResourceKind) -> &Arc<vc_client::Cache> {
         self.informers.get(&kind).map(|i| i.cache()).expect("downward kind informer")
     }

@@ -6,7 +6,7 @@
 //! type gets the binary path for free: [`encode`] is a `serde::Sink` that
 //! writes tags straight into the output buffer as the type walks its
 //! fields, and [`decode`] is a `serde::Source` the type pulls its fields
-//! from, so neither side builds a [`Value`] tree. A decode is equivalent to
+//! from, so neither side builds a [`Value`](serde::Value) tree. A decode is equivalent to
 //! a decode of the JSON text (the proptest suite in
 //! `tests/codec_roundtrip.rs` holds the two codecs to that contract, and
 //! pins literal bytes).
@@ -63,7 +63,7 @@
 //! `Some("")` can never round-trip to `None`. Maps (labels, annotations)
 //! keep every entry: their keys are information, not schema. A
 //! default-heavy object shrinks to the fields that actually say
-//! something. A [`Value`] holds no structs, so [`encode_value`] is exact.
+//! something. A [`Value`](serde::Value) holds no structs, so encoding one is exact.
 //!
 //! # Frame layout
 //!
@@ -87,7 +87,7 @@
 //! `content-type`. Anything else means JSON, so existing clients keep
 //! working unchanged.
 
-use serde::{Deserialize, Serialize, Sink, Source, Token, TokenOf, Value};
+use serde::{Deserialize, Serialize, Sink, Source, Token, TokenOf};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use vc_api::error::ApiError;
@@ -732,12 +732,6 @@ pub fn encode<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
     value.serialize(&mut Writer { out, dict: Interner::default() });
 }
 
-/// Appends the encoding of a raw value tree: exact, since a [`Value`] has
-/// no struct fields to drop.
-pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    encode(value, out);
-}
-
 /// Decodes one value occupying the whole of `buf` into any deserializable
 /// type.
 ///
@@ -752,15 +746,6 @@ pub fn decode<T: Deserialize>(buf: &[u8]) -> Result<T, CodecError> {
     // growing the dictionary from 4 to 8 to 16.
     reader.dict.reserve(DICT_RESERVE);
     reader.finish()
-}
-
-/// Decodes one raw value tree occupying the whole of `buf`.
-///
-/// # Errors
-///
-/// As [`decode`].
-pub fn decode_value(buf: &[u8]) -> Result<Value, CodecError> {
-    decode(buf)
 }
 
 /// Encodes any serializable `value` as a framed `vcbin` body of `kind`
@@ -949,13 +934,14 @@ fn read_events<'a, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use vc_api::object::Object;
     use vc_api::pod::Pod;
 
     fn roundtrip(v: &Value) -> Value {
         let mut out = Vec::new();
-        encode_value(v, &mut out);
-        decode_value(&out).expect("decode")
+        encode(v, &mut out);
+        decode::<Value>(&out).expect("decode")
     }
 
     #[test]
@@ -986,9 +972,9 @@ mod tests {
         let value = serde::to_value(&Object::from(pod));
         let many = Value::Array(vec![value.clone(); 16]);
         let mut one = Vec::new();
-        encode_value(&value, &mut one);
+        encode(&value, &mut one);
         let mut sixteen = Vec::new();
-        encode_value(&many, &mut sixteen);
+        encode(&many, &mut sixteen);
         // Items after the first reference the first item's strings, so 16
         // copies cost meaningfully less than 16x one copy.
         assert!(
@@ -1070,7 +1056,7 @@ mod tests {
     /// each must fail cleanly.
     fn assert_all_reject(payload: &[u8], what: &str) {
         let framed = |kind| [&[VCBIN_VERSION, kind][..], payload].concat();
-        assert!(decode_value(payload).is_err(), "decode_value: {what}");
+        assert!(decode::<Value>(payload).is_err(), "decode::<Value>: {what}");
         assert!(
             from_framed_slice::<Object>(FRAME_OBJECT, &framed(FRAME_OBJECT)).is_err(),
             "from_framed_slice: {what}"
@@ -1099,7 +1085,7 @@ mod tests {
         // An index past both the static table and the (empty) streaming
         // table is dangling.
         assert_all_reject(&[TAG_REF, 0xff, 0x7f], "dangling ref");
-        assert!(decode_value(&[TAG_REF, 0x05]).is_ok(), "static refs always resolve");
+        assert!(decode::<Value>(&[TAG_REF, 0x05]).is_ok(), "static refs always resolve");
         // `{"Pod": <dangling ref>}`: fails inside the typed walk too.
         let pod = static_index("Pod").unwrap() as u8;
         assert_all_reject(&[TAG_OBJ, 1, TAG_REF, pod, TAG_REF, 0xff, 0x7f], "dangling ref value");
@@ -1120,7 +1106,7 @@ mod tests {
         assert_all_reject(&[&[TAG_OBJ, 1, TAG_REF, pod][..], &deep].concat(), "deep field");
         // At the limit itself a raw value still decodes.
         let ok = [[TAG_ARR, 1].repeat(serde::MAX_DEPTH), vec![TAG_NULL]].concat();
-        assert!(decode_value(&ok).is_ok());
+        assert!(decode::<Value>(&ok).is_ok());
     }
 
     #[test]
@@ -1135,7 +1121,7 @@ mod tests {
     fn sparse_encoding_shrinks_and_roundtrips_typed() {
         let obj: Object = Pod::new("default", "mostly-empty").into();
         let mut exact = Vec::new();
-        encode_value(&serde::to_value(&obj), &mut exact);
+        encode(&serde::to_value(&obj), &mut exact);
         let mut sparse = Vec::new();
         encode(&obj, &mut sparse);
         // A default-heavy pod is mostly empty collections and nulls.
@@ -1154,9 +1140,9 @@ mod tests {
     #[test]
     fn schema_keys_cost_two_bytes_via_static_dictionary() {
         let mut out = Vec::new();
-        encode_value(&Value::String("resource_version".into()), &mut out);
+        encode(&Value::String("resource_version".into()), &mut out);
         assert_eq!(out.len(), 2, "static-table hit must be TAG_REF + one-byte index");
-        assert_eq!(decode_value(&out).unwrap(), Value::String("resource_version".into()));
+        assert_eq!(decode::<Value>(&out).unwrap(), Value::String("resource_version".into()));
     }
 
     #[test]

@@ -52,7 +52,8 @@ pub const DEFAULT_ENCODE_CACHE_BYTES: usize = 32 * 1024 * 1024;
 type Entry = [Option<Bytes>; 2];
 
 thread_local! {
-    /// The `vcbin` encoder's output on this thread, reused across misses.
+    /// The encoder's output on this thread, reused across misses of
+    /// either codec.
     static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -134,17 +135,14 @@ impl EncodeCache {
         // Serialize outside the lock: encoding a large object must not
         // stall every other reader. A racing encode of the same rv
         // produces identical bytes, so last-writer-wins is harmless.
-        let encoded = match encoding {
-            Encoding::Json => {
-                let text = serde_json::to_string(&**obj).expect("objects always serialize");
-                Bytes::copy_from_slice(text.as_bytes())
+        let encoded = SCRATCH.with_borrow_mut(|scratch| {
+            http::recycle(scratch);
+            match encoding {
+                Encoding::Json => serde::write_json_into(&**obj, scratch),
+                Encoding::Binary => codec::encode(&**obj, scratch),
             }
-            Encoding::Binary => SCRATCH.with_borrow_mut(|scratch| {
-                http::recycle(scratch);
-                codec::encode(&**obj, scratch);
-                Bytes::copy_from_slice(scratch)
-            }),
-        };
+            Bytes::copy_from_slice(scratch)
+        });
         if rv > 0 {
             let mut entries = self.entries.lock();
             let entry = entries.entry(rv).or_default();

@@ -384,8 +384,8 @@ proptest! {
     #[test]
     fn vcbin_value_roundtrip_is_identity(value in arb_value()) {
         let mut encoded = Vec::new();
-        codec::encode_value(&value, &mut encoded);
-        let decoded = codec::decode_value(&encoded).expect("decode");
+        codec::encode(&value, &mut encoded);
+        let decoded = codec::decode::<Value>(&encoded).expect("decode");
         prop_assert_eq!(&decoded, &value);
     }
 
@@ -394,11 +394,11 @@ proptest! {
     #[test]
     fn vcbin_truncation_never_panics(value in arb_value()) {
         let mut encoded = Vec::new();
-        codec::encode_value(&value, &mut encoded);
+        codec::encode(&value, &mut encoded);
         // Probe a spread of cut points (all of them on small buffers).
         let step = (encoded.len() / 16).max(1);
         for cut in (0..encoded.len()).step_by(step) {
-            prop_assert!(codec::decode_value(&encoded[..cut]).is_err());
+            prop_assert!(codec::decode::<Value>(&encoded[..cut]).is_err());
         }
     }
 
@@ -535,7 +535,7 @@ proptest! {
         for (i, (obj, rev)) in events.iter().enumerate() {
             let mut encoded = Vec::new();
             // The exact encoding of the object's tree decodes typed too.
-            codec::encode_value(&serde::to_value(obj), &mut encoded);
+            codec::encode(&serde::to_value(obj), &mut encoded);
             let tag = match i % 3 {
                 0 => codec::EVENT_ADDED,
                 1 => codec::EVENT_MODIFIED,

@@ -5,8 +5,9 @@
 //! it should cost little beyond that buffer. A client decodes each
 //! distinct item encoding once ([`DecodeCache`]), so a repeat of bytes it
 //! has decoded costs no object at all. A server encodes each object
-//! revision once ([`EncodeCache`]), into a buffer its thread reuses, so
-//! the cached bytes cost one allocation of their exact size.
+//! revision once ([`EncodeCache`]), in either codec, into a buffer its
+//! thread reuses, so the cached bytes cost one allocation of their exact
+//! size.
 //!
 //! The allocator counts only the calling thread's allocations, so tests
 //! running in parallel on other threads do not disturb a count.
@@ -210,4 +211,26 @@ fn an_encode_cache_miss_allocates_its_bytes_once() {
         allocs <= interning + misses + misses / 4,
         "{misses} misses made {allocs} allocations; their dictionaries alone {interning}"
     );
+}
+
+#[test]
+fn a_json_encode_cache_miss_allocates_its_bytes_once() {
+    // The same miss path as `vcbin`: the JSON text goes into the thread's
+    // reused buffer, then into one `Bytes` of its exact size.
+    let objects: Vec<Arc<Object>> = stored_pods().into_iter().map(Arc::new).collect();
+    let cache = EncodeCache::default();
+    // The first miss sizes this thread's encoder buffer.
+    cache.encode(&objects[2], Encoding::Json);
+    let (mut misses, mut allocs) = (0, 0);
+    for obj in objects.iter().filter(|o| !Arc::ptr_eq(o, &objects[2])) {
+        let (n, encoded) = allocations_during(|| cache.encode(obj, Encoding::Json));
+        assert_eq!(&encoded[..], serde_json::to_string(&**obj).expect("serializes").as_bytes());
+        allocs += n;
+        misses += 1;
+    }
+    assert_eq!(cache.misses.get(), 50);
+    // JSON text interns nothing: one allocation for each object's bytes,
+    // and the cache's map splitting a node every few inserts (measured:
+    // 56 for 49 misses; through a fresh `String` per miss it was 466).
+    assert!(allocs <= misses + misses / 4, "{misses} misses made {allocs} allocations");
 }
