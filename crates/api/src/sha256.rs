@@ -24,16 +24,23 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
         0x5be0cd19,
     ];
 
-    // Pad the message: 0x80, zeros, 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    // Whole blocks are compressed straight from the input; only the tail
+    // is copied, into a stack buffer that also takes the padding.
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut state, block);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
 
-    for block in msg.chunks_exact(64) {
+    // Pad the tail: 0x80, zeros, 64-bit big-endian bit length. That fits
+    // one block when the tail leaves 9 bytes free, else it takes two.
+    let tail = blocks.remainder();
+    let mut last = [0u8; 128];
+    last[..tail.len()].copy_from_slice(tail);
+    last[tail.len()] = 0x80;
+    let end = if tail.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    last[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+    for block in last[..end].chunks_exact(64) {
         compress(&mut state, block);
     }
 
@@ -113,6 +120,7 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // NIST FIPS 180-4 test vectors.
     #[test]
@@ -148,15 +156,47 @@ mod tests {
         );
     }
 
+    /// Reference padding: copy the message, push the padding onto the
+    /// copy, compress every block of it. `sha256`, which pads only the
+    /// tail on the stack, must hash every input the same.
+    fn copy_and_pad(data: &[u8]) -> [u8; 32] {
+        let mut state: [u32; 8] = [
+            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+            0x5be0cd19,
+        ];
+        let bit_len = (data.len() as u64).wrapping_mul(8);
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&bit_len.to_be_bytes());
+        for block in msg.chunks_exact(64) {
+            compress(&mut state, block);
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
     #[test]
     fn exact_block_boundary_lengths() {
-        // Lengths around the 55/56/64-byte padding boundaries must all work.
-        for len in [55usize, 56, 57, 63, 64, 65, 119, 120, 128] {
-            let data = vec![0x5au8; len];
-            let d = sha256(&data);
-            assert_eq!(d.len(), 32);
-            // Re-hashing is deterministic.
-            assert_eq!(d, sha256(&data));
+        // Every length to 200 covers the 55/56/63/64/119/120 boundaries:
+        // a tail padded in one block, in two, and an empty tail.
+        let data: Vec<u8> = (0..=200u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=200 {
+            assert_eq!(sha256(&data[..len]), copy_and_pad(&data[..len]), "length {len}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_stack_padding_matches_copy_and_pad(
+            data in collection::vec(0..=255u8, 0..1024)
+        ) {
+            prop_assert_eq!(sha256(&data), copy_and_pad(&data));
         }
     }
 

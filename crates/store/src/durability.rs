@@ -24,8 +24,8 @@
 //! later recovery never mistakes it for mid-log corruption.
 
 use crate::wal::{
-    self, decode_frame, encode_frame, EntryRef, Frame, StoreError, Wal, WalEntry, WalOp,
-    SNAP_MAGIC, WAL_MAGIC,
+    self, decode_frame, frame_into, EntryRef, Frame, StoreError, Wal, WalEntry, WalOp, SNAP_MAGIC,
+    WAL_MAGIC,
 };
 use serde::{Deserialize, Serialize, Sink};
 use std::fs::{self, File, OpenOptions};
@@ -233,13 +233,14 @@ impl Durability {
     }
 
     /// Allocates a revision and logs its record atomically (see
-    /// [`Wal::append_allocating`]), returning `(revision, ack offset)`.
+    /// [`Wal::append_allocating`]): `encode` appends the record's frame to
+    /// the batch it is handed. Returns `(revision, ack offset)`.
     /// Under [`FlushPolicy::Async`] the record that opens a batch arms the
     /// timer that flushes it, after the WAL lock is released.
     pub(crate) fn log_write(
         self: &Arc<Self>,
         alloc: impl FnOnce() -> u64,
-        encode: impl FnOnce(u64) -> Vec<u8>,
+        encode: impl FnOnce(u64, &mut Vec<u8>),
     ) -> Result<(u64, u64), StoreError> {
         let (revision, offset, opened) = self.wal.append_allocating(alloc, encode)?;
         if let (true, FlushPolicy::Async { window }) = (opened, self.config.flush) {
@@ -268,9 +269,10 @@ impl Durability {
         self.snapshot_lock.try_lock()
     }
 
-    /// Writes `data` as the new snapshot: frame-encode to `snapshot.tmp`,
-    /// fsync, rename over `snapshot.snap`, fsync the directory, then
-    /// retire every WAL segment older than the active one. `data` must be
+    /// Writes `data` as the new snapshot: frame each record into one reused
+    /// buffer and write it to `snapshot.tmp`, fsync, rename over
+    /// `snapshot.snap`, fsync the directory, then retire every WAL segment
+    /// older than the active one. `data` must be
     /// a consistent cut, the WAL must already be rotated past it, and the
     /// caller must hold the [`Durability::snapshot_guard`]
     /// (see [`crate::Store::snapshot_now`]).
@@ -281,9 +283,9 @@ impl Durability {
 
         let mut file = File::create(&tmp).map_err(|e| StoreError::io("create snapshot.tmp", e))?;
         file.write_all(SNAP_MAGIC).map_err(|e| StoreError::io("write snapshot magic", e))?;
+        let mut frame = Vec::new();
         let meta = SnapRecord::Meta { revision: data.revision, floors: data.floors.clone() };
-        file.write_all(&encode_snap_frame(&meta))
-            .map_err(|e| StoreError::io("write snapshot meta", e))?;
+        write_frame(&mut file, &mut frame, &meta, "write snapshot meta")?;
 
         let half = data.objects.len() / 2;
         for (i, object) in data.objects.iter().enumerate() {
@@ -297,13 +299,12 @@ impl Durability {
                     std::io::Error::other("injected crash: mid-snapshot"),
                 ));
             }
-            file.write_all(&encode_snap_frame(&SnapRecordRef::Object(object)))
-                .map_err(|e| StoreError::io("write snapshot object", e))?;
+            let record = SnapRecordRef::Object(object);
+            write_frame(&mut file, &mut frame, &record, "write snapshot object")?;
         }
         for (revision, op, object) in &data.events {
             let record = SnapRecordRef::Event(EntryRef { revision: *revision, op: *op, object });
-            file.write_all(&encode_snap_frame(&record))
-                .map_err(|e| StoreError::io("write snapshot event", e))?;
+            write_frame(&mut file, &mut frame, &record, "write snapshot event")?;
         }
         // An empty object section can't host the injected crash above;
         // still honor it so the chaos test works on tiny stores.
@@ -347,9 +348,17 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     File::open(dir).and_then(|d| d.sync_all()).map_err(|e| StoreError::io("fsync wal dir", e))
 }
 
-fn encode_snap_frame(record: &impl Serialize) -> Vec<u8> {
-    let payload = serde_json::to_string(record).expect("SnapRecord serializes");
-    encode_frame(payload.as_bytes())
+/// Frames `record` into `frame`, cleared first, and writes the frame to
+/// `file`.
+fn write_frame(
+    file: &mut File,
+    frame: &mut Vec<u8>,
+    record: &impl Serialize,
+    what: &str,
+) -> Result<(), StoreError> {
+    frame.clear();
+    frame_into(record, frame);
+    file.write_all(frame).map_err(|e| StoreError::io(what, e))
 }
 
 /// Lists `wal-<seq>.log` files in `dir`, sorted by sequence.

@@ -249,13 +249,12 @@ impl Store {
                         let (revision, offset) = d
                             .log_write(
                                 || self.next_revision(),
-                                |revision| {
+                                |revision, batch| {
                                     obj.meta_mut().resource_version = revision;
-                                    wal::encode_entry(&EntryRef {
-                                        revision,
-                                        op: WalOp::Insert,
-                                        object: &obj,
-                                    })
+                                    wal::frame_into(
+                                        &EntryRef { revision, op: WalOp::Insert, object: &obj },
+                                        batch,
+                                    )
                                 },
                             )
                             .map_err(wal_unavailable)?;
@@ -335,13 +334,12 @@ impl Store {
                         let (revision, offset) = d
                             .log_write(
                                 || self.next_revision(),
-                                |revision| {
+                                |revision, batch| {
                                     obj.meta_mut().resource_version = revision;
-                                    wal::encode_entry(&EntryRef {
-                                        revision,
-                                        op: WalOp::Update,
-                                        object: &obj,
-                                    })
+                                    wal::frame_into(
+                                        &EntryRef { revision, op: WalOp::Update, object: &obj },
+                                        batch,
+                                    )
                                 },
                             )
                             .map_err(wal_unavailable)?;
@@ -396,15 +394,14 @@ impl Store {
                         let (revision, offset) = d
                             .log_write(
                                 || self.next_revision(),
-                                |revision| {
+                                |revision, batch| {
                                     // A delete does not bump the object's
                                     // resource_version; the record carries
                                     // its last state for event replay.
-                                    wal::encode_entry(&EntryRef {
-                                        revision,
-                                        op: WalOp::Delete,
-                                        object: current,
-                                    })
+                                    wal::frame_into(
+                                        &EntryRef { revision, op: WalOp::Delete, object: current },
+                                        batch,
+                                    )
                                 },
                             )
                             .map_err(wal_unavailable)?;

@@ -15,6 +15,12 @@
 //! with an 8-byte magic (`VCWAL1\0\0` / `VCSNAP1\0`) so a WAL directory
 //! pointed at the wrong files fails loudly instead of replaying garbage.
 //!
+//! [`frame_into`] is the one framing function: it appends a zeroed header
+//! to a buffer, writes the JSON straight after it and back-fills the length
+//! and checksum. A write frames its record in place in the pending batch,
+//! so logging it copies nothing beyond the batch itself, and the snapshot
+//! writer frames every record into one buffer it reuses.
+//!
 //! ## Torn tail vs corruption
 //!
 //! A crash can tear the final frame of the *active* segment: the frame is
@@ -32,8 +38,12 @@
 //! [`FlushPolicy::GroupCommit`] then waits in [`Wal::wait_durable`] until
 //! its offset is synced, and the writers run the fsyncs themselves: the
 //! first that finds no fsync in flight becomes the leader. Under the lock
-//! it takes the batch and marks an fsync in flight; it writes and fsyncs
-//! outside the lock, then publishes `synced` and wakes every waiter.
+//! it swaps the batch with a spare buffer and marks an fsync in flight; it
+//! writes and fsyncs outside the lock, then publishes `synced`, hands the
+//! written buffer back cleared as the next spare and wakes every waiter.
+//! The two buffers so take turns, and a steady stream of writes allocates
+//! no batch storage once both have grown to a batch's size; a buffer that
+//! one burst grew past [`RETAINED_BATCH`] is dropped instead of kept.
 //! Writers that append during that fsync wait, and the first of them to
 //! wake with its offset still unsynced leads the next batch. An idle WAL
 //! so fsyncs a write at once, and a busy one shares each fsync among the
@@ -62,6 +72,9 @@ const FRAME_HEADER: usize = 4 + 32;
 /// Cap on a single frame payload — a length prefix beyond this is treated
 /// as corruption rather than an attempted 4GB allocation.
 const MAX_FRAME_LEN: usize = 64 << 20;
+/// A written batch buffer that grew past this is dropped after its fsync
+/// instead of kept as the spare for the next batch.
+const RETAINED_BATCH: usize = 1 << 20;
 
 /// Typed durability errors. Everything the WAL/snapshot/recovery path can
 /// fail with is either an I/O error or evidence of on-disk corruption —
@@ -179,13 +192,18 @@ pub struct WalEntry {
     pub object: Object,
 }
 
-/// Encodes one frame: `[len u32 LE][sha256(payload)][payload]`.
-pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&sha256(payload));
-    frame.extend_from_slice(payload);
-    frame
+/// Appends one frame, `[len u32 LE][sha256(payload)][payload]`, whose
+/// payload is `value`'s JSON: a zeroed header, the JSON written straight
+/// after it, then the length and checksum back-filled. A payload beyond
+/// [`MAX_FRAME_LEN`] is framed all the same; the WAL's append checks the
+/// limit and takes such a frame back off.
+pub(crate) fn frame_into<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    serde::write_json_into(value, out);
+    let (header, payload) = out[start..].split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&sha256(payload));
 }
 
 /// A [`WalEntry`] that borrows its object, so that logging a write copies
@@ -208,11 +226,6 @@ impl Serialize for EntryRef<'_> {
         out.field(&mut fields, "revision", &self.revision);
         out.end_map(fields);
     }
-}
-
-pub(crate) fn encode_entry(entry: &EntryRef<'_>) -> Vec<u8> {
-    let payload = serde_json::to_string(entry).expect("WalEntry serializes");
-    encode_frame(payload.as_bytes())
 }
 
 /// Outcome of decoding the frame at `offset` in `bytes`.
@@ -290,6 +303,9 @@ struct WalState {
     /// While an fsync is in flight it holds only what arrived after the
     /// leader took its batch.
     batch: Vec<u8>,
+    /// An empty buffer the next leader swaps in for the batch it takes:
+    /// the buffer the previous leader wrote, handed back cleared.
+    spare: Vec<u8>,
     /// An fsync is in flight: its leader owns the file until it clears
     /// this, so no other flush or rotation touches the file meanwhile.
     flushing: bool,
@@ -379,6 +395,7 @@ impl Wal {
                 appended: offset,
                 synced: offset,
                 batch: Vec::new(),
+                spare: Vec::new(),
                 flushing: false,
                 armed_crash: None,
                 crashed: false,
@@ -390,28 +407,32 @@ impl Wal {
 
     /// Allocates a revision and appends its record in one step under the
     /// WAL lock, so WAL byte order always equals revision order even when
-    /// writers on different shards race. Returns
+    /// writers on different shards race. `encode` appends the record's one
+    /// frame to the batch it is handed ([`frame_into`]). Returns
     /// `(revision, ack offset, opened)`, where `opened` says the record
     /// started a new batch; fails — without burning a
     /// revision — if the WAL is dead, and rejects frames whose payload
     /// exceeds [`MAX_FRAME_LEN`] (decode would read them back as
     /// corruption, so letting one reach disk poisons every later
-    /// recovery). An oversized write burns its revision; the resulting
-    /// WAL gap is legal — recovery only rejects revisions moving
-    /// backwards.
+    /// recovery): the frame is truncated back off the batch. An oversized
+    /// write burns its revision; the resulting WAL gap is legal — recovery
+    /// only rejects revisions moving backwards.
     pub(crate) fn append_allocating(
         &self,
         alloc: impl FnOnce() -> u64,
-        encode: impl FnOnce(u64) -> Vec<u8>,
+        encode: impl FnOnce(u64, &mut Vec<u8>),
     ) -> Result<(u64, u64, bool), StoreError> {
         let mut state = self.state.lock();
         if state.crashed {
             return Err(dead("append after crash"));
         }
         let revision = alloc();
-        let frame = encode(revision);
-        let payload_len = frame.len() - FRAME_HEADER;
+        let start = state.batch.len();
+        encode(revision, &mut state.batch);
+        let frame_len = state.batch.len() - start;
+        let payload_len = frame_len - FRAME_HEADER;
         if payload_len > MAX_FRAME_LEN {
+            state.batch.truncate(start);
             return Err(StoreError::io(
                 "append",
                 std::io::Error::other(format!(
@@ -420,11 +441,10 @@ impl Wal {
                 )),
             ));
         }
-        let opened = state.batch.is_empty();
-        state.batch.extend_from_slice(&frame);
-        state.appended += frame.len() as u64;
+        state.appended += frame_len as u64;
         self.stats.appends.inc();
-        self.stats.bytes_appended.add(frame.len() as u64);
+        self.stats.bytes_appended.add(frame_len as u64);
+        let opened = start == 0;
         Ok((revision, state.appended, opened))
     }
 
@@ -467,11 +487,12 @@ impl Wal {
         state
     }
 
-    /// One group commit, run by its leader: under the lock, take the
-    /// batch and mark an fsync in flight; write and fsync outside it; then
-    /// publish `synced`, clear the mark and wake every waiter. Called
-    /// with no fsync in flight; hands the re-taken lock back with whether
-    /// a batch was written. Consumes an armed crash point other than
+    /// One group commit, run by its leader: under the lock, swap the batch
+    /// with the spare buffer and mark an fsync in flight; write and fsync
+    /// outside it; then publish `synced`, hand the written buffer back as
+    /// the spare, clear the mark and wake every waiter. Called with no
+    /// fsync in flight; hands the re-taken lock back with whether a batch
+    /// was written. Consumes an armed crash point other than
     /// [`CrashPoint::MidSnapshot`], which is the snapshot writer's.
     fn lead<'a>(
         &'a self,
@@ -484,7 +505,8 @@ impl Wal {
         if state.batch.is_empty() && crash.is_none() {
             return (state, Ok(false));
         }
-        let batch = std::mem::take(&mut state.batch);
+        let spare = std::mem::take(&mut state.spare);
+        let mut batch = std::mem::replace(&mut state.batch, spare);
         let target = state.appended;
         let file = Arc::clone(&state.file);
         state.flushing = true;
@@ -495,6 +517,10 @@ impl Wal {
         match written {
             Ok(()) => {
                 state.synced = target;
+                if batch.capacity() <= RETAINED_BATCH {
+                    batch.clear();
+                    state.spare = batch;
+                }
                 self.stats.fsyncs.inc();
                 self.synced_cond.notify_all();
                 (state, Ok(true))
@@ -625,19 +651,31 @@ mod tests {
         WalEntry { revision, op: WalOp::Insert, object: Pod::new("ns", "p").into() }
     }
 
-    fn encode(entry: &WalEntry) -> Vec<u8> {
-        encode_entry(&EntryRef { revision: entry.revision, op: entry.op, object: &entry.object })
+    /// Appends `entry`'s frame to `out`, as a write logs it.
+    fn encode(entry: &WalEntry, out: &mut Vec<u8>) {
+        frame_into(&EntryRef { revision: entry.revision, op: entry.op, object: &entry.object }, out)
+    }
+
+    /// One frame of `payload`, built field by field into a fresh buffer:
+    /// length, checksum, payload.
+    fn frame_of(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&sha256(payload));
+        frame.extend_from_slice(payload);
+        frame
     }
 
     #[test]
     fn a_borrowed_entry_writes_the_owned_entry_text() {
+        // Framed in place after earlier bytes, as in a batch, and compared
+        // with the owned entry's text framed into a fresh buffer.
         for op in [WalOp::Insert, WalOp::Update, WalOp::Delete] {
             let owned = WalEntry { op, ..entry(u64::MAX) };
-            let borrowed = EntryRef { revision: owned.revision, op, object: &owned.object };
-            assert_eq!(
-                serde_json::to_string(&borrowed).unwrap(),
-                serde_json::to_string(&owned).unwrap()
-            );
+            let mut batch = b"earlier frames".to_vec();
+            encode(&owned, &mut batch);
+            let text = serde_json::to_string(&owned).unwrap();
+            assert_eq!(batch[..14], *b"earlier frames");
+            assert_eq!(batch[14..], frame_of(text.as_bytes()));
         }
     }
 
@@ -657,13 +695,12 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
-        let payload = b"hello frame";
-        let frame = encode_frame(payload);
+        let payload = "hello frame";
         let mut file = WAL_MAGIC.to_vec();
-        file.extend_from_slice(&frame);
+        frame_into(payload, &mut file);
         match decode_frame(&file, WAL_MAGIC.len()) {
             Frame::Ok { payload: got, next } => {
-                assert_eq!(got, payload);
+                assert_eq!(got, br#""hello frame""#);
                 assert_eq!(next, file.len());
             }
             _ => panic!("complete frame must decode"),
@@ -672,7 +709,7 @@ mod tests {
 
     #[test]
     fn short_frame_is_torn_not_corrupt() {
-        let frame = encode_frame(b"payload");
+        let frame = frame_of(b"payload");
         for cut in [1, 3, 10, frame.len() - 1] {
             match decode_frame(&frame[..cut], 0) {
                 Frame::Torn => {}
@@ -683,7 +720,7 @@ mod tests {
 
     #[test]
     fn bitflip_is_corrupt_not_torn() {
-        let mut frame = encode_frame(b"payload bytes here");
+        let mut frame = frame_of(b"payload bytes here");
         let last = frame.len() - 1;
         frame[last] ^= 0x01;
         match decode_frame(&frame, 0) {
@@ -694,7 +731,7 @@ mod tests {
 
     #[test]
     fn absurd_length_is_corrupt() {
-        let mut frame = encode_frame(b"x");
+        let mut frame = frame_of(b"x");
         frame[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         match decode_frame(&frame, 0) {
             Frame::Corrupt { detail } => assert!(detail.contains("length"), "{detail}"),
@@ -705,7 +742,8 @@ mod tests {
     #[test]
     fn entry_roundtrip_through_frame() {
         let original = entry(42);
-        let frame = encode(&original);
+        let mut frame = Vec::new();
+        encode(&original, &mut frame);
         match decode_frame(&frame, 0) {
             Frame::Ok { payload, .. } => {
                 let back: WalEntry =
@@ -722,14 +760,16 @@ mod tests {
     fn ack_offsets_stay_monotonic_across_rotation() {
         let dir = scratch("rotate");
         let wal = Wal::create(&dir, 1).unwrap();
-        let (_, off1, _) = wal.append_allocating(|| 1, |r| encode(&entry(r))).unwrap();
+        let (_, off1, _) =
+            wal.append_allocating(|| 1, |r, batch| encode(&entry(r), batch)).unwrap();
         // rotate() flushes the pending batch itself, exactly like the
         // snapshot-cut path.
         wal.rotate(&dir, 2).unwrap();
         // A writer parked on a retired-segment offset must see it as
         // durable — a regression here hangs this call forever.
         wal.wait_durable(off1).unwrap();
-        let (_, off2, _) = wal.append_allocating(|| 2, |r| encode(&entry(r))).unwrap();
+        let (_, off2, _) =
+            wal.append_allocating(|| 2, |r, batch| encode(&entry(r), batch)).unwrap();
         assert!(off2 > off1, "ack offsets reset across rotation: {off2} <= {off1}");
         wal.flush().unwrap();
         wal.wait_durable(off2).unwrap();
@@ -745,7 +785,8 @@ mod tests {
         };
         // Any file handle will do: no segment naming is involved.
         let wal = Wal::on(full, 0);
-        let (_, offset, _) = wal.append_allocating(|| 1, |r| encode(&entry(r))).unwrap();
+        let (_, offset, _) =
+            wal.append_allocating(|| 1, |r, batch| encode(&entry(r), batch)).unwrap();
         let err = wal.flush().expect_err("write to /dev/full must fail");
         assert!(!err.is_corrupt(), "{err}");
         assert!(wal.state.lock().crashed, "flush failure must kill the WAL");
@@ -753,7 +794,7 @@ mod tests {
         // Waiters error out instead of hanging on a record that was
         // dropped from the batch, and later appends are refused.
         wal.wait_durable(offset).expect_err("waiter must observe the death");
-        wal.append_allocating(|| 2, |r| encode(&entry(r)))
+        wal.append_allocating(|| 2, |r, batch| encode(&entry(r), batch))
             .expect_err("append after flush failure must fail");
     }
 
@@ -761,16 +802,86 @@ mod tests {
     fn oversized_record_is_rejected_before_reaching_disk() {
         let dir = scratch("oversize");
         let wal = Wal::create(&dir, 1).unwrap();
+        let (_, good, _) =
+            wal.append_allocating(|| 1, |r, batch| encode(&entry(r), batch)).unwrap();
+        let one_frame = wal.state.lock().batch.clone();
         let err = wal
-            .append_allocating(|| 1, |_| vec![0u8; FRAME_HEADER + MAX_FRAME_LEN + 1])
+            .append_allocating(
+                || 2,
+                |_, batch| batch.resize(batch.len() + FRAME_HEADER + MAX_FRAME_LEN + 1, 0),
+            )
             .expect_err("payload beyond MAX_FRAME_LEN must be rejected");
         assert!(!err.is_corrupt(), "{err}");
         assert!(err.to_string().contains("frame limit"), "{err}");
-        assert!(wal.state.lock().batch.is_empty(), "the oversized frame must not be batched");
+        {
+            let state = wal.state.lock();
+            assert_eq!(state.batch, one_frame, "the oversized frame must be taken back off");
+            assert_eq!(state.appended, good, "the oversized frame must not be counted");
+        }
         // The WAL stays alive: a normal append still commits.
-        let (_, offset, _) = wal.append_allocating(|| 2, |r| encode(&entry(r))).unwrap();
-        wal.flush().unwrap();
+        let (_, offset, _) =
+            wal.append_allocating(|| 3, |r, batch| encode(&entry(r), batch)).unwrap();
         wal.wait_durable(offset).unwrap();
+        drop(wal);
+        let (entries, torn) = read_segment(&segment_path(&dir, 1), true).unwrap();
+        let revisions: Vec<u64> = entries.iter().map(|e| e.revision).collect();
+        assert_eq!((revisions, torn), (vec![1, 3], None));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The batch buffer and the spare: `(address, capacity)` of each.
+    fn buffers(wal: &Wal) -> [(usize, usize); 2] {
+        let state = wal.state.lock();
+        [
+            (state.batch.as_ptr() as usize, state.batch.capacity()),
+            (state.spare.as_ptr() as usize, state.spare.capacity()),
+        ]
+    }
+
+    #[test]
+    fn small_batches_reuse_the_two_buffers() {
+        let dir = scratch("reuse");
+        let wal = Wal::create(&dir, 1).unwrap();
+        let commit = |revision| {
+            let (_, offset, _) =
+                wal.append_allocating(|| revision, |r, batch| encode(&entry(r), batch)).unwrap();
+            wal.wait_durable(offset).unwrap();
+        };
+        // The first two group commits each grow one of the two buffers.
+        commit(1);
+        commit(2);
+        let [batch, spare] = buffers(&wal);
+        assert!(batch.1 > 0 && spare.1 > 0, "{batch:?} {spare:?}");
+        assert!(wal.state.lock().batch.is_empty());
+        // From then on the leaders swap the same two buffers, with the
+        // same capacities, back and forth.
+        commit(3);
+        assert_eq!(buffers(&wal), [spare, batch]);
+        commit(4);
+        assert_eq!(buffers(&wal), [batch, spare]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_batch_past_the_retained_size_is_not_kept_as_the_spare() {
+        let dir = scratch("retain");
+        let wal = Wal::create(&dir, 1).unwrap();
+        let mut last = 0;
+        for revision in 1.. {
+            last =
+                wal.append_allocating(|| revision, |r, batch| encode(&entry(r), batch)).unwrap().1;
+            if wal.state.lock().batch.len() > RETAINED_BATCH {
+                break;
+            }
+        }
+        wal.wait_durable(last).unwrap();
+        assert_eq!(wal.state.lock().spare.capacity(), 0, "a burst's buffer must be dropped");
+        // The next batch is written from a fresh buffer and kept.
+        let (_, offset, _) =
+            wal.append_allocating(|| 1 << 20, |r, batch| encode(&entry(r), batch)).unwrap();
+        wal.wait_durable(offset).unwrap();
+        let spare = wal.state.lock().spare.capacity();
+        assert!((1..=RETAINED_BATCH).contains(&spare), "{spare}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

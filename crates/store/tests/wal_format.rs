@@ -3,7 +3,9 @@
 //! `WalEntry` payload spelled out below — must recover to the object it
 //! describes. A store written by an older build therefore keeps recovering
 //! however the JSON codec is implemented, and the writer still produces the
-//! same text for the object.
+//! same text for the object. A snapshot file is pinned the same way: the
+//! one the store writes, every record framed in one reused buffer, must be
+//! byte-equal to its `SnapRecord`s framed one by one from literal JSON.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,4 +89,43 @@ fn literal_json_record_recovers() {
     assert_eq!(*recovered, expected);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One frame of `payload`, built by hand: length, checksum, payload.
+fn frame(payload: &str) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&sha256(payload.as_bytes()));
+    frame.extend_from_slice(payload.as_bytes());
+    frame
+}
+
+#[test]
+fn snapshot_is_its_records_framed_one_by_one() {
+    let dir = scratch_dir();
+    let durability = DurabilityConfig::new(&dir);
+    let (store, _) =
+        Store::open_durable(StoreConfig::default(), durability, RealClock::shared()).unwrap();
+    store.insert(expected_pod()).unwrap();
+    store.update(expected_pod(), None).unwrap();
+    assert!(store.snapshot_now().unwrap());
+    let written = std::fs::read(dir.join("snapshot.snap")).unwrap();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The records as the derived `SnapRecord` writes them: the cut's meta,
+    // the live object, then the event log, oldest first.
+    let at = |rv: u64| {
+        OBJECT_JSON.replace(r#""resource_version":3"#, &format!(r#""resource_version":{rv}"#))
+    };
+    let floors = vec!["0"; ResourceKind::ALL.len()].join(",");
+    let mut expected = b"VCSNAP1\0".to_vec();
+    for record in [
+        format!(r#"{{"Meta":{{"floors":[{floors}],"revision":2}}}}"#),
+        format!(r#"{{"Object":{{"object":{}}}}}"#, at(2)),
+        format!(r#"{{"Event":{{"object":{},"op":"Insert","revision":1}}}}"#, at(1)),
+        format!(r#"{{"Event":{{"object":{},"op":"Update","revision":2}}}}"#, at(2)),
+    ] {
+        expected.extend_from_slice(&frame(&record));
+    }
+    assert_eq!(written, expected, "snapshot bytes moved");
 }
