@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A unique object identifier, assigned by the apiserver at create time.
 ///
@@ -134,6 +135,63 @@ pub struct ObjectMeta {
     pub owner_references: Vec<OwnerReference>,
     /// Tokens that block physical deletion until removed.
     pub finalizers: Vec<String>,
+    /// This state's encodings, filled by the wire tier; not part of the
+    /// object's value (see [`Encodings`]).
+    #[serde(skip)]
+    pub encodings: Encodings,
+}
+
+/// A stored object's encodings, each computed once and then shared by
+/// every reader of the same `Arc<Object>`.
+///
+/// Two slots, each filled at most once; which codec owns which slot is the
+/// wire tier's choice. The slots are derived from the rest of the object,
+/// so they take no part in its value: a clone starts empty, any two
+/// compare equal, `Debug` prints only their lengths, and `#[serde(skip)]`
+/// keeps them out of every encoding. The store empties them in
+/// [`Object::freeze`], where a state gets its revision, so a slot never
+/// outlives the state it encodes.
+///
+/// [`Object::freeze`]: crate::object::Object::freeze
+#[derive(Default)]
+pub struct Encodings([OnceLock<Arc<[u8]>>; 2]);
+
+impl Encodings {
+    /// The bytes in `slot`, if it has been filled.
+    pub fn get(&self, slot: usize) -> Option<&Arc<[u8]>> {
+        self.0[slot].get()
+    }
+
+    /// The bytes in `slot`, filled by `encode` first if it is empty. A
+    /// racing caller waits for that one encode and shares its bytes.
+    pub fn get_or_fill(&self, slot: usize, encode: impl FnOnce() -> Arc<[u8]>) -> &Arc<[u8]> {
+        self.0[slot].get_or_init(encode)
+    }
+
+    /// Empties both slots.
+    pub fn clear(&mut self) {
+        *self = Encodings::default();
+    }
+}
+
+impl Clone for Encodings {
+    fn clone(&self) -> Self {
+        Encodings::default()
+    }
+}
+
+impl PartialEq for Encodings {
+    fn eq(&self, _: &Encodings) -> bool {
+        true
+    }
+}
+
+impl Eq for Encodings {}
+
+impl fmt::Debug for Encodings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.iter().map(|slot| slot.get().map(|b| b.len()))).finish()
+    }
 }
 
 impl ObjectMeta {
@@ -167,6 +225,7 @@ impl ObjectMeta {
             annotations,
             owner_references,
             finalizers,
+            encodings: _,
         } = self;
         *name == other.name
             && *namespace == other.namespace
@@ -201,7 +260,7 @@ impl ObjectMeta {
 
     /// [`ObjectMeta::full_name`] as a shared key: one allocation, and every
     /// later holder clones the `Arc` instead of the string.
-    pub fn shared_key(&self) -> std::sync::Arc<str> {
+    pub fn shared_key(&self) -> Arc<str> {
         self.full_name_buf().as_str().into()
     }
 
@@ -350,6 +409,18 @@ mod tests {
             assert_eq!(meta.full_name_buf().as_str(), meta.full_name());
             assert_eq!(*meta.shared_key(), meta.full_name());
         }
+    }
+
+    #[test]
+    fn a_clone_has_empty_encodings_and_equals_the_original() {
+        let meta = ObjectMeta::namespaced("ns", "x");
+        let filled = meta.encodings.get_or_fill(1, || Arc::from(&b"bytes"[..]));
+        assert_eq!(&**filled, b"bytes");
+        let copy = meta.clone();
+        assert_eq!(copy, meta);
+        assert!(copy.encodings.get(0).is_none() && copy.encodings.get(1).is_none());
+        assert_eq!(meta.encodings.get(1).map(|b| b.len()), Some(5), "the original keeps its own");
+        assert_eq!(format!("{:?}", meta.encodings), "[None, Some(5)]");
     }
 
     #[test]

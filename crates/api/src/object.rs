@@ -226,8 +226,13 @@ impl Object {
     /// Freezes the parts a write may leave unchanged (every kind's
     /// annotations, a pod's spec and status, a node's status) behind
     /// `Arc`s, so that copies of this object share them (see
-    /// [`crate::shared`]). The store calls this once per stored object,
-    /// just before it shares the object itself.
+    /// [`crate::shared`]), and empties its [`Encodings`] slots: an owned
+    /// object taken out of a uniquely held `Arc` keeps the encodings of
+    /// the state it was read at. The store calls this once per stored
+    /// object, where it assigns the revision, just before it shares the
+    /// object itself.
+    ///
+    /// [`Encodings`]: crate::meta::Encodings
     pub fn freeze(&mut self) {
         match self {
             Object::Pod(pod) => {
@@ -237,7 +242,9 @@ impl Object {
             Object::Node(node) => node.status.freeze(),
             _ => {}
         }
-        self.meta_mut().annotations.freeze();
+        let meta = self.meta_mut();
+        meta.annotations.freeze();
+        meta.encodings.clear();
     }
 
     /// Returns `namespace/name` (or `name` for cluster-scoped kinds).

@@ -236,6 +236,7 @@ fn meta_matches(
         annotations,
         owner_references: _,
         finalizers,
+        encodings: _,
     } = t;
     let tenant_namespace =
         if renamed { Some(name) } else { (!namespace.is_empty()).then_some(namespace) };

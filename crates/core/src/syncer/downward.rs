@@ -344,6 +344,7 @@ pub(crate) fn equivalent(desired: &Object, existing: &Object) -> bool {
                 annotations,
                 owner_references,
                 finalizers: _,
+                encodings: _,
             } = &d.meta;
             *name == e.meta.name
                 && *namespace == e.meta.namespace

@@ -282,10 +282,11 @@ impl Durability {
         let fin = dir.join("snapshot.snap");
 
         let mut file = File::create(&tmp).map_err(|e| StoreError::io("create snapshot.tmp", e))?;
-        file.write_all(SNAP_MAGIC).map_err(|e| StoreError::io("write snapshot magic", e))?;
-        let mut frame = Vec::new();
+        // Frames gather in one buffer that goes to the file a chunk at a
+        // time, not one `write` per record.
+        let mut frames = SNAP_MAGIC.to_vec();
         let meta = SnapRecord::Meta { revision: data.revision, floors: data.floors.clone() };
-        write_frame(&mut file, &mut frame, &meta, "write snapshot meta")?;
+        write_frame(&mut file, &mut frames, &meta, "write snapshot meta")?;
 
         let half = data.objects.len() / 2;
         for (i, object) in data.objects.iter().enumerate() {
@@ -293,28 +294,21 @@ impl Durability {
             // section, before the rename — the tmp file is left behind
             // exactly as a real crash would leave it.
             if i == half && self.wal.take_snapshot_crash() {
-                let _ = file.sync_all();
-                return Err(StoreError::io(
-                    "snapshot",
-                    std::io::Error::other("injected crash: mid-snapshot"),
-                ));
+                return Err(injected_snapshot_crash(&mut file, &frames));
             }
             let record = SnapRecordRef::Object(object);
-            write_frame(&mut file, &mut frame, &record, "write snapshot object")?;
+            write_frame(&mut file, &mut frames, &record, "write snapshot object")?;
         }
         for (revision, op, object) in &data.events {
             let record = SnapRecordRef::Event(EntryRef { revision: *revision, op: *op, object });
-            write_frame(&mut file, &mut frame, &record, "write snapshot event")?;
+            write_frame(&mut file, &mut frames, &record, "write snapshot event")?;
         }
         // An empty object section can't host the injected crash above;
         // still honor it so the chaos test works on tiny stores.
         if self.wal.take_snapshot_crash() {
-            let _ = file.sync_all();
-            return Err(StoreError::io(
-                "snapshot",
-                std::io::Error::other("injected crash: mid-snapshot"),
-            ));
+            return Err(injected_snapshot_crash(&mut file, &frames));
         }
+        file.write_all(&frames).map_err(|e| StoreError::io("write snapshot", e))?;
         file.sync_all().map_err(|e| StoreError::io("fsync snapshot.tmp", e))?;
         drop(file);
         fs::rename(&tmp, &fin).map_err(|e| StoreError::io("rename snapshot", e))?;
@@ -348,17 +342,31 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     File::open(dir).and_then(|d| d.sync_all()).map_err(|e| StoreError::io("fsync wal dir", e))
 }
 
-/// Frames `record` into `frame`, cleared first, and writes the frame to
-/// `file`.
+/// A snapshot's buffered frames go to its file once they reach this size.
+const SNAPSHOT_CHUNK: usize = 1024 * 1024;
+
+/// Appends `record`'s frame to `frames`, and writes them out to `file`
+/// once they reach [`SNAPSHOT_CHUNK`].
 fn write_frame(
     file: &mut File,
-    frame: &mut Vec<u8>,
+    frames: &mut Vec<u8>,
     record: &impl Serialize,
     what: &str,
 ) -> Result<(), StoreError> {
-    frame.clear();
-    frame_into(record, frame);
-    file.write_all(frame).map_err(|e| StoreError::io(what, e))
+    frame_into(record, frames);
+    if frames.len() >= SNAPSHOT_CHUNK {
+        file.write_all(frames).map_err(|e| StoreError::io(what, e))?;
+        frames.clear();
+    }
+    Ok(())
+}
+
+/// Leaves `file` as a crash mid-snapshot would, with every frame written
+/// so far on disk, and returns the injected error.
+fn injected_snapshot_crash(file: &mut File, frames: &[u8]) -> StoreError {
+    let _ = file.write_all(frames);
+    let _ = file.sync_all();
+    StoreError::io("snapshot", std::io::Error::other("injected crash: mid-snapshot"))
 }
 
 /// Lists `wal-<seq>.log` files in `dir`, sorted by sequence.

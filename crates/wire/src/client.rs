@@ -48,7 +48,7 @@ use vc_client::{Encoding, ObjectApi, RateLimiter, WatchHandle};
 use vc_store::{EventType, RecvOutcome, WatchEvent};
 
 /// Wire framing of a JSON list response; field order matches what the
-/// server splices byte-for-byte from its encode cache.
+/// server splices byte-for-byte from the stored objects' encodings.
 #[derive(Debug, Serialize, Deserialize)]
 struct WireList {
     resource_version: u64,

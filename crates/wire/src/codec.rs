@@ -45,8 +45,8 @@
 //! items) collapse to one or two bytes after first sight. The streaming
 //! table is implicit — no dictionary section, so any prefix of a message
 //! decodes without lookahead and each encoded object is fully
-//! self-contained: the [`crate::EncodeCache`] splices cached object
-//! bytes into lists and watch frames without re-encoding, and a client's
+//! self-contained: the server splices each stored object's encoding
+//! ([`crate::encode`]) into lists and watch frames without re-encoding, and a client's
 //! [`crate::DecodeCache`] hands out the object it decoded from equal item
 //! bytes before ([`split_list_frame`] and [`split_event_frames`] yield the
 //! item slices without decoding them). Neither end
@@ -816,7 +816,7 @@ pub(crate) fn write_list_item(out: &mut Vec<u8>, item: &[u8]) {
 
 /// Assembles a list frame into `out` from pre-encoded item buffers (the
 /// splice path: each item is a self-contained value encoding, as the
-/// [`crate::EncodeCache`] holds them).
+/// stored objects hold them, [`crate::encode`]).
 pub fn write_list_frame<'a>(
     out: &mut Vec<u8>,
     revision: u64,

@@ -1,5 +1,5 @@
-//! Decode once per encoding — the client-side mirror of
-//! [`crate::EncodeCache`].
+//! Decode once per encoding — the client-side mirror of serializing once
+//! per stored object ([`crate::encode`]).
 //!
 //! A `vcbin` list item or event object is a self-contained value encoding
 //! ([`crate::codec`] module docs), so equal bytes decode to equal objects.

@@ -11,7 +11,7 @@
 //!
 //! - **One syscall per frame** — response heads, bodies, and chunk
 //!   framing go out through [`write_all_vectored`], which coalesces the
-//!   header buffer and the (often cache-shared) body buffer into a
+//!   header buffer and the (often shared) body buffer into a
 //!   single `writev` instead of a write per piece.
 //! - **Buffer reuse** — head construction, line reading and bodies work
 //!   in caller-owned buffers that persist for the life of a connection,
@@ -317,7 +317,7 @@ fn build_head(
 /// Writes a unary response — head and every body part in one vectored
 /// syscall, the head assembled in the caller's reusable `head` buffer.
 /// `body` is a part list so callers can splice a frame prefix in front
-/// of a cache-shared buffer without copying either. Returns the total
+/// of a shared encoding without copying either. Returns the total
 /// bytes put on the wire.
 ///
 /// # Errors

@@ -14,10 +14,10 @@
 //!    (varints + streaming string dictionary) is negotiated per
 //!    connection via `accept`/`content-type`; JSON stays the default so
 //!    legacy clients keep working unchanged.
-//! 2. **Serialize once per revision per codec** ([`EncodeCache`]):
-//!    object revisions are globally unique, so their encodings are
-//!    memoized and fanned out as shared [`bytes::Bytes`] buffers,
-//!    bounded by total cached bytes.
+//! 2. **Serialize once per stored object per codec** ([`encode`]): the
+//!    store shares one `Arc<Object>` per revision, and that object holds
+//!    its own encodings, fanned out as shared [`bytes::Bytes`] buffers for
+//!    as long as the revision is held.
 //! 3. **Decode once per encoding** ([`DecodeCache`]): a [`WireClient`]
 //!    maps each `vcbin` item's exact bytes to the shared object they
 //!    decoded to, so a re-list or a watch event of bytes it already
@@ -75,5 +75,5 @@ pub mod server;
 pub use client::{WireClient, WireWatch};
 pub use codec::{JSON_CONTENT_TYPE, VCBIN_CONTENT_TYPE, VCBIN_VERSION};
 pub use decode::{DecodeCache, DECODE_CACHE_BYTES};
-pub use encode::{EncodeCache, DEFAULT_ENCODE_CACHE_BYTES};
+pub use encode::EncodeLookups;
 pub use server::{WireMetrics, WireServer, WireServerConfig};

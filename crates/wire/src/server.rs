@@ -25,16 +25,16 @@
 //!
 //! The perf-critical mechanisms that live here:
 //!
-//! - **Memoized encoding** — every object body (unary reads, list items,
-//!   watch events) comes out of one shared [`EncodeCache`], so an object
-//!   revision is serialized once *per codec* no matter how many
-//!   connections read it.
+//! - **Serialize once per stored object** — every object body (unary
+//!   reads, list items, watch events) is the encoding held on the store's
+//!   own `Arc<Object>` ([`crate::encode`]), so an object revision is
+//!   serialized once *per codec* no matter how many connections read it.
 //! - **One syscall per response** — response head, frame prefix, and the
-//!   cache-shared body go out through one vectored write; connection
-//!   threads reuse their response-head, request and list-body buffers
-//!   across requests, and a request's head is borrowed from them, not
-//!   copied. A list body is the cached item encodings spliced once into
-//!   the connection's body buffer.
+//!   shared body go out through one vectored write; connection threads
+//!   reuse their response-head, request and list-body buffers across
+//!   requests, and a request's head is borrowed from them, not copied. A
+//!   list body is the items' encodings spliced once into the connection's
+//!   body buffer.
 //! - **One fair gate for unary requests** — every unary request is parsed,
 //!   routed and executed on its own connection thread, after it takes one
 //!   of `DISPATCH_WORKERS` permits of an [`InflightGate`], the apiserver's
@@ -56,7 +56,7 @@
 //!   Either way fan-out to healthy watchers never blocks.
 
 use crate::codec;
-use crate::encode::EncodeCache;
+use crate::encode::EncodeLookups;
 use crate::http;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -127,6 +127,8 @@ pub struct WireMetrics {
     pub bytes_in: Arc<Counter>,
     /// Bytes written to sockets.
     pub bytes_out: Arc<Counter>,
+    /// Object encodings served from a filled slot or encoded.
+    pub encode_lookups: EncodeLookups,
     /// Watch streams opened.
     pub watch_streams: Arc<Counter>,
     /// Watch streams currently live.
@@ -196,6 +198,13 @@ impl WireMetrics {
         );
         by_codec.bind(&[server, "json"], Arc::clone(&self.json_requests));
         by_codec.bind(&[server, "vcbin"], Arc::clone(&self.binary_requests));
+        let lookups = registry.counter(
+            "vc_wire_encode_cache_lookups_total",
+            "Object-encoding lookups (serialized-once hits vs misses).",
+            &["server", "outcome"],
+        );
+        lookups.bind(&[server, "hit"], Arc::clone(&self.encode_lookups.hits));
+        lookups.bind(&[server, "miss"], Arc::clone(&self.encode_lookups.misses));
     }
 }
 
@@ -227,7 +236,6 @@ struct Inner {
     api: Arc<ApiServer>,
     cfg: WireServerConfig,
     local_addr: SocketAddr,
-    cache: EncodeCache,
     metrics: WireMetrics,
     /// What `GET /metrics` renders: the attached apiserver's registry, or
     /// one holding only this server's cells.
@@ -269,7 +277,6 @@ impl WireServer {
         let (registry, scope) =
             api.metrics_registry().unwrap_or_else(|| (Arc::default(), "wire".to_string()));
         let inner = Arc::new(Inner {
-            cache: EncodeCache::default(),
             metrics: WireMetrics::default(),
             registry,
             // A waiter holds a connection, so the queue bound is never
@@ -285,7 +292,6 @@ impl WireServer {
             cfg,
         });
         inner.metrics.publish_metrics(&inner.registry, &scope);
-        inner.cache.publish_metrics(&inner.registry, &scope);
         let acceptor = {
             let inner = inner.clone();
             std::thread::Builder::new()
@@ -306,16 +312,15 @@ impl WireServer {
         &self.inner.metrics
     }
 
-    /// The shared encode cache (hit rate is the "serialized once" win).
-    pub fn encode_cache(&self) -> &EncodeCache {
-        &self.inner.cache
+    /// The encoding lookups (hit rate is the "serialized once" win).
+    pub fn encode_cache(&self) -> &EncodeLookups {
+        &self.inner.metrics.encode_lookups
     }
 
-    /// Binds this server's cells — its [`WireMetrics`] and encode cache —
-    /// into `registry` as well, labeled by `server`.
+    /// Binds this server's [`WireMetrics`] into `registry` as well,
+    /// labeled by `server`.
     pub fn publish_metrics(&self, registry: &MetricsRegistry, server: &str) {
         self.inner.metrics.publish_metrics(registry, server);
-        self.inner.cache.publish_metrics(registry, server);
     }
 
     /// Stops accepting, tears down every connection, and joins all
@@ -349,8 +354,8 @@ impl Drop for WireServer {
 
 /// What a unary op answers with.
 enum Reply {
-    /// One object's cache-shared value encoding; the writer splices the
-    /// frame prefix in front without copying either.
+    /// One object's shared value encoding; the writer splices the frame
+    /// prefix in front without copying either.
     Object(Bytes),
     /// A complete list body, written into the connection's body buffer.
     List,
@@ -358,8 +363,8 @@ enum Reply {
 
 impl Inner {
     /// Executes one unary op. A list body is written into `body`, the
-    /// connection's body buffer, with the cached item encodings spliced
-    /// in; a single object comes back as its cached encoding.
+    /// connection's body buffer, with the items' encodings spliced in; a
+    /// single object comes back as its encoding.
     fn execute(
         &self,
         user: &str,
@@ -375,11 +380,11 @@ impl Inner {
             UnaryOp::List(kind, ns) => {
                 let (items, revision) = self.api.list(user, kind, ns)?;
                 body.clear();
-                self.cache.write_list(&items, revision, encoding, body);
+                self.metrics.encode_lookups.write_list(&items, revision, encoding, body);
                 return Ok(Reply::List);
             }
         };
-        Ok(Reply::Object(self.cache.encode(&object, encoding)))
+        Ok(Reply::Object(self.metrics.encode_lookups.encode(&object, encoding)))
     }
 }
 
@@ -767,7 +772,7 @@ fn respond(
 
 /// Appends one encoded watch event to a chunk payload being assembled.
 fn append_event(inner: &Inner, payload: &mut Vec<u8>, ev: &WatchEvent, encoding: Encoding) {
-    let encoded = inner.cache.encode(&ev.object, encoding);
+    let encoded = inner.metrics.encode_lookups.encode(&ev.object, encoding);
     match encoding {
         Encoding::Json => {
             let tag = match ev.event_type {

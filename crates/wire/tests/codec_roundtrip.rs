@@ -260,6 +260,70 @@ fn derived_types_stream_pinned_text() {
     }
 }
 
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct WithSkipped {
+    kept: u64,
+    #[serde(skip)]
+    skipped: String,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum VariantWithSkipped {
+    Named {
+        kept: u64,
+        #[serde(skip)]
+        skipped: String,
+    },
+}
+
+/// A `#[serde(skip)]` field, on a struct or a struct variant, is absent
+/// from JSON, from `json_len` and from `vcbin`, and reads back as its
+/// `Default` from either codec, even where the input spells it out.
+#[test]
+fn a_skipped_field_is_in_no_encoding_and_reads_back_as_default() {
+    fn check<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(
+        value: &T,
+        text: &str,
+        read_back: &T,
+    ) {
+        let json = serde_json::to_string(value).expect("json");
+        assert_eq!(json, text);
+        assert_eq!(serde::json_len(value), text.len());
+        let mut bin = Vec::new();
+        codec::encode(value, &mut bin);
+        let tree = codec::decode::<Value>(&bin).expect("vcbin");
+        assert_eq!(serde_json::to_string(&tree).expect("json"), text, "vcbin holds the same");
+        assert_eq!(&serde_json::from_str::<T>(&json).expect("from JSON"), read_back);
+        assert_eq!(&codec::decode::<T>(&bin).expect("from vcbin"), read_back);
+    }
+    check(
+        &WithSkipped { kept: 7, skipped: "not encoded".into() },
+        r#"{"kept":7}"#,
+        &WithSkipped { kept: 7, skipped: String::new() },
+    );
+    check(
+        &VariantWithSkipped::Named { kept: 7, skipped: "not encoded".into() },
+        r#"{"Named":{"kept":7}}"#,
+        &VariantWithSkipped::Named { kept: 7, skipped: String::new() },
+    );
+    let spelled = r#"{"kept":7,"skipped":"in the input"}"#;
+    let read: WithSkipped = serde_json::from_str(spelled).expect("from JSON");
+    assert_eq!(read, WithSkipped { kept: 7, skipped: String::new() });
+
+    // A stored object's filled encoding slots change none of its encodings.
+    let pod: Object = stress_pod("tenant-a", "stress-00001").into();
+    let filled = pod.clone();
+    filled.meta().encodings.get_or_fill(0, || b"json bytes"[..].into());
+    filled.meta().encodings.get_or_fill(1, || b"vcbin bytes"[..].into());
+    assert_eq!(serde_json::to_string(&filled).unwrap(), serde_json::to_string(&pod).unwrap());
+    assert_eq!(filled.estimated_size(), pod.estimated_size());
+    let mut with_slots = Vec::new();
+    codec::encode(&filled, &mut with_slots);
+    let mut without = Vec::new();
+    codec::encode(&pod, &mut without);
+    assert_eq!(with_slots, without);
+}
+
 /// The benchmark's stress pod (`benchmark/src/pods.rs`): one small container.
 fn stress_pod(namespace: &str, name: &str) -> Pod {
     Pod::new(namespace, name).with_container(

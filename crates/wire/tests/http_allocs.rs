@@ -4,9 +4,9 @@
 //! and the body into a buffer the connection keeps. Once those buffers
 //! have grown to fit, neither end allocates to frame a request.
 //!
-//! The same holds for a list body: the server splices each item's cached
-//! encoding into the connection's body buffer, so once the items are
-//! cached and the buffer fits, serving a list allocates nothing.
+//! The same holds for a list body: the server splices the encoding each
+//! item holds into the connection's body buffer, so once the items are
+//! encoded and the buffer fits, serving a list allocates nothing.
 //!
 //! The allocator counts only the calling thread's allocations, so the
 //! server's threads and tests running in parallel do not disturb a count.
@@ -21,7 +21,7 @@ use vc_api::pod::{Container, Pod};
 use vc_apiserver::ApiServer;
 use vc_client::{Encoding, ObjectApi};
 use vc_wire::http::{self, RequestBuf};
-use vc_wire::{codec, EncodeCache, WireClient, WireServer, WireServerConfig};
+use vc_wire::{codec, EncodeLookups, WireClient, WireServer, WireServerConfig};
 
 struct ThreadCountingAlloc;
 
@@ -173,24 +173,24 @@ fn stored_pods() -> Vec<Arc<Object>> {
 
 #[test]
 fn a_list_of_cached_items_is_written_into_a_warm_buffer_without_allocating() {
-    let cache = EncodeCache::default();
+    let lookups = EncodeLookups::default();
     let pods = stored_pods();
     for encoding in [Encoding::Binary, Encoding::Json] {
         let mut out = Vec::new();
         // The first list encodes every item and sizes the buffer.
-        cache.write_list(&pods, 77, encoding, &mut out);
+        lookups.write_list(&pods, 77, encoding, &mut out);
         let first = out.clone();
         out.clear();
-        let (n, ()) = allocations_during(|| cache.write_list(&pods, 77, encoding, &mut out));
+        let (n, ()) = allocations_during(|| lookups.write_list(&pods, 77, encoding, &mut out));
         assert_eq!(out, first);
         assert_eq!(n, 0, "a warm {encoding:?} list of 50 pods made {n} allocations");
     }
-    assert_eq!(cache.misses.get(), 100, "each pod encoded once per codec");
+    assert_eq!(lookups.misses.get(), 100, "each pod encoded once per codec");
 }
 
 #[test]
 fn a_spliced_list_is_byte_identical_to_a_freshly_encoded_one() {
-    let cache = EncodeCache::default();
+    let lookups = EncodeLookups::default();
     for pods in [stored_pods(), Vec::new()] {
         let fresh: Vec<Vec<u8>> = pods
             .iter()
@@ -203,7 +203,7 @@ fn a_spliced_list_is_byte_identical_to_a_freshly_encoded_one() {
         let mut framed = Vec::new();
         codec::write_list_frame(&mut framed, 77, fresh.iter().map(Vec::as_slice));
         let mut out = Vec::new();
-        cache.write_list(&pods, 77, Encoding::Binary, &mut out);
+        lookups.write_list(&pods, 77, Encoding::Binary, &mut out);
         assert_eq!(out, framed, "vcbin, {} items", pods.len());
         let (revision, items) = codec::read_list_frame::<Object>(&out).expect("a list frame");
         assert_eq!(revision, 77);
@@ -213,7 +213,7 @@ fn a_spliced_list_is_byte_identical_to_a_freshly_encoded_one() {
             pods.iter().map(|pod| serde_json::to_string(&**pod).unwrap()).collect();
         let json = format!("{{\"resource_version\":77,\"items\":[{}]}}", items.join(","));
         out.clear();
-        cache.write_list(&pods, 77, Encoding::Json, &mut out);
+        lookups.write_list(&pods, 77, Encoding::Json, &mut out);
         assert_eq!(String::from_utf8(out).unwrap(), json, "JSON, {} items", pods.len());
     }
 }

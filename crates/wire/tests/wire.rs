@@ -2,8 +2,9 @@
 //! disconnect/reconnect resume, slow-reader isolation, mixed-codec
 //! clients, pipelined reads, transparent watch reconnect, the cap on
 //! concurrently executing requests, the checks that a request's path
-//! and body agree, and fresh contents after a server restart that re-issues
-//! revisions. These are the contracts a controller relies on when it
+//! and body agree, fresh contents after a server restart that re-issues
+//! revisions, and fresh bytes for an object moved out of its `Arc` and
+//! written back. These are the contracts a controller relies on when it
 //! attaches over the network instead of in-process.
 
 use std::io::{BufRead, BufReader, Write};
@@ -18,6 +19,7 @@ use vc_api::pod::{Container, Pod};
 use vc_api::time::RealClock;
 use vc_apiserver::{ApiServer, ApiServerConfig};
 use vc_client::{Client, Encoding, ObjectApi};
+use vc_store::StoreConfig;
 use vc_wire::{WireClient, WireServer, WireServerConfig};
 
 fn start_server(cfg: WireServerConfig) -> (Arc<ApiServer>, WireServer) {
@@ -677,6 +679,62 @@ fn a_list_past_a_mebibyte_then_a_small_one_on_one_connection() {
         assert_eq!(names, ["s-0", "s-1", "s-2"], "{encoding:?}");
         assert_eq!(again, revision);
         assert_eq!(server.metrics().connections_opened.get(), clients as u64 + 1, "{encoding:?}");
+    }
+    server.shutdown();
+}
+
+/// An owned copy moved out of a uniquely held `Arc` keeps the encodings
+/// the wire tier filled on it. The store empties them where it gives the
+/// copy its new revision, so once the copy is written back, GET, LIST and
+/// the watch event all carry the new state in both codecs.
+#[test]
+fn an_object_moved_out_of_its_arc_and_written_back_is_served_fresh() {
+    // An event log of one entry per kind: once the pod is rewritten, the
+    // store holds nothing of its first revision.
+    let store = StoreConfig { event_log_capacity: 1, ..Default::default() };
+    let config = ApiServerConfig { name: "moved-out".into(), store, ..Default::default() };
+    let api = ApiServer::new(config, RealClock::shared());
+    let server = WireServer::start(api.clone(), WireServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let json = WireClient::with_limits(addr.clone(), "tenant-j", 10_000.0, 1000);
+    let binary =
+        WireClient::with_limits(addr, "tenant-b", 10_000.0, 1000).with_codec(Encoding::Binary);
+    let local = Client::new(api.clone(), "tenant-l");
+    let label = |obj: &Object| obj.meta().labels.get("v").cloned();
+
+    let mut pod = Pod::new("default", "p");
+    pod.meta.labels.insert("v".into(), "old".into());
+    local.create(pod.into()).unwrap();
+    // Both codecs read the pod, so both of its slots fill.
+    json.get(ResourceKind::Pod, "default", "p").unwrap();
+    binary.get(ResourceKind::Pod, "default", "p").unwrap();
+    let first = local.get(ResourceKind::Pod, "default", "p").unwrap();
+    assert!(first.meta().encodings.get(0).is_some() && first.meta().encodings.get(1).is_some());
+
+    // Rewrite the pod through a copy: the index and the event log move on
+    // to the new revision, and `first` is the last holder of the old one.
+    let rewritten = local.update((*first).clone()).unwrap();
+    let revision = rewritten.meta().resource_version;
+    drop(rewritten);
+    let watch_j = json.watch(ResourceKind::Pod, Some("default"), revision).unwrap();
+    let watch_b = binary.watch(ResourceKind::Pod, Some("default"), revision).unwrap();
+
+    let mut owned = Pod::try_from(first).unwrap();
+    // Moved, not copied: the owned pod still holds the old state's bytes.
+    assert!(owned.meta.encodings.get(0).is_some() && owned.meta.encodings.get(1).is_some());
+    owned.meta.labels.insert("v".into(), "new".into());
+    owned.meta.resource_version = revision;
+    local.update(owned.into()).unwrap();
+
+    for client in [&json, &binary] {
+        let got = client.get(ResourceKind::Pod, "default", "p").unwrap();
+        assert_eq!(label(&got).as_deref(), Some("new"), "GET");
+        let (items, _) = client.list(ResourceKind::Pod, Some("default")).unwrap();
+        assert_eq!(label(&items[0]).as_deref(), Some("new"), "LIST");
+    }
+    for watch in [watch_j, watch_b] {
+        let event = watch.recv_timeout_ms(5000).expect("the update's watch event");
+        assert_eq!(label(&event.object).as_deref(), Some("new"), "watch event");
     }
     server.shutdown();
 }
