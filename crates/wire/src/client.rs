@@ -17,14 +17,18 @@
 //! one write carries every request head, then the responses stream back
 //! in order, and an unanswered suffix is retried once.
 //!
-//! Watches each open a dedicated connection whose chunked response is
-//! pumped by a background reader thread into a channel. A dropped socket
-//! is **reconnected transparently**, re-anchored at the revision of the
-//! last event actually *delivered* into the channel — an event committed
-//! while the connection was down is replayed, not lost. A terminal
-//! `RESYNC` (store-side compaction/overflow: the server cannot replay)
-//! surfaces as [`RecvOutcome::Closed`], telling the consumer to re-list
-//! exactly like an in-process overflow eviction would.
+//! Watches each open a dedicated connection, read on the thread that
+//! receives from the watch: no reader thread and no channel sit in
+//! between, so a consumer that stops receiving stops reading the socket,
+//! and the server's write timeout degrades it instead of its backlog
+//! growing in client memory. A dropped socket is **reconnected
+//! transparently** inside a receive, re-anchored at the revision of the
+//! last event decoded off the socket (the events before it wait in the
+//! watch's buffer), so an event committed while the connection was down
+//! is replayed, not lost. A terminal `RESYNC` (store-side
+//! compaction/overflow: the server cannot replay) surfaces as
+//! [`RecvOutcome::Closed`], telling the consumer to re-list exactly like
+//! an in-process overflow eviction would.
 //!
 //! A client, its clones and its watches share one [`DecodeCache`]: every
 //! `vcbin` object, list item and watch event decodes once per distinct
@@ -33,15 +37,14 @@
 
 use crate::codec;
 use crate::decode::DecodeCache;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::BufReader;
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{BufRead, BufReader, ErrorKind};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vc_api::error::{ApiError, ApiResult};
 use vc_api::object::{Object, ResourceKind};
 use vc_client::{Encoding, ObjectApi, RateLimiter, WatchHandle};
@@ -70,6 +73,11 @@ const RESYNC_PREFIX: &str = "{\"event_type\":\"RESYNC\"";
 /// Watch reconnect budget: attempts and linear backoff step.
 const WATCH_RECONNECT_ATTEMPTS: u32 = 8;
 const WATCH_RECONNECT_BACKOFF: Duration = Duration::from_millis(25);
+
+/// Bound on reading the rest of a watch chunk once its first byte is in,
+/// and on a watch response head: well past the server's default write
+/// budget, so a chunk the server is still writing is not cut short.
+const CHUNK_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One persistent connection: write half, buffered read half, and the
 /// reusable buffers that make a warm connection allocation-free on the
@@ -234,7 +242,25 @@ impl WireClient {
 
     /// Appends a request head to `out`.
     fn build_head(&self, out: &mut String, method: &str, target: Target<'_>, body_len: usize) {
-        build_head(out, method, target, body_len, &self.addr, &self.user, self.encoding);
+        out.push_str(method);
+        out.push(' ');
+        target.write(out);
+        out.push_str(" HTTP/1.1\r\nhost: ");
+        out.push_str(&self.addr);
+        out.push_str("\r\nx-vc-user: ");
+        out.push_str(&self.user);
+        out.push_str("\r\naccept: ");
+        out.push_str(codec::content_type(self.encoding));
+        out.push_str("\r\n");
+        if body_len > 0 {
+            // Bodyless verbs skip both headers — the server reads a missing
+            // content-length as 0.
+            let _ = write!(out, "content-length: {body_len}\r\n");
+            out.push_str("content-type: ");
+            out.push_str(codec::content_type(self.encoding));
+            out.push_str("\r\n");
+        }
+        out.push_str("\r\n");
     }
 
     /// Sends one unary request over the persistent connection and hands
@@ -389,38 +415,32 @@ impl WireClient {
         }
         Ok(results)
     }
-}
 
-/// Appends a request head to `out`; standalone so the watch reader thread
-/// can reuse it without a `WireClient`.
-fn build_head(
-    out: &mut String,
-    method: &str,
-    target: Target<'_>,
-    body_len: usize,
-    addr: &str,
-    user: &str,
-    encoding: Encoding,
-) {
-    out.push_str(method);
-    out.push(' ');
-    target.write(out);
-    out.push_str(" HTTP/1.1\r\nhost: ");
-    out.push_str(addr);
-    out.push_str("\r\nx-vc-user: ");
-    out.push_str(user);
-    out.push_str("\r\naccept: ");
-    out.push_str(codec::content_type(encoding));
-    out.push_str("\r\n");
-    if body_len > 0 {
-        // Bodyless verbs skip both headers — the server reads a missing
-        // content-length as 0.
-        let _ = write!(out, "content-length: {body_len}\r\n");
-        out.push_str("content-type: ");
-        out.push_str(codec::content_type(encoding));
-        out.push_str("\r\n");
+    /// Opens one watch connection anchored at `from`, returning it with
+    /// the chunked response header already consumed.
+    fn open_watch(
+        &self,
+        kind: ResourceKind,
+        namespace: Option<&str>,
+        from: u64,
+    ) -> ApiResult<Conn> {
+        let mut conn = Conn::open(&self.addr)
+            .map_err(|e| ApiError::unavailable(format!("connect {}: {e}", self.addr)))?;
+        conn.stream.set_read_timeout(Some(CHUNK_READ_TIMEOUT)).ok();
+        self.build_head(&mut conn.head, "GET", Target::Watch(kind, namespace, from), 0);
+        crate::http::write_all_vectored(&mut conn.stream, &[conn.head.as_bytes()])
+            .map_err(|e| ApiError::unavailable(format!("write {}: {e}", self.addr)))?;
+        let resp =
+            crate::http::read_response_head(&mut conn.reader, &mut conn.line, &mut conn.body)
+                .map_err(|e| ApiError::unavailable(format!("read {}: {e}", self.addr)))?;
+        if resp.status != 200 {
+            return Err(parse_error(resp.status, &conn.body, resp.encoding));
+        }
+        if !resp.chunked {
+            return Err(ApiError::internal("watch response was not chunked"));
+        }
+        Ok(conn)
     }
-    out.push_str("\r\n");
 }
 
 fn parse_object(body: &[u8], encoding: Encoding, decoded: &DecodeCache) -> ApiResult<Arc<Object>> {
@@ -509,58 +529,54 @@ impl ObjectApi for WireClient {
         from_revision: u64,
     ) -> ApiResult<Box<dyn WatchHandle>> {
         self.limiter.acquire();
-        let spec = WatchSpec {
-            addr: self.addr.clone(),
-            user: self.user.clone(),
-            encoding: self.encoding,
-            kind,
-            namespace: namespace.map(str::to_string),
-            decoded: Arc::clone(&self.decoded),
-        };
         // The first connect reports errors synchronously (Forbidden,
-        // server down, …); reconnects after that are the reader's job.
-        let conn = open_watch(&spec, from_revision)?;
-        Ok(Box::new(WireWatch::spawn(spec, conn, from_revision)))
+        // server down, …); reconnects after that happen inside a receive.
+        let conn = self.open_watch(kind, namespace, from_revision)?;
+        let state = WatchState {
+            conn: Some(conn),
+            events: VecDeque::new(),
+            anchor: from_revision,
+            attempts: 0,
+        };
+        let namespace = namespace.map(str::to_string);
+        Ok(Box::new(WireWatch { client: self.clone(), kind, namespace, state: Mutex::new(state) }))
     }
 }
 
-/// Everything the watch reader thread needs to (re)establish its stream.
-struct WatchSpec {
-    addr: String,
-    user: String,
-    encoding: Encoding,
+/// Client side of a watch stream, read on the thread that receives from
+/// it: a receive decodes the next chunk off the socket into a buffer of
+/// events and hands them out one by one. Dropping the handle closes the
+/// socket.
+pub struct WireWatch {
+    /// Identity, codec and decoded objects of the client that opened it.
+    client: WireClient,
     kind: ResourceKind,
     namespace: Option<String>,
-    decoded: Arc<DecodeCache>,
+    state: Mutex<WatchState>,
 }
 
-/// Opens one watch connection anchored at `from`, returning it with the
-/// chunked response header already consumed.
-fn open_watch(spec: &WatchSpec, from: u64) -> ApiResult<Conn> {
-    let target = Target::Watch(spec.kind, spec.namespace.as_deref(), from);
-    let mut conn = Conn::open(&spec.addr)
-        .map_err(|e| ApiError::unavailable(format!("connect {}: {e}", spec.addr)))?;
-    build_head(&mut conn.head, "GET", target, 0, &spec.addr, &spec.user, spec.encoding);
-    crate::http::write_all_vectored(&mut conn.stream, &[conn.head.as_bytes()])
-        .map_err(|e| ApiError::unavailable(format!("write {}: {e}", spec.addr)))?;
-    let resp = crate::http::read_response_head(&mut conn.reader, &mut conn.line, &mut conn.body)
-        .map_err(|e| ApiError::unavailable(format!("read {}: {e}", spec.addr)))?;
-    if resp.status != 200 {
-        return Err(parse_error(resp.status, &conn.body, resp.encoding));
-    }
-    if !resp.chunked {
-        return Err(ApiError::internal("watch response was not chunked"));
-    }
-    Ok(conn)
+/// What a [`WireWatch`] keeps from one receive to the next.
+struct WatchState {
+    /// The stream's connection; `None` while it is being reconnected and
+    /// once the stream has ended.
+    conn: Option<Conn>,
+    /// Events decoded off the socket and not yet returned.
+    events: VecDeque<WatchEvent>,
+    /// The revision of the last event decoded into `events`, where a
+    /// reconnect resumes: every event up to it is in `events` or was
+    /// returned, so none is skipped and none repeated.
+    anchor: u64,
+    /// Reconnect attempts since the connection dropped;
+    /// `WATCH_RECONNECT_ATTEMPTS` once the stream has ended.
+    attempts: u32,
 }
 
-/// Client side of a watch stream: a reader thread decodes chunks into
-/// [`WatchEvent`]s and transparently reconnects a dropped socket from the
-/// last revision it delivered; dropping the handle tears the stream down.
-pub struct WireWatch {
-    rx: Receiver<WatchEvent>,
-    stopped: Arc<AtomicBool>,
-    socket: Arc<Mutex<Option<TcpStream>>>,
+impl WatchState {
+    /// Ends the stream for good: the consumer must re-list.
+    fn end(&mut self) {
+        self.conn = None;
+        self.attempts = WATCH_RECONNECT_ATTEMPTS;
+    }
 }
 
 impl std::fmt::Debug for WireWatch {
@@ -569,191 +585,136 @@ impl std::fmt::Debug for WireWatch {
     }
 }
 
-/// Why the pump loop stopped consuming a connection.
-enum PumpExit {
-    /// Socket error / EOF with replay still possible — reconnect from the
-    /// last delivered revision.
-    Disconnected,
-    /// Terminal: server said RESYNC, the channel consumer went away, or a
-    /// chunk failed to decode (protocol breach — resync rather than guess).
-    Done,
-}
-
-impl WireWatch {
-    fn spawn(spec: WatchSpec, conn: Conn, from: u64) -> WireWatch {
-        let stopped = Arc::new(AtomicBool::new(false));
-        let socket = Arc::new(Mutex::new(conn.stream.try_clone().ok()));
-        let (tx, rx) = unbounded();
-        {
-            let stopped = stopped.clone();
-            let socket = socket.clone();
-            std::thread::Builder::new()
-                .name("wire-watch-reader".to_string())
-                .spawn(move || reader_loop(spec, conn, from, &tx, &stopped, &socket))
-                .expect("spawn watch reader");
-        }
-        WireWatch { rx, stopped, socket }
+/// Waits up to `remaining` for the next bytes of `conn`, leaving them in
+/// its reader's buffer; `Ok(false)` when none came. A zero wait only
+/// looks. Outside the wait the socket's read timeout is
+/// `CHUNK_READ_TIMEOUT`, which bounds reading the rest of a chunk.
+fn wait_for_bytes(conn: &mut Conn, remaining: Duration) -> std::io::Result<bool> {
+    if !conn.reader.buffer().is_empty() {
+        return Ok(true);
+    }
+    let read = if remaining.is_zero() {
+        conn.stream.set_nonblocking(true)?;
+        let read = conn.reader.fill_buf().map(<[u8]>::len);
+        conn.stream.set_nonblocking(false).and(read)
+    } else {
+        conn.stream.set_read_timeout(Some(remaining))?;
+        let read = conn.reader.fill_buf().map(<[u8]>::len);
+        conn.stream.set_read_timeout(Some(CHUNK_READ_TIMEOUT)).and(read)
+    };
+    match read {
+        Ok(0) => Err(ErrorKind::UnexpectedEof.into()),
+        Ok(_) => Ok(true),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => Ok(false),
+        Err(e) => Err(e),
     }
 }
 
-/// Pumps one connection's chunks into `tx`, tracking the last *delivered*
-/// revision in `anchor` — delivered meaning the event actually landed in
-/// the channel, so a reconnect never skips an event the consumer has not
-/// seen. Every chunk is read into the connection's one payload buffer.
-fn pump(conn: &mut Conn, tx: &Sender<WatchEvent>, anchor: &mut u64, spec: &WatchSpec) -> PumpExit {
-    loop {
-        match crate::http::read_chunk(&mut conn.reader, &mut conn.line, &mut conn.body) {
-            Ok(true) => {}
-            Ok(false) => return PumpExit::Done, // clean terminator follows RESYNC
-            Err(_) => return PumpExit::Disconnected,
-        }
-        let events = match decode_chunk(&conn.body, spec.encoding, &spec.decoded) {
-            Ok(ChunkEvents::Events(events)) => events,
-            Ok(ChunkEvents::Resync) => return PumpExit::Done,
-            Err(_) => return PumpExit::Done,
-        };
-        for ev in events {
-            let revision = ev.revision;
-            if tx.send(ev).is_err() {
-                return PumpExit::Done; // consumer dropped the handle
-            }
-            *anchor = revision;
-        }
-    }
-}
-
-enum ChunkEvents {
-    Events(Vec<WatchEvent>),
-    Resync,
-}
-
-/// Decodes one chunk — possibly a *batch* of events in either codec —
-/// into watch events. A RESYNC frame terminates the stream (any events
-/// earlier in the same chunk are discarded with it: the consumer is about
-/// to re-list anyway).
+/// Decodes one chunk, possibly a batch of events in either codec, onto
+/// the back of `events`. Returns `false` when the stream ends with this
+/// chunk: at a RESYNC frame, or at a chunk it cannot decode (a protocol
+/// breach: resync rather than guess). Events before that point stay.
 fn decode_chunk(
     chunk: &[u8],
     encoding: Encoding,
     decoded: &DecodeCache,
-) -> Result<ChunkEvents, ApiError> {
+    events: &mut VecDeque<WatchEvent>,
+) -> bool {
     match encoding {
         Encoding::Json => {
-            let text = std::str::from_utf8(chunk)
-                .map_err(|_| ApiError::internal("watch chunk is not UTF-8"))?;
-            let mut events = Vec::new();
+            let Ok(text) = std::str::from_utf8(chunk) else { return false };
             for line in text.lines().filter(|l| !l.is_empty()) {
                 if line.starts_with(RESYNC_PREFIX) {
-                    return Ok(ChunkEvents::Resync);
+                    return false;
                 }
-                let msg: WireEventMsg = serde_json::from_str(line)
-                    .map_err(|e| ApiError::internal(format!("undecodable watch event: {e}")))?;
+                let Ok(msg) = serde_json::from_str::<WireEventMsg>(line) else { return false };
                 let event_type = match msg.event_type.as_str() {
                     "ADDED" => EventType::Added,
                     "MODIFIED" => EventType::Modified,
                     "DELETED" => EventType::Deleted,
-                    other => {
-                        return Err(ApiError::internal(format!("unknown event type {other:?}")))
-                    }
+                    _ => return false,
                 };
-                events.push(WatchEvent {
-                    revision: msg.revision,
-                    event_type,
-                    object: Arc::new(msg.object),
-                });
+                let object = Arc::new(msg.object);
+                events.push_back(WatchEvent { revision: msg.revision, event_type, object });
             }
-            Ok(ChunkEvents::Events(events))
         }
         Encoding::Binary => {
-            let undecodable = |e| ApiError::internal(format!("undecodable watch chunk: {e}"));
-            let frames = codec::split_event_frames(chunk).map_err(undecodable)?;
-            let mut events = Vec::with_capacity(frames.len());
-            for frame in frames {
+            for frame in codec::split_event_frames(chunk) {
+                let Ok(frame) = frame else { return false };
                 let event_type = match frame.event_type {
                     codec::EVENT_ADDED => EventType::Added,
                     codec::EVENT_MODIFIED => EventType::Modified,
                     codec::EVENT_DELETED => EventType::Deleted,
-                    codec::EVENT_RESYNC => return Ok(ChunkEvents::Resync),
-                    other => {
-                        return Err(ApiError::internal(format!("unknown event type byte {other}")))
-                    }
+                    _ => return false, // RESYNC, or a type this client does not know
                 };
-                let item =
-                    frame.object.ok_or_else(|| ApiError::internal("event frame missing object"))?;
-                events.push(WatchEvent {
-                    revision: frame.revision,
-                    event_type,
-                    object: decoded.decode(item).map_err(undecodable)?,
-                });
+                let Some(Ok(object)) = frame.object.map(|item| decoded.decode(item)) else {
+                    return false;
+                };
+                events.push_back(WatchEvent { revision: frame.revision, event_type, object });
             }
-            Ok(ChunkEvents::Events(events))
         }
     }
-}
-
-fn reader_loop(
-    spec: WatchSpec,
-    mut conn: Conn,
-    from: u64,
-    tx: &Sender<WatchEvent>,
-    stopped: &AtomicBool,
-    socket: &Mutex<Option<TcpStream>>,
-) {
-    // The revision to re-anchor a reconnect at: advances only when an
-    // event is *delivered* into the channel, never when it is merely read
-    // off the socket — an event decoded but undelivered would otherwise be
-    // lost across a reconnect.
-    let mut anchor = from;
-    loop {
-        let exit = pump(&mut conn, tx, &mut anchor, &spec);
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        match exit {
-            PumpExit::Done => break,
-            PumpExit::Disconnected => {}
-        }
-        // Transparent reconnect, re-anchored at the last delivered
-        // revision; the server replays everything committed after it.
-        let mut reconnected = None;
-        for attempt in 0..WATCH_RECONNECT_ATTEMPTS {
-            if stopped.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(WATCH_RECONNECT_BACKOFF * (attempt + 1));
-            match open_watch(&spec, anchor) {
-                Ok(conn) => {
-                    reconnected = Some(conn);
-                    break;
-                }
-                Err(err) if err.is_expired() => break, // compacted: must re-list
-                Err(_) => continue,
-            }
-        }
-        let Some(next) = reconnected else { break };
-        conn = next;
-        *socket.lock() = conn.stream.try_clone().ok();
-        if stopped.load(Ordering::SeqCst) {
-            // Lost the race with Drop: tear the fresh socket down too.
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            break;
-        }
-    }
-    // Dropping tx surfaces Closed to the receiver.
+    true
 }
 
 impl WatchHandle for WireWatch {
+    /// Returns a buffered event if one waits; otherwise waits up to
+    /// `timeout` for the next chunk, decodes it and returns its first
+    /// event. A chunk that has started is read to its end under
+    /// `CHUNK_READ_TIMEOUT`, so an event is never split. A dropped
+    /// socket is reconnected here, one attempt after each backoff step;
+    /// a receive makes at least one attempt, so it may overrun a short
+    /// `timeout` by one step. The budget spent, a compacted revision or a
+    /// RESYNC ends the stream with [`RecvOutcome::Closed`].
     fn recv_deadline(&self, timeout: Duration) -> RecvOutcome {
-        match self.rx.recv_timeout(timeout) {
-            Ok(ev) => RecvOutcome::Event(ev),
-            Err(RecvTimeoutError::Timeout) => RecvOutcome::Timeout,
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
-        }
-    }
-}
-
-impl Drop for WireWatch {
-    fn drop(&mut self) {
-        self.stopped.store(true, Ordering::SeqCst);
-        if let Some(stream) = self.socket.lock().as_ref() {
-            let _ = stream.shutdown(Shutdown::Both);
+        let deadline = Instant::now().checked_add(timeout);
+        let remaining =
+            || deadline.map_or(timeout, |d| d.saturating_duration_since(Instant::now()));
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        loop {
+            if let Some(ev) = state.events.pop_front() {
+                return RecvOutcome::Event(ev);
+            }
+            let Some(conn) = state.conn.as_mut() else {
+                if state.attempts == WATCH_RECONNECT_ATTEMPTS {
+                    return RecvOutcome::Closed;
+                }
+                // Re-anchored at the last decoded revision, the server
+                // replays everything committed after it.
+                state.attempts += 1;
+                std::thread::sleep(WATCH_RECONNECT_BACKOFF * state.attempts);
+                match self.client.open_watch(self.kind, self.namespace.as_deref(), state.anchor) {
+                    Ok(conn) => {
+                        state.conn = Some(conn);
+                        state.attempts = 0;
+                    }
+                    Err(err) if err.is_expired() => state.end(), // compacted: must re-list
+                    Err(_) if remaining().is_zero() => return RecvOutcome::Timeout,
+                    Err(_) => {}
+                }
+                continue;
+            };
+            match wait_for_bytes(conn, remaining()) {
+                Ok(true) => {}
+                Ok(false) => return RecvOutcome::Timeout,
+                Err(_) => {
+                    state.conn = None;
+                    continue;
+                }
+            }
+            match crate::http::read_chunk(&mut conn.reader, &mut conn.line, &mut conn.body) {
+                Ok(true) => {
+                    let (encoding, decoded) = (self.client.encoding, &self.client.decoded);
+                    let more = decode_chunk(&conn.body, encoding, decoded, &mut state.events);
+                    state.anchor = state.events.back().map_or(state.anchor, |ev| ev.revision);
+                    if !more {
+                        state.end();
+                    }
+                }
+                Ok(false) => state.end(), // clean terminator after RESYNC or shutdown
+                Err(_) => state.conn = None,
+            }
         }
     }
 }

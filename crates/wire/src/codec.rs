@@ -901,34 +901,45 @@ pub fn write_event_frame(out: &mut Vec<u8>, event_type: u8, revision: u64, encod
 /// Fails on malformed framing; a RESYNC frame decodes successfully and is
 /// expected to be the chunk's last frame.
 pub fn read_event_frames<T: Deserialize>(buf: &[u8]) -> Result<Vec<EventFrame<T>>, CodecError> {
-    read_events(buf, Reader::item)
+    read_events(buf, Reader::item).collect()
 }
 
-/// Splits a watch chunk into its event frames without decoding an object:
-/// each frame's `object` is the object's self-contained value encoding.
+/// Splits a watch chunk into its event frames, one at a time and without
+/// decoding an object or allocating: each frame's `object` is the
+/// object's self-contained value encoding.
 ///
 /// # Errors
 ///
-/// Fails on malformed framing (not on an undecodable object).
-pub fn split_event_frames(buf: &[u8]) -> Result<Vec<EventFrame<&[u8]>>, CodecError> {
+/// A malformed frame (not an undecodable object) is the last item.
+pub fn split_event_frames(
+    buf: &[u8],
+) -> impl Iterator<Item = Result<EventFrame<&[u8]>, CodecError>> {
     read_events(buf, Reader::item_bytes)
 }
 
-fn read_events<'a, T>(
+fn read_events<'a, T: 'a>(
     buf: &'a [u8],
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
-) -> Result<Vec<EventFrame<T>>, CodecError> {
-    let mut frames = Vec::new();
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError> + 'a,
+) -> impl Iterator<Item = Result<EventFrame<T>, CodecError>> + 'a {
     let mut r = Reader::new(buf);
-    while r.pos < buf.len() {
-        frame_payload(&buf[r.pos..], FRAME_EVENT)?;
-        r.pos += 2;
-        let event_type = r.byte()?;
-        let revision = r.varint()?;
-        let object = if event_type == EVENT_RESYNC { None } else { Some(item(&mut r)?) };
-        frames.push(EventFrame { event_type, revision, object });
-    }
-    Ok(frames)
+    std::iter::from_fn(move || {
+        if r.pos >= buf.len() {
+            return None;
+        }
+        let mut frame = || {
+            frame_payload(&buf[r.pos..], FRAME_EVENT)?;
+            r.pos += 2;
+            let event_type = r.byte()?;
+            let revision = r.varint()?;
+            let object = if event_type == EVENT_RESYNC { None } else { Some(item(&mut r)?) };
+            Ok(EventFrame { event_type, revision, object })
+        };
+        let frame = frame();
+        if frame.is_err() {
+            r.pos = buf.len();
+        }
+        Some(frame)
+    })
 }
 
 #[cfg(test)]

@@ -35,6 +35,8 @@
 //! 6. **Degrade-to-resync**: a watcher that cannot keep up is dropped
 //!    (write timeout) or told to re-list (`RESYNC` terminal chunk) —
 //!    fan-out to healthy watchers never blocks on the slowest socket.
+//!    A [`WireWatch`] is read on its consumer's thread (no reader thread,
+//!    no channel), so a consumer that stops receiving is such a watcher.
 //!
 //! [`WireClient`] implements `vc_client::ObjectApi`, making in-process
 //! and over-the-wire attachment interchangeable behind `dyn ObjectApi`.

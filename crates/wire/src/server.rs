@@ -49,11 +49,14 @@
 //!   events, they are drained ([`vc_store::WatchStream::try_recv`]) into
 //!   one chunk: self-delimiting event frames in `vcbin`, newline-delimited
 //!   event objects in JSON. One write (and one wakeup) covers the burst.
+//!   Between bursts the watch's thread parks until the store's waker or
+//!   [`WireServer::shutdown`] unparks it: an idle watch wakes nobody.
 //! - **Degrade-to-resync** — watch connections carry a socket write
 //!   timeout. A stalled reader fails its own write and is dropped
 //!   (counted in `degraded_watchers`); store-side overflow eviction
 //!   surfaces as a terminal `RESYNC` event telling the client to re-list.
-//!   Either way fan-out to healthy watchers never blocks.
+//!   Either way fan-out to healthy watchers never blocks. A client that
+//!   hangs up is noticed at the next write to it.
 
 use crate::codec;
 use crate::encode::EncodeLookups;
@@ -339,8 +342,10 @@ impl WireServer {
             let _ = t.join();
         }
         // Requests waiting for a permit still get one as the running ones
-        // finish, so joining the connection threads drains them.
+        // finish, so joining the connection threads drains them. A watch
+        // parks until woken.
         for t in self.inner.conn_threads.lock().drain(..) {
+            t.thread().unpark();
             let _ = t.join();
         }
     }
@@ -858,11 +863,15 @@ fn serve_watch(
         inner.metrics.active_watches.dec();
         return;
     }
+    // The store wakes this thread for each event and when the stream
+    // closes, `shutdown` to stop; an unpark before the park is not lost.
+    let this = std::thread::current();
+    ws.set_waker(vc_api::time::waker_fn(move || this.unpark()));
     // Chunk payload reused across the stream's lifetime; a burst of ready
     // events is drained into it and leaves in one write.
     let mut payload: Vec<u8> = Vec::with_capacity(4096);
     loop {
-        match ws.recv_deadline(Duration::from_millis(250)) {
+        match ws.try_next() {
             RecvOutcome::Event(ev) => {
                 payload.clear();
                 let mut batched = 0usize;
@@ -893,6 +902,7 @@ fn serve_watch(
                     let _ = http::finish_chunks(stream);
                     break;
                 }
+                std::thread::park();
             }
             RecvOutcome::Closed => {
                 // Store-side eviction (this watcher overflowed its buffer)

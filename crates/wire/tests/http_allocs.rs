@@ -8,6 +8,13 @@
 //! item holds into the connection's body buffer, so once the items are
 //! encoded and the buffer fits, serving a list allocates nothing.
 //!
+//! A watch is read on the thread that receives from it: the chunk goes
+//! into the connection's body buffer and its events into the watch's
+//! reused event buffer, and an event of bytes the client has decoded
+//! before hands out the object it decoded then. So a warm `vcbin` watch
+//! receiving the events of the client's own writes allocates nothing on
+//! the consumer's thread.
+//!
 //! The allocator counts only the calling thread's allocations, so the
 //! server's threads and tests running in parallel do not disturb a count.
 
@@ -156,6 +163,34 @@ fn a_warm_binary_get_of_a_cached_object_allocates_nothing_on_the_caller() {
     let (n, pod) = allocations_during(|| client.get(ResourceKind::Pod, "default", "p0").unwrap());
     assert_eq!(pod.meta().name, "p0");
     assert_eq!(n, 0, "a warm binary GET made {n} allocations on the calling thread");
+    server.shutdown();
+}
+
+#[test]
+fn a_warm_binary_watch_of_the_clients_own_writes_allocates_nothing_on_the_consumer() {
+    let api = ApiServer::new_default("watch-allocs");
+    let server = WireServer::start(api, WireServerConfig::default()).expect("bind");
+    let client = WireClient::with_limits(server.local_addr().to_string(), "admin", 1e9, 1 << 30)
+        .with_codec(Encoding::Binary);
+    let (_, revision) = client.list(ResourceKind::Pod, Some("default")).unwrap();
+    let watch = client.watch(ResourceKind::Pod, Some("default"), revision).unwrap();
+    // The first rounds size the connection's buffers and the event buffer.
+    for round in 0..8 {
+        let pod = Pod::new("default", format!("w{round}"))
+            .with_container(Container::new("app", "stress:1"));
+        // The create's response decodes the stored object's bytes, which
+        // its watch event carries again.
+        let created = client.create(pod.into()).unwrap();
+        let (n, outcome) =
+            allocations_during(|| watch.recv_deadline(std::time::Duration::from_secs(5)));
+        let vc_store::RecvOutcome::Event(event) = outcome else {
+            panic!("round {round}: {outcome:?} instead of the create's event");
+        };
+        assert!(Arc::ptr_eq(&event.object, &created), "round {round}: the object decoded once");
+        if round >= 2 {
+            assert_eq!(n, 0, "a warm binary watch event made {n} allocations on the consumer");
+        }
+    }
     server.shutdown();
 }
 

@@ -3,9 +3,11 @@
 //! clients, pipelined reads, transparent watch reconnect, the cap on
 //! concurrently executing requests, the checks that a request's path
 //! and body agree, fresh contents after a server restart that re-issues
-//! revisions, and fresh bytes for an object moved out of its `Arc` and
-//! written back. These are the contracts a controller relies on when it
-//! attaches over the network instead of in-process.
+//! revisions, fresh bytes for an object moved out of its `Arc` and
+//! written back, the write-timeout contract for a `WireClient` watch that
+//! stops receiving, and zero and near-zero receive deadlines. These are
+//! the contracts a controller relies on when it attaches over the network
+//! instead of in-process.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -19,7 +21,7 @@ use vc_api::pod::{Container, Pod};
 use vc_api::time::RealClock;
 use vc_apiserver::{ApiServer, ApiServerConfig};
 use vc_client::{Client, Encoding, ObjectApi};
-use vc_store::StoreConfig;
+use vc_store::{RecvOutcome, StoreConfig};
 use vc_wire::{WireClient, WireServer, WireServerConfig};
 
 fn start_server(cfg: WireServerConfig) -> (Arc<ApiServer>, WireServer) {
@@ -737,4 +739,103 @@ fn an_object_moved_out_of_its_arc_and_written_back_is_served_fresh() {
         assert_eq!(label(&event.object).as_deref(), Some("new"), "watch event");
     }
     server.shutdown();
+}
+
+/// A `WireClient` watch whose consumer stops receiving stops reading its
+/// socket: the server's writes to it blow their write timeout and the
+/// watcher is degraded, instead of its backlog growing in client memory.
+/// Draining the watch afterwards reconnects from the last event decoded
+/// and still delivers every event exactly once, in revision order.
+#[test]
+fn a_stalled_wire_client_watch_is_degraded_then_drains_every_event_once() {
+    for codec in [Encoding::Json, Encoding::Binary] {
+        let cfg = WireServerConfig {
+            write_timeout: Duration::from_millis(200),
+            ..WireServerConfig::default()
+        };
+        let (_api, server) = start_server(cfg);
+        let client =
+            WireClient::with_limits(server.local_addr().to_string(), "tenant-s", 1e9, 1 << 30)
+                .with_codec(codec);
+        let (_, rev) = client.list(ResourceKind::Pod, Some("default")).unwrap();
+        let watch = client.watch(ResourceKind::Pod, Some("default"), rev).unwrap();
+
+        // 32 MiB of events, far past what the loopback socket buffers hold.
+        let blob = "x".repeat(64 * 1024);
+        let total = 512;
+        for i in 0..total {
+            let mut pod = Pod::new("default", format!("big-{i:03}"));
+            pod.meta.annotations.insert("payload".into(), blob.clone());
+            client.create(pod.into()).unwrap();
+        }
+        let waited = Instant::now() + Duration::from_secs(10);
+        while server.metrics().degraded_watchers.get() == 0 && Instant::now() < waited {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        let mut names = Vec::with_capacity(total);
+        let mut last = rev;
+        while names.len() < total {
+            match watch.recv_deadline(Duration::from_secs(10)) {
+                RecvOutcome::Event(ev) => {
+                    assert!(ev.revision > last, "{codec:?}: revision {} after {last}", ev.revision);
+                    last = ev.revision;
+                    names.push(ev.object.meta().name.clone());
+                }
+                other => panic!("{codec:?}: {other:?} after {} events", names.len()),
+            }
+        }
+        let expected: Vec<String> = (0..total).map(|i| format!("big-{i:03}")).collect();
+        assert_eq!(names, expected, "{codec:?}: every event exactly once, in order");
+        assert!(watch.recv_timeout_ms(200).is_none(), "{codec:?}: nothing past the last write");
+        assert!(
+            server.metrics().degraded_watchers.get() >= 1,
+            "{codec:?}: the stalled watch should be degraded by the write timeout"
+        );
+        server.shutdown();
+    }
+}
+
+/// A zero or 1 µs deadline looks without waiting: on an idle live stream
+/// it times out, never closes, and an event already on the socket or in
+/// the watch's buffer comes back at once.
+#[test]
+fn zero_and_microsecond_deadlines_time_out_when_idle_and_return_ready_events() {
+    for codec in [Encoding::Json, Encoding::Binary] {
+        let (_api, server) = start_server(WireServerConfig::default());
+        let client =
+            WireClient::with_limits(server.local_addr().to_string(), "tenant-z", 1e9, 1 << 30)
+                .with_codec(codec);
+        let (_, rev) = client.list(ResourceKind::Pod, Some("default")).unwrap();
+        let watch = client.watch(ResourceKind::Pod, Some("default"), rev).unwrap();
+        let mut sent = 0;
+        for timeout in [Duration::ZERO, Duration::from_micros(1)] {
+            for _ in 0..3 {
+                let outcome = watch.recv_deadline(timeout);
+                assert!(matches!(outcome, RecvOutcome::Timeout), "{codec:?} idle: {outcome:?}");
+            }
+            // Three writes whose events the server has put on the socket
+            // before the first receive: one or more chunks, read by the
+            // first receive and handed out from the buffers after it.
+            let names: Vec<String> =
+                (0..3).map(|i| format!("z-{}-{i}", timeout.as_micros())).collect();
+            for name in &names {
+                client.create(Pod::new("default", name.clone()).into()).unwrap();
+            }
+            sent += 3;
+            let waited = Instant::now() + Duration::from_secs(10);
+            while server.metrics().watch_events_sent.get() < sent && Instant::now() < waited {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            for name in &names {
+                match watch.recv_deadline(timeout) {
+                    RecvOutcome::Event(ev) => assert_eq!(&ev.object.meta().name, name),
+                    other => panic!("{codec:?} {timeout:?}: {other:?} instead of {name}"),
+                }
+            }
+            let outcome = watch.recv_deadline(timeout);
+            assert!(matches!(outcome, RecvOutcome::Timeout), "{codec:?} drained: {outcome:?}");
+        }
+        server.shutdown();
+    }
 }
